@@ -74,57 +74,47 @@ def tree_update(
         raise ValueError(f"chunk range [{lo_w},{hi_w}) outside capacity {capacity}")
     if len(descriptors) != hi_w - lo_w:
         raise ValueError("descriptors must cover a contiguous chunk range")
-    writes = yield from _update_node(
-        kv, blob_id, version, prev_version, 0, capacity, descriptors, lo_w, hi_w
-    )
-    return writes
-
-
-def _update_node(
-    kv,
-    blob_id: int,
-    version: int,
-    prev_stamp: Optional[int],
-    lo: int,
-    hi: int,
-    descriptors: Dict[int, ChunkDescriptor],
-    lo_w: int,
-    hi_w: int,
-):
-    """Recursively write the subtree [lo, hi); returns KV put count."""
-    if hi - lo == 1:
-        descriptor = descriptors[lo]
-        yield from kv.put(node_key(blob_id, version, lo, hi), ("leaf", descriptor))
-        return 1
-
-    mid = (lo + hi) // 2
-    # Child stamps from the previous version of this node (if any).
-    # When the write covers this whole subtree both children are about to
-    # be rewritten, so the old node need not be fetched.
-    left_stamp: Optional[int] = None
-    right_stamp: Optional[int] = None
-    fully_covered = lo_w <= lo and hi <= hi_w
-    if prev_stamp is not None and not fully_covered:
-        prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
-        if prev is not None:
-            _tag, left_stamp, right_stamp = prev
-
+    # Depth-first walk with an explicit stack instead of one generator
+    # frame per tree level, so a wake-up from a KV round trip resumes two
+    # frames whatever the tree height.  Previous-version gets happen on
+    # the way down (pre-order) and puts on the way back up (post-order),
+    # left subtree before right.  A stack entry is either a subtree still
+    # to visit, ``(lo, hi, prev_stamp, None)``, or an internal node whose
+    # children are done and whose put is due, ``(lo, hi, None, value)``.
     writes = 0
-    if lo_w < mid:  # write range intersects the left child
-        writes += yield from _update_node(
-            kv, blob_id, version, left_stamp, lo, mid,
-            descriptors, lo_w, min(hi_w, mid),
-        )
-        left_stamp = version
-    if hi_w > mid:  # intersects the right child
-        writes += yield from _update_node(
-            kv, blob_id, version, right_stamp, mid, hi,
-            descriptors, max(lo_w, mid), hi_w,
-        )
-        right_stamp = version
-
-    yield from kv.put(node_key(blob_id, version, lo, hi), ("node", left_stamp, right_stamp))
-    return writes + 1
+    stack = [(0, capacity, prev_version, None)]
+    while stack:
+        lo, hi, prev_stamp, value = stack.pop()
+        if value is None and hi - lo == 1:
+            value = ("leaf", descriptors[lo])
+        elif value is None:
+            mid = (lo + hi) // 2
+            # Child stamps from the previous version of this node (if
+            # any).  When the write covers this whole subtree both
+            # children are about to be rewritten, so the old node need
+            # not be fetched.
+            left_stamp: Optional[int] = None
+            right_stamp: Optional[int] = None
+            fully_covered = lo_w <= lo and hi <= hi_w
+            if prev_stamp is not None and not fully_covered:
+                prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
+                if prev is not None:
+                    _tag, left_stamp, right_stamp = prev
+            go_left = lo_w < mid  # write range intersects the left child
+            go_right = hi_w > mid
+            stack.append((lo, hi, None, (
+                "node",
+                version if go_left else left_stamp,
+                version if go_right else right_stamp,
+            )))
+            if go_right:
+                stack.append((mid, hi, right_stamp, None))
+            if go_left:
+                stack.append((lo, mid, left_stamp, None))
+            continue
+        yield from kv.put(node_key(blob_id, version, lo, hi), value)
+        writes += 1
+    return writes
 
 
 def tree_query(
@@ -144,36 +134,23 @@ def tree_query(
     if not 0 <= first < last <= capacity:
         raise ValueError(f"query range [{first},{last}) outside [0,{capacity})")
     result: Dict[int, ChunkDescriptor] = {}
-    yield from _query_node(kv, blob_id, version, 0, capacity, first, last, result)
+    # Explicit stack, left subtree before right (see tree_update).
+    stack = [(0, capacity, version)]
+    while stack:
+        lo, hi, stamp = stack.pop()
+        node = yield from kv.get(node_key(blob_id, stamp, lo, hi))
+        if node is None:
+            continue  # unwritten subtree: hole
+        if node[0] == "leaf":
+            result[lo] = node[1]
+            continue
+        _tag, left_stamp, right_stamp = node
+        mid = (lo + hi) // 2
+        if last > mid and right_stamp is not None:
+            stack.append((mid, hi, right_stamp))
+        if first < mid and left_stamp is not None:
+            stack.append((lo, mid, left_stamp))
     return result
-
-
-def _query_node(
-    kv,
-    blob_id: int,
-    stamp: int,
-    lo: int,
-    hi: int,
-    first: int,
-    last: int,
-    result: Dict[int, ChunkDescriptor],
-):
-    node = yield from kv.get(node_key(blob_id, stamp, lo, hi))
-    if node is None:
-        return  # unwritten subtree: hole
-    if node[0] == "leaf":
-        result[lo] = node[1]
-        return
-    _tag, left_stamp, right_stamp = node
-    mid = (lo + hi) // 2
-    if first < mid and left_stamp is not None:
-        yield from _query_node(
-            kv, blob_id, left_stamp, lo, mid, first, min(last, mid), result
-        )
-    if last > mid and right_stamp is not None:
-        yield from _query_node(
-            kv, blob_id, right_stamp, mid, hi, max(first, mid), last, result
-        )
 
 
 def tree_node_count(span: int, capacity: int = DEFAULT_CAPACITY) -> int:

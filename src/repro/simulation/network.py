@@ -43,7 +43,16 @@ Performance notes (this is the simulator's hot path):
 - the water-filling pass itself is vectorized with numpy for large
   components (with scratch buffers reused across passes) and runs a
   bit-identical scalar path for small components where numpy dispatch
-  overhead dominates.
+  overhead dominates;
+- a zero-payload control message is **one kernel event**: it never
+  touches any of the above.  :meth:`FlowNetwork.message` (which
+  :meth:`FlowNetwork.transfer` delegates to for ``size == 0``) resolves
+  the endpoints, consults the fault model, and puts one pre-triggered
+  event on the heap at ``now + latency`` — no :class:`Flow`, no flow id,
+  no delivery callback.  Ordering rule: the event keeps its heap
+  sequence number from *send* time, so at an equal instant a message is
+  delivered before anything scheduled after it was sent; messages among
+  themselves arrive in send order.
 
 Units convention (repo-wide): sizes in **MB**, rates in **MB/s**,
 time in **seconds**.
@@ -58,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .engine import Environment
-from .events import Event
+from .events import Event, Timeout
 
 __all__ = ["NetNode", "Flow", "FlowNetwork", "TransferAborted"]
 
@@ -334,29 +343,12 @@ class FlowNetwork:
         tag: Optional[str] = None,
     ) -> Event:
         """Start a transfer; the returned event succeeds with the Flow
-        when the last byte arrives (propagation latency included).
+        when the last byte arrives (propagation latency included).  A
+        zero-payload transfer is a control :meth:`message`.
 
         Addressing a node missing from the topology raises ``KeyError``
         unless :attr:`blackhole_missing` is set, in which case the event
         simply never triggers (callers need timeouts to notice)."""
-        latency_scale = 1.0
-        if isinstance(src, str):
-            src = self._resolve(src)
-        if isinstance(dst, str):
-            dst = self._resolve(dst)
-        if src is None or dst is None:
-            return self._black_hole()
-        if self.blackhole_missing and (
-            self.nodes.get(src.name) is not src or self.nodes.get(dst.name) is not dst
-        ):
-            # Stale NetNode reference: the node crashed (and possibly
-            # recovered with a fresh NIC) since the caller captured it.
-            return self._black_hole()
-        if self.fault_model is not None:
-            latency_scale = self.fault_model.on_transfer(src, dst)
-            if latency_scale is None:
-                # Partitioned or probabilistically lost.
-                return self._black_hole()
         if size < 0:
             raise ValueError("size must be non-negative")
         if rate_cap is not None and rate_cap <= 0:
@@ -364,33 +356,45 @@ class FlowNetwork:
             # zero- or negative-capacity resource and corrupt the
             # shares of every flow in its component.
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
+        if size <= _EPSILON:
+            return self.message(src, dst)
+        route = self._route(src, dst)
+        if route is None:
+            return self._black_hole()
+        src, dst, delay = route
         done = self.env.event()
         flow = Flow(
             next(self._fid), src, dst, size, done,
             rate_cap=rate_cap, tag=tag, started_at=self.env.now,
         )
         tracer = self.env.tracer
-        if tracer.enabled and size > _EPSILON:
-            # Bulk transfers only: zero-payload control messages are
-            # covered by the RPC spans and would flood the trace.
+        if tracer.enabled:
             flow._span = tracer.begin(
                 "net.flow", track=src.name, cat="net", detached=True,
                 fid=flow.fid, src=src.name, dst=dst.name,
                 size_mb=size, tag=tag,
             )
-        delay = self.latency_between(src, dst)
-        if latency_scale != 1.0:
-            delay *= latency_scale
-        if size <= _EPSILON:
-            # Control message: latency only.
-            self.env.call_later(delay, lambda _ev: self._deliver_message(flow))
-        else:
-            self.env.call_later(delay, lambda _ev: self._admit(flow))
+        self.env.call_later(delay, lambda _ev: self._admit(flow))
         return done
 
     def message(self, src: NetNode | str, dst: NetNode | str) -> Event:
-        """A zero-payload control message (latency only)."""
-        return self.transfer(src, dst, 0.0)
+        """A zero-payload control message: latency only, one kernel event.
+
+        The returned event is a :class:`Timeout` of the propagation
+        latency — born triggered (value ``None``), on the heap at
+        ``now + latency``: no :class:`Flow`, no flow id, no delivery
+        callback.  It therefore carries its heap sequence number from
+        *send* time, so among events landing on the same instant a
+        message is delivered before anything scheduled after it was sent
+        (e.g. a timeout armed right after the send); the relative order
+        among messages is send order.  Control messages get no
+        ``net.flow`` span either: the RPC spans cover them and they
+        would flood the trace.
+        """
+        route = self._route(src, dst)
+        if route is None:
+            return self._black_hole()
+        return Timeout(self.env, route[2])
 
     def abort(self, flow: Flow, reason: str = "") -> None:
         """Cancel an in-flight flow; its waiter sees :class:`TransferAborted`."""
@@ -435,11 +439,38 @@ class FlowNetwork:
         self._schedule_recompute()
 
     # -- internals -----------------------------------------------------------
-    def _resolve(self, name: str) -> Optional[NetNode]:
-        node = self.nodes.get(name)
-        if node is None and not self.blackhole_missing:
-            raise KeyError(name)
-        return node
+    def _route(
+        self, src: NetNode | str, dst: NetNode | str
+    ) -> Optional[Tuple[NetNode, NetNode, float]]:
+        """Resolve the endpoints and consult the fault model: the
+        ``(src, dst, propagation delay)`` of a send, or None when it is
+        lost (dead or stale endpoint, partition, probabilistic loss)."""
+        nodes = self.nodes
+        try:
+            if isinstance(src, str):
+                src = nodes[src]
+            if isinstance(dst, str):
+                dst = nodes[dst]
+        except KeyError:
+            if not self.blackhole_missing:
+                raise
+            return None
+        if self.blackhole_missing and (
+            nodes.get(src.name) is not src or nodes.get(dst.name) is not dst
+        ):
+            # Stale NetNode reference: the node crashed (and possibly
+            # recovered with a fresh NIC) since the caller captured it.
+            return None
+        latency_scale = 1.0
+        if self.fault_model is not None:
+            latency_scale = self.fault_model.on_transfer(src, dst)
+            if latency_scale is None:
+                # Partitioned or probabilistically lost.
+                return None
+        delay = self.latency_between(src, dst)
+        if latency_scale != 1.0:
+            delay *= latency_scale
+        return src, dst, delay
 
     def _black_hole(self) -> Event:
         """An event that never triggers: the message vanished."""
@@ -448,11 +479,6 @@ class FlowNetwork:
         if metrics is not None:
             metrics.counter("net.blackholed_transfers").inc()
         return self.env.event()
-
-    def _deliver_message(self, flow: Flow) -> None:
-        flow.finished_at = self.env.now
-        if not flow.done.triggered:
-            flow.done.succeed(flow)
 
     def _admit(self, flow: Flow) -> None:
         flow._anchor = self.env.now

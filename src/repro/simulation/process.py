@@ -79,22 +79,23 @@ class Process(Event):
     # -- engine plumbing ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator one step with *event*'s outcome."""
-        if not self.is_alive:
+        if self._value is not PENDING:
             # A late interrupt/throw arrived after termination: ignore.
             return
-        if self.env.profiler is not None:
-            self.env.profiler.on_process_step(self)
-        self.env._active_process = self
+        env = self.env
+        if env.profiler is not None:
+            env.profiler.on_process_step(self)
+        env._active_process = self
         # Detach from the old target: if we are being interrupted while the
         # target is still pending, stop listening to it.
+        target = self._target
         if (
-            self._target is not None
-            and not self._target.processed
-            and self._target.callbacks is not None
-            and self._resume in self._target.callbacks
-            and event is not self._target
+            target is not None
+            and event is not target
+            and target.callbacks is not None
+            and self._resume in target.callbacks
         ):
-            self._target.callbacks.remove(self._resume)
+            target.callbacks.remove(self._resume)
         self._target = None
 
         try:
@@ -106,26 +107,26 @@ class Process(Event):
                 event.defused()
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_process = None
+            env._active_process = None
             self._ok = True
             self._value = stop.value
-            self.env.schedule(self)
+            env.schedule(self)
             return
         except Interrupt as exc:
             # The process let an interrupt escape: treat as failure.
-            self.env._active_process = None
+            env._active_process = None
             self._ok = False
             self._value = exc
-            self.env.schedule(self)
+            env.schedule(self)
             return
         except BaseException as exc:
-            self.env._active_process = None
+            env._active_process = None
             self._ok = False
             self._value = exc
-            self.env.schedule(self)
+            env.schedule(self)
             return
 
-        self.env._active_process = None
+        env._active_process = None
         if not isinstance(next_event, Event):
             error = SimulationError(
                 f"process {self.name!r} yielded a non-event: {next_event!r}"

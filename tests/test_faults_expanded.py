@@ -50,6 +50,21 @@ def test_partition_blackholes_crossing_messages():
     assert kinds == ["partition", "heal"]
 
 
+def test_partition_blackholes_zero_payload_messages():
+    testbed = make_testbed()
+    injector = FaultInjector(testbed)
+    a = testbed.add_node("a")
+    testbed.add_node("b")
+    testbed.add_node("c")
+    injector.partition([a])
+    crossing = drive(testbed.env, lambda: testbed.net.transfer("a", "b", 0.0))
+    inside = drive(testbed.env, lambda: testbed.net.message("b", "c"))
+    testbed.env.run(until=10.0)
+    assert "at" not in crossing
+    assert "at" in inside
+    assert testbed.net.blackholed_transfers == 1
+
+
 def test_partition_aborts_inflight_flows_both_directions():
     testbed = make_testbed()
     injector = FaultInjector(testbed)
@@ -209,6 +224,14 @@ def test_message_loss_is_seed_deterministic():
     assert first == second
     assert any(first) and not all(first)  # some dropped, some delivered
     assert _loss_pattern(seed=32) != first
+
+
+def test_message_loss_drop_pattern_is_frozen():
+    """The loss stream is consulted once per send, in send order, for
+    zero-payload messages too: the pattern below was recorded at commit
+    c8911bc, before messages became single kernel events."""
+    pattern = "".join("1" if ok else "0" for ok in _loss_pattern(seed=31))
+    assert pattern == "1100100110011110100001000101100100000000"
 
 
 def test_message_loss_validation_and_off_switch():

@@ -396,3 +396,84 @@ def test_scalar_and_vector_waterfill_bit_identical():
         scalar = _run_random_mesh(True, scalar_max=10**9, seed=seed)
         vector = _run_random_mesh(True, scalar_max=0, seed=seed)
         assert scalar == vector
+
+
+# -- zero-payload control messages: one kernel event, every fault still applies -
+def two_nodes(latency=0.25):
+    env = Environment()
+    net = make_net(env, latency=latency)
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    return env, net
+
+
+def test_zero_payload_transfer_is_exactly_one_kernel_event():
+    env, net = two_nodes()
+    done = net.transfer("a", "b", 0.0)
+    assert env.events_processed == 0
+    env.run()
+    assert env.events_processed == 1
+    assert done.processed and done.value is None
+    assert env.now == pytest.approx(0.25)
+    assert net.active_flow_count() == 0 and net.reallocations == 0
+
+
+def test_message_sent_before_a_same_instant_timeout_is_delivered_first():
+    """The ordering rule of the single-event path: a message keeps its
+    heap sequence number from send time, so it beats anything scheduled
+    after the send that lands on the same instant."""
+    env, net = two_nodes(latency=0.25)
+    order = []
+    net.message("a", "b").callbacks.append(lambda _e: order.append("first message"))
+    env.timeout(0.25).callbacks.append(lambda _e: order.append("timeout"))
+    net.message("a", "b").callbacks.append(lambda _e: order.append("second message"))
+    env.run()
+    assert order == ["first message", "timeout", "second message"]
+
+
+def test_zero_payload_to_missing_node_raises_keyerror_by_default():
+    _env, net = two_nodes()
+    with pytest.raises(KeyError):
+        net.transfer("a", "ghost", 0.0)
+    with pytest.raises(KeyError):
+        net.message("ghost", "b")
+
+
+def test_zero_payload_to_missing_or_stale_node_blackholes_when_enabled():
+    env, net = two_nodes()
+    net.blackhole_missing = True
+    stale = net.node("b")
+    net.remove_node("b")
+    net.add_node(NetNode("b"))  # "recovered" with a fresh NIC
+    missing = net.transfer("a", "ghost", 0.0)
+    to_stale = net.transfer("a", stale, 0.0)
+    live = net.transfer("a", "b", 0.0)
+    env.run()
+    assert not missing.triggered and not to_stale.triggered
+    assert live.processed
+    assert net.blackholed_transfers == 2
+    assert env.events_processed == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"size": -1.0}, {"size": 1.0, "rate_cap": 0.0},
+                                    {"size": 0.0, "rate_cap": -5.0}])
+def test_bad_arguments_raise_even_when_the_transfer_would_be_lost(kwargs):
+    """Regression: validation used to run after the black-hole /
+    partition / loss early returns, so a bad call to an unreachable node
+    silently returned a never-firing event."""
+
+    class LoseEverything:
+        def on_transfer(self, src, dst):
+            return None
+
+    env, net = two_nodes()
+    with pytest.raises(ValueError):
+        net.transfer("a", "b", **kwargs)
+    net.fault_model = LoseEverything()
+    with pytest.raises(ValueError):
+        net.transfer("a", "b", **kwargs)
+    net.fault_model = None
+    net.blackhole_missing = True
+    with pytest.raises(ValueError):
+        net.transfer("a", "ghost", **kwargs)
+    assert net.blackholed_transfers == 0

@@ -178,3 +178,171 @@ def test_versions_match_reference_model(writes):
     for version, expected in reference.items():
         got = drain(tree_query(kv, 1, version, 0, CAP, capacity=CAP))
         assert {i: d.storage_key for i, d in got.items()} == expected
+
+
+# -- the walks' KV traffic is frozen: same calls, same order -------------------
+class LoggingKV(LocalKV):
+    """LocalKV that records every ``(op, key, value)`` it serves."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    @staticmethod
+    def _plain(value):
+        if value is not None and value[0] == "leaf":
+            return ["leaf", value[1].storage_key]
+        return value
+
+    def get(self, key):
+        value = yield from super().get(key)
+        self.log.append(["get", key, self._plain(value)])
+        return value
+
+    def put(self, key, value):
+        self.log.append(["put", key, self._plain(value)])
+        yield from super().put(key, value)
+
+
+#: ("u", version, prev_version, first, count) | ("q", version, first, last)
+WALK_SCRIPT = [
+    ("u", 1, None, 5, 1),     # single chunk, first version
+    ("u", 2, 1, 7, 2),        # span crossing the root's mid
+    ("u", 3, 2, 3, 10),       # crosses mid, fully covers inner subtrees
+    ("u", 4, 3, 4, 4),        # exactly one fully-covered subtree
+    ("u", 5, 4, 8, 8),        # fully-covered right half
+    ("u", 6, None, 0, CAP),   # whole tree, no previous version
+    ("u", 7, 1, 12, 2),       # sparse previous version (only chunk 5 written)
+    ("u", 8, 7, 0, 6),        # inherits stamps 1 and 7, left/right mixed
+    ("u", 9, 99, 15, 1),      # previous version absent from the store
+    ("q", 1, 0, CAP),         # holes everywhere but chunk 5
+    ("q", 7, 6, 12),          # range that is one big hole
+    ("q", 8, 0, CAP),         # mixed versions and holes
+    ("q", 3, 7, 9),           # crosses mid
+    ("q", 5, 11, 12),         # single index
+    ("q", 42, 0, CAP),        # version never written
+]
+
+WALK_DIGEST = "57a9dee06dcc7176b1cea9949fbd54e9a8ffb8179d9d8fa1118793a535c78495"
+
+
+def run_walk_script(update, query, script=WALK_SCRIPT, capacity=CAP):
+    kv = LoggingKV()
+    returned = []
+    for step in script:
+        if step[0] == "u":
+            _op, version, prev, first, count = step
+            descs = make_descriptors(1, first, count, version=version)
+            returned.append(drain(update(kv, 1, version, prev, descs, capacity)))
+        else:
+            _op, version, first, last = step
+            got = drain(query(kv, 1, version, first, last, capacity))
+            returned.append([[i, d.storage_key] for i, d in got.items()])
+    return kv.log, returned
+
+
+def test_walk_kv_traffic_matches_frozen_digest():
+    """sha256 frozen from the recursive implementation (commit c8911bc)."""
+    import hashlib
+    import json
+
+    from repro.blobseer.segment_tree import DEFAULT_CAPACITY
+
+    small = run_walk_script(tree_update, tree_query)
+    default = run_walk_script(
+        tree_update, tree_query, capacity=DEFAULT_CAPACITY,
+        script=[("u", 1, None, 12345, 1), ("u", 2, 1, 12346, 3),
+                ("q", 2, 12340, 12350)])
+    text = json.dumps([small, default], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == WALK_DIGEST
+
+
+def reference_update(kv, blob_id, version, prev, descs, capacity, lo=0, hi=None):
+    """The recursive walk the iterative one replaced (test-only oracle)."""
+    hi = capacity if hi is None else hi
+    lo_w, hi_w = max(min(descs), lo), min(max(descs) + 1, hi)
+    if hi - lo == 1:
+        yield from kv.put(node_key(blob_id, version, lo, hi), ("leaf", descs[lo]))
+        return 1
+    mid, stamps, writes = (lo + hi) // 2, [None, None], 1
+    if prev is not None and not (lo_w <= lo and hi <= hi_w):
+        node = yield from kv.get(node_key(blob_id, prev, lo, hi))
+        stamps = list(node[1:]) if node is not None else stamps
+    for side, (a, b) in enumerate(((lo, mid), (mid, hi))):
+        if lo_w < b and hi_w > a:
+            writes += yield from reference_update(
+                kv, blob_id, version, stamps[side], descs, capacity, a, b)
+            stamps[side] = version
+    yield from kv.put(node_key(blob_id, version, lo, hi), ("node", *stamps))
+    return writes
+
+
+def reference_query(kv, blob_id, stamp, first, last, capacity, lo=0, hi=None):
+    hi = capacity if hi is None else hi
+    node = yield from kv.get(node_key(blob_id, stamp, lo, hi))
+    if node is None:
+        return {}
+    if node[0] == "leaf":
+        return {lo: node[1]}
+    mid, found = (lo + hi) // 2, {}
+    for child, (a, b) in zip(node[1:], ((lo, mid), (mid, hi))):
+        if child is not None and first < b and last > a:
+            found.update((yield from reference_query(
+                kv, blob_id, child, first, last, capacity, a, b)))
+    return found
+
+
+def test_reference_walks_reproduce_the_frozen_script():
+    assert (run_walk_script(reference_update, reference_query)
+            == run_walk_script(tree_update, tree_query))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from("uq"),
+            st.integers(0, CAP - 1),
+            st.integers(1, CAP),
+            st.one_of(st.none(), st.integers(0, 9)),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_walks_issue_the_reference_kv_traffic(steps):
+    """Arbitrary update/query mixes — including previous versions that
+    were never written — produce the recursive reference's exact
+    ``(op, key, value)`` sequence and return values."""
+    script = []
+    for version, (op, first, count, other) in enumerate(steps, start=1):
+        count = min(count, CAP - first)
+        if op == "u":
+            script.append(("u", version, other, first, count))
+        else:
+            script.append(("q", other if other is not None else version,
+                           first, first + count))
+    assert (run_walk_script(tree_update, tree_query, script)
+            == run_walk_script(reference_update, reference_query, script))
+
+
+def test_walk_depth_does_not_grow_with_tree_height():
+    """A 2**40-capacity single-chunk update (41 nodes on the path)
+    completes under a recursion limit that a 41-deep recursive
+    ``yield from`` chain would exceed."""
+    import inspect
+    import sys
+
+    kv = LocalKV()
+    capacity = 1 << 40
+    descs = make_descriptors(1, 123_456_789, 1)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        writes = drain(tree_update(kv, 1, 1, None, descs, capacity=capacity))
+        got = drain(tree_query(kv, 1, 1, 123_456_789, 123_456_790,
+                               capacity=capacity))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert writes == 41
+    assert list(got) == [123_456_789]
