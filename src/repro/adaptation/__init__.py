@@ -1,6 +1,6 @@
 """Self-* adaptation engines: elasticity (self-configuration),
-replication, removal & cache tuning (self-optimization), built on a
-MAPE-K loop."""
+replication, removal & cache tuning (self-optimization), built on the
+MAPE-K loop of :mod:`repro.decision`."""
 
 from .cache_tuner import CacheTuner
 from .controller import AdaptationDecision, ControlLoop

@@ -3,7 +3,8 @@
 The paper's self-optimization engine replicates hot data to absorb read
 concurrency; caching is the dual mechanism, and like replication it only
 pays off when capacity sits where the heat is.  The :class:`CacheTuner`
-is a MAPE-K loop over every registered :class:`~repro.cache.Cache`:
+is a :class:`~repro.decision.loop.DecisionLoop` over every registered
+:class:`~repro.cache.Cache`:
 
 - **Monitor** — between steps it differences each cache's cumulative
   :class:`~repro.cache.CacheStats` and publishes the interval rates as
@@ -13,55 +14,64 @@ is a MAPE-K loop over every registered :class:`~repro.cache.Cache`:
   :class:`~repro.introspection.query.QueryEngine` as sliding-window
   statistics, so decisions integrate over ``window_s`` of history
   rather than reacting to one noisy interval.
-- **Plan** — marginal-utility style: a cache that keeps *evicting*
-  while being looked up is thrashing (its hot set exceeds its budget;
-  an extra byte has high expected value), while a cache that is idle,
-  or neither evicts nor fills its budget, is insensitive to capacity
-  (a byte removed costs nothing).  Growers are ranked by evictions/s
-  per MB — the reuse being destroyed per byte of shortfall.
-- **Execute** — :meth:`~repro.cache.Cache.resize` on each side.  With
-  ``total_budget_mb`` set, growth is funded by shrinking insensitive
-  caches (plus any headroom), so the fleet-wide memory budget is
-  conserved while capacity migrates toward the heat.
+- **Plan** — a swappable :class:`~repro.decision.planners.Planner`.  The
+  default :class:`~repro.decision.planners.MarginalUtilityPlanner`
+  grows caches that keep *evicting* while being looked up (thrashing:
+  an extra byte has high expected value), ranked by evictions/s per MB,
+  and funds the growth by shrinking idle or half-empty ones; its
+  thresholds are the planner's constructor parameters.
+- **Execute** — costed ``cache_grow`` / ``cache_shrink`` actions that
+  :meth:`~repro.cache.Cache.resize` each side.  With ``total_budget_mb``
+  set, growth is bounded by the fleet-wide headroom, so the memory
+  budget is conserved while capacity migrates toward the heat; with an
+  ``arbiter``, every MB is additionally settled against a shared ledger.
 
-Decisions surface exactly like every other engine's: recorded as
-:class:`AdaptationDecision`\\ s, emitted as ``adapt.*`` trace instants
-and ``adaptation.*`` metric counters by :class:`ControlLoop`, and
-health-aware via :meth:`ControlLoop.attach_health` (a critical health
-event overrides the cooldown).
+The tuner is its own knob domain (the planner protocol's reference
+implementation — see :mod:`repro.decision.planners`): ``pressure`` is
+evictions/s, ``activity`` is lookups/s.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .controller import AdaptationDecision, ControlLoop
+from ..decision.actions import Action
+from ..decision.loop import DecisionLoop
+from ..decision.planners import MarginalUtilityPlanner, Planner
+from ..decision.signals import SignalRef
 
 __all__ = ["CacheTuner"]
 
+_EPS = 1e-9
 
-class CacheTuner(ControlLoop):
-    """Grows thrashing caches, shrinks insensitive ones."""
+
+class CacheTuner(DecisionLoop):
+    """Moves cache capacity toward the heat, under a pluggable planner."""
 
     name = "cache-tuner"
+    #: Ledger name grow/shrink costs settle against.
+    resource = "memory_mb"
 
     def __init__(
         self,
         query,
         caches=(),
+        planner: Optional[Planner] = None,
+        arbiter=None,
         interval_s: float = 10.0,
         cooldown_s: float = 0.0,
         window_s: Optional[float] = None,
         total_budget_mb: Optional[float] = None,
         min_capacity_mb: float = 4.0,
         max_capacity_mb: Optional[float] = None,
-        step_fraction: float = 0.25,
-        evict_rate_threshold: float = 0.1,
-        idle_lookup_rate: float = 0.05,
-        spare_utilization: float = 0.5,
         dry_run: bool = False,
+        reward_signal: Optional[SignalRef] = None,
     ) -> None:
-        super().__init__(interval_s=interval_s, cooldown_s=cooldown_s)
+        super().__init__(
+            planner=planner if planner is not None else MarginalUtilityPlanner(),
+            domain=self, arbiter=arbiter,
+            interval_s=interval_s, cooldown_s=cooldown_s,
+        )
         #: QueryEngine supplying windowed series statistics.  Its
         #: metrics registry is where the tuner publishes cache series;
         #: without one the tuner observes but cannot analyze.
@@ -70,14 +80,13 @@ class CacheTuner(ControlLoop):
         self.total_budget_mb = total_budget_mb
         self.min_capacity_mb = min_capacity_mb
         self.max_capacity_mb = max_capacity_mb
-        self.step_fraction = step_fraction
-        self.evict_rate_threshold = evict_rate_threshold
-        self.idle_lookup_rate = idle_lookup_rate
-        self.spare_utilization = spare_utilization
         #: Observe-and-publish only: never resizes.  Lets dashboards use
         #: the tuner as a cache-stats probe without ceding control.
         self.dry_run = dry_run
-        self.caches: Dict[str, "Cache"] = {}
+        #: Global objective for the search-based planners (hill-climb,
+        #: bandit), e.g. ``SignalRef("client.throughput_mbps")``.
+        self.reward_signal = reward_signal
+        self.caches: Dict[str, Any] = {}
         #: (hits, misses, evictions, time) at the previous step.
         self._last: Dict[str, Tuple[int, int, int, float]] = {}
         #: (time, {cache: capacity_mb}) after each executed step.
@@ -89,18 +98,8 @@ class CacheTuner(ControlLoop):
         self.caches[cache.name] = cache
         return self
 
-    def planner_info(self):
-        """The built-in plan is the marginal-utility technique (the
-        framework's :class:`MarginalUtilityPlanner` is its extraction)."""
-        return {"name": "marginal-utility", "params": {
-            "pressure_threshold": self.evict_rate_threshold,
-            "idle_activity": self.idle_lookup_rate,
-            "spare_utilization": self.spare_utilization,
-            "step_fraction": self.step_fraction,
-        }}
-
     # -- monitor: publish interval rates as series -------------------------------
-    def _publish(self, now: float) -> None:
+    def sense(self, now: float) -> None:
         metrics = self.query.metrics
         for name, cache in self.caches.items():
             stats = cache.stats
@@ -122,113 +121,127 @@ class CacheTuner(ControlLoop):
             metrics.sample(f"cache.{name}.bytes_mb", cache.bytes_used)
             metrics.sample(f"cache.{name}.capacity_mb", cache.capacity_mb)
 
-    # -- analyze: windowed signals through the query engine ----------------------
-    def _signals(self, name: str) -> Optional[Dict[str, float]]:
-        window = self.window_s
-        evict_rate = self.query.window_stat(
-            f"cache.{name}.evictions_per_s", "mean", window
-        )
-        lookup_rate = self.query.window_stat(
-            f"cache.{name}.lookups_per_s", "mean", window
-        )
-        if evict_rate is None or lookup_rate is None:
-            return None  # not enough history yet
-        hit_rate = self.query.window_stat(f"cache.{name}.hit_rate", "mean", window)
-        return {
-            "evict_rate": evict_rate,
-            "lookup_rate": lookup_rate,
-            "hit_rate": hit_rate if hit_rate is not None else 0.0,
-        }
-
-    # -- MAPE step -----------------------------------------------------------------
-    def step(self, now: float) -> List[AdaptationDecision]:
-        self._publish(now)
-        if self.query.metrics is None:
-            return []
-
-        growers: List[Tuple[float, str, Dict[str, float]]] = []
-        shrinkers: List[Tuple[str, float, Dict[str, float]]] = []
-        for name, cache in self.caches.items():
-            signals = self._signals(name)
-            if signals is None:
-                continue
-            # Provenance: the windowed stats this plan is based on.
-            self.note(**{
-                f"{name}.evictions_per_s": round(signals["evict_rate"], 6),
-                f"{name}.lookups_per_s": round(signals["lookup_rate"], 6),
-                f"{name}.hit_rate": round(signals["hit_rate"], 6),
-            })
-            busy = signals["lookup_rate"] >= self.idle_lookup_rate
-            thrashing = busy and signals["evict_rate"] > self.evict_rate_threshold
-            if thrashing:
-                # Marginal utility of one more MB ~ reuse destroyed per
-                # byte: evictions per second per MB of current budget.
-                utility = signals["evict_rate"] / max(cache.capacity_mb, 1e-9)
-                growers.append((utility, name, signals))
-                continue
-            idle = signals["lookup_rate"] < self.idle_lookup_rate
-            spare = (
-                signals["evict_rate"] <= self.evict_rate_threshold
-                and cache.utilization < self.spare_utilization
-            )
-            if idle or spare:
-                floor = self.min_capacity_mb
-                if not idle:
-                    # A healthy, in-use cache only gives up unused room.
-                    floor = max(floor, cache.bytes_used)
-                room = cache.capacity_mb - floor
-                step = min(self.step_fraction * cache.capacity_mb, room)
-                if step > 1e-9:
-                    shrinkers.append((name, step, signals))
-
-        decisions: List[AdaptationDecision] = []
-        if growers and not self.dry_run:
-            # Shrinks only happen in service of growth: an all-quiet
-            # fleet keeps its capacities (no oscillation at idle).
-            for name, step, signals in shrinkers:
-                cache = self.caches[name]
-                before = cache.capacity_mb
-                cache.resize(before - step)
-                decisions.append(AdaptationDecision(
-                    now, self.name, "cache_shrink", {
-                        "cache": name,
-                        "from_mb": round(before, 3),
-                        "to_mb": round(cache.capacity_mb, 3),
-                        "lookups_per_s": round(signals["lookup_rate"], 3),
-                        "evictions_per_s": round(signals["evict_rate"], 3),
-                    },
-                ))
-            pool: Optional[float] = None
-            if self.total_budget_mb is not None:
-                headroom = self.total_budget_mb - sum(
-                    c.capacity_mb for c in self.caches.values()
-                )
-                pool = max(0.0, headroom)
-            for utility, name, signals in sorted(growers, reverse=True):
-                cache = self.caches[name]
-                want = self.step_fraction * cache.capacity_mb
-                if self.max_capacity_mb is not None:
-                    want = min(want, self.max_capacity_mb - cache.capacity_mb)
-                if pool is not None:
-                    want = min(want, pool)
-                if want <= 1e-9:
-                    continue
-                before = cache.capacity_mb
-                cache.resize(before + want)
-                if pool is not None:
-                    pool -= want
-                decisions.append(AdaptationDecision(
-                    now, self.name, "cache_grow", {
-                        "cache": name,
-                        "from_mb": round(before, 3),
-                        "to_mb": round(cache.capacity_mb, 3),
-                        "utility": round(utility, 6),
-                        "hit_rate": round(signals["hit_rate"], 3),
-                        "evictions_per_s": round(signals["evict_rate"], 3),
-                    },
-                ))
-
+    def plan(self, now: float) -> Iterable[Action]:
+        yield from super().plan(now)
+        # Runs once the step has applied every action the planner yielded.
         self.capacity_timeline.append(
             (now, {name: c.capacity_mb for name, c in self.caches.items()})
         )
-        return decisions
+
+    # -- planner protocol: the knob domain ---------------------------------------
+    def knobs(self) -> List[str]:
+        return list(self.caches)
+
+    def value(self, name: str) -> float:
+        return self.caches[name].capacity_mb
+
+    def bytes_used(self, name: str) -> float:
+        return self.caches[name].bytes_used
+
+    def utilization(self, name: str) -> float:
+        return self.caches[name].utilization
+
+    def floor(self, name: str) -> float:
+        return self.min_capacity_mb
+
+    def ceiling(self, name: str) -> Optional[float]:
+        return self.max_capacity_mb
+
+    def signals(self, name: str) -> Optional[Dict[str, float]]:
+        """Windowed signals through the query engine."""
+        window = self.window_s
+        evict_rate = self.query.window_stat(
+            f"cache.{name}.evictions_per_s", "mean", window)
+        lookup_rate = self.query.window_stat(
+            f"cache.{name}.lookups_per_s", "mean", window)
+        if evict_rate is None or lookup_rate is None:
+            return None  # not enough history yet
+        hit_rate = self.query.window_stat(
+            f"cache.{name}.hit_rate", "mean", window)
+        return {
+            "pressure": evict_rate,
+            "activity": lookup_rate,
+            "hit_rate": hit_rate if hit_rate is not None else 0.0,
+        }
+
+    def signal_evidence(self, name: str,
+                        signals: Dict[str, float]) -> Dict[str, float]:
+        """Provenance: the windowed stats a plan for *name* is based on."""
+        return {
+            f"{name}.evictions_per_s": round(signals["pressure"], 6),
+            f"{name}.lookups_per_s": round(signals["activity"], 6),
+            f"{name}.hit_rate": round(signals["hit_rate"], 6),
+        }
+
+    def pool(self) -> Optional[float]:
+        """Remaining shared headroom under ``total_budget_mb``, live."""
+        if self.total_budget_mb is None:
+            return None
+        return max(0.0, self.total_budget_mb - self.held())
+
+    def reward(self) -> Optional[float]:
+        if self.reward_signal is None:
+            return None
+        return self.reward_signal.resolve(self.query)
+
+    # -- actuators ---------------------------------------------------------------
+    def _resize(self, kind: str, name: str, delta: float,
+                detail: Dict[str, Any]) -> Action:
+        cache = self.caches[name]
+        after = cache.capacity_mb + delta
+        return Action(
+            kind, self.name, subject=name,
+            cost={self.resource: delta},
+            detail={"cache": name,
+                    "from_mb": round(cache.capacity_mb, 3),
+                    "to_mb": round(after, 3),
+                    **detail},
+            apply=lambda: cache.resize(after),
+        )
+
+    def make_shrink(self, name: str, amount: float,
+                    signals: Optional[Dict[str, float]] = None) -> Action:
+        detail: Dict[str, Any] = {}
+        if signals is not None:
+            detail["lookups_per_s"] = round(signals["activity"], 3)
+            detail["evictions_per_s"] = round(signals["pressure"], 3)
+        return self._resize("cache_shrink", name, -amount, detail)
+
+    def make_grow(self, name: str, amount: float,
+                  signals: Optional[Dict[str, float]] = None,
+                  utility: Optional[float] = None) -> Action:
+        detail: Dict[str, Any] = {}
+        if utility is not None:
+            detail["utility"] = round(utility, 6)
+        if signals is not None:
+            detail["hit_rate"] = round(signals["hit_rate"], 3)
+            detail["evictions_per_s"] = round(signals["pressure"], 3)
+        return self._resize("cache_grow", name, amount, detail)
+
+    # -- arbiter integration -----------------------------------------------------
+    def held(self) -> float:
+        """Total capacity currently allocated (seed for ``assume``)."""
+        return sum(c.capacity_mb for c in self.caches.values())
+
+    def reclaim(self, resource: str, amount: float) -> float:
+        """Arbiter preemption hook: shrink caches to free *amount* MB.
+
+        Least-utilized caches give way first (name breaks ties), each
+        down to its occupancy floor.  Returns the MB actually freed.
+        """
+        if resource != self.resource:
+            return 0.0
+        freed = 0.0
+        order = sorted(self.caches,
+                       key=lambda n: (self.caches[n].utilization, n))
+        for name in order:
+            if freed >= amount - _EPS:
+                break
+            cache = self.caches[name]
+            floor = max(self.min_capacity_mb, cache.bytes_used)
+            give = min(cache.capacity_mb - floor, amount - freed)
+            if give <= _EPS:
+                continue
+            cache.resize(cache.capacity_mb - give)
+            freed += give
+        return freed

@@ -48,15 +48,9 @@ class ControlLoop:
     :class:`~repro.introspection.provenance.DecisionJournal` attached
     (:meth:`attach_journal`), every decision is journaled together with
     that evidence, the health inbox, the active trace context and the
-    planner's wall-clock latency.
-
-    With ``latency_metrics=True`` (and a metrics registry on the
-    environment) each executed step also emits
-    ``adaptation.<engine>.decision_latency`` (histogram, wall seconds)
-    and an ``adaptation.<engine>.step_duration_s`` gauge so slow
-    planners are visible in metrics.  Off by default: wall-clock values
-    differ run to run, and the default must keep metric snapshots
-    byte-identical per seed.
+    planner's wall-clock latency (also kept in
+    :attr:`last_step_wall_s`; never written to the metrics registry,
+    whose snapshots must stay byte-identical per seed).
     """
 
     name = "control-loop"
@@ -66,7 +60,6 @@ class ControlLoop:
         interval_s: float = 5.0,
         cooldown_s: float = 0.0,
         max_decisions: int = 2048,
-        latency_metrics: bool = False,
     ) -> None:
         if max_decisions < 1:
             raise ValueError("max_decisions must be >= 1")
@@ -91,7 +84,6 @@ class ControlLoop:
         self.evidence: Dict[str, Any] = {}
         #: Optional DecisionJournal recording decisions with provenance.
         self.journal = None
-        self.latency_metrics = latency_metrics
         #: Wall-clock seconds the most recent executed step took.
         self.last_step_wall_s: Optional[float] = None
 
@@ -119,9 +111,9 @@ class ControlLoop:
     def planner_info(self) -> Optional[Dict[str, Any]]:
         """Name + parameters of this engine's decision technique.
 
-        ``None`` (the base default) means unadvertised.  Framework
+        ``None`` (the base default) means unadvertised.
         :class:`~repro.decision.loop.DecisionLoop` engines report their
-        attached planner; legacy engines report their built-in one.
+        attached planner, or the built-in law they override ``plan`` with.
         """
         return None
 
@@ -166,14 +158,6 @@ class ControlLoop:
             decisions = self.step(env.now)
             wall_s = _time.perf_counter() - started
             self.last_step_wall_s = wall_s
-            metrics = env.metrics
-            if self.latency_metrics and metrics is not None:
-                metrics.histogram(
-                    f"adaptation.{self.name}.decision_latency"
-                ).observe(wall_s)
-                metrics.gauge(
-                    f"adaptation.{self.name}.step_duration_s"
-                ).set(wall_s)
             if decisions:
                 self.decisions.extend(decisions)
                 self.decisions_total += len(decisions)
@@ -183,6 +167,7 @@ class ControlLoop:
                     self.decisions_dropped += overflow
                 self._cooldown_until = env.now + self.cooldown_s
                 tracer = env.tracer
+                metrics = env.metrics
                 journal = self.journal
                 for decision in decisions:
                     if tracer.enabled:

@@ -24,25 +24,33 @@ of reacting to one instantaneous reading — and because those reads go
 through :meth:`QueryEngine.window_stat`, they are answered from
 materialized rollups whenever the :class:`RollupAdvisor` has
 materialized the shape.
+
+Scaling is executed as costed actions: ``scale_up`` debits and
+``scale_down`` credits ``provider_cost_mb`` MB per provider against the
+``memory_mb`` ledger, so with an ``arbiter`` attached pool growth is
+refereed against cache capacity on one conserved budget.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import NoProvidersAvailable
 from ..blobseer.provider import DataProvider
-from .controller import AdaptationDecision, ControlLoop
+from ..decision.actions import Action
+from ..decision.loop import DecisionLoop
 from .replication_manager import migrate_chunks
 
 __all__ = ["ElasticityController"]
 
 
-class ElasticityController(ControlLoop):
+class ElasticityController(DecisionLoop):
     """Expands/contracts the provider pool based on measured load."""
 
     name = "elasticity"
+    #: Ledger name scale_up/scale_down costs settle against.
+    resource = "memory_mb"
 
     def __init__(
         self,
@@ -58,8 +66,11 @@ class ElasticityController(ControlLoop):
         provision_delay_s: float = 10.0,
         query=None,
         smooth_window_s: Optional[float] = None,
+        arbiter=None,
+        provider_cost_mb: float = 64.0,
     ) -> None:
-        super().__init__(interval_s=interval_s, cooldown_s=cooldown_s)
+        super().__init__(arbiter=arbiter, interval_s=interval_s,
+                         cooldown_s=cooldown_s)
         self.deployment = deployment
         self.env = deployment.env
         #: Optional introspection QueryEngine: publishes pool signals as
@@ -76,6 +87,8 @@ class ElasticityController(ControlLoop):
         self.scale_up_step = scale_up_step
         #: Time to boot a fresh provider VM (Nimbus-style provisioning).
         self.provision_delay_s = provision_delay_s
+        #: MB of ledger memory one provider's footprint occupies.
+        self.provider_cost_mb = provider_cost_mb
         self.scale_ups = 0
         self.scale_downs = 0
         self._provisioning = 0
@@ -115,8 +128,8 @@ class ElasticityController(ControlLoop):
         capacity = sum(p.node.disk.capacity for p in providers)
         return used / capacity if capacity else 1.0
 
-    # -- MAPE step -----------------------------------------------------------------
-    def step(self, now: float) -> List[AdaptationDecision]:
+    # -- plan: the watermark control law -----------------------------------------
+    def plan(self, now: float) -> Iterable[Action]:
         pool = self.deployment.pmanager.pool_size() + self._provisioning
         load = self.pool_load()
         fill = self.pool_fill()
@@ -138,29 +151,39 @@ class ElasticityController(ControlLoop):
         self.note(pool_size=pool, pool_load=round(load, 6),
                   pool_fill=round(fill, 6),
                   smoothed=self.query is not None)
-        decisions: List[AdaptationDecision] = []
 
         if (load > self.high_load or fill > self.high_fill) and pool < self.max_providers:
             count = min(self.scale_up_step, self.max_providers - pool)
-            for _ in range(count):
-                self._provisioning += 1
-                self.env.process(self._provision(), name="elastic-up")
-            self.scale_ups += count
-            decisions.append(AdaptationDecision(
-                now, self.name, "scale_up",
-                {"count": count, "load": round(load, 3), "fill": round(fill, 3)},
-            ))
+
+            def scale_up() -> None:
+                for _ in range(count):
+                    self._provisioning += 1
+                    self.env.process(self._provision(), name="elastic-up")
+                self.scale_ups += count
+
+            yield Action(
+                "scale_up", self.name,
+                cost={self.resource: count * self.provider_cost_mb},
+                detail={"count": count, "load": round(load, 3),
+                        "fill": round(fill, 3)},
+                apply=scale_up,
+            )
         elif load < self.low_load and fill < self.high_fill and pool > self.min_providers:
             victim = self._pick_victim()
             if victim is not None:
-                self._draining.add(victim.provider_id)
-                self.env.process(self._drain(victim), name="elastic-down")
-                self.scale_downs += 1
-                decisions.append(AdaptationDecision(
-                    now, self.name, "scale_down",
-                    {"provider": victim.provider_id, "load": round(load, 3)},
-                ))
-        return decisions
+
+                def scale_down() -> None:
+                    self._draining.add(victim.provider_id)
+                    self.env.process(self._drain(victim), name="elastic-down")
+                    self.scale_downs += 1
+
+                yield Action(
+                    "scale_down", self.name, subject=victim.provider_id,
+                    cost={self.resource: -self.provider_cost_mb},
+                    detail={"provider": victim.provider_id,
+                            "load": round(load, 3)},
+                    apply=scale_down,
+                )
 
     def _pick_victim(self) -> Optional[DataProvider]:
         candidates = [

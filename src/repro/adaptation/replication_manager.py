@@ -18,7 +18,7 @@ The manager periodically sweeps the chunk directory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..blobseer.blob import ChunkDescriptor
 from ..blobseer.deployment import BlobSeerDeployment
@@ -27,13 +27,14 @@ from ..cluster.node import NodeDownError
 from ..blobseer.instrument import EV_REPLICA_REPAIR, MonitoringEvent
 from ..blobseer.provider import DataProvider
 from ..blobseer.rpc import TIMED_OUT, wait_or_timeout
+from ..decision.actions import Action
+from ..decision.loop import DecisionLoop
 from ..simulation.network import TransferAborted
-from .controller import AdaptationDecision, ControlLoop
 
 __all__ = ["ReplicationManager", "migrate_chunks"]
 
 
-class ReplicationManager(ControlLoop):
+class ReplicationManager(DecisionLoop):
     """Maintains per-chunk replication degree."""
 
     name = "replication"
@@ -135,9 +136,13 @@ class ReplicationManager(ControlLoop):
                     return provider
         return replicas[0]
 
-    # -- the MAPE step ------------------------------------------------------------
-    def step(self, now: float) -> List[AdaptationDecision]:
-        decisions: List[AdaptationDecision] = []
+    # -- plan: the directory sweep -----------------------------------------------
+    def plan(self, now: float) -> Iterable[Action]:
+        """Yield one repair/promote/demote action per off-degree chunk.
+
+        Each action is applied before the sweep resumes, so a demote
+        frees disk that the very next repair's target pick can use.
+        """
         repairs = 0
         directory = self.chunk_directory()
         under_replicated = hot = 0
@@ -159,30 +164,39 @@ class ReplicationManager(ControlLoop):
                 if target is None:
                     continue
                 repairs += 1
-                self._in_flight.add(key)
                 kind = "repair" if len(replicas) < self.target_replication else "promote"
-                self.env.process(
-                    self._copy(descriptor, self._pick_source(replicas), target, kind),
-                    name=f"repl-{kind}",
+                source = self._pick_source(replicas)
+
+                def start_copy(descriptor=descriptor, source=source,
+                               target=target, kind=kind, key=key) -> None:
+                    self._in_flight.add(key)
+                    self.env.process(
+                        self._copy(descriptor, source, target, kind),
+                        name=f"repl-{kind}",
+                    )
+
+                yield Action(
+                    kind, self.name, subject=key,
+                    detail={"chunk": key, "to": target.provider_id},
+                    apply=start_copy,
                 )
-                decisions.append(AdaptationDecision(
-                    now, self.name, kind,
-                    {"chunk": key, "to": target.provider_id},
-                ))
             elif len(replicas) > want:
                 victim = replicas[-1]
-                victim.delete_chunk(key)
-                self.demotions += 1
-                decisions.append(AdaptationDecision(
-                    now, self.name, "demote",
-                    {"chunk": key, "from": victim.provider_id},
-                ))
+
+                def drop_replica(victim=victim, key=key) -> None:
+                    victim.delete_chunk(key)
+                    self.demotions += 1
+
+                yield Action(
+                    "demote", self.name, subject=key,
+                    detail={"chunk": key, "from": victim.provider_id},
+                    apply=drop_replica,
+                )
         self._publish(now, len(directory), under_replicated, hot)
         # Provenance: the sweep's view of the directory this step.
         self.note(chunks=len(directory), under_replicated=under_replicated,
                   hot_chunks=hot, lost_chunks=len(self.lost_chunks),
                   in_flight=len(self._in_flight))
-        return decisions
 
     def _publish(self, now: float, chunks: int, under_replicated: int,
                  hot: int) -> None:

@@ -1,17 +1,17 @@
-"""`repro.decision` — the pluggable MAPE-K decision framework.
+"""`repro.decision` — the MAPE-K decision framework the self-* engines run on.
 
 The paper's self-* engines (self-configuration, self-optimization,
-self-protection, §V) each grew their own ad-hoc MAPE-K loop with private
-sensor and actuator conventions.  This package is the shared substrate
-that makes alternative decision techniques drop-in comparable (RDMSim,
-arXiv:2105.01978, is the exemplar; the SEAMS survey, arXiv:2103.11481,
-supplies the quality metrics the PR-8 scorecard computes):
+self-protection, §V) are one MAPE-K loop with different control laws.
+This package holds the shared parts, so alternative decision techniques
+are drop-in comparable (RDMSim, arXiv:2105.01978, is the exemplar; the
+SEAMS survey, arXiv:2103.11481, supplies the quality metrics the
+scorecard computes):
 
 - **sensors** — :class:`SignalRef`: a typed reference to one windowed
   statistic, resolved through the introspection
   :class:`~repro.introspection.query.QueryEngine`;
-- **actuators** — :class:`Action`: a typed, costed, applicable (and
-  optionally undoable) adaptation step;
+- **actuators** — :class:`Action`: a typed, costed, applicable
+  adaptation step;
 - **planners** — the :class:`Planner` interface plus four interchangeable
   implementations (threshold, marginal utility, hill climbing,
   epsilon-greedy bandit), all scored uniformly by the
@@ -19,24 +19,20 @@ supplies the quality metrics the PR-8 scorecard computes):
 - **arbitration** — the :class:`Arbiter`: priority bands over conserved
   :class:`ResourceLedger`\\ s, so loops competing for one budget (cache
   bytes vs. provider pool memory) can never jointly overspend it;
-- **loop** — :class:`DecisionLoop`, a
+- **loop** — :class:`DecisionLoop`, the
   :class:`~repro.adaptation.controller.ControlLoop` that wires the four
-  together and journals through the standard provenance path;
-- **engines** — the paper's four engines ported onto the framework
-  (:func:`build_cache_tuner`, :class:`ElasticityEngine`,
-  :class:`ReplicationEngine`, :class:`SecurityEngine`), byte-identical
-  in their decisions to the legacy implementations per seed.
+  together and journals through the standard provenance path.
+
+The engines themselves live under their paper-facing names, one
+implementation each: :class:`~repro.adaptation.CacheTuner`,
+:class:`~repro.adaptation.ElasticityController`,
+:class:`~repro.adaptation.ReplicationManager` and the self-protection
+scan loop of :class:`~repro.security.PolicyManagement`.  They import
+this package's leaf modules; nothing here imports an engine.
 """
 
 from .actions import Action
 from .arbiter import Arbiter, ResourceLedger
-from .engines import (
-    CacheTuningDomain,
-    ElasticityEngine,
-    ReplicationEngine,
-    SecurityEngine,
-    build_cache_tuner,
-)
 from .loop import DecisionLoop
 from .planners import (
     EpsilonGreedyPlanner,
@@ -60,9 +56,4 @@ __all__ = [
     "EpsilonGreedyPlanner",
     "make_planner",
     "DecisionLoop",
-    "CacheTuningDomain",
-    "build_cache_tuner",
-    "ElasticityEngine",
-    "ReplicationEngine",
-    "SecurityEngine",
 ]

@@ -1,20 +1,19 @@
 """Typed actuators: costed, applicable adaptation steps.
 
 An :class:`Action` is the unit of execution every planner emits: what to
-do (an ``apply`` hook), what it costs against shared resources (a
+do (an ``apply`` hook) and what it costs against shared resources (a
 ``cost`` map the :class:`~repro.decision.arbiter.Arbiter` settles against
-its ledgers), and how to roll it back (an optional ``undo`` hook).  The
-:class:`~repro.decision.loop.DecisionLoop` turns each applied action into
-the engine's standard
-:class:`~repro.adaptation.controller.AdaptationDecision`, so framework
-engines surface in decision rings, trace instants, metric counters and
-the provenance journal exactly like the legacy loops.
+its ledgers).  The :class:`~repro.decision.loop.DecisionLoop` turns each
+applied action into the engine's standard
+:class:`~repro.adaptation.controller.AdaptationDecision`, so every engine
+surfaces in decision rings, trace instants, metric counters and the
+provenance journal the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Action"]
 
@@ -26,8 +25,8 @@ class Action:
     ``cost`` maps resource names to deltas: positive consumes from the
     arbiter's ledger of that name, negative releases back to it.
     Resources without a registered ledger are unmanaged (always
-    granted).  ``apply`` performs the step; ``undo`` (optional) reverts
-    it — the arbiter uses it when a multi-resource grant fails halfway.
+    granted).  ``apply`` performs the step; if it raises, the
+    :class:`~repro.decision.loop.DecisionLoop` refunds the settled cost.
     """
 
     name: str
@@ -37,15 +36,14 @@ class Action:
     cost: Dict[str, float] = field(default_factory=dict)
     detail: Dict[str, Any] = field(default_factory=dict)
     apply: Optional[Callable[[], None]] = None
-    undo: Optional[Callable[[], None]] = None
+    #: (resource, delta) pairs the arbiter actually moved when it granted
+    #: this action — credits are capped at holdings, so not always ``cost``.
+    settled: List[Tuple[str, float]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     def execute(self) -> None:
         if self.apply is not None:
             self.apply()
-
-    def revert(self) -> None:
-        if self.undo is not None:
-            self.undo()
 
     def decision(self, now: float):
         """The :class:`AdaptationDecision` this action records as."""

@@ -187,9 +187,11 @@ class Arbiter:
         Credits (negative costs) always settle.  Debits settle only if
         the ledger has room, after preemption from lower-priority
         holders.  Multi-resource actions are atomic: a failed debit
-        rolls back every resource already settled for this action.
+        rolls back every resource already settled for this action.  A
+        grant records what it moved in ``action.settled`` so that
+        :meth:`refund` can reverse exactly that.
         """
-        settled: List[Tuple[str, float]] = []
+        action.settled = []
         for resource in sorted(action.cost):
             amount = action.cost[resource]
             ledger = self.ledgers.get(resource)
@@ -198,7 +200,7 @@ class Arbiter:
             if amount < 0:
                 release = min(-amount, ledger.holding(action.engine))
                 ledger._settle(action.engine, -release)
-                settled.append((resource, -release))
+                action.settled.append((resource, -release))
                 continue
             if ledger.free() < amount - _EPS:
                 self._preempt(action.engine, resource,
@@ -210,14 +212,19 @@ class Arbiter:
                     self._now(), action.engine, action.name, resource,
                     shortfall,
                 ))
-                for prior_resource, prior_amount in reversed(settled):
-                    self.ledgers[prior_resource]._settle(
-                        action.engine, -prior_amount)
+                self.refund(action)
                 return False
             ledger._settle(action.engine, amount)
-            settled.append((resource, amount))
+            action.settled.append((resource, amount))
         self.grants += 1
         return True
+
+    def refund(self, action: Action) -> None:
+        """Reverse what :meth:`admit` settled for *action* — a debit
+        that could not complete, or a grant whose ``apply`` raised."""
+        for resource, amount in reversed(action.settled):
+            self.ledgers[resource]._settle(action.engine, -amount)
+        action.settled = []
 
     def require(self, action: Action) -> None:
         """:meth:`admit` or raise :class:`ArbitrationDenied`."""

@@ -1,23 +1,28 @@
-"""DecisionLoop: the framework's MAPE-K engine shell.
+"""DecisionLoop: the MAPE-K shell every self-* engine runs on.
 
 A :class:`DecisionLoop` is a standard
 :class:`~repro.adaptation.controller.ControlLoop` whose step is wired
 from the framework's parts: a ``sense`` hook (Monitor — publish fresh
-samples), a :class:`~repro.decision.planners.Planner` over a knob
-domain (Analyze + Plan), and arbitrated execution (Execute — every
-action is funded through the :class:`~repro.decision.arbiter.Arbiter`
-before its ``apply`` hook runs).  Because the shell *is* a ControlLoop,
-framework engines inherit the whole provenance surface unchanged:
-cooldown with critical-health override, the bounded decision ring,
-``adapt.*`` trace instants, ``adaptation.*`` counters, and journaling
-via :meth:`attach_journal` — which now also registers the planner's
-name and parameters with the journal so the scorecard can report
-*which* technique produced each engine's quality numbers.
+samples), a ``plan`` stage yielding costed
+:class:`~repro.decision.actions.Action`\\ s (Analyze + Plan), and
+arbitrated execution (Execute — every action is funded through the
+:class:`~repro.decision.arbiter.Arbiter` before its ``apply`` hook
+runs).  The plan is either an attached, swappable
+:class:`~repro.decision.planners.Planner` over a knob domain (the cache
+tuner) or the engine's own control law, written as a ``plan`` override
+(elasticity's watermarks, replication's directory sweep,
+self-protection's policy scan).  Because the shell *is* a ControlLoop,
+every engine has the same provenance surface: cooldown with
+critical-health override, the bounded decision ring, ``adapt.*`` trace
+instants, ``adaptation.*`` counters, and journaling via
+:meth:`attach_journal`, which also registers the planner's name and
+parameters so the scorecard can report *which* technique produced each
+engine's quality numbers.
 
-Actions are applied **as the planner yields them** (no batch barrier):
-a generator planner that reads the domain after yielding a shrink sees
-the post-shrink state, exactly like the legacy in-place engines — this
-is what makes the marginal-utility port byte-identical.
+Actions are applied **as the plan yields them** (no batch barrier): a
+generator plan that reads the system after yielding a shrink sees the
+post-shrink state, and a replica dropped by one action frees the disk
+the next action's target pick can use.
 """
 
 from __future__ import annotations
@@ -26,18 +31,19 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..adaptation.controller import AdaptationDecision, ControlLoop
 from .actions import Action
+from .planners import Planner
 
 __all__ = ["DecisionLoop"]
 
 
 class DecisionLoop(ControlLoop):
-    """ControlLoop driven by a pluggable planner over a knob domain."""
+    """ControlLoop whose step is sense → plan → arbitrated execute."""
 
     name = "decision-loop"
 
     def __init__(
         self,
-        planner=None,
+        planner: Optional[Planner] = None,
         domain=None,
         arbiter=None,
         name: Optional[str] = None,
@@ -77,7 +83,13 @@ class DecisionLoop(ControlLoop):
         if self.arbiter is not None and not self.arbiter.admit(action):
             self.denied += 1
             return None
-        action.execute()
+        try:
+            action.execute()
+        except BaseException:
+            # Nothing was applied: the debit must not stay on the ledger.
+            if self.arbiter is not None:
+                self.arbiter.refund(action)
+            raise
         self.applied += 1
         return action.decision(now)
 
@@ -85,7 +97,7 @@ class DecisionLoop(ControlLoop):
         self.sense(now)
         decisions: List[AdaptationDecision] = []
         # Consume lazily: each action is funded and applied before the
-        # planner resumes, so the plan observes post-apply state.
+        # plan resumes, so the plan observes post-apply state.
         for action in self.plan(now):
             decision = self.submit(action, now)
             if decision is not None:

@@ -3,7 +3,7 @@
 A :class:`Planner` is the Plan stage of a MAPE-K loop, factored out so
 alternative decision techniques can be swapped under one engine and
 scored uniformly by the adaptation scorecard.  Planners operate against
-a **knob domain** (duck-typed; :class:`~repro.decision.engines.CacheTuningDomain`
+a **knob domain** (duck-typed; :class:`~repro.adaptation.CacheTuner`
 is the reference implementation) exposing:
 
 - ``knobs() -> list[str]`` — stable-order knob names;
@@ -14,7 +14,7 @@ is the reference implementation) exposing:
 - ``signals(name) -> dict | None`` — windowed sensor readings with at
   least ``pressure`` (demand for more resource, e.g. evictions/s) and
   ``activity`` (usage rate, e.g. lookups/s); ``None`` = no history yet;
-- ``evidence(name, signals)`` — the provenance dict to ``note()``;
+- ``signal_evidence(name, signals)`` — the provenance dict to ``note()``;
 - ``pool() -> float | None`` — remaining shared headroom right now
   (``None`` = unbudgeted), re-read after every applied action;
 - ``reward() -> float | None`` — the global objective the search-based
@@ -27,8 +27,7 @@ is the reference implementation) exposing:
 ``plan`` may be (and usually is) a **generator**: the
 :class:`~repro.decision.loop.DecisionLoop` applies each action the
 moment it is yielded, so later planning (e.g. headroom computed from
-post-shrink capacities) observes the post-apply state — exactly like
-the legacy in-place engines.
+post-shrink capacities) observes the post-apply state.
 
 Determinism: planners hold no hidden randomness.  The bandit takes an
 explicitly injected numpy generator (a dedicated named stream), so runs
@@ -131,7 +130,7 @@ class ThresholdPlanner(Planner):
             signals = domain.signals(knob)
             if signals is None:
                 continue
-            loop.note(**domain.evidence(knob, signals))
+            loop.note(**domain.signal_evidence(knob, signals))
             busy = signals["activity"] >= self.idle_activity
             if busy and signals["pressure"] > self.pressure_threshold:
                 want = self.step_fraction * domain.value(knob)
@@ -151,8 +150,8 @@ class ThresholdPlanner(Planner):
 
 
 class MarginalUtilityPlanner(Planner):
-    """Rank-by-marginal-utility capacity migration (the legacy CacheTuner
-    plan, extracted verbatim).
+    """Rank-by-marginal-utility capacity migration (the
+    :class:`~repro.adaptation.CacheTuner` default).
 
     A knob that keeps signalling pressure while active is thrashing —
     an extra MB there has high expected value, quantified as pressure
@@ -160,9 +159,7 @@ class MarginalUtilityPlanner(Planner):
     shrinks are applied first (only in service of growth — an all-quiet
     fleet keeps its capacities), then the shared pool headroom is
     re-read from the *post-shrink* state and growers draw from it in
-    descending utility order.  Byte-identical per seed to the legacy
-    :class:`~repro.adaptation.cache_tuner.CacheTuner` (asserted by the
-    framework twin-run tests).
+    descending utility order.
     """
 
     name = "marginal-utility"
@@ -195,7 +192,7 @@ class MarginalUtilityPlanner(Planner):
             signals = domain.signals(knob)
             if signals is None:
                 continue
-            loop.note(**domain.evidence(knob, signals))
+            loop.note(**domain.signal_evidence(knob, signals))
             busy = signals["activity"] >= self.idle_activity
             thrashing = busy and signals["pressure"] > self.pressure_threshold
             if thrashing:

@@ -8,7 +8,7 @@ from .enforcement import (
     PolicyEnforcement,
     Sanction,
 )
-from .framework import PolicyManagement, SecurityConfig
+from .framework import PolicyManagement, PolicyScanLoop, SecurityConfig
 from .history import IntrospectionActivitySource, UserActivityHistory, UserEvent
 from .policy import (
     Action,
@@ -31,6 +31,7 @@ from .trust import TrustManager, TrustRecord
 
 __all__ = [
     "PolicyManagement",
+    "PolicyScanLoop",
     "SecurityConfig",
     "UserEvent",
     "UserActivityHistory",

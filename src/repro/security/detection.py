@@ -5,10 +5,12 @@ History in order to find the malicious behavior patterns defined by the
 security policies.  When such an attack is detected, the Policy
 Enforcement component is notified..."
 
-The engine is a periodic scanner: every ``scan_interval_s`` it evaluates
-every policy against every client's recent window.  Detection delay in
-EXP-C3 is therefore a *measured* composition of: instrumentation →
-monitoring flush → repository write → history pull → scan.
+The engine is a periodic scanner: every ``scan_interval_s`` the
+self-protection loop (:class:`~repro.security.framework.PolicyScanLoop`)
+calls :meth:`DetectionEngine.scan_once`, which evaluates every policy
+against every client's recent window.  Detection delay in EXP-C3 is
+therefore a *measured* composition of: instrumentation → monitoring
+flush → repository write → history pull → scan.
 """
 
 from __future__ import annotations
@@ -113,25 +115,6 @@ class DetectionEngine:
             return policy.evaluate(self.history, client_id, now)
         scaled = _scale_policy(policy, factor)
         return scaled.evaluate(self.history, client_id, now)
-
-    def run(self, env):
-        """Generator: the periodic scan loop (start with ``env.process``)."""
-        while True:
-            yield env.timeout(self.scan_interval_s)
-            found = self.scan_once(env.now)
-            if found:
-                tracer = env.tracer
-                metrics = env.metrics
-                for violation in found:
-                    if tracer.enabled:
-                        tracer.instant(
-                            "security.violation", track="detection-engine",
-                            cat="security", client=violation.client_id,
-                            policy=violation.policy.name,
-                            occurrence=violation.occurrence,
-                        )
-                    if metrics is not None:
-                        metrics.counter("security.violations").inc()
 
     # -- reporting ------------------------------------------------------------------
     def first_detection(self, client_id: str) -> Optional[float]:

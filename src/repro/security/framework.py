@@ -4,15 +4,24 @@ Wires the three components of §III-C (policy definition, violation
 detection, enforcement) plus the trust manager of §V onto a monitored
 BlobSeer deployment, and runs the whole thing as simulated processes so
 detection delays are end-to-end measurements.
+
+Self-protection is a MAPE-K engine like the others: the periodic scan
+is a :class:`PolicyScanLoop` (a
+:class:`~repro.decision.loop.DecisionLoop`), so every sanction is a
+decision in the loop's ring, on the ``adapt.*`` trace track, in the
+``adaptation.*`` counters and — with a journal attached — on the shared
+provenance timeline with its policy/occurrence/trust evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..blobseer.access import AccessTable
 from ..blobseer.deployment import BlobSeerDeployment
+from ..decision.actions import Action
+from ..decision.loop import DecisionLoop
 from ..monitoring.pipeline import MonitoringStack
 from .detection import DetectionEngine, Violation
 from .enforcement import BlobSeerEnforcementTarget, PolicyEnforcement
@@ -20,7 +29,7 @@ from .history import IntrospectionActivitySource, UserActivityHistory
 from .policy import Policy
 from .trust import TrustManager
 
-__all__ = ["SecurityConfig", "PolicyManagement"]
+__all__ = ["SecurityConfig", "PolicyScanLoop", "PolicyManagement"]
 
 
 @dataclass
@@ -34,6 +43,60 @@ class SecurityConfig:
     throttle_cap_mbps: float = 5.0
     use_trust: bool = True
     confirmations: int = 1
+
+
+class PolicyScanLoop(DecisionLoop):
+    """The self-protection loop: one policy scan per interval.
+
+    Enforcement fires *inside* :meth:`DetectionEngine.scan_once`,
+    through the engine's violation listeners; the loop then surfaces
+    each new violation as a ``sanction`` decision.
+    """
+
+    name = "security"
+
+    def __init__(self, env, detection: DetectionEngine,
+                 trust: Optional[TrustManager] = None) -> None:
+        super().__init__(interval_s=detection.scan_interval_s)
+        self.env = env
+        self.detection = detection
+        self.trust = trust
+
+    def planner_info(self) -> Dict[str, Any]:
+        return {"name": "policy-scan", "params": {
+            "scan_interval_s": self.detection.scan_interval_s,
+            "confirmations": self.detection.confirmations,
+            "refire_holdoff_s": self.detection.refire_holdoff_s,
+        }}
+
+    def plan(self, now: float) -> Iterable[Action]:
+        tracer = self.env.tracer
+        metrics = self.env.metrics
+        for violation in self.detection.scan_once(now):
+            client = violation.client_id
+            if tracer.enabled:
+                tracer.instant(
+                    "security.violation", track="detection-engine",
+                    cat="security", client=client,
+                    policy=violation.policy.name,
+                    occurrence=violation.occurrence,
+                )
+            if metrics is not None:
+                metrics.counter("security.violations").inc()
+            evidence = {
+                f"{client}.policy": violation.policy.name,
+                f"{client}.occurrence": violation.occurrence,
+            }
+            if self.trust is not None:
+                evidence[f"{client}.trust"] = round(
+                    self.trust.trust_of(client, violation.time), 6)
+            self.note(**evidence)
+            yield Action(
+                "sanction", self.name, subject=client,
+                detail={"client": client, "policy": violation.policy.name},
+            )
+        self.note(scans=self.detection.scans,
+                  violations=len(self.detection.violations))
 
 
 class PolicyManagement:
@@ -89,6 +152,8 @@ class PolicyManagement:
             clock=lambda: self.env.now,
         )
         self.engine.on_violation(self.enforcement.apply)
+        #: The scan loop: decisions, journal and planner info live here.
+        self.loop = PolicyScanLoop(self.env, self.engine, trust=self.trust)
         self._started = False
 
     def _system_load(self) -> float:
@@ -105,53 +170,17 @@ class PolicyManagement:
         return total / len(providers)
 
     def attach_journal(self, journal) -> "PolicyManagement":
-        """Record every enforced violation into a provenance journal.
-
-        The self-protection loop's "decisions" are policy violations
-        firing: each is journaled with the detection evidence (policy,
-        occurrence, trust score) so it lands on the same timeline as the
-        other engines' adaptations.  Registered as an extra violation
-        listener — enforcement is unaffected.
-        """
-        from ..adaptation.controller import AdaptationDecision
-
-        def _record(violation) -> None:
-            evidence = {
-                "policy": violation.policy.name,
-                "occurrence": violation.occurrence,
-            }
-            if self.trust is not None:
-                evidence["trust"] = round(
-                    self.trust.trust_of(violation.client_id, violation.time), 6)
-            journal.record_decision(AdaptationDecision(
-                violation.time, "security", "sanction",
-                {"client": violation.client_id,
-                 "policy": violation.policy.name},
-            ), evidence=evidence)
-
-        self.engine.on_violation(_record)
-        if hasattr(journal, "set_planner"):
-            journal.set_planner("security", "policy-scan", {
-                "scan_interval_s": self.config.scan_interval_s,
-                "confirmations": self.config.confirmations,
-                "refire_holdoff_s": self.config.refire_holdoff_s,
-            })
+        """Journal every sanction (see :meth:`ControlLoop.attach_journal`)."""
+        self.loop.attach_journal(journal)
         return self
 
-    def start(self, scan: bool = True) -> None:
-        """Launch the history-pull and (with ``scan``) detection loops.
-
-        ``scan=False`` starts only the history pull — for runs where a
-        framework :class:`~repro.decision.engines.SecurityEngine` owns
-        the periodic scan instead of the built-in
-        :meth:`DetectionEngine.run` process.
-        """
+    def start(self) -> None:
+        """Launch the history-pull and policy-scan loops."""
         if self._started:
             return
         self._started = True
         self.env.process(self.source.run(self.env), name="security-history-pull")
-        if scan:
-            self.env.process(self.engine.run(self.env), name="security-scan")
+        self.env.process(self.loop.run(self.env), name="security-scan")
 
     # -- reporting ----------------------------------------------------------------
     @property

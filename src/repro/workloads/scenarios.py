@@ -13,20 +13,24 @@
   adaptation scenario: a sustained hot-spot read load hit by two seeded
   disturbances (a hot-set shift and a provider-churn window), with the
   cache tuner, decision journal, and adaptation scorecard wired in.
-  With ``planner=`` the legacy tuner is swapped for the framework
-  :func:`~repro.decision.engines.build_cache_tuner` running any of the
-  interchangeable planners — the BENCH-DECIDE matrix axis.
+  ``planner=`` names which of the interchangeable planners drives the
+  tuner — the BENCH-DECIDE matrix axis.
 - :func:`build_contention_scenario` — the BENCH-DECIDE two-loop case:
-  the framework cache tuner and the framework elasticity engine compete
-  for one conserved memory ledger under an
+  the cache tuner and the elasticity controller compete for one
+  conserved memory ledger under an
   :class:`~repro.decision.arbiter.Arbiter` (elasticity outranks cache
   tuning; preemption physically shrinks caches).
+
+The three Zipf-read scenarios (hot-spot, disturbance, contention) share
+one base, :class:`ZipfReadScenario`: the dataset preload, the hot-set
+shift and the read-side block of ``observables()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import json
+from dataclasses import dataclass
+from typing import Any, ClassVar, List, Optional
 
 from ..blobseer.access import AccessTable
 from ..blobseer.deployment import BlobSeerConfig, BlobSeerDeployment
@@ -43,6 +47,7 @@ __all__ = [
     "build_fanout_scenario",
     "DosScenario",
     "build_dos_scenario",
+    "ZipfReadScenario",
     "HotspotScenario",
     "build_hotspot_scenario",
     "DisturbanceScenario",
@@ -160,8 +165,6 @@ class FanoutScenario:
         """Every client-visible observable plus the control-plane
         counters, as one canonical JSON string (byte-identical per
         seed)."""
-        import json
-
         env = self.deployment.env
         payload = {
             "end": env.now,
@@ -378,26 +381,29 @@ def build_dos_scenario(
     )
 
 
-@dataclass
-class HotspotScenario:
-    """Handles for a Zipf-skewed hot-spot read run (cache stress case)."""
+@dataclass(kw_only=True)
+class ZipfReadScenario:
+    """What the Zipf-read scenarios share: one writer preloads a dataset
+    BLOB that *readers* then hammer with Zipf-skewed chunk reads."""
 
     deployment: BlobSeerDeployment
     writer: CorrectWriter
     readers: List[ZipfReader]
-    tuner: Optional["CacheTuner"]
     dataset_chunks: int
     chunk_size_mb: float
     blob_id: Optional[int] = None
     read_start: float = 0.0
-    read_end: float = 0.0
 
+    #: Prefix of this scenario's process names (``<prefix>-preload``,
+    #: ``<prefix>-reader-<i>``).
+    process_prefix: ClassVar[str]
     __test__ = False
 
     def preload(self) -> int:
         """Write the shared dataset BLOB; returns its blob id."""
         env = self.deployment.env
-        proc = env.process(self.writer.run(env), name="hotspot-preload")
+        proc = env.process(self.writer.run(env),
+                           name=f"{self.process_prefix}-preload")
         self.deployment.run(until=proc)
         if self.writer.blob_id is None:
             raise RuntimeError("dataset preload failed")
@@ -406,23 +412,73 @@ class HotspotScenario:
             reader.blob_id = self.blob_id
         return self.blob_id
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Preload (if needed), then run every reader to completion."""
+    def _start_readers(self, stop_at: Optional[float] = None) -> list:
+        """Preload (if needed) and launch every reader; returns the
+        reader processes."""
         if self.blob_id is None:
             self.preload()
         env = self.deployment.env
         self.read_start = env.now
-        procs = [env.process(r.run(env), name=f"hotspot-reader-{i}")
-                 for i, r in enumerate(self.readers)]
+        procs = []
+        for i, reader in enumerate(self.readers):
+            if stop_at is not None:
+                reader.stop_at = stop_at
+            procs.append(env.process(
+                reader.run(env), name=f"{self.process_prefix}-reader-{i}"))
+        return procs
+
+    def _hot_set_shift(self, env):
+        """Process: at ``shift_at`` every reader's hot set jumps."""
+        delay = self.shift_at - env.now
+        if delay > 0:
+            yield env.timeout(delay)
+        for reader in self.readers:
+            reader.reshuffle()
+
+    def total_read_mb(self) -> float:
+        return sum(r.total_read_mb() for r in self.readers)
+
+    def _observables(self, **extra: Any) -> str:
+        """The read-side observables plus *extra*, as one canonical JSON
+        string (byte-identical per seed)."""
+        env = self.deployment.env
+        payload = {
+            "end": env.now,
+            "events": env.events_processed,
+            "completions": [
+                [r.client.client_id,
+                 [[op.op, op.blob_id, round(op.size_mb, 6),
+                   round(op.started_at, 9), round(op.finished_at, 9), op.ok]
+                  for op in r.client.history]]
+                for r in self.readers
+            ],
+            "delivered_mb": round(self.total_read_mb(), 6),
+            "metrics": (env.metrics.to_dict()
+                        if env.metrics is not None else None),
+            **extra,
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(kw_only=True)
+class HotspotScenario(ZipfReadScenario):
+    """Handles for a Zipf-skewed hot-spot read run (cache stress case)."""
+
+    tuner: Optional["CacheTuner"]
+    read_end: float = 0.0
+
+    process_prefix = "hotspot"
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Preload (if needed), then run every reader to completion."""
+        procs = self._start_readers()
+        env = self.deployment.env
         if self.tuner is not None:
             env.process(self.tuner.run(env), name="cache-tuner")
         self.deployment.run(until=until if until is not None else env.all_of(procs))
         self.read_end = env.now
 
     # -- metrics -------------------------------------------------------------------
-    def total_read_mb(self) -> float:
-        return sum(r.total_read_mb() for r in self.readers)
-
     def aggregate_read_throughput(self) -> float:
         """Fleet-wide MB/s over the read phase (the headline number)."""
         elapsed = self.read_end - self.read_start
@@ -522,8 +578,8 @@ def build_hotspot_scenario(
     )
 
 
-@dataclass
-class DisturbanceScenario:
+@dataclass(kw_only=True)
+class DisturbanceScenario(ZipfReadScenario):
     """Handles for a BENCH-ADAPT quality-of-adaptation run.
 
     A sustained Zipf hot-spot read load is hit by two seeded
@@ -535,56 +591,25 @@ class DisturbanceScenario:
     the adaptation scorecard measure how well it did.
     """
 
-    deployment: BlobSeerDeployment
-    writer: CorrectWriter
-    readers: List[ZipfReader]
     tuner: Optional["CacheTuner"]
     journal: Optional["DecisionJournal"]
     query: Optional["QueryEngine"]
-    dataset_chunks: int
-    chunk_size_mb: float
     shift_at: float
     churn_at: float
     churn_heal_s: float
     churn_providers: int
     duration: float
     slo_mbps: float
-    blob_id: Optional[int] = None
     injector: Optional["FaultInjector"] = None
-    read_start: float = 0.0
-    #: Planner driving the tuner: None = the legacy CacheTuner engine.
-    planner_name: Optional[str] = None
+    #: Planner driving the tuner (a ``repro.decision.planners`` name).
+    planner_name: str = "marginal-utility"
 
-    __test__ = False
-
-    def preload(self) -> int:
-        """Write the shared dataset BLOB; returns its blob id."""
-        env = self.deployment.env
-        proc = env.process(self.writer.run(env), name="disturb-preload")
-        self.deployment.run(until=proc)
-        if self.writer.blob_id is None:
-            raise RuntimeError("dataset preload failed")
-        self.blob_id = self.writer.blob_id
-        for reader in self.readers:
-            reader.blob_id = self.blob_id
-        return self.blob_id
-
-    def _hot_set_shift(self, env):
-        delay = self.shift_at - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        for reader in self.readers:
-            reader.reshuffle()
+    process_prefix = "disturb"
 
     def run(self) -> None:
         """Preload, arm both disturbances, run readers to ``duration``."""
-        if self.blob_id is None:
-            self.preload()
+        self._start_readers(stop_at=self.duration)
         env = self.deployment.env
-        self.read_start = env.now
-        for i, reader in enumerate(self.readers):
-            reader.stop_at = self.duration
-            env.process(reader.run(env), name=f"disturb-reader-{i}")
         if self.tuner is not None:
             env.process(self.tuner.run(env), name="cache-tuner")
         env.process(self._hot_set_shift(env), name="hot-set-shift")
@@ -628,29 +653,27 @@ class DisturbanceScenario:
         """Every simulated observable of the run, as one canonical JSON
         string — byte-identical across repeats per seed, and between
         journal-on and journal-off runs (the journal is inert)."""
-        import json
+        return self._observables(
+            reallocations=self.deployment.net.reallocations)
 
-        env = self.deployment.env
-        payload = {
-            "end": env.now,
-            "events": env.events_processed,
-            "completions": [
-                [r.client.client_id,
-                 [[op.op, op.blob_id, round(op.size_mb, 6),
-                   round(op.started_at, 9), round(op.finished_at, 9), op.ok]
-                  for op in r.client.history]]
-                for r in self.readers
-            ],
-            "delivered_mb": round(sum(r.total_read_mb()
-                                      for r in self.readers), 6),
-            "reallocations": self.deployment.net.reallocations,
-            "metrics": (env.metrics.to_dict()
-                        if env.metrics is not None else None),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def total_read_mb(self) -> float:
-        return sum(r.total_read_mb() for r in self.readers)
+def _planned_tuner(deployment, query, planner: str, step_fraction: float,
+                   **tuner_kwargs):
+    """A :class:`CacheTuner` over every deployment cache, driven by the
+    named planner and rewarded by client throughput."""
+    from ..adaptation.cache_tuner import CacheTuner
+    from ..decision.planners import make_planner
+    from ..decision.signals import SignalRef
+
+    rng = (deployment.rng.stream("decision:bandit")
+           if planner == "epsilon-greedy" else None)
+    return CacheTuner(
+        query,
+        caches=deployment.caches,
+        planner=make_planner(planner, rng=rng, step_fraction=step_fraction),
+        reward_signal=SignalRef("client.throughput_mbps"),
+        **tuner_kwargs,
+    )
 
 
 def build_disturbance_scenario(
@@ -679,7 +702,7 @@ def build_disturbance_scenario(
     duration: float = 170.0,
     slo_mbps: float = 120.0,
     seed: int = 0,
-    planner: Optional[str] = None,
+    planner: str = "marginal-utility",
 ) -> DisturbanceScenario:
     """The BENCH-ADAPT scenario: hot-spot load + two disturbances.
 
@@ -692,13 +715,12 @@ def build_disturbance_scenario(
     :meth:`DisturbanceScenario.observables` string is byte-identical
     with the journal on or off.
 
-    *planner* selects the decision technique (BENCH-DECIDE): ``None``
-    runs the legacy :class:`~repro.adaptation.cache_tuner.CacheTuner`;
-    any :data:`~repro.decision.planners.PLANNERS` name runs the
-    framework tuner (:func:`~repro.decision.engines.build_cache_tuner`)
-    with that planner — same interval, budget, and step fraction, same
-    seeded streams.  The bandit draws from the dedicated
-    ``decision:bandit`` stream only, so every other stream is untouched.
+    *planner* names the decision technique driving the
+    :class:`~repro.adaptation.CacheTuner` (BENCH-DECIDE): any
+    :data:`~repro.decision.planners.PLANNERS` name — same interval,
+    budget, and step fraction, same seeded streams.  The bandit draws
+    from the dedicated ``decision:bandit`` stream only, so every other
+    stream is untouched.
     """
     from ..telemetry.metrics import MetricsRegistry
 
@@ -743,30 +765,11 @@ def build_disturbance_scenario(
 
         query = QueryEngine.for_deployment(deployment,
                                            window_s=3 * tuner_interval_s)
-        if planner is None:
-            from ..adaptation.cache_tuner import CacheTuner
-
-            tuner = CacheTuner(
-                query,
-                caches=deployment.caches,
-                interval_s=tuner_interval_s,
-                step_fraction=tuner_step_fraction,
-                total_budget_mb=tuner_total_budget_mb,
-            )
-        else:
-            from ..decision import SignalRef, build_cache_tuner, make_planner
-
-            rng = (deployment.rng.stream("decision:bandit")
-                   if planner == "epsilon-greedy" else None)
-            tuner = build_cache_tuner(
-                query,
-                caches=deployment.caches,
-                planner=make_planner(planner, rng=rng,
-                                     step_fraction=tuner_step_fraction),
-                interval_s=tuner_interval_s,
-                total_budget_mb=tuner_total_budget_mb,
-                reward_signal=SignalRef("client.throughput_mbps"),
-            )
+        tuner = _planned_tuner(
+            deployment, query, planner, tuner_step_fraction,
+            interval_s=tuner_interval_s,
+            total_budget_mb=tuner_total_budget_mb,
+        )
     journal = None
     if with_journal:
         from ..introspection.provenance import DecisionJournal
@@ -795,72 +798,42 @@ def build_disturbance_scenario(
     )
 
 
-@dataclass
-class ContentionScenario:
+@dataclass(kw_only=True)
+class ContentionScenario(ZipfReadScenario):
     """Handles for a BENCH-DECIDE two-loop contention run.
 
-    The framework cache tuner (self-optimization) and the framework
-    elasticity engine (self-configuration) adapt the same deployment
-    while an :class:`~repro.decision.arbiter.Arbiter` referees one
-    conserved ``memory_mb`` ledger: cache capacity and provider-pool
-    footprint are charged against the same budget.  Elasticity sits in
-    the higher-priority band, so a scale-up that does not fit preempts
-    cache capacity (physically shrinking caches through the tuner
-    domain's reclaim hook); a scale-down credits budget back that the
-    tuner can reclaim for caches.  The ledger invariant
-    ``used <= capacity`` is asserted on every settlement.
+    The cache tuner (self-optimization) and the elasticity controller
+    (self-configuration) adapt the same deployment while an
+    :class:`~repro.decision.arbiter.Arbiter` referees one conserved
+    ``memory_mb`` ledger: cache capacity and provider-pool footprint are
+    charged against the same budget.  Elasticity sits in the
+    higher-priority band, so a scale-up that does not fit preempts
+    cache capacity (physically shrinking caches through the tuner's
+    reclaim hook); a scale-down credits budget back that the tuner can
+    reclaim for caches.  The ledger invariant ``used <= capacity`` is
+    asserted on every settlement.
     """
 
-    deployment: BlobSeerDeployment
-    writer: CorrectWriter
-    readers: List[ZipfReader]
     #: Background bulk writers: the provider-pool load elasticity sees
     #: (client caches absorb the Zipf reads, so reads alone load nothing).
     load_writers: List[CorrectWriter]
-    tuner: "DecisionLoop"
-    elasticity: "ElasticityEngine"
+    tuner: "CacheTuner"
+    elasticity: "ElasticityController"
     arbiter: "Arbiter"
     journal: Optional["DecisionJournal"]
     query: "QueryEngine"
-    dataset_chunks: int
-    chunk_size_mb: float
     shift_at: float
     duration: float
     slo_mbps: float
     memory_budget_mb: float
     planner_name: str = "marginal-utility"
-    blob_id: Optional[int] = None
-    read_start: float = 0.0
 
-    __test__ = False
-
-    def preload(self) -> int:
-        env = self.deployment.env
-        proc = env.process(self.writer.run(env), name="contend-preload")
-        self.deployment.run(until=proc)
-        if self.writer.blob_id is None:
-            raise RuntimeError("dataset preload failed")
-        self.blob_id = self.writer.blob_id
-        for reader in self.readers:
-            reader.blob_id = self.blob_id
-        return self.blob_id
-
-    def _hot_set_shift(self, env):
-        delay = self.shift_at - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        for reader in self.readers:
-            reader.reshuffle()
+    process_prefix = "contend"
 
     def run(self) -> None:
         """Preload, start both engines, run readers to ``duration``."""
-        if self.blob_id is None:
-            self.preload()
+        self._start_readers(stop_at=self.duration)
         env = self.deployment.env
-        self.read_start = env.now
-        for i, reader in enumerate(self.readers):
-            reader.stop_at = self.duration
-            env.process(reader.run(env), name=f"contend-reader-{i}")
         for i, writer in enumerate(self.load_writers):
             writer.stop_at = self.duration
             env.process(writer.run(env), name=f"contend-writer-{i}")
@@ -888,37 +861,17 @@ class ContentionScenario:
             disturbances=[Disturbance(self.shift_at, "hot_set_shift")],
         ).compute(t0=self.read_start, t1=self.deployment.env.now)
 
-    def total_read_mb(self) -> float:
-        return sum(r.total_read_mb() for r in self.readers)
-
     # -- observables (the determinism contract) ------------------------------------
     def observables(self) -> str:
         """Every simulated observable plus the arbiter's final ledger
         state, as one canonical JSON string (byte-identical per seed)."""
-        import json
-
-        env = self.deployment.env
-        payload = {
-            "end": env.now,
-            "events": env.events_processed,
-            "completions": [
-                [r.client.client_id,
-                 [[op.op, op.blob_id, round(op.size_mb, 6),
-                   round(op.started_at, 9), round(op.finished_at, 9), op.ok]
-                  for op in r.client.history]]
-                for r in self.readers
-            ],
-            "delivered_mb": round(sum(r.total_read_mb()
-                                      for r in self.readers), 6),
-            "write_ops": [len(w.results) for w in self.load_writers],
-            "pool_size": self.deployment.pmanager.pool_size(),
-            "capacities": {name: round(c.capacity_mb, 6)
-                           for name, c in self.tuner.caches.items()},
-            "arbiter": self.arbiter.to_dict(),
-            "metrics": (env.metrics.to_dict()
-                        if env.metrics is not None else None),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return self._observables(
+            write_ops=[len(w.results) for w in self.load_writers],
+            pool_size=self.deployment.pmanager.pool_size(),
+            capacities={name: round(c.capacity_mb, 6)
+                        for name, c in self.tuner.caches.items()},
+            arbiter=self.arbiter.to_dict(),
+        )
 
 
 def build_contention_scenario(
@@ -957,7 +910,7 @@ def build_contention_scenario(
     slo_mbps: float = 120.0,
     seed: int = 0,
 ) -> ContentionScenario:
-    """The BENCH-DECIDE contention case: two framework loops, one budget.
+    """The BENCH-DECIDE contention case: two engines, one budget.
 
     ``memory_budget_mb`` defaults to the initial allocation (cache
     capacities + pool footprint) plus ``slack_mb`` of headroom — which
@@ -965,10 +918,8 @@ def build_contention_scenario(
     than one ``scale_up_step`` worth, so the first scale-up under load
     must preempt cache capacity through the arbiter.
     """
-    from ..decision import (
-        Arbiter, SignalRef, build_cache_tuner, make_planner,
-    )
-    from ..decision.engines import ElasticityEngine
+    from ..adaptation.elasticity import ElasticityController
+    from ..decision.arbiter import Arbiter
     from ..introspection.query import QueryEngine
     from ..telemetry.metrics import MetricsRegistry
 
@@ -1027,18 +978,11 @@ def build_contention_scenario(
         journal.watch("elasticity", ["elasticity.pool_size"])
 
     arbiter = Arbiter(env=testbed.env, journal=journal)
-    rng = (deployment.rng.stream("decision:bandit")
-           if planner == "epsilon-greedy" else None)
-    tuner = build_cache_tuner(
-        query,
-        caches=deployment.caches,
-        planner=make_planner(planner, rng=rng,
-                             step_fraction=tuner_step_fraction),
-        arbiter=arbiter,
-        interval_s=tuner_interval_s,
-        reward_signal=SignalRef("client.throughput_mbps"),
+    tuner = _planned_tuner(
+        deployment, query, planner, tuner_step_fraction,
+        arbiter=arbiter, interval_s=tuner_interval_s,
     )
-    elasticity = ElasticityEngine(
+    elasticity = ElasticityController(
         deployment,
         min_providers=2,
         max_providers=data_providers + max_extra_providers,
@@ -1052,7 +996,7 @@ def build_contention_scenario(
         arbiter=arbiter,
         provider_cost_mb=provider_cost_mb,
     )
-    held_caches = tuner.domain.held()
+    held_caches = tuner.held()
     pool_cost = deployment.pmanager.pool_size() * provider_cost_mb
     if memory_budget_mb is None:
         if slack_mb is None:
@@ -1060,7 +1004,7 @@ def build_contention_scenario(
         memory_budget_mb = held_caches + pool_cost + slack_mb
     arbiter.ledger("memory_mb", capacity=memory_budget_mb)
     arbiter.register("elasticity", band=0)
-    arbiter.register("cache-tuner", band=1, reclaim=tuner.domain.reclaim)
+    arbiter.register("cache-tuner", band=1, reclaim=tuner.reclaim)
     arbiter.assume("cache-tuner", "memory_mb", held_caches)
     arbiter.assume("elasticity", "memory_mb", pool_cost)
     if journal is not None:

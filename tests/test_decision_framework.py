@@ -4,17 +4,18 @@ Covers the PR-9 contract, engine-independently:
 
 - :class:`SignalRef` sensors resolve through the query engine and carry
   stable provenance keys;
-- :class:`Action` actuators apply, revert, and convert to standard
+- :class:`Action` actuators apply and convert to standard
   :class:`AdaptationDecision` records;
 - :class:`ResourceLedger` conservation: ``used() <= capacity`` is a hard
   invariant (overspend raises), peak usage is tracked;
 - :class:`Arbiter` semantics: grants, credits capped at holdings,
   deterministic band-ordered preemption through reclaim hooks, atomic
-  multi-resource rollback, the denial log, and ``require`` raising;
+  multi-resource rollback, the denial log, ``require`` raising, and the
+  refund of a grant whose ``apply`` raised;
 - :class:`DecisionLoop` runs any planner over any knob domain behind the
   full ControlLoop surface — including the cooldown, critical-health
   override, and bounded decision-ring paths of ``ControlLoop.step``'s
-  machinery (previously only exercised by legacy engines);
+  machinery;
 - all four planners behave and stay deterministic: threshold rules,
   marginal-utility ranking with post-shrink funding, hill-climb
   direction flips, epsilon-greedy arm accounting on an injected stream.
@@ -95,7 +96,7 @@ class ToyDomain:
     def signals(self, name):
         return self.signal_map.get(name)
 
-    def evidence(self, name, signals):
+    def signal_evidence(self, name, signals):
         return {f"{name}.pressure": signals["pressure"],
                 f"{name}.activity": signals["activity"]}
 
@@ -123,15 +124,13 @@ class ToyDomain:
             detail["utility"] = round(utility, 6)
         return Action("grow", self.engine, subject=name,
                       cost={self.resource: amount}, detail=detail,
-                      apply=self._move(name, amount),
-                      undo=self._move(name, -amount))
+                      apply=self._move(name, amount))
 
     def make_shrink(self, name, amount, signals=None):
         return Action("shrink", self.engine, subject=name,
                       cost={self.resource: -amount},
                       detail={"knob": name, "amount": round(amount, 6)},
-                      apply=self._move(name, -amount),
-                      undo=self._move(name, amount))
+                      apply=self._move(name, -amount))
 
 
 BUSY = {"pressure": 1.0, "activity": 10.0, "hit_rate": 0.5}
@@ -189,13 +188,11 @@ def test_signal_ref_is_hashable_config():
 
 
 # ------------------------------------------------------------------ actions
-def test_action_execute_revert_and_decision():
+def test_action_execute_and_decision():
     domain = ToyDomain({"a": 10.0})
     action = domain.make_grow("a", 2.0)
     action.execute()
     assert domain.values["a"] == 12.0
-    action.revert()
-    assert domain.values["a"] == 10.0
     decision = action.decision(7.0)
     assert isinstance(decision, AdaptationDecision)
     assert (decision.time, decision.engine, decision.action) == (7.0, "toy", "grow")
@@ -210,7 +207,6 @@ def test_action_str_mentions_cost_and_subject():
     assert "toy.grow a" in str(action) and "mb+4" in str(action)
     bare = Action("noop", "toy")
     bare.execute()  # no apply hook: a no-op, not an error
-    bare.revert()
 
 
 # ------------------------------------------------------------------ ledger
@@ -460,6 +456,27 @@ def test_decision_loop_denied_actions_are_not_applied():
     assert domain.values["a"] == 10.0
     assert loop.decisions == []
     assert arbiter.denials == 1
+
+
+def test_decision_loop_refunds_the_cost_when_apply_raises():
+    """A granted action whose ``apply`` raises applied nothing, so its
+    settled cost must not stay on the ledger (debit and credit alike)."""
+    arbiter = Arbiter()
+    arbiter.ledger("mb", capacity=20.0)
+    arbiter.assume("toy", "mb", 10.0)
+    loop = DecisionLoop(arbiter=arbiter, name="toy")
+
+    def reject():
+        raise ValueError("capacity must be positive")
+
+    before = arbiter.ledgers["mb"].used()
+    for cost in (4.0, -4.0, -25.0):  # the last credit is capped at holdings
+        with pytest.raises(ValueError):
+            loop.submit(Action("resize", "toy", cost={"mb": cost},
+                               apply=reject), 0.0)
+        assert arbiter.ledgers["mb"].used() == pytest.approx(before)
+        assert arbiter.ledgers["mb"].holding("toy") == pytest.approx(10.0)
+    assert loop.applied == 0 and loop.decisions == []
 
 
 def test_decision_loop_registers_planner_with_journal():

@@ -12,6 +12,13 @@ prints the current values.
 ``env.events_processed`` is dropped from ``observables()`` before
 hashing: it is what the simulator costs, not what the simulated system
 did (the benchmark's ``sim_digest`` leaves it out for the same reason).
+
+The ``ENGINE_WORLDS`` digests pin what each self-* engine *decided*: the
+decision stream ``(time, engine, action, detail)``, the engine's counters
+and its timelines.  They were captured at commit b090b28 from the
+in-place engine implementations that the decision-framework engines
+replaced, in the worlds (and seeds) the twin-run tests of that commit
+compared the two copies on.
 """
 
 import hashlib
@@ -19,7 +26,13 @@ import json
 
 import pytest
 
+from repro.adaptation import ElasticityController, ReplicationManager
+from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
+from repro.cluster import TestbedConfig
+from repro.introspection import DecisionJournal
+from repro.telemetry import MetricsRegistry
 from repro.workloads import (
+    CorrectWriter,
     build_contention_scenario,
     build_disturbance_scenario,
     build_dos_scenario,
@@ -105,6 +118,95 @@ def dos(seed):
         [w.client for w in scenario.correct + scenario.attackers])
 
 
+def _decision_stream(decisions):
+    return [[d.time, d.engine, d.action, sorted(d.detail.items())]
+            for d in decisions]
+
+
+def _small_deployment(seed, **overrides):
+    config = dict(data_providers=6, metadata_providers=2, chunk_size_mb=64.0,
+                  testbed=TestbedConfig(seed=seed))
+    config.update(overrides)
+    return BlobSeerDeployment(BlobSeerConfig(**config))
+
+
+def elasticity(seed):
+    """Six bulk writers overload a three-provider pool."""
+    dep = _small_deployment(seed, data_providers=3)
+    engine = ElasticityController(
+        dep, min_providers=3, max_providers=10, high_load=0.3,
+        interval_s=2.0, cooldown_s=4.0, provision_delay_s=1.0)
+    dep.env.process(engine.run(dep.env))
+    for i in range(6):
+        writer = CorrectWriter(dep.new_client(f"w{i}"), op_mb=512.0, max_ops=6)
+        dep.env.process(writer.run(dep.env))
+    dep.run(until=90.0)
+    assert engine.scale_ups > 0, "the world must actually scale"
+    return _sha({
+        "decisions": _decision_stream(engine.decisions),
+        "pool_timeline": engine.pool_timeline,
+        "scale_ups": engine.scale_ups,
+        "scale_downs": engine.scale_downs,
+        "pool_size": dep.pmanager.pool_size(),
+    })
+
+
+def replication(seed):
+    """A provider holding chunks of a 2-replica blob crashes."""
+    dep = _small_deployment(seed, replication=2)
+    client = dep.new_client("c1")
+
+    def write(env):
+        blob_id = yield env.process(client.create_blob(64.0))
+        yield env.process(client.append(blob_id, 256.0))
+
+    dep.run(until=dep.env.process(write(dep.env)))
+    manager = ReplicationManager(dep, target_replication=2, max_replication=3,
+                                 hot_reads_per_s=0.5, interval_s=2.0)
+    dep.env.process(manager.run(dep.env))
+    next(p for p in dep.providers.values() if p.chunks).node.fail()
+    dep.run(until=dep.now + 30.0)
+    assert manager.repairs_done > 0, "the world must actually repair"
+    return _sha({
+        "decisions": _decision_stream(manager.decisions),
+        "repairs_done": manager.repairs_done,
+        "promotions": manager.promotions,
+        "demotions": manager.demotions,
+        "repair_traffic_mb": manager.repair_traffic_mb,
+        "lost_chunks": manager.lost_chunks,
+        "evidence": manager.evidence,
+        "live_replicas": {
+            key: [p.provider_id for p in manager.live_replicas(descriptor)]
+            for key, descriptor in manager.chunk_directory().items()},
+    })
+
+
+def security(seed):
+    """Three flooding attackers among six clients, policy scan every 5 s."""
+    scenario = build_dos_scenario(
+        n_clients=6, malicious_fraction=0.5, security_enabled=True,
+        data_providers=12, metadata_providers=2, monitoring_services=2,
+        op_mb=256.0, attack_start=10.0, attack_stagger_s=5.0,
+        attack_parallel=32, seed=seed, scan_interval_s=5.0,
+        history_pull_interval_s=2.0, flush_interval_s=1.0, confirmations=1)
+    env = scenario.deployment.env
+    env.metrics = MetricsRegistry(env)
+    journal = DecisionJournal(env)
+    scenario.security.attach_journal(journal)
+    scenario.run(until=75.0)
+    violations = scenario.security.violations
+    assert violations, "the attack must be detected"
+    return _sha({
+        "decisions": _decision_stream(journal.for_engine("security")),
+        "violations": [[v.time, v.client_id, v.policy.name, v.occurrence]
+                       for v in violations],
+        "scans": scenario.security.engine.scans,
+        "blocked": scenario.security.summary()["blocked"],
+        "attackers_blocked": sorted(a.blocked for a in scenario.attackers),
+        "violations_counter": env.metrics.counter("security.violations").value,
+    })
+
+
 SCENARIOS = {
     "fanout": fanout,
     "disturbance": disturbance,
@@ -129,13 +231,35 @@ GOLDEN = {
 }
 
 
+#: Engine world -> (builder, the seed its twin-run test used).
+ENGINE_WORLDS = {
+    "elasticity": (elasticity, 11),
+    "replication": (replication, 7),
+    "security": (security, 4),
+}
+
+ENGINE_GOLDEN = {
+    "elasticity": "10f35eee218d283180621c1a8575a51b32121be82a60e310658cd82145e38bb3",
+    "replication": "f6af75d0cc19b2423463b8beab806a19360245ab3917229524e3d37b447e9988",
+    "security": "7d13d80b7d5d4e10c904e6bb0a9449961aa2d9b70a07e707f070eb21cd0f63f4",
+}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outcome_matches_frozen_digest(name, seed):
     assert SCENARIOS[name](seed) == GOLDEN[name, seed]
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_WORLDS))
+def test_engine_decisions_match_frozen_digest(name):
+    world, seed = ENGINE_WORLDS[name]
+    assert world(seed) == ENGINE_GOLDEN[name]
+
+
 if __name__ == "__main__":
     for name in sorted(SCENARIOS):
         for seed in SEEDS:
             print(f'    ("{name}", {seed}): "{SCENARIOS[name](seed)}",')
+    for name, (world, seed) in sorted(ENGINE_WORLDS.items()):
+        print(f'    "{name}": "{world(seed)}",')
