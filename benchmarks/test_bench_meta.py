@@ -2,8 +2,8 @@
 
 The version manager is the architecture's one per-write serialization
 point: every ticket and publish crosses a single 1-core node at
-``vm_op_cpu_s`` apiece, capping aggregate write throughput near
-``1 / (2 * vm_op_cpu_s)`` writes/s no matter how many providers serve
+``op_cpu_s`` (3 ms) apiece, capping aggregate write throughput near
+``1 / (2 * op_cpu_s)`` writes/s no matter how many providers serve
 the data plane.  This bench quantifies that ceiling and what removes
 it:
 
@@ -93,15 +93,36 @@ def run_arm(writers: int, ops: int, vm_shards: int, vm_batch: bool,
     }
 
 
+class PerChunkAllocator:
+    """Ablation arm: a client's provider-manager endpoint that splits one
+    ``remote_allocate(count)`` into *count* single-chunk RPCs — the naive
+    protocol the batched allocation replaced."""
+
+    def __init__(self, pmanager):
+        self._pmanager = pmanager
+
+    def __getattr__(self, name):
+        return getattr(self._pmanager, name)
+
+    def remote_allocate(self, caller, chunk_count, *args, **kwargs):
+        placement = []
+        for _ in range(chunk_count):
+            placement.extend((yield from self._pmanager.remote_allocate(
+                caller, 1, *args, **kwargs)))
+        return placement
+
+
 def run_alloc_ablation(seed: int = 0):
     """Same write mix, batched vs per-chunk allocation RPCs."""
     out = {}
     for mode, per_chunk in (("batched", False), ("per-chunk", True)):
         scenario = build_fanout_scenario(
             50, ops_per_writer=2, op_mb=float(ABLATION_CHUNKS),
-            chunk_size_mb=1.0, data_providers=64,
-            per_chunk_allocation=per_chunk, seed=seed,
+            chunk_size_mb=1.0, data_providers=64, seed=seed,
         )
+        if per_chunk:
+            for writer in scenario.writers:
+                writer.client.pm = PerChunkAllocator(writer.client.pm)
         scenario.run()
         cp = scenario.control_plane_stats()
         out[mode] = {
@@ -211,6 +232,9 @@ def test_bench_meta(benchmark):
 
     # Batched allocation: one RPC per write, not per chunk.
     assert alloc["batched"]["alloc_chunks"] == alloc["per-chunk"]["alloc_chunks"]
+    assert alloc["batched"]["alloc_rpcs"] == alloc["batched"]["ops"]
+    assert (alloc["per-chunk"]["alloc_rpcs"]
+            == ABLATION_CHUNKS * alloc["per-chunk"]["ops"])
     assert alloc_factor >= ABLATION_CHUNKS, (
         f"batched allocation saves only {alloc_factor:.1f}x RPCs, "
         f"expected >= {ABLATION_CHUNKS}x"

@@ -107,7 +107,7 @@ class ElasticityController(DecisionLoop):
     # -- signals ----------------------------------------------------------------
     def pool_load(self) -> float:
         """Mean provider pressure in [0, ~1.5]: NIC + disk queue."""
-        providers = self.deployment.pmanager.active_providers()
+        providers = self.deployment.active_pmanager().active_providers()
         if not providers:
             return 1.0
         total = 0.0
@@ -121,7 +121,7 @@ class ElasticityController(DecisionLoop):
         return total / len(providers)
 
     def pool_fill(self) -> float:
-        providers = self.deployment.pmanager.active_providers()
+        providers = self.deployment.active_pmanager().active_providers()
         if not providers:
             return 1.0
         used = sum(p.node.disk_used_mb for p in providers)
@@ -130,7 +130,7 @@ class ElasticityController(DecisionLoop):
 
     # -- plan: the watermark control law -----------------------------------------
     def plan(self, now: float) -> Iterable[Action]:
-        pool = self.deployment.pmanager.pool_size() + self._provisioning
+        pool = self.deployment.active_pmanager().pool_size() + self._provisioning
         load = self.pool_load()
         fill = self.pool_fill()
         if self.query is not None and self.query.metrics is not None:
@@ -187,7 +187,7 @@ class ElasticityController(DecisionLoop):
 
     def _pick_victim(self) -> Optional[DataProvider]:
         candidates = [
-            p for p in self.deployment.pmanager.active_providers()
+            p for p in self.deployment.active_pmanager().active_providers()
             if p.provider_id not in self._draining
         ]
         if len(candidates) <= self.min_providers:

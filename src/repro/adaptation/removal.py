@@ -164,7 +164,7 @@ class RemovalManager(ControlLoop):
             for vm in self.deployment.authority_vms()
             for blob_id, info in vm.blobs.items()
         }
-        for provider in self.deployment.pmanager.providers.values():
+        for provider in self.deployment.active_pmanager().providers.values():
             for key, descriptor in provider.chunks.items():
                 current = latest.get(descriptor.blob_id, 0)
                 if 0 <= descriptor.version and descriptor.version >= current:
@@ -175,7 +175,7 @@ class RemovalManager(ControlLoop):
         # Directory snapshot across the pool.
         directory: Dict[str, ChunkDescriptor] = {}
         holders: Dict[str, List] = {}
-        for provider in self.deployment.pmanager.providers.values():
+        for provider in self.deployment.active_pmanager().providers.values():
             if not provider.node.alive:
                 continue
             for key, descriptor in provider.chunks.items():

@@ -98,14 +98,14 @@ class ReplicationManager(DecisionLoop):
     def chunk_directory(self) -> Dict[str, ChunkDescriptor]:
         """All chunks believed live, keyed by storage key."""
         directory: Dict[str, ChunkDescriptor] = {}
-        for provider in self.deployment.pmanager.providers.values():
+        for provider in self.deployment.active_pmanager().providers.values():
             if self._presumed_dead(provider):
                 continue
             directory.update(provider.chunks)
         return directory
 
     def live_replicas(self, descriptor: ChunkDescriptor) -> List[DataProvider]:
-        providers = self.deployment.pmanager.providers
+        providers = self.deployment.active_pmanager().providers
         out = []
         for provider_id in descriptor.replicas:
             provider = providers.get(provider_id)
@@ -232,7 +232,7 @@ class ReplicationManager(DecisionLoop):
 
     def _pick_target(self, descriptor: ChunkDescriptor) -> Optional[DataProvider]:
         candidates = [
-            p for p in self.deployment.pmanager.active_providers()
+            p for p in self.deployment.active_pmanager().active_providers()
             if p.provider_id not in descriptor.replicas
             and p.free_mb >= descriptor.size_mb
         ]
@@ -284,7 +284,7 @@ def migrate_chunks(provider: DataProvider, deployment: BlobSeerDeployment):
     replica are simply dropped here (cheap); sole copies are transferred
     to the least-loaded remaining provider first.
     """
-    pmanager = deployment.pmanager
+    pmanager = deployment.active_pmanager()
     moved = 0
     for key in list(provider.chunks):
         descriptor = provider.chunks.get(key)

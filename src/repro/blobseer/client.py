@@ -96,7 +96,6 @@ class BlobSeerClient:
         chunk_cache=None,
         metadata_cache=None,
         pipeline_publish: bool = False,
-        per_chunk_allocation: bool = False,
     ) -> None:
         self.node = node
         self.client_id = client_id
@@ -126,10 +125,6 @@ class BlobSeerClient:
         #: it exactly as in the sequential path.  Default off: the
         #: sequential ordering is byte-identical to the seed.
         self.pipeline_publish = bool(pipeline_publish)
-        #: Ablation arm for BENCH-META: issue one allocation RPC per
-        #: chunk (the naive protocol) instead of one batched RPC per
-        #: write.  Default off = the batched allocation path.
-        self.per_chunk_allocation = bool(per_chunk_allocation)
         self.meta = MetadataStore(
             node.network, node, metadata_providers, cache=metadata_cache
         )
@@ -277,21 +272,12 @@ class BlobSeerClient:
                 chunk_span(offset_mb, size_mb, chunk_size)  # alignment check
 
             # 1. allocate providers — the whole write's placement in one
-            #    batched RPC (or one RPC per chunk in the ablation arm).
+            #    batched RPC.
             with tracer.span("client.allocate", cat="client", chunks=count):
-                if self.per_chunk_allocation:
-                    placement = []
-                    for _ in range(count):
-                        single = yield from self.pm.remote_allocate(
-                            self.node, 1, self.replication, self.client_id,
-                            timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                        )
-                        placement.extend(single)
-                else:
-                    placement = yield from self.pm.remote_allocate(
-                        self.node, count, self.replication, self.client_id,
-                        timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                    )
+                placement = yield from self.pm.remote_allocate(
+                    self.node, count, self.replication, self.client_id,
+                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+                )
 
             # Pipelined publish (opt-in): the ticket round trip — and any
             # per-blob lock queueing behind a concurrent writer — runs

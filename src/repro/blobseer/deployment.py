@@ -37,14 +37,6 @@ class BlobSeerConfig:
     replication: int = 1
     allocation: str = "round_robin"
     chunk_size_mb: float = 64.0
-    provider_disk_mb: float = 200_000.0
-    provider_disk_rate_mbps: float = 120.0
-    provider_disk_overhead_s: float = 0.003
-    #: The version manager runs single-threaded (it is a serialization
-    #: service); its per-RPC CPU time is the knob that makes it a DoS
-    #: chokepoint.
-    vm_cores: int = 1
-    vm_op_cpu_s: float = 0.003
     tree_capacity: int = DEFAULT_CAPACITY
     #: Cache tiers (repro.cache).  All default to 0 = disabled, keeping
     #: cache-less runs byte-identical per seed.  Positive values are
@@ -64,9 +56,6 @@ class BlobSeerConfig:
     #: black-hole semantics (as attach_failure_detector does).
     vm_replicas: int = 1
     pm_standby: bool = False
-    failover_detect_period_s: float = 1.0
-    failover_detect_timeout_s: float = 3.0
-    failover_confirm_misses: int = 2
     #: Sharded control plane (repro.blobseer.sharding).  ``vm_shards=N``
     #: partitions the version manager into N independent shards (blob
     #: ids in residue class ``i+1 mod N`` live on shard i, so one blob's
@@ -79,21 +68,13 @@ class BlobSeerConfig:
     pm_shards: int = 1
     #: Batched publish (group commit): when on, the version manager's
     #: per-RPC entry CPU is paid once per *batch* of queued requests
-    #: (``base + item_frac*op_cpu_s`` per extra request) instead of once
-    #: per request.  Off by default — byte-identical to the seed.
+    #: (a tenth of it per extra request) instead of once per request.
+    #: Off by default — byte-identical to the seed.
     vm_batch: bool = False
-    vm_batch_item_frac: float = 0.1
-    vm_batch_max: int = 64
-    #: Refresh period of the cached provider-load view used by the
-    #: ``least_loaded_cached`` allocation strategy.
-    pm_load_refresh_s: float = 0.25
     #: Client-side publish pipelining: overlap the chunk pushes with the
     #: metadata ticket round trip.  Off by default (sequential protocol,
     #: byte-identical to the seed).
     client_pipelining: bool = False
-    #: Ablation arm: one allocation RPC per chunk instead of one batched
-    #: RPC per write (what BENCH-META quantifies against the default).
-    per_chunk_allocation: bool = False
     testbed: TestbedConfig = field(default_factory=TestbedConfig)
 
 
@@ -138,40 +119,24 @@ class BlobSeerDeployment:
             raise ValueError("pm_shards > 1 is incompatible with pm_standby")
         #: Boot primary VersionManager of each shard (shard 0 == the
         #: legacy ``self.vmanager``).
-        self.vm_shards: List[VersionManager] = []
+        self.vm_shards: List[VersionManager] = [
+            self._make_vm(s) for s in range(self.config.vm_shards)
+        ]
+        self.vmanager = self.vm_shards[0]
         #: Deployment-wide round-robin for new-blob shard placement.
         self._blob_create_seq = itertools.count()
         self._pm_assign_seq = itertools.count()
-        for s in range(self.config.vm_shards):
-            name = "vm-node" if s == 0 else f"vm-node-s{s}"
-            actor = "vm" if s == 0 else f"vm-s{s}"
-            self.vm_shards.append(self._make_vm(name, actor, s))
-        self.vmanager = self.vm_shards[0]
-        pm_node = self.testbed.add_node("pm-node")
-        self.actor_nodes["pm"] = pm_node
-        strategy = make_strategy(
-            self.config.allocation, self.rng.stream("allocation"),
-            env=self.env, refresh_s=self.config.pm_load_refresh_s,
-        )
-        self.pmanager = ProviderManager(pm_node, strategy=strategy, sink=self.sink)
+        self.pmanager = self._make_pm("pm-node", "pm", "allocation")
         #: Allocator shards (shard 0 == the legacy ``self.pmanager``).
         #: Extra shards are allocator-only: they alias shard 0's provider
         #: registry, so membership (register/deregister/detector view)
         #: stays global while allocation CPU and RPC load spread.
         self.pm_shards: List[ProviderManager] = [self.pmanager]
         for s in range(1, self.config.pm_shards):
-            node = self.testbed.add_node(f"pm-node-s{s}")
-            shard_pm = ProviderManager(
-                node,
-                strategy=make_strategy(
-                    self.config.allocation, self.rng.stream(f"allocation:s{s}"),
-                    env=self.env, refresh_s=self.config.pm_load_refresh_s,
-                ),
-                sink=self.sink,
-                actor_id=f"pm-s{s}",
-            )
+            shard_pm = self._make_pm(
+                f"pm-node-s{s}", f"pm-s{s}", f"allocation:s{s}",
+                actor_id=f"pm-s{s}")
             shard_pm.providers = self.pmanager.providers
-            self.actor_nodes[f"pm-s{s}"] = node
             self.pm_shards.append(shard_pm)
 
         # -- replicated control plane (opt-in) ---------------------------------
@@ -185,41 +150,20 @@ class BlobSeerDeployment:
 
             self.net.blackhole_missing = True
             for s in range(self.config.vm_shards):
-                prefix = "vm-node" if s == 0 else f"vm-node-s{s}"
-                actor_prefix = "vm" if s == 0 else f"vm-s{s}"
                 vms = [self.vm_shards[s]]
                 for i in range(1, self.config.vm_replicas):
-                    vms.append(
-                        self._make_vm(f"{prefix}-{i}", f"{actor_prefix}-{i}", s)
-                    )
-                self.vm_groups[s] = ReplicatedVersionManager(
-                    self.testbed, vms,
-                    detect_period_s=self.config.failover_detect_period_s,
-                    detect_timeout_s=self.config.failover_detect_timeout_s,
-                    confirm_misses=self.config.failover_confirm_misses,
-                )
+                    vms.append(self._make_vm(s, replica=i))
+                self.vm_groups[s] = ReplicatedVersionManager(self.testbed, vms)
         #: Legacy alias: shard 0's replica group (the only one pre-sharding).
         self.vm_group = self.vm_groups[0]
         if self.config.pm_standby:
             from ..robustness.replication import WarmStandbyProviderManager
 
             self.net.blackhole_missing = True
-            node = self.testbed.add_node("pm-node-standby")
-            self.actor_nodes["pm-standby"] = node
-            standby = ProviderManager(
-                node,
-                strategy=make_strategy(
-                    self.config.allocation, self.rng.stream("allocation-standby"),
-                    env=self.env, refresh_s=self.config.pm_load_refresh_s,
-                ),
-                sink=self.sink,
-            )
+            standby = self._make_pm(
+                "pm-node-standby", "pm-standby", "allocation-standby")
             self.pm_group = WarmStandbyProviderManager(
-                self, self.pmanager, standby,
-                detect_period_s=self.config.failover_detect_period_s,
-                detect_timeout_s=self.config.failover_detect_timeout_s,
-                confirm_misses=self.config.failover_confirm_misses,
-            )
+                self, self.pmanager, standby)
 
         # -- metadata providers ---------------------------------------------------
         self.metadata_providers: List[MetadataProvider] = []
@@ -238,7 +182,19 @@ class BlobSeerDeployment:
         self.clients: Dict[str, BlobSeerClient] = {}
 
     # -- control-plane shards ------------------------------------------------------
-    def _make_vm(self, node_name: str, actor_key: str, shard: int) -> VersionManager:
+    def _make_pm(self, node_name: str, actor_key: str, stream: str,
+                 actor_id: str = "pm") -> ProviderManager:
+        """Build one provider-manager instance (boot, allocator shard or
+        standby) on a node of its own, with the configured allocation
+        strategy on its own RNG stream."""
+        node = self.testbed.add_node(node_name)
+        self.actor_nodes[actor_key] = node
+        strategy = make_strategy(
+            self.config.allocation, self.rng.stream(stream), env=self.env)
+        return ProviderManager(
+            node, strategy=strategy, sink=self.sink, actor_id=actor_id)
+
+    def _make_vm(self, shard: int, replica: int = 0) -> VersionManager:
         """Build one version-manager instance (boot primary or replica).
 
         Shard *shard* mints blob ids in the residue class ``shard + 1
@@ -247,24 +203,29 @@ class BlobSeerDeployment:
         class.  Emitted events carry the shard's actor id ("vm" for
         shard 0, as before sharding).
         """
-        node = self.testbed.add_node(node_name, cores=self.config.vm_cores)
+        shard_suffix = "" if shard == 0 else f"-s{shard}"
+        suffix = shard_suffix + (f"-{replica}" if replica else "")
+        # The version manager runs single-threaded (it is a serialization
+        # service): one core, and its per-RPC CPU time is what makes it a
+        # DoS chokepoint.
+        node = self.testbed.add_node(f"vm-node{suffix}", cores=1)
         vm = VersionManager(
             node, sink=self.sink,
-            op_cpu_s=self.config.vm_op_cpu_s,
             tree_capacity=self.config.tree_capacity,
             id_start=shard + 1,
             id_stride=self.config.vm_shards,
-            actor_id="vm" if shard == 0 else f"vm-s{shard}",
+            actor_id=f"vm{shard_suffix}",
         )
         if self.config.vm_batch:
+            # Group commit: the entry overhead is paid once per batch;
+            # each further request in it costs a tenth of that.
             vm.batch_gate = GroupCommitGate(
                 node,
-                base_cpu_s=self.config.vm_op_cpu_s,
-                item_cpu_s=self.config.vm_op_cpu_s * self.config.vm_batch_item_frac,
-                max_batch=self.config.vm_batch_max,
+                base_cpu_s=vm.op_cpu_s,
+                item_cpu_s=vm.op_cpu_s * 0.1,
                 metric="vm.batch_size",
             )
-        self.actor_nodes[actor_key] = node
+        self.actor_nodes[f"vm{suffix}"] = node
         return vm
 
     def active_pmanager(self) -> ProviderManager:
@@ -322,7 +283,10 @@ class BlobSeerDeployment:
         }
 
     # -- cache tiers (repro.cache) -------------------------------------------------
-    def _make_cache(self, name: str, capacity_mb: float) -> "Cache":
+    def _make_cache(self, name: str, capacity_mb: float) -> Optional["Cache"]:
+        """One registered cache tier, or None for a budget of 0 (off)."""
+        if capacity_mb <= 0:
+            return None
         from ..cache import Cache
 
         cache = Cache(
@@ -333,26 +297,15 @@ class BlobSeerDeployment:
 
     # -- provider pool (used by the elasticity controller too) --------------------
     def _spawn_provider(self, provider_id: str) -> DataProvider:
-        node = self.testbed.add_node(
-            f"{provider_id}-node", disk_mb=self.config.provider_disk_mb
+        node = self.testbed.add_node(f"{provider_id}-node")
+        memory_cache = self._make_cache(
+            f"provider.{provider_id}", self.config.provider_cache_mb
         )
-        memory_cache = None
-        if self.config.provider_cache_mb > 0:
-            memory_cache = self._make_cache(
-                f"provider.{provider_id}", self.config.provider_cache_mb
-            )
         provider = DataProvider(
-            node, provider_id, sink=self.sink,
-            disk_rate_mbps=self.config.provider_disk_rate_mbps,
-            disk_overhead_s=self.config.provider_disk_overhead_s,
-            memory_cache=memory_cache,
-        )
+            node, provider_id, sink=self.sink, memory_cache=memory_cache)
         self.providers[provider_id] = provider
         self.actor_nodes[provider_id] = node
-        pmanager = self.pmanager
-        if self.pm_group is not None:
-            pmanager = self.pm_group.active_pm()
-        pmanager.register(provider)
+        self.active_pmanager().register(provider)
         if self.detector is not None:
             self.detector.watch(node)
             provider.lazy_failure_cleanup = self._detector_lazy_cleanup
@@ -424,34 +377,17 @@ class BlobSeerDeployment:
         return detector
 
     # -- clients ------------------------------------------------------------------
-    def new_client(
-        self,
-        client_id: str,
-        replication: Optional[int] = None,
-        site: Optional[str] = None,
-        rpc_timeout_s: Optional[float] = None,
-        rpc_retry=None,
-    ) -> BlobSeerClient:
-        """Deploy a client on a fresh node of its own."""
-        if client_id in self.clients:
-            raise ValueError(f"duplicate client id {client_id!r}")
-        node = self.testbed.add_node(f"{client_id}-node", site=site)
-        chunk_cache = None
-        if self.config.client_chunk_cache_mb > 0:
-            chunk_cache = self._make_cache(
-                f"chunk.{client_id}", self.config.client_chunk_cache_mb
-            )
-        metadata_cache = None
-        if self.config.client_metadata_cache_mb > 0:
-            metadata_cache = self._make_cache(
-                f"meta.{client_id}", self.config.client_metadata_cache_mb
-            )
-        # Replicated control plane: clients talk to failover-aware
-        # handles that re-resolve the primary instead of to a fixed
-        # manager.  Unreplicated (the default), they get the managers
-        # directly — the original wiring, untouched.  Sharded, they get
-        # a ShardRouter over per-shard targets (raw manager or that
-        # shard's failover handle).
+    def client_endpoints(self, client_id: str):
+        """The ``(vmanager, pmanager)`` a client named *client_id* talks to.
+
+        Unreplicated and unsharded (the default) these are the managers
+        themselves — no indirection on the RPC path.  A replicated
+        manager is reached through a failover-aware handle that
+        re-resolves the primary (on the client's own RNG stream); a
+        sharded version manager through a :class:`ShardRouter` over
+        per-shard targets (raw manager or that shard's handle); allocator
+        shards are handed out round-robin, one per call.
+        """
         if self.config.vm_shards > 1:
             targets = []
             for s, group in enumerate(self.vm_groups):
@@ -477,6 +413,27 @@ class BlobSeerDeployment:
             pmanager = self.pm_shards[
                 next(self._pm_assign_seq) % self.config.pm_shards
             ]
+        return vmanager, pmanager
+
+    def new_client(
+        self,
+        client_id: str,
+        replication: Optional[int] = None,
+        site: Optional[str] = None,
+        rpc_timeout_s: Optional[float] = None,
+        rpc_retry=None,
+    ) -> BlobSeerClient:
+        """Deploy a client on a fresh node of its own."""
+        if client_id in self.clients:
+            raise ValueError(f"duplicate client id {client_id!r}")
+        node = self.testbed.add_node(f"{client_id}-node", site=site)
+        chunk_cache = self._make_cache(
+            f"chunk.{client_id}", self.config.client_chunk_cache_mb
+        )
+        metadata_cache = self._make_cache(
+            f"meta.{client_id}", self.config.client_metadata_cache_mb
+        )
+        vmanager, pmanager = self.client_endpoints(client_id)
         client = BlobSeerClient(
             node,
             client_id,
@@ -492,7 +449,6 @@ class BlobSeerDeployment:
             chunk_cache=chunk_cache,
             metadata_cache=metadata_cache,
             pipeline_publish=self.config.client_pipelining,
-            per_chunk_allocation=self.config.per_chunk_allocation,
         )
         self.clients[client_id] = client
         self.actor_nodes[client_id] = node
@@ -507,9 +463,7 @@ class BlobSeerDeployment:
         return self.env.run(until=until)
 
     def storage_stats(self) -> dict:
-        if self.pm_group is not None:
-            return self.pm_group.active_pm().pool_stats()
-        return self.pmanager.pool_stats()
+        return self.active_pmanager().pool_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -65,31 +65,8 @@ class CumulusGateway:
         self.list_latency_s = list_latency_s
         #: Backend BlobSeer client the gateway proxies through — it runs
         #: *on* the gateway node (the gateway is the BlobSeer client).
-        #: Against a replicated control plane it goes through the
-        #: failover-aware handles, like any other client.
-        if deployment.config.vm_shards > 1:
-            from ..blobseer.sharding import ShardRouter
-
-            targets = []
-            for s, group in enumerate(deployment.vm_groups):
-                if group is not None:
-                    targets.append(group.handle(
-                        rng=deployment.rng.stream(f"vm-resolve:{gateway_id}:s{s}")
-                    ))
-                else:
-                    targets.append(deployment.vm_shards[s])
-            vmanager = ShardRouter(targets, deployment._blob_create_seq)
-        elif deployment.vm_group is not None:
-            vmanager = deployment.vm_group.handle(
-                rng=deployment.rng.stream(f"vm-resolve:{gateway_id}")
-            )
-        else:
-            vmanager = deployment.vmanager
-        pmanager = deployment.pmanager
-        if deployment.pm_group is not None:
-            pmanager = deployment.pm_group.handle(
-                rng=deployment.rng.stream(f"pm-resolve:{gateway_id}")
-            )
+        #: It gets the control-plane endpoints any other client would.
+        vmanager, pmanager = deployment.client_endpoints(gateway_id)
         self.backend = BlobSeerClient(
             node,
             gateway_id,
@@ -115,11 +92,9 @@ class CumulusGateway:
         #: blob/version and *also* invalidates eagerly (both guards, so
         #: stale bytes are reclaimed and can never be served).  Disabled
         #: (None) by default.
-        self.object_cache = None
-        if object_cache_mb > 0:
-            self.object_cache = deployment._make_cache(
-                f"gateway.{gateway_id}", object_cache_mb
-            )
+        self.object_cache = deployment._make_cache(
+            f"gateway.{gateway_id}", object_cache_mb
+        )
         # Gateway op counters (bench metrics).
         self.puts = 0
         self.gets = 0

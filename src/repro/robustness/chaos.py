@@ -133,9 +133,7 @@ class ChaosHarness:
                     return replica.node
             return dep.vm_shards[shard].node
         if name == "pm-active":
-            if dep.pm_group is not None:
-                return dep.pm_group.active_pm().node
-            return dep.pmanager.node
+            return dep.active_pmanager().node
         return dep.testbed.node(name)
 
     def apply_schedule(self, events: Sequence[dict]) -> int:
@@ -177,10 +175,6 @@ class ChaosHarness:
             else:
                 vms.append(group.active_vm())
         return vms
-
-    def _authority_vm(self):
-        """Shard 0's authority (pre-sharding back-compat)."""
-        return self._authority_vms()[0]
 
     # -- invariant checks ---------------------------------------------------------
     def check_invariants(self, clients, final: bool = False) -> None:

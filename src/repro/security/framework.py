@@ -158,7 +158,7 @@ class PolicyManagement:
 
     def _system_load(self) -> float:
         """Aggregate provider NIC pressure, 0..1 (the "system state")."""
-        providers = self.deployment.pmanager.active_providers()
+        providers = self.deployment.active_pmanager().active_providers()
         if not providers:
             return 0.0
         total = 0.0

@@ -1,46 +1,63 @@
 """Canned experiment scenarios matching the paper's deployments.
 
-- :func:`build_write_scenario` — §IV-B: N clients each writing 1 GB to
-  BlobSeer, with or without the introspection stack (150 data providers
-  in the paper).
-- :func:`build_dos_scenario` — §IV-C: 70 BlobSeer nodes, 8 monitoring
-  services, up to 50 concurrent clients, a fraction of them attackers,
-  with or without the security framework.
-- :func:`build_hotspot_scenario` — a Zipf-skewed hot-spot read workload
-  over one shared dataset BLOB, the stress case for the multi-tier
-  caches (``repro.cache``) and the adaptive cache tuner.
-- :func:`build_disturbance_scenario` — the BENCH-ADAPT quality-of-
-  adaptation scenario: a sustained hot-spot read load hit by two seeded
-  disturbances (a hot-set shift and a provider-churn window), with the
-  cache tuner, decision journal, and adaptation scorecard wired in.
-  ``planner=`` names which of the interchangeable planners drives the
-  tuner — the BENCH-DECIDE matrix axis.
-- :func:`build_contention_scenario` — the BENCH-DECIDE two-loop case:
-  the cache tuner and the elasticity controller compete for one
-  conserved memory ledger under an
-  :class:`~repro.decision.arbiter.Arbiter` (elasticity outranks cache
-  tuning; preemption physically shrinks caches).
+Every scenario is a :class:`Scenario`: handles on a built deployment
+plus the one ``run()`` (start the load processes, start background
+engines and disturbances, run to the horizon, settle) and the one
+``observables()`` serializer.  A subclass declares only what differs —
+which load processes, which background activity, which settlement, which
+observables — and keeps its own metric methods.  Builder parameters are
+the ones some bench, test or example varies; everything else is a
+literal at its use site.
+
+- :func:`build_write_scenario` — §IV-B: N clients each writing 1 GB,
+  with or without the introspection stack.
+- :func:`build_fanout_scenario` — BENCH-META: many small concurrent
+  writers, so the control plane, not the disks, bounds throughput.
+- :func:`build_dos_scenario` — §IV-C: correct writers among flooding
+  attackers, with or without the security framework.
+- :func:`build_hotspot_scenario` — Zipf-skewed reads of one shared
+  dataset BLOB: the stress case for the cache tiers and their tuner.
+- :func:`build_disturbance_scenario` — BENCH-ADAPT: that read load hit
+  by a hot-set shift and a provider-churn window, with the tuner, the
+  decision journal and the scorecard wired in; ``planner=`` is the
+  BENCH-DECIDE matrix axis.
+- :func:`build_contention_scenario` — BENCH-DECIDE: the cache tuner and
+  the elasticity controller compete for one conserved memory ledger
+  under an :class:`~repro.decision.arbiter.Arbiter`.
 
 The three Zipf-read scenarios (hot-spot, disturbance, contention) share
-one base, :class:`ZipfReadScenario`: the dataset preload, the hot-set
-shift and the read-side block of ``observables()``.
+:class:`ZipfReadScenario` — dataset preload, hot-set shift, scorecard,
+the read-side observables — and three factories: the deployment with
+its cache tiers, the preload writer plus reader fleet, and the decision
+journal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, ClassVar, List, Optional
+from typing import List, Optional
 
+from ..adaptation.cache_tuner import CacheTuner
+from ..adaptation.elasticity import ElasticityController
 from ..blobseer.access import AccessTable
 from ..blobseer.deployment import BlobSeerConfig, BlobSeerDeployment
+from ..cluster.faults import FaultInjector
 from ..cluster.testbed import Testbed, TestbedConfig
+from ..decision.arbiter import Arbiter
+from ..decision.planners import make_planner
+from ..decision.signals import SignalRef
+from ..introspection.provenance import DecisionJournal
+from ..introspection.quality import AdaptationScorecard, Disturbance, SignalSpec
+from ..introspection.query import QueryEngine
 from ..monitoring.pipeline import MonitoringConfig, MonitoringStack
 from ..security.framework import PolicyManagement, SecurityConfig
-from ..security.policy import Policy, dos_flood_policy
+from ..security.policy import dos_flood_policy
+from ..telemetry.metrics import MetricsRegistry
 from .clients import CorrectWriter, DosAttacker, ZipfReader
 
 __all__ = [
+    "Scenario",
     "WriteScenario",
     "build_write_scenario",
     "FanoutScenario",
@@ -57,28 +74,109 @@ __all__ = [
 ]
 
 
-@dataclass
-class WriteScenario:
-    """Handles for a §IV-B style concurrent-write run."""
+def _history(client, version: bool = True) -> list:
+    """A client's op history as canonical JSON rows."""
+    return [
+        [op.op, op.blob_id, round(op.size_mb, 6), round(op.started_at, 9),
+         round(op.finished_at, 9), op.ok] + ([op.version] if version else [])
+        for op in client.history
+    ]
+
+
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+def _monitored(deployment, services: int, **config) -> MonitoringStack:
+    """Attach the introspection stack: *services* monitoring services
+    over half as many storage servers."""
+    monitoring = MonitoringStack(deployment.testbed, MonitoringConfig(
+        services=services, storage_servers=max(2, services // 2), **config))
+    monitoring.attach(deployment)
+    return monitoring
+
+
+def _writer_fleet(deployment, prefix: str, count: int, ramp_s: float = 0.0,
+                  **writer_kwargs) -> List[CorrectWriter]:
+    """*count* writers on clients ``<prefix>-<i>`` of their own, their
+    start times spread evenly over *ramp_s*."""
+    step = ramp_s / count if count else 0.0
+    fleet = []
+    for i in range(count):
+        client = deployment.new_client(f"{prefix}-{i}")
+        fleet.append(CorrectWriter(client, start_at=i * step, **writer_kwargs))
+    return fleet
+
+
+@dataclass(kw_only=True)
+class Scenario:
+    """Handles on a built experiment, and the one way to run it."""
 
     deployment: BlobSeerDeployment
-    monitoring: Optional[MonitoringStack]
-    writers: List[CorrectWriter]
+    #: Where :meth:`run` stops when called without ``until``; ``None``
+    #: runs until every load process has finished.
+    duration: Optional[float] = None
 
-    __test__ = False
+    # -- what a subclass declares --------------------------------------------------
+    def _load(self) -> list:
+        """``(process name, workload client)`` pairs, in start order."""
+        raise NotImplementedError
 
+    def _prepare(self) -> None:
+        """Simulated work that must finish before the load starts."""
+
+    def _start_background(self, env) -> None:
+        """Start engines and arm disturbances (after the load)."""
+
+    def _settle(self) -> None:
+        """Post-run settlement (journal effects, ledger conservation)."""
+
+    def _observed(self) -> dict:
+        """The scenario's part of :meth:`observables`: by default every
+        load client's op history and the provider pool."""
+        return {
+            "completions": [[actor.client.client_id, _history(actor.client)]
+                            for _name, actor in self._load()],
+            "pool": self.deployment.storage_stats(),
+        }
+
+    # -- the skeleton --------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
+        """Start the load, then the background activity; run to *until*
+        (default: ``duration``, else until the load finishes); settle."""
+        self._prepare()
         env = self.deployment.env
-        procs = [env.process(w.run(env), name=f"writer-{i}")
-                 for i, w in enumerate(self.writers)]
-        if until is not None:
-            self.deployment.run(until=until)
-        else:
-            self.deployment.run(until=env.all_of(procs))
+        procs = [env.process(actor.run(env), name=name)
+                 for name, actor in self._load()]
+        self._start_background(env)
+        if until is None:
+            until = (self.duration if self.duration is not None
+                     else env.all_of(procs))
+        self.deployment.run(until=until)
+        self._settle()
+
+    def observables(self) -> str:
+        """Every simulated observable of the run as one canonical JSON
+        string — the determinism contract: byte-identical per seed."""
+        env = self.deployment.env
+        payload = {"end": env.now, "events": env.events_processed,
+                   **self._observed()}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(kw_only=True)
+class WriteScenario(Scenario):
+    """Handles for a §IV-B style concurrent-write run."""
+
+    writers: List[CorrectWriter]
+    monitoring: Optional[MonitoringStack] = None
+
+    def _load(self) -> list:
+        return [(f"writer-{i}", w) for i, w in enumerate(self.writers)]
 
     def mean_client_throughput(self) -> float:
-        values = [w.mean_throughput() for w in self.writers if w.results]
-        return sum(values) / len(values) if values else 0.0
+        return _mean(w.mean_throughput() for w in self.writers if w.results)
 
 
 def build_write_scenario(
@@ -101,26 +199,18 @@ def build_write_scenario(
     ))
     monitoring: Optional[MonitoringStack] = None
     if with_monitoring:
-        monitoring = MonitoringStack(deployment.testbed, MonitoringConfig(
-            services=monitoring_services,
-            storage_servers=max(2, monitoring_services // 2),
-            flush_interval_s=1.0,
-            physical_sample_interval_s=5.0,
-            sensor_stop_at=600.0,
-        ))
-        monitoring.attach(deployment)
-    writers = []
-    for i in range(clients):
-        client = deployment.new_client(f"client-{i}")
-        writers.append(CorrectWriter(
-            client, op_mb=op_mb, chunk_size_mb=chunk_size_mb,
-            max_ops=ops_per_client,
-        ))
-    return WriteScenario(deployment, monitoring, writers)
+        monitoring = _monitored(
+            deployment, monitoring_services, flush_interval_s=1.0,
+            physical_sample_interval_s=5.0, sensor_stop_at=600.0)
+    writers = _writer_fleet(
+        deployment, "client", clients, op_mb=op_mb,
+        chunk_size_mb=chunk_size_mb, max_ops=ops_per_client)
+    return WriteScenario(deployment=deployment, monitoring=monitoring,
+                         writers=writers)
 
 
-@dataclass
-class FanoutScenario:
+@dataclass(kw_only=True)
+class FanoutScenario(WriteScenario):
     """Handles for a BENCH-META control-plane fan-out run.
 
     Many small concurrent writers, each appending to its own BLOB: the
@@ -128,20 +218,6 @@ class FanoutScenario:
     allocate → ticket → publish control path, so aggregate throughput
     measures the control plane's serialization point, not the disks.
     """
-
-    deployment: BlobSeerDeployment
-    writers: List[CorrectWriter]
-
-    __test__ = False
-
-    def run(self, until: Optional[float] = None) -> None:
-        env = self.deployment.env
-        procs = [env.process(w.run(env), name=f"writer-{i}")
-                 for i, w in enumerate(self.writers)]
-        if until is not None:
-            self.deployment.run(until=until)
-        else:
-            self.deployment.run(until=env.all_of(procs))
 
     # -- headline numbers ----------------------------------------------------------
     def completed_ops(self) -> int:
@@ -160,27 +236,14 @@ class FanoutScenario:
     def control_plane_stats(self) -> dict:
         return self.deployment.control_plane_stats()
 
-    # -- observables (the determinism contract) ------------------------------------
-    def observables(self) -> str:
-        """Every client-visible observable plus the control-plane
-        counters, as one canonical JSON string (byte-identical per
-        seed)."""
-        env = self.deployment.env
-        payload = {
-            "end": env.now,
-            "events": env.events_processed,
-            "completions": [
-                [w.client.client_id, w.blob_id,
-                 [[op.op, op.blob_id, round(op.size_mb, 6),
-                   round(op.started_at, 9), round(op.finished_at, 9),
-                   op.ok, op.version]
-                  for op in w.client.history]]
-                for w in self.writers
-            ],
-            "control_plane": self.deployment.control_plane_stats(),
+    def _observed(self) -> dict:
+        """Adds each writer's BLOB id and the control-plane counters."""
+        return {
+            "completions": [[w.client.client_id, w.blob_id, _history(w.client)]
+                            for w in self.writers],
+            "control_plane": self.control_plane_stats(),
             "pool": self.deployment.storage_stats(),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def build_fanout_scenario(
@@ -194,9 +257,7 @@ def build_fanout_scenario(
     pm_shards: int = 1,
     vm_batch: bool = False,
     client_pipelining: bool = False,
-    per_chunk_allocation: bool = False,
     allocation: str = "round_robin",
-    vm_replicas: int = 1,
     ramp_s: float = 1.0,
     seed: int = 0,
 ) -> FanoutScenario:
@@ -212,27 +273,18 @@ def build_fanout_scenario(
         vm_shards=vm_shards,
         pm_shards=pm_shards,
         vm_batch=vm_batch,
-        vm_replicas=vm_replicas,
         client_pipelining=client_pipelining,
-        per_chunk_allocation=per_chunk_allocation,
         testbed=TestbedConfig(seed=seed),
     ))
-    step = ramp_s / writers if writers else 0.0
-    scenario_writers = []
-    for i in range(writers):
-        client = deployment.new_client(f"client-{i}")
-        scenario_writers.append(CorrectWriter(
-            client, op_mb=op_mb, chunk_size_mb=chunk_size_mb,
-            start_at=i * step, max_ops=ops_per_writer,
-        ))
-    return FanoutScenario(deployment, scenario_writers)
+    return FanoutScenario(deployment=deployment, writers=_writer_fleet(
+        deployment, "client", writers, ramp_s=ramp_s, op_mb=op_mb,
+        chunk_size_mb=chunk_size_mb, max_ops=ops_per_writer))
 
 
-@dataclass
-class DosScenario:
+@dataclass(kw_only=True)
+class DosScenario(Scenario):
     """Handles for a §IV-C style attack run."""
 
-    deployment: BlobSeerDeployment
     monitoring: MonitoringStack
     security: Optional[PolicyManagement]
     access: AccessTable
@@ -240,56 +292,43 @@ class DosScenario:
     attackers: List[DosAttacker]
     attack_start: float
 
-    __test__ = False
+    def _load(self) -> list:
+        return ([(f"writer-{i}", w) for i, w in enumerate(self.correct)]
+                + [(f"attacker-{i}", a) for i, a in enumerate(self.attackers)])
 
-    def start(self) -> None:
-        env = self.deployment.env
-        for i, writer in enumerate(self.correct):
-            env.process(writer.run(env), name=f"writer-{i}")
-        for i, attacker in enumerate(self.attackers):
-            env.process(attacker.run(env), name=f"attacker-{i}")
+    def _start_background(self, env) -> None:
         if self.security is not None:
             self.security.start()
 
-    def run(self, until: float) -> None:
-        self.start()
-        self.deployment.run(until=until)
-
     # -- metrics -------------------------------------------------------------------
     def correct_mean_throughput(self) -> float:
-        values = [w.mean_throughput() for w in self.correct if w.results]
-        return sum(values) / len(values) if values else 0.0
+        return _mean(w.mean_throughput() for w in self.correct if w.results)
 
     def correct_mean_duration(self) -> float:
-        values = [w.mean_duration() for w in self.correct if w.results]
-        return sum(values) / len(values) if values else 0.0
+        return _mean(w.mean_duration() for w in self.correct if w.results)
 
-    def detection_delays(self) -> List[float]:
-        """Per detected attacker: seconds from its attack start to block."""
+    def _detections(self) -> list:
+        """``(attacker, first detection time)`` per detected attacker."""
         if self.security is None:
             return []
-        delays = []
+        detections = []
         for attacker in self.attackers:
             detected = self.security.engine.first_detection(
                 attacker.client.client_id
             )
             if detected is not None:
-                delays.append(detected - max(attacker.start_at, self.attack_start))
-        return delays
+                detections.append((attacker, detected))
+        return detections
+
+    def detection_delays(self) -> List[float]:
+        """Per detected attacker: seconds from its attack start to block."""
+        return [detected - max(attacker.start_at, self.attack_start)
+                for attacker, detected in self._detections()]
 
     def detection_times(self) -> List[float]:
         """Absolute detection times of attackers (for first/last-vs-
         attack-start reporting, the paper's EXP-C3 metric)."""
-        if self.security is None:
-            return []
-        times = []
-        for attacker in self.attackers:
-            detected = self.security.engine.first_detection(
-                attacker.client.client_id
-            )
-            if detected is not None:
-                times.append(detected)
-        return times
+        return [detected for _attacker, detected in self._detections()]
 
 
 def build_dos_scenario(
@@ -300,48 +339,37 @@ def build_dos_scenario(
     metadata_providers: int = 8,
     monitoring_services: int = 8,
     op_mb: float = 1024.0,
-    chunk_size_mb: float = 64.0,
     attack_start: float = 20.0,
     attack_stagger_s: float = 15.0,
     attack_parallel: int = 128,
     seed: int = 0,
-    policies: Optional[List[Policy]] = None,
     scan_interval_s: float = 10.0,
     history_pull_interval_s: float = 5.0,
     flush_interval_s: float = 2.0,
     confirmations: int = 2,
-    rate_threshold: float = 1.0,
-    policy_window_s: float = 30.0,
-    rate_granularity_s: float = 0.02,
 ) -> DosScenario:
     """The §IV-C deployment: 70 BlobSeer nodes (60 data + 8 metadata
     providers + version & provider managers), 8 monitoring services."""
     access = AccessTable()
+    chunk_size_mb = 64.0
     deployment = BlobSeerDeployment(
         BlobSeerConfig(
             data_providers=data_providers,
             metadata_providers=metadata_providers,
             chunk_size_mb=chunk_size_mb,
-            testbed=TestbedConfig(seed=seed, rate_granularity_s=rate_granularity_s),
+            testbed=TestbedConfig(seed=seed, rate_granularity_s=0.02),
         ),
         access=access,
     )
-    monitoring = MonitoringStack(deployment.testbed, MonitoringConfig(
-        services=monitoring_services,
-        storage_servers=max(2, monitoring_services // 2),
-        flush_interval_s=flush_interval_s,
-    ))
-    monitoring.attach(deployment)
+    monitoring = _monitored(deployment, monitoring_services,
+                            flush_interval_s=flush_interval_s)
 
     n_malicious = int(round(n_clients * malicious_fraction))
     n_correct = n_clients - n_malicious
     rng = deployment.rng.stream("scenario")
 
-    correct = []
-    for i in range(n_correct):
-        client = deployment.new_client(f"good-{i}")
-        correct.append(CorrectWriter(client, op_mb=op_mb, chunk_size_mb=chunk_size_mb))
-
+    correct = _writer_fleet(deployment, "good", n_correct, op_mb=op_mb,
+                            chunk_size_mb=chunk_size_mb)
     attackers = []
     for i in range(n_malicious):
         client = deployment.new_client(f"evil-{i}")
@@ -355,14 +383,10 @@ def build_dos_scenario(
 
     security: Optional[PolicyManagement] = None
     if security_enabled:
-        if policies is None:
-            policies = [dos_flood_policy(
-                max_rate_per_s=rate_threshold, window_s=policy_window_s
-            )]
         security = PolicyManagement(
             deployment,
             monitoring,
-            policies=policies,
+            policies=[dos_flood_policy(max_rate_per_s=1.0, window_s=30.0)],
             access_table=access,
             config=SecurityConfig(
                 scan_interval_s=scan_interval_s,
@@ -382,22 +406,24 @@ def build_dos_scenario(
 
 
 @dataclass(kw_only=True)
-class ZipfReadScenario:
+class ZipfReadScenario(Scenario):
     """What the Zipf-read scenarios share: one writer preloads a dataset
-    BLOB that *readers* then hammer with Zipf-skewed chunk reads."""
+    BLOB that *readers* then hammer with Zipf-skewed chunk reads, while
+    the cache tuner (when on) chases the heat."""
 
-    deployment: BlobSeerDeployment
     writer: CorrectWriter
     readers: List[ZipfReader]
-    dataset_chunks: int
-    chunk_size_mb: float
+    #: Prefix of this scenario's client ids and process names
+    #: (``<prefix>-preload``, ``<prefix>-reader-<i>``).
+    process_prefix: str
+    tuner: Optional[CacheTuner] = None
+    journal: Optional[DecisionJournal] = None
+    #: When every reader's hot set jumps to a fresh permutation (the
+    #: caches' working set moves); ``None`` = never.
+    shift_at: Optional[float] = None
     blob_id: Optional[int] = None
     read_start: float = 0.0
-
-    #: Prefix of this scenario's process names (``<prefix>-preload``,
-    #: ``<prefix>-reader-<i>``).
-    process_prefix: ClassVar[str]
-    __test__ = False
+    read_end: float = 0.0
 
     def preload(self) -> int:
         """Write the shared dataset BLOB; returns its blob id."""
@@ -412,20 +438,24 @@ class ZipfReadScenario:
             reader.blob_id = self.blob_id
         return self.blob_id
 
-    def _start_readers(self, stop_at: Optional[float] = None) -> list:
-        """Preload (if needed) and launch every reader; returns the
-        reader processes."""
+    def _prepare(self) -> None:
         if self.blob_id is None:
             self.preload()
-        env = self.deployment.env
-        self.read_start = env.now
-        procs = []
-        for i, reader in enumerate(self.readers):
-            if stop_at is not None:
-                reader.stop_at = stop_at
-            procs.append(env.process(
-                reader.run(env), name=f"{self.process_prefix}-reader-{i}"))
-        return procs
+        self.read_start = self.deployment.env.now
+
+    def _load(self) -> list:
+        return [(f"{self.process_prefix}-reader-{i}", reader)
+                for i, reader in enumerate(self.readers)]
+
+    def _engines(self) -> list:
+        """The decision loops adapting this run, in start order."""
+        return [self.tuner] if self.tuner is not None else []
+
+    def _start_background(self, env) -> None:
+        for engine in self._engines():
+            env.process(engine.run(env), name=engine.name)
+        if self.shift_at is not None:
+            env.process(self._hot_set_shift(env), name="hot-set-shift")
 
     def _hot_set_shift(self, env):
         """Process: at ``shift_at`` every reader's hot set jumps."""
@@ -435,48 +465,140 @@ class ZipfReadScenario:
         for reader in self.readers:
             reader.reshuffle()
 
+    def _settle(self) -> None:
+        self.read_end = self.deployment.env.now
+        if self.journal is not None:
+            self.journal.resolve_effects()
+
+    # -- scoring -------------------------------------------------------------------
     def total_read_mb(self) -> float:
         return sum(r.total_read_mb() for r in self.readers)
 
-    def _observables(self, **extra: Any) -> str:
-        """The read-side observables plus *extra*, as one canonical JSON
-        string (byte-identical per seed)."""
+    def disturbances(self) -> list:
+        return [Disturbance(self.shift_at, "hot_set_shift")]
+
+    def scorecard(self) -> dict:
+        """The SEAMS quality-of-adaptation scorecard for this run: client
+        throughput against a 120 MB/s SLO, around each disturbance."""
+        return AdaptationScorecard(
+            journal=self.journal,
+            metrics=self.deployment.env.metrics,
+            signals=[SignalSpec("client.throughput_mbps", min_value=120.0,
+                                hold_s=3.0, label="throughput")],
+            disturbances=self.disturbances(),
+        ).compute(t0=self.read_start, t1=self.deployment.env.now)
+
+    def _observed(self) -> dict:
         env = self.deployment.env
-        payload = {
-            "end": env.now,
-            "events": env.events_processed,
-            "completions": [
-                [r.client.client_id,
-                 [[op.op, op.blob_id, round(op.size_mb, 6),
-                   round(op.started_at, 9), round(op.finished_at, 9), op.ok]
-                  for op in r.client.history]]
-                for r in self.readers
-            ],
+        return {
+            "completions": [[r.client.client_id, _history(r.client, version=False)]
+                            for r in self.readers],
             "delivered_mb": round(self.total_read_mb(), 6),
             "metrics": (env.metrics.to_dict()
                         if env.metrics is not None else None),
-            **extra,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _cached_deployment(
+    seed: int,
+    data_providers: int,
+    metadata_providers: int = 2,
+    replication: int = 2,
+    chunk_size_mb: float = 4.0,
+    chunk_cache_mb: float = 32.0,
+    metadata_cache_mb: float = 8.0,
+    provider_cache_mb: float = 32.0,
+    metrics: bool = True,
+) -> BlobSeerDeployment:
+    """A deployment with all three cache tiers on (a budget of 0
+    disables a tier) and, with *metrics*, a registry for the tuner and
+    the scorecard to read."""
+    testbed = Testbed(TestbedConfig(seed=seed))
+    if metrics:
+        testbed.env.metrics = MetricsRegistry(testbed.env)
+    return BlobSeerDeployment(
+        BlobSeerConfig(
+            data_providers=data_providers,
+            metadata_providers=metadata_providers,
+            replication=replication,
+            chunk_size_mb=chunk_size_mb,
+            client_chunk_cache_mb=chunk_cache_mb,
+            client_metadata_cache_mb=metadata_cache_mb,
+            provider_cache_mb=provider_cache_mb,
+        ),
+        testbed=testbed,
+    )
+
+
+def _zipf_fleet(deployment, prefix: str, readers: int, dataset_chunks: int,
+                chunk_size_mb: float = 4.0, skew: float = 1.2,
+                **reader_kwargs) -> dict:
+    """The handles every Zipf scenario starts from: the deployment, the
+    preload writer of one *dataset_chunks*-chunk BLOB and the *readers*
+    Zipf readers of it, each on a client of its own."""
+    writer = CorrectWriter(
+        deployment.new_client(f"{prefix}-writer"),
+        op_mb=dataset_chunks * chunk_size_mb,
+        chunk_size_mb=chunk_size_mb,
+        max_ops=1,
+    )
+    fleet = []
+    for i in range(readers):
+        fleet.append(ZipfReader(
+            deployment.new_client(f"{prefix}-reader-{i}"),
+            blob_id=-1,  # patched by preload()
+            total_chunks=dataset_chunks,
+            chunk_size_mb=chunk_size_mb,
+            rng=deployment.rng.stream(f"zipf:{i}"),
+            skew=skew,
+            **reader_kwargs,
+        ))
+    return dict(deployment=deployment, writer=writer, readers=fleet,
+                process_prefix=prefix)
+
+
+#: Series the decision journal attributes each engine's effects against.
+_EFFECT_SERIES = {
+    "cache-tuner": ["client.throughput_mbps"],
+    "elasticity": ["elasticity.pool_size"],
+}
+
+
+def _decision_journal(env, *engines: str) -> DecisionJournal:
+    """A journal that attributes effects to the named *engines* over a
+    15 s window."""
+    journal = DecisionJournal(env, effect_window_s=15.0)
+    for engine in engines:
+        journal.watch(engine, _EFFECT_SERIES[engine])
+    return journal
+
+
+def _cache_tuner(deployment, interval_s: float = 5.0,
+                 **tuner_kwargs) -> CacheTuner:
+    """A :class:`CacheTuner` over every deployment cache, reading query
+    windows of three of its intervals."""
+    query = QueryEngine.for_deployment(deployment, window_s=3 * interval_s)
+    return CacheTuner(query, caches=deployment.caches, interval_s=interval_s,
+                      **tuner_kwargs)
+
+
+def _planned_tuner(deployment, planner: str, step_fraction: float = 0.25,
+                   arbiter=None) -> CacheTuner:
+    """A cache tuner driven by the named planner and rewarded by client
+    throughput."""
+    rng = (deployment.rng.stream("decision:bandit")
+           if planner == "epsilon-greedy" else None)
+    return _cache_tuner(
+        deployment,
+        planner=make_planner(planner, rng=rng, step_fraction=step_fraction),
+        reward_signal=SignalRef("client.throughput_mbps"),
+        arbiter=arbiter,
+    )
 
 
 @dataclass(kw_only=True)
 class HotspotScenario(ZipfReadScenario):
     """Handles for a Zipf-skewed hot-spot read run (cache stress case)."""
-
-    tuner: Optional["CacheTuner"]
-    read_end: float = 0.0
-
-    process_prefix = "hotspot"
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Preload (if needed), then run every reader to completion."""
-        procs = self._start_readers()
-        env = self.deployment.env
-        if self.tuner is not None:
-            env.process(self.tuner.run(env), name="cache-tuner")
-        self.deployment.run(until=until if until is not None else env.all_of(procs))
-        self.read_end = env.now
 
     # -- metrics -------------------------------------------------------------------
     def aggregate_read_throughput(self) -> float:
@@ -494,23 +616,16 @@ def build_hotspot_scenario(
     dataset_chunks: int = 64,
     chunk_size_mb: float = 8.0,
     reads_per_client: int = 50,
-    skew: float = 1.1,
     data_providers: int = 12,
     metadata_providers: int = 2,
-    replication: int = 1,
     with_caches: bool = False,
     chunk_cache_mb: float = 64.0,
-    metadata_cache_mb: float = 8.0,
-    provider_cache_mb: float = 64.0,
-    cache_policy: str = "lru",
     with_tuner: bool = False,
     tuner_interval_s: float = 5.0,
-    tuner_total_budget_mb: Optional[float] = None,
     with_metrics: bool = False,
     seed: int = 0,
 ) -> HotspotScenario:
-    """Hot-spot read workload: one writer preloads a shared dataset BLOB,
-    then *readers* clients hammer Zipf-skewed chunks of it.
+    """Hot-spot read workload over one preloaded dataset BLOB.
 
     With *with_caches* the client chunk/metadata tiers and the provider
     memory tier are enabled; *with_tuner* additionally runs a
@@ -519,63 +634,20 @@ def build_hotspot_scenario(
     Defaults keep every cache off, so the scenario doubles as the
     cache-less baseline under the same RNG streams.
     """
-    testbed = Testbed(TestbedConfig(seed=seed))
-    if with_metrics or with_tuner:
-        from ..telemetry.metrics import MetricsRegistry
-
-        testbed.env.metrics = MetricsRegistry(testbed.env)
-    deployment = BlobSeerDeployment(
-        BlobSeerConfig(
-            data_providers=data_providers,
-            metadata_providers=metadata_providers,
-            replication=replication,
-            chunk_size_mb=chunk_size_mb,
-            client_chunk_cache_mb=chunk_cache_mb if with_caches else 0.0,
-            client_metadata_cache_mb=metadata_cache_mb if with_caches else 0.0,
-            provider_cache_mb=provider_cache_mb if with_caches else 0.0,
-            cache_policy=cache_policy,
-        ),
-        testbed=testbed,
-    )
-    writer_client = deployment.new_client("hotspot-writer")
-    writer = CorrectWriter(
-        writer_client,
-        op_mb=dataset_chunks * chunk_size_mb,
+    deployment = _cached_deployment(
+        seed, data_providers, metadata_providers,
+        replication=1,
         chunk_size_mb=chunk_size_mb,
-        max_ops=1,
+        chunk_cache_mb=chunk_cache_mb if with_caches else 0.0,
+        metadata_cache_mb=8.0 if with_caches else 0.0,
+        provider_cache_mb=64.0 if with_caches else 0.0,
+        metrics=with_metrics or with_tuner,
     )
-    zipf_readers = []
-    for i in range(readers):
-        client = deployment.new_client(f"hotspot-reader-{i}")
-        zipf_readers.append(ZipfReader(
-            client,
-            blob_id=-1,  # patched by preload()
-            total_chunks=dataset_chunks,
-            chunk_size_mb=chunk_size_mb,
-            rng=deployment.rng.stream(f"zipf:{i}"),
-            skew=skew,
-            max_ops=reads_per_client,
-        ))
-    tuner = None
-    if with_tuner:
-        from ..adaptation.cache_tuner import CacheTuner
-        from ..introspection.query import QueryEngine
-
-        query = QueryEngine.for_deployment(deployment, window_s=3 * tuner_interval_s)
-        tuner = CacheTuner(
-            query,
-            caches=deployment.caches,
-            interval_s=tuner_interval_s,
-            total_budget_mb=tuner_total_budget_mb,
-        )
-    return HotspotScenario(
-        deployment=deployment,
-        writer=writer,
-        readers=zipf_readers,
-        tuner=tuner,
-        dataset_chunks=dataset_chunks,
-        chunk_size_mb=chunk_size_mb,
-    )
+    fleet = _zipf_fleet(
+        deployment, "hotspot", readers, dataset_chunks, chunk_size_mb,
+        skew=1.1, max_ops=reads_per_client)
+    tuner = _cache_tuner(deployment, tuner_interval_s) if with_tuner else None
+    return HotspotScenario(**fleet, tuner=tuner)
 
 
 @dataclass(kw_only=True)
@@ -591,30 +663,13 @@ class DisturbanceScenario(ZipfReadScenario):
     the adaptation scorecard measure how well it did.
     """
 
-    tuner: Optional["CacheTuner"]
-    journal: Optional["DecisionJournal"]
-    query: Optional["QueryEngine"]
-    shift_at: float
     churn_at: float
     churn_heal_s: float
     churn_providers: int
-    duration: float
-    slo_mbps: float
-    injector: Optional["FaultInjector"] = None
-    #: Planner driving the tuner (a ``repro.decision.planners`` name).
-    planner_name: str = "marginal-utility"
+    injector: Optional[FaultInjector] = None
 
-    process_prefix = "disturb"
-
-    def run(self) -> None:
-        """Preload, arm both disturbances, run readers to ``duration``."""
-        self._start_readers(stop_at=self.duration)
-        env = self.deployment.env
-        if self.tuner is not None:
-            env.process(self.tuner.run(env), name="cache-tuner")
-        env.process(self._hot_set_shift(env), name="hot-set-shift")
-        from ..cluster.faults import FaultInjector
-
+    def _start_background(self, env) -> None:
+        super()._start_background(env)
         self.injector = FaultInjector(self.deployment.testbed)
         for k in range(self.churn_providers):
             self.injector.crash_at(
@@ -622,85 +677,29 @@ class DisturbanceScenario(ZipfReadScenario):
                 at=self.churn_at,
                 recover_after=self.churn_heal_s,
             )
-        self.deployment.run(until=self.duration)
-        if self.journal is not None:
-            self.journal.resolve_effects()
 
-    # -- scoring -------------------------------------------------------------------
     def disturbances(self) -> list:
-        from ..introspection.quality import Disturbance
+        return super().disturbances() + [
+            Disturbance(self.churn_at, "provider_churn")]
 
-        return [
-            Disturbance(self.shift_at, "hot_set_shift"),
-            Disturbance(self.churn_at, "provider_churn"),
-        ]
-
-    def scorecard(self, hold_s: float = 3.0) -> dict:
-        """The SEAMS quality-of-adaptation scorecard for this run."""
-        from ..introspection.quality import AdaptationScorecard, SignalSpec
-
-        return AdaptationScorecard(
-            journal=self.journal,
-            metrics=self.deployment.env.metrics,
-            signals=[SignalSpec("client.throughput_mbps",
-                                min_value=self.slo_mbps, hold_s=hold_s,
-                                label="throughput")],
-            disturbances=self.disturbances(),
-        ).compute(t0=self.read_start, t1=self.deployment.env.now)
-
-    # -- observables (the determinism contract) ------------------------------------
-    def observables(self) -> str:
-        """Every simulated observable of the run, as one canonical JSON
-        string — byte-identical across repeats per seed, and between
-        journal-on and journal-off runs (the journal is inert)."""
-        return self._observables(
-            reallocations=self.deployment.net.reallocations)
-
-
-def _planned_tuner(deployment, query, planner: str, step_fraction: float,
-                   **tuner_kwargs):
-    """A :class:`CacheTuner` over every deployment cache, driven by the
-    named planner and rewarded by client throughput."""
-    from ..adaptation.cache_tuner import CacheTuner
-    from ..decision.planners import make_planner
-    from ..decision.signals import SignalRef
-
-    rng = (deployment.rng.stream("decision:bandit")
-           if planner == "epsilon-greedy" else None)
-    return CacheTuner(
-        query,
-        caches=deployment.caches,
-        planner=make_planner(planner, rng=rng, step_fraction=step_fraction),
-        reward_signal=SignalRef("client.throughput_mbps"),
-        **tuner_kwargs,
-    )
+    def _observed(self) -> dict:
+        return {**super()._observed(),
+                "reallocations": self.deployment.net.reallocations}
 
 
 def build_disturbance_scenario(
     readers: int = 6,
     dataset_chunks: int = 48,
-    chunk_size_mb: float = 4.0,
-    skew: float = 1.2,
     think_s: float = 0.2,
     data_providers: int = 12,
-    metadata_providers: int = 2,
-    replication: int = 2,
-    chunk_cache_mb: float = 32.0,
-    metadata_cache_mb: float = 8.0,
-    provider_cache_mb: float = 32.0,
-    cache_policy: str = "lru",
     with_tuner: bool = True,
-    tuner_interval_s: float = 5.0,
     tuner_step_fraction: float = 0.25,
-    tuner_total_budget_mb: Optional[float] = None,
     with_journal: bool = False,
-    journal_effect_window_s: float = 15.0,
     shift_at: float = 60.0,
     churn_at: float = 110.0,
     churn_providers: int = 2,
     churn_heal_s: float = 25.0,
     duration: float = 170.0,
-    slo_mbps: float = 120.0,
     seed: int = 0,
     planner: str = "marginal-utility",
 ) -> DisturbanceScenario:
@@ -708,93 +707,34 @@ def build_disturbance_scenario(
 
     Metrics are always on (the scorecard needs the
     ``client.throughput_mbps`` series even in the tuner-off baseline);
-    *with_journal* additionally wires a
+    *with_journal* wires a
     :class:`~repro.introspection.provenance.DecisionJournal` into the
-    tuner with effect attribution against the throughput signal.  The
-    journal is observably inert, so for any fixed configuration the
-    :meth:`DisturbanceScenario.observables` string is byte-identical
-    with the journal on or off.
-
-    *planner* names the decision technique driving the
-    :class:`~repro.adaptation.CacheTuner` (BENCH-DECIDE): any
-    :data:`~repro.decision.planners.PLANNERS` name — same interval,
-    budget, and step fraction, same seeded streams.  The bandit draws
-    from the dedicated ``decision:bandit`` stream only, so every other
-    stream is untouched.
+    tuner, which is observably inert: ``observables()`` is byte-identical
+    with the journal on or off.  *planner* names the technique driving
+    the tuner — any :data:`~repro.decision.planners.PLANNERS` name, the
+    BENCH-DECIDE axis; the bandit draws from the dedicated
+    ``decision:bandit`` stream only, so every other stream is untouched.
     """
-    from ..telemetry.metrics import MetricsRegistry
-
-    testbed = Testbed(TestbedConfig(seed=seed))
-    testbed.env.metrics = MetricsRegistry(testbed.env)
-    deployment = BlobSeerDeployment(
-        BlobSeerConfig(
-            data_providers=data_providers,
-            metadata_providers=metadata_providers,
-            replication=replication,
-            chunk_size_mb=chunk_size_mb,
-            client_chunk_cache_mb=chunk_cache_mb,
-            client_metadata_cache_mb=metadata_cache_mb,
-            provider_cache_mb=provider_cache_mb,
-            cache_policy=cache_policy,
-        ),
-        testbed=testbed,
-    )
-    writer_client = deployment.new_client("disturb-writer")
-    writer = CorrectWriter(
-        writer_client,
-        op_mb=dataset_chunks * chunk_size_mb,
-        chunk_size_mb=chunk_size_mb,
-        max_ops=1,
-    )
-    zipf_readers = []
-    for i in range(readers):
-        client = deployment.new_client(f"disturb-reader-{i}")
-        zipf_readers.append(ZipfReader(
-            client,
-            blob_id=-1,  # patched by preload()
-            total_chunks=dataset_chunks,
-            chunk_size_mb=chunk_size_mb,
-            rng=deployment.rng.stream(f"zipf:{i}"),
-            skew=skew,
-            think_s=think_s,
-        ))
+    deployment = _cached_deployment(seed, data_providers)
+    fleet = _zipf_fleet(deployment, "disturb", readers, dataset_chunks,
+                        think_s=think_s, stop_at=duration)
     tuner = None
-    query = None
     if with_tuner:
-        from ..introspection.query import QueryEngine
-
-        query = QueryEngine.for_deployment(deployment,
-                                           window_s=3 * tuner_interval_s)
-        tuner = _planned_tuner(
-            deployment, query, planner, tuner_step_fraction,
-            interval_s=tuner_interval_s,
-            total_budget_mb=tuner_total_budget_mb,
-        )
+        tuner = _planned_tuner(deployment, planner, tuner_step_fraction)
     journal = None
     if with_journal:
-        from ..introspection.provenance import DecisionJournal
-
-        journal = DecisionJournal(testbed.env,
-                                  effect_window_s=journal_effect_window_s)
-        journal.watch("cache-tuner", ["client.throughput_mbps"])
+        journal = _decision_journal(deployment.env, "cache-tuner")
         if tuner is not None:
             tuner.attach_journal(journal)
     return DisturbanceScenario(
-        deployment=deployment,
-        writer=writer,
-        readers=zipf_readers,
+        **fleet,
         tuner=tuner,
         journal=journal,
-        query=query,
-        dataset_chunks=dataset_chunks,
-        chunk_size_mb=chunk_size_mb,
         shift_at=shift_at,
         churn_at=churn_at,
         churn_heal_s=churn_heal_s,
         churn_providers=churn_providers,
         duration=duration,
-        slo_mbps=slo_mbps,
-        planner_name=planner,
     )
 
 
@@ -817,192 +757,79 @@ class ContentionScenario(ZipfReadScenario):
     #: Background bulk writers: the provider-pool load elasticity sees
     #: (client caches absorb the Zipf reads, so reads alone load nothing).
     load_writers: List[CorrectWriter]
-    tuner: "CacheTuner"
-    elasticity: "ElasticityController"
-    arbiter: "Arbiter"
-    journal: Optional["DecisionJournal"]
-    query: "QueryEngine"
-    shift_at: float
-    duration: float
-    slo_mbps: float
-    memory_budget_mb: float
-    planner_name: str = "marginal-utility"
+    elasticity: ElasticityController
+    arbiter: Arbiter
 
-    process_prefix = "contend"
+    def _load(self) -> list:
+        return super()._load() + [
+            (f"contend-writer-{i}", w) for i, w in enumerate(self.load_writers)]
 
-    def run(self) -> None:
-        """Preload, start both engines, run readers to ``duration``."""
-        self._start_readers(stop_at=self.duration)
-        env = self.deployment.env
-        for i, writer in enumerate(self.load_writers):
-            writer.stop_at = self.duration
-            env.process(writer.run(env), name=f"contend-writer-{i}")
-        env.process(self.tuner.run(env), name="cache-tuner")
-        env.process(self.elasticity.run(env), name="elasticity")
-        env.process(self._hot_set_shift(env), name="hot-set-shift")
-        self.deployment.run(until=self.duration)
+    def _engines(self) -> list:
+        return [self.tuner, self.elasticity]
+
+    def _settle(self) -> None:
         for ledger in self.arbiter.ledgers.values():
             ledger.assert_conserved()
-        if self.journal is not None:
-            self.journal.resolve_effects()
+        super()._settle()
 
-    # -- scoring -------------------------------------------------------------------
-    def scorecard(self, hold_s: float = 3.0) -> dict:
-        from ..introspection.quality import (
-            AdaptationScorecard, Disturbance, SignalSpec,
-        )
-
-        return AdaptationScorecard(
-            journal=self.journal,
-            metrics=self.deployment.env.metrics,
-            signals=[SignalSpec("client.throughput_mbps",
-                                min_value=self.slo_mbps, hold_s=hold_s,
-                                label="throughput")],
-            disturbances=[Disturbance(self.shift_at, "hot_set_shift")],
-        ).compute(t0=self.read_start, t1=self.deployment.env.now)
-
-    # -- observables (the determinism contract) ------------------------------------
-    def observables(self) -> str:
-        """Every simulated observable plus the arbiter's final ledger
-        state, as one canonical JSON string (byte-identical per seed)."""
-        return self._observables(
-            write_ops=[len(w.results) for w in self.load_writers],
-            pool_size=self.deployment.pmanager.pool_size(),
-            capacities={name: round(c.capacity_mb, 6)
-                        for name, c in self.tuner.caches.items()},
-            arbiter=self.arbiter.to_dict(),
-        )
+    def _observed(self) -> dict:
+        """The read side plus the arbiter's final ledger state."""
+        return {
+            **super()._observed(),
+            "write_ops": [len(w.results) for w in self.load_writers],
+            "pool_size": self.deployment.active_pmanager().pool_size(),
+            "capacities": {name: round(c.capacity_mb, 6)
+                           for name, c in self.tuner.caches.items()},
+            "arbiter": self.arbiter.to_dict(),
+        }
 
 
 def build_contention_scenario(
     readers: int = 6,
     dataset_chunks: int = 48,
-    chunk_size_mb: float = 4.0,
-    skew: float = 1.2,
-    think_s: float = 0.2,
-    data_providers: int = 8,
-    metadata_providers: int = 2,
-    replication: int = 2,
-    chunk_cache_mb: float = 32.0,
-    metadata_cache_mb: float = 8.0,
-    provider_cache_mb: float = 32.0,
-    cache_policy: str = "lru",
     load_writers: int = 4,
-    writer_op_mb: float = 128.0,
-    writer_chunk_mb: float = 4.0,
     planner: str = "marginal-utility",
-    tuner_interval_s: float = 5.0,
-    tuner_step_fraction: float = 0.25,
-    elasticity_interval_s: float = 5.0,
-    elasticity_cooldown_s: float = 10.0,
-    high_load: float = 0.2,
-    low_load: float = 0.02,
-    high_fill: float = 0.85,
-    scale_up_step: int = 2,
-    max_extra_providers: int = 4,
-    provider_cost_mb: float = 48.0,
-    memory_budget_mb: Optional[float] = None,
-    slack_mb: Optional[float] = None,
     with_journal: bool = False,
-    journal_effect_window_s: float = 15.0,
     shift_at: float = 40.0,
     duration: float = 120.0,
-    slo_mbps: float = 120.0,
     seed: int = 0,
 ) -> ContentionScenario:
     """The BENCH-DECIDE contention case: two engines, one budget.
 
-    ``memory_budget_mb`` defaults to the initial allocation (cache
-    capacities + pool footprint) plus ``slack_mb`` of headroom — which
-    itself defaults to 1.5 provider footprints, deliberately **less**
-    than one ``scale_up_step`` worth, so the first scale-up under load
-    must preempt cache capacity through the arbiter.
+    The memory budget is the initial allocation (cache capacities + pool
+    footprint) plus 1.5 provider footprints of headroom — deliberately
+    **less** than one scale-up step (two providers), so the first
+    scale-up under load must preempt cache capacity through the arbiter.
     """
-    from ..adaptation.elasticity import ElasticityController
-    from ..decision.arbiter import Arbiter
-    from ..introspection.query import QueryEngine
-    from ..telemetry.metrics import MetricsRegistry
+    data_providers = 8
+    provider_cost_mb = 48.0
+    deployment = _cached_deployment(seed, data_providers)
+    fleet = _zipf_fleet(deployment, "contend", readers, dataset_chunks,
+                        think_s=0.2, stop_at=duration)
+    bulk_writers = _writer_fleet(
+        deployment, "contend-load", load_writers, op_mb=128.0,
+        chunk_size_mb=4.0, stop_at=duration)
 
-    testbed = Testbed(TestbedConfig(seed=seed))
-    testbed.env.metrics = MetricsRegistry(testbed.env)
-    deployment = BlobSeerDeployment(
-        BlobSeerConfig(
-            data_providers=data_providers,
-            metadata_providers=metadata_providers,
-            replication=replication,
-            chunk_size_mb=chunk_size_mb,
-            client_chunk_cache_mb=chunk_cache_mb,
-            client_metadata_cache_mb=metadata_cache_mb,
-            provider_cache_mb=provider_cache_mb,
-            cache_policy=cache_policy,
-        ),
-        testbed=testbed,
-    )
-    writer_client = deployment.new_client("contend-writer")
-    writer = CorrectWriter(
-        writer_client,
-        op_mb=dataset_chunks * chunk_size_mb,
-        chunk_size_mb=chunk_size_mb,
-        max_ops=1,
-    )
-    zipf_readers = []
-    for i in range(readers):
-        client = deployment.new_client(f"contend-reader-{i}")
-        zipf_readers.append(ZipfReader(
-            client,
-            blob_id=-1,  # patched by preload()
-            total_chunks=dataset_chunks,
-            chunk_size_mb=chunk_size_mb,
-            rng=deployment.rng.stream(f"zipf:{i}"),
-            skew=skew,
-            think_s=think_s,
-        ))
-    bulk_writers = []
-    for i in range(load_writers):
-        client = deployment.new_client(f"contend-load-{i}")
-        bulk_writers.append(CorrectWriter(
-            client,
-            op_mb=writer_op_mb,
-            chunk_size_mb=writer_chunk_mb,
-        ))
-
-    query = QueryEngine.for_deployment(deployment,
-                                       window_s=3 * tuner_interval_s)
     journal = None
     if with_journal:
-        from ..introspection.provenance import DecisionJournal
-
-        journal = DecisionJournal(testbed.env,
-                                  effect_window_s=journal_effect_window_s)
-        journal.watch("cache-tuner", ["client.throughput_mbps"])
-        journal.watch("elasticity", ["elasticity.pool_size"])
-
-    arbiter = Arbiter(env=testbed.env, journal=journal)
-    tuner = _planned_tuner(
-        deployment, query, planner, tuner_step_fraction,
-        arbiter=arbiter, interval_s=tuner_interval_s,
-    )
+        journal = _decision_journal(deployment.env, "cache-tuner", "elasticity")
+    arbiter = Arbiter(env=deployment.env, journal=journal)
+    tuner = _planned_tuner(deployment, planner, arbiter=arbiter)
     elasticity = ElasticityController(
         deployment,
         min_providers=2,
-        max_providers=data_providers + max_extra_providers,
-        high_load=high_load,
-        low_load=low_load,
-        high_fill=high_fill,
-        scale_up_step=scale_up_step,
-        interval_s=elasticity_interval_s,
-        cooldown_s=elasticity_cooldown_s,
-        query=query,
+        max_providers=data_providers + 4,
+        high_load=0.2,
+        low_load=0.02,
+        cooldown_s=10.0,
+        query=tuner.query,
         arbiter=arbiter,
         provider_cost_mb=provider_cost_mb,
     )
     held_caches = tuner.held()
-    pool_cost = deployment.pmanager.pool_size() * provider_cost_mb
-    if memory_budget_mb is None:
-        if slack_mb is None:
-            slack_mb = 1.5 * provider_cost_mb
-        memory_budget_mb = held_caches + pool_cost + slack_mb
-    arbiter.ledger("memory_mb", capacity=memory_budget_mb)
+    pool_cost = deployment.active_pmanager().pool_size() * provider_cost_mb
+    arbiter.ledger("memory_mb",
+                   capacity=held_caches + pool_cost + 1.5 * provider_cost_mb)
     arbiter.register("elasticity", band=0)
     arbiter.register("cache-tuner", band=1, reclaim=tuner.reclaim)
     arbiter.assume("cache-tuner", "memory_mb", held_caches)
@@ -1011,20 +838,12 @@ def build_contention_scenario(
         tuner.attach_journal(journal)
         elasticity.attach_journal(journal)
     return ContentionScenario(
-        deployment=deployment,
-        writer=writer,
-        readers=zipf_readers,
+        **fleet,
         load_writers=bulk_writers,
         tuner=tuner,
         elasticity=elasticity,
         arbiter=arbiter,
         journal=journal,
-        query=query,
-        dataset_chunks=dataset_chunks,
-        chunk_size_mb=chunk_size_mb,
         shift_at=shift_at,
         duration=duration,
-        slo_mbps=slo_mbps,
-        memory_budget_mb=memory_budget_mb,
-        planner_name=planner,
     )

@@ -57,6 +57,16 @@ def test_caches_default_off():
         assert provider.memory_cache is None
 
 
+def test_cache_policy_applies_to_every_tier():
+    deployment = make_deployment(
+        client_chunk_cache_mb=64.0, client_metadata_cache_mb=8.0,
+        provider_cache_mb=64.0, cache_policy="arc",
+    )
+    deployment.new_client("c")
+    assert len(deployment.caches) == 6 + 2
+    assert {cache.policy.name for cache in deployment.caches} == {"arc"}
+
+
 # ------------------------------------------------------------- client tiers
 def test_chunk_cache_serves_repeat_reads_without_providers():
     deployment = make_deployment(client_chunk_cache_mb=256.0)

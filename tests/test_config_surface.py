@@ -1,0 +1,83 @@
+"""Keep the configuration surface from re-growing (ROADMAP item 3).
+
+Every ``BlobSeerConfig`` field and every ``build_*_scenario`` parameter
+must be *set by some caller*: passed by keyword (or position) to the
+class/builder somewhere under ``src/``, ``benchmarks/``, ``tests/`` or
+``examples/``, or — for a ``**config`` call site — named in the same
+file as a dict-literal key or a call keyword (``dict(...)`` or the
+wrapper that forwards it).  A knob nobody sets only re-states a default:
+make it a constant at its use site instead of adding it here.
+"""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+from repro.blobseer import BlobSeerConfig
+from repro.workloads import scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "benchmarks", "tests", "examples")
+
+
+def _surface(config=BlobSeerConfig):
+    """Callable name -> its parameter names, in order."""
+    surface = {config.__name__: [f.name for f in dataclasses.fields(config)]}
+    for name, builder in vars(scenarios).items():
+        if name.startswith("build_") and name.endswith("_scenario"):
+            surface[name] = list(inspect.signature(builder).parameters)
+    return surface
+
+
+def _callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _unset(surface):
+    """``callable.parameter`` names that no scanned caller sets."""
+    passed = {name: set() for name in surface}
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == Path(__file__).resolve():
+                continue
+            named, splatted = set(), set()
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Dict):
+                    named.update(k.value for k in node.keys
+                                 if isinstance(k, ast.Constant))
+                elif isinstance(node, ast.Call):
+                    keywords = {k.arg for k in node.keywords if k.arg}
+                    named |= keywords
+                    callee = _callee(node)
+                    if callee in surface:
+                        passed[callee] |= keywords
+                        passed[callee].update(surface[callee][:len(node.args)])
+                        if len(keywords) < len(node.keywords):
+                            splatted.add(callee)
+            # A ``**config`` call site names what it passes elsewhere in
+            # its file: in a dict literal, a ``dict(...)`` call, or the
+            # keywords of the wrapper that forwards them.
+            for callee in splatted:
+                passed[callee] |= named
+    return sorted(f"{name}.{param}" for name, params in surface.items()
+                  for param in params if param not in passed[name])
+
+
+def test_every_config_field_and_builder_parameter_is_set_by_a_caller():
+    assert _unset(_surface()) == []
+
+
+def test_a_field_no_caller_sets_is_reported():
+    """The scan must catch a dead knob being (re-)added."""
+    grown = dataclasses.make_dataclass(
+        "BlobSeerConfig", [("vm_cores", int, 1)], bases=(BlobSeerConfig,))
+    assert _unset(_surface(grown)) == ["BlobSeerConfig.vm_cores"]
+
+
+def test_the_surface_is_the_documented_size():
+    surface = _surface()
+    assert len(surface["BlobSeerConfig"]) == 17
+    builder_params = sum(len(p) for n, p in surface.items() if n != "BlobSeerConfig")
+    assert builder_params <= 85

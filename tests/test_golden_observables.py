@@ -7,7 +7,9 @@ small configurations and two seeds.  The digests were captured at commit
 c8911bc (the parent of the single-event message path and the flat
 segment-tree walks) and must only ever be re-recorded by a change that
 *means* to alter simulated behaviour — ``python tests/test_golden_observables.py``
-prints the current values.
+prints the current values.  The ``hotspot`` and ``replicated_write``
+digests were added at commit 4d231df, before the scenario skeleton and
+the config pruning that they guard.
 
 ``env.events_processed`` is dropped from ``observables()`` before
 hashing: it is what the simulator costs, not what the simulated system
@@ -28,7 +30,7 @@ import pytest
 
 from repro.adaptation import ElasticityController, ReplicationManager
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
-from repro.cluster import TestbedConfig
+from repro.cluster import FaultInjector, TestbedConfig
 from repro.introspection import DecisionJournal
 from repro.telemetry import MetricsRegistry
 from repro.workloads import (
@@ -36,6 +38,7 @@ from repro.workloads import (
     build_contention_scenario,
     build_disturbance_scenario,
     build_dos_scenario,
+    build_hotspot_scenario,
     build_write_scenario,
 )
 from repro.workloads.scenarios import build_fanout_scenario
@@ -55,7 +58,8 @@ def _observables_digest(scenario) -> str:
 
 
 def _history_digest(deployment, clients) -> str:
-    """For scenarios without ``observables()``: op histories + pool."""
+    """For worlds that are not a ``Scenario``: op histories + pool (the
+    same payload a scenario's default ``observables()`` carries)."""
     return _sha({
         "end": deployment.env.now,
         "completions": [
@@ -101,8 +105,7 @@ def write(seed):
         clients=6, data_providers=10, metadata_providers=2, op_mb=256.0,
         ops_per_client=2, monitoring_services=2, seed=seed)
     scenario.run()
-    return _history_digest(scenario.deployment,
-                           [w.client for w in scenario.writers])
+    return _observables_digest(scenario)
 
 
 def dos(seed):
@@ -113,9 +116,45 @@ def dos(seed):
         scan_interval_s=5.0, history_pull_interval_s=2.0,
         flush_interval_s=1.0, confirmations=1, seed=seed)
     scenario.run(until=30.0)
-    return _history_digest(
-        scenario.deployment,
-        [w.client for w in scenario.correct + scenario.attackers])
+    return _observables_digest(scenario)
+
+
+def hotspot(seed):
+    scenario = build_hotspot_scenario(
+        readers=3, dataset_chunks=24, chunk_size_mb=4.0, reads_per_client=60,
+        data_providers=6, with_caches=True, chunk_cache_mb=16.0,
+        with_tuner=True, tuner_interval_s=0.5, seed=seed)
+    scenario.run()
+    assert scenario.tuner.decisions, "the tuner must actually resize"
+    return _sha({
+        "ops": _history_digest(scenario.deployment,
+                               [r.client for r in scenario.readers]),
+        "caches": scenario.cache_report(),
+    })
+
+
+def replicated_write(seed):
+    """Writers on a ``vm_replicas=3, pm_standby=True`` control plane ride
+    out one version-manager-primary and one provider-manager crash."""
+    dep = _small_deployment(seed, chunk_size_mb=8.0, vm_replicas=3,
+                            pm_standby=True)
+    writers = [CorrectWriter(dep.new_client(f"w{i}", rpc_timeout_s=4.0),
+                             op_mb=64.0, chunk_size_mb=8.0, stop_at=60.0)
+               for i in range(3)]
+    for writer in writers:
+        dep.env.process(writer.run(dep.env))
+    injector = FaultInjector(dep.testbed)
+    injector.crash_at(dep.testbed.node("vm-node"), at=7.0, recover_after=20.0)
+    injector.crash_at(dep.testbed.node("pm-node"), at=35.0, recover_after=15.0)
+    dep.run(until=70.0)
+    assert len(dep.vm_group.failovers) == 1 and len(dep.pm_group.failovers) == 1
+    return _sha({
+        "ops": _history_digest(dep, [w.client for w in writers]),
+        "vm_failovers": [[e.epoch, e.winner, e.old_primary, e.crashed_at,
+                          e.confirmed_at, e.promoted_at]
+                         for e in dep.vm_group.failovers],
+        "pm_failovers": dep.pm_group.failovers,
+    })
 
 
 def _decision_stream(decisions):
@@ -213,6 +252,8 @@ SCENARIOS = {
     "contention": contention,
     "write": write,
     "dos": dos,
+    "hotspot": hotspot,
+    "replicated_write": replicated_write,
 }
 
 GOLDEN = {
@@ -226,6 +267,12 @@ GOLDEN = {
     # (round-robin allocation, deterministic ramp): one digest for both.
     ("fanout", 0): "a0e6ed9c52a225bea5c1c425948b18cb24b0648a34514ce8de6435dfbe152399",
     ("fanout", 7): "a0e6ed9c52a225bea5c1c425948b18cb24b0648a34514ce8de6435dfbe152399",
+    ("hotspot", 0): "6afefe7682f19239a1b975629130ed759ac264fd140f5994f8630fd62cfe2bcc",
+    ("hotspot", 7): "5f3db4943a362363e578d7661a1b08384b1c781199af8ba9c939afd214b63fcd",
+    # Also what proves the replica groups' own failover-detection
+    # defaults equal the BlobSeerConfig fields that used to forward them.
+    ("replicated_write", 0): "451eb4a7edcead2a1c1382228649c4a1daf3b65fb6611881dbdc49cc8a47f4be",
+    ("replicated_write", 7): "3083f76648a8e914cbda3adfe66a63f4d19d498b43e1f4a54f6c2f537e45a0e6",
     ("write", 0): "419d2d0279035e11e2474d2795f7de7ffa62499664e5c1173cc6d76cee598c50",
     ("write", 7): "419d2d0279035e11e2474d2795f7de7ffa62499664e5c1173cc6d76cee598c50",
 }

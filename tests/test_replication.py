@@ -8,6 +8,12 @@ default (``vm_replicas=1``) wiring is untouched.
 
 import pytest
 
+from repro.adaptation import (
+    ElasticityController,
+    RemovalManager,
+    ReplicationManager,
+)
+from repro.adaptation.replication_manager import migrate_chunks
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.blobseer.errors import NotActivePrimary
 from repro.cluster import FaultInjector, TestbedConfig
@@ -311,6 +317,39 @@ def test_provider_manager_standby_takeover():
     assert not active.standby
     assert active.pool_size() == len(dep.providers)
     assert sum(results) >= 15
+
+
+def test_engines_follow_membership_after_a_takeover():
+    """A deposed boot manager recovers as the *empty* standby: the
+    self-* engines must read the pool through the active manager, or
+    they see no providers (and elasticity reads its empty-pool sentinel
+    1.0 as scale-up pressure)."""
+    dep = make_replicated(seed=21, replicas=1, pm_standby=True)
+    client = dep.new_client("c1", rpc_timeout_s=4.0)
+
+    def write():
+        blob_id = yield from client.create_blob(8.0)
+        yield from client.append(blob_id, 32.0)
+
+    dep.env.process(write(), name="write")
+    FaultInjector(dep.testbed).crash_at(
+        dep.testbed.node("pm-node"), at=5.0, recover_after=20.0)
+    dep.run(until=60.0)
+    assert dep.pmanager.pool_size() == 0  # the boot manager: empty standby
+    assert dep.active_pmanager().pool_size() == 6
+
+    elasticity = ElasticityController(dep)
+    assert elasticity.pool_load() == 0.0  # an idle pool, not the sentinel
+    assert 0.0 < elasticity.pool_fill() < 1.0
+    assert elasticity._pick_victim() is not None
+    list(elasticity.plan(dep.now))
+    assert elasticity.pool_timeline[-1][1] == 6
+    assert len(ReplicationManager(dep).chunk_directory()) == 4
+    assert len(RemovalManager(dep, strategies=[])._protected_keys()) == 4
+    holder = next(p for p in dep.providers.values() if p.chunks)
+    held = len(holder.chunks)
+    moved = dep.run(until=dep.env.process(migrate_chunks(holder, dep)))
+    assert moved == held and not holder.chunks
 
 
 def test_standby_provider_manager_fences_allocations():

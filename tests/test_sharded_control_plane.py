@@ -17,8 +17,9 @@ import pytest
 
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.blobseer.sharding import ShardRouter, shard_of
+from repro.cloud import CumulusGateway
 from repro.cluster import TestbedConfig
-from repro.robustness import ChaosHarness, steady_append_load
+from repro.robustness import ChaosHarness, PrimaryHandle, steady_append_load
 from repro.workloads.scenarios import build_fanout_scenario
 
 SEEDS = (0, 7)
@@ -49,7 +50,7 @@ def test_defaults_byte_identical_to_unsharded_config(seed):
     exact observable stream of one that predates them."""
     implicit = run_fanout(seed)
     explicit = run_fanout(seed, vm_shards=1, pm_shards=1, vm_batch=False,
-                          client_pipelining=False, per_chunk_allocation=False)
+                          client_pipelining=False)
     assert implicit.observables() == explicit.observables()
 
 
@@ -165,6 +166,29 @@ def test_shard_primary_crash_mid_churn_invariants_hold():
         assert len(acked) >= 30
 
 
+def test_gateway_gets_the_endpoints_any_client_would():
+    """The Cumulus gateway is a client: it takes its turn in the
+    allocator-shard round-robin and gets per-shard failover handles."""
+    dep = BlobSeerDeployment(BlobSeerConfig(
+        data_providers=4, metadata_providers=2, pm_shards=2,
+        testbed=TestbedConfig(seed=1),
+    ))
+    before = dep.new_client("c0")
+    gateway = CumulusGateway(dep)
+    after = dep.new_client("c1")
+    assert [c.pm for c in (before, gateway.backend, after)] == [
+        dep.pm_shards[0], dep.pm_shards[1], dep.pm_shards[0]]
+
+    dep = BlobSeerDeployment(BlobSeerConfig(
+        data_providers=4, metadata_providers=2, vm_shards=2, vm_replicas=3,
+        testbed=TestbedConfig(seed=1),
+    ))
+    router = CumulusGateway(dep).backend.vm
+    assert isinstance(router, ShardRouter)
+    assert [t.group for t in router.targets] == dep.vm_groups
+    assert all(isinstance(t, PrimaryHandle) for t in router.targets)
+
+
 # ------------------------------------------------- batching / pipelining
 def test_batching_changes_timing_not_outcomes():
     off = run_fanout(5, vm_shards=2)
@@ -205,17 +229,13 @@ def test_cached_allocation_reproducible():
 
 
 def test_batched_allocation_one_rpc_per_write():
+    # The one-RPC-per-chunk arm it is measured against lives in
+    # benchmarks/test_bench_meta.py (BENCH-META's allocation ablation).
     batched = run_fanout(1, writers=4, ops_per_writer=2, op_mb=8.0,
                          chunk_size_mb=1.0)
-    per_chunk = run_fanout(1, writers=4, ops_per_writer=2, op_mb=8.0,
-                           chunk_size_mb=1.0, per_chunk_allocation=True)
-    b = batched.control_plane_stats()
-    p = per_chunk.control_plane_stats()
-    assert b["allocated_chunks"] == p["allocated_chunks"] == 64
-    assert b["allocation_rpcs"] == 8       # one per write
-    assert p["allocation_rpcs"] == 64      # one per chunk
-    assert final_blob_state(batched.deployment) == final_blob_state(
-        per_chunk.deployment)
+    stats = batched.control_plane_stats()
+    assert stats["allocated_chunks"] == 64
+    assert stats["allocation_rpcs"] == 8       # one per write
 
 
 # ------------------------------------------------------- gate edge cases
