@@ -14,36 +14,66 @@ Performance notes (this is the simulator's hot path):
 - rate recomputations are *batched per timestamp*: any number of flow
   arrivals/departures at the same simulated instant trigger exactly one
   water-filling pass;
-- recomputation is **incremental**: the flow×resource incidence is kept
-  persistently (per-resource member sets updated on admit/finish/abort),
-  changed resources go into a dirty-set, and a pass only re-solves the
-  connected component(s) of the resource–flow bipartite graph touched by
-  a change.  This is *exact*, not approximate: flows in disjoint
-  components never share a bottleneck, and the water-filling rounds of
-  one component perform arithmetic only on that component's resources,
-  so recomputing a component in isolation yields bit-identical rates to
-  a global pass.  (The one theoretical caveat: the round-batching
-  tolerance of ``1e-9`` relative could merge *near*-tied — not exactly
-  tied — bottleneck values across components in a global pass; exact
-  ties, the overwhelmingly common case, batch identically either way.
+- recomputation is **incremental**: changed resources go into a
+  dirty-set and a pass only re-solves the connected component(s) of the
+  resource–flow bipartite graph touched by a change.  This is *exact*,
+  not approximate: flows in disjoint components never share a
+  bottleneck, and the water-filling rounds of one component perform
+  arithmetic only on that component's resources, so recomputing a
+  component in isolation yields bit-identical rates to a global pass.
+  (The one theoretical caveat: the round-batching tolerance of ``1e-9``
+  relative could merge *near*-tied — not exactly tied — bottleneck
+  values across components in a global pass; exact ties, the
+  overwhelmingly common case, batch identically either way.
   ``incremental=False`` restores the always-global pass for A/B runs;
   the kernel determinism suite asserts byte-identical results.)
-- flow progress is **anchor-based**, not drained per pass: each flow
-  stores ``(remaining, anchor_time)`` as of its last rate change and
-  its current remaining is the linear projection from that anchor, so
-  a reallocation touches only the flows whose rates actually change —
-  there is no O(flows) byte-draining loop per event;
-- per-node aggregate in/out rates are maintained alongside the member
-  sets, making :meth:`node_load` (polled every monitoring interval for
-  every node) O(1) instead of an O(flows) scan;
+- the flow table is **array-resident**.  Every admitted flow owns a
+  *slot* in persistent numpy columns — four integer resource ids
+  (uplink, downlink, backbone, rate cap; ``-1`` where absent), ``rate``,
+  ``rem``, ``anchor``, the admission sequence number and an "a
+  completion-heap entry is live" bit — and every resource key
+  (``("out", node)``, ``("in", node)``, ``("bb", site, site)``,
+  ``("cap", fid)``) owns a small integer id.  Slots and ids are recycled
+  through free lists, so the table is bounded by peak concurrency, not
+  by the number of flows ever admitted.  Beside the columns each
+  resource keeps its member slots (admission-ordered) and, for the three
+  shareable kinds, a neighbour-count map ``{other resource: flows using
+  both}``; a component is collected by walking *resources* through
+  those maps with C-level set operations and concatenating the member
+  slots of its uplinks — there is no per-flow stack;
+- flow progress is **anchor-based**, not drained per pass: a slot stores
+  ``(rem, anchor)`` as of the flow's last rate change and the live
+  remaining is the linear projection from that anchor, so a
+  reallocation rewrites only the flows whose rates actually change;
+- a pass over a component above ``_SCALAR_WATERFILL_MAX`` flows is
+  gather → vectorised projection and reap test → resource-index build
+  → water-fill with a boolean bottleneck mask → vectorised
+  ``new_rate != rate`` → one ``bincount`` for the per-node aggregates.
+  Interpreter-level work remains in exactly three places: per
+  *resource* of the component (capacity lookup, aggregate store), per
+  *finishing* flow (in fid order) and per *rate-changing* flow (epoch
+  bump and completion-heap push).  A flow whose rate comes out bit for
+  bit the same costs no Python at all.  Components up to
+  ``_SCALAR_WATERFILL_MAX`` run the same steps as plain loops over
+  per-slot reads, where numpy dispatch overhead would dominate; the two
+  passes are bit-identical and the test-suite forces whole runs down
+  either one;
+- **index order inside a pass cannot change arithmetic.**  The solver's
+  only cross-element operations are a minimum over resource shares
+  (order-free), repeated subtraction of the *same* ``share`` from a
+  resource's remaining capacity (the sequence of partial results does
+  not depend on which flow each subtraction is for) and exact
+  small-integer member counts; everything else is elementwise.  The
+  one order-sensitive float sum, a node's aggregate rate, is taken in
+  admission order — the order the member maps iterate in and the order
+  the array pass sorts its gather by;
+- per-node aggregate in/out rates are maintained alongside, making
+  :meth:`node_load` (polled every monitoring interval for every node)
+  O(1) instead of an O(flows) scan;
 - completion wake-ups come from a *completion-horizon heap* of
   ``(eta, fid, epoch)`` entries (stale entries skipped lazily) instead
   of an O(flows) min-scan after every pass, scheduled through the
   kernel's :meth:`Environment.call_at` bare-callback fast path;
-- the water-filling pass itself is vectorized with numpy for large
-  components (with scratch buffers reused across passes) and runs a
-  bit-identical scalar path for small components where numpy dispatch
-  overhead dominates;
 - a zero-payload control message is **one kernel event**: it never
   touches any of the above.  :meth:`FlowNetwork.message` (which
   :meth:`FlowNetwork.transfer` delegates to for ``size == 0``) resolves
@@ -62,6 +92,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -74,9 +106,17 @@ __all__ = ["NetNode", "Flow", "FlowNetwork", "TransferAborted"]
 #: Bytes-remaining below this are considered "done" (guards float drift).
 _EPSILON = 1e-9
 
-#: Component sizes up to this use the scalar water-filling path (numpy
-#: dispatch overhead dominates below it).  Both paths are bit-identical.
+#: Components up to this many flows take the scalar pass (numpy dispatch
+#: overhead dominates below it).  Both passes are bit-identical.
 _SCALAR_WATERFILL_MAX = 16
+
+#: Resource-id columns of a slot: uplink, downlink, backbone, rate cap.
+#: The first three kinds can be shared between flows; a cap is private
+#: to its flow, so it never joins the dirty-set or the neighbour maps.
+_RES_COLUMNS = 4
+_SHARED_COLUMNS = 3
+
+_by_fid = attrgetter("fid")
 
 
 class TransferAborted(Exception):
@@ -121,12 +161,15 @@ class NetNode:
 class Flow:
     """One in-flight bulk transfer.
 
-    Progress is anchor-based: ``_rem`` is the bytes that remained at
-    simulation time ``_anchor`` (the flow's last rate change), and the
-    live :attr:`remaining` is the linear projection from there.  The
-    anchor moves *only* when the rate actually changes, which keeps the
-    float arithmetic independent of how many unrelated reallocation
-    passes happen while the flow streams at a constant rate.
+    While the flow is admitted its rate and progress live in the
+    network's slot table (see the module docstring); :attr:`rate` and
+    :attr:`remaining` read them from there.  Progress is anchor-based:
+    the table holds the bytes that remained at the flow's last rate
+    change, and the live :attr:`remaining` is the linear projection from
+    there.  The anchor moves *only* when the rate actually changes,
+    which keeps the float arithmetic independent of how many unrelated
+    reallocation passes happen while the flow streams at a constant
+    rate.
     """
 
     __slots__ = (
@@ -134,22 +177,21 @@ class Flow:
         "src",
         "dst",
         "size",
-        "rate",
         "rate_cap",
         "done",
         "started_at",
         "finished_at",
         "tag",
+        "_net",
+        "_slot",
         "_rem",
-        "_anchor",
         "_epoch",
-        "_eta",
-        "_resources",
         "_span",
     )
 
     def __init__(
         self,
+        net: "FlowNetwork",
         fid: int,
         src: NetNode,
         dst: NetNode,
@@ -163,37 +205,36 @@ class Flow:
         self.src = src
         self.dst = dst
         self.size = float(size)
-        self.rate = 0.0
         self.rate_cap = rate_cap
         self.done = done
         self.started_at = started_at
         self.finished_at: Optional[float] = None
         self.tag = tag
-        #: Bytes remaining as of :attr:`_anchor` (see class docstring).
+        self._net = net
+        #: Row in the network's slot table; -1 while not admitted.
+        self._slot = -1
+        #: Bytes remaining while the flow holds no slot: its size before
+        #: admission, what was left when it finished or was aborted.
         self._rem = float(size)
-        self._anchor = started_at
         #: Bumped whenever the rate is re-assigned; guards stale
-        #: completion-heap entries.
+        #: completion-heap entries (a flow that ended is stale by absence).
         self._epoch = 0
-        #: The completion time of the live heap entry, or None.
-        self._eta: Optional[float] = None
-        #: Cached resource keys, filled when the flow is admitted.
-        self._resources: Tuple[tuple, ...] = ()
         #: Telemetry span covering the transfer (None when tracing is off).
         self._span = None
 
-    def _remaining_at(self, now: float) -> float:
-        """Bytes remaining at time *now* (kernel-internal hot path)."""
-        rate = self.rate
-        if rate <= 0.0:
-            return self._rem
-        rem = self._rem - rate * (now - self._anchor)
-        return rem if rem > 0.0 else 0.0
+    @property
+    def rate(self) -> float:
+        """Current rate, MB/s (0 before admission and after the end)."""
+        slot = self._slot
+        return self._net._rate.item(slot) if slot >= 0 else 0.0
 
     @property
     def remaining(self) -> float:
         """Bytes remaining right now (live projection from the anchor)."""
-        return self._remaining_at(self.done.env.now)
+        slot = self._slot
+        if slot < 0:
+            return self._rem
+        return self._net._remaining_at(slot, self._net.env.now)
 
     @property
     def transferred(self) -> float:
@@ -202,7 +243,7 @@ class Flow:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Flow #{self.fid} {self.src.name}->{self.dst.name} "
-            f"{self._rem:.2f}/{self.size:.2f}MB @ {self.rate:.2f}MB/s>"
+            f"{self.remaining:.2f}/{self.size:.2f}MB @ {self.rate:.2f}MB/s>"
         )
 
 
@@ -229,7 +270,7 @@ class FlowNetwork:
         self.recompute_granularity_s = recompute_granularity_s
         self._last_realloc = -float("inf")
         self.nodes: Dict[str, NetNode] = {}
-        #: Active flows, insertion-ordered by fid (determinism!).
+        #: Active flows, insertion-ordered by admission (determinism!).
         self._flows: Dict[int, Flow] = {}
         self._latency = latency
         self.backbone_capacity = float(backbone_capacity)
@@ -240,11 +281,32 @@ class FlowNetwork:
         #: pre-incremental "old path" semantics) — kept for A/B
         #: determinism tests and kernel benchmarks.
         self.incremental = incremental
-        #: Persistent flow×resource incidence: resource key -> {fid: Flow},
-        #: insertion-ordered (determinism of member iteration).
-        self._res_members: Dict[tuple, Dict[int, Flow]] = {}
-        #: Resources whose membership/capacity changed since the last pass.
-        self._dirty: Set[tuple] = set()
+        # -- the slot table (module docstring): one row per admitted flow.
+        #: Resource ids of the slot's flow, -1 where it has none.
+        rows = 32  # doubled on demand by _grow_table()
+        self._fres = np.full((rows, _RES_COLUMNS), -1, dtype=np.intp)
+        self._rate = np.zeros(rows)
+        #: Bytes remaining as of ``_anchor`` (the last rate change).
+        self._rem = np.zeros(rows)
+        self._anchor = np.zeros(rows)
+        #: Admission sequence number: the order node aggregates sum in.
+        self._seq = np.zeros(rows, dtype=np.int64)
+        #: True while the completion heap holds a live entry for the slot.
+        self._armed = np.zeros(rows, dtype=bool)
+        #: Slot -> its flow; grows to the high-water mark only.
+        self._slot_flow: List[Optional[Flow]] = []
+        self._free_slots: List[int] = []
+        self._admissions = itertools.count()
+        # -- resources: key <-> recycled integer id, members, neighbours.
+        self._res_id: Dict[tuple, int] = {}
+        self._res_key: List[Optional[tuple]] = []
+        self._free_res: List[int] = []
+        #: Resource id -> {slot: Flow}, admission-ordered.
+        self._res_members: Dict[int, Dict[int, Flow]] = {}
+        #: Shareable resource id -> {other resource id: flows using both}.
+        self._res_adj: Dict[int, Dict[int, int]] = {}
+        #: Ids of resources whose membership changed since the last pass.
+        self._dirty: Set[int] = set()
         self._dirty_all = False
         #: Maintained per-node aggregate rates: O(1) node_load().
         self._node_out: Dict[str, float] = {}
@@ -252,8 +314,6 @@ class FlowNetwork:
         #: Completion-horizon heap of (eta, fid, epoch); stale entries
         #: (epoch mismatch / finished flow) are skipped lazily.
         self._completion_heap: List[Tuple[float, int, int]] = []
-        #: Reusable numpy scratch buffers for the water-filling pass.
-        self._np_bufs: Dict[str, np.ndarray] = {}
         #: When True, transfers addressed to a node that is absent from
         #: the topology (crashed/removed) are silently black-holed: the
         #: returned event never triggers, like packets to a dead host.
@@ -302,7 +362,7 @@ class FlowNetwork:
         now = self.env.now
         delivered = self._delivered_done
         for flow in self._flows.values():
-            delivered += flow.size - flow._remaining_at(now)
+            delivered += flow.size - self._remaining_at(flow._slot, now)
         return delivered
 
     def remove_node(self, name: str) -> None:
@@ -315,9 +375,8 @@ class FlowNetwork:
         node = self.nodes.pop(name)
         candidates: Dict[int, Flow] = {}
         for key in (("out", name), ("in", name)):
-            members = self._res_members.get(key)
-            if members:
-                candidates.update(members)
+            for flow in self._members_of(key).values():
+                candidates[flow.fid] = flow
         doomed = [
             candidates[fid]
             for fid in sorted(candidates)
@@ -348,7 +407,10 @@ class FlowNetwork:
 
         Addressing a node missing from the topology raises ``KeyError``
         unless :attr:`blackhole_missing` is set, in which case the event
-        simply never triggers (callers need timeouts to notice)."""
+        simply never triggers (callers need timeouts to notice).  An
+        endpoint that is removed *during* the propagation delay ends the
+        transfer the same two ways: :class:`TransferAborted`, or silence
+        under :attr:`blackhole_missing`."""
         if size < 0:
             raise ValueError("size must be non-negative")
         if rate_cap is not None and rate_cap <= 0:
@@ -364,7 +426,7 @@ class FlowNetwork:
         src, dst, delay = route
         done = self.env.event()
         flow = Flow(
-            next(self._fid), src, dst, size, done,
+            self, next(self._fid), src, dst, size, done,
             rate_cap=rate_cap, tag=tag, started_at=self.env.now,
         )
         tracer = self.env.tracer
@@ -401,23 +463,12 @@ class FlowNetwork:
         if flow.fid not in self._flows:
             return
         now = self.env.now
-        rem = flow._remaining_at(now)
-        flow._rem = rem
-        flow._anchor = now
+        rem = self._remaining_at(flow._slot, now)
         del self._flows[flow.fid]
-        self._detach(flow, dirty=True)
+        self._detach(flow, aborted=True)
+        flow._rem = rem
         self._delivered_done += flow.size - rem
-        flow._epoch += 1
-        flow._eta = None
-        flow.rate = 0.0
-        if flow._span is not None:
-            flow._span.finish(aborted=True, reason=reason,
-                              transferred_mb=flow.size - rem)
-            flow._span = None
-        if self.completion_log is not None:
-            self.completion_log.append(("abort", flow.fid, now))
-        if not flow.done.triggered:
-            flow.done.fail(TransferAborted(flow, reason))
+        self._end_aborted(flow, reason, flow.size - rem)
         self._schedule_recompute()
 
     def abort_matching(self, predicate: Callable[[Flow], bool], reason: str = "") -> int:
@@ -472,60 +523,184 @@ class FlowNetwork:
             delay *= latency_scale
         return src, dst, delay
 
-    def _black_hole(self) -> Event:
-        """An event that never triggers: the message vanished."""
+    def _count_black_hole(self) -> None:
         self.blackholed_transfers += 1
         metrics = self.env.metrics
         if metrics is not None:
             metrics.counter("net.blackholed_transfers").inc()
+
+    def _black_hole(self) -> Event:
+        """An event that never triggers: the message vanished."""
+        self._count_black_hole()
         return self.env.event()
 
+    @staticmethod
+    def _close_span(flow: Flow, **outcome) -> None:
+        if flow._span is not None:
+            flow._span.finish(**outcome)
+            flow._span = None
+
+    def _end_aborted(self, flow: Flow, reason: str, transferred: float) -> None:
+        """Close the span, log and fail the waiter of a cancelled flow."""
+        self._close_span(flow, aborted=True, reason=reason,
+                         transferred_mb=transferred)
+        if self.completion_log is not None:
+            self.completion_log.append(("abort", flow.fid, self.env.now))
+        if not flow.done.triggered:
+            flow.done.fail(TransferAborted(flow, reason))
+
+    def _remaining_at(self, slot: int, now: float) -> float:
+        """Bytes the flow in *slot* has left at time *now*."""
+        rate = self._rate.item(slot)
+        rem = self._rem.item(slot)
+        if rate <= 0.0:
+            return rem
+        rem = rem - rate * (now - self._anchor.item(slot))
+        return rem if rem > 0.0 else 0.0
+
+    def _members_of(self, key: tuple) -> Dict[int, Flow]:
+        rid = self._res_id.get(key)
+        return self._res_members[rid] if rid is not None else {}
+
     def _admit(self, flow: Flow) -> None:
-        flow._anchor = self.env.now
+        src, dst = flow.src, flow.dst
+        nodes = self.nodes
+        for end in (src, dst):
+            if nodes.get(end.name) is not end:
+                self._lost_in_propagation(flow, end.name)
+                return
+        keys: List[Optional[tuple]] = [("out", src.name), ("in", dst.name), None, None]
+        if src.site != dst.site and self.backbone_capacity != float("inf"):
+            keys[2] = ("bb",) + tuple(sorted((src.site, dst.site)))
+        if flow.rate_cap is not None:
+            keys[3] = ("cap", flow.fid)
+
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = len(self._slot_flow)
+            self._slot_flow.append(None)
+            if slot == self._rate.shape[0]:
+                self._grow_table()
+        self._slot_flow[slot] = flow
+        flow._slot = slot
         self._flows[flow.fid] = flow
-        flow._resources = tuple(self._resources_of(flow))
+
+        rids = [-1] * _RES_COLUMNS
+        res_id = self._res_id
         members_map = self._res_members
-        dirty = self._dirty
-        for resource in flow._resources:
-            members = members_map.get(resource)
-            if members is None:
-                members = {}
-                members_map[resource] = members
-            members[flow.fid] = flow
-            dirty.add(resource)
+        for column, key in enumerate(keys):
+            if key is None:
+                continue
+            rid = res_id.get(key)
+            if rid is None:
+                rid = self._new_resource(key, shared=column < _SHARED_COLUMNS)
+            members_map[rid][slot] = flow
+            rids[column] = rid
+        self._link(rids, 1)
+
+        self._fres[slot] = rids
+        self._rate[slot] = 0.0
+        self._rem[slot] = flow.size
+        self._anchor[slot] = self.env.now
+        self._seq[slot] = next(self._admissions)
+        self._armed[slot] = False
+        # One resource of a member flow reaches its whole component.
+        self._dirty.add(rids[0])
         self._schedule_recompute()
 
-    def _detach(self, flow: Flow, dirty: bool) -> None:
-        """Drop *flow* from the incidence + node aggregates.
+    def _lost_in_propagation(self, flow: Flow, name: str) -> None:
+        """Node *name* was removed (or replaced) while *flow* was still
+        in its propagation delay: the flow never enters the table."""
+        if self.blackhole_missing:
+            self._count_black_hole()
+            self._close_span(flow, aborted=True, reason="black-holed",
+                             transferred_mb=0.0)
+        else:
+            self._end_aborted(flow, f"node {name} removed", 0.0)
 
-        The maintained aggregate loses the flow's rate immediately (so
-        node_load() observably drops right away, matching the eager-scan
-        semantics); the next pass rebuilds the touched aggregates from
-        their member sets, so no float drift accumulates.
+    def _link(self, rids: List[int], delta: int) -> None:
+        """Count one flow more (or less) between each pair of the
+        shareable resources among *rids*."""
+        adj = self._res_adj
+        shared = [rid for rid in rids[:_SHARED_COLUMNS] if rid >= 0]
+        for rid in shared:
+            neighbours = adj[rid]
+            for other in shared:
+                if other != rid:
+                    count = neighbours.get(other, 0) + delta
+                    if count:
+                        neighbours[other] = count
+                    else:
+                        del neighbours[other]
+
+    def _grow_table(self) -> None:
+        """Double every column of the slot table."""
+        for name in ("_fres", "_rate", "_rem", "_anchor", "_seq", "_armed"):
+            old = getattr(self, name)
+            new = np.empty((2 * old.shape[0],) + old.shape[1:], dtype=old.dtype)
+            new[: old.shape[0]] = old
+            setattr(self, name, new)
+
+    def _new_resource(self, key: tuple, shared: bool) -> int:
+        if self._free_res:
+            rid = self._free_res.pop()
+            self._res_key[rid] = key
+        else:
+            rid = len(self._res_key)
+            self._res_key.append(key)
+        self._res_id[key] = rid
+        self._res_members[rid] = {}
+        if shared:
+            self._res_adj[rid] = {}
+        return rid
+
+    def _free_resource(self, rid: int) -> None:
+        """Recycle the id of a resource whose last member left."""
+        key = self._res_key[rid]
+        del self._res_id[key]
+        del self._res_members[rid]
+        self._res_key[rid] = None
+        self._free_res.append(rid)
+        self._res_adj.pop(rid, None)
+        self._dirty.discard(rid)
+        if key[0] == "out":
+            self._node_out.pop(key[1], None)
+        elif key[0] == "in":
+            self._node_in.pop(key[1], None)
+
+    def _detach(self, flow: Flow, aborted: bool) -> None:
+        """Drop *flow* from the slot table, the member and neighbour maps.
+
+        An aborted flow's rate leaves the maintained node aggregates
+        immediately (so node_load() observably drops right away) and the
+        resources it shared go dirty.  A flow finishing inside a pass
+        needs neither: that pass rebuilds the aggregates of every
+        resource it leaves members on, so no float drift accumulates.
         """
-        fid = flow.fid
-        rate = flow.rate
+        slot = flow._slot
+        rids = self._fres[slot].tolist()
+        self._link(rids, -1)
         members_map = self._res_members
-        for resource in flow._resources:
-            members = members_map.get(resource)
-            if members is not None:
-                members.pop(fid, None)
-                kind = resource[0]
-                if not members:
-                    del members_map[resource]
-                    if kind == "out":
-                        self._node_out[resource[1]] = 0.0
-                    elif kind == "in":
-                        self._node_in[resource[1]] = 0.0
-                elif rate != 0.0:
-                    if kind == "out":
-                        name = resource[1]
-                        self._node_out[name] = self._node_out.get(name, 0.0) - rate
-                    elif kind == "in":
-                        name = resource[1]
-                        self._node_in[name] = self._node_in.get(name, 0.0) - rate
-            if dirty:
-                self._dirty.add(resource)
+        for column, rid in enumerate(rids):
+            if rid < 0:
+                continue
+            members = members_map[rid]
+            del members[slot]
+            if not members:
+                self._free_resource(rid)
+            elif aborted and column < _SHARED_COLUMNS:
+                self._dirty.add(rid)
+        rate = self._rate.item(slot) if aborted else 0.0
+        if rate != 0.0:
+            # The pass that set the rate also stored these aggregates.
+            if rids[0] in members_map:
+                self._node_out[flow.src.name] -= rate
+            if rids[1] in members_map:
+                self._node_in[flow.dst.name] -= rate
+        self._slot_flow[slot] = None
+        self._free_slots.append(slot)
+        flow._slot = -1
 
     def _schedule_recompute(self) -> None:
         """Coalesce changes: at most one pass per granularity window."""
@@ -542,53 +717,42 @@ class FlowNetwork:
         self._recompute_pending = False
         self._reallocate()
 
-    def _resources_of(self, flow: Flow) -> List[tuple]:
-        resources: List[tuple] = [("out", flow.src.name), ("in", flow.dst.name)]
-        if (
-            flow.src.site != flow.dst.site
-            and self.backbone_capacity != float("inf")
-        ):
-            pair = tuple(sorted((flow.src.site, flow.dst.site)))
-            resources.append(("bb",) + pair)
-        if flow.rate_cap is not None:
-            resources.append(("cap", flow.fid))
-        return resources
-
-    def _capacity_of(self, resource: tuple, flow: Optional[Flow] = None) -> float:
-        kind = resource[0]
+    def _capacity_of(self, rid: int) -> float:
+        key = self._res_key[rid]
+        kind = key[0]
         if kind == "out":
-            node = self.nodes.get(resource[1])
-            return node.capacity_out if node is not None else float("inf")
+            return self.nodes[key[1]].capacity_out
         if kind == "in":
-            node = self.nodes.get(resource[1])
-            return node.capacity_in if node is not None else float("inf")
+            return self.nodes[key[1]].capacity_in
         if kind == "bb":
             return self.backbone_capacity
-        return flow.rate_cap if flow is not None else float("inf")
+        return self._flows[key[1]].rate_cap
 
-    def _collect_components(self) -> Tuple[List[Flow], Set[tuple]]:
-        """Expand the dirty-set to full connected component(s) of the
-        resource–flow bipartite graph (flows returned in fid order)."""
-        seen_res: Set[tuple] = set()
-        comp_flows: Dict[int, Flow] = {}
-        stack = list(self._dirty)
+    def _dirty_component_slots(self) -> List[int]:
+        """Slots of the connected component(s) of the resource–flow
+        bipartite graph that the dirty-set touches.
+
+        The walk is over *resources*: two resources are neighbours when
+        a flow uses both.  Every flow has exactly one uplink, so the
+        member slots of the reached uplinks are the component's flows,
+        each once.
+        """
+        adj = self._res_adj
+        seen = set(self._dirty)
+        frontier = seen
+        while frontier:
+            reached: Set[int] = set()
+            for rid in frontier:
+                reached.update(adj[rid])
+            frontier = reached - seen
+            seen |= frontier
+        keys = self._res_key
         members_map = self._res_members
-        while stack:
-            resource = stack.pop()
-            if resource in seen_res:
-                continue
-            seen_res.add(resource)
-            members = members_map.get(resource)
-            if not members:
-                continue
-            for fid, flow in members.items():
-                if fid not in comp_flows:
-                    comp_flows[fid] = flow
-                    for other in flow._resources:
-                        if other not in seen_res:
-                            stack.append(other)
-        flows = [comp_flows[fid] for fid in sorted(comp_flows)]
-        return flows, seen_res
+        slots: List[int] = []
+        for rid in seen:
+            if keys[rid][0] == "out":
+                slots.extend(members_map[rid])
+        return slots
 
     def _reallocate(self) -> None:
         """One water-filling pass over the dirty component(s)."""
@@ -599,192 +763,182 @@ class FlowNetwork:
         if metrics is not None:
             metrics.counter("net.reallocations").inc()
             metrics.sample("net.active_flows", len(self._flows))
-        if self.incremental and not self._dirty_all:
-            comp_flows, comp_res = self._collect_components()
+        # Flows that are done get reaped in fid order by a component
+        # pass and in admission order by a global one.
+        by_fid = self.incremental and not self._dirty_all
+        if by_fid:
+            slots = self._dirty_component_slots()
         else:
-            comp_flows = list(self._flows.values())
-            comp_res = None
+            slots = [flow._slot for flow in self._flows.values()]
         self._dirty.clear()
         self._dirty_all = False
-
-        # Reap already-finished flows first (fid order: deterministic).
-        live: List[Flow] = []
-        for flow in comp_flows:
-            if flow._remaining_at(now) <= _EPSILON:
-                self._finish(flow)
-            else:
-                live.append(flow)
-        self.realloc_flow_slots += len(live)
-
-        if live:
-            rates = self._waterfill(live)
-            heap = self._completion_heap
-            for i, flow in enumerate(live):
-                new_rate = float(rates[i])
-                if new_rate != flow.rate:
-                    # Rate change: re-anchor progress at the old rate,
-                    # then project the new completion time.
-                    rem = flow._remaining_at(now)
-                    flow._rem = rem
-                    flow._anchor = now
-                    flow.rate = new_rate
-                    flow._epoch += 1
-                    if new_rate > 0.0:
-                        eta = now + rem / new_rate
-                        flow._eta = eta
-                        heapq.heappush(heap, (eta, flow.fid, flow._epoch))
-                    else:
-                        flow._eta = None
-                elif flow._eta is None and flow.rate > 0.0:
-                    # The timer popped this flow as due, but float drift
-                    # left a sliver of bytes: re-anchor for a fresh ETA.
-                    rem = flow._remaining_at(now)
-                    flow._rem = rem
-                    flow._anchor = now
-                    flow._epoch += 1
-                    eta = now + rem / flow.rate
-                    flow._eta = eta
-                    heapq.heappush(heap, (eta, flow.fid, flow._epoch))
-
-        self._rebuild_node_rates(comp_res)
+        if len(slots) > _SCALAR_WATERFILL_MAX:
+            self._pass_array(slots, now, by_fid)
+        elif slots:
+            self._pass_scalar(slots, now, by_fid)
         self._arm_timer()
 
-    def _rebuild_node_rates(self, comp_res: Optional[Set[tuple]]) -> None:
-        """Refresh maintained aggregates for the recomputed resources.
+    def _pass_scalar(self, slots: List[int], now: float, by_fid: bool) -> None:
+        """Reap, solve and re-rate a small component with plain loops."""
+        slot_flow = self._slot_flow
+        flows = [slot_flow[slot] for slot in slots]
+        if by_fid:
+            flows.sort(key=_by_fid)
 
-        Untouched resources keep their previous sums, which are exact:
-        neither their member sets nor any member's rate changed.
-        """
-        resources = comp_res if comp_res is not None else list(self._res_members)
-        members_map = self._res_members
-        for resource in resources:
-            kind = resource[0]
-            if kind != "out" and kind != "in":
-                continue
-            members = members_map.get(resource)
-            if not members:
-                continue  # emptied resources were zeroed by _detach
-            total = 0.0
-            for flow in members.values():
-                total += flow.rate
-            if kind == "out":
-                self._node_out[resource[1]] = total
+        # Reap already-finished flows first (deterministic order).
+        live: List[Tuple[Flow, int, float]] = []
+        for flow in flows:
+            slot = flow._slot
+            rem = self._remaining_at(slot, now)
+            if rem <= _EPSILON:
+                self._finish(flow)
             else:
-                self._node_in[resource[1]] = total
+                live.append((flow, slot, rem))
+        self.realloc_flow_slots += len(live)
+        if not live:
+            return
 
-    # -- water-filling solver -------------------------------------------------
-    def _waterfill(self, flows: List[Flow]):
-        """Max-min fair rates for *flows* (a bottleneck-closed set).
-
-        Returns a sequence of rates aligned with *flows*.  The caller
-        guarantees closure: every member of every resource any of these
-        flows touches is itself in *flows* (true both for a connected
-        component and for the full active set).
-        """
-        res_index: Dict[tuple, int] = {}
+        res_index: Dict[int, int] = {}
         caps: List[float] = []
         members: List[List[int]] = []
         flow_res: List[List[int]] = []
-        for i, flow in enumerate(flows):
+        for i, (_flow, slot, _rem) in enumerate(live):
             local: List[int] = []
-            for resource in flow._resources:
-                j = res_index.get(resource)
+            for rid in self._fres[slot].tolist():
+                if rid < 0:
+                    continue
+                j = res_index.get(rid)
                 if j is None:
                     j = len(caps)
-                    res_index[resource] = j
-                    caps.append(self._capacity_of(resource, flow))
+                    res_index[rid] = j
+                    caps.append(self._capacity_of(rid))
                     members.append([])
                 members[j].append(i)
                 local.append(j)
             flow_res.append(local)
-        if len(flows) <= _SCALAR_WATERFILL_MAX:
-            return _waterfill_scalar(caps, members, flow_res, len(flows))
-        return self._waterfill_vector(caps, members, flow_res, len(flows))
+        new_rates = _waterfill_scalar(caps, members, flow_res, len(live))
 
-    def _scratch(self, name: str, rows: int, dtype, cols: int = 0) -> np.ndarray:
-        """A reusable scratch array of at least *rows* rows (view-sliced)."""
-        buf = self._np_bufs.get(name)
-        if buf is None or buf.shape[0] < rows:
-            cap = 64
-            while cap < rows:
-                cap <<= 1
-            buf = np.empty((cap, cols) if cols else (cap,), dtype=dtype)
-            self._np_bufs[name] = buf
-        return buf[:rows]
+        heap = self._completion_heap
+        rate_at = self._rate.item
+        armed_at = self._armed.item
+        rate_of: Dict[int, float] = {}
+        for (flow, slot, rem), new_rate in zip(live, new_rates):
+            rate_of[slot] = new_rate
+            rate = rate_at(slot)
+            # A rate change re-anchors progress at the old rate and
+            # projects the new completion time.  So does an unchanged
+            # rate without a live heap entry: the timer popped this flow
+            # as due, but float drift left a sliver of bytes.
+            if new_rate != rate or (rate > 0.0 and not armed_at(slot)):
+                self._rem[slot] = rem
+                self._anchor[slot] = now
+                self._rate[slot] = new_rate
+                flow._epoch += 1
+                self._armed[slot] = new_rate > 0.0
+                if new_rate > 0.0:
+                    heapq.heappush(heap, (now + rem / new_rate, flow.fid, flow._epoch))
 
-    def _waterfill_vector(
-        self,
-        caps: List[float],
-        members: List[List[int]],
-        flow_res: List[List[int]],
-        flow_count: int,
-    ) -> np.ndarray:
-        """Vectorized water-filling (large components)."""
-        res_count = len(caps)
-        remaining = self._scratch("wf_remaining", res_count, float)
-        remaining[:] = caps
-        counts = self._scratch("wf_counts", res_count, float)
-        counts[:] = [float(len(m)) for m in members]
-        shares = self._scratch("wf_shares", res_count, float)
-        rates = self._scratch("wf_rates", flow_count, float)
-        rates.fill(0.0)
-        frozen = self._scratch("wf_frozen", flow_count, bool)
-        frozen.fill(False)
-        freeze_mask = self._scratch("wf_freeze", flow_count, bool)
-        fres = self._scratch("wf_flow_res", flow_count, np.intp, cols=4)
-        fres.fill(-1)
-        for i, local in enumerate(flow_res):
-            for k, j in enumerate(local):
-                fres[i, k] = j
+        # Node aggregates: untouched resources keep their sums, which
+        # are exact — neither their members nor any member's rate changed.
+        keys = self._res_key
+        for rid in res_index:
+            key = keys[rid]
+            kind = key[0]
+            if kind == "out" or kind == "in":
+                total = 0.0
+                for slot in self._res_members[rid]:
+                    total += rate_of[slot]
+                if kind == "out":
+                    self._node_out[key[1]] = total
+                else:
+                    self._node_in[key[1]] = total
 
-        active_res = counts > 0
-        while active_res.any():
-            shares.fill(np.inf)
-            np.divide(remaining, counts, out=shares, where=active_res)
-            share = float(shares.min())
-            if not np.isfinite(share):
-                # Only infinite-capacity resources left: unconstrained.
-                rates[~frozen] = 1e12
-                break
-            share = max(share, 0.0)
-            # Freeze every resource tied at the minimum share in one pass.
-            # If r has share s and k of its flows freeze at s, its share
-            # stays exactly s — so batching ties equals the sequential
-            # algorithm while collapsing symmetric topologies (e.g. 60
-            # equally-loaded provider NICs) into a single round.
-            tolerance = share * 1e-9 + 1e-15
-            bottlenecks = np.flatnonzero(shares <= share + tolerance)
-            freeze_mask.fill(False)
-            for bottleneck in bottlenecks:
-                freeze_mask[members[bottleneck]] = True
-            freeze_mask &= ~frozen
-            to_freeze = np.flatnonzero(freeze_mask)
-            if to_freeze.size:
-                rates[to_freeze] = share
-                frozen[to_freeze] = True
-                touched = fres[to_freeze].ravel()
-                touched = touched[touched >= 0]
-                np.subtract.at(remaining, touched, share)
-                np.maximum(remaining, 0.0, out=remaining)
-                np.add.at(counts, touched, -1)
-            counts[bottlenecks] = 0
-            active_res = counts > 0
-        return rates
+    def _pass_array(self, slot_list: List[int], now: float, by_fid: bool) -> None:
+        """Reap, solve and re-rate a component on the table's columns."""
+        slots = np.array(slot_list, dtype=np.intp)
+        slots = slots[np.argsort(self._seq[slots])]  # admission order
+        rate = self._rate[slots]
+        rem = self._rem[slots]
+        proj = rem - rate * (now - self._anchor[slots])
+        proj = np.where(rate <= 0.0, rem, np.where(proj > 0.0, proj, 0.0))
+
+        # Reap already-finished flows first (deterministic order).
+        done = proj <= _EPSILON
+        if done.any():
+            finishing = [self._slot_flow[slot] for slot in slots[done].tolist()]
+            if by_fid:
+                finishing.sort(key=_by_fid)
+            for flow in finishing:
+                self._finish(flow)
+            live = ~done
+            slots, rate, proj = slots[live], rate[live], proj[live]
+        self.realloc_flow_slots += slots.size
+        if not slots.size:
+            return
+
+        # Component-local resource indices; the table's -1 ("no such
+        # resource") indexes the extra last element of each lookup.
+        fres = self._fres[slots]
+        present = np.zeros(len(self._res_key) + 1, dtype=bool)
+        present[fres] = True
+        present[-1] = False
+        used = np.flatnonzero(present)
+        local = np.empty(present.shape[0], dtype=np.intp)
+        local[used] = np.arange(used.size)
+        local[-1] = used.size
+        loc = local[fres]
+        rids = used.tolist()
+        caps = [self._capacity_of(rid) for rid in rids]
+        caps.append(math.inf)
+        new_rate = _waterfill_array(loc, np.array(caps))
+
+        # A rate change re-anchors progress at the old rate and projects
+        # the new completion time.  So does an unchanged rate without a
+        # live heap entry: the timer popped that flow as due, but float
+        # drift left a sliver of bytes.
+        changed = new_rate != rate
+        changed |= ~self._armed[slots] & (rate > 0.0)
+        changed = np.flatnonzero(changed)
+        if changed.size:
+            at = slots[changed]
+            rems = proj[changed]
+            rates = new_rate[changed]
+            self._rem[at] = rems
+            self._anchor[at] = now
+            self._rate[at] = rates
+            positive = rates > 0.0
+            self._armed[at] = positive
+            with np.errstate(divide="ignore", invalid="ignore"):
+                etas = now + rems / rates
+            heap = self._completion_heap
+            slot_flow = self._slot_flow
+            for slot, push, eta in zip(at.tolist(), positive.tolist(), etas.tolist()):
+                flow = slot_flow[slot]
+                flow._epoch += 1
+                if push:
+                    heapq.heappush(heap, (eta, flow.fid, flow._epoch))
+
+        # Node aggregates, summed per resource in admission order.
+        totals = np.bincount(
+            loc.ravel(), weights=np.repeat(new_rate, _RES_COLUMNS),
+            minlength=len(caps),
+        ).tolist()
+        keys = self._res_key
+        for rid, total in zip(rids, totals):
+            key = keys[rid]
+            if key[0] == "out":
+                self._node_out[key[1]] = total
+            elif key[0] == "in":
+                self._node_in[key[1]] = total
 
     def _finish(self, flow: Flow) -> None:
         self._flows.pop(flow.fid, None)
-        self._detach(flow, dirty=False)
+        self._detach(flow, aborted=False)
         self._delivered_done += flow.size
         now = self.env.now
         flow._rem = 0.0
-        flow._anchor = now
-        flow.rate = 0.0
-        flow._epoch += 1
-        flow._eta = None
         flow.finished_at = now
-        if flow._span is not None:
-            flow._span.finish()
-            flow._span = None
+        self._close_span(flow)
         metrics = self.env.metrics
         if metrics is not None:
             metrics.counter("net.flows_completed").inc()
@@ -821,10 +975,9 @@ class FlowNetwork:
             flow = flows.get(fid)
             if flow is None or flow._epoch != epoch:
                 continue
-            flow._eta = None
             due = True
-            for resource in flow._resources:
-                self._dirty.add(resource)
+            self._armed[flow._slot] = False
+            self._dirty.add(self._fres.item(flow._slot, 0))
         if due:
             self._reallocate()
         else:  # pragma: no cover - defensive; valid timers imply due flows
@@ -837,16 +990,69 @@ class FlowNetwork:
 
     def node_flow_count(self, name: str) -> int:
         """Number of active flows touching node *name* (O(node degree))."""
-        out = self._res_members.get(("out", name))
-        inbound = self._res_members.get(("in", name))
-        if out is None:
-            return len(inbound) if inbound is not None else 0
-        if inbound is None:
-            return len(out)
+        out = self._members_of(("out", name))
+        inbound = self._members_of(("in", name))
         return len(out.keys() | inbound.keys())
 
     def active_flow_count(self) -> int:
         return len(self._flows)
+
+
+# -- water-filling solvers ------------------------------------------------------
+#
+# Both take a bottleneck-closed flow set: every member of every resource
+# any of the flows touches is itself in the set (true both for connected
+# components and for the full active set).
+
+
+def _waterfill_array(loc: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """Max-min fair rates on arrays (large components).
+
+    ``loc[i]`` are the resource indices of flow *i*, padded with the
+    index of the last element of *remaining* — a dummy resource of
+    infinite capacity that no flow counts against.  *remaining* starts
+    as the capacities and is consumed.
+    """
+    flow_count = loc.shape[0]
+    dummy = remaining.shape[0] - 1
+    counts = np.bincount(loc.ravel(), minlength=dummy + 1).astype(float)
+    counts[dummy] = 0.0
+    shares = np.empty(dummy + 1)
+    rates = np.zeros(flow_count)
+    frozen = np.zeros(flow_count, dtype=bool)
+
+    active = counts > 0
+    while active.any():
+        shares.fill(np.inf)
+        np.divide(remaining, counts, out=shares, where=active)
+        share = float(shares.min())
+        if not math.isfinite(share):
+            # Only infinite-capacity resources left: unconstrained.
+            rates[~frozen] = 1e12
+            break
+        share = max(share, 0.0)
+        # Freeze every resource tied at the minimum share in one pass.
+        # If r has share s and k of its flows freeze at s, its share
+        # stays exactly s — so batching ties equals the sequential
+        # algorithm while collapsing symmetric topologies (e.g. 60
+        # equally-loaded provider NICs) into a single round.
+        tolerance = share * 1e-9 + 1e-15
+        bottleneck = shares <= share + tolerance
+        freeze = bottleneck[loc].any(axis=1)
+        freeze &= ~frozen
+        to_freeze = np.flatnonzero(freeze)
+        if to_freeze.size:
+            rates[to_freeze] = share
+            frozen[to_freeze] = True
+            touched = loc[to_freeze].ravel()
+            touched = touched[touched != dummy]
+            np.subtract.at(remaining, touched, share)
+            np.maximum(remaining, 0.0, out=remaining)
+            # Member counts are small integers: exact in any order.
+            counts -= np.bincount(touched, minlength=dummy + 1)
+        counts[bottleneck] = 0.0
+        active = counts > 0
+    return rates
 
 
 def _waterfill_scalar(
@@ -855,12 +1061,12 @@ def _waterfill_scalar(
     flow_res: List[List[int]],
     flow_count: int,
 ) -> List[float]:
-    """Scalar water-filling, bit-identical to :meth:`_waterfill_vector`.
+    """Scalar water-filling, bit-identical to :func:`_waterfill_array`.
 
     Every float operation (division order, tie tolerance, subtraction
-    sequence, late clamping) mirrors the vectorized path exactly, so the
+    sequence, late clamping) mirrors the array solver exactly, so the
     small-component fast path cannot perturb simulated results.  The
-    property suite cross-checks the two paths on random inputs.
+    property suite cross-checks the two on random inputs.
     """
     inf = float("inf")
     res_count = len(caps)
@@ -903,7 +1109,7 @@ def _waterfill_scalar(
                 remaining[j] -= share
                 counts[j] -= 1.0
         # Clamp only after the whole round's subtractions, matching the
-        # vectorized np.maximum(remaining, 0) placement.
+        # array solver's np.maximum(remaining, 0) placement.
         for i in to_freeze:
             for j in flow_res[i]:
                 if remaining[j] < 0.0:

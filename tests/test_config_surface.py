@@ -15,6 +15,8 @@ import inspect
 from pathlib import Path
 
 from repro.blobseer import BlobSeerConfig
+from repro.cluster import TestbedConfig
+from repro.simulation import FlowNetwork
 from repro.workloads import scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,15 @@ def test_the_surface_is_the_documented_size():
     assert len(surface["BlobSeerConfig"]) == 17
     builder_params = sum(len(p) for n, p in surface.items() if n != "BlobSeerConfig")
     assert builder_params <= 85
+
+
+def test_the_flow_network_takes_no_solver_knob():
+    """The slot table replaced the list-building vector solver in place:
+    no parameter selects a solver, a threshold or a table size."""
+    assert list(inspect.signature(FlowNetwork.__init__).parameters) == [
+        "self", "env", "latency", "backbone_capacity",
+        "recompute_granularity_s", "incremental"]
+    assert [f.name for f in dataclasses.fields(TestbedConfig)] == [
+        "seed", "sites", "nic_in_mbps", "nic_out_mbps", "cores", "memory_mb",
+        "disk_mb", "latency_local_s", "latency_cross_s", "backbone_mbps",
+        "rate_granularity_s", "incremental_fairness"]

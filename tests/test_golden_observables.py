@@ -21,10 +21,18 @@ and its timelines.  They were captured at commit b090b28 from the
 in-place engine implementations that the decision-framework engines
 replaced, in the worlds (and seeds) the twin-run tests of that commit
 compared the two copies on.
+
+``KERNEL_GOLDEN`` pins the flow network alone on a component far above
+the scalar/array dispatch threshold: the completion log (who finished
+or was aborted, when), the pass count and the solver workload of 600
+concurrent flows in one component.  Captured at commit e003b2c, the
+parent of the array-resident flow table, from the list-building
+vector solver that table replaced.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -32,6 +40,7 @@ from repro.adaptation import ElasticityController, ReplicationManager
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import FaultInjector, TestbedConfig
 from repro.introspection import DecisionJournal
+from repro.simulation import Environment, FlowNetwork, NetNode
 from repro.telemetry import MetricsRegistry
 from repro.workloads import (
     CorrectWriter,
@@ -246,6 +255,61 @@ def security(seed):
     })
 
 
+def _one_component(flows) -> bool:
+    """Union-find over the (uplink, downlink) pairs of *flows*."""
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for flow in flows:
+        root[find(("out", flow.src.name))] = find(("in", flow.dst.name))
+    return len({find(x) for x in root}) == 1
+
+
+def big_component(seed):
+    """600 flows between 24 sources and 20 sinks on two sites: one
+    connected component, with per-flow caps, a shared backbone, a
+    mid-run abort wave and a node removal."""
+    rng = random.Random(seed)
+    env = Environment()
+    net = FlowNetwork(env, latency=0.0005, backbone_capacity=900.0)
+    sources = [f"s{i}" for i in range(24)]
+    sinks = [f"d{i}" for i in range(20)]
+    for i, name in enumerate(sources):
+        net.add_node(NetNode(name, capacity_out=rng.choice([80.0, 125.0, 200.0]),
+                             site=f"site-{i % 2}"))
+    for i, name in enumerate(sinks):
+        net.add_node(NetNode(name, capacity_in=rng.choice([60.0, 125.0]),
+                             site=f"site-{i % 2}"))
+    net.completion_log = []
+    peak = []
+
+    def starter(env):
+        for k in range(600):
+            net.transfer(sources[k % 24], rng.choice(sinks),
+                         size=rng.uniform(40.0, 400.0),
+                         rate_cap=rng.choice([None, None, None, 2.0, 9.0]),
+                         tag=f"t{k % 7}").defused()
+            if k % 50 == 49:
+                yield env.timeout(0.01)
+        peak.append(net.active_flow_count())
+        assert _one_component(net.flows)
+        yield env.timeout(5.0)
+        net.abort_matching(lambda f: f.tag == "t3", reason="wave")
+        yield env.timeout(5.0)
+        net.remove_node("d7")
+
+    env.process(starter(env))
+    env.run()
+    assert peak[0] >= 500
+    return _sha({"log": net.completion_log, "end": env.now,
+                 "reallocations": net.reallocations,
+                 "flow_slots": net.realloc_flow_slots})
+
+
 SCENARIOS = {
     "fanout": fanout,
     "disturbance": disturbance,
@@ -292,6 +356,17 @@ ENGINE_GOLDEN = {
 }
 
 
+KERNEL_GOLDEN = {
+    0: "afe874c0c25f79b087201cf79cdc81436cc0a1d4c37bf802b9c22dde014ef8d6",
+    7: "87f0738b9b5f2b289d1a90907e1148442d18f0c591eea0ed5c290fc9b65a22f2",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_big_component_matches_frozen_digest(seed):
+    assert big_component(seed) == KERNEL_GOLDEN[seed]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outcome_matches_frozen_digest(name, seed):
@@ -310,3 +385,5 @@ if __name__ == "__main__":
             print(f'    ("{name}", {seed}): "{SCENARIOS[name](seed)}",')
     for name, (world, seed) in sorted(ENGINE_WORLDS.items()):
         print(f'    "{name}": "{world(seed)}",')
+    for seed in SEEDS:
+        print(f'    {seed}: "{big_component(seed)}",')

@@ -339,7 +339,12 @@ def test_node_flow_count_counts_loopback_once():
 # -- incremental vs full recomputation equivalence ----------------------------
 
 def _run_random_mesh(incremental, scalar_max=None, seed=1234):
-    """A churny multi-component scenario; returns exact observables."""
+    """A churny multi-component scenario; returns exact observables.
+
+    *scalar_max* replaces ``_SCALAR_WATERFILL_MAX``, the component size
+    up to which a pass (reap, build, solve, diff, aggregates) runs as
+    plain loops: ``0`` sends every pass down the array pass, a huge
+    value every pass down the scalar one."""
     import random as _random
 
     from repro.simulation import network as network_module
@@ -361,41 +366,143 @@ def _run_random_mesh(incremental, scalar_max=None, seed=1234):
             nodes.append(name)
         net.completion_log = []
         dones = []
+        loads = []
 
         def starter(env):
-            for _ in range(40):
+            for k in range(120):
                 src, dst = rng.sample(nodes, 2)
                 cap = rng.choice([None, None, 30.0])
                 done = net.transfer(src, dst, size=rng.uniform(5.0, 80.0),
                                     rate_cap=cap)
                 dones.append(done)
-                yield env.timeout(rng.uniform(0.0, 0.3))
+                if k % 3 == 0:
+                    yield env.timeout(rng.uniform(0.0, 0.3))
+                    loads.append([net.node_load(name) for name in nodes])
+                if k % 40 == 39:
+                    victim = rng.choice(net.flows)
+                    victim.done.defused()
+                    net.abort(victim, reason="churn")
 
         env.process(starter(env))
-        env.run(until=env.all_of(dones) if dones else None)
         env.run()
         return (env.now, net.total_delivered, net.reallocations,
-                env.events_processed, list(net.completion_log))
+                net.realloc_flow_slots,
+                env.events_processed, loads, list(net.completion_log))
     finally:
         if scalar_max is not None:
             network_module._SCALAR_WATERFILL_MAX = old_max
 
 
-def test_incremental_matches_full_bit_identical():
+def _without_slots(observables):
+    """Full and incremental passes consider different slot counts."""
+    return observables[:3] + observables[4:]
+
+
+@pytest.mark.parametrize("scalar_max", [None, 0])
+def test_incremental_matches_full_bit_identical(scalar_max):
     # Same seed, both recomputation modes: every completion instant, the
-    # pass count, the kernel event count and delivered bytes must match
-    # *exactly* (==, not approx) — the optimization is invisible.
+    # pass count, the kernel event count, the sampled node loads and the
+    # delivered bytes must match *exactly* (==, not approx) — the
+    # optimization is invisible.  Once with the usual dispatch and once
+    # with every pass forced down the array pass.
     for seed in (7, 99):
-        assert _run_random_mesh(True, seed=seed) == _run_random_mesh(False, seed=seed)
+        incremental = _run_random_mesh(True, scalar_max, seed=seed)
+        full = _run_random_mesh(False, scalar_max, seed=seed)
+        assert _without_slots(incremental) == _without_slots(full)
 
 
-def test_scalar_and_vector_waterfill_bit_identical():
-    # Force every pass down the scalar path vs. every pass down the
-    # numpy path: simulated results must agree bit-for-bit.
+def test_scalar_and_array_pass_bit_identical():
+    # Force every pass down the scalar pass vs. every pass down the
+    # array pass: simulated results must agree bit-for-bit, and so must
+    # the solver workload (same components, same flows).
     for seed in (3, 42):
         scalar = _run_random_mesh(True, scalar_max=10**9, seed=seed)
-        vector = _run_random_mesh(True, scalar_max=0, seed=seed)
-        assert scalar == vector
+        array = _run_random_mesh(True, scalar_max=0, seed=seed)
+        assert scalar == array
+        assert len(scalar[-1]) == 120
+
+
+# -- an endpoint that dies during the propagation delay (bugfix) --------------
+
+def _send_then_remove(blackhole, readd=False):
+    env = Environment()
+    net = make_net(env, latency=0.25)
+    net.blackhole_missing = blackhole
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    net.completion_log = []
+    done = net.transfer("a", "b", 100.0)
+    done.defused()
+
+    def crash(env):
+        yield env.timeout(0.1)
+        net.remove_node("b")
+        if readd:
+            net.add_node(NetNode("b"))  # "recovered" with a fresh NIC
+
+    env.process(crash(env))
+    env.run()
+    return env, net, done
+
+
+@pytest.mark.parametrize("readd", [False, True])
+def test_flow_is_not_admitted_onto_a_node_that_died_while_it_propagated(readd):
+    # The payload used to "arrive" at the dead host, limited only by the
+    # sender's uplink, and resurrect the node's aggregate entry.
+    env, net, done = _send_then_remove(blackhole=False, readd=readd)
+    assert done.triggered and not done.ok
+    assert isinstance(done.value, TransferAborted)
+    assert "node b removed" in done.value.reason
+    assert net.completion_log == [("abort", 1, 0.25)]
+    assert net.reallocations == 0 and net.total_delivered == 0.0
+    assert not net._res_members and not net._node_in and not net._node_out
+    assert net.node_load("b") == (0.0, 0.0)
+
+
+def test_flow_to_a_node_that_died_while_it_propagated_is_blackholed_when_enabled():
+    env, net, done = _send_then_remove(blackhole=True)
+    assert not done.triggered
+    assert net.blackholed_transfers == 1
+    assert net.completion_log == [] and net.active_flow_count() == 0
+    assert not net._res_members and not net._node_in
+
+
+# -- bounded tables: slots and resource ids are recycled ----------------------
+
+def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
+    env = Environment()
+    net = make_net(env, latency=0.0005, backbone_capacity=500.0)
+    lanes = 8
+    for i in range(lanes):
+        net.add_node(NetNode(f"s{i}", site=f"site-{i % 2}"))
+        net.add_node(NetNode(f"d{i}", site=f"site-{(i + 1) % 2}"))
+    high_water = {"slots": 0, "columns": 0, "resources": 0}
+
+    def lane(env, i):
+        for k in range(10_000 // lanes):
+            yield net.transfer(f"s{i}", f"d{(i + k) % lanes}", size=1.0 + k % 3,
+                               rate_cap=40.0)
+            high_water["slots"] = max(high_water["slots"], len(net._slot_flow))
+            high_water["columns"] = max(high_water["columns"], len(net._rate))
+            high_water["resources"] = max(high_water["resources"],
+                                          len(net._res_key))
+
+    for i in range(lanes):
+        env.process(lane(env, i))
+    env.run()
+    assert net.active_flow_count() == 0 and net.total_delivered > 10_000
+    # Each flow holds one slot and at most four resources (uplink,
+    # downlink, the one backbone, its private cap).
+    assert high_water["slots"] <= lanes
+    assert high_water["columns"] <= 4 * lanes
+    assert high_water["resources"] <= 4 * lanes
+    assert len(net._free_slots) == len(net._slot_flow)
+    assert len(net._free_res) == len(net._res_key)
+    # Drained: no incidence, adjacency or aggregate entry is left.
+    for table in (net._res_members, net._res_adj, net._res_id, net._dirty,
+                  net._node_out, net._node_in, net._flows):
+        assert not table
+    assert not any(net._slot_flow) and not any(net._res_key)
 
 
 # -- zero-payload control messages: one kernel event, every fault still applies -

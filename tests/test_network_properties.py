@@ -11,6 +11,8 @@ Invariants checked over randomized topologies and flow sets:
 5. **Determinism**: same inputs, same completion times.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,3 +163,108 @@ def test_granularity_preserves_totals():
     exact = run(0.0)
     coarse = run(0.05)
     assert coarse == pytest.approx(exact, abs=0.2)
+
+
+# -- rates after every pass equal a textbook water-filling reference ----------
+
+def reference_rates(paths, capacity):
+    """Textbook progressive filling.  *paths*: flow -> its resources;
+    *capacity*: resource -> MB/s.  Saturate the resource with the
+    smallest fair share, fix its flows at that share, repeat."""
+    remaining = dict(capacity)
+    users = {resource: set() for resource in capacity}
+    for flow, path in paths.items():
+        for resource in path:
+            users[resource].add(flow)
+    rates = {}
+    while any(users.values()):
+        bottleneck = min((r for r in users if users[r]),
+                         key=lambda r: remaining[r] / len(users[r]))
+        share = remaining[bottleneck] / len(users[bottleneck])
+        for flow in list(users[bottleneck]):
+            rates[flow] = share
+            for resource in paths[flow]:
+                remaining[resource] -= share
+                users[resource].discard(flow)
+    return rates
+
+
+def _paths_and_capacities(net):
+    paths, capacity = {}, {}
+    for flow in net.flows:
+        path = [("out", flow.src.name), ("in", flow.dst.name)]
+        capacity[path[0]] = flow.src.capacity_out
+        capacity[path[1]] = flow.dst.capacity_in
+        if flow.src.site != flow.dst.site:
+            path.append(("bb",))
+            capacity[path[-1]] = net.backbone_capacity
+        if flow.rate_cap is not None:
+            path.append(("cap", flow.fid))
+            capacity[path[-1]] = flow.rate_cap
+        paths[flow.fid] = path
+    return paths, capacity
+
+
+@st.composite
+def churny_worlds(draw):
+    node_count = draw(st.integers(3, 12))
+    nodes = [
+        (draw(st.sampled_from([50.0, 100.0, 125.0, 200.0])),
+         draw(st.sampled_from([50.0, 100.0, 125.0, 200.0])),
+         draw(st.integers(0, 1)))
+        for _ in range(node_count)
+    ]
+    flow_count = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**16))
+    incremental = draw(st.booleans())
+    return nodes, flow_count, seed, incremental
+
+
+@settings(max_examples=25, deadline=None)
+@given(world=churny_worlds())
+def test_rates_after_every_pass_match_textbook_waterfilling(world):
+    """Up to 200 flows with caps and a backbone, aborts and node removals
+    mid-run: after each pass every active flow has its max-min rate, and
+    the node aggregates are the sums of those rates."""
+    nodes, flow_count, seed, incremental = world
+    rng = random.Random(seed)
+    env = Environment()
+    net = FlowNetwork(env, latency=0.001, backbone_capacity=300.0,
+                      incremental=incremental)
+    for i, (cin, cout, site) in enumerate(nodes):
+        net.add_node(NetNode(f"n{i}", capacity_out=cout, capacity_in=cin,
+                             site=f"site-{site}"))
+    checked = []
+    solve = net._reallocate
+
+    def solve_and_check():
+        solve()
+        paths, capacity = _paths_and_capacities(net)
+        expected = reference_rates(paths, capacity)
+        for flow in net.flows:
+            assert flow.rate == pytest.approx(expected[flow.fid], rel=1e-9)
+        for name in net.nodes:
+            out_rate = sum(f.rate for f in net.flows if f.src.name == name)
+            in_rate = sum(f.rate for f in net.flows if f.dst.name == name)
+            assert net.node_load(name) == pytest.approx((out_rate, in_rate))
+        checked.append(len(paths))
+
+    net._reallocate = solve_and_check
+
+    def driver(env):
+        for k in range(flow_count):
+            alive = sorted(net.nodes)
+            src, dst = rng.sample(alive, 2)
+            net.transfer(src, dst, size=rng.choice([5.0, 20.0, 60.0]),
+                         rate_cap=rng.choice([None, None, 7.0, 40.0])).defused()
+            if rng.random() < 0.3:
+                yield env.timeout(rng.choice([0.0005, 0.05, 0.4]))
+            if rng.random() < 0.04 and net.flows:
+                net.abort(rng.choice(net.flows), reason="churn")
+            if rng.random() < 0.02 and len(net.nodes) > 3:
+                net.remove_node(rng.choice(alive))
+
+    env.process(driver(env))
+    env.run()
+    assert net.active_flow_count() == 0 and not net._res_members
+    assert checked
