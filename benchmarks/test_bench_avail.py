@@ -28,6 +28,11 @@ from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.blobseer.errors import BlobSeerError
 from repro.cluster import FaultInjector, NodeDownError, TestbedConfig
 from repro.robustness import ChaosHarness
+from repro.robustness.replication import (
+    CONFIRM_MISSES,
+    DETECT_PERIOD_S,
+    DETECT_TIMEOUT_S,
+)
 from repro.simulation.network import TransferAborted
 
 SEED = 61
@@ -37,9 +42,6 @@ RECOVER_AFTER = 30.0
 MAX_CRASHES = 3
 LOAD_STOP = 120.0
 SETTLE_S = 40.0
-DETECT_TIMEOUT_S = 3.0
-DETECT_PERIOD_S = 1.0
-CONFIRM_MISSES = 2
 
 
 def run_soak(replicated: bool):

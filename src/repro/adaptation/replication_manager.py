@@ -244,17 +244,15 @@ class ReplicationManager(DecisionLoop):
               target: DataProvider, kind: str):
         try:
             done = target.ingest(source.node, descriptor, client_id=None)
-            if self.repair_timeout_s is not None:
-                # A dead-but-undetected source black-holes the copy;
-                # give up after the bound and let a later sweep retry
-                # from a (by then better-informed) replica choice.
-                value = yield from wait_or_timeout(
-                    self.env, done, self.repair_timeout_s
-                )
-                if value is TIMED_OUT:
-                    return
-            else:
-                yield done
+            # A dead-but-undetected source black-holes the copy; with a
+            # bound set (None waits unboundedly), give up after it and
+            # let a later sweep retry from a (by then better-informed)
+            # replica choice.
+            value = yield from wait_or_timeout(
+                self.env, done, self.repair_timeout_s
+            )
+            if value is TIMED_OUT:
+                return
         except Exception:
             return
         finally:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cluster.node import NodeDownError, PhysicalNode
+from ..cluster.node import PhysicalNode
 from .allocation import AllocationStrategy, RoundRobinAllocation
 from .errors import NoProvidersAvailable, NotActivePrimary
 from .instrument import (
@@ -25,13 +25,7 @@ from .instrument import (
     NullSink,
 )
 from .provider import DataProvider
-from .rpc import (
-    CONTROL_MSG_MB,
-    TIMED_OUT,
-    make_timeout_error,
-    wait_or_timeout,
-    with_retries,
-)
+from .rpc import CONTROL_MSG_MB, RoundTrip, with_retries
 
 __all__ = ["ProviderManager"]
 
@@ -155,18 +149,20 @@ class ProviderManager:
     ):
         """Generator: the client-visible allocation RPC (adds network cost).
 
-        With *timeout_s*/*retry* set, the call races a per-attempt
-        deadline (raising :class:`~repro.blobseer.errors.RpcTimeout`)
-        instead of relying on the instant ``NodeDownError`` oracle.
+        One body per attempt, like the version manager's handlers: with
+        *timeout_s* the attempt races a deadline (raising
+        :class:`~repro.blobseer.errors.RpcTimeout`); without, there is
+        no timer and the request leg consults the ``NodeDownError``
+        oracle instead (see :mod:`repro.blobseer.rpc`).
         """
-        if timeout_s is None and retry is None:
-            if not self.node.alive:
-                raise NodeDownError(self.node, "allocate")
+        def attempt():
             with self.env.tracer.span(
                 "pm.allocate", track=self.node.name, cat="rpc",
                 caller=caller.name, chunks=chunk_count, replication=replication,
             ) as span:
-                yield self.net.transfer(caller.name, self.node.name, CONTROL_MSG_MB)
+                trip = RoundTrip(self.net, caller.name, self.node.name,
+                                 "pm.allocate", timeout_s, host=self.node)
+                yield from trip.request()
                 self._fence()
                 if self.allocation_cpu_s > 0:
                     yield from self.node.compute(self.allocation_cpu_s)
@@ -174,48 +170,10 @@ class ProviderManager:
                 if self.env.tracer.enabled:
                     span.annotate(pool=self.pool_size())
                 # The reply carries the placement map; size grows with chunk count.
-                reply_mb = CONTROL_MSG_MB * max(1, chunk_count // 16)
-                yield self.net.transfer(self.node.name, caller.name, reply_mb)
+                yield from trip.reply(CONTROL_MSG_MB * max(1, chunk_count // 16))
             return placement
-        placement = yield from with_retries(
-            self.env,
-            lambda: self._allocate_attempt(
-                caller, chunk_count, replication, client_id, timeout_s
-            ),
-            retry,
-        )
-        return placement
 
-    def _allocate_attempt(self, caller, chunk_count, replication, client_id, timeout_s):
-        env = self.env
-        deadline = env.now + timeout_s if timeout_s is not None else None
-        with env.tracer.span(
-            "pm.allocate", track=self.node.name, cat="rpc",
-            caller=caller.name, chunks=chunk_count, replication=replication,
-        ) as span:
-            value = yield from wait_or_timeout(
-                env,
-                self.net.transfer(caller.name, self.node.name, CONTROL_MSG_MB),
-                timeout_s,
-            )
-            if value is TIMED_OUT:
-                raise make_timeout_error(env, "pm.allocate", self.node.name, timeout_s)
-            if not self.node.alive:
-                raise NodeDownError(self.node, "allocate")
-            self._fence()
-            if self.allocation_cpu_s > 0:
-                yield from self.node.compute(self.allocation_cpu_s)
-            placement = self.allocate(chunk_count, replication, client_id)
-            if env.tracer.enabled:
-                span.annotate(pool=self.pool_size())
-            reply_mb = CONTROL_MSG_MB * max(1, chunk_count // 16)
-            value = yield from wait_or_timeout(
-                env,
-                self.net.transfer(self.node.name, caller.name, reply_mb),
-                None if deadline is None else deadline - env.now,
-            )
-            if value is TIMED_OUT:
-                raise make_timeout_error(env, "pm.allocate", self.node.name, timeout_s)
+        placement = yield from with_retries(self.env, attempt, retry)
         return placement
 
     def _fence(self) -> None:

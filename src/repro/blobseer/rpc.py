@@ -6,21 +6,40 @@ as it does on a real deployment.
 
 Timeouts and retries
 --------------------
-By default an RPC waits forever — exactly the pre-robustness behaviour,
-preserved bit-for-bit so seeded experiments reproduce.  Call sites that
-opt in pass ``timeout_s`` (per-attempt deadline, raising
-:class:`~repro.blobseer.errors.RpcTimeout` on expiry) and/or a
-``RetryPolicy`` (see :mod:`repro.robustness.retry`) whose backoff, caps
-and overall deadline govern re-attempts.  :func:`wait_or_timeout` and
-:func:`with_retries` are the reusable building blocks the version
-manager and provider manager use for their multi-leg RPC handlers.
+Every control-plane round trip — :func:`request_response`, the version
+and provider managers' ``remote_*`` handlers, the replication probes —
+is one :class:`RoundTrip` per attempt under :func:`with_retries`: a
+request leg, the callee's work, a reply leg, each leg sent through
+:meth:`RoundTrip.wait` under what is left of the attempt's deadline.
+
+``timeout_s=None`` means *no timer*, not another code path: a leg then
+yields its transfer event itself (no ``Timeout``, no ``any_of``), so a
+run without deadlines schedules exactly the events its messages need.
+With ``timeout_s`` set, the whole attempt (both legs and whatever the
+callee waits on in between) shares one deadline and raises
+:class:`~repro.blobseer.errors.RpcTimeout` on expiry; a message that
+lands exactly on the deadline is delivered (it was sent, and so
+sequenced, before the timer that would expire it).  A ``RetryPolicy``
+(see :mod:`repro.robustness.retry`) re-attempts retryable failures under
+its backoff, attempt cap and overall deadline.
+
+How a caller learns the callee is gone is decided in one place,
+:meth:`RoundTrip.request`.  A server judges its own liveness when the
+request *arrives*, like a real one would; a crashed callee is otherwise
+only observable through the request being lost (``KeyError`` /
+:class:`TransferAborted`) or black-holed until the deadline.  A caller
+with no deadline would wait on a black-holed send forever, so for it —
+and only there — the pre-send ``NodeDownError`` oracle stands in for the
+timeout it does not have.  What a handler undoes when a leg is lost
+(withdraw from a lock queue, abandon a ticket) sits next to that leg in
+the handler's single body.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..cluster.node import NodeDownError
+from ..cluster.node import NodeDownError, PhysicalNode
 from ..simulation.events import Event
 from ..simulation.network import FlowNetwork, NetNode, TransferAborted
 from .errors import RpcTimeout
@@ -30,9 +49,11 @@ __all__ = [
     "wait_or_timeout",
     "with_retries",
     "make_timeout_error",
+    "RoundTrip",
     "GroupCommitGate",
     "CONTROL_MSG_MB",
     "TIMED_OUT",
+    "TRANSPORT_ERRORS",
     "RETRYABLE_RPC_ERRORS",
 ]
 
@@ -52,10 +73,17 @@ class _TimedOut:
 
 TIMED_OUT = _TimedOut()
 
-#: Failures a RetryPolicy re-attempts: deadline expiry, a crashed callee
+#: Transport-level failures a message may die of: a crashed callee
 #: ("connection refused"), a severed in-flight transfer, and a transfer
 #: to a node no longer in the network (KeyError, non-black-hole mode).
-RETRYABLE_RPC_ERRORS = (RpcTimeout, NodeDownError, TransferAborted, KeyError)
+TRANSPORT_ERRORS = (NodeDownError, TransferAborted, KeyError)
+
+#: Failures a RetryPolicy re-attempts: deadline expiry or a lost message.
+RETRYABLE_RPC_ERRORS = (RpcTimeout,) + TRANSPORT_ERRORS
+
+
+def _name(node: NetNode | str) -> str:
+    return node if isinstance(node, str) else node.name
 
 
 def wait_or_timeout(env, event, timeout_s: Optional[float]):
@@ -124,6 +152,66 @@ def with_retries(env, attempt: Callable[[], object], retry=None):
             yield env.timeout(backoff)
 
 
+class RoundTrip:
+    """One attempt of a round trip: its deadline and its two legs.
+
+    *caller* and *callee* are whatever :meth:`FlowNetwork.transfer`
+    addresses (names or ``NetNode`` objects).  *host* is the callee's
+    :class:`PhysicalNode` when the callee is a server whose liveness can
+    be judged (see :meth:`request`); a bare message exchange has none.
+    """
+
+    __slots__ = ("net", "env", "caller", "callee", "op", "timeout_s",
+                 "deadline", "host")
+
+    def __init__(
+        self,
+        net: FlowNetwork,
+        caller: NetNode | str,
+        callee: NetNode | str,
+        op: str,
+        timeout_s: Optional[float],
+        host: Optional[PhysicalNode] = None,
+    ) -> None:
+        self.net = net
+        self.env = net.env
+        self.caller = caller
+        self.callee = callee
+        self.op = op
+        self.timeout_s = timeout_s
+        self.deadline = None if timeout_s is None else net.env.now + timeout_s
+        self.host = host
+
+    def wait(self, event):
+        """Generator: wait on *event* under what is left of the deadline
+        (unboundedly when there is none); :class:`RpcTimeout` on expiry.
+        Every leg goes through here, and so may anything the callee
+        blocks on between them (the ticket's lock queue)."""
+        remaining = None if self.deadline is None else self.deadline - self.env.now
+        value = yield from wait_or_timeout(self.env, event, remaining)
+        if value is TIMED_OUT:
+            raise make_timeout_error(
+                self.env, self.op, _name(self.callee), self.timeout_s)
+        return value
+
+    def request(self, size_mb: float = CONTROL_MSG_MB):
+        """Generator: the request leg, then the callee's liveness check.
+
+        This is the one place that branches on "no deadline": such a
+        caller consults the instant-death oracle before sending, because
+        a black-holed send would otherwise hang it forever."""
+        host = self.host
+        if host is not None and self.deadline is None and not host.alive:
+            raise NodeDownError(host, self.op)
+        yield from self.wait(self.net.transfer(self.caller, self.callee, size_mb))
+        if host is not None and not host.alive:
+            raise NodeDownError(host, self.op)
+
+    def reply(self, size_mb: float = CONTROL_MSG_MB):
+        """Generator: the reply leg."""
+        yield from self.wait(self.net.transfer(self.callee, self.caller, size_mb))
+
+
 def request_response(
     net: FlowNetwork,
     caller: NetNode | str,
@@ -149,67 +237,19 @@ def request_response(
 
     With ``timeout_s`` set, each attempt races a deadline and raises
     :class:`RpcTimeout` on expiry; with *retry* set, retryable failures
-    are re-attempted under the policy.  Both default to off, preserving
-    the original wait-forever semantics exactly.
+    are re-attempted under the policy.  With neither, the round trip is
+    its two messages and nothing else.
     """
-    if timeout_s is None and retry is None:
-        tracer = net.env.tracer
-        if tracer.enabled:
-            caller_name = caller if isinstance(caller, str) else caller.name
-            callee_name = callee if isinstance(callee, str) else callee.name
-            with tracer.span(op, track=caller_name, cat="rpc", parent=ctx,
-                             callee=callee_name, request_mb=request_mb,
-                             response_mb=response_mb):
-                yield net.transfer(caller, callee, request_mb)
-                yield net.transfer(callee, caller, response_mb)
-        else:
-            yield net.transfer(caller, callee, request_mb)
-            yield net.transfer(callee, caller, response_mb)
-        return None
-
-    caller_name = caller if isinstance(caller, str) else caller.name
-    callee_name = callee if isinstance(callee, str) else callee.name
-
     def attempt():
-        return _roundtrip_once(
-            net, caller, callee, request_mb, response_mb,
-            op, timeout_s, callee_name,
-        )
+        trip = RoundTrip(net, caller, callee, op, timeout_s)
+        yield from trip.request(request_mb)
+        yield from trip.reply(response_mb)
 
-    tracer = net.env.tracer
-    if tracer.enabled:
-        with tracer.span(op, track=caller_name, cat="rpc", parent=ctx,
-                         callee=callee_name, request_mb=request_mb,
-                         response_mb=response_mb, timeout_s=timeout_s):
-            yield from with_retries(net.env, attempt, retry)
-    else:
+    with net.env.tracer.span(
+        op, track=_name(caller), cat="rpc", parent=ctx, callee=_name(callee),
+        request_mb=request_mb, response_mb=response_mb, timeout_s=timeout_s,
+    ):
         yield from with_retries(net.env, attempt, retry)
-    return None
-
-
-def _roundtrip_once(
-    net: FlowNetwork,
-    caller: NetNode | str,
-    callee: NetNode | str,
-    request_mb: float,
-    response_mb: float,
-    op: str,
-    timeout_s: Optional[float],
-    callee_name: str,
-):
-    env = net.env
-    deadline = env.now + timeout_s if timeout_s is not None else None
-    value = yield from wait_or_timeout(
-        env, net.transfer(caller, callee, request_mb), timeout_s
-    )
-    if value is TIMED_OUT:
-        raise make_timeout_error(env, op, callee_name, timeout_s)
-    remaining = None if deadline is None else deadline - env.now
-    value = yield from wait_or_timeout(
-        env, net.transfer(callee, caller, response_mb), remaining
-    )
-    if value is TIMED_OUT:
-        raise make_timeout_error(env, op, callee_name, timeout_s)
 
 
 class GroupCommitGate:

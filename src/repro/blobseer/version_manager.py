@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..cluster.node import NodeDownError, PhysicalNode
+from ..cluster.node import PhysicalNode
 from ..simulation.resources import Resource
 from .blob import BlobInfo, VersionRecord
 from .errors import (
     BlobNotFound,
     BlobSeerError,
     NotActivePrimary,
+    RpcTimeout,
     TicketRevoked,
     VersionNotFound,
 )
@@ -39,13 +40,7 @@ from .instrument import (
     MonitoringEvent,
     NullSink,
 )
-from .rpc import (
-    CONTROL_MSG_MB,
-    TIMED_OUT,
-    make_timeout_error,
-    wait_or_timeout,
-    with_retries,
-)
+from .rpc import RoundTrip, with_retries
 from .segment_tree import DEFAULT_CAPACITY
 
 __all__ = ["Ticket", "VersionManager"]
@@ -229,18 +224,32 @@ class VersionManager:
             new_size_mb=new_size,
         )
 
-    def _publish(self, blob_id: int, version: int, time: Optional[float] = None) -> None:
-        info = self.blob_info(blob_id)
-        record = info.versions.get(version)
+    def _unpublished(self, blob_id: int, version: int) -> Optional[VersionRecord]:
+        """The record of a ticket that is still to be published, or None
+        when the version is already out.
+
+        Publishing is idempotent: the server cannot tell a retry whose
+        predecessor published but lost the reply (or a re-send after a
+        failover) from a duplicate, and publishing twice changes
+        nothing, so a re-sent complete just acks.  A burned ticket
+        (writer gave up, or a failover revoked all in-flight tickets)
+        must never be resurrected by a late complete: successor
+        versions already chain past it.
+        """
+        record = self.blob_info(blob_id).versions.get(version)
         if record is None:
             raise VersionNotFound(blob_id, version)
         if record.abandoned:
             raise TicketRevoked(blob_id, version)
-        if record.published:
-            raise BlobSeerError(f"version {version} of blob {blob_id} already published")
+        return None if record.published else record
+
+    def _publish(self, record: VersionRecord, time: Optional[float] = None) -> None:
+        """Publish *record* (resolved by the caller: not yet published,
+        not abandoned)."""
+        info = self.blobs[record.blob_id]
         record.publish_time = self.env.now if time is None else time
         # Tickets are serialized per blob, so versions publish in order.
-        info.latest = version
+        info.latest = record.version
         info.size_mb = record.size_mb
         self.versions_published += 1
         if self.passive:
@@ -251,8 +260,8 @@ class VersionManager:
             metrics.histogram("vm.publish_latency_s").observe(
                 self.env.now - record.ticket_time
             )
-        self._emit(EV_PUBLISH, client_id=record.writer, blob_id=blob_id,
-                   version=version, blob_size_mb=record.size_mb,
+        self._emit(EV_PUBLISH, client_id=record.writer, blob_id=record.blob_id,
+                   version=record.version, blob_size_mb=record.size_mb,
                    latency_s=self.env.now - record.ticket_time)
 
     def apply_abandon(self, blob_id: int, version: int) -> None:
@@ -279,8 +288,7 @@ class VersionManager:
             info = self.blobs.get(payload["blob_id"])
             record = info.versions.get(payload["version"]) if info else None
             if record is not None and not record.published and not record.abandoned:
-                self._publish(payload["blob_id"], payload["version"],
-                              time=payload.get("time"))
+                self._publish(record, time=payload.get("time"))
         elif kind == "abandon":
             self.apply_abandon(payload["blob_id"], payload["version"])
         else:  # pragma: no cover - log corruption guard
@@ -346,22 +354,13 @@ class VersionManager:
             new_size_mb=payload["new_size_mb"],
         )
 
-    def _do_publish(self, blob_id: int, version: int):
+    def _do_publish(self, record: VersionRecord):
         if self.replicator is None:
-            self._publish(blob_id, version)
+            self._publish(record)
             return
-        record = self.blob_info(blob_id).versions.get(version)
-        if record is None:
-            raise VersionNotFound(blob_id, version)
-        if record.abandoned:
-            raise TicketRevoked(blob_id, version)
-        if record.published:
-            raise BlobSeerError(
-                f"version {version} of blob {blob_id} already published"
-            )
         yield from self.replicator.commit(
             "publish",
-            lambda: {"blob_id": blob_id, "version": version,
+            lambda: {"blob_id": record.blob_id, "version": record.version,
                      "time": self.env.now},
         )
 
@@ -371,6 +370,9 @@ class VersionManager:
             raise NotActivePrimary(self.node.name, self.replicator.role)
 
     # -- remote operations (what clients call) -------------------------------------
+    # Each handler is one body, run once per attempt under with_retries:
+    # request leg + entry work (_receive), the operation, reply leg.
+    # timeout_s=None means no timer (see repro.blobseer.rpc).
     def remote_create_blob(
         self,
         caller: PhysicalNode,
@@ -378,27 +380,15 @@ class VersionManager:
         timeout_s: Optional[float] = None,
         retry=None,
     ):
-        if timeout_s is None and retry is None:
+        def attempt():
             with self.env.tracer.span("vm.create_blob", track=self.node.name,
                                       cat="rpc", caller=caller.name):
-                yield from self._roundtrip_in(caller)
+                trip = yield from self._receive(caller, "vm.create_blob", timeout_s)
                 blob_id = yield from self._do_create(chunk_size_mb)
-                yield from self._roundtrip_out(caller)
+                yield from trip.reply()
             return blob_id
-        blob_id = yield from with_retries(
-            self.env,
-            lambda: self._create_blob_attempt(caller, chunk_size_mb, timeout_s),
-            retry,
-        )
-        return blob_id
 
-    def _create_blob_attempt(self, caller, chunk_size_mb, timeout_s):
-        deadline = self._deadline(timeout_s)
-        with self.env.tracer.span("vm.create_blob", track=self.node.name,
-                                  cat="rpc", caller=caller.name):
-            yield from self._guarded_in(caller, deadline, timeout_s, "vm.create_blob")
-            blob_id = yield from self._do_create(chunk_size_mb)
-            yield from self._guarded_out(caller, deadline, timeout_s, "vm.create_blob")
+        blob_id = yield from with_retries(self.env, attempt, retry)
         return blob_id
 
     def remote_ticket(
@@ -414,21 +404,31 @@ class VersionManager:
         """Generator: blocks until the per-blob metadata lock is acquired.
 
         With *timeout_s*, the whole RPC (including lock queueing) races a
-        deadline; on expiry the queued lock request is withdrawn — or the
-        ticket abandoned if it was already issued — and
-        :class:`~repro.blobseer.errors.RpcTimeout` is raised.
+        deadline; on expiry the queued lock request is withdrawn and
+        :class:`~repro.blobseer.errors.RpcTimeout` is raised.  A ticket
+        whose reply cannot be delivered — deadline, or the writer's node
+        died while it queued — is abandoned, on every path.
         """
-        if timeout_s is None and retry is None:
+        def attempt():
             # The span covers lock queueing, so ticket contention is visible
             # in the trace as stacked vm.ticket spans.
             with self.env.tracer.span("vm.ticket", track=self.node.name,
                                       cat="rpc", blob=blob_id, writer=writer) as span:
-                yield from self._roundtrip_in(caller)
+                trip = yield from self._receive(caller, "vm.ticket", timeout_s)
                 lock = self._locks.get(blob_id)
                 if lock is None:
                     raise BlobNotFound(blob_id)
                 request = lock.request()
-                yield request
+                try:
+                    yield from trip.wait(request)
+                except RpcTimeout:
+                    # Withdraw from the lock queue (or release, if the grant
+                    # raced the deadline) so later writers are not wedged.
+                    if request.triggered:
+                        lock.release(request)
+                    else:
+                        request.cancel()
+                    raise
                 try:
                     ticket = yield from self._grant_ticket(
                         blob_id, size_mb, writer, offset_mb
@@ -439,53 +439,16 @@ class VersionManager:
                     raise
                 span.annotate(version=ticket.version)
                 self._held[ticket.version_key()] = request
-                yield from self._roundtrip_out(caller)
+                try:
+                    yield from trip.reply()
+                except Exception:
+                    # The client will never learn this version number: burn
+                    # it and release the lock so the blob stays writable.
+                    self.abandon(ticket)
+                    raise
             return ticket
-        ticket = yield from with_retries(
-            self.env,
-            lambda: self._ticket_attempt(
-                caller, blob_id, size_mb, writer, offset_mb, timeout_s
-            ),
-            retry,
-        )
-        return ticket
 
-    def _ticket_attempt(self, caller, blob_id, size_mb, writer, offset_mb, timeout_s):
-        deadline = self._deadline(timeout_s)
-        with self.env.tracer.span("vm.ticket", track=self.node.name,
-                                  cat="rpc", blob=blob_id, writer=writer) as span:
-            yield from self._guarded_in(caller, deadline, timeout_s, "vm.ticket")
-            lock = self._locks.get(blob_id)
-            if lock is None:
-                raise BlobNotFound(blob_id)
-            request = lock.request()
-            value = yield from wait_or_timeout(
-                self.env, request, self._remaining(deadline)
-            )
-            if value is TIMED_OUT:
-                # Withdraw from the lock queue (or release, if the grant
-                # raced the deadline) so later writers are not wedged.
-                if request.triggered:
-                    lock.release(request)
-                else:
-                    request.cancel()
-                raise make_timeout_error(self.env, "vm.ticket", self.node.name, timeout_s)
-            try:
-                ticket = yield from self._grant_ticket(
-                    blob_id, size_mb, writer, offset_mb
-                )
-            except BaseException:
-                lock.release(request)
-                raise
-            span.annotate(version=ticket.version)
-            self._held[ticket.version_key()] = request
-            try:
-                yield from self._guarded_out(caller, deadline, timeout_s, "vm.ticket")
-            except Exception:
-                # The client will never learn this version number: burn
-                # it and release the lock so the blob stays writable.
-                self.abandon(ticket)
-                raise
+        ticket = yield from with_retries(self.env, attempt, retry)
         return ticket
 
     def remote_complete(
@@ -495,46 +458,23 @@ class VersionManager:
         timeout_s: Optional[float] = None,
         retry=None,
     ):
-        """Generator: publish the version and release the blob lock."""
-        if timeout_s is None and retry is None:
+        """Generator: publish the version and release the blob lock.
+        Idempotent: completing an already-published ticket acks."""
+        def attempt():
             with self.env.tracer.span("vm.publish", track=self.node.name, cat="rpc",
                                       blob=ticket.blob_id, version=ticket.version):
-                yield from self._roundtrip_in(caller)
-                yield from self._do_publish(ticket.blob_id, ticket.version)
-                request = self._held.pop(ticket.version_key(), None)
-                if request is not None:
-                    self._locks[ticket.blob_id].release(request)
-                yield from self._roundtrip_out(caller)
+                trip = yield from self._receive(caller, "vm.publish", timeout_s)
+                record = self._unpublished(ticket.blob_id, ticket.version)
+                if record is not None:
+                    yield from self._do_publish(record)
+                    request = self._held.pop(ticket.version_key(), None)
+                    if request is not None:
+                        self._locks[ticket.blob_id].release(request)
+                yield from trip.reply()
             return ticket.version
-        version = yield from with_retries(
-            self.env,
-            lambda: self._complete_attempt(caller, ticket, timeout_s),
-            retry,
-        )
-        return version
 
-    def _complete_attempt(self, caller, ticket, timeout_s):
-        deadline = self._deadline(timeout_s)
-        with self.env.tracer.span("vm.publish", track=self.node.name, cat="rpc",
-                                  blob=ticket.blob_id, version=ticket.version):
-            yield from self._guarded_in(caller, deadline, timeout_s, "vm.publish")
-            record = self.blob_info(ticket.blob_id).versions.get(ticket.version)
-            if record is None:
-                raise VersionNotFound(ticket.blob_id, ticket.version)
-            # A burned ticket (writer gave up, or a failover revoked all
-            # in-flight tickets) must never be resurrected by a late
-            # retry: successor versions already chain past it.
-            if record.abandoned:
-                raise TicketRevoked(ticket.blob_id, ticket.version)
-            # Idempotent: a retry whose predecessor published but lost
-            # the response finds the version already out and just acks.
-            if not record.published:
-                yield from self._do_publish(ticket.blob_id, ticket.version)
-                request = self._held.pop(ticket.version_key(), None)
-                if request is not None:
-                    self._locks[ticket.blob_id].release(request)
-            yield from self._guarded_out(caller, deadline, timeout_s, "vm.publish")
-        return ticket.version
+        version = yield from with_retries(self.env, attempt, retry)
+        return version
 
     def abandon(self, ticket: Ticket) -> None:
         """Give up a ticket without publishing (writer failed/blocked).
@@ -564,27 +504,15 @@ class VersionManager:
         timeout_s: Optional[float] = None,
         retry=None,
     ):
-        if timeout_s is None and retry is None:
+        def attempt():
             with self.env.tracer.span("vm.get_latest", track=self.node.name,
                                       cat="rpc", blob=blob_id, caller=caller.name):
-                yield from self._roundtrip_in(caller)
+                trip = yield from self._receive(caller, "vm.get_latest", timeout_s)
                 result = self.latest(blob_id)
-                yield from self._roundtrip_out(caller)
+                yield from trip.reply()
             return result
-        result = yield from with_retries(
-            self.env,
-            lambda: self._get_latest_attempt(caller, blob_id, timeout_s),
-            retry,
-        )
-        return result
 
-    def _get_latest_attempt(self, caller, blob_id, timeout_s):
-        deadline = self._deadline(timeout_s)
-        with self.env.tracer.span("vm.get_latest", track=self.node.name,
-                                  cat="rpc", blob=blob_id, caller=caller.name):
-            yield from self._guarded_in(caller, deadline, timeout_s, "vm.get_latest")
-            result = self.latest(blob_id)
-            yield from self._guarded_out(caller, deadline, timeout_s, "vm.get_latest")
+        result = yield from with_retries(self.env, attempt, retry)
         return result
 
     # -- plumbing -----------------------------------------------------------------
@@ -596,49 +524,16 @@ class VersionManager:
         elif self.op_cpu_s > 0:
             yield from self.node.compute(self.op_cpu_s)
 
-    def _roundtrip_in(self, caller: PhysicalNode):
-        if not self.node.alive:
-            raise NodeDownError(self.node, "version manager RPC")
-        yield self.net.transfer(caller.name, self.node.name, CONTROL_MSG_MB)
+    def _receive(self, caller: PhysicalNode, op: str, timeout_s: Optional[float]):
+        """Generator: the request leg of one attempt, then the server's
+        entry work (primary fence, entry CPU).  Returns the
+        :class:`~repro.blobseer.rpc.RoundTrip` the handler replies on."""
+        trip = RoundTrip(self.net, caller.name, self.node.name, op, timeout_s,
+                         host=self.node)
+        yield from trip.request()
         self._fence()
         yield from self._entry_compute()
-
-    def _roundtrip_out(self, caller: PhysicalNode):
-        yield self.net.transfer(self.node.name, caller.name, CONTROL_MSG_MB)
-
-    def _deadline(self, timeout_s: Optional[float]) -> Optional[float]:
-        return None if timeout_s is None else self.env.now + timeout_s
-
-    def _remaining(self, deadline: Optional[float]) -> Optional[float]:
-        return None if deadline is None else deadline - self.env.now
-
-    def _guarded_in(self, caller, deadline, timeout_s, op):
-        """Request leg with a deadline: no instant-death oracle.
-
-        A crashed version manager is only observable through the request
-        transfer timing out (black-holed) or failing — the liveness check
-        runs *after* the message arrives, like a real server would.
-        """
-        value = yield from wait_or_timeout(
-            self.env,
-            self.net.transfer(caller.name, self.node.name, CONTROL_MSG_MB),
-            self._remaining(deadline),
-        )
-        if value is TIMED_OUT:
-            raise make_timeout_error(self.env, op, self.node.name, timeout_s)
-        if not self.node.alive:
-            raise NodeDownError(self.node, "version manager RPC")
-        self._fence()
-        yield from self._entry_compute()
-
-    def _guarded_out(self, caller, deadline, timeout_s, op):
-        value = yield from wait_or_timeout(
-            self.env,
-            self.net.transfer(self.node.name, caller.name, CONTROL_MSG_MB),
-            self._remaining(deadline),
-        )
-        if value is TIMED_OUT:
-            raise make_timeout_error(self.env, op, self.node.name, timeout_s)
+        return trip
 
     def _emit(self, event_type: str, client_id=None, blob_id=None, **fields) -> None:
         self.sink.emit(MonitoringEvent(

@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..blobseer.errors import RpcTimeout
-from ..blobseer.rpc import request_response
-from ..cluster.node import NodeDownError, PhysicalNode
-from ..simulation.network import TransferAborted
+from ..blobseer.rpc import RETRYABLE_RPC_ERRORS, request_response
+from ..cluster.node import PhysicalNode
 
 __all__ = ["ALIVE", "SUSPECTED", "DEAD", "NodeView", "HeartbeatFailureDetector"]
 
@@ -164,7 +162,7 @@ class HeartbeatFailureDetector:
                 request_mb=self.ping_mb, response_mb=self.ping_mb,
                 op="fd.ping", timeout_s=self.timeout_s,
             )
-        except (RpcTimeout, NodeDownError, TransferAborted, KeyError):
+        except RETRYABLE_RPC_ERRORS:
             self._miss(view, sent_at)
         else:
             self._heard(view)

@@ -43,26 +43,46 @@ re-register — so the standby holds *no* mirrored state.  On confirmed
 primary death it round-trips a re-registration probe to every provider
 and starts allocating from the responses.
 
+Client-side handles
+-------------------
+Clients never hold a manager directly once a group exists: they hold a
+:class:`PrimaryHandle` / :class:`ProviderManagerHandle`.  Both are one
+failover loop (:class:`_FailoverHandle`): send the call — always under a
+deadline — to the group member believed active; on a
+:data:`FAILOVER_ERRORS` failure forget that member, back off (seeded),
+find the active member again and retry, up to ``MAX_SWITCHES`` times.
+The two differ only in how the active member is found: the version
+manager's primary is cached and re-resolved by probing every replica
+over the network (no oracle); the provider manager pair is asked
+directly.
+
+Every message exchange in this module — log shipment, prepare, log
+pull, primary probe, re-registration probe — is one
+:class:`~repro.blobseer.rpc.RoundTrip` attempt through :func:`_ask`,
+the same primitive the managers' client-facing handlers use.
+
 Everything here is opt-in: a deployment built with ``vm_replicas=1``
 and ``pm_standby=False`` (the defaults) constructs none of these
 objects and stays byte-identical per seed.
+
+Protocol constants
+------------------
+Detector settings, shipment / election / probe deadlines, batch sizes
+and the handles' retry budget are the module constants below, each
+beside the comment that explains it.  No deployment, test, bench or
+example ever tuned them, so they are not constructor arguments
+(``tests/test_config_surface.py`` pins the four constructor signatures).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..blobseer.errors import (
-    NoActivePrimary,
-    NotActivePrimary,
-    RpcTimeout,
-    StaleEpoch,
-)
-from ..blobseer.rpc import CONTROL_MSG_MB, TIMED_OUT, wait_or_timeout
-from ..cluster.node import NodeDownError, PhysicalNode
+from ..blobseer.errors import NoActivePrimary, NotActivePrimary, StaleEpoch
+from ..blobseer.rpc import RETRYABLE_RPC_ERRORS, RoundTrip
+from ..cluster.node import PhysicalNode
 from ..simulation.events import Event
-from ..simulation.network import TransferAborted
 from ..simulation.resources import Resource
 from .detector import HeartbeatFailureDetector
 
@@ -70,6 +90,9 @@ __all__ = [
     "PRIMARY",
     "STANDBY",
     "CANDIDATE",
+    "DETECT_PERIOD_S",
+    "DETECT_TIMEOUT_S",
+    "CONFIRM_MISSES",
     "FAILOVER_ERRORS",
     "LogRecord",
     "FailoverEvent",
@@ -84,17 +107,67 @@ PRIMARY = "primary"
 STANDBY = "standby"
 CANDIDATE = "candidate"
 
-#: Transport-level failures a replication message may die of.
-_COMMS_ERRORS = (NodeDownError, TransferAborted, KeyError)
+#: One peer failure detector setting for both replica groups.  Detection
+#: latency is ~ timeout + (misses - 1) * period = 4 s.
+DETECT_PERIOD_S = 1.0
+DETECT_TIMEOUT_S = 3.0
+CONFIRM_MISSES = 2
+#: Log shipping: heartbeat / lease period, one shipment's deadline, and
+#: records per shipment or pulled page (bounded catch-up).
+HEARTBEAT_PERIOD_S = 1.0
+SHIP_TIMEOUT_S = 3.0
+CATCHUP_BATCH = 256
+#: Elections (prepare and log-pull round trips; the no-primary watchdog).
+ELECTION_TIMEOUT_S = 3.0
+ELECTION_CHECK_PERIOD_S = 1.0
+#: Provider-manager takeover: one re-registration probe per provider.
+REREGISTER_TIMEOUT_S = 2.0
+#: Client handles.  A handle call always runs under a timeout: waiting
+#: forever on a crashed (black-holed) primary would never fail over.
+RPC_TIMEOUT_S = 5.0
+PROBE_TIMEOUT_S = 1.5
+MAX_SWITCHES = 6
+RESOLVE_ROUNDS = 8
+BACKOFF_BASE_S = 0.2
+BACKOFF_MAX_S = 2.0
 
 #: What makes a client handle drop its cached primary and re-resolve.
-FAILOVER_ERRORS = (
-    RpcTimeout,
-    NodeDownError,
-    TransferAborted,
-    KeyError,
-    NotActivePrimary,
-)
+FAILOVER_ERRORS = RETRYABLE_RPC_ERRORS + (NotActivePrimary,)
+
+
+def _peer_detector(node: PhysicalNode, peers, on_confirm) -> HeartbeatFailureDetector:
+    """Start *node*'s detector over its replica-group *peers*."""
+    detector = HeartbeatFailureDetector(
+        node,
+        period_s=DETECT_PERIOD_S,
+        timeout_s=DETECT_TIMEOUT_S,
+        confirm_misses=CONFIRM_MISSES,
+    )
+    for peer in peers:
+        detector.watch(peer)
+    detector.on_confirm(on_confirm)
+    detector.start()
+    return detector
+
+
+def _ask(net, asker: str, peer: PhysicalNode, timeout_s: float, serve: Callable):
+    """Generator: one replication round trip — request leg, ``serve()``
+    on the live peer, reply leg — as a single
+    :class:`~repro.blobseer.rpc.RoundTrip` attempt.  Returns what
+    *serve* returned, or None when a leg is lost or times out or the
+    peer is dead on arrival: a probe has nobody to raise to.  Whatever
+    *serve* itself raises (``StaleEpoch``) propagates."""
+    trip = RoundTrip(net, asker, peer.name, "replication", timeout_s, host=peer)
+    try:
+        yield from trip.request()
+    except RETRYABLE_RPC_ERRORS:
+        return None
+    answer = serve()
+    try:
+        yield from trip.reply()
+    except RETRYABLE_RPC_ERRORS:
+        return None
+    return answer
 
 
 @dataclass
@@ -191,30 +264,20 @@ class VMReplica:
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
         """Attach the peer detector and launch the protocol loops."""
-        self.detector = HeartbeatFailureDetector(
-            self.node,
-            period_s=self.group.detect_period_s,
-            timeout_s=self.group.detect_timeout_s,
-            confirm_misses=self.group.confirm_misses,
+        self.detector = _peer_detector(
+            self.node, [p.node for p in self.peers()], self._on_peer_confirmed_dead
         )
-        for peer in self.peers():
-            self.detector.watch(peer.node)
-        self.detector.on_confirm(self._on_peer_confirmed_dead)
-        self.detector.start()
         self.env.process(self._pump_loop(), name=f"vm-rep-pump-{self.name}")
         self.env.process(self._watchdog_loop(), name=f"vm-rep-watch-{self.name}")
 
     def _on_recover(self, _node: PhysicalNode) -> None:
         """Cold restart: all volatile state is gone; rejoin as a blank
         standby and let the primary's heartbeat stream refill the log."""
-        self.log = []
-        self.vm.reset_state()
-        self.vm.passive = True
+        self._reset_for_refeed()
         self.role = STANDBY
         self.epoch = 0
         self.promised_epoch = 0
         self.known_primary = None
-        self._peer_acked = {}
         self._electing = False
 
     def _reset_for_refeed(self) -> None:
@@ -231,6 +294,13 @@ class VMReplica:
             self.vm.passive = True
             if self.known_primary == self.name:
                 self.known_primary = None
+
+    def _append(self, epoch: int, kind: str, payload: dict) -> LogRecord:
+        """Append the next sequenced record to the local log."""
+        record = LogRecord(seq=len(self.log) + 1, epoch=epoch, kind=kind,
+                           payload=payload)
+        self.log.append(record)
+        return record
 
     # -- commit path (called from the version manager) ---------------------
     def commit(self, kind: str, build_payload):
@@ -249,10 +319,7 @@ class VMReplica:
             if not self.serving():
                 raise NotActivePrimary(self.name, self.role)
             payload = build_payload()
-            record = LogRecord(
-                seq=len(self.log) + 1, epoch=self.epoch, kind=kind, payload=payload
-            )
-            self.log.append(record)
+            record = self._append(self.epoch, kind, payload)
             acks = yield from self._replicate(record.seq)
             if acks + 1 < self.group.quorum:
                 self._depose()
@@ -266,14 +333,7 @@ class VMReplica:
         """Synchronous append of an abandon record (already applied by
         the caller).  Shipped by the next heartbeat; if this primary dies
         first, the next primary's burn sweep re-burns the ticket."""
-        self.log.append(
-            LogRecord(
-                seq=len(self.log) + 1,
-                epoch=self.epoch,
-                kind="abandon",
-                payload={"blob_id": blob_id, "version": version},
-            )
-        )
+        self._append(self.epoch, "abandon", {"blob_id": blob_id, "version": version})
 
     def _replicate(self, seq: int):
         """Generator: ship the log through *seq* to believed-alive peers;
@@ -286,7 +346,7 @@ class VMReplica:
 
         def shipper(peer: "VMReplica"):
             try:
-                yield from self._ship_to(peer, self.group.ship_timeout_s)
+                yield from self._ship_to(peer)
                 if self._peer_acked.get(peer.name, 0) >= seq:
                     state["acks"] += 1
             finally:
@@ -301,7 +361,15 @@ class VMReplica:
         yield done
         return state["acks"]
 
-    def _ship_to(self, peer: "VMReplica", timeout_s: float):
+    def _ship_to_all(self, why: str) -> None:
+        """Start a shipment to every believed-alive peer."""
+        for peer in self.peers():
+            if self._believed_alive(peer):
+                self.env.process(
+                    self._ship_to(peer), name=f"vm-rep-{why}-{self.name}-{peer.name}"
+                )
+
+    def _ship_to(self, peer: "VMReplica"):
         """Generator: one log shipment (possibly empty = heartbeat/lease)
         to *peer*.  Updates ``_peer_acked`` and deposes on a stale epoch."""
         lock = self._ship_locks.setdefault(peer.name, Resource(self.env, capacity=1))
@@ -311,35 +379,19 @@ class VMReplica:
             if self.role != PRIMARY or not self.node.alive:
                 return None
             start = min(self._peer_acked.get(peer.name, 0), len(self.log))
-            batch = self.log[start : start + self.group.catchup_batch]
+            batch = self.log[start : start + CATCHUP_BATCH]
             prev_epoch = self.log[start - 1].epoch if start > 0 else 0
-            deadline = self.env.now + timeout_s
             try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(self.name, peer.name, CONTROL_MSG_MB),
-                    timeout_s,
-                )
-            except _COMMS_ERRORS:
-                return None
-            if value is TIMED_OUT or not peer.node.alive:
-                return None
-            try:
-                reply = peer._on_ship(
-                    self.name, self.epoch, start, prev_epoch, batch, len(self.log)
+                reply = yield from _ask(
+                    self.net, self.name, peer.node, SHIP_TIMEOUT_S,
+                    lambda: peer._on_ship(
+                        self.name, self.epoch, start, prev_epoch, batch, len(self.log)
+                    ),
                 )
             except StaleEpoch:
                 self._depose()
                 return None
-            try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(peer.name, self.name, CONTROL_MSG_MB),
-                    deadline - self.env.now,
-                )
-            except _COMMS_ERRORS:
-                return None
-            if value is TIMED_OUT:
+            if reply is None:
                 return None
             if reply["promised_epoch"] > self.epoch:
                 self._depose()
@@ -401,15 +453,9 @@ class VMReplica:
         check — replies reveal higher promised epochs and depose us."""
         while True:
             jitter = 1.0 + 0.1 * float(self._rng.random())
-            yield self.env.timeout(self.group.heartbeat_period_s * jitter)
-            if not self.node.alive or self.role != PRIMARY:
-                continue
-            for peer in self.peers():
-                if self._believed_alive(peer):
-                    self.env.process(
-                        self._ship_to(peer, self.group.ship_timeout_s),
-                        name=f"vm-rep-hb-{self.name}-{peer.name}",
-                    )
+            yield self.env.timeout(HEARTBEAT_PERIOD_S * jitter)
+            if self.node.alive and self.role == PRIMARY:
+                self._ship_to_all("hb")
 
     # -- election ----------------------------------------------------------
     def _on_peer_confirmed_dead(self, view) -> None:
@@ -424,7 +470,7 @@ class VMReplica:
         partition) periodically re-checks whether it should stand."""
         while True:
             jitter = 1.0 + 0.2 * float(self._rng.random())
-            yield self.env.timeout(self.group.election_check_period_s * jitter)
+            yield self.env.timeout(ELECTION_CHECK_PERIOD_S * jitter)
             yield from self._consider_election()
 
     def _primary_believed_alive(self) -> bool:
@@ -469,7 +515,10 @@ class VMReplica:
         for peer in self.peers():
             if not self._believed_alive(peer):
                 continue
-            reply = yield from self._send_prepare(peer, target)
+            reply = yield from _ask(
+                self.net, self.name, peer.node, ELECTION_TIMEOUT_S,
+                lambda: peer._on_prepare(self.name, target),
+            )
             if reply is not None and reply.get("promised"):
                 promises.append((reply["last_epoch"], reply["last_seq"], peer))
         if self.role != CANDIDATE:
@@ -511,38 +560,7 @@ class VMReplica:
         if metrics is not None:
             metrics.counter("replication.failovers").inc()
         # Announce immediately (heartbeats would get there anyway).
-        for peer in self.peers():
-            if self._believed_alive(peer):
-                self.env.process(
-                    self._ship_to(peer, self.group.ship_timeout_s),
-                    name=f"vm-rep-announce-{self.name}-{peer.name}",
-                )
-
-    def _send_prepare(self, peer: "VMReplica", target: int):
-        """Generator: one prepare round trip; None if unreachable."""
-        deadline = self.env.now + self.group.election_timeout_s
-        try:
-            value = yield from wait_or_timeout(
-                self.env,
-                self.net.transfer(self.name, peer.name, CONTROL_MSG_MB),
-                self.group.election_timeout_s,
-            )
-        except _COMMS_ERRORS:
-            return None
-        if value is TIMED_OUT or not peer.node.alive:
-            return None
-        reply = peer._on_prepare(self.name, target)
-        try:
-            value = yield from wait_or_timeout(
-                self.env,
-                self.net.transfer(peer.name, self.name, CONTROL_MSG_MB),
-                deadline - self.env.now,
-            )
-        except _COMMS_ERRORS:
-            return None
-        if value is TIMED_OUT:
-            return None
-        return reply
+        self._ship_to_all("announce")
 
     def _on_prepare(self, candidate: str, target: int) -> dict:
         if target <= self.promised_epoch:
@@ -568,57 +586,30 @@ class VMReplica:
             ):
                 self._reset_for_refeed()
         while len(self.log) < upto:
-            deadline = self.env.now + self.group.election_timeout_s
-            try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(self.name, source.name, CONTROL_MSG_MB),
-                    self.group.election_timeout_s,
-                )
-            except _COMMS_ERRORS:
-                return False
-            if value is TIMED_OUT or not source.node.alive:
-                return False
-            start = len(self.log)
-            page = source.log[start : start + self.group.catchup_batch]
-            try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(source.name, self.name, CONTROL_MSG_MB),
-                    deadline - self.env.now,
-                )
-            except _COMMS_ERRORS:
-                return False
-            if value is TIMED_OUT:
-                return False
+            page = yield from _ask(
+                self.net, self.name, source.node, ELECTION_TIMEOUT_S,
+                lambda: source.log[len(self.log) : len(self.log) + CATCHUP_BATCH],
+            )
             if not page:
-                return False  # source lost the records (restarted)
+                return False  # unreachable, or it lost the records (restarted)
             self.log.extend(page)
         return True
 
-    def _burn_inflight(self, epoch: int) -> List[Tuple[int, int]]:
+    def _burn_inflight(self, epoch: int) -> None:
         """Abandon every ticket that is neither published nor abandoned.
 
         These were never client-acked (publish commits synchronously),
         so burning them needs no quorum: if this primary dies before the
         records ship, the next one re-runs the same sweep."""
-        burned: List[Tuple[int, int]] = []
         for blob_id in sorted(self.vm.blobs):
             info = self.vm.blobs[blob_id]
             for version in sorted(info.versions):
                 record = info.versions[version]
                 if not record.published and not record.abandoned:
-                    self.log.append(
-                        LogRecord(
-                            seq=len(self.log) + 1,
-                            epoch=epoch,
-                            kind="abandon",
-                            payload={"blob_id": blob_id, "version": version},
-                        )
+                    self._append(
+                        epoch, "abandon", {"blob_id": blob_id, "version": version}
                     )
                     self.vm.apply_abandon(blob_id, version)
-                    burned.append((blob_id, version))
-        return burned
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -630,31 +621,11 @@ class VMReplica:
 class ReplicatedVersionManager:
     """The replica group: construction, membership and discovery."""
 
-    def __init__(
-        self,
-        testbed,
-        vmanagers,
-        detect_period_s: float = 1.0,
-        detect_timeout_s: float = 3.0,
-        confirm_misses: int = 2,
-        heartbeat_period_s: float = 1.0,
-        ship_timeout_s: float = 3.0,
-        election_timeout_s: float = 3.0,
-        election_check_period_s: float = 1.0,
-        catchup_batch: int = 256,
-    ) -> None:
+    def __init__(self, testbed, vmanagers) -> None:
         if len(vmanagers) < 2:
             raise ValueError("a replicated version manager needs >= 2 replicas")
         self.testbed = testbed
         self.env = testbed.env
-        self.detect_period_s = detect_period_s
-        self.detect_timeout_s = detect_timeout_s
-        self.confirm_misses = confirm_misses
-        self.heartbeat_period_s = heartbeat_period_s
-        self.ship_timeout_s = ship_timeout_s
-        self.election_timeout_s = election_timeout_s
-        self.election_check_period_s = election_check_period_s
-        self.catchup_batch = catchup_batch
         self.names = [vm.node.name for vm in vmanagers]
         self.replicas = [VMReplica(self, i, vm) for i, vm in enumerate(vmanagers)]
         self.failovers: List[FailoverEvent] = []
@@ -685,8 +656,8 @@ class ReplicatedVersionManager:
         replica = self.active_replica()
         return replica.vm if replica is not None else None
 
-    def handle(self, rng, **kwargs) -> "PrimaryHandle":
-        return PrimaryHandle(self, rng, **kwargs)
+    def handle(self, rng) -> "PrimaryHandle":
+        return PrimaryHandle(self, rng)
 
     def stats(self) -> dict:
         active = self.active_replica()
@@ -707,41 +678,72 @@ class ReplicatedVersionManager:
         }
 
 
-class PrimaryHandle:
+def _forwarded(method: str):
+    """A handle method sending the manager's *method* (same signature)
+    through the failover loop."""
+    def forward(self, caller, *args, timeout_s=None, retry=None):
+        return self._call(method, caller, args, timeout_s, retry)
+
+    return forward
+
+
+class _FailoverHandle:
+    """The failover loop both client-side handles are (module docstring,
+    "Client-side handles"); a subclass says only how the active group
+    member is found (:meth:`_active`)."""
+
+    def __init__(self, group, rng) -> None:
+        self.group = group
+        self.env = group.env
+        self.rng = rng
+        #: The member calls go to while it answers; dropped (None) on
+        #: every failover error, for :meth:`_active` to find again.
+        self._current = None
+        self.switches = 0
+
+    def _active(self, caller):
+        """Generator: the manager the next attempt goes to."""
+        raise NotImplementedError
+
+    def _backoff(self, attempt: int) -> float:
+        base = min(BACKOFF_BASE_S * (2 ** (attempt - 1)), BACKOFF_MAX_S)
+        return base * (0.5 + float(self.rng.random()))
+
+    def _call(self, method, caller, args, timeout_s, retry):
+        if timeout_s is None:
+            timeout_s = RPC_TIMEOUT_S
+        switches = 0
+        while True:
+            manager = yield from self._active(caller)
+            try:
+                result = yield from getattr(manager, method)(
+                    caller, *args, timeout_s=timeout_s, retry=retry
+                )
+                return result
+            except FAILOVER_ERRORS:
+                switches += 1
+                self.switches += 1
+                self._current = None
+                if switches > MAX_SWITCHES:
+                    raise
+                yield self.env.timeout(self._backoff(switches))
+
+
+class PrimaryHandle(_FailoverHandle):
     """Client-side view of the replica group.
 
     Duck-types the :class:`VersionManager` remote API the client and the
     Cumulus gateway consume (``remote_create_blob`` / ``remote_ticket`` /
     ``remote_complete`` / ``remote_get_latest`` / ``abandon`` /
-    ``tree_capacity``).  Calls go to a cached primary; on any failover
-    error the cache is dropped and the primary re-resolved by probing
-    every replica over the network (no oracle) with seeded backoff
-    between rounds.
+    ``tree_capacity``).  The active member is a cached primary,
+    re-resolved by probing every replica over the network (no oracle)
+    with seeded backoff between rounds.
     """
 
-    def __init__(
-        self,
-        group: ReplicatedVersionManager,
-        rng,
-        rpc_timeout_s: float = 5.0,
-        probe_timeout_s: float = 1.5,
-        max_switches: int = 6,
-        resolve_rounds: int = 8,
-        backoff_base_s: float = 0.2,
-        backoff_max_s: float = 2.0,
-    ) -> None:
-        self.group = group
-        self.env = group.env
+    def __init__(self, group: ReplicatedVersionManager, rng) -> None:
+        super().__init__(group, rng)
         self.net = group.testbed.net
-        self.rng = rng
-        self.rpc_timeout_s = rpc_timeout_s
-        self.probe_timeout_s = probe_timeout_s
-        self.max_switches = max_switches
-        self.resolve_rounds = resolve_rounds
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self._current: Optional[VMReplica] = group.replicas[0]
-        self.switches = 0
 
     # -- duck-typed surface -------------------------------------------------
     @property
@@ -753,101 +755,31 @@ class PrimaryHandle:
         if replica is not None and replica.serving():
             replica.vm.abandon(ticket)
 
-    def remote_create_blob(self, caller, chunk_size_mb, timeout_s=None, retry=None):
-        result = yield from self._call(
-            "remote_create_blob", caller, (chunk_size_mb,), timeout_s, retry
-        )
-        return result
+    remote_create_blob = _forwarded("remote_create_blob")
+    remote_ticket = _forwarded("remote_ticket")
+    remote_complete = _forwarded("remote_complete")
+    remote_get_latest = _forwarded("remote_get_latest")
 
-    def remote_ticket(
-        self, caller, blob_id, size_mb, writer, offset_mb=None,
-        timeout_s=None, retry=None,
-    ):
-        result = yield from self._call(
-            "remote_ticket", caller, (blob_id, size_mb, writer, offset_mb),
-            timeout_s, retry,
-        )
-        return result
-
-    def remote_complete(self, caller, ticket, timeout_s=None, retry=None):
-        result = yield from self._call(
-            "remote_complete", caller, (ticket,), timeout_s, retry
-        )
-        return result
-
-    def remote_get_latest(self, caller, blob_id, timeout_s=None, retry=None):
-        result = yield from self._call(
-            "remote_get_latest", caller, (blob_id,), timeout_s, retry
-        )
-        return result
-
-    # -- failover-aware dispatch --------------------------------------------
-    def _call(self, method, caller, args, timeout_s, retry):
-        # A handle call always runs under a timeout: wait-forever against
-        # a crashed (black-holed) primary would never fail over.
-        if timeout_s is None:
-            timeout_s = self.rpc_timeout_s
-        switches = 0
-        while True:
-            replica = yield from self._ensure_primary(caller)
-            try:
-                result = yield from getattr(replica.vm, method)(
-                    caller, *args, timeout_s=timeout_s, retry=retry
-                )
-                return result
-            except FAILOVER_ERRORS:
-                switches += 1
-                self.switches += 1
-                self._current = None
-                if switches > self.max_switches:
-                    raise
-                yield self.env.timeout(self._backoff(switches))
-
-    def _backoff(self, attempt: int) -> float:
-        base = min(self.backoff_base_s * (2 ** (attempt - 1)), self.backoff_max_s)
-        return base * (0.5 + float(self.rng.random()))
-
-    def _ensure_primary(self, caller):
+    # -- primary discovery ----------------------------------------------------
+    def _active(self, caller):
         if self._current is not None:
-            return self._current
-        for round_no in range(1, self.resolve_rounds + 1):
+            return self._current.vm
+        for round_no in range(1, RESOLVE_ROUNDS + 1):
             claims: List[Tuple[int, VMReplica]] = []
             for replica in self.group.replicas:
-                status = yield from self._probe(caller, replica)
+                # Ask one replica for (role, epoch); None if down.
+                status = yield from _ask(
+                    self.net, caller.name, replica.node, PROBE_TIMEOUT_S,
+                    lambda: (replica.role, replica.epoch),
+                )
                 if status is not None and status[0] == PRIMARY:
                     claims.append((status[1], replica))
             if claims:
                 _, best = max(claims, key=lambda c: c[0])
                 self._current = best
-                return best
+                return best.vm
             yield self.env.timeout(self._backoff(round_no))
-        raise NoActivePrimary("version-manager", self.resolve_rounds)
-
-    def _probe(self, caller, replica: VMReplica):
-        """Generator: ask one replica for (role, epoch); None if down."""
-        deadline = self.env.now + self.probe_timeout_s
-        try:
-            value = yield from wait_or_timeout(
-                self.env,
-                self.net.transfer(caller.name, replica.name, CONTROL_MSG_MB),
-                self.probe_timeout_s,
-            )
-        except _COMMS_ERRORS:
-            return None
-        if value is TIMED_OUT or not replica.node.alive:
-            return None
-        status = (replica.role, replica.epoch)
-        try:
-            value = yield from wait_or_timeout(
-                self.env,
-                self.net.transfer(replica.name, caller.name, CONTROL_MSG_MB),
-                deadline - self.env.now,
-            )
-        except _COMMS_ERRORS:
-            return None
-        if value is TIMED_OUT:
-            return None
-        return status
+        raise NoActivePrimary("version-manager", RESOLVE_ROUNDS)
 
 
 class WarmStandbyProviderManager:
@@ -861,43 +793,26 @@ class WarmStandbyProviderManager:
     recover, comes back as the (empty) standby.
     """
 
-    def __init__(
-        self,
-        deployment,
-        active,
-        standby,
-        detect_period_s: float = 1.0,
-        detect_timeout_s: float = 3.0,
-        confirm_misses: int = 2,
-        reregister_timeout_s: float = 2.0,
-    ) -> None:
+    def __init__(self, deployment, active, standby) -> None:
         self.deployment = deployment
         self.env = active.env
         self.net = active.net
         self.managers = [active, standby]
         self.active_idx = 0
         self.epoch = 1
-        self.reregister_timeout_s = reregister_timeout_s
         self.failovers: List[dict] = []
         standby.standby = True
         self._detectors = []
         for idx, manager in enumerate(self.managers):
             other = self.managers[1 - idx]
-            detector = HeartbeatFailureDetector(
-                manager.node,
-                period_s=detect_period_s,
-                timeout_s=detect_timeout_s,
-                confirm_misses=confirm_misses,
-            )
-            detector.watch(other.node)
 
             def confirmed(view, idx=idx):
                 if view.node.name == self.managers[1 - idx].node.name:
                     self._maybe_takeover(idx)
 
-            detector.on_confirm(confirmed)
-            detector.start()
-            self._detectors.append(detector)
+            self._detectors.append(
+                _peer_detector(manager.node, [other.node], confirmed)
+            )
             manager.node.on_recover(
                 lambda _n, idx=idx: self._on_manager_recover(idx)
             )
@@ -923,33 +838,13 @@ class WarmStandbyProviderManager:
         # re-register on their own.
         for provider_id in sorted(self.deployment.providers):
             provider = self.deployment.providers[provider_id]
-            deadline = self.env.now + self.reregister_timeout_s
-            try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(
-                        manager.node.name, provider.node.name, CONTROL_MSG_MB
-                    ),
-                    self.reregister_timeout_s,
-                )
-            except _COMMS_ERRORS:
-                continue
-            if value is TIMED_OUT or not provider.node.alive:
-                continue
-            try:
-                value = yield from wait_or_timeout(
-                    self.env,
-                    self.net.transfer(
-                        provider.node.name, manager.node.name, CONTROL_MSG_MB
-                    ),
-                    deadline - self.env.now,
-                )
-            except _COMMS_ERRORS:
-                continue
-            if value is TIMED_OUT:
-                continue
-            manager.register(provider)
-            recovered += 1
+            answered = yield from _ask(
+                self.net, manager.node.name, provider.node, REREGISTER_TIMEOUT_S,
+                lambda: True,
+            )
+            if answered:
+                manager.register(provider)
+                recovered += 1
         manager.standby = False
         self.active_idx = idx
         self.epoch += 1
@@ -977,72 +872,28 @@ class WarmStandbyProviderManager:
         manager.providers.clear()
         manager.standby = True
 
-    def handle(self, rng, **kwargs) -> "ProviderManagerHandle":
-        return ProviderManagerHandle(self, rng, **kwargs)
+    def handle(self, rng) -> "ProviderManagerHandle":
+        return ProviderManagerHandle(self, rng)
 
 
-class ProviderManagerHandle:
+class ProviderManagerHandle(_FailoverHandle):
     """Client-side view of the provider-manager pair.
 
     Duck-types what :class:`~repro.blobseer.client.BlobSeerClient` uses:
-    ``remote_allocate``, ``providers``, ``provider``, ``pool_size`` and
-    ``pool_stats``.  Reads follow the currently-active manager; failed
-    allocations back off (seeded) and retry against whichever manager is
-    active by then, bounded by ``max_switches``.
+    ``remote_allocate``, ``providers`` and ``pool_size``.  Reads and
+    allocations follow whichever manager of the pair is active just then.
     """
 
-    def __init__(
-        self,
-        group: WarmStandbyProviderManager,
-        rng,
-        rpc_timeout_s: float = 5.0,
-        max_switches: int = 6,
-        backoff_base_s: float = 0.2,
-        backoff_max_s: float = 2.0,
-    ) -> None:
-        self.group = group
-        self.env = group.env
-        self.rng = rng
-        self.rpc_timeout_s = rpc_timeout_s
-        self.max_switches = max_switches
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.switches = 0
+    def _active(self, caller):
+        # The pair knows its active member: nothing to cache or probe.
+        return self.group.active_pm()
+        yield  # pragma: no cover - a generator, like PrimaryHandle._active
 
     @property
     def providers(self):
         return self.group.active_pm().providers
 
-    def provider(self, provider_id):
-        return self.group.active_pm().provider(provider_id)
-
     def pool_size(self) -> int:
         return self.group.active_pm().pool_size()
 
-    def pool_stats(self) -> dict:
-        return self.group.active_pm().pool_stats()
-
-    def remote_allocate(
-        self, caller, chunk_count, replication=1, client_id=None,
-        timeout_s=None, retry=None,
-    ):
-        if timeout_s is None:
-            timeout_s = self.rpc_timeout_s
-        switches = 0
-        while True:
-            manager = self.group.active_pm()
-            try:
-                result = yield from manager.remote_allocate(
-                    caller, chunk_count, replication, client_id,
-                    timeout_s=timeout_s, retry=retry,
-                )
-                return result
-            except FAILOVER_ERRORS:
-                switches += 1
-                self.switches += 1
-                if switches > self.max_switches:
-                    raise
-                base = min(
-                    self.backoff_base_s * (2 ** (switches - 1)), self.backoff_max_s
-                )
-                yield self.env.timeout(base * (0.5 + float(self.rng.random())))
+    remote_allocate = _forwarded("remote_allocate")

@@ -16,6 +16,12 @@ from pathlib import Path
 
 from repro.blobseer import BlobSeerConfig
 from repro.cluster import TestbedConfig
+from repro.robustness import (
+    PrimaryHandle,
+    ProviderManagerHandle,
+    ReplicatedVersionManager,
+    WarmStandbyProviderManager,
+)
 from repro.simulation import FlowNetwork
 from repro.workloads import scenarios
 
@@ -95,3 +101,20 @@ def test_the_flow_network_takes_no_solver_knob():
         "seed", "sites", "nic_in_mbps", "nic_out_mbps", "cores", "memory_mb",
         "disk_mb", "latency_local_s", "latency_cross_s", "backbone_mbps",
         "rate_granularity_s", "incremental_fairness"]
+
+
+def test_the_replica_groups_and_handles_take_no_protocol_knob():
+    """Detector settings, deadlines, batch sizes and retry budgets are
+    module constants of ``repro.robustness.replication``: no caller ever
+    set them, so no constructor (or ``handle()`` factory) takes them."""
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert parameters(ReplicatedVersionManager.__init__) == [
+        "self", "testbed", "vmanagers"]
+    assert parameters(WarmStandbyProviderManager.__init__) == [
+        "self", "deployment", "active", "standby"]
+    for handle in (PrimaryHandle, ProviderManagerHandle):
+        assert parameters(handle.__init__) == ["self", "group", "rng"]
+    for group in (ReplicatedVersionManager, WarmStandbyProviderManager):
+        assert parameters(group.handle) == ["self", "rng"]

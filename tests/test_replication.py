@@ -6,6 +6,7 @@ and provider-manager warm standby — plus the opt-in guarantee that the
 default (``vm_replicas=1``) wiring is untouched.
 """
 
+import numpy as np
 import pytest
 
 from repro.adaptation import (
@@ -15,10 +16,19 @@ from repro.adaptation import (
 )
 from repro.adaptation.replication_manager import migrate_chunks
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
-from repro.blobseer.errors import NotActivePrimary
+from repro.blobseer.errors import NoActivePrimary, NotActivePrimary
 from repro.cluster import FaultInjector, TestbedConfig
 from repro.robustness import PrimaryHandle, ProviderManagerHandle
-from repro.robustness.replication import PRIMARY, STANDBY
+from repro.robustness.replication import (
+    BACKOFF_BASE_S,
+    BACKOFF_MAX_S,
+    MAX_SWITCHES,
+    PRIMARY,
+    PROBE_TIMEOUT_S,
+    RESOLVE_ROUNDS,
+    RPC_TIMEOUT_S,
+    STANDBY,
+)
 
 
 def make_deployment(seed=11, providers=6, **overrides):
@@ -358,6 +368,92 @@ def test_standby_provider_manager_fences_allocations():
     assert standby.standby
     with pytest.raises(NotActivePrimary):
         standby._fence()
+
+
+# ------------------------------------------------------------------ giving up
+HANDLE_SEED = 5
+
+
+def handle_call(dep, handle, method, *args):
+    """Run one handle call from a fresh node; returns its outcome and
+    the one-way latency of a control message (one site: the same for
+    every pair of nodes)."""
+    caller = dep.testbed.add_node("caller")
+    outcome = {"start": dep.now}
+
+    def runner():
+        try:
+            outcome["value"] = yield from getattr(handle, method)(caller, *args)
+        except Exception as exc:  # noqa: BLE001 - the give-up under test
+            outcome["error"] = exc
+        outcome["took"] = dep.now - outcome["start"]
+
+    dep.env.process(runner(), name="handle-call")
+    dep.run(until=dep.now + 200.0)
+    return outcome, dep.config.testbed.latency_local_s
+
+
+def backoff_total(attempts):
+    """Sum of the handle's documented backoff, ``min(base * 2^(n-1),
+    max) * (0.5 + u)``, over *attempts* (attempt numbers in draw order)
+    on a twin of its seeded stream."""
+    rng = np.random.default_rng(HANDLE_SEED)
+    return sum(min(BACKOFF_BASE_S * 2 ** (n - 1), BACKOFF_MAX_S)
+               * (0.5 + float(rng.random())) for n in attempts)
+
+
+def test_primary_handle_gives_up_when_every_replica_is_down():
+    dep = make_replicated()
+    handle = PrimaryHandle(dep.vm_group, np.random.default_rng(HANDLE_SEED))
+    for replica in dep.vm_group.replicas:
+        replica.node.fail()
+    outcome, _latency = handle_call(dep, handle, "remote_get_latest", 1)
+
+    error = outcome["error"]
+    assert isinstance(error, NoActivePrimary)
+    assert error.attempts == RESOLVE_ROUNDS
+    # One call timed out against the cached primary; the re-resolution
+    # then never found anyone to switch to.
+    assert handle.switches == 1
+    # The RPC deadline and its backoff, then RESOLVE_ROUNDS sweeps of
+    # three black-holed probes each, every sweep followed by a backoff
+    # drawn from the same stream (attempt numbers restart at 1).
+    expected = (RPC_TIMEOUT_S + RESOLVE_ROUNDS * 3 * PROBE_TIMEOUT_S
+                + backoff_total([1, *range(1, RESOLVE_ROUNDS + 1)]))
+    assert outcome["took"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_primary_handle_reraises_after_max_switches(monkeypatch):
+    """A replica that claims the primary role to every probe but fences
+    every call: the handle re-resolves it MAX_SWITCHES times, then lets
+    the caller see the error."""
+    dep = make_replicated()
+    handle = PrimaryHandle(dep.vm_group, np.random.default_rng(HANDLE_SEED))
+    monkeypatch.setattr(dep.vm_group.replicas[0], "serving", lambda: False)
+    outcome, latency = handle_call(dep, handle, "remote_get_latest", 1)
+
+    assert isinstance(outcome["error"], NotActivePrimary)
+    assert handle.switches == MAX_SWITCHES + 1
+    # Every call dies on arrival (one leg); each of the MAX_SWITCHES
+    # re-resolutions is a backoff plus one answered probe per replica.
+    expected = ((MAX_SWITCHES + 1) * latency
+                + backoff_total(range(1, MAX_SWITCHES + 1))
+                + MAX_SWITCHES * 3 * 2 * latency)
+    assert outcome["took"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_provider_manager_handle_reraises_after_max_switches():
+    dep = make_replicated(replicas=1, pm_standby=True)
+    handle = ProviderManagerHandle(dep.pm_group, np.random.default_rng(HANDLE_SEED))
+    dep.pm_group.active_pm().standby = True  # both managers fenced
+    outcome, latency = handle_call(dep, handle, "remote_allocate", 1)
+
+    assert isinstance(outcome["error"], NotActivePrimary)
+    assert handle.switches == MAX_SWITCHES + 1
+    expected = ((MAX_SWITCHES + 1) * latency
+                + backoff_total(range(1, MAX_SWITCHES + 1)))
+    assert outcome["took"] == pytest.approx(expected, rel=1e-12)
+    assert dep.pmanager.allocations == 0
 
 
 # ------------------------------------------------------------------ determinism

@@ -1,17 +1,21 @@
 """Tests for RPC timeouts and retries (robustness layer plumbing)."""
 
+import math
+
 import pytest
 
 from repro import telemetry
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment, RpcTimeout
+from repro.blobseer.errors import TicketRevoked
 from repro.blobseer.rpc import (
     TIMED_OUT,
     request_response,
     wait_or_timeout,
     with_retries,
 )
-from repro.cluster import Testbed, TestbedConfig
+from repro.cluster import FaultInjector, Testbed, TestbedConfig
 from repro.robustness import RetryPolicy
+from repro.simulation.events import Timeout
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -79,13 +83,61 @@ def test_wait_or_timeout_nonpositive_is_immediate():
 
 
 # ------------------------------------------------------------------ rpc paths
-def test_rpc_without_timeout_is_legacy_path():
+def test_rpc_without_deadline_costs_two_messages_and_no_timer(monkeypatch):
+    """``timeout_s=None`` is the same round trip minus the timer: each
+    leg yields its message event itself."""
     testbed = make_testbed()
+    env = testbed.env
     a = testbed.add_node("a")
     b = testbed.add_node("b")
-    outcome = drive(testbed.env, request_response(testbed.net, a.netnode, b.netnode))
-    testbed.env.run(until=5.0)
+    created = []
+    original = Timeout.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting)
+    outcome = drive(env, request_response(testbed.net, a.netnode, b.netnode))
+    env.run(until=5.0)
     assert "error" not in outcome
+    # Two control messages (each is one Timeout of the link latency) ...
+    assert len(created) == 2
+    assert testbed.net.blackholed_transfers == 0
+    # ... where the bounded form adds one deadline timer per leg.
+    del created[:]
+    outcome = drive(env, request_response(
+        testbed.net, a.netnode, b.netnode, timeout_s=2.0))
+    env.run(until=10.0)
+    assert "error" not in outcome
+    assert len(created) == 4
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_message_landing_exactly_on_the_deadline_is_delivered(late):
+    """The ordering rule at the boundary, on the one path every RPC
+    takes: a leg whose message arrives exactly at the deadline is
+    delivered (it was sent before the timer was armed); one ulp later it
+    times out."""
+    testbed = make_testbed()
+    env = testbed.env
+    testbed.add_node("a")
+    testbed.add_node("b")
+    latency = testbed.net.latency_between(testbed.net.node("a"), testbed.net.node("b"))
+    # Request lands at `latency`, reply at exactly twice that.
+    timeout_s = 2 * latency
+    assert latency + (timeout_s - latency) == timeout_s  # exact in binary
+    if late:
+        timeout_s = math.nextafter(timeout_s, 0.0)
+    outcome = drive(env, request_response(
+        testbed.net, "a", "b", op="edge", timeout_s=timeout_s))
+    env.run(until=1.0)
+    if late:
+        assert isinstance(outcome["error"], RpcTimeout)
+        assert outcome["at"] == timeout_s
+    else:
+        assert "error" not in outcome
+        assert outcome["at"] == 2 * latency
 
 
 def test_rpc_times_out_against_blackholed_node():
@@ -238,6 +290,98 @@ def test_ticket_timeout_releases_queue_slot():
     # A's directly.
     assert ticket_c.version == ticket_a.version + 1
     vm.abandon(ticket_c)
+
+
+def _blob_with_writers(dep, *names):
+    """A fresh blob and one caller node per writer name."""
+    vm = dep.vmanager
+    blob_id = vm.create_blob(8.0)
+    return vm, blob_id, [dep.testbed.add_node(f"caller-{n}") for n in names]
+
+
+def test_queued_writer_whose_node_dies_does_not_wedge_the_blob():
+    """Regression (no deadline anywhere): A holds the lock, B queues, B's
+    node dies, A publishes.  B's ticket is issued into the void — its
+    reply leg fails — and must be abandoned, or version 2 keeps the lock
+    forever and C never gets a ticket."""
+    dep = make_deployment()
+    env = dep.env
+    vm, blob_id, (node_a, node_b, node_c) = _blob_with_writers(dep, "a", "b", "c")
+
+    a_out = drive(env, vm.remote_ticket(node_a, blob_id, 8.0, "A"))
+    dep.run(until=env.now + 1.0)
+    b_out = drive(env, vm.remote_ticket(node_b, blob_id, 8.0, "B"))
+    dep.run(until=env.now + 1.0)
+    assert "value" not in b_out  # queued behind A
+    node_b.fail()
+    drive(env, vm.remote_complete(node_a, a_out["value"]))
+    dep.run(until=env.now + 1.0)
+    # B saw the transport error; its version is burned, not held.
+    assert isinstance(b_out["error"], KeyError)
+    assert vm.blobs[blob_id].versions[2].abandoned
+    assert not vm._held
+
+    c_out = drive(env, vm.remote_ticket(node_c, blob_id, 8.0, "C"))
+    dep.run(until=env.now + 60.0)
+    ticket_c = c_out["value"]
+    assert ticket_c.version == 3
+    assert ticket_c.prev_version == 1  # chains past the burned version
+    vm.abandon(ticket_c)
+
+
+def test_lost_reply_publish_is_acked_by_the_retry():
+    """The reply of the first ``remote_complete`` is lost; the retry
+    finds the version already out and just acks: one publish, lock free."""
+    dep = make_deployment()
+    env = dep.env
+    env.metrics = MetricsRegistry(env)
+    vm, blob_id, (node,) = _blob_with_writers(dep, "w")
+    t_out = drive(env, vm.remote_ticket(node, blob_id, 8.0, "W"))
+    dep.run(until=env.now + 1.0)
+    ticket = t_out["value"]
+
+    # Cut the writer off just after its request has left: the request
+    # is delivered, the VM publishes, the reply is lost.
+    injector = FaultInjector(dep.testbed)
+    retry = RetryPolicy(max_attempts=2, base_delay_s=1.0, jitter=0.0)
+    c_out = drive(env, vm.remote_complete(node, ticket, timeout_s=2.0, retry=retry))
+    latency = dep.net.latency_between(node.netnode, vm.node.netnode)
+    dep.run(until=env.now + latency / 2)
+    injector.partition([node.name], heal_after=2.5)
+    dep.run(until=env.now + 30.0)
+
+    assert c_out["value"] == ticket.version
+    assert env.metrics.counter("rpc.timeouts").value == 1
+    assert env.metrics.counter("rpc.retries").value == 1
+    assert vm.versions_published == 1
+    assert vm.latest(blob_id)[0] == ticket.version
+    assert not vm._held and vm._locks[blob_id].count == 0
+
+
+def test_late_complete_of_an_abandoned_ticket_is_revoked():
+    """A complete arriving after its ticket was burned raises
+    ``TicketRevoked`` and never resurrects the version."""
+    dep = make_deployment()
+    env = dep.env
+    vm, blob_id, (node,) = _blob_with_writers(dep, "w")
+    t_out = drive(env, vm.remote_ticket(node, blob_id, 8.0, "W"))
+    dep.run(until=env.now + 1.0)
+    ticket = t_out["value"]
+    vm.abandon(ticket)
+
+    for kwargs in ({}, {"timeout_s": 2.0}):
+        late = drive(env, vm.remote_complete(node, ticket, **kwargs))
+        dep.run(until=env.now + 5.0)
+        assert isinstance(late["error"], TicketRevoked)
+    record = vm.blobs[blob_id].versions[ticket.version]
+    assert record.abandoned and not record.published
+    assert vm.versions_published == 0 and vm.latest(blob_id)[0] == 0
+    # The blob stays writable, chaining past the burned version.
+    n_out = drive(env, vm.remote_ticket(node, blob_id, 8.0, "W"))
+    dep.run(until=env.now + 1.0)
+    assert n_out["value"].version == ticket.version + 1
+    assert n_out["value"].prev_version is None
+    vm.abandon(n_out["value"])
 
 
 def test_get_latest_with_timeout_matches_legacy_result():

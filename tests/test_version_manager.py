@@ -6,17 +6,17 @@ from repro.blobseer import (
     BlobNotFound,
     BlobSeerConfig,
     BlobSeerDeployment,
-    BlobSeerError,
+    RecordingSink,
     VersionNotFound,
 )
 from repro.cluster import TestbedConfig
 
 
-def make_deployment():
+def make_deployment(sink=None):
     return BlobSeerDeployment(BlobSeerConfig(
         data_providers=4, metadata_providers=1, tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=77),
-    ))
+    ), sink=sink)
 
 
 def test_create_blob_validates_chunk_size():
@@ -136,8 +136,11 @@ def test_abandon_releases_the_lock():
         vm.version_record(blob_id, 1)
 
 
-def test_double_publish_rejected():
-    dep = make_deployment()
+def test_double_publish_is_idempotent():
+    """A re-sent complete (lost-reply retry, post-failover re-send) of an
+    already-published ticket acks: same version, nothing published twice."""
+    sink = RecordingSink()
+    dep = make_deployment(sink=sink)
     env = dep.env
     vm = dep.vmanager
     blob_id = vm.create_blob(64.0)
@@ -145,15 +148,17 @@ def test_double_publish_rejected():
 
     def scenario(env):
         ticket = yield from vm.remote_ticket(caller, blob_id, 64.0, "w")
-        yield from vm.remote_complete(caller, ticket)
-        try:
-            yield from vm.remote_complete(caller, ticket)
-        except BlobSeerError:
-            return "rejected"
-        return "accepted"
+        first = yield from vm.remote_complete(caller, ticket)
+        second = yield from vm.remote_complete(caller, ticket)
+        return ticket.version, first, second
 
     process = env.process(scenario(env))
-    assert dep.run(until=process) == "rejected"
+    version, first, second = dep.run(until=process)
+    assert first == second == version == 1
+    assert vm.versions_published == 1
+    assert len(sink.of_type("publish")) == 1
+    assert vm.latest(blob_id) == (1, 64.0, 64.0)
+    assert not vm._held  # the lock was released once, by the first complete
 
 
 def test_append_offsets_assigned_in_ticket_order():
@@ -199,13 +204,8 @@ def test_explicit_offset_write_grows_size_to_end():
 
 
 def test_publish_latency_recorded_in_events():
-    from repro.blobseer import RecordingSink
-
     sink = RecordingSink()
-    dep = BlobSeerDeployment(BlobSeerConfig(
-        data_providers=4, metadata_providers=1, tree_capacity=1 << 10,
-        testbed=TestbedConfig(seed=77),
-    ), sink=sink)
+    dep = make_deployment(sink=sink)
     client = dep.new_client("c")
 
     def scenario(env):
