@@ -23,7 +23,6 @@ def run_point(users: int):
         data_providers=24,
         metadata_providers=4,
         chunk_size_mb=32.0,
-        tree_capacity=1 << 12,
         testbed=TestbedConfig(seed=31, rate_granularity_s=0.01),
     ))
     gateway = CumulusGateway(deployment, nic_mbps=1250.0)

@@ -41,7 +41,7 @@ from .instrument import (
 from .metadata import LocalKV, MetadataProvider, MetadataStore
 from .provider import DataProvider, ProviderUnavailable, StorageFull
 from .provider_manager import ProviderManager
-from .segment_tree import DEFAULT_CAPACITY, tree_node_count, tree_query, tree_update
+from .segment_tree import capacity_for, tree_node_count, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
 
 __all__ = [
@@ -87,5 +87,5 @@ __all__ = [
     "tree_update",
     "tree_query",
     "tree_node_count",
-    "DEFAULT_CAPACITY",
+    "capacity_for",
 ]

@@ -45,7 +45,7 @@ from .instrument import (
 from .metadata import MetadataProvider, MetadataStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
-from .segment_tree import tree_query, tree_update
+from .segment_tree import capacity_for, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
 
 __all__ = ["OpResult", "BlobSeerClient"]
@@ -177,13 +177,13 @@ class BlobSeerClient:
                             client=self.client_id, blob=blob_id, size_mb=size_mb)
         try:
             with tracer.span("client.lookup", cat="client"):
-                latest, blob_size, chunk_size = yield from self.vm.remote_get_latest(
-                    self.node, blob_id,
+                # Resolved against the version that is read: the latest
+                # published one, or the published one asked for.
+                version, blob_size, chunk_size = yield from self.vm.remote_get_latest(
+                    self.node, blob_id, version,
                     timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
                 )
             self._chunk_size[blob_id] = chunk_size
-            if version is None:
-                version = latest
             if version == 0:
                 raise RangeError(f"blob {blob_id} has no published data")
             if offset_mb + size_mb > blob_size + 1e-9:
@@ -195,7 +195,7 @@ class BlobSeerClient:
                              version=version, chunks=last - first):
                 descriptors = yield from tree_query(
                     self.meta, blob_id, version, first, last,
-                    capacity=self.vm.tree_capacity,
+                    capacity=self._capacity(blob_size, chunk_size),
                 )
             rate_cap = self.access.rate_cap(self.client_id)
             with tracer.span("client.fetch", cat="client") as fetch_span:
@@ -352,7 +352,9 @@ class BlobSeerClient:
                              version=ticket.version):
                 yield from tree_update(
                     self.meta, blob_id, ticket.version, ticket.prev_version,
-                    tree_descriptors, capacity=self.vm.tree_capacity,
+                    tree_descriptors,
+                    capacity=self._capacity(ticket.new_size_mb, chunk_size),
+                    prev_capacity=self._capacity(ticket.prev_size_mb, chunk_size),
                 )
 
             # 5. publish
@@ -451,6 +453,11 @@ class BlobSeerClient:
         if pushes:
             yield self.env.all_of(pushes)
         return still_failed
+
+    @staticmethod
+    def _capacity(blob_size_mb: float, chunk_size_mb: float) -> int:
+        """Leaves of the metadata tree of a version *blob_size_mb* long."""
+        return capacity_for(int(round(blob_size_mb / chunk_size_mb)))
 
     def _pick_replica(self, descriptor: ChunkDescriptor) -> DataProvider:
         """Choose a live replica, uniformly at random (read balancing)."""

@@ -21,7 +21,6 @@ from .metadata import MetadataProvider
 from .provider import DataProvider
 from .provider_manager import ProviderManager
 from .rpc import GroupCommitGate
-from .segment_tree import DEFAULT_CAPACITY
 from .sharding import ShardRouter
 from .version_manager import VersionManager
 
@@ -37,7 +36,6 @@ class BlobSeerConfig:
     replication: int = 1
     allocation: str = "round_robin"
     chunk_size_mb: float = 64.0
-    tree_capacity: int = DEFAULT_CAPACITY
     #: Cache tiers (repro.cache).  All default to 0 = disabled, keeping
     #: cache-less runs byte-identical per seed.  Positive values are
     #: byte budgets in MB per client / per provider / per client's
@@ -211,7 +209,6 @@ class BlobSeerDeployment:
         node = self.testbed.add_node(f"vm-node{suffix}", cores=1)
         vm = VersionManager(
             node, sink=self.sink,
-            tree_capacity=self.config.tree_capacity,
             id_start=shard + 1,
             id_stride=self.config.vm_shards,
             actor_id=f"vm{shard_suffix}",

@@ -1,13 +1,18 @@
 """Copy-on-write segment-tree metadata, as in BlobSeer.
 
 Each BLOB version is described by a binary tree over chunk indices
-``[0, capacity)``.  Writing version *v* over chunk range ``[a, b)``
-creates new tree nodes only along the paths covering that range; subtrees
-untouched by the write are *shared* with the previous version by storing
-the version stamp at which each child was last written.  This yields
-O(span + log capacity) metadata writes per update and lets any number of
-readers traverse old versions concurrently with writers — the property
-BlobSeer's heavy-concurrency results rest on.
+``[0, capacity)``, where the capacity follows the BLOB: it is the
+smallest power of two that holds the version's chunks
+(:func:`capacity_for`), so a one-chunk blob's tree is a single leaf.
+Writing version *v* over chunk range ``[a, b)`` creates new tree nodes
+only along the paths covering that range; subtrees untouched by the
+write are *shared* with the previous version by storing the version
+stamp at which each child was last written.  A write that takes the blob
+past a power of two puts new roots *above* the previous version's root,
+which becomes their leftmost descendant, untouched.  This yields
+O(span + log chunks-in-blob) metadata writes per update and lets any
+number of readers traverse old versions concurrently with writers — the
+property BlobSeer's heavy-concurrency results rest on.
 
 Node encoding in the KV store (see :mod:`repro.blobseer.metadata`):
 
@@ -29,19 +34,22 @@ from .blob import ChunkDescriptor
 
 __all__ = [
     "node_key",
-    "DEFAULT_CAPACITY",
+    "capacity_for",
     "tree_update",
     "tree_query",
     "tree_node_count",
 ]
 
-#: Default maximum chunks per blob (2**20 chunks; at 64 MB each = 64 TB).
-DEFAULT_CAPACITY = 1 << 20
-
 
 def node_key(blob_id: int, version: int, lo: int, hi: int) -> str:
     """KV key of the tree node covering chunk interval [lo, hi)."""
     return f"m:{blob_id}:{version}:{lo}:{hi}"
+
+
+def capacity_for(chunks: int) -> int:
+    """Leaves of the tree of a version that is *chunks* chunks long: the
+    smallest power of two that holds them (1 for an empty blob)."""
+    return 1 << max(chunks - 1, 0).bit_length()
 
 
 def _check_capacity(capacity: int) -> None:
@@ -55,17 +63,26 @@ def tree_update(
     version: int,
     prev_version: Optional[int],
     descriptors: Dict[int, ChunkDescriptor],
-    capacity: int = DEFAULT_CAPACITY,
+    capacity: int,
+    prev_capacity: Optional[int] = None,
 ):
     """Generator: write the tree nodes for *version*.
 
     *descriptors* maps absolute chunk index → descriptor for every chunk
     written by this version.  *prev_version* is the version whose tree
-    this one inherits from (``None`` for the first write).
+    this one inherits from (``None`` for the first write) and
+    *prev_capacity* the capacity of that tree (default: *capacity*, a
+    tree that did not grow).
 
     Returns the number of KV puts performed.
     """
     _check_capacity(capacity)
+    if prev_capacity is None:
+        prev_capacity = capacity
+    _check_capacity(prev_capacity)
+    if prev_capacity > capacity:
+        raise ValueError(
+            f"a tree never shrinks: previous capacity {prev_capacity} > {capacity}")
     if not descriptors:
         raise ValueError("update with no chunks")
     lo_w = min(descriptors)
@@ -96,12 +113,24 @@ def tree_update(
             left_stamp: Optional[int] = None
             right_stamp: Optional[int] = None
             fully_covered = lo_w <= lo and hi <= hi_w
-            if prev_stamp is not None and not fully_covered:
-                prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
-                if prev is not None:
-                    _tag, left_stamp, right_stamp = prev
             go_left = lo_w < mid  # write range intersects the left child
-            go_right = hi_w > mid
+            go_right = hi_w > mid and lo_w < hi
+            if prev_stamp is not None and not fully_covered:
+                if hi > prev_capacity:
+                    # A root added above the previous version's root (so
+                    # lo == 0): that version has no such node to fetch.
+                    # Everything older lies under the left child — the
+                    # old root itself, or one more new root on the way
+                    # down to it, which must exist even when the write
+                    # lies wholly to its right (the one way a node that
+                    # the write does not reach gets visited).  Nothing
+                    # older lies under the right child.
+                    left_stamp = prev_stamp
+                    go_left = go_left or mid > prev_capacity
+                else:
+                    prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
+                    if prev is not None:
+                        _tag, left_stamp, right_stamp = prev
             stack.append((lo, hi, None, (
                 "node",
                 version if go_left else left_stamp,
@@ -123,9 +152,10 @@ def tree_query(
     version: int,
     first: int,
     last: int,
-    capacity: int = DEFAULT_CAPACITY,
+    capacity: int,
 ):
-    """Generator: fetch descriptors for chunk indices [first, last).
+    """Generator: fetch descriptors for chunk indices [first, last) of
+    *version*, whose tree has *capacity* leaves.
 
     Returns ``{index: ChunkDescriptor}``; indices never written are
     absent (holes read as unwritten data, like sparse files).
@@ -153,12 +183,10 @@ def tree_query(
     return result
 
 
-def tree_node_count(span: int, capacity: int = DEFAULT_CAPACITY) -> int:
-    """Upper bound on KV puts for an update covering *span* chunks.
-
-    Used by capacity planning in the elasticity controller: an update
-    touches at most ``2*span`` leaf-side nodes plus the two boundary
-    paths to the root.
+def tree_node_count(span: int, capacity: int) -> int:
+    """Upper bound on KV puts for an update covering *span* chunks: an
+    update touches at most ``2*span`` leaf-side nodes plus the two
+    boundary paths to the root.
     """
     _check_capacity(capacity)
     depth = capacity.bit_length() - 1

@@ -62,10 +62,6 @@ class ShardRouter:
         return self.targets[shard_of(blob_id, self.shards)]
 
     # -- duck-typed VersionManager remote API --------------------------------
-    @property
-    def tree_capacity(self) -> int:
-        return self.targets[0].tree_capacity
-
     def remote_create_blob(self, caller, chunk_size_mb, timeout_s=None, retry=None):
         target = self.targets[next(self._create_seq) % self.shards]
         blob_id = yield from target.remote_create_blob(
@@ -89,9 +85,11 @@ class ShardRouter:
         )
         return version
 
-    def remote_get_latest(self, caller, blob_id, timeout_s=None, retry=None):
+    def remote_get_latest(
+        self, caller, blob_id, version=None, timeout_s=None, retry=None,
+    ):
         result = yield from self.shard_for(blob_id).remote_get_latest(
-            caller, blob_id, timeout_s=timeout_s, retry=retry
+            caller, blob_id, version, timeout_s=timeout_s, retry=retry
         )
         return result
 

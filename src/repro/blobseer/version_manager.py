@@ -41,7 +41,6 @@ from .instrument import (
     NullSink,
 )
 from .rpc import RoundTrip, with_retries
-from .segment_tree import DEFAULT_CAPACITY
 
 __all__ = ["Ticket", "VersionManager"]
 
@@ -54,6 +53,9 @@ class Ticket:
     version: int
     prev_version: Optional[int]  # None for the first write to the blob
     offset_mb: float
+    #: Blob size as of *prev_version* and as of this version: the writer
+    #: sizes both metadata trees from them.
+    prev_size_mb: float
     new_size_mb: float
 
     def version_key(self) -> Tuple[int, int]:
@@ -68,7 +70,6 @@ class VersionManager:
         node: PhysicalNode,
         sink: Optional[EventSink] = None,
         op_cpu_s: float = 0.003,
-        tree_capacity: int = DEFAULT_CAPACITY,
         id_start: int = 1,
         id_stride: int = 1,
         actor_id: str = "vm",
@@ -80,7 +81,6 @@ class VersionManager:
         self.node = node
         self.sink = sink or NullSink()
         self.op_cpu_s = op_cpu_s
-        self.tree_capacity = tree_capacity
         self.actor_id = actor_id
         self.blobs: Dict[int, BlobInfo] = {}
         #: Blob-id minting: shard *i* of an N-shard control plane mints
@@ -145,6 +145,15 @@ class VersionManager:
         info = self.blob_info(blob_id)
         return info.latest, info.size_mb, info.chunk_size_mb
 
+    def lookup(
+        self, blob_id: int, version: Optional[int] = None
+    ) -> Tuple[int, float, float]:
+        """:meth:`latest`, or the same triple for published *version*."""
+        if version is None:
+            return self.latest(blob_id)
+        record = self.version_record(blob_id, version)
+        return version, record.size_mb, self.blobs[blob_id].chunk_size_mb
+
     def version_record(self, blob_id: int, version: int) -> VersionRecord:
         info = self.blob_info(blob_id)
         record = info.versions.get(version)
@@ -158,15 +167,17 @@ class VersionManager:
         blob_id: int,
         size_mb: float,
         offset_mb: Optional[float],
-    ) -> Tuple[int, Optional[int], float, float]:
-        """Compute (version, prev, offset, new_size) without mutating.
+    ) -> Tuple[int, Optional[int], float, float, float]:
+        """Compute (version, prev, offset, prev_size, new_size) without
+        mutating.
 
         ``prev`` is the latest *published* version, not ``version - 1``:
         abandoned tickets burn version numbers whose metadata tree was
         never written, and chaining the copy-on-write tree onto such a
         hole would silently drop every earlier chunk.  Tickets serialize
         per blob, so at issue time all prior versions are published or
-        abandoned and ``info.latest`` is the correct parent.
+        abandoned and ``info.latest`` is the correct parent — and
+        ``info.size_mb`` its size.
         """
         info = self.blob_info(blob_id)
         version = info.next_version
@@ -174,7 +185,7 @@ class VersionManager:
         if offset_mb is None:  # append: tail of the blob as of the previous ticket
             offset_mb = info.size_mb
         new_size = max(info.size_mb, offset_mb + size_mb)
-        return version, prev, offset_mb, new_size
+        return version, prev, offset_mb, info.size_mb, new_size
 
     def apply_ticket(
         self,
@@ -212,7 +223,7 @@ class VersionManager:
         writer: str,
         offset_mb: Optional[float],
     ) -> Ticket:
-        version, prev, offset_mb, new_size = self._peek_ticket(
+        version, prev, offset_mb, prev_size, new_size = self._peek_ticket(
             blob_id, size_mb, offset_mb
         )
         self.apply_ticket(blob_id, version, size_mb, writer, offset_mb, new_size)
@@ -221,6 +232,7 @@ class VersionManager:
             version=version,
             prev_version=prev,
             offset_mb=offset_mb,
+            prev_size_mb=prev_size,
             new_size_mb=new_size,
         )
 
@@ -336,12 +348,13 @@ class VersionManager:
             return self._issue_ticket(blob_id, size_mb, writer, offset_mb)
 
         def build():
-            version, prev, off, new_size = self._peek_ticket(
+            version, prev, off, prev_size, new_size = self._peek_ticket(
                 blob_id, size_mb, offset_mb
             )
             return {
                 "blob_id": blob_id, "version": version, "prev_version": prev,
-                "size_mb": size_mb, "offset_mb": off, "new_size_mb": new_size,
+                "size_mb": size_mb, "offset_mb": off,
+                "prev_size_mb": prev_size, "new_size_mb": new_size,
                 "writer": writer, "time": self.env.now,
             }
 
@@ -351,6 +364,7 @@ class VersionManager:
             version=payload["version"],
             prev_version=payload["prev_version"],
             offset_mb=payload["offset_mb"],
+            prev_size_mb=payload["prev_size_mb"],
             new_size_mb=payload["new_size_mb"],
         )
 
@@ -501,14 +515,19 @@ class VersionManager:
         self,
         caller: PhysicalNode,
         blob_id: int,
+        version: Optional[int] = None,
         timeout_s: Optional[float] = None,
         retry=None,
     ):
+        """Generator: :meth:`lookup` over the network — the latest
+        published version, or the published *version* asked for
+        (:class:`VersionNotFound` otherwise: readers never see a version
+        before its writer has completed it)."""
         def attempt():
             with self.env.tracer.span("vm.get_latest", track=self.node.name,
                                       cat="rpc", blob=blob_id, caller=caller.name):
                 trip = yield from self._receive(caller, "vm.get_latest", timeout_s)
-                result = self.latest(blob_id)
+                result = self.lookup(blob_id, version)
                 yield from trip.reply()
             return result
 

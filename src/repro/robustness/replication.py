@@ -734,10 +734,10 @@ class PrimaryHandle(_FailoverHandle):
 
     Duck-types the :class:`VersionManager` remote API the client and the
     Cumulus gateway consume (``remote_create_blob`` / ``remote_ticket`` /
-    ``remote_complete`` / ``remote_get_latest`` / ``abandon`` /
-    ``tree_capacity``).  The active member is a cached primary,
-    re-resolved by probing every replica over the network (no oracle)
-    with seeded backoff between rounds.
+    ``remote_complete`` / ``remote_get_latest`` / ``abandon``).  The
+    active member is a cached primary, re-resolved by probing every
+    replica over the network (no oracle) with seeded backoff between
+    rounds.
     """
 
     def __init__(self, group: ReplicatedVersionManager, rng) -> None:
@@ -746,10 +746,6 @@ class PrimaryHandle(_FailoverHandle):
         self._current: Optional[VMReplica] = group.replicas[0]
 
     # -- duck-typed surface -------------------------------------------------
-    @property
-    def tree_capacity(self) -> int:
-        return self.group.replicas[0].vm.tree_capacity
-
     def abandon(self, ticket) -> None:
         replica = self._current
         if replica is not None and replica.serving():

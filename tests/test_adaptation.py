@@ -24,7 +24,6 @@ def make_deployment(**overrides):
         data_providers=6,
         metadata_providers=2,
         chunk_size_mb=64.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=7),
     )
     defaults.update(overrides)
@@ -323,7 +322,7 @@ def test_removal_manager_collects_orphans_from_aborted_writes():
     access = AccessTable()
     dep = BlobSeerDeployment(
         BlobSeerConfig(data_providers=4, metadata_providers=1,
-                       tree_capacity=1 << 10, testbed=TestbedConfig(seed=7)),
+                       testbed=TestbedConfig(seed=7)),
         access=access,
     )
     client = dep.new_client("victim")

@@ -10,6 +10,7 @@ from repro.blobseer import (
     ChunkLost,
     RangeError,
     RecordingSink,
+    VersionNotFound,
 )
 from repro.blobseer.instrument import (
     EV_ALLOCATION,
@@ -27,7 +28,6 @@ def make_deployment(**overrides):
         data_providers=8,
         metadata_providers=2,
         chunk_size_mb=64.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=1),
     )
     defaults.update(overrides)
@@ -131,6 +131,40 @@ def test_read_beyond_size_rejected():
         return "accepted"
 
     assert run_client_op(dep, scenario(dep.env)) == "rejected"
+
+
+def read_of_version(version, offset_mb):
+    """After two 2-chunk appends (v1 = 8 MB, v2 = 16 MB), read 8 MB of
+    *version* at *offset_mb*; returns (the error's type or None, the
+    reader's last recorded op)."""
+    dep = make_deployment()
+    client = dep.new_client("c1")
+
+    def scenario(env):
+        blob_id = yield env.process(client.create_blob(4.0))
+        yield env.process(client.append(blob_id, 8.0))
+        yield env.process(client.append(blob_id, 8.0))
+        try:
+            yield env.process(client.read(blob_id, offset_mb, 8.0, version=version))
+        except (RangeError, VersionNotFound) as exc:
+            return type(exc)
+
+    return run_client_op(dep, scenario(dep.env)), client.history[-1]
+
+
+def test_versioned_read_is_range_checked_against_that_version():
+    """[8, 16) exists in v2 but lies beyond the end of v1."""
+    error, op = read_of_version(2, 8.0)
+    assert error is None and op.ok and op.version == 2
+    error, op = read_of_version(1, 8.0)
+    assert error is RangeError
+    assert op.op == "read" and not op.ok  # a failed op, not goodput
+
+
+def test_read_of_a_version_never_ticketed_is_rejected():
+    error, op = read_of_version(7, 0.0)
+    assert error is VersionNotFound
+    assert op.op == "read" and not op.ok
 
 
 def test_concurrent_appends_serialize_versions():

@@ -14,7 +14,7 @@ from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
 
 CHUNK = 64.0
-MAX_CHUNKS = 8  # keep blobs small: capacity 16 in the tree
+MAX_CHUNKS = 8  # in-place writes start below this chunk index
 
 
 @st.composite
@@ -55,14 +55,9 @@ def apply_reference(ops):
 @given(ops=op_sequences())
 def test_versions_agree_with_reference_model(ops):
     reference_versions, reference_sizes = apply_reference(ops)
-    # Appends beyond tree capacity are excluded by construction only for
-    # writes; clip op sequences whose appends overflow the capacity.
-    if max(reference_sizes.values()) > MAX_CHUNKS * 2:
-        return
 
     dep = BlobSeerDeployment(BlobSeerConfig(
-        data_providers=6, metadata_providers=2,
-        chunk_size_mb=CHUNK, tree_capacity=MAX_CHUNKS * 2,
+        data_providers=6, metadata_providers=2, chunk_size_mb=CHUNK,
         testbed=TestbedConfig(seed=99),
     ))
     client = dep.new_client("writer")
@@ -93,8 +88,7 @@ def test_versions_agree_with_reference_model(ops):
 
     # Chunk contents (identified by write serial embedded in the storage
     # key, "wN") of every version match the reference.
-    from repro.blobseer.metadata import LocalKV
-    from repro.blobseer.segment_tree import tree_query
+    from repro.blobseer.segment_tree import capacity_for, tree_query
 
     # Query through the real distributed metadata, via a probe client.
     probe = dep.new_client("probe")
@@ -102,9 +96,10 @@ def test_versions_agree_with_reference_model(ops):
     def audit(env):
         mismatches = []
         for version, expected in reference_versions.items():
+            # Each version's tree is as wide as that version is long.
+            capacity = capacity_for(reference_sizes[version])
             got = yield from tree_query(
-                probe.meta, blob_id, version, 0, MAX_CHUNKS * 2,
-                capacity=dep.vmanager.tree_capacity,
+                probe.meta, blob_id, version, 0, capacity, capacity=capacity,
             )
             # storage key format: b{blob}.{client}.w{serial}.c{index}
             got_serials = {

@@ -21,7 +21,6 @@ def make_gateway(**overrides):
         data_providers=6,
         metadata_providers=2,
         chunk_size_mb=32.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=9),
     )
     defaults.update(overrides)
@@ -268,7 +267,6 @@ def make_cached_gateway(object_cache_mb=256.0, **overrides):
         data_providers=6,
         metadata_providers=2,
         chunk_size_mb=32.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=9),
     )
     defaults.update(overrides)

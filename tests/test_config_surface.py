@@ -14,7 +14,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
-from repro.blobseer import BlobSeerConfig
+from repro.blobseer import BlobSeerClient, BlobSeerConfig, VersionManager
 from repro.cluster import TestbedConfig
 from repro.robustness import (
     PrimaryHandle,
@@ -86,7 +86,7 @@ def test_a_field_no_caller_sets_is_reported():
 
 def test_the_surface_is_the_documented_size():
     surface = _surface()
-    assert len(surface["BlobSeerConfig"]) == 17
+    assert len(surface["BlobSeerConfig"]) == 16
     builder_params = sum(len(p) for n, p in surface.items() if n != "BlobSeerConfig")
     assert builder_params <= 85
 
@@ -101,6 +101,15 @@ def test_the_flow_network_takes_no_solver_knob():
         "seed", "sites", "nic_in_mbps", "nic_out_mbps", "cores", "memory_mb",
         "disk_mb", "latency_local_s", "latency_cross_s", "backbone_mbps",
         "rate_granularity_s", "incremental_fairness"]
+
+
+def test_nobody_is_told_the_capacity_of_a_tree():
+    """A version's metadata tree is as wide as that version is long: the
+    client works the capacity out from the sizes the version manager
+    returns, so neither constructor takes one."""
+    for actor in (VersionManager, BlobSeerClient):
+        assert not [name for name in inspect.signature(actor.__init__).parameters
+                    if "capacity" in name]
 
 
 def test_the_replica_groups_and_handles_take_no_protocol_knob():

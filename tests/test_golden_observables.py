@@ -3,13 +3,21 @@
 A change meant only to make the simulator cheaper must leave every
 simulated outcome bit-identical.  Instead of keeping the old code alive
 as an oracle, this file pins the sha256 of each scenario's outcome for
-small configurations and two seeds.  The digests were captured at commit
-c8911bc (the parent of the single-event message path and the flat
-segment-tree walks) and must only ever be re-recorded by a change that
-*means* to alter simulated behaviour — ``python tests/test_golden_observables.py``
-prints the current values.  The ``hotspot`` and ``replicated_write``
-digests were added at commit 4d231df, before the scenario skeleton and
-the config pruning that they guard.
+small configurations and two seeds.  The digests must only ever be
+re-recorded by a change that *means* to alter simulated behaviour —
+``python tests/test_golden_observables.py`` prints the current values.
+``GOLDEN`` was first captured at commit c8911bc (``hotspot`` and
+``replicated_write`` at 4d231df) and held through every change up to
+5d95f24.  All fourteen entries were re-recorded by the child of 5d95f24
+(PR 18), which makes the height of the metadata tree follow the size of
+the blob: every write and read sheds a few milliseconds of metadata
+round trips, so every timestamp moves (before/after headline fields in
+CHANGES.md).
+
+``CONTENT_GOLDEN`` is the oracle that change was *not* allowed to move:
+what ends up stored — version chains, sizes, which chunk sits at which
+index of which version — whatever shape the tree has and however long
+an operation takes.  Captured at 5d95f24, before the change.
 
 ``env.events_processed`` is dropped from ``observables()`` before
 hashing: it is what the simulator costs, not what the simulated system
@@ -20,7 +28,11 @@ decision stream ``(time, engine, action, detail)``, the engine's counters
 and its timelines.  They were captured at commit b090b28 from the
 in-place engine implementations that the decision-framework engines
 replaced, in the worlds (and seeds) the twin-run tests of that commit
-compared the two copies on.
+compared the two copies on.  ``elasticity`` and ``replication`` were
+re-recorded together with ``GOLDEN`` (the same decisions: one
+pool-load sample of ``elasticity`` catches a transfer that now starts
+earlier, the one repair of ``replication`` fires 3.6 ms earlier);
+``security`` is the b090b28 value.
 
 ``KERNEL_GOLDEN`` pins the flow network alone on a component far above
 the scalar/array dispatch threshold: the completion log (who finished
@@ -83,13 +95,17 @@ def _history_digest(deployment, clients) -> str:
     })
 
 
-def fanout(seed):
+def _fanout_run(seed):
     scenario = build_fanout_scenario(
         writers=24, ops_per_writer=3, op_mb=2.0, chunk_size_mb=1.0,
         data_providers=8, metadata_providers=3, vm_shards=4, pm_shards=2,
         vm_batch=True, ramp_s=0.05, seed=seed)
     scenario.run()
-    return _observables_digest(scenario)
+    return scenario
+
+
+def fanout(seed):
+    return _observables_digest(_fanout_run(seed))
 
 
 def disturbance(seed):
@@ -109,12 +125,16 @@ def contention(seed):
     return _observables_digest(scenario)
 
 
-def write(seed):
+def _write_run(seed):
     scenario = build_write_scenario(
         clients=6, data_providers=10, metadata_providers=2, op_mb=256.0,
         ops_per_client=2, monitoring_services=2, seed=seed)
     scenario.run()
-    return _observables_digest(scenario)
+    return scenario
+
+
+def write(seed):
+    return _observables_digest(_write_run(seed))
 
 
 def dos(seed):
@@ -128,13 +148,18 @@ def dos(seed):
     return _observables_digest(scenario)
 
 
-def hotspot(seed):
+def _hotspot_run(seed):
     scenario = build_hotspot_scenario(
         readers=3, dataset_chunks=24, chunk_size_mb=4.0, reads_per_client=60,
         data_providers=6, with_caches=True, chunk_cache_mb=16.0,
         with_tuner=True, tuner_interval_s=0.5, seed=seed)
     scenario.run()
     assert scenario.tuner.decisions, "the tuner must actually resize"
+    return scenario
+
+
+def hotspot(seed):
+    scenario = _hotspot_run(seed)
     return _sha({
         "ops": _history_digest(scenario.deployment,
                                [r.client for r in scenario.readers]),
@@ -142,7 +167,7 @@ def hotspot(seed):
     })
 
 
-def replicated_write(seed):
+def _replicated_write_run(seed):
     """Writers on a ``vm_replicas=3, pm_standby=True`` control plane ride
     out one version-manager-primary and one provider-manager crash."""
     dep = _small_deployment(seed, chunk_size_mb=8.0, vm_replicas=3,
@@ -157,6 +182,11 @@ def replicated_write(seed):
     injector.crash_at(dep.testbed.node("pm-node"), at=35.0, recover_after=15.0)
     dep.run(until=70.0)
     assert len(dep.vm_group.failovers) == 1 and len(dep.pm_group.failovers) == 1
+    return dep, writers
+
+
+def replicated_write(seed):
+    dep, writers = _replicated_write_run(seed)
     return _sha({
         "ops": _history_digest(dep, [w.client for w in writers]),
         "vm_failovers": [[e.epoch, e.winner, e.old_primary, e.crashed_at,
@@ -164,6 +194,53 @@ def replicated_write(seed):
                          for e in dep.vm_group.failovers],
         "pm_failovers": dep.pm_group.failovers,
     })
+
+
+def _content_digest(deployment, versions=None) -> str:
+    """What is stored, whatever the tree's shape and the run's timing:
+    every blob's published version chain, each version's size and its
+    ``{chunk index: storage key}`` map.  Where the writers run against a
+    deadline only the first *versions* links are hashed: how many appends
+    fit depends on what an append costs, what the first ones hold does
+    not.  Each version is read back, whole, by a fresh client's ``read``
+    — a spy on the ``tree_query`` the client module calls keeps the
+    descriptors that read resolved.  The reader's caches only spare it
+    fetching a chunk or a tree node twice (both are immutable), which is
+    most of the work when version after version of one blob is read from
+    offset 0."""
+    import repro.blobseer.client as client_module
+    from repro.cache import Cache
+
+    reader = deployment.new_client("content-oracle", rpc_timeout_s=4.0)
+    reader.chunk_cache = Cache("content-oracle.chunks", 1e9, env=deployment.env)
+    reader.meta.cache = Cache("content-oracle.nodes", 1e9, env=deployment.env)
+    resolved = []
+    real_query = client_module.tree_query
+
+    def spy(*args, **kwargs):
+        found = yield from real_query(*args, **kwargs)
+        resolved.append(found)
+        return found
+
+    blobs = {}
+    client_module.tree_query = spy
+    try:
+        for vm in deployment.authority_vms():
+            for blob_id, info in sorted(vm.blobs.items()):
+                chain = blobs[blob_id] = []
+                published = info.published_versions()
+                assert versions is None or len(published) >= versions
+                for version in published[:versions]:
+                    size_mb = info.versions[version].size_mb
+                    deployment.run(until=deployment.env.process(
+                        reader.read(blob_id, 0.0, size_mb, version=version)))
+                    chain.append([version, size_mb, sorted(
+                        (index, descriptor.storage_key)
+                        for index, descriptor in resolved.pop().items())])
+    finally:
+        client_module.tree_query = real_query
+    assert any(chain for chain in blobs.values()), "nothing was published"
+    return _sha(blobs)
 
 
 def _decision_stream(decisions):
@@ -321,24 +398,47 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    ("contention", 0): "218191cf751eacb48fd23a3f5233d0f96510960044dce6152fbbaeed6be107a7",
-    ("contention", 7): "7cac217745cdf1a444e781473e5adbf6c7b43ab451b63d1f60251eda43cd9f21",
-    ("disturbance", 0): "e6728257260f7a37b52001edf10f7e75bf05b7da017d09567b57eab8b44cb533",
-    ("disturbance", 7): "bbf1a2e640f18e5929590db0252cc4e853c084c76eb9761aa254dbd0fb601fca",
-    ("dos", 0): "d1b9c7ba0f2dd1b992d5fea392d36c0573f502a22911aaef2c0d8e687cac4e51",
-    ("dos", 7): "5707620cab63823812c9dad9becb511998cf352c1c191951f742a89a878cc240",
+    ("contention", 0): "ecdd4e2729ea2a2d7e1225013ad402867fd18555041d4e38889f702a5a145108",
+    ("contention", 7): "d7789fffb2ea3dcbe919ba0b924a704603b0ad33a2355b24618ac1d85842a66b",
+    ("disturbance", 0): "b5d6d91c6546a7e32c16b2378d001162a5a1333a752128e15f6e9bb75bc78e99",
+    ("disturbance", 7): "76f15628bf689445f7fed0fd1b7e1235c8fc447e11eb4c842faa1b078b45af4c",
+    ("dos", 0): "bf7af676ce7b2d08aa96941d78d8baed0004c455b261c55ff45eb35b94c07332",
+    ("dos", 7): "b185245d08b422b5aa5bf7d77d05694c040aa536ecde39180cc646b7e463216d",
     # fanout and write draw nothing from the seed at these configurations
     # (round-robin allocation, deterministic ramp): one digest for both.
-    ("fanout", 0): "a0e6ed9c52a225bea5c1c425948b18cb24b0648a34514ce8de6435dfbe152399",
-    ("fanout", 7): "a0e6ed9c52a225bea5c1c425948b18cb24b0648a34514ce8de6435dfbe152399",
-    ("hotspot", 0): "6afefe7682f19239a1b975629130ed759ac264fd140f5994f8630fd62cfe2bcc",
-    ("hotspot", 7): "5f3db4943a362363e578d7661a1b08384b1c781199af8ba9c939afd214b63fcd",
+    ("fanout", 0): "d7076a78eec19c2a6026a8a506ed70f6816c5a78602f3403f1dc4603c52cf3a0",
+    ("fanout", 7): "d7076a78eec19c2a6026a8a506ed70f6816c5a78602f3403f1dc4603c52cf3a0",
+    ("hotspot", 0): "cff65fdfeefaf96eb3fd5064b3bb64949400f6fba0675bc2d046edff4b34f820",
+    ("hotspot", 7): "78d561710350c13db26ed93332e4450819ddd7eabee1fb9af13541cfac442a6a",
     # Also what proves the replica groups' own failover-detection
     # defaults equal the BlobSeerConfig fields that used to forward them.
-    ("replicated_write", 0): "451eb4a7edcead2a1c1382228649c4a1daf3b65fb6611881dbdc49cc8a47f4be",
-    ("replicated_write", 7): "3083f76648a8e914cbda3adfe66a63f4d19d498b43e1f4a54f6c2f537e45a0e6",
-    ("write", 0): "419d2d0279035e11e2474d2795f7de7ffa62499664e5c1173cc6d76cee598c50",
-    ("write", 7): "419d2d0279035e11e2474d2795f7de7ffa62499664e5c1173cc6d76cee598c50",
+    ("replicated_write", 0): "0e6791d2ad5b11d826939bdaa810ed136925193e93fc6b9d1a82db312f6f6676",
+    ("replicated_write", 7): "e3be098bee9c338250c38a3cd47b71570cb6e3aaf79c2d0e847fbb68f77b0550",
+    ("write", 0): "4020ebbb14dc4fa9a030b67e49cffebe290934dc483dab00f38374aa5a14efe4",
+    ("write", 7): "4020ebbb14dc4fa9a030b67e49cffebe290934dc483dab00f38374aa5a14efe4",
+}
+
+
+#: Scenario -> the content digest of its finished deployment.
+CONTENT_WORLDS = {
+    "fanout": lambda seed: _content_digest(_fanout_run(seed).deployment),
+    "write": lambda seed: _content_digest(_write_run(seed).deployment),
+    "hotspot": lambda seed: _content_digest(_hotspot_run(seed).deployment),
+    # Its writers append until t = 60 (75 appends each at 5d95f24).
+    "replicated_write": lambda seed: _content_digest(
+        _replicated_write_run(seed)[0], versions=64),
+}
+
+CONTENT_GOLDEN = {
+    # Nothing stored depends on the seed at these configurations.
+    ("fanout", 0): "deffe071270ab2b00ef16cee881f8e45756d444d1f60e48d5a65aee58ad69eaa",
+    ("fanout", 7): "deffe071270ab2b00ef16cee881f8e45756d444d1f60e48d5a65aee58ad69eaa",
+    ("hotspot", 0): "1fcdb7e675b7a2db40530923b7aa9dfd64f040589f6556ff8da7bba133ad473a",
+    ("hotspot", 7): "1fcdb7e675b7a2db40530923b7aa9dfd64f040589f6556ff8da7bba133ad473a",
+    ("replicated_write", 0): "8cff977cf586030b01264e89b3339d36867818c94b6b103f00e2377be1c1b06f",
+    ("replicated_write", 7): "8cff977cf586030b01264e89b3339d36867818c94b6b103f00e2377be1c1b06f",
+    ("write", 0): "b4148a15f2e3da91954b4efd506ce0354a0c2630ac29a3e979704ed2f2e46633",
+    ("write", 7): "b4148a15f2e3da91954b4efd506ce0354a0c2630ac29a3e979704ed2f2e46633",
 }
 
 
@@ -350,8 +450,8 @@ ENGINE_WORLDS = {
 }
 
 ENGINE_GOLDEN = {
-    "elasticity": "10f35eee218d283180621c1a8575a51b32121be82a60e310658cd82145e38bb3",
-    "replication": "f6af75d0cc19b2423463b8beab806a19360245ab3917229524e3d37b447e9988",
+    "elasticity": "10016a079a45a430dc9027e8efb95142153f42158444413769a4547058494101",
+    "replication": "0ee073a96dee333c18231c9cfaa76de11bce431fd544f40f3438c1d8675299d4",
     "security": "7d13d80b7d5d4e10c904e6bb0a9449961aa2d9b70a07e707f070eb21cd0f63f4",
 }
 
@@ -373,6 +473,12 @@ def test_outcome_matches_frozen_digest(name, seed):
     assert SCENARIOS[name](seed) == GOLDEN[name, seed]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CONTENT_WORLDS))
+def test_stored_content_matches_frozen_digest(name, seed):
+    assert CONTENT_WORLDS[name](seed) == CONTENT_GOLDEN[name, seed]
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_WORLDS))
 def test_engine_decisions_match_frozen_digest(name):
     world, seed = ENGINE_WORLDS[name]
@@ -383,6 +489,9 @@ if __name__ == "__main__":
     for name in sorted(SCENARIOS):
         for seed in SEEDS:
             print(f'    ("{name}", {seed}): "{SCENARIOS[name](seed)}",')
+    for name in sorted(CONTENT_WORLDS):
+        for seed in SEEDS:
+            print(f'    ("{name}", {seed}): "{CONTENT_WORLDS[name](seed)}",')
     for name, (world, seed) in sorted(ENGINE_WORLDS.items()):
         print(f'    "{name}": "{world(seed)}",')
     for seed in SEEDS:

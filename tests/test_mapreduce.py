@@ -12,7 +12,6 @@ def make_deployment(providers=12, seed=15):
         data_providers=providers,
         metadata_providers=2,
         chunk_size_mb=64.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=seed, rate_granularity_s=0.01),
     ))
 
@@ -87,7 +86,6 @@ def test_job_survives_provider_crash_with_replication():
         metadata_providers=2,
         chunk_size_mb=64.0,
         replication=2,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=16, rate_granularity_s=0.01),
     ))
     injector = FaultInjector(deployment.testbed)

@@ -19,7 +19,6 @@ def test_read_flood_detected_and_blocked():
     deployment = BlobSeerDeployment(
         BlobSeerConfig(
             data_providers=10, metadata_providers=2, chunk_size_mb=64.0,
-            tree_capacity=1 << 10,
             testbed=TestbedConfig(seed=61, rate_granularity_s=0.01),
         ),
         access=access,

@@ -21,7 +21,6 @@ def build_stack(policies=None, config=None, seed=71):
     deployment = BlobSeerDeployment(
         BlobSeerConfig(
             data_providers=8, metadata_providers=2, chunk_size_mb=64.0,
-            tree_capacity=1 << 10,
             testbed=TestbedConfig(seed=seed, rate_granularity_s=0.01),
         ),
         access=access,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer.blob import ChunkDescriptor
 from repro.blobseer.metadata import LocalKV
 from repro.blobseer.segment_tree import (
+    capacity_for,
     node_key,
     tree_node_count,
     tree_query,
@@ -227,6 +228,7 @@ WALK_DIGEST = "57a9dee06dcc7176b1cea9949fbd54e9a8ffb8179d9d8fa1118793a535c78495"
 
 
 def run_walk_script(update, query, script=WALK_SCRIPT, capacity=CAP):
+    """Every version in one tree of fixed *capacity* (nothing grows)."""
     kv = LoggingKV()
     returned = []
     for step in script:
@@ -246,32 +248,35 @@ def test_walk_kv_traffic_matches_frozen_digest():
     import hashlib
     import json
 
-    from repro.blobseer.segment_tree import DEFAULT_CAPACITY
-
     small = run_walk_script(tree_update, tree_query)
     default = run_walk_script(
-        tree_update, tree_query, capacity=DEFAULT_CAPACITY,
+        tree_update, tree_query, capacity=1 << 20,
         script=[("u", 1, None, 12345, 1), ("u", 2, 1, 12346, 3),
                 ("q", 2, 12340, 12350)])
     text = json.dumps([small, default], separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == WALK_DIGEST
 
 
-def reference_update(kv, blob_id, version, prev, descs, capacity, lo=0, hi=None):
-    """The recursive walk the iterative one replaced (test-only oracle)."""
-    hi = capacity if hi is None else hi
+def reference_update(kv, blob_id, version, prev, descs, capacity, old=None,
+                     lo=0, hi=None):
+    """The recursive walk the iterative one replaced (test-only oracle);
+    *old* is the capacity of the tree of *prev* (default: *capacity*)."""
+    hi, old = capacity if hi is None else hi, old or capacity
     lo_w, hi_w = max(min(descs), lo), min(max(descs) + 1, hi)
     if hi - lo == 1:
         yield from kv.put(node_key(blob_id, version, lo, hi), ("leaf", descs[lo]))
         return 1
     mid, stamps, writes = (lo + hi) // 2, [None, None], 1
-    if prev is not None and not (lo_w <= lo and hi <= hi_w):
+    inherits = prev is not None and not (lo_w <= lo and hi <= hi_w)
+    if inherits and hi > old:  # a root above the old root: nothing to get
+        stamps[0] = prev
+    elif inherits:
         node = yield from kv.get(node_key(blob_id, prev, lo, hi))
         stamps = list(node[1:]) if node is not None else stamps
     for side, (a, b) in enumerate(((lo, mid), (mid, hi))):
-        if lo_w < b and hi_w > a:
+        if (lo_w < b and hi_w > a) or (inherits and side == 0 and mid > old):
             writes += yield from reference_update(
-                kv, blob_id, version, stamps[side], descs, capacity, a, b)
+                kv, blob_id, version, stamps[side], descs, capacity, old, a, b)
             stamps[side] = version
     yield from kv.put(node_key(blob_id, version, lo, hi), ("node", *stamps))
     return writes
@@ -346,3 +351,71 @@ def test_walk_depth_does_not_grow_with_tree_height():
         sys.setrecursionlimit(old_limit)
     assert writes == 41
     assert list(got) == [123_456_789]
+
+
+# -- the tree grows with the blob ---------------------------------------------
+#: Writes against a blob that starts empty: appends, in-place overwrites,
+#: sparse writes past the end — 1…17 chunks each — and version numbers
+#: burned in between (ticketed, never written).
+GROWING_BLOB_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "append", "overwrite", "sparse", "burn"]),
+        st.integers(1, 17),      # span
+        st.integers(0, 10**6),   # where: overwrite offset / sparse gap
+        st.integers(0, 10**6),   # sub-range of the read-back, first
+        st.integers(0, 10**6),   # ... and length
+    ),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=GROWING_BLOB_STEPS)
+def test_growing_tree_matches_flat_model(steps):
+    """Every version, read back at its own capacity, equals a flat dict;
+    an update costs O(span + log chunks-in-blob) puts and gets, none of
+    the gets above the previous version's root; and the walk is the
+    recursive reference's, call for call."""
+    kv, oracle_kv = LoggingKV(), LoggingKV()
+    model, size, prev = {}, 0, None
+    published = {}  # version -> (capacity, {index: storage_key}, sub-range)
+    for version, (kind, span, where, sub_first, sub_len) in enumerate(steps, 1):
+        if kind == "burn":
+            continue
+        if kind == "overwrite" and size:
+            first = where % size
+            span = min(span, size - first)
+        else:
+            first = size + (where % 40 + 1 if kind == "sparse" else 0)
+        old_capacity = capacity_for(size)
+        size = max(size, first + span)
+        capacity = capacity_for(size)
+        depth = capacity.bit_length() - 1
+        descs = make_descriptors(1, first, span, version=version)
+
+        mark = len(kv.log)
+        puts = drain(tree_update(kv, 1, version, prev, descs, capacity, old_capacity))
+        drain(reference_update(oracle_kv, 1, version, prev, descs, capacity,
+                               old_capacity))
+        assert kv.log == oracle_kv.log
+        calls = kv.log[mark:]
+        gets = [key for op, key, _value in calls if op == "get"]
+        assert puts == len(calls) - len(gets) <= tree_node_count(span, capacity)
+        assert len(gets) <= (depth if span == 1 else 2 * depth)
+        for key in gets:
+            lo, hi = map(int, key.split(":")[3:])
+            assert hi - lo <= old_capacity
+
+        model = {**model, **{i: d.storage_key for i, d in descs.items()}}
+        sub_first %= capacity
+        published[version] = (
+            capacity, model,
+            (sub_first, sub_first + 1 + sub_len % (capacity - sub_first)))
+        prev = version
+
+    for version, (capacity, expected, (first, last)) in published.items():
+        whole = drain(tree_query(kv, 1, version, 0, capacity, capacity))
+        assert {i: d.storage_key for i, d in whole.items()} == expected
+        part = drain(tree_query(kv, 1, version, first, last, capacity))
+        assert ({i: d.storage_key for i, d in part.items()}
+                == {i: key for i, key in expected.items() if first <= i < last})

@@ -14,7 +14,7 @@ from repro.cluster import TestbedConfig
 
 def make_deployment(sink=None):
     return BlobSeerDeployment(BlobSeerConfig(
-        data_providers=4, metadata_providers=1, tree_capacity=1 << 10,
+        data_providers=4, metadata_providers=1,
         testbed=TestbedConfig(seed=77),
     ), sink=sink)
 
@@ -134,6 +134,47 @@ def test_abandon_releases_the_lock():
     # Version 1 never published.
     with pytest.raises(VersionNotFound):
         vm.version_record(blob_id, 1)
+
+
+def test_a_ticketed_version_is_unreadable_until_it_is_published():
+    """Atomic publish: a writer held between its ticket and its complete
+    has written every chunk and every tree node of version 2, and a
+    reader naming that version is still told it does not exist."""
+    dep = make_deployment()
+    env = dep.env
+    writer, reader = dep.new_client("writer"), dep.new_client("reader")
+    release = env.event()
+
+    class HeldPublish:
+        """The writer's version manager, its complete held back."""
+
+        def __getattr__(self, name):
+            return getattr(dep.vmanager, name)
+
+        def remote_complete(self, caller, ticket, **deadline):
+            yield release
+            return (yield from dep.vmanager.remote_complete(
+                caller, ticket, **deadline))
+
+    def scenario(env):
+        blob_id = yield env.process(writer.create_blob(64.0))
+        yield env.process(writer.append(blob_id, 128.0))
+        writer.vm = HeldPublish()
+        held = env.process(writer.write(blob_id, 64.0, 64.0))
+        yield env.timeout(30.0)  # pushes, ticket and tree nodes are long done
+        assert dep.vmanager.blob_info(blob_id).versions[2].publish_time is None
+        with pytest.raises(VersionNotFound):
+            yield env.process(reader.read(blob_id, 0.0, 128.0, version=2))
+        latest = yield env.process(reader.read(blob_id, 0.0, 128.0))
+        release.succeed()
+        yield held
+        published = yield env.process(reader.read(blob_id, 0.0, 128.0, version=2))
+        return latest, published
+
+    latest, published = dep.run(until=env.process(scenario(env)))
+    assert latest.ok and latest.version == 1
+    assert published.ok and published.version == 2
+    assert [op.ok for op in reader.history] == [False, True, True]
 
 
 def test_double_publish_is_idempotent():

@@ -18,7 +18,6 @@ def small_deployment(**overrides):
         data_providers=8,
         metadata_providers=2,
         chunk_size_mb=64.0,
-        tree_capacity=1 << 10,
         testbed=TestbedConfig(seed=11, rate_granularity_s=0.01),
     )
     defaults.update(overrides)
@@ -78,7 +77,6 @@ def test_dos_attacker_stops_when_blocked():
     access = AccessTable()
     dep = BlobSeerDeployment(
         BlobSeerConfig(data_providers=4, metadata_providers=1,
-                       tree_capacity=1 << 10,
                        testbed=TestbedConfig(seed=11)),
         access=access,
     )
