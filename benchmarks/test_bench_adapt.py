@@ -27,8 +27,9 @@ observables).
 
 Environment knobs:
 
-- ``BENCH_ADAPT_SIZES=small`` — 4 readers / 120 s sim (the CI smoke
-  tier); default (``full``) runs 6 readers / 170 s.
+- ``BENCH_ADAPT_SIZES=small`` — 4 readers / 120 s sim (a quick local
+  tier); default (``full``) runs 6 readers / 170 s and is what CI runs
+  and diffs ``results/ADAPT.txt`` against.
 """
 
 import os

@@ -27,8 +27,9 @@ Each planner is scored twice:
 Environment knobs:
 
 - ``BENCH_DECIDE_SIZES=small`` — 4 readers / 120 s disturbance + 100 s
-  contention (the CI smoke tier); default (``full``) runs the
-  BENCH-ADAPT geometry (6 readers / 170 s) + 120 s contention.
+  contention (a quick local tier); default (``full``) runs the
+  BENCH-ADAPT geometry (6 readers / 170 s) + 120 s contention and is
+  what CI runs and diffs ``results/DECIDE.txt`` against.
 """
 
 import os

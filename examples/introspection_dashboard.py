@@ -32,7 +32,6 @@ from repro.introspection import (
     HealthMonitor,
     IntrospectionLayer,
     QueryEngine,
-    RollupAdvisor,
     SignalSpec,
     SLORule,
     adaptation_scorecard,
@@ -68,10 +67,8 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     tele = telemetry.enable(deployment)
 
     # Introspection query engine + health monitor: the live side of the
-    # observability loop.  rollups=True attaches a RollupStore so hot
-    # query shapes can be answered from O(1) materialized pre-aggregates.
-    engine = QueryEngine.for_deployment(deployment, monitoring, window_s=30.0,
-                                        rollups=True)
+    # observability loop.
+    engine = QueryEngine.for_deployment(deployment, monitoring, window_s=30.0)
     health = HealthMonitor(
         engine,
         rules=[
@@ -90,22 +87,14 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     # with its evidence, health inbox, trace context, and a post-decision
     # effect-attribution window against the watched series.
     journal = DecisionJournal(env, metrics=tele.metrics, effect_window_s=20.0)
-    journal.watch("rollup-advisor", ["client.throughput_mbps"])
+    journal.watch("cache-tuner", ["client.throughput_mbps"])
 
-    # Dry-run cache tuner = cache-stats probe: it publishes the
-    # cache.<name>.* series the query engine rolls up, without resizing.
-    tuner = CacheTuner(engine, caches=deployment.caches,
-                       interval_s=10.0, dry_run=True)
+    # Cache tuner: publishes the cache.<name>.* series the query engine
+    # rolls up, and moves capacity toward the caches that keep evicting;
+    # each resize is a journaled decision.
+    tuner = CacheTuner(engine, caches=deployment.caches, interval_s=10.0)
     tuner.attach_journal(journal)
     env.process(tuner.run(env), name="cache-tuner")
-
-    # Rollup advisor: watches the engine's query log and materializes
-    # pre-aggregates for hot shapes so repeated dashboard/health/tuner
-    # queries stop re-scanning raw series.
-    advisor = RollupAdvisor(engine, interval_s=15.0, min_scans=2,
-                            min_points_per_scan=8.0)
-    advisor.attach_journal(journal)
-    env.process(advisor.run(env), name="rollup-advisor")
 
     writers = [
         CorrectWriter(deployment.new_client(f"w{i}"), op_mb=512.0,
@@ -145,15 +134,9 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
             hot = engine.hot_blobs(top=1)
             hot_txt = f"hot blob #{hot[0][0]} ({hot[0][1]} chunk ops)" if hot else "-"
             alerts = len(health.events)
-            metrics = engine.metrics
-            hits = metrics.counter("introspection.query.rollup_hits").value
-            scans = metrics.counter("introspection.query.raw_scans").value
-            rbytes = metrics.gauge("introspection.query.rollup_bytes").value
             print(f"[{env.now:7.1f}s] tput(30s)="
                   f"{tput:6.1f} MB/s | data {data_rate:7.1f} MB/s | "
-                  f"{hot_txt} | health events: {alerts} | "
-                  f"rollups: {hits:.0f} hits / {scans:.0f} raw scans, "
-                  f"{rbytes / 1024.0:.1f} KiB"
+                  f"{hot_txt} | health events: {alerts}"
                   if tput is not None else
                   f"[{env.now:7.1f}s] warming up...")
 
@@ -185,24 +168,6 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
                   f"/{s.get('capacity_mb', 0.0):.0f} MB")
     else:
         print("(no cache activity in window)")
-
-    # Materialized rollups: what the advisor decided and what it bought.
-    print("\n== Materialized rollups ==")
-    store = engine.rollups
-    if store is not None and store.shapes():
-        from repro.introspection.rollup import shape_label
-        for shape in sorted(store.shapes()):
-            print(f"  {shape_label(shape)}")
-    else:
-        print("  (none materialized)")
-    metrics = engine.metrics
-    print(f"  {metrics.counter('introspection.query.rollup_hits').value:.0f} "
-          f"rollup hits, "
-          f"{metrics.counter('introspection.query.raw_scans').value:.0f} "
-          f"raw scans, {store.bytes_used() / 1024.0 if store else 0.0:.1f} KiB "
-          f"materialized")
-    for decision in advisor.decisions:
-        print(f"  [{decision.time:7.1f}s] {decision.action} {decision.detail}")
 
     # Health timeline: every SLO violation / recovery / anomaly.
     print("\n== Health timeline ==")

@@ -20,10 +20,8 @@ it.
 With a *query* engine attached the controller also publishes its pool
 signals as metrics series (``elasticity.pool_load`` / ``.pool_fill`` /
 ``.pool_size``) and smooths its decisions over a sliding window instead
-of reacting to one instantaneous reading — and because those reads go
-through :meth:`QueryEngine.window_stat`, they are answered from
-materialized rollups whenever the :class:`RollupAdvisor` has
-materialized the shape.
+of reacting to one instantaneous reading (the windowed means are
+:meth:`QueryEngine.window_stat` reads, like every engine's).
 
 Scaling is executed as costed actions: ``scale_up`` debits and
 ``scale_down`` credits ``provider_cost_mb`` MB per provider against the

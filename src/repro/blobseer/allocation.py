@@ -118,12 +118,12 @@ class CachedLeastLoadedAllocation(AllocationStrategy):
     providers) Python calls on the allocator's hot path.  At thousands
     of concurrent writers that *is* the provider manager's cost.  This
     strategy instead snapshots the scores into a numpy vector at most
-    once per ``refresh_s`` of simulated time (a periodically refreshed
+    once per ``REFRESH_S`` of simulated time (a periodically refreshed
     cached load view, the way real allocators consume monitoring data)
     and ranks with a stable vectorized argsort, tracking within-call and
     across-call pending assignments so bursts still spread.
 
-    Staleness is bounded by ``refresh_s`` and corrected by the pending
+    Staleness is bounded by ``REFRESH_S`` and corrected by the pending
     counters; placement remains deterministic (stable sort, index
     tie-break — the same tie order as the sorted() of the live
     strategy).
@@ -131,9 +131,11 @@ class CachedLeastLoadedAllocation(AllocationStrategy):
 
     name = "least_loaded_cached"
 
-    def __init__(self, env, refresh_s: float = 0.25) -> None:
+    #: Simulated seconds a load view is ranked from before it is re-read.
+    REFRESH_S = 0.25
+
+    def __init__(self, env) -> None:
         self.env = env
-        self.refresh_s = refresh_s
         self._cached_at: float = -1.0
         self._cached_ids: tuple = ()
         self._scores: np.ndarray = np.empty(0)
@@ -150,7 +152,7 @@ class CachedLeastLoadedAllocation(AllocationStrategy):
         if (
             ids != self._cached_ids
             or self._cached_at < 0
-            or now - self._cached_at >= self.refresh_s
+            or now - self._cached_at >= self.REFRESH_S
         ):
             self._scores = np.array([p.load_score() for p in usable], dtype=float)
             self._pending = np.zeros(len(usable), dtype=float)
@@ -206,7 +208,6 @@ def make_strategy(
     name: str,
     rng: np.random.Generator,
     env=None,
-    refresh_s: float = 0.25,
 ) -> AllocationStrategy:
     """Factory used by scenario configs.
 
@@ -222,7 +223,7 @@ def make_strategy(
     if name == "least_loaded_cached":
         if env is None:
             raise ValueError("least_loaded_cached needs env= (time-aware cache)")
-        return CachedLeastLoadedAllocation(env, refresh_s=refresh_s)
+        return CachedLeastLoadedAllocation(env)
     if name == "two_choices":
         return PowerOfTwoChoicesAllocation(rng)
     raise ValueError(f"unknown allocation strategy {name!r}")

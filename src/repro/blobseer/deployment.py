@@ -286,9 +286,7 @@ class BlobSeerDeployment:
             return None
         from ..cache import Cache
 
-        cache = Cache(
-            name, capacity_mb, policy=self.config.cache_policy, env=self.env
-        )
+        cache = Cache(name, capacity_mb, policy=self.config.cache_policy)
         self.caches.append(cache)
         return cache
 
@@ -419,11 +417,15 @@ class BlobSeerDeployment:
         site: Optional[str] = None,
         rpc_timeout_s: Optional[float] = None,
         rpc_retry=None,
+        node: Optional["PhysicalNode"] = None,
     ) -> BlobSeerClient:
-        """Deploy a client on a fresh node of its own."""
+        """Deploy a client on a fresh node of its own — or on *node* when
+        the caller already placed one (the Cumulus gateway runs its
+        backend client on its own fat-NIC node)."""
         if client_id in self.clients:
             raise ValueError(f"duplicate client id {client_id!r}")
-        node = self.testbed.add_node(f"{client_id}-node", site=site)
+        if node is None:
+            node = self.testbed.add_node(f"{client_id}-node", site=site)
         chunk_cache = self._make_cache(
             f"chunk.{client_id}", self.config.client_chunk_cache_mb
         )

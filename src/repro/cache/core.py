@@ -7,11 +7,11 @@ left are *capacity* (solved by the eviction policy) and *reachability*
 (solved by explicit invalidation when a key is republished at a new
 version, the Cumulus gateway case).
 
-Every :class:`Cache` keeps per-cache :class:`CacheStats` and, when the
-environment carries a :class:`~repro.telemetry.metrics.MetricsRegistry`,
-mirrors them into ``cache.<name>.*`` counters and gauges so the
-introspection layer (and the :class:`~repro.adaptation.CacheTuner`) can
-watch hit rates and occupancy without touching cache internals.
+Every :class:`Cache` keeps its statistics once, in its
+:class:`CacheStats` (plus ``bytes_used`` / ``capacity_mb``).  The
+:class:`~repro.adaptation.CacheTuner` reads them from there and
+publishes the windowed ``cache.<name>.*`` series the introspection
+layer watches; a cache itself records nothing in the metrics registry.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Cache:
     Parameters
     ----------
     name:
-        Telemetry identity; metrics appear as ``cache.<name>.*``.
+        Identity in reports and in the tuner's ``cache.<name>.*`` series.
     capacity_mb:
         Byte budget.  :meth:`resize` (the cache tuner's lever) evicts
         down when shrunk.
@@ -96,9 +96,6 @@ class Cache:
     admission:
         ``admit(key, size_mb, capacity_mb) -> bool``; default
         :class:`SizeAdmission`.
-    env:
-        Simulation environment; when it carries a metrics registry,
-        cache activity is mirrored into counters/gauges.
     """
 
     def __init__(
@@ -107,36 +104,16 @@ class Cache:
         capacity_mb: float,
         policy: "CachePolicy | str" = "lru",
         admission: Optional[Callable[[Hashable, float, float], bool]] = None,
-        env=None,
-        policy_seed: int = 0,
     ) -> None:
         if capacity_mb <= 0:
             raise ValueError("capacity_mb must be positive")
         self.name = name
         self.capacity_mb = float(capacity_mb)
-        self.policy = (
-            make_policy(policy, seed=policy_seed) if isinstance(policy, str) else policy
-        )
+        self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.admission = admission or SizeAdmission()
-        self.env = env
         self.stats = CacheStats()
         self._entries: Dict[Hashable, Tuple[Any, float]] = {}
         self.bytes_used = 0.0
-
-    # -- metrics mirror ---------------------------------------------------------
-    def _metrics(self):
-        return self.env.metrics if self.env is not None else None
-
-    def _count(self, what: str, amount: float = 1.0) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter(f"cache.{self.name}.{what}").inc(amount)
-
-    def _gauge_bytes(self) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.gauge(f"cache.{self.name}.bytes_mb").set(self.bytes_used)
-            metrics.gauge(f"cache.{self.name}.capacity_mb").set(self.capacity_mb)
 
     # -- lookups ---------------------------------------------------------------
     def lookup(self, key: Hashable) -> Tuple[bool, Any]:
@@ -144,12 +121,10 @@ class Cache:
         entry = self._entries.get(key, _MISS)
         if entry is _MISS:
             self.stats.misses += 1
-            self._count("misses")
             return False, None
         self.policy.on_access(key)
         self.stats.hits += 1
         self.stats.hit_bytes_mb += entry[1]
-        self._count("hits")
         return True, entry[0]
 
     def get(self, key: Hashable, default: Any = None) -> Any:
@@ -173,13 +148,11 @@ class Cache:
             self._entries[key] = (value, size_mb)
             self.policy.on_access(key)
             self._evict_to_fit(0.0)
-            self._gauge_bytes()
             return True
         if size_mb > self.capacity_mb or not self.admission(
             key, size_mb, self.capacity_mb
         ):
             self.stats.rejected += 1
-            self._count("rejected")
             return False
         self._evict_to_fit(size_mb)
         self._entries[key] = (value, size_mb)
@@ -187,8 +160,6 @@ class Cache:
         self.policy.on_insert(key)
         self.stats.insertions += 1
         self.stats.miss_bytes_mb += size_mb
-        self._count("insertions")
-        self._gauge_bytes()
         return True
 
     def _evict_to_fit(self, incoming_mb: float) -> None:
@@ -201,7 +172,6 @@ class Cache:
             _value, size = self._entries.pop(victim)
             self.bytes_used -= size
             self.stats.evictions += 1
-            self._count("evictions")
 
     # -- invalidation ------------------------------------------------------------
     def invalidate(self, key: Hashable) -> bool:
@@ -212,8 +182,6 @@ class Cache:
         self.bytes_used -= entry[1]
         self.policy.forget(key)
         self.stats.invalidations += 1
-        self._count("invalidations")
-        self._gauge_bytes()
         return True
 
     def clear(self) -> int:
@@ -223,9 +191,6 @@ class Cache:
         self.bytes_used = 0.0
         self.policy.clear()
         self.stats.invalidations += dropped
-        if dropped:
-            self._count("invalidations", dropped)
-        self._gauge_bytes()
         return dropped
 
     # -- capacity (the tuner's lever) ---------------------------------------------
@@ -234,7 +199,6 @@ class Cache:
             raise ValueError("capacity_mb must be positive")
         self.capacity_mb = float(new_capacity_mb)
         self._evict_to_fit(0.0)
-        self._gauge_bytes()
 
     # -- introspection -------------------------------------------------------------
     @property

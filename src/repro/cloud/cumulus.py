@@ -17,7 +17,6 @@ import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..blobseer.client import BlobSeerClient
 from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import RpcTimeout
 from ..cluster.node import PhysicalNode
@@ -64,22 +63,9 @@ class CumulusGateway:
         self.gateway_id = gateway_id
         self.list_latency_s = list_latency_s
         #: Backend BlobSeer client the gateway proxies through — it runs
-        #: *on* the gateway node (the gateway is the BlobSeer client).
-        #: It gets the control-plane endpoints any other client would.
-        vmanager, pmanager = deployment.client_endpoints(gateway_id)
-        self.backend = BlobSeerClient(
-            node,
-            gateway_id,
-            pmanager=pmanager,
-            vmanager=vmanager,
-            metadata_providers=deployment.metadata_providers,
-            sink=deployment.sink,
-            access=deployment.access,
-            replication=deployment.config.replication,
-            rng=deployment.rng.stream(f"client:{gateway_id}"),
-        )
-        deployment.clients[gateway_id] = self.backend
-        deployment.actor_nodes[gateway_id] = node
+        #: *on* the gateway node (the gateway is the BlobSeer client) and
+        #: is otherwise the client the deployment gives anybody.
+        self.backend = deployment.new_client(gateway_id, node=node)
         self.buckets: Dict[str, Bucket] = {}
         self.uploads: Dict[str, MultipartUpload] = {}
         self._upload_ids = itertools.count(1)

@@ -4,8 +4,8 @@ A :class:`SignalRef` names one sliding-window statistic of one metrics
 series — the unit of observation every planner consumes.  References are
 immutable and hashable, so a planner's sensor set doubles as part of its
 comparable configuration, and resolution goes through the introspection
-:class:`~repro.introspection.query.QueryEngine` so materialized rollups
-and the per-step query memo apply transparently.
+:class:`~repro.introspection.query.QueryEngine`: a planner's sensor
+reads the same window, folded the same way, as every other reader.
 """
 
 from __future__ import annotations

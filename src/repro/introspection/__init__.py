@@ -1,6 +1,5 @@
 """Introspection layer: high-level aggregated system state + visualization."""
 
-from .advisor import RollupAdvisor
 from .aggregator import BlobAccessStats, ClientActivity, IntrospectionLayer
 from .health import EwmaZScore, HealthEvent, HealthMonitor, SLORule
 from .provenance import DecisionJournal, JournalEntry
@@ -12,8 +11,7 @@ from .quality import (
     settling_time,
     slo_violation_seconds,
 )
-from .query import QueryEngine, ShapeStat, WindowRollup
-from .rollup import EventRollup, ExactSum, RollupStore, SeriesRollup
+from .query import QueryEngine, WindowRollup
 from .visualization import (
     Dashboard,
     adaptation_scorecard,
@@ -30,12 +28,6 @@ __all__ = [
     "BlobAccessStats",
     "QueryEngine",
     "WindowRollup",
-    "ShapeStat",
-    "RollupStore",
-    "SeriesRollup",
-    "EventRollup",
-    "ExactSum",
-    "RollupAdvisor",
     "DecisionJournal",
     "JournalEntry",
     "AdaptationScorecard",

@@ -26,28 +26,25 @@ complete adaptation history of a run.
 
 Determinism contract
 --------------------
-The journal is **observably inert**: it never schedules simulation
-events, never writes metrics, and reads series *directly* over
-``metrics.series(name).points`` with bisect — deliberately *not* through
-:meth:`QueryEngine.window_stat`, whose per-shape accounting feeds the
-:class:`~repro.introspection.advisor.RollupAdvisor` and would therefore
-let the journal change what the advisor materializes.  Effect windows
-resolve lazily, on access, from data already recorded.  A journal-on run
-is byte-identical per seed to a journal-off run in every simulated
+The journal is **observably inert** because it only reads: it never
+schedules simulation events and never records a metric, and its windows
+are cut by :meth:`TimeSeries.window
+<repro.telemetry.metrics.TimeSeries.window>` — the same cut the
+:class:`~repro.introspection.query.QueryEngine` answers the engines
+from, which keeps no state about who asked.  Effect windows resolve
+lazily, on access, from data already recorded.  A journal-on run is
+byte-identical per seed to a journal-off run in every simulated
 observable (asserted in ``tests/test_provenance.py``).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["JournalEntry", "DecisionJournal"]
-
-_POINT_TIME = lambda p: p[0]  # noqa: E731 - bisect key for (time, value)
 
 #: Entry kinds.
 DECISION = "decision"
@@ -288,21 +285,17 @@ class DecisionJournal:
         return entry
 
     # -- effect attribution ------------------------------------------------------
-    def _series_points(self, name: str) -> List[Tuple[float, float]]:
+    def _window(self, name: str, lo: float, hi: float) -> List[Tuple[float, float]]:
         if self.metrics is None:
             return []
-        return self.metrics.series(name).points
+        return self.metrics.series(name).window(lo, hi)
 
     def _window_mean(self, name: str, lo: float, hi: float) -> Optional[float]:
-        """Mean of series samples with ``lo < t <= hi`` (bisect, fsum)."""
-        points = self._series_points(name)
-        if not points:
+        """Mean of series samples with ``lo < t <= hi`` (fsum)."""
+        window = self._window(name, lo, hi)
+        if not window:
             return None
-        i = bisect_right(points, lo, key=_POINT_TIME)
-        j = bisect_right(points, hi, key=_POINT_TIME)
-        if i >= j:
-            return None
-        return fsum(v for _t, v in points[i:j]) / (j - i)
+        return fsum(v for _t, v in window) / len(window)
 
     def _time_to_effect(
         self, name: str, t0: float, t1: float,
@@ -314,10 +307,7 @@ class DecisionJournal:
         if delta == 0.0:
             return None
         halfway = before + 0.5 * delta
-        points = self._series_points(name)
-        i = bisect_right(points, t0, key=_POINT_TIME)
-        j = bisect_right(points, t1, key=_POINT_TIME)
-        for t, v in points[i:j]:
+        for t, v in self._window(name, t0, t1):
             if (v >= halfway) if delta > 0 else (v <= halfway):
                 return t - t0
         return None

@@ -27,9 +27,10 @@ side-effect-free and repeatable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..telemetry.metrics import cut_window
 
 __all__ = [
     "SignalSpec",
@@ -40,8 +41,6 @@ __all__ = [
     "AdaptationScorecard",
 ]
 
-_POINT_TIME = lambda p: p[0]  # noqa: E731 - bisect key for (time, value)
-
 #: Antagonistic action pairs per engine: a decision followed by its
 #: inverse on the same subject within the oscillation window counts as
 #: one oscillation.  Extend via ``AdaptationScorecard(antagonists=...)``.
@@ -50,7 +49,6 @@ DEFAULT_ANTAGONISTS: Dict[str, List[Tuple[str, str, str]]] = {
     "cache-tuner": [("cache_grow", "cache_shrink", "cache")],
     "elasticity": [("scale_up", "scale_down", "")],
     "replication": [("promote", "demote", "chunk")],
-    "rollup-advisor": [("rollup_create", "rollup_retire", "shape")],
 }
 
 
@@ -102,13 +100,6 @@ class Disturbance:
     label: str
 
 
-def _window(points: Sequence[Tuple[float, float]], t0: float,
-            t1: float) -> List[Tuple[float, float]]:
-    lo = bisect_right(points, t0, key=_POINT_TIME)
-    hi = bisect_right(points, t1, key=_POINT_TIME)
-    return list(points[lo:hi])
-
-
 def settling_time(
     points: Sequence[Tuple[float, float]],
     spec: SignalSpec,
@@ -120,7 +111,7 @@ def settling_time(
     Returns 0.0 if the signal never left the band after the disturbance,
     ``None`` if it never settled before *t1* (or there is no data).
     """
-    window = _window(points, t0, t1)
+    window = cut_window(points, t0, t1)
     if not window:
         return None
     candidate: Optional[float] = None  # start of the current in-band run
@@ -147,7 +138,7 @@ def overshoot(
     t1: float,
 ) -> float:
     """Worst fractional excursion beyond the band in (t0, t1]."""
-    window = _window(points, t0, t1)
+    window = cut_window(points, t0, t1)
     worst = 0.0
     for _t, v in window:
         worst = max(worst, spec.excursion(v))
@@ -166,7 +157,7 @@ def slo_violation_seconds(
     to *t1* for the last one), so irregular sampling integrates
     correctly and the result is deterministic.
     """
-    window = _window(points, t0, t1)
+    window = cut_window(points, t0, t1)
     if not window:
         return 0.0
     violated = 0.0
@@ -295,7 +286,7 @@ class AdaptationScorecard:
             entry: Dict[str, Any] = {
                 "series": spec.series,
                 "band": [spec.min_value, spec.max_value],
-                "samples": len(_window(points, t0, t1)),
+                "samples": len(cut_window(points, t0, t1)),
                 "slo_violation_s": slo_violation_seconds(points, spec, t0, t1),
                 "disturbances": {},
             }

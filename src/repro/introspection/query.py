@@ -8,39 +8,34 @@ module is that query surface: windowed statistics over
 windowed rollups over the monitoring repository's event records —
 per-provider, per-site, hot-blob and hot-chunk access patterns.
 
-Three design points keep continuous polling cheap:
+Two design points keep continuous polling cheap:
 
 * Metrics series are append-only and time-ordered, so every window is a
-  bisect, never a scan of history — and a per-step memo collapses
-  repeat queries of the same (series, window) pair within one instant
-  to a single scan.
+  bisect, never a scan of history.  The cut is
+  :meth:`TimeSeries.window <repro.telemetry.metrics.TimeSeries.window>`
+  — the only one in the repository — and the fold is
+  :meth:`QueryEngine.window_stat`: every reader of the self-* stack
+  (cache tuner, elasticity smoothing, health rules, ``SignalRef``,
+  journal effect windows, scorecard) sees the same window, and every
+  statistic is computed one way.  Nothing is pre-aggregated or cached:
+  the windows the engines ask for hold a handful of points.
 * Repository records arrive through an incremental
   :class:`~repro.monitoring.repository.RepositoryCursor`: each
   :meth:`QueryEngine.refresh` consumes only records persisted since the
   last call and retains just the retention horizon in memory.
-* With an attached :class:`~repro.introspection.rollup.RollupStore`,
-  queries whose shape matches a materialized rollup are answered from
-  O(1) incremental pre-aggregates instead of scanning the window at
-  all; everything else transparently falls back to the raw scan.  Every
-  query is accounted per shape (:attr:`QueryEngine.query_stats`) so the
-  :class:`~repro.introspection.advisor.RollupAdvisor` can materialize
-  hot shapes and retire cold ones.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from math import fsum, inf
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from math import fsum
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..blobseer.instrument import EV_CHUNK_READ, EV_CHUNK_WRITE, MonitoringEvent
-from .rollup import RollupStore, Shape
+from ..telemetry.metrics import nearest_rank
 
-__all__ = ["WindowRollup", "ShapeStat", "QueryEngine"]
-
-_POINT_TIME = lambda p: p[0]  # noqa: E731 - bisect key for (time, value)
+__all__ = ["WindowRollup", "QueryEngine"]
 
 
 @dataclass
@@ -70,17 +65,6 @@ class WindowRollup:
         return total / self.window_s if self.window_s > 0 else 0.0
 
 
-@dataclass
-class ShapeStat:
-    """Per-query-shape accounting: the advisor's query log."""
-
-    raw_scans: int = 0        # windowed queries answered by scanning
-    scanned_points: int = 0   # raw points (or events) folded during scans
-    rollup_hits: int = 0      # queries answered from a materialized rollup
-    last_raw: float = -inf
-    last_hit: float = -inf
-
-
 class QueryEngine:
     """Windowed queries over metrics series and monitoring records.
 
@@ -102,11 +86,6 @@ class QueryEngine:
         Maps an actor id (``provider-3``) to its site/rack name for
         :meth:`site_rollup` — a dict or a callable.  Unknown actors fall
         into site ``"?"``.
-    rollups:
-        ``True`` to attach a fresh :class:`RollupStore`, or an existing
-        store to share.  With a store attached, queries whose shape
-        matches a materialized rollup are answered O(1); use
-        :meth:`materialize` / the :class:`RollupAdvisor` to create them.
     """
 
     def __init__(
@@ -117,7 +96,6 @@ class QueryEngine:
         window_s: float = 60.0,
         retention_s: Optional[float] = None,
         site_of: "Mapping[str, str] | Callable[[str], str] | None" = None,
-        rollups: "RollupStore | bool | None" = None,
     ) -> None:
         self.metrics = metrics
         self.repository = repository
@@ -135,65 +113,6 @@ class QueryEngine:
             self._site_of = lambda actor: "?"
         self._cursor = repository.cursor() if repository is not None else None
         self._events: deque[MonitoringEvent] = deque()
-        #: Per-shape query accounting (the advisor's knowledge base).
-        self.query_stats: Dict[Shape, ShapeStat] = {}
-        #: Per-step memo: (name, width) -> (series length, window slice).
-        self._memo: Dict[Tuple[str, float], Tuple[int, List]] = {}
-        self._memo_now: Optional[float] = None
-        self.rollups: Optional[RollupStore] = None
-        if rollups:
-            self.attach_rollups(None if rollups is True else rollups)
-
-    # -- rollup plumbing ---------------------------------------------------------
-    def attach_rollups(self, store: Optional[RollupStore] = None) -> RollupStore:
-        """Attach a rollup store and subscribe it to the sample stream.
-
-        Every later ``metrics.sample`` fans into matching rollups, so a
-        rollup materialized (and backfilled) once stays consistent with
-        its raw series forever.  Returns the attached store.
-        """
-        if self.rollups is not None:
-            return self.rollups
-        if store is None:
-            store = RollupStore()
-        self.rollups = store
-        if self.metrics is not None:
-            self.metrics.add_sample_listener(store.observe_sample)
-        return store
-
-    def materialize(self, name: str, window_s: Optional[float] = None):
-        """Materialize (and backfill) a series rollup; returns it."""
-        if self.metrics is None:
-            raise ValueError("materialize() needs a metrics registry")
-        store = self.attach_rollups()
-        width = self.window_s if window_s is None else float(window_s)
-        return store.materialize_series(self.metrics.series(name), width)
-
-    def materialize_events(self, kind: str, window_s: Optional[float] = None):
-        """Materialize a provider/site event rollup, backfilled from the
-        currently retained repository events."""
-        store = self.attach_rollups()
-        width = self.window_s if window_s is None else float(window_s)
-        self.refresh()
-        return store.materialize_events(
-            kind, width, events=self._events, site_of=self._site_of)
-
-    def _note_query(self, shape: Shape, now: float, hit: bool,
-                    cost: int = 0) -> None:
-        stat = self.query_stats.get(shape)
-        if stat is None:
-            stat = self.query_stats[shape] = ShapeStat()
-        if hit:
-            stat.rollup_hits += 1
-            stat.last_hit = now
-            if self.metrics is not None:
-                self.metrics.counter("introspection.query.rollup_hits").inc()
-        else:
-            stat.raw_scans += 1
-            stat.scanned_points += cost
-            stat.last_raw = now
-            if self.metrics is not None:
-                self.metrics.counter("introspection.query.raw_scans").inc()
 
     # -- time plumbing ---------------------------------------------------------
     def _resolve_now(self, now: Optional[float]) -> float:
@@ -212,35 +131,12 @@ class QueryEngine:
         window_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> List[Tuple[float, float]]:
-        """Series points with ``now - window < t <= now`` (bisect, no scan).
-
-        Repeat queries of the same (series, window) pair at the same
-        instant are memoized: within one step the raw series is sliced
-        once, however many statistics are asked of it.  The memo is
-        invalidated by time moving on or by new samples landing.
-        """
+        """Series points with ``now - window < t <= now`` (bisect, no scan)."""
         if self.metrics is None:
             return []
         now = self._resolve_now(now)
         width = self.window_s if window_s is None else window_s
-        if now != self._memo_now:
-            self._memo.clear()
-            self._memo_now = now
-        points = self.metrics.series(name).points
-        key = (name, width)
-        memo = self._memo.get(key)
-        if memo is not None and memo[0] == len(points):
-            return memo[1]
-        if not points:
-            result: List[Tuple[float, float]] = []
-        else:
-            lo = bisect_right(points, now - width, key=_POINT_TIME)
-            hi = bisect_right(points, now, key=_POINT_TIME)
-            result = points[lo:hi]
-            self._note_query(("series", name, width), now, hit=False,
-                             cost=len(result))
-        self._memo[key] = (len(points), result)
-        return result
+        return self.metrics.series(name).window(now - width, now)
 
     def window_stat(
         self,
@@ -254,24 +150,9 @@ class QueryEngine:
         Statistics: ``mean``, ``min``, ``max``, ``sum``, ``latest``,
         ``count``, ``rate`` (samples/s), ``value_rate`` (sum/s), and
         percentiles ``p50``/``p90``/``p95``/``p99`` (nearest rank).
-
-        With a matching materialized rollup attached the answer comes
-        from O(1) pre-aggregates; rollup answers are bitwise identical
-        to the raw scan for every statistic except percentiles (reservoir
-        approximation).  Sums/means use ``math.fsum`` (correctly rounded,
-        order-independent) so the two paths agree exactly.
+        Sums and means use ``math.fsum`` (correctly rounded).
         """
         width = self.window_s if window_s is None else window_s
-        store = self.rollups
-        if store is not None:
-            rollup = store.series_rollup(name, width)
-            if rollup is not None:
-                resolved = self._resolve_now(now)
-                if rollup.covers(resolved):
-                    value = rollup.stat(statistic, resolved)
-                    self._note_query(("series", name, width), resolved,
-                                     hit=True)
-                    return value
         points = self.window_points(name, window_s, now)
         if not points:
             return None
@@ -293,11 +174,7 @@ class QueryEngine:
         if statistic == "value_rate":
             return fsum(values) / width if width > 0 else 0.0
         if statistic.startswith("p"):
-            q = float(statistic[1:])
-            ordered = sorted(values)
-            rank = max(0, min(len(ordered) - 1,
-                              int(round(q / 100.0 * (len(ordered) - 1)))))
-            return ordered[rank]
+            return nearest_rank(sorted(values), float(statistic[1:]))
         raise ValueError(f"unknown statistic {statistic!r}")
 
     def window_percentile(
@@ -320,10 +197,6 @@ class QueryEngine:
             return 0
         fresh = self._cursor.advance()
         self._events.extend(fresh)
-        store = self.rollups
-        if fresh and store is not None and store.has_event_rollups():
-            for event in fresh:
-                store.observe_event(event, self._site_of)
         horizon = self._resolve_now(now) - self.retention_s
         while self._events and self._events[0].time < horizon:
             self._events.popleft()
@@ -353,27 +226,13 @@ class QueryEngine:
 
     def _data_rollup(
         self,
-        kind: str,
         key_of: Callable[[MonitoringEvent], str],
         window_s: Optional[float],
         now: Optional[float],
     ) -> Dict[str, WindowRollup]:
         width = self.window_s if window_s is None else window_s
-        store = self.rollups
-        if store is not None:
-            materialized = store.event_rollup(kind, width)
-            if materialized is not None:
-                # Ingest anything new first so the rollup is current.
-                self.refresh(now)
-                resolved = self._resolve_now(now)
-                if materialized.covers(resolved):
-                    self._note_query(("events", kind, width), resolved,
-                                     hit=True)
-                    return materialized.query(resolved)
         rollups: Dict[str, WindowRollup] = {}
         events = self.events_in_window(window_s, now, actor_type="provider")
-        self._note_query(("events", kind, width), self._resolve_now(now),
-                         hit=False, cost=len(self._events))
         for event in events:
             key = key_of(event)
             entry = rollups.get(key)
@@ -397,8 +256,7 @@ class QueryEngine:
         now: Optional[float] = None,
     ) -> Dict[str, WindowRollup]:
         """Windowed data-path activity keyed by provider id."""
-        return self._data_rollup("provider", lambda e: e.actor_id,
-                                 window_s, now)
+        return self._data_rollup(lambda e: e.actor_id, window_s, now)
 
     def site_rollup(
         self,
@@ -406,7 +264,7 @@ class QueryEngine:
         now: Optional[float] = None,
     ) -> Dict[str, WindowRollup]:
         """Windowed data-path activity keyed by site (via ``site_of``)."""
-        return self._data_rollup("site", lambda e: self._site_of(e.actor_id),
+        return self._data_rollup(lambda e: self._site_of(e.actor_id),
                                  window_s, now)
 
     # -- access-pattern reports (§III-B) ----------------------------------------
@@ -495,13 +353,11 @@ class QueryEngine:
         monitoring=None,
         window_s: float = 60.0,
         retention_s: Optional[float] = None,
-        rollups: "RollupStore | bool | None" = None,
     ) -> "QueryEngine":
         """Wire an engine to a deployment (+ optional MonitoringStack).
 
         Sites come from the deployment's actor→node map; metrics from
         ``env.metrics`` (may be ``None`` when telemetry is disabled).
-        Pass ``rollups=True`` to attach a fresh :class:`RollupStore`.
         """
         actor_nodes = getattr(deployment, "actor_nodes", {})
         sites = {actor: node.site for actor, node in actor_nodes.items()}
@@ -515,5 +371,4 @@ class QueryEngine:
             window_s=window_s,
             retention_s=retention_s,
             site_of=sites,
-            rollups=rollups,
         )

@@ -11,9 +11,39 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "TimeSeries",
+    "MetricsRegistry",
+    "cut_window",
+    "nearest_rank",
+]
+
+_POINT_TIME = lambda p: p[0]  # noqa: E731 - bisect key for (time, value)
+
+
+def cut_window(points: Sequence[Tuple[float, float]], lo: float,
+               hi: float) -> Sequence[Tuple[float, float]]:
+    """The samples of time-ordered *points* with ``lo < t <= hi``.
+
+    The one place a window is cut out of a series: two bisects over the
+    append-only, time-ordered sample list, never a scan of history.
+    Empty when ``lo >= hi``.
+    """
+    i = bisect_right(points, lo, key=_POINT_TIME)
+    j = bisect_right(points, hi, key=_POINT_TIME)
+    return points[i:j]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in 0..100) of a non-empty sorted list."""
+    last = len(ordered) - 1
+    return ordered[max(0, min(last, int(round(q / 100.0 * last))))]
 
 
 class Counter:
@@ -113,9 +143,7 @@ class Histogram:
         """Nearest-rank percentile over retained samples (q in 0..100)."""
         if not self._samples:
             return 0.0
-        ordered = self._ordered()
-        rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+        return nearest_rank(self._ordered(), q)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -149,6 +177,10 @@ class TimeSeries:
     def latest(self) -> Optional[float]:
         return self.points[-1][1] if self.points else None
 
+    def window(self, lo: float, hi: float) -> List[Tuple[float, float]]:
+        """Samples with ``lo < t <= hi`` (see :func:`cut_window`)."""
+        return cut_window(self.points, lo, hi)
+
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "series", "points": [[t, v] for t, v in self.points]}
 
@@ -156,91 +188,69 @@ class TimeSeries:
         return len(self.points)
 
 
+#: Export order of :meth:`MetricsRegistry.to_dict`: kind, then name.
+_KINDS = (Counter, Gauge, Histogram, TimeSeries)
+
+
 class MetricsRegistry:
     """Get-or-create registry for all four instrument kinds.
 
-    When built with an environment, :meth:`sample` stamps series points
-    with ``env.now`` automatically.
+    One name is one instrument: asking for a registered name as another
+    kind raises :class:`ValueError` (an export keyed by name could only
+    show one of the two).  When built with an environment,
+    :meth:`sample` stamps series points with ``env.now`` automatically.
     """
 
     def __init__(self, env=None) -> None:
         self.env = env
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
-        #: Sample fan-out hooks: ``fn(name, time, value)`` after every
-        #: :meth:`sample`.  Lets materialized-rollup stores (and other
-        #: streaming consumers) fold samples in as they arrive instead
-        #: of re-scanning series later.  Empty by default — the hot path
-        #: pays one truthiness check.
-        self._sample_listeners: List[Any] = []
+        self._instruments: Dict[str, Any] = {}
 
     # -- instruments -----------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
+    def _instrument(self, name: str, kind):
+        instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = self._counters[name] = Counter(name)
+            instrument = self._instruments[name] = kind(name)
+        elif type(instrument) is not kind:
+            raise ValueError(
+                f"metric {name!r} is registered as a "
+                f"{type(instrument).__name__}, not a {kind.__name__}")
         return instrument
+
+    def counter(self, name: str) -> Counter:
+        return self._instrument(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
+        return self._instrument(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name)
-        return instrument
+        return self._instrument(name, Histogram)
 
     def series(self, name: str) -> TimeSeries:
-        instrument = self._series.get(name)
-        if instrument is None:
-            instrument = self._series[name] = TimeSeries(name)
-        return instrument
+        return self._instrument(name, TimeSeries)
 
     def sample(self, name: str, value: float, time: Optional[float] = None) -> None:
         """Append one series point, stamped with ``env.now`` by default."""
         if time is None:
             time = self.env.now if self.env is not None else 0.0
-        time = float(time)
-        value = float(value)
         self.series(name).record(time, value)
-        if self._sample_listeners:
-            for listener in self._sample_listeners:
-                listener(name, time, value)
-
-    def add_sample_listener(self, listener) -> None:
-        """Subscribe ``fn(name, time, value)`` to every future sample."""
-        if listener not in self._sample_listeners:
-            self._sample_listeners.append(listener)
-
-    def remove_sample_listener(self, listener) -> None:
-        if listener in self._sample_listeners:
-            self._sample_listeners.remove(listener)
 
     # -- export ----------------------------------------------------------------
+    def _names(self, kind, prefix: str = "") -> List[str]:
+        return sorted(name for name, instrument in self._instruments.items()
+                      if type(instrument) is kind and name.startswith(prefix))
+
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
-        """All instruments, sorted by name (stable for serialization)."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for registry in (self._counters, self._gauges, self._histograms, self._series):
-            for name in sorted(registry):
-                out[name] = registry[name].to_dict()
-        return out
+        """All instruments, grouped by kind and sorted by name within a
+        kind (stable for serialization)."""
+        return {name: self._instruments[name].to_dict()
+                for kind in _KINDS for name in self._names(kind)}
 
     def names(self) -> List[str]:
-        return sorted(self.to_dict())
+        return sorted(self._instruments)
 
     def series_names(self, prefix: str = "") -> List[str]:
         """Registered time-series names, optionally filtered by prefix."""
-        return sorted(n for n in self._series if n.startswith(prefix))
+        return self._names(TimeSeries, prefix)
 
     def __len__(self) -> int:
-        return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._series)
-        )
+        return len(self._instruments)

@@ -16,6 +16,8 @@ from repro.adaptation import (
 )
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
+from repro.introspection import QueryEngine
+from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads import CorrectWriter
 
 
@@ -357,3 +359,35 @@ def test_removal_manager_collects_orphans_from_aborted_writes():
         for d in p.chunks.values() if d.version < 0
     )
     assert leftover == 0
+
+
+def test_elasticity_controller_publishes_and_smooths_with_query():
+    from repro.adaptation.elasticity import ElasticityController
+    from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
+
+    deployment = BlobSeerDeployment(BlobSeerConfig(
+        data_providers=3, metadata_providers=1))
+    env = deployment.env
+    registry = MetricsRegistry(env)
+    engine = QueryEngine(metrics=registry, env=env, window_s=30.0)
+    controller = ElasticityController(deployment, query=engine,
+                                      interval_s=5.0)
+    assert controller.smooth_window_s == 15.0
+
+    raw_load = controller.pool_load()
+    # A synthetic earlier reading drags the windowed mean away from the
+    # instantaneous value — proof the controller acts on the smoothed
+    # signal.
+    registry.sample("elasticity.pool_load", raw_load + 1.0, time=0.0)
+    controller.step(env.now)
+    assert len(registry.series("elasticity.pool_load")) == 2
+    assert len(registry.series("elasticity.pool_fill")) == 1
+    assert len(registry.series("elasticity.pool_size")) == 1
+    _now, _pool, used_load = controller.pool_timeline[0]
+    assert used_load == pytest.approx(raw_load + 0.5)
+
+    # Without a query engine nothing is published and raw signals rule.
+    bare = ElasticityController(BlobSeerDeployment(BlobSeerConfig(
+        data_providers=3, metadata_providers=1)))
+    bare.step(0.0)
+    assert bare.pool_timeline[0][2] == pytest.approx(bare.pool_load())

@@ -1,7 +1,5 @@
 """Unit tests for the repro.cache core library (policies, accounting)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.cache import (
@@ -12,7 +10,6 @@ from repro.cache import (
     SizeAdmission,
     make_policy,
 )
-from repro.telemetry.metrics import MetricsRegistry
 
 
 # ------------------------------------------------------------- policies
@@ -157,25 +154,26 @@ def test_stats_hit_rate_and_dict():
     assert d["hits"] == 1 and d["misses"] == 1
 
 
-# ------------------------------------------------------------- metrics mirror
-def test_cache_mirrors_into_metrics_registry():
-    env = SimpleNamespace(now=0.0, metrics=None)
-    env.metrics = MetricsRegistry(env)
-    cache = Cache("tier", 4.0, env=env)
+# ------------------------------------------------------------- statistics
+def test_cache_statistics_live_in_cache_stats_only():
+    """A cache counts each event once, in its ``CacheStats``: it is
+    handed no environment and records nothing in a metrics registry (the
+    tuner publishes the ``cache.<name>.*`` series from these numbers)."""
+    cache = Cache("tier", 4.0)
     cache.put("a", 1, 1.0)
     cache.lookup("a")
     cache.lookup("miss")
     cache.invalidate("a")
-    m = env.metrics
-    assert m.counter("cache.tier.hits").value == 1
-    assert m.counter("cache.tier.misses").value == 1
-    assert m.counter("cache.tier.insertions").value == 1
-    assert m.counter("cache.tier.invalidations").value == 1
-    assert m.gauge("cache.tier.bytes_mb").value == 0.0
-    assert m.gauge("cache.tier.capacity_mb").value == 4.0
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.insertions,
+            stats.invalidations) == (1, 1, 1, 1)
+    report = cache.to_dict()
+    assert (report["hits"], report["misses"], report["insertions"],
+            report["invalidations"]) == (1, 1, 1, 1)
+    assert report["bytes_mb"] == 0.0 and report["capacity_mb"] == 4.0
 
 
 def test_cache_without_env_keeps_working():
-    cache = Cache("bare", 4.0)  # no env, no metrics: pure library use
+    cache = Cache("bare", 4.0)  # pure library use
     cache.put("a", 1, 1.0)
     assert cache.get("a") == 1

@@ -15,7 +15,10 @@ import inspect
 from pathlib import Path
 
 from repro.blobseer import BlobSeerClient, BlobSeerConfig, VersionManager
+from repro.blobseer.allocation import make_strategy
+from repro.cache import Cache
 from repro.cluster import TestbedConfig
+from repro.introspection import QueryEngine
 from repro.robustness import (
     PrimaryHandle,
     ProviderManagerHandle,
@@ -23,6 +26,7 @@ from repro.robustness import (
     WarmStandbyProviderManager,
 )
 from repro.simulation import FlowNetwork
+from repro.telemetry import MetricsRegistry
 from repro.workloads import scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +40,10 @@ def _surface(config=BlobSeerConfig):
         if name.startswith("build_") and name.endswith("_scenario"):
             surface[name] = list(inspect.signature(builder).parameters)
     return surface
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
 
 
 def _callee(call):
@@ -116,9 +124,6 @@ def test_the_replica_groups_and_handles_take_no_protocol_knob():
     """Detector settings, deadlines, batch sizes and retry budgets are
     module constants of ``repro.robustness.replication``: no caller ever
     set them, so no constructor (or ``handle()`` factory) takes them."""
-    def parameters(fn):
-        return list(inspect.signature(fn).parameters)
-
     assert parameters(ReplicatedVersionManager.__init__) == [
         "self", "testbed", "vmanagers"]
     assert parameters(WarmStandbyProviderManager.__init__) == [
@@ -127,3 +132,31 @@ def test_the_replica_groups_and_handles_take_no_protocol_knob():
         assert parameters(handle.__init__) == ["self", "group", "rng"]
     for group in (ReplicatedVersionManager, WarmStandbyProviderManager):
         assert parameters(group.handle) == ["self", "rng"]
+
+
+def test_a_window_of_a_series_is_answered_one_way():
+    """The materialized-rollup twin of ``window_stat`` is gone and stays
+    gone: nothing selects how a window is answered, nothing subscribes
+    to the sample stream, a cache is handed no environment to mirror its
+    statistics into, and one module cuts windows out of series."""
+    assert parameters(QueryEngine.__init__) == [
+        "self", "metrics", "repository", "env", "window_s", "retention_s",
+        "site_of"]
+    assert parameters(QueryEngine.for_deployment) == [
+        "deployment", "monitoring", "window_s", "retention_s"]
+    assert not [name for name in vars(MetricsRegistry) if "listener" in name]
+    assert parameters(Cache.__init__) == [
+        "self", "name", "capacity_mb", "policy", "admission"]
+    assert parameters(make_strategy) == ["name", "rng", "env"]
+
+    importers = []
+    for package in ("telemetry", "introspection"):
+        for path in sorted((ROOT / "src" / "repro" / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                modules = ([alias.name for alias in node.names]
+                           if isinstance(node, ast.Import)
+                           else [node.module] if isinstance(node, ast.ImportFrom)
+                           else [])
+                if "bisect" in modules:
+                    importers.append(f"{package}/{path.name}")
+    assert importers == ["telemetry/metrics.py"]

@@ -12,7 +12,16 @@ re-recorded by a change that *means* to alter simulated behaviour —
 (PR 18), which makes the height of the metadata tree follow the size of
 the blob: every write and read sheds a few milliseconds of metadata
 round trips, so every timestamp moves (before/after headline fields in
-CHANGES.md).
+CHANGES.md).  ``disturbance`` and ``contention`` hash the metrics
+registry's dump, and the child of 0b2cad1 (PR 19) re-recorded their
+four digests because *what is counted* changed, not what the system
+did: the caches stopped mirroring their ``CacheStats`` into
+``cache.<name>.{hits,misses,insertions,evictions,rejected,invalidations}``
+counters and the query engine stopped counting its own scans
+(``introspection.query.raw_scans``).  Each new digest equals the sha256
+of the 0b2cad1 payload with exactly those keys deleted (29 / 30 / 59 /
+59 of them, all counters) — the script that checks the equality is in
+that PR's CHANGES.md entry.
 
 ``CONTENT_GOLDEN`` is the oracle that change was *not* allowed to move:
 what ends up stored — version chains, sizes, which chunk sits at which
@@ -212,8 +221,8 @@ def _content_digest(deployment, versions=None) -> str:
     from repro.cache import Cache
 
     reader = deployment.new_client("content-oracle", rpc_timeout_s=4.0)
-    reader.chunk_cache = Cache("content-oracle.chunks", 1e9, env=deployment.env)
-    reader.meta.cache = Cache("content-oracle.nodes", 1e9, env=deployment.env)
+    reader.chunk_cache = Cache("content-oracle.chunks", 1e9)
+    reader.meta.cache = Cache("content-oracle.nodes", 1e9)
     resolved = []
     real_query = client_module.tree_query
 
@@ -398,10 +407,10 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    ("contention", 0): "ecdd4e2729ea2a2d7e1225013ad402867fd18555041d4e38889f702a5a145108",
-    ("contention", 7): "d7789fffb2ea3dcbe919ba0b924a704603b0ad33a2355b24618ac1d85842a66b",
-    ("disturbance", 0): "b5d6d91c6546a7e32c16b2378d001162a5a1333a752128e15f6e9bb75bc78e99",
-    ("disturbance", 7): "76f15628bf689445f7fed0fd1b7e1235c8fc447e11eb4c842faa1b078b45af4c",
+    ("contention", 0): "af152cb77a1394329d191001d95c5baf0bb1864dc7cb4b98aea15895a9fdc1fe",
+    ("contention", 7): "847eee9d4b72b2eb7b0ba342e5552c5b005d119e5a6b6a73f60778369044136e",
+    ("disturbance", 0): "1fd41d6d22bac3e2d07afa2cae4b7bc27e8a5c554d1946493e1e8241001b9ca8",
+    ("disturbance", 7): "9039cb702005705c47d9257e3d5a75c7e01968d27989c5749051ce5dea78a054",
     ("dos", 0): "bf7af676ce7b2d08aa96941d78d8baed0004c455b261c55ff45eb35b94c07332",
     ("dos", 7): "b185245d08b422b5aa5bf7d77d05694c040aa536ecde39180cc646b7e463216d",
     # fanout and write draw nothing from the seed at these configurations

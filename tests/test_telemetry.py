@@ -1,12 +1,15 @@
 """Tests for the cross-layer telemetry subsystem (repro.telemetry)."""
 
 import json
+from math import fsum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
+from repro.introspection import QueryEngine
 from repro.simulation import Environment, SimulationError
 from repro.telemetry import (
     NULL_TRACER,
@@ -198,6 +201,91 @@ def test_metrics_series_stamp_env_now():
     assert metrics.series("throughput").points == [(3.0, 42.0)]
     dump = metrics.to_dict()
     assert dump["throughput"]["points"] == [[3.0, 42.0]]
+
+
+def test_one_metric_name_is_one_instrument():
+    """A name registered as one kind cannot come back as another: the
+    exports are keyed by name and could only ever show one of the two
+    (the cache gauges ``cache.<name>.bytes_mb`` used to vanish behind the
+    tuner's same-named series)."""
+    metrics = MetricsRegistry()
+    metrics.gauge("cache.c.bytes_mb").set(1.0)
+    with pytest.raises(ValueError, match="cache.c.bytes_mb"):
+        metrics.series("cache.c.bytes_mb")
+    with pytest.raises(ValueError):
+        metrics.sample("cache.c.bytes_mb", 2.0)
+    with pytest.raises(ValueError):
+        metrics.counter("cache.c.bytes_mb")
+    assert metrics.gauge("cache.c.bytes_mb").value == 1.0  # same kind: same one
+
+    metrics.sample("z.series", 1.0)
+    metrics.histogram("b.hist").observe(1.0)
+    metrics.counter("y.count").inc()
+    metrics.counter("a.count").inc()
+    # Exports group by kind (counters, gauges, histograms, series) and
+    # sort by name within a kind; every registered name is in them.
+    assert list(metrics.to_dict()) == [
+        "a.count", "y.count", "cache.c.bytes_mb", "b.hist", "z.series"]
+    assert len(metrics) == len(metrics.to_dict()) == len(metrics.names()) == 5
+    assert metrics.series_names() == ["z.series"]
+
+
+# ---------------------------------------------------------------------------
+# The one window cut and the one fold
+# ---------------------------------------------------------------------------
+
+#: Times on a half-unit grid, so duplicate timestamps and window edges
+#: that fall exactly on a sample are the common case, not the rare one.
+GRID = st.integers(min_value=0, max_value=24).map(lambda i: i / 2.0)
+SAMPLES = st.lists(st.tuples(GRID, st.floats(-1e6, 1e6)), max_size=40).map(
+    lambda samples: sorted(samples, key=lambda s: s[0]))
+STATISTICS = ("mean", "min", "max", "sum", "latest", "count", "rate",
+              "value_rate", "p50", "p90", "p95", "p99")
+
+
+def reference_statistic(values, statistic, width):
+    if statistic == "mean":
+        return fsum(values) / len(values)
+    if statistic == "sum":
+        return fsum(values)
+    if statistic == "min":
+        return min(values)
+    if statistic == "max":
+        return max(values)
+    if statistic == "latest":
+        return values[-1]
+    if statistic == "count":
+        return float(len(values))
+    if statistic == "rate":
+        return len(values) / width
+    if statistic == "value_rate":
+        return fsum(values) / width
+    ordered = sorted(values)
+    return ordered[int(round(float(statistic[1:]) / 100.0 * (len(ordered) - 1)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=SAMPLES, lo=GRID, hi=GRID)
+def test_a_window_is_cut_and_folded_like_the_brute_force_filter(samples, lo, hi):
+    metrics = MetricsRegistry()
+    for time, value in samples:
+        metrics.sample("s", value, time=time)
+    series = metrics.series("s")
+    expected = [(t, v) for t, v in series.points if lo < t <= hi]
+    assert series.window(lo, hi) == expected
+
+    engine = QueryEngine(metrics=metrics)
+    width = hi - lo
+    assert engine.window_points("s", window_s=width, now=hi) == expected
+    values = [v for _t, v in expected]
+    for statistic in STATISTICS:
+        answer = engine.window_stat("s", statistic, window_s=width, now=hi)
+        if not values:
+            assert answer is None
+        else:
+            assert answer == reference_statistic(values, statistic, width)
+    assert engine.window_percentile("s", 95, window_s=width, now=hi) == (
+        reference_statistic(values, "p95", width) if values else None)
 
 
 # ---------------------------------------------------------------------------
