@@ -59,7 +59,7 @@ def run_churn(detector_on: bool):
         )
         timeout_s = 8.0
     manager = ReplicationManager(
-        deployment, target_replication=2, interval_s=5.0, detector=detector,
+        deployment, target_replication=2, interval_s=5.0,
     )
     env.process(manager.run(env))
 

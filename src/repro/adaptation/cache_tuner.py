@@ -19,7 +19,7 @@ is a :class:`~repro.decision.loop.DecisionLoop` over every registered
   grows caches that keep *evicting* while being looked up (thrashing:
   an extra byte has high expected value), ranked by evictions/s per MB,
   and funds the growth by shrinking idle or half-empty ones; its
-  thresholds are the planner's constructor parameters.
+  thresholds are constants of :mod:`repro.decision.planners`.
 - **Execute** — costed ``cache_grow`` / ``cache_shrink`` actions that
   :meth:`~repro.cache.Cache.resize` each side.  With ``total_budget_mb``
   set, growth is bounded by the fleet-wide headroom, so the memory
@@ -51,6 +51,9 @@ class CacheTuner(DecisionLoop):
     name = "cache-tuner"
     #: Ledger name grow/shrink costs settle against.
     resource = "memory_mb"
+    #: No cache is shrunk below this, however idle.  (There is no
+    #: per-cache upper bound: growth is limited by the shared pool.)
+    MIN_CAPACITY_MB = 4.0
 
     def __init__(
         self,
@@ -61,10 +64,6 @@ class CacheTuner(DecisionLoop):
         interval_s: float = 10.0,
         cooldown_s: float = 0.0,
         window_s: Optional[float] = None,
-        total_budget_mb: Optional[float] = None,
-        min_capacity_mb: float = 4.0,
-        max_capacity_mb: Optional[float] = None,
-        dry_run: bool = False,
         reward_signal: Optional[SignalRef] = None,
     ) -> None:
         super().__init__(
@@ -77,12 +76,12 @@ class CacheTuner(DecisionLoop):
         #: without one the tuner observes but cannot analyze.
         self.query = query
         self.window_s = window_s
-        self.total_budget_mb = total_budget_mb
-        self.min_capacity_mb = min_capacity_mb
-        self.max_capacity_mb = max_capacity_mb
+        #: Fleet-wide cap on the summed capacities (None = unbudgeted);
+        #: set on the instance once the fleet is known.
+        self.total_budget_mb: Optional[float] = None
         #: Observe-and-publish only: never resizes.  Lets dashboards use
         #: the tuner as a cache-stats probe without ceding control.
-        self.dry_run = dry_run
+        self.dry_run = False
         #: Global objective for the search-based planners (hill-climb,
         #: bandit), e.g. ``SignalRef("client.throughput_mbps")``.
         self.reward_signal = reward_signal
@@ -142,10 +141,10 @@ class CacheTuner(DecisionLoop):
         return self.caches[name].utilization
 
     def floor(self, name: str) -> float:
-        return self.min_capacity_mb
+        return self.MIN_CAPACITY_MB
 
     def ceiling(self, name: str) -> Optional[float]:
-        return self.max_capacity_mb
+        return None
 
     def signals(self, name: str) -> Optional[Dict[str, float]]:
         """Windowed signals through the query engine."""
@@ -238,7 +237,7 @@ class CacheTuner(DecisionLoop):
             if freed >= amount - _EPS:
                 break
             cache = self.caches[name]
-            floor = max(self.min_capacity_mb, cache.bytes_used)
+            floor = max(self.MIN_CAPACITY_MB, cache.bytes_used)
             give = min(cache.capacity_mb - floor, amount - freed)
             if give <= _EPS:
                 continue

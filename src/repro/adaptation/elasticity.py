@@ -19,9 +19,10 @@ it.
 
 With a *query* engine attached the controller also publishes its pool
 signals as metrics series (``elasticity.pool_load`` / ``.pool_fill`` /
-``.pool_size``) and smooths its decisions over a sliding window instead
-of reacting to one instantaneous reading (the windowed means are
-:meth:`QueryEngine.window_stat` reads, like every engine's).
+``.pool_size``) and smooths its decisions over a sliding window of three
+of its intervals instead of reacting to one instantaneous reading (the
+windowed means are :meth:`QueryEngine.window_stat` reads, like every
+engine's).
 
 Scaling is executed as costed actions: ``scale_up`` debits and
 ``scale_down`` credits ``provider_cost_mb`` MB per provider against the
@@ -49,6 +50,10 @@ class ElasticityController(DecisionLoop):
     name = "elasticity"
     #: Ledger name scale_up/scale_down costs settle against.
     resource = "memory_mb"
+    #: Pool-wide disk fill above which the pool grows whatever the load.
+    HIGH_FILL = 0.85
+    #: Providers added by one scale-up decision.
+    SCALE_UP_STEP = 2
 
     def __init__(
         self,
@@ -57,13 +62,10 @@ class ElasticityController(DecisionLoop):
         max_providers: int = 256,
         high_load: float = 0.65,
         low_load: float = 0.15,
-        high_fill: float = 0.85,
-        scale_up_step: int = 2,
         interval_s: float = 5.0,
         cooldown_s: float = 15.0,
         provision_delay_s: float = 10.0,
         query=None,
-        smooth_window_s: Optional[float] = None,
         arbiter=None,
         provider_cost_mb: float = 64.0,
     ) -> None:
@@ -74,15 +76,11 @@ class ElasticityController(DecisionLoop):
         #: Optional introspection QueryEngine: publishes pool signals as
         #: series and smooths decisions over *smooth_window_s* of them.
         self.query = query
-        self.smooth_window_s = (
-            smooth_window_s if smooth_window_s is not None else 3.0 * interval_s
-        )
+        self.smooth_window_s = 3.0 * interval_s
         self.min_providers = min_providers
         self.max_providers = max_providers
         self.high_load = high_load
         self.low_load = low_load
-        self.high_fill = high_fill
-        self.scale_up_step = scale_up_step
         #: Time to boot a fresh provider VM (Nimbus-style provisioning).
         self.provision_delay_s = provision_delay_s
         #: MB of ledger memory one provider's footprint occupies.
@@ -98,8 +96,8 @@ class ElasticityController(DecisionLoop):
         return {"name": "watermark", "params": {
             "high_load": self.high_load,
             "low_load": self.low_load,
-            "high_fill": self.high_fill,
-            "scale_up_step": self.scale_up_step,
+            "high_fill": self.HIGH_FILL,
+            "scale_up_step": self.SCALE_UP_STEP,
         }}
 
     # -- signals ----------------------------------------------------------------
@@ -110,12 +108,8 @@ class ElasticityController(DecisionLoop):
             return 1.0
         total = 0.0
         for provider in providers:
-            out_rate, in_rate = provider.node.network_load()
-            nic = (out_rate + in_rate) / (
-                provider.node.netnode.capacity_in + provider.node.netnode.capacity_out
-            )
             queue = min(1.0, provider.disk_queue_length / 8.0)
-            total += 0.7 * nic + 0.3 * queue
+            total += 0.7 * provider.node.nic_utilization + 0.3 * queue
         return total / len(providers)
 
     def pool_fill(self) -> float:
@@ -150,8 +144,8 @@ class ElasticityController(DecisionLoop):
                   pool_fill=round(fill, 6),
                   smoothed=self.query is not None)
 
-        if (load > self.high_load or fill > self.high_fill) and pool < self.max_providers:
-            count = min(self.scale_up_step, self.max_providers - pool)
+        if (load > self.high_load or fill > self.HIGH_FILL) and pool < self.max_providers:
+            count = min(self.SCALE_UP_STEP, self.max_providers - pool)
 
             def scale_up() -> None:
                 for _ in range(count):
@@ -166,7 +160,7 @@ class ElasticityController(DecisionLoop):
                         "fill": round(fill, 3)},
                 apply=scale_up,
             )
-        elif load < self.low_load and fill < self.high_fill and pool > self.min_providers:
+        elif load < self.low_load and fill < self.HIGH_FILL and pool > self.min_providers:
             victim = self._pick_victim()
             if victim is not None:
 

@@ -173,14 +173,9 @@ class RemovalManager(ControlLoop):
 
     def step(self, now: float) -> List[AdaptationDecision]:
         # Directory snapshot across the pool.
-        directory: Dict[str, ChunkDescriptor] = {}
-        holders: Dict[str, List] = {}
-        for provider in self.deployment.active_pmanager().providers.values():
-            if not provider.node.alive:
-                continue
-            for key, descriptor in provider.chunks.items():
-                directory[key] = descriptor
-                holders.setdefault(key, []).append(provider)
+        holders = self.deployment.active_pmanager().chunk_holders()
+        directory: Dict[str, ChunkDescriptor] = {
+            key: held[0].chunks[key] for key, held in holders.items()}
 
         protected = self._protected_keys()
         # Provenance: the directory snapshot this sweep selected from.

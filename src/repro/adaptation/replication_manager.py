@@ -18,7 +18,7 @@ The manager periodically sweeps the chunk directory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..blobseer.blob import ChunkDescriptor
 from ..blobseer.deployment import BlobSeerDeployment
@@ -33,6 +33,15 @@ from ..simulation.network import TransferAborted
 
 __all__ = ["ReplicationManager", "migrate_chunks"]
 
+#: Bound on each repair copy when the deployment runs a failure detector:
+#: a copy whose source turns out to be dead-but-undetected black-holes,
+#: and without a timeout the chunk would be stuck in-flight forever.
+#: Without a detector there is no bound (the oracle mode cannot
+#: black-hole).
+REPAIR_TIMEOUT_S = 30.0
+#: Copies one sweep may start; the rest wait for the next sweep.
+MAX_REPAIRS_PER_STEP = 64
+
 
 class ReplicationManager(DecisionLoop):
     """Maintains per-chunk replication degree."""
@@ -46,9 +55,6 @@ class ReplicationManager(DecisionLoop):
         max_replication: int = 4,
         hot_reads_per_s: float = 1.0,
         interval_s: float = 5.0,
-        max_repairs_per_step: int = 64,
-        detector=None,
-        repair_timeout_s: Optional[float] = None,
         query=None,
     ) -> None:
         super().__init__(interval_s=interval_s)
@@ -64,19 +70,6 @@ class ReplicationManager(DecisionLoop):
         self.target_replication = target_replication
         self.max_replication = max_replication
         self.hot_reads_per_s = hot_reads_per_s
-        self.max_repairs_per_step = max_repairs_per_step
-        #: Optional HeartbeatFailureDetector.  When set, replica counts
-        #: follow the detector's *view*, not the ``node.alive`` oracle:
-        #: repair traffic for a crashed provider starts only after the
-        #: detector confirms it dead.
-        self.detector = detector
-        #: Bound on each repair copy; a copy whose source turns out to
-        #: be dead-but-undetected black-holes, and without a timeout the
-        #: chunk would be stuck in-flight forever.  Defaults on only in
-        #: detector mode (the oracle mode cannot black-hole).
-        if repair_timeout_s is None and detector is not None:
-            repair_timeout_s = 30.0
-        self.repair_timeout_s = repair_timeout_s
         #: MB moved by repair/promotion traffic (bench metric).
         self.repair_traffic_mb = 0.0
         self.repairs_done = 0
@@ -97,44 +90,22 @@ class ReplicationManager(DecisionLoop):
     # -- directory ------------------------------------------------------------
     def chunk_directory(self) -> Dict[str, ChunkDescriptor]:
         """All chunks believed live, keyed by storage key."""
-        directory: Dict[str, ChunkDescriptor] = {}
-        for provider in self.deployment.active_pmanager().providers.values():
-            if self._presumed_dead(provider):
-                continue
-            directory.update(provider.chunks)
-        return directory
+        holders = self.deployment.active_pmanager().chunk_holders()
+        return {key: held[0].chunks[key] for key, held in holders.items()}
 
     def live_replicas(self, descriptor: ChunkDescriptor) -> List[DataProvider]:
-        providers = self.deployment.active_pmanager().providers
+        """The providers whose copy counts toward the chunk's degree:
+        not decommissioned and not believed dead (with a failure
+        detector a crashed provider counts until its death is
+        *confirmed*, so repair traffic begins only after detection)."""
+        pmanager = self.deployment.active_pmanager()
         out = []
         for provider_id in descriptor.replicas:
-            provider = providers.get(provider_id)
-            if provider is not None and self._believed_live(provider):
+            provider = pmanager.providers.get(provider_id)
+            if (provider is not None and not provider.decommissioned
+                    and pmanager.belief(provider) != "dead"):
                 out.append(provider)
         return out
-
-    def _presumed_dead(self, provider: DataProvider) -> bool:
-        if self.detector is not None and self.detector.watches(provider.node.name):
-            return self.detector.confirmed_dead(provider.node.name)
-        return not provider.node.alive
-
-    def _believed_live(self, provider: DataProvider) -> bool:
-        if provider.decommissioned:
-            return False
-        if self.detector is not None and self.detector.watches(provider.node.name):
-            # The detector's view, not the oracle: a crashed provider
-            # still counts as a replica until its death is *confirmed*,
-            # so repair traffic begins only after detection.
-            return not self.detector.confirmed_dead(provider.node.name)
-        return provider.node.alive
-
-    def _pick_source(self, replicas: List[DataProvider]) -> DataProvider:
-        """Prefer a replica the detector believes healthy (not suspected)."""
-        if self.detector is not None:
-            for provider in replicas:
-                if self.detector.thinks_alive(provider.node.name):
-                    return provider
-        return replicas[0]
 
     # -- plan: the directory sweep -----------------------------------------------
     def plan(self, now: float) -> Iterable[Action]:
@@ -144,6 +115,7 @@ class ReplicationManager(DecisionLoop):
         frees disk that the very next repair's target pick can use.
         """
         repairs = 0
+        pmanager = self.deployment.active_pmanager()
         directory = self.chunk_directory()
         under_replicated = hot = 0
         for key, descriptor in directory.items():
@@ -159,13 +131,16 @@ class ReplicationManager(DecisionLoop):
                 under_replicated += 1
             if want > self.target_replication:
                 hot += 1
-            if len(replicas) < want and repairs < self.max_repairs_per_step:
-                target = self._pick_target(descriptor)
+            if len(replicas) < want and repairs < MAX_REPAIRS_PER_STEP:
+                target = pmanager.least_loaded(
+                    descriptor.size_mb, exclude=descriptor.replicas)
                 if target is None:
                     continue
                 repairs += 1
                 kind = "repair" if len(replicas) < self.target_replication else "promote"
-                source = self._pick_source(replicas)
+                # Prefer a replica believed healthy (not suspected).
+                source = next((p for p in replicas
+                               if pmanager.belief(p) == "alive"), replicas[0])
 
                 def start_copy(descriptor=descriptor, source=source,
                                target=target, kind=kind, key=key) -> None:
@@ -230,27 +205,15 @@ class ReplicationManager(DecisionLoop):
         span = max(now - prev_time, 1e-9)
         return (descriptor.read_count - prev_count) / span
 
-    def _pick_target(self, descriptor: ChunkDescriptor) -> Optional[DataProvider]:
-        candidates = [
-            p for p in self.deployment.active_pmanager().active_providers()
-            if p.provider_id not in descriptor.replicas
-            and p.free_mb >= descriptor.size_mb
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.load_score())
-
     def _copy(self, descriptor: ChunkDescriptor, source: DataProvider,
               target: DataProvider, kind: str):
         try:
             done = target.ingest(source.node, descriptor, client_id=None)
-            # A dead-but-undetected source black-holes the copy; with a
-            # bound set (None waits unboundedly), give up after it and
-            # let a later sweep retry from a (by then better-informed)
-            # replica choice.
-            value = yield from wait_or_timeout(
-                self.env, done, self.repair_timeout_s
-            )
+            # A dead-but-undetected source black-holes the copy: give up
+            # after the bound and let a later sweep retry from a (by then
+            # better-informed) replica choice.
+            bound = None if self.deployment.detector is None else REPAIR_TIMEOUT_S
+            value = yield from wait_or_timeout(self.env, done, bound)
             if value is TIMED_OUT:
                 return
         except Exception:
@@ -295,16 +258,12 @@ def migrate_chunks(provider: DataProvider, deployment: BlobSeerDeployment):
             and pmanager.providers[pid].available
         ]
         if not others:
-            candidates = [
-                p for p in pmanager.active_providers()
-                if p.provider_id != provider.provider_id
-                and p.free_mb >= descriptor.size_mb
-            ]
-            if not candidates:
+            target = pmanager.least_loaded(
+                descriptor.size_mb, exclude=(provider.provider_id,))
+            if target is None:
                 raise NoProvidersAvailable(
                     f"cannot drain {provider.provider_id}: no space elsewhere"
                 )
-            target = min(candidates, key=lambda p: p.load_score())
             try:
                 yield target.ingest(provider.node, descriptor, client_id=None)
             except (TransferAborted, NodeDownError, BlobSeerError):

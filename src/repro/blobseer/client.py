@@ -45,6 +45,7 @@ from .instrument import (
 from .metadata import MetadataProvider, MetadataStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
+from .rpc import TRANSPORT_ERRORS
 from .segment_tree import capacity_for, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
 
@@ -106,9 +107,10 @@ class BlobSeerClient:
         self.replication = int(replication)
         self.rng = rng or np.random.default_rng(0)
         #: Per-attempt deadline and RetryPolicy applied to every control
-        #: RPC (version-manager and provider-manager calls).  Both None
-        #: by default: the original wait-forever behaviour, preserved
-        #: exactly for seeded reproduction runs.
+        #: RPC (version-manager and provider-manager calls; the deadline
+        #: also bounds each metadata get/put).  Both None by default: the
+        #: original wait-forever behaviour, preserved exactly for seeded
+        #: reproduction runs.
         self.rpc_timeout_s = rpc_timeout_s
         self.rpc_retry = rpc_retry
         #: Optional client-side chunk cache (:class:`repro.cache.Cache`).
@@ -126,7 +128,8 @@ class BlobSeerClient:
         #: sequential ordering is byte-identical to the seed.
         self.pipeline_publish = bool(pipeline_publish)
         self.meta = MetadataStore(
-            node.network, node, metadata_providers, cache=metadata_cache
+            node.network, node, metadata_providers, cache=metadata_cache,
+            rpc_timeout_s=rpc_timeout_s,
         )
         self._wseq = itertools.count(1)
         #: Client-side cache of blob chunk sizes (filled on create/read).
@@ -231,7 +234,7 @@ class BlobSeerClient:
             result = self._record("read", blob_id, size_mb, start, version=version)
             root.finish(ok=True, version=version)
             return result
-        except (BlobSeerError, NodeDownError, TransferAborted) as exc:
+        except (BlobSeerError,) + TRANSPORT_ERRORS as exc:
             result = self._record(
                 "read", blob_id, size_mb, start, ok=False, error=str(exc)
             )
@@ -367,7 +370,9 @@ class BlobSeerClient:
             result = self._record(op, blob_id, size_mb, start, version=ticket.version)
             root.finish(ok=True, version=ticket.version)
             return result
-        except (BlobSeerError, NodeDownError, TransferAborted) as exc:
+        except (BlobSeerError,) + TRANSPORT_ERRORS as exc:
+            # Whatever a message died of (a metadata provider's node gone
+            # from the network is a bare KeyError), the ticket is abandoned.
             if ticket is None and ticket_proc is not None:
                 # The pushes failed with the pipelined ticket still in
                 # flight: collect it so the version number is burned

@@ -233,16 +233,23 @@ class BlobSeerDeployment:
             return self.pm_group.active_pm()
         return self.pmanager
 
+    def serving_vms(self) -> List[Optional[VersionManager]]:
+        """The VersionManager serving each shard right now: the boot
+        manager of an unreplicated shard, the serving primary of a
+        replicated one — None while none of its replicas serves
+        (mid-failover)."""
+        return [
+            self.vm_shards[s] if group is None else group.active_vm()
+            for s, group in enumerate(self.vm_groups)
+        ]
+
     def authority_vms(self) -> List[VersionManager]:
-        """Current authoritative VersionManager of every shard (the
-        serving primary when the shard is replicated).  Shards that are
-        mid-failover with no serving primary fall back to the boot
-        replica so counters stay readable."""
-        vms: List[VersionManager] = []
-        for s, group in enumerate(self.vm_groups):
-            vm = group.active_vm() if group is not None else None
-            vms.append(vm if vm is not None else self.vm_shards[s])
-        return vms
+        """:meth:`serving_vms`, with shards that are mid-failover
+        falling back to the boot replica so counters stay readable."""
+        return [
+            vm if vm is not None else self.vm_shards[s]
+            for s, vm in enumerate(self.serving_vms())
+        ]
 
     def authority_vm(self, blob_id: int) -> VersionManager:
         """The authoritative VersionManager owning *blob_id*."""

@@ -3,7 +3,9 @@
 BlobSeer stores version metadata (the copy-on-write segment trees of
 ``repro.blobseer.segment_tree``) on a set of *metadata providers* — small
 key-value stores spread over the cluster, with keys hash-partitioned
-across them.  Remote accesses are modelled as small network transfers.
+across them.  A remote access is one control-plane round trip
+(:class:`~repro.blobseer.rpc.RoundTrip`) under the client's RPC deadline:
+a provider that is dead when the request arrives serves nothing.
 
 Two implementations of the ``KVStore`` generator interface exist:
 
@@ -18,10 +20,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Protocol
 
-from ..cluster.node import NodeDownError, PhysicalNode
+from ..cluster.node import PhysicalNode
 from ..simulation.network import FlowNetwork
 from .instrument import EventSink, MonitoringEvent, NullSink
-from .rpc import CONTROL_MSG_MB
+from .rpc import CONTROL_MSG_MB, RoundTrip
 
 __all__ = ["KVStore", "LocalKV", "MetadataProvider", "MetadataStore"]
 
@@ -124,19 +126,24 @@ class MetadataStore:
         net: FlowNetwork,
         client_node: PhysicalNode,
         providers: List[MetadataProvider],
-        message_mb: float = CONTROL_MSG_MB,
         cache=None,
+        rpc_timeout_s: Optional[float] = None,
     ) -> None:
         if not providers:
             raise ValueError("need at least one metadata provider")
         self.net = net
         self.client_node = client_node
         self.providers = providers
-        self.message_mb = message_mb
         self.cache = cache
+        #: The owning client's per-attempt RPC deadline (None = no timer).
+        self.rpc_timeout_s = rpc_timeout_s
 
     def _provider_for(self, key: str) -> MetadataProvider:
         return self.providers[_shard_of(key, len(self.providers))]
+
+    def _trip(self, provider: MetadataProvider, op: str) -> RoundTrip:
+        return RoundTrip(self.net, self.client_node.name, provider.node.name,
+                         op, self.rpc_timeout_s, host=provider.node)
 
     def get(self, key: str):
         if self.cache is not None:
@@ -144,24 +151,22 @@ class MetadataStore:
             if hit:
                 return None if cached is _NEGATIVE else cached
         provider = self._provider_for(key)
-        if not provider.node.alive:
-            raise NodeDownError(provider.node, f"metadata get {key}")
-        yield self.net.transfer(self.client_node.name, provider.node.name, self.message_mb)
+        trip = self._trip(provider, "meta.get")
+        yield from trip.request()
         value = provider.local_get(key)
-        yield self.net.transfer(provider.node.name, self.client_node.name, self.message_mb)
+        yield from trip.reply()
         if self.cache is not None:
-            self.cache.put(key, _NEGATIVE if value is None else value, self.message_mb)
+            self.cache.put(key, _NEGATIVE if value is None else value, CONTROL_MSG_MB)
         return value
 
     def put(self, key: str, value: Any):
         provider = self._provider_for(key)
-        if not provider.node.alive:
-            raise NodeDownError(provider.node, f"metadata put {key}")
-        yield self.net.transfer(self.client_node.name, provider.node.name, self.message_mb)
+        trip = self._trip(provider, "meta.put")
+        yield from trip.request()
         provider.local_put(key, value)
-        yield self.net.transfer(provider.node.name, self.client_node.name, self.message_mb)
+        yield from trip.reply()
         if self.cache is not None:
             # Write-through: the writer will traverse these nodes on its
             # own subsequent reads; keys are immutable, so this is safe.
-            self.cache.put(key, value, self.message_mb)
+            self.cache.put(key, value, CONTROL_MSG_MB)
         return None

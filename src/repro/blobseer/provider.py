@@ -46,14 +46,17 @@ class ProviderUnavailable(BlobSeerError):
 class DataProvider:
     """One chunk-storage server."""
 
+    #: Per-chunk CPU cost of ingesting (checksum + index insert).
+    WRITE_CPU_S = 0.0002
+    #: Fixed per-request overhead of the local disk (see ``disk_rate_mbps``).
+    DISK_OVERHEAD_S = 0.003
+
     def __init__(
         self,
         node: PhysicalNode,
         provider_id: str,
         sink: Optional[EventSink] = None,
-        write_cpu_s: float = 0.0002,
         disk_rate_mbps: float = 120.0,
-        disk_overhead_s: float = 0.003,
         memory_cache=None,
     ) -> None:
         self.node = node
@@ -64,15 +67,12 @@ class DataProvider:
         #: FIFO disk.  Volatile — wiped whenever the node crashes.
         #: ``None`` (default) keeps the disk-only path byte-identical.
         self.memory_cache = memory_cache
-        #: Per-chunk CPU cost of ingesting (checksum + index insert).
-        self.write_cpu_s = write_cpu_s
         #: Local disk service: sequential commit at this rate plus a fixed
         #: per-request overhead.  This queue — not the NIC — is what a
         #: write-flood DoS saturates (§IV-C): attackers keep far more
         #: requests outstanding than correct clients, so FIFO disk queues
         #: fill with attack chunks and correct writes stall behind them.
         self.disk_rate_mbps = disk_rate_mbps
-        self.disk_overhead_s = disk_overhead_s
         self.disk_queue = Resource(node.env, capacity=1)
         self.chunks: Dict[str, ChunkDescriptor] = {}
         self.decommissioned = False
@@ -117,10 +117,7 @@ class DataProvider:
 
     def load_score(self) -> float:
         """Allocation-strategy load metric: live transfer rate + fill level."""
-        out_rate, in_rate = self.node.network_load()
-        return (out_rate + in_rate) / (
-            self.node.netnode.capacity_in + self.node.netnode.capacity_out
-        ) + self.node.disk_utilization
+        return self.node.nic_utilization + self.node.disk_utilization
 
     # -- data path --------------------------------------------------------------
     def ingest(
@@ -163,8 +160,7 @@ class DataProvider:
             if not self.node.alive or self.decommissioned:
                 raise ProviderUnavailable(self.provider_id, "died during ingest")
             # Small CPU cost per chunk (checksumming, indexing).
-            if self.write_cpu_s > 0:
-                yield from self.node.compute(self.write_cpu_s)
+            yield from self.node.compute(self.WRITE_CPU_S)
             # Durable commit: FIFO disk queue, bounded service rate.
             yield from self._disk_io(descriptor.size_mb)
             if not self.node.alive:
@@ -251,7 +247,7 @@ class DataProvider:
         request = self.disk_queue.request()
         yield request
         try:
-            yield self.env.timeout(size_mb / self.disk_rate_mbps + self.disk_overhead_s)
+            yield self.env.timeout(size_mb / self.disk_rate_mbps + self.DISK_OVERHEAD_S)
         finally:
             self.disk_queue.release(request)
 

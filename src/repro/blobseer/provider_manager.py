@@ -33,18 +33,19 @@ __all__ = ["ProviderManager"]
 class ProviderManager:
     """Membership registry + allocation service."""
 
+    #: CPU time one allocation RPC costs the manager's node.
+    ALLOCATION_CPU_S = 0.0001
+
     def __init__(
         self,
         node: PhysicalNode,
         strategy: Optional[AllocationStrategy] = None,
         sink: Optional[EventSink] = None,
-        allocation_cpu_s: float = 0.0001,
         actor_id: str = "pm",
     ) -> None:
         self.node = node
         self.strategy = strategy or RoundRobinAllocation()
         self.sink = sink or NullSink()
-        self.allocation_cpu_s = allocation_cpu_s
         self.actor_id = actor_id
         self.providers: Dict[str, DataProvider] = {}
         #: Allocation RPCs served and chunks placed across them; their
@@ -56,11 +57,8 @@ class ProviderManager:
         #: allocations until its takeover re-registration sweep finishes.
         #: False for the plain single-manager deployment.
         self.standby = False
-        #: Optional HeartbeatFailureDetector.  When set, membership is
-        #: judged by the detector's *view* instead of the ``node.alive``
-        #: oracle: a crashed-but-undetected provider keeps getting
-        #: allocations (whose pushes then fail and are retried by the
-        #: client), exactly as on a real deployment.
+        #: Optional HeartbeatFailureDetector: what :meth:`belief` reads
+        #: instead of the ``node.alive`` oracle.
         self.detector = None
 
     @property
@@ -92,18 +90,44 @@ class ProviderManager:
             self._emit(EV_PROVIDER_LEAVE, provider_id=provider_id, crashed=True,
                        pool_size=len(self.active_providers()))
 
-    def active_providers(self) -> List[DataProvider]:
-        if self.detector is None:
-            return [p for p in self.providers.values() if p.available]
-        return [p for p in self.providers.values() if self._detector_available(p)]
+    def belief(self, provider: DataProvider) -> str:
+        """``"alive"``, ``"suspected"`` or ``"dead"``: the one place that
+        decides who is believed alive.  The failure detector's view of
+        the provider's node when one watches it, else the ``node.alive``
+        oracle — so with a detector a crashed-but-undetected provider
+        keeps getting allocations (whose pushes then fail and are
+        retried by the client) and keeps counting as a replica until its
+        death is *confirmed*, exactly as on a real deployment."""
+        if self.detector is not None:
+            view = self.detector.view(provider.node.name)
+            if view is not None:
+                return view.state
+        return "alive" if provider.node.alive else "dead"
 
-    def _detector_available(self, provider: DataProvider) -> bool:
-        if provider.decommissioned:
-            return False
-        detector = self.detector
-        if detector is not None and detector.watches(provider.node.name):
-            return detector.thinks_alive(provider.node.name)
-        return provider.node.alive
+    def active_providers(self) -> List[DataProvider]:
+        """Providers new chunks may be placed on."""
+        return [p for p in self.providers.values()
+                if not p.decommissioned and self.belief(p) == "alive"]
+
+    def chunk_holders(self) -> Dict[str, List[DataProvider]]:
+        """The chunk directory: storage key -> the providers not believed
+        dead that hold it, both in registration order (a draining
+        provider still holds what it has not handed over)."""
+        holders: Dict[str, List[DataProvider]] = {}
+        for provider in self.providers.values():
+            if self.belief(provider) != "dead":
+                for key in provider.chunks:
+                    holders.setdefault(key, []).append(provider)
+        return holders
+
+    def least_loaded(self, size_mb: float, exclude) -> Optional[DataProvider]:
+        """The allocatable provider with the lowest load score that has
+        *size_mb* free and whose id is not in *exclude*, or None."""
+        candidates = [
+            p for p in self.active_providers()
+            if p.provider_id not in exclude and p.free_mb >= size_mb
+        ]
+        return min(candidates, key=lambda p: p.load_score(), default=None)
 
     def provider(self, provider_id: str) -> DataProvider:
         return self.providers[provider_id]
@@ -164,8 +188,7 @@ class ProviderManager:
                                  "pm.allocate", timeout_s, host=self.node)
                 yield from trip.request()
                 self._fence()
-                if self.allocation_cpu_s > 0:
-                    yield from self.node.compute(self.allocation_cpu_s)
+                yield from self.node.compute(self.ALLOCATION_CPU_S)
                 placement = self.allocate(chunk_count, replication, client_id)
                 if self.env.tracer.enabled:
                     span.annotate(pool=self.pool_size())

@@ -7,8 +7,9 @@ as it does on a real deployment.
 Timeouts and retries
 --------------------
 Every control-plane round trip — :func:`request_response`, the version
-and provider managers' ``remote_*`` handlers, the replication probes —
-is one :class:`RoundTrip` per attempt under :func:`with_retries`: a
+and provider managers' ``remote_*`` handlers, a metadata store's get and
+put, the replication probes — is one :class:`RoundTrip` per attempt
+(under :func:`with_retries` where the caller has a retry policy): a
 request leg, the callee's work, a reply leg, each leg sent through
 :meth:`RoundTrip.wait` under what is left of the attempt's deadline.
 
@@ -187,8 +188,10 @@ class RoundTrip:
         (unboundedly when there is none); :class:`RpcTimeout` on expiry.
         Every leg goes through here, and so may anything the callee
         blocks on between them (the ticket's lock queue)."""
-        remaining = None if self.deadline is None else self.deadline - self.env.now
-        value = yield from wait_or_timeout(self.env, event, remaining)
+        if self.deadline is None:
+            return (yield event)
+        value = yield from wait_or_timeout(
+            self.env, event, self.deadline - self.env.now)
         if value is TIMED_OUT:
             raise make_timeout_error(
                 self.env, self.op, _name(self.callee), self.timeout_s)
@@ -271,19 +274,21 @@ class GroupCommitGate:
     ``base_cpu_s`` — the unbatched per-request charge.
     """
 
+    #: Most requests one vectorized pass commits; the rest of a longer
+    #: backlog waits for the next pass.
+    MAX_BATCH = 64
+
     def __init__(
         self,
         node,
         base_cpu_s: float,
         item_cpu_s: float,
-        max_batch: int = 64,
         metric: Optional[str] = None,
     ) -> None:
         self.node = node
         self.env = node.env
         self.base_cpu_s = base_cpu_s
         self.item_cpu_s = item_cpu_s
-        self.max_batch = max(1, int(max_batch))
         #: Metrics histogram name for batch sizes (None = unmetered).
         self.metric = metric
         self._waiters: List[Event] = []
@@ -304,7 +309,7 @@ class GroupCommitGate:
     def _drain(self):
         try:
             while self._waiters:
-                batch = self._waiters[: self.max_batch]
+                batch = self._waiters[: self.MAX_BATCH]
                 del self._waiters[: len(batch)]
                 cpu = self.base_cpu_s + self.item_cpu_s * (len(batch) - 1)
                 if cpu > 0:

@@ -65,22 +65,22 @@ class Ticket:
 class VersionManager:
     """BLOB registry + version serialization service."""
 
+    #: CPU time per RPC entry.  The version manager is BlobSeer's
+    #: serialization service; a few ms per ticket/publish matches the
+    #: original C++ service and makes it — realistically — the resource
+    #: a metadata-flood DoS saturates (§IV-C).
+    op_cpu_s = 0.003
+
     def __init__(
         self,
         node: PhysicalNode,
         sink: Optional[EventSink] = None,
-        op_cpu_s: float = 0.003,
         id_start: int = 1,
         id_stride: int = 1,
         actor_id: str = "vm",
     ) -> None:
-        # op_cpu_s: CPU time per RPC entry.  The version manager is
-        # BlobSeer's serialization service; a few ms per ticket/publish
-        # matches the original C++ service and makes it — realistically —
-        # the resource a metadata-flood DoS saturates (§IV-C).
         self.node = node
         self.sink = sink or NullSink()
-        self.op_cpu_s = op_cpu_s
         self.actor_id = actor_id
         self.blobs: Dict[int, BlobInfo] = {}
         #: Blob-id minting: shard *i* of an N-shard control plane mints
@@ -540,7 +540,7 @@ class VersionManager:
         otherwise the original full per-request charge."""
         if self.batch_gate is not None:
             yield from self.batch_gate.submit()
-        elif self.op_cpu_s > 0:
+        else:
             yield from self.node.compute(self.op_cpu_s)
 
     def _receive(self, caller: PhysicalNode, op: str, timeout_s: Optional[float]):

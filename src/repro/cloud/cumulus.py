@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import RpcTimeout
@@ -42,30 +42,30 @@ __all__ = ["CumulusGateway"]
 class CumulusGateway:
     """S3-compatible frontend over a BlobSeer deployment."""
 
+    #: Name of the gateway's node, backend client and object cache (a
+    #: deployment has one gateway).
+    GATEWAY_ID = "cumulus"
+    #: Service time of a metadata-only operation (bucket and listing
+    #: calls, HEAD, multipart bookkeeping).
+    LIST_LATENCY_S = 0.0005
+
     def __init__(
         self,
         deployment: BlobSeerDeployment,
-        node: Optional[PhysicalNode] = None,
         nic_mbps: float = 1250.0,
-        gateway_id: str = "cumulus",
-        list_latency_s: float = 0.0005,
         object_cache_mb: float = 0.0,
     ) -> None:
         self.deployment = deployment
         self.env = deployment.env
         self.net = deployment.net
-        if node is None:
-            # Frontend node with a fat (10 GbE) pipe, as a service head node.
-            node = deployment.testbed.add_node(
-                f"{gateway_id}-node", nic_in=nic_mbps, nic_out=nic_mbps
-            )
-        self.node = node
-        self.gateway_id = gateway_id
-        self.list_latency_s = list_latency_s
+        # Frontend node with a fat (10 GbE) pipe, as a service head node.
+        self.node = deployment.testbed.add_node(
+            f"{self.GATEWAY_ID}-node", nic_in=nic_mbps, nic_out=nic_mbps
+        )
         #: Backend BlobSeer client the gateway proxies through — it runs
         #: *on* the gateway node (the gateway is the BlobSeer client) and
         #: is otherwise the client the deployment gives anybody.
-        self.backend = deployment.new_client(gateway_id, node=node)
+        self.backend = deployment.new_client(self.GATEWAY_ID, node=self.node)
         self.buckets: Dict[str, Bucket] = {}
         self.uploads: Dict[str, MultipartUpload] = {}
         self._upload_ids = itertools.count(1)
@@ -79,7 +79,7 @@ class CumulusGateway:
         #: stale bytes are reclaimed and can never be served).  Disabled
         #: (None) by default.
         self.object_cache = deployment._make_cache(
-            f"gateway.{gateway_id}", object_cache_mb
+            f"gateway.{self.GATEWAY_ID}", object_cache_mb
         )
         # Gateway op counters (bench metrics).
         self.puts = 0
@@ -107,7 +107,7 @@ class CumulusGateway:
     # -- bucket operations (metadata only: latency-level cost) ---------------------
     def create_bucket(self, user: str, name: str):
         """Generator: create a bucket owned by *user*."""
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         if name in self.buckets:
             raise BucketAlreadyExists(name)
         self.buckets[name] = Bucket(
@@ -116,7 +116,7 @@ class CumulusGateway:
         return self.buckets[name]
 
     def delete_bucket(self, user: str, name: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(name)
         self._authorize(bucket, user, Permission.WRITE, "delete_bucket")
         if bucket.objects:
@@ -124,20 +124,20 @@ class CumulusGateway:
         del self.buckets[name]
 
     def list_buckets(self, user: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         return sorted(
             name for name, bucket in self.buckets.items()
             if bucket.acl.allows(user, Permission.READ)
         )
 
     def list_objects(self, user: str, bucket_name: str, prefix: str = ""):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(bucket_name)
         self._authorize(bucket, user, Permission.READ, "list_objects")
         return bucket.list_keys(prefix)
 
     def head_object(self, user: str, bucket_name: str, key: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(bucket_name)
         self._authorize(bucket, user, Permission.READ, "head_object")
         entry = bucket.objects.get(key)
@@ -218,7 +218,7 @@ class CumulusGateway:
         return entry
 
     def delete_object(self, user: str, bucket_name: str, key: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(bucket_name)
         self._authorize(bucket, user, Permission.WRITE, "delete_object")
         entry = bucket.objects.pop(key, None)
@@ -244,7 +244,7 @@ class CumulusGateway:
 
     # -- multipart -------------------------------------------------------------------
     def initiate_multipart(self, user: str, bucket_name: str, key: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(bucket_name)
         self._authorize(bucket, user, Permission.WRITE, "initiate_multipart")
         upload_id = f"mpu-{next(self._upload_ids)}"
@@ -307,7 +307,7 @@ class CumulusGateway:
         return entry
 
     def abort_multipart(self, user: str, upload_id: str):
-        yield self.env.timeout(self.list_latency_s)
+        yield self.env.timeout(self.LIST_LATENCY_S)
         upload = self.uploads.get(upload_id)
         if upload is None or upload.owner != user:
             raise InvalidPart(f"unknown upload {upload_id!r}")

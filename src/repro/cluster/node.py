@@ -32,6 +32,9 @@ class PhysicalNode:
     1 Gbps NIC (=125 MB/s), a handful of cores, tens of GB of disk.
     """
 
+    #: RAM of every node (memory utilisation is reported against it).
+    MEMORY_MB = 8192.0
+
     def __init__(
         self,
         env: Environment,
@@ -41,7 +44,6 @@ class PhysicalNode:
         nic_in: float = 125.0,
         nic_out: float = 125.0,
         cores: int = 4,
-        memory_mb: float = 8192.0,
         disk_mb: float = 200_000.0,
     ) -> None:
         self.env = env
@@ -53,7 +55,7 @@ class PhysicalNode:
             NetNode(name, capacity_out=nic_out, capacity_in=nic_in, site=site)
         )
         self.cpu = Resource(env, capacity=self.cores)
-        self.memory = Container(env, capacity=memory_mb, init=0.0)
+        self.memory = Container(env, capacity=self.MEMORY_MB, init=0.0)
         #: Disk usage accounting (MB used).
         self.disk = Container(env, capacity=disk_mb, init=0.0)
         self.alive = True
@@ -113,6 +115,13 @@ class PhysicalNode:
         if not self.alive:
             return (0.0, 0.0)
         return self.network.node_load(self.name)
+
+    @property
+    def nic_utilization(self) -> float:
+        """Live transfer rate over NIC capacity, both directions summed."""
+        out_rate, in_rate = self.network_load()
+        return (out_rate + in_rate) / (
+            self.netnode.capacity_in + self.netnode.capacity_out)
 
     # -- liveness ------------------------------------------------------------
     def on_fail(self, listener: Callable[["PhysicalNode"], None]) -> None:

@@ -23,27 +23,22 @@ class TestbedConfig:
     """Knobs for a simulated deployment.
 
     Defaults approximate a single Grid'5000 cluster with GbE NICs:
-    125 MB/s NICs, 0.1 ms intra-site RTT contribution, 5 ms cross-site.
+    0.1 ms intra-site RTT contribution, 5 ms cross-site.  NIC rates
+    (125 MB/s) and memory are :class:`PhysicalNode`'s own defaults, the
+    backbone is unconstrained and max-min fairness is always solved
+    incrementally (:class:`FlowNetwork`'s defaults).
     """
 
     __test__ = False  # not a pytest class despite the name
 
     seed: int = 0
     sites: int = 1
-    nic_in_mbps: float = 125.0
-    nic_out_mbps: float = 125.0
     cores: int = 4
-    memory_mb: float = 8192.0
     disk_mb: float = 200_000.0
     latency_local_s: float = 0.0001
     latency_cross_s: float = 0.005
-    backbone_mbps: float = float("inf")
     #: FlowNetwork rate-recompute coalescing window (0 = exact).
     rate_granularity_s: float = 0.0
-    #: Incremental (component-local) max-min fairness.  False restores
-    #: the always-global water-filling pass — same simulated results
-    #: (see the kernel determinism suite), only slower.
-    incremental_fairness: bool = True
 
 
 class Testbed:
@@ -58,9 +53,7 @@ class Testbed:
         self.net = FlowNetwork(
             self.env,
             latency=self._latency,
-            backbone_capacity=self.config.backbone_mbps,
             recompute_granularity_s=self.config.rate_granularity_s,
-            incremental=self.config.incremental_fairness,
         )
         self.nodes: Dict[str, PhysicalNode] = {}
         self._site_rr = 0
@@ -84,13 +77,7 @@ class Testbed:
         if site is None:
             site = f"site-{self._site_rr % self.config.sites}"
             self._site_rr += 1
-        params = dict(
-            nic_in=self.config.nic_in_mbps,
-            nic_out=self.config.nic_out_mbps,
-            cores=self.config.cores,
-            memory_mb=self.config.memory_mb,
-            disk_mb=self.config.disk_mb,
-        )
+        params = dict(cores=self.config.cores, disk_mb=self.config.disk_mb)
         params.update(overrides)
         node = PhysicalNode(self.env, self.net, name, site=site, **params)
         self.nodes[name] = node

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+#: The rule-based planners' two thresholds: a knob is *thrashing* when
+#: its pressure exceeds the first while its activity is at least the
+#: second, and *idle* when its activity is below the second.
+PRESSURE_THRESHOLD = 0.1
+IDLE_ACTIVITY = 0.05
 
 
 class Planner:
@@ -105,20 +110,13 @@ class ThresholdPlanner(Planner):
 
     name = "threshold"
 
-    def __init__(
-        self,
-        pressure_threshold: float = 0.1,
-        idle_activity: float = 0.05,
-        step_fraction: float = 0.25,
-    ) -> None:
-        self.pressure_threshold = pressure_threshold
-        self.idle_activity = idle_activity
+    def __init__(self, step_fraction: float = 0.25) -> None:
         self.step_fraction = step_fraction
 
     def params(self) -> Dict[str, Any]:
         return {
-            "pressure_threshold": self.pressure_threshold,
-            "idle_activity": self.idle_activity,
+            "pressure_threshold": PRESSURE_THRESHOLD,
+            "idle_activity": IDLE_ACTIVITY,
             "step_fraction": self.step_fraction,
         }
 
@@ -131,8 +129,8 @@ class ThresholdPlanner(Planner):
             if signals is None:
                 continue
             loop.note(**domain.signal_evidence(knob, signals))
-            busy = signals["activity"] >= self.idle_activity
-            if busy and signals["pressure"] > self.pressure_threshold:
+            busy = signals["activity"] >= IDLE_ACTIVITY
+            if busy and signals["pressure"] > PRESSURE_THRESHOLD:
                 want = self.step_fraction * domain.value(knob)
                 ceiling = domain.ceiling(knob)
                 if ceiling is not None:
@@ -142,7 +140,7 @@ class ThresholdPlanner(Planner):
                     want = min(want, pool)
                 if want > _EPS:
                     yield domain.make_grow(knob, want, signals=signals)
-            elif signals["activity"] < self.idle_activity:
+            elif signals["activity"] < IDLE_ACTIVITY:
                 room = domain.value(knob) - domain.floor(knob)
                 want = min(self.step_fraction * domain.value(knob), room)
                 if want > _EPS:
@@ -166,20 +164,16 @@ class MarginalUtilityPlanner(Planner):
 
     def __init__(
         self,
-        pressure_threshold: float = 0.1,
-        idle_activity: float = 0.05,
         spare_utilization: float = 0.5,
         step_fraction: float = 0.25,
     ) -> None:
-        self.pressure_threshold = pressure_threshold
-        self.idle_activity = idle_activity
         self.spare_utilization = spare_utilization
         self.step_fraction = step_fraction
 
     def params(self) -> Dict[str, Any]:
         return {
-            "pressure_threshold": self.pressure_threshold,
-            "idle_activity": self.idle_activity,
+            "pressure_threshold": PRESSURE_THRESHOLD,
+            "idle_activity": IDLE_ACTIVITY,
             "spare_utilization": self.spare_utilization,
             "step_fraction": self.step_fraction,
         }
@@ -193,15 +187,15 @@ class MarginalUtilityPlanner(Planner):
             if signals is None:
                 continue
             loop.note(**domain.signal_evidence(knob, signals))
-            busy = signals["activity"] >= self.idle_activity
-            thrashing = busy and signals["pressure"] > self.pressure_threshold
+            busy = signals["activity"] >= IDLE_ACTIVITY
+            thrashing = busy and signals["pressure"] > PRESSURE_THRESHOLD
             if thrashing:
                 utility = signals["pressure"] / max(domain.value(knob), _EPS)
                 growers.append((utility, knob, signals))
                 continue
-            idle = signals["activity"] < self.idle_activity
+            idle = signals["activity"] < IDLE_ACTIVITY
             spare = (
-                signals["pressure"] <= self.pressure_threshold
+                signals["pressure"] <= PRESSURE_THRESHOLD
                 and domain.utilization(knob) < self.spare_utilization
             )
             if idle or spare:

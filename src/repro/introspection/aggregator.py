@@ -88,7 +88,6 @@ class IntrospectionLayer:
         until: float = float("inf"),
         event_type: Optional[str] = None,
     ) -> List[MonitoringEvent]:
-        # records_since bisects per server instead of re-sorting history.
         out = []
         for event in self.repository.records_since(since):
             if event.time > until:

@@ -138,7 +138,6 @@ class HealthMonitor:
         anomaly_signals: Sequence[str] = (),
         interval_s: float = 5.0,
         z_threshold: float = 3.0,
-        alpha: float = 0.2,
         min_samples: int = 8,
         warmup_s: float = 0.0,
     ) -> None:
@@ -150,7 +149,7 @@ class HealthMonitor:
         self.warmup_s = warmup_s
         self.events: List[HealthEvent] = []
         self._trackers: Dict[str, EwmaZScore] = {
-            name: EwmaZScore(alpha=alpha, min_samples=min_samples)
+            name: EwmaZScore(min_samples=min_samples)
             for name in self.anomaly_signals
         }
         self._series_pos: Dict[str, int] = {name: 0 for name in self.anomaly_signals}

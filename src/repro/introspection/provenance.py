@@ -374,8 +374,15 @@ class DecisionJournal:
         self.resolve_effects()
         return [e.to_dict() for e in self.entries]
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Deterministic serialization (sorted keys, fixed separators)."""
+    def to_json(self, indent: Optional[int] = None,
+                scorecard: Optional[Dict[str, Any]] = None) -> str:
+        """Deterministic serialization (sorted keys, fixed separators).
+
+        *scorecard* is the dict an
+        :class:`~repro.introspection.quality.AdaptationScorecard`
+        computes; embedding it makes one file the complete
+        quality-of-adaptation record of a run.
+        """
         payload = {
             "total": self.total,
             "dropped": self.dropped,
@@ -384,6 +391,8 @@ class DecisionJournal:
             "planners": _jsonable(self.planners),
             "entries": self.timeline(),
         }
+        if scorecard is not None:
+            payload["scorecard"] = scorecard
         if indent is None:
             return json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return json.dumps(payload, sort_keys=True, indent=indent)

@@ -43,8 +43,8 @@ __all__ = [
 
 #: Antagonistic action pairs per engine: a decision followed by its
 #: inverse on the same subject within the oscillation window counts as
-#: one oscillation.  Extend via ``AdaptationScorecard(antagonists=...)``.
-DEFAULT_ANTAGONISTS: Dict[str, List[Tuple[str, str, str]]] = {
+#: one oscillation.
+ANTAGONISTS: Dict[str, List[Tuple[str, str, str]]] = {
     # (action, inverse action, detail key identifying the subject)
     "cache-tuner": [("cache_grow", "cache_shrink", "cache")],
     "elasticity": [("scale_up", "scale_down", "")],
@@ -197,16 +197,12 @@ class AdaptationScorecard:
         signals: Sequence[SignalSpec] = (),
         disturbances: Sequence[Disturbance] = (),
         oscillation_window_s: float = 60.0,
-        antagonists: Optional[Dict[str, List[Tuple[str, str, str]]]] = None,
     ) -> None:
         self.journal = journal
         self.metrics = metrics
         self.signals = list(signals)
         self.disturbances = list(disturbances)
         self.oscillation_window_s = oscillation_window_s
-        self.antagonists = dict(DEFAULT_ANTAGONISTS)
-        if antagonists:
-            self.antagonists.update(antagonists)
 
     # -- decision-side metrics ---------------------------------------------------
     def _oscillations(self, entries) -> int:
@@ -216,7 +212,7 @@ class AdaptationScorecard:
         for entry in entries:
             by_engine.setdefault(entry.engine, []).append(entry)
         for engine, engine_entries in by_engine.items():
-            for action, inverse, subject_key in self.antagonists.get(engine, ()):
+            for action, inverse, subject_key in ANTAGONISTS.get(engine, ()):
                 # Most recent time each subject saw `action`.
                 last_seen: Dict[Any, float] = {}
                 for entry in engine_entries:

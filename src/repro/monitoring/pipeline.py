@@ -21,17 +21,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.instrument import EV_NODE_PHYSICAL, MonitoringEvent
 from ..cluster.node import PhysicalNode
 from ..cluster.testbed import Testbed
-from .filters import DataFilter
 from .repository import StorageRepository, StorageServer
-from .service import MonitoringService
+from .service import EVENT_WIRE_MB, MonitoringService
 
 __all__ = ["MonitoringConfig", "MonitoringStack"]
+
+#: CPU an instrumented node spends sending one event to its service.
+INSTRUMENTATION_CPU_S = 1e-6
 
 
 @dataclass
@@ -41,12 +43,8 @@ class MonitoringConfig:
     services: int = 2
     storage_servers: int = 2
     flush_interval_s: float = 1.0
-    event_wire_mb: float = 0.0002
-    instrumentation_cpu_s: float = 1e-6
     buffer_capacity: int = 500
-    burst_cache_capacity: int = 2000
-    burst_cache: bool = True
-    storage_write_rate_eps: float = 2000.0
+    burst_cache_capacity: int = 2000  # 0 disables the burst cache
     physical_sample_interval_s: float = 0.0  # 0 disables sensors
     sensor_stop_at: float = float("inf")
 
@@ -62,24 +60,23 @@ class MonitoringStack:
         self,
         testbed: Testbed,
         config: Optional[MonitoringConfig] = None,
-        filters: Optional[Sequence[DataFilter]] = None,
-        node_resolver: Optional[Callable[[str], Optional[PhysicalNode]]] = None,
     ) -> None:
         self.testbed = testbed
         self.env = testbed.env
         self.config = config or MonitoringConfig()
-        self.node_resolver = node_resolver or (lambda actor_id: None)
+        #: actor id -> the node its events are shipped from; nobody's
+        #: until :meth:`attach` learns the deployment's actor nodes.
+        self.node_resolver: Callable[[str], Optional[PhysicalNode]] = (
+            lambda actor_id: None)
 
-        cache = self.config.burst_cache_capacity if self.config.burst_cache else 0
         self.storage_servers: List[StorageServer] = []
         for i in range(self.config.storage_servers):
             node = testbed.add_node(f"mon-store-{i}")
             self.storage_servers.append(StorageServer(
                 node,
                 f"store-{i}",
-                write_rate_eps=self.config.storage_write_rate_eps,
                 buffer_capacity=self.config.buffer_capacity,
-                burst_cache_capacity=cache,
+                burst_cache_capacity=self.config.burst_cache_capacity,
             ))
         self.repository = StorageRepository(self.storage_servers)
 
@@ -87,12 +84,7 @@ class MonitoringStack:
         for i in range(self.config.services):
             node = testbed.add_node(f"mon-svc-{i}")
             self.services.append(MonitoringService(
-                node,
-                f"svc-{i}",
-                self.repository,
-                filters=filters,
-                event_wire_mb=self.config.event_wire_mb,
-            ))
+                node, f"svc-{i}", self.repository))
 
         #: Per-actor outbound buffers, drained by the service flushers.
         self._buffers: Dict[str, List[MonitoringEvent]] = {}
@@ -178,15 +170,14 @@ class MonitoringStack:
             for source_name, batch in by_source.items():
                 if source_name is not None and source_name in service.net.nodes:
                     source_node = self.testbed.nodes.get(source_name)
-                    if source_node is not None and self.config.instrumentation_cpu_s > 0:
+                    if source_node is not None:
                         # Sending cost charged to the instrumented node.
                         yield from source_node.compute(
-                            self.config.instrumentation_cpu_s * len(batch)
-                        )
+                            INSTRUMENTATION_CPU_S * len(batch))
                     yield service.net.transfer(
                         source_name,
                         service.node.name,
-                        self.config.event_wire_mb * len(batch),
+                        EVENT_WIRE_MB * len(batch),
                     )
                 self.events_shipped += len(batch)
                 yield from service.ingest(batch)

@@ -11,23 +11,19 @@ buffer absorbs transient bursts.  Enabling the burst cache extends that
 buffer (backed by server memory).  When the buffer overflows, events are
 dropped and counted — ABL-4 measures exactly this.
 
-Query side: per-server records are kept with a cached time-ordered view
-(most servers receive events in time order and need no sort at all), so
-``records_since`` is a per-server bisect + ``heapq.merge`` instead of a
-full re-sort of every stored record on every call.  For consumers that
-poll — the introspection query engine, dashboards — a
-:class:`RepositoryCursor` returns only the records persisted since the
-previous call.
+Query side: ``records_since`` is the whole-history view, sorted on
+demand (its one consumer, ``IntrospectionLayer.records``, runs after the
+run or a handful of times during it).  For consumers that poll — the
+introspection query engine, dashboards — a :class:`RepositoryCursor`
+returns only the records persisted since the previous call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-from bisect import bisect_left
 from collections import deque
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..blobseer.instrument import MonitoringEvent
 from ..cluster.node import PhysicalNode
@@ -40,6 +36,9 @@ _TIME_KEY = attrgetter("time")
 class StorageServer:
     """One monitoring-data storage server."""
 
+    #: Server memory one burst-cached event occupies.
+    CACHE_EVENT_MB = 0.001
+
     def __init__(
         self,
         node: PhysicalNode,
@@ -47,14 +46,12 @@ class StorageServer:
         write_rate_eps: float = 2000.0,
         buffer_capacity: int = 500,
         burst_cache_capacity: int = 0,
-        cache_event_mb: float = 0.001,
     ) -> None:
         self.node = node
         self.server_id = server_id
         self.write_rate_eps = write_rate_eps
         self.buffer_capacity = buffer_capacity
         self.burst_cache_capacity = burst_cache_capacity
-        self.cache_event_mb = cache_event_mb
         self.buffer: deque[MonitoringEvent] = deque()
         #: Persisted events in arrival order (append-only: cursors rely
         #: on positions never shifting).
@@ -62,16 +59,9 @@ class StorageServer:
         self.dropped = 0
         self.cached_peak = 0
         self._writer_running = False
-        # Time-order bookkeeping for the query path.  Batches from
-        # different monitoring services can interleave, so arrival order
-        # is *usually* — but not always — time order; track it and only
-        # pay for a sorted copy when it actually breaks.
-        self._in_time_order = True
-        self._last_time = float("-inf")
-        self._ordered_cache: Optional[List[MonitoringEvent]] = None
         if burst_cache_capacity > 0:
             # Reserve server memory for the cache (visible to introspection).
-            node.memory.put(burst_cache_capacity * cache_event_mb)
+            node.memory.put(burst_cache_capacity * self.CACHE_EVENT_MB)
 
     @property
     def env(self):
@@ -96,14 +86,6 @@ class StorageServer:
             self.env.process(self._drain(), name=f"repo-writer-{self.server_id}")
         return dropped
 
-    def _persist(self, event: MonitoringEvent) -> None:
-        if event.time < self._last_time:
-            self._in_time_order = False
-        else:
-            self._last_time = event.time
-        self.records.append(event)
-        self._ordered_cache = None
-
     def _drain(self):
         """Persist buffered events at the bounded write rate."""
         try:
@@ -112,19 +94,9 @@ class StorageServer:
                 batch_size = min(len(self.buffer), max(1, int(self.write_rate_eps * 0.1)))
                 yield self.env.timeout(batch_size / self.write_rate_eps)
                 for _ in range(min(batch_size, len(self.buffer))):
-                    self._persist(self.buffer.popleft())
+                    self.records.append(self.buffer.popleft())
         finally:
             self._writer_running = False
-
-    def ordered_records(self) -> List[MonitoringEvent]:
-        """Persisted records in time order (no copy when already sorted)."""
-        if self._in_time_order:
-            return self.records
-        if self._ordered_cache is None:
-            # Stable sort: ties keep arrival order, matching the
-            # repository's historical full-sort semantics.
-            self._ordered_cache = sorted(self.records, key=_TIME_KEY)
-        return self._ordered_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -211,25 +183,16 @@ class StorageRepository:
     def records_since(self, t0: float) -> List[MonitoringEvent]:
         """Records with ``time >= t0``, time-ordered across servers.
 
-        Per-server bisect over the (cached) time-ordered view plus an
-        n-way ``heapq.merge`` — no re-sort of already-ordered history.
+        A stable sort of the per-server records concatenated in server
+        order: ties keep server order, then arrival order (batches from
+        different monitoring services interleave, so arrival order is
+        usually — but not always — time order).
         """
-        tails: List[List[MonitoringEvent]] = []
-        for server in self.servers:
-            ordered = server.ordered_records()
-            lo = 0
-            if t0 != float("-inf"):
-                lo = bisect_left(ordered, t0, key=_TIME_KEY)
-            if lo < len(ordered):
-                tails.append(ordered[lo:] if lo else ordered)
-        if not tails:
-            return []
-        if len(tails) == 1:
-            return list(tails[0])
-        # heapq.merge is stable across iterables in server order — the
-        # same tie-break as the historical stable sort of concatenated
-        # per-server lists.
-        return list(heapq.merge(*tails, key=_TIME_KEY))
+        return sorted(
+            (event for server in self.servers for event in server.records
+             if event.time >= t0),
+            key=_TIME_KEY,
+        )
 
     @property
     def stored_count(self) -> int:

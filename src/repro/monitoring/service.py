@@ -21,6 +21,11 @@ from .repository import StorageRepository
 
 __all__ = ["MonitoringService"]
 
+#: Wire size of one monitoring event, agent -> service -> storage server.
+EVENT_WIRE_MB = 0.0002
+#: CPU a service spends receiving and filtering one event.
+PER_EVENT_CPU_S = 2e-6
+
 
 class MonitoringService:
     """One gathering service of the monitoring layer."""
@@ -31,15 +36,11 @@ class MonitoringService:
         service_id: str,
         repository: StorageRepository,
         filters: Optional[Sequence[DataFilter]] = None,
-        per_event_cpu_s: float = 2e-6,
-        event_wire_mb: float = 0.0002,
     ) -> None:
         self.node = node
         self.service_id = service_id
         self.repository = repository
         self.chain = FilterChain(*(filters or []))
-        self.per_event_cpu_s = per_event_cpu_s
-        self.event_wire_mb = event_wire_mb
         self.received = 0
         self.forwarded = 0
 
@@ -60,8 +61,7 @@ class MonitoringService:
         if not batch or not self.node.alive:
             return 0
         self.received += len(batch)
-        if self.per_event_cpu_s > 0:
-            yield from self.node.compute(self.per_event_cpu_s * len(batch))
+        yield from self.node.compute(PER_EVENT_CPU_S * len(batch))
         filtered = self.chain.apply(batch)
         if not filtered:
             return 0
@@ -74,7 +74,7 @@ class MonitoringService:
         for node_name, events in by_node.items():
             if node_name != self.node.name and node_name in self.net.nodes:
                 yield self.net.transfer(
-                    self.node.name, node_name, self.event_wire_mb * len(events)
+                    self.node.name, node_name, EVENT_WIRE_MB * len(events)
                 )
         self.repository.store(filtered)
         self.forwarded += len(filtered)

@@ -38,7 +38,7 @@ schedule can chase the primary through repeated failovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..blobseer.errors import BlobSeerError
 from ..cluster.faults import FaultInjector
@@ -85,13 +85,12 @@ class ChaosHarness:
     def __init__(
         self,
         deployment,
-        injector: Optional[FaultInjector] = None,
         check_every_s: float = 5.0,
         settle_s: float = 30.0,
     ) -> None:
         self.deployment = deployment
         self.env = deployment.env
-        self.injector = injector or FaultInjector(deployment.testbed)
+        self.injector = FaultInjector(deployment.testbed)
         self.check_every_s = check_every_s
         self.settle_s = settle_s
         self.violations: List[InvariantViolation] = []
@@ -107,15 +106,10 @@ class ChaosHarness:
     def attach_journal(self, journal) -> "ChaosHarness":
         """Record every invariant violation + soak summary into *journal*."""
         self.journal = journal
-        for group in self._vm_groups():
+        for group in self.deployment.vm_groups:
             if group is not None and group.journal is None:
                 group.attach_journal(journal)
         return self
-
-    def _vm_groups(self):
-        """Per-shard replica groups (pre-sharding deployments expose one)."""
-        dep = self.deployment
-        return getattr(dep, "vm_groups", None) or [dep.vm_group]
 
     # -- fault-target resolution ------------------------------------------------
     def resolve_target(self, name: str):
@@ -126,7 +120,7 @@ class ChaosHarness:
         dep = self.deployment
         if name == "vm-primary" or name.startswith("vm-primary-s"):
             shard = 0 if name == "vm-primary" else int(name[len("vm-primary-s"):])
-            group = self._vm_groups()[shard]
+            group = dep.vm_groups[shard]
             if group is not None:
                 replica = group.active_replica()
                 if replica is not None:
@@ -163,23 +157,10 @@ class ChaosHarness:
                         "violations": len(self.violations)})
         return self.report()
 
-    # -- authority lookup ---------------------------------------------------------
-    def _authority_vms(self):
-        """Per-shard authoritative version managers; a shard's entry is
-        None while none of its replicas serves (mid-failover)."""
-        dep = self.deployment
-        vms = []
-        for s, group in enumerate(self._vm_groups()):
-            if group is None:
-                vms.append(dep.vm_shards[s])
-            else:
-                vms.append(group.active_vm())
-        return vms
-
     # -- invariant checks ---------------------------------------------------------
     def check_invariants(self, clients, final: bool = False) -> None:
         self.checks_run += 1
-        vms = self._authority_vms()
+        vms = self.deployment.serving_vms()
         if any(vm is None for vm in vms):
             if final:
                 for s, vm in enumerate(vms):
@@ -198,8 +179,6 @@ class ChaosHarness:
         self.check_read_your_writes(clients)
 
     def check_acked_writes_durable(self, vms, clients) -> None:
-        if not isinstance(vms, (list, tuple)):
-            vms = [vms]
         for client in clients:
             for op in client.history:
                 if op.op not in ("write", "append") or not op.ok:
@@ -261,7 +240,7 @@ class ChaosHarness:
                 )
 
     def check_single_primary(self) -> None:
-        for group in self._vm_groups():
+        for group in self.deployment.vm_groups:
             if group is None:
                 continue
             serving = [r for r in group.replicas if r.serving()]
@@ -304,7 +283,7 @@ class ChaosHarness:
 
     def check_convergence(self) -> None:
         """Final check: every live replica mirrors its shard's authority."""
-        for group in self._vm_groups():
+        for group in self.deployment.vm_groups:
             if group is not None:
                 self._check_group_convergence(group)
 
@@ -383,10 +362,10 @@ class ChaosHarness:
                 }
                 for e in dep.vm_group.failovers
             ]
-        extra_groups = [g for g in self._vm_groups()[1:] if g is not None]
+        extra_groups = [g for g in dep.vm_groups[1:] if g is not None]
         if extra_groups:
             report["vm_shards"] = [
-                g.stats() if g is not None else None for g in self._vm_groups()
+                g.stats() if g is not None else None for g in dep.vm_groups
             ]
         if dep.pm_group is not None:
             report["pm_failovers"] = list(dep.pm_group.failovers)

@@ -58,7 +58,6 @@ class HeartbeatFailureDetector:
         period_s: float = 1.0,
         timeout_s: float = 3.0,
         confirm_misses: int = 2,
-        ping_mb: float = 0.0,
     ) -> None:
         if period_s <= 0 or timeout_s <= 0:
             raise ValueError("period_s and timeout_s must be positive")
@@ -70,7 +69,6 @@ class HeartbeatFailureDetector:
         self.period_s = period_s
         self.timeout_s = timeout_s
         self.confirm_misses = confirm_misses
-        self.ping_mb = ping_mb
         self._views: Dict[str, NodeView] = {}
         self._confirm_cbs: List[Callable[[NodeView], None]] = []
         self._recover_cbs: List[Callable[[NodeView], None]] = []
@@ -157,9 +155,9 @@ class HeartbeatFailureDetector:
         sent_at = self.env.now
         self.pings_sent += 1
         try:
+            # A ping and its echo are plain control messages.
             yield from request_response(
                 self.net, self.host.name, view.node.name,
-                request_mb=self.ping_mb, response_mb=self.ping_mb,
                 op="fd.ping", timeout_s=self.timeout_s,
             )
         except RETRYABLE_RPC_ERRORS:

@@ -31,6 +31,9 @@ from .trust import TrustManager
 
 __all__ = ["SecurityConfig", "PolicyScanLoop", "PolicyManagement"]
 
+#: How much user activity the framework's history keeps.
+HISTORY_RETENTION_S = 600.0
+
 
 @dataclass
 class SecurityConfig:
@@ -38,9 +41,6 @@ class SecurityConfig:
 
     scan_interval_s: float = 5.0
     history_pull_interval_s: float = 2.0
-    history_retention_s: float = 600.0
-    refire_holdoff_s: float = 30.0
-    throttle_cap_mbps: float = 5.0
     use_trust: bool = True
     confirmations: int = 1
 
@@ -126,9 +126,7 @@ class PolicyManagement:
         self.env = deployment.env
         self.config = config or SecurityConfig()
 
-        self.history = UserActivityHistory(
-            retention_s=self.config.history_retention_s
-        )
+        self.history = UserActivityHistory(retention_s=HISTORY_RETENTION_S)
         self.source = IntrospectionActivitySource(
             monitoring.repository,
             self.history,
@@ -140,14 +138,12 @@ class PolicyManagement:
             policies,
             scan_interval_s=self.config.scan_interval_s,
             trust=self.trust,
-            refire_holdoff_s=self.config.refire_holdoff_s,
             confirmations=self.config.confirmations,
         )
         target = BlobSeerEnforcementTarget(access_table, deployment.net)
         self.enforcement = PolicyEnforcement(
             target,
             trust=self.trust,
-            throttle_cap_mbps=self.config.throttle_cap_mbps,
             load_probe=self._system_load,
             clock=lambda: self.env.now,
         )
@@ -163,10 +159,7 @@ class PolicyManagement:
             return 0.0
         total = 0.0
         for provider in providers:
-            out_rate, in_rate = provider.node.network_load()
-            capacity = (provider.node.netnode.capacity_in
-                        + provider.node.netnode.capacity_out)
-            total += (out_rate + in_rate) / capacity
+            total += provider.node.nic_utilization
         return total / len(providers)
 
     def attach_journal(self, journal) -> "PolicyManagement":

@@ -269,10 +269,10 @@ class Store:
 
 
 class FilterStore(Store):
-    """Store whose ``get`` may select by predicate."""
+    """Unbounded store whose ``get`` may select by predicate."""
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
+    def __init__(self, env: "Environment") -> None:
+        super().__init__(env)
         self._filter_gets: deque[tuple[Event, Callable[[Any], bool]]] = deque()
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
@@ -297,6 +297,3 @@ class FilterStore(Store):
             else:
                 pending.append((event, predicate))
         self._filter_gets = pending
-        # Freed capacity may unblock plain puts.
-        if self._puts and len(self.items) < self._capacity:
-            super()._settle()

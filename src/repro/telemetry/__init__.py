@@ -24,17 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .critical_path import CriticalPathReport, PathStep, PhaseStat, analyze, trace_of
-from .export import (
-    adaptation_timeline_json,
-    chrome_trace,
-    chrome_trace_json,
-    metrics_to_csv,
-    metrics_to_json,
-    summary,
-    write_adaptation_timeline,
-    write_chrome_trace,
-    write_metrics,
-)
+from .export import chrome_trace, chrome_trace_json, summary, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .profiler import KernelProfiler
 from .tracer import NULL_TRACER, Instant, NullTracer, Span, Tracer
@@ -61,11 +51,6 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
-    "adaptation_timeline_json",
-    "write_adaptation_timeline",
-    "metrics_to_json",
-    "metrics_to_csv",
-    "write_metrics",
     "summary",
 ]
 
@@ -94,9 +79,6 @@ class Telemetry:
 
     def chrome_trace_json(self, journal=None) -> str:
         return chrome_trace_json(self.tracer, journal=journal)
-
-    def write_metrics(self, json_path: str, csv_path: Optional[str] = None) -> str:
-        return write_metrics(self.metrics, json_path, csv_path)
 
     def summary(self) -> str:
         return summary(self.tracer, self.metrics, self.profiler)

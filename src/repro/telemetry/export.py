@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, metrics dumps, terminal summary.
+"""Exporters: Chrome trace-event JSON and the terminal summary.
 
 The Chrome trace format (loadable in ``chrome://tracing`` or
 https://ui.perfetto.dev) is a JSON object with a ``traceEvents`` array;
@@ -10,7 +10,6 @@ scenario seed yields a byte-identical trace.
 
 from __future__ import annotations
 
-import io
 import json
 from typing import Any, Dict, List, Optional
 
@@ -21,11 +20,6 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
-    "adaptation_timeline_json",
-    "write_adaptation_timeline",
-    "metrics_to_json",
-    "metrics_to_csv",
-    "write_metrics",
     "summary",
 ]
 
@@ -213,77 +207,6 @@ def write_chrome_trace(tracer: Tracer, path: str, journal=None) -> str:
         handle.write(chrome_trace_json(tracer, journal=journal))
         handle.write("\n")
     return path
-
-
-# -- adaptation timeline ------------------------------------------------------
-def adaptation_timeline_json(
-    journal,
-    score: Optional[Dict[str, Any]] = None,
-    indent: Optional[int] = None,
-) -> str:
-    """The journal (and optionally its scorecard) as deterministic JSON.
-
-    *score* is the dict an
-    :class:`~repro.introspection.quality.AdaptationScorecard` computes;
-    embedding it makes one file the complete quality-of-adaptation
-    record of a run.
-    """
-    payload: Dict[str, Any] = {
-        "total": journal.total,
-        "dropped": journal.dropped,
-        "effect_window_s": journal.effect_window_s,
-        "planners": dict(getattr(journal, "planners", {}) or {}),
-        "entries": journal.timeline(),
-    }
-    if score is not None:
-        payload["scorecard"] = score
-    if indent is None:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return json.dumps(payload, sort_keys=True, indent=indent)
-
-
-def write_adaptation_timeline(
-    journal,
-    path: str,
-    score: Optional[Dict[str, Any]] = None,
-) -> str:
-    with open(path, "w") as handle:
-        handle.write(adaptation_timeline_json(journal, score=score, indent=2))
-        handle.write("\n")
-    return path
-
-
-# -- metrics ------------------------------------------------------------------
-def metrics_to_json(metrics: MetricsRegistry, indent: Optional[int] = 2) -> str:
-    return json.dumps(metrics.to_dict(), sort_keys=True, indent=indent)
-
-
-def metrics_to_csv(metrics: MetricsRegistry) -> str:
-    """Every time series in long format: ``series,time,value``."""
-    buffer = io.StringIO()
-    buffer.write("series,time,value\n")
-    payload = metrics.to_dict()
-    for name in sorted(payload):
-        entry = payload[name]
-        if entry["type"] != "series":
-            continue
-        for t, v in entry["points"]:
-            buffer.write(f"{name},{t:.6f},{v:.6f}\n")
-    return buffer.getvalue()
-
-
-def write_metrics(
-    metrics: MetricsRegistry,
-    json_path: str,
-    csv_path: Optional[str] = None,
-) -> str:
-    with open(json_path, "w") as handle:
-        handle.write(metrics_to_json(metrics))
-        handle.write("\n")
-    if csv_path is not None:
-        with open(csv_path, "w") as handle:
-            handle.write(metrics_to_csv(metrics))
-    return json_path
 
 
 # -- terminal summary ---------------------------------------------------------

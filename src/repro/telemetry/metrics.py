@@ -98,7 +98,7 @@ class Histogram:
 
     __slots__ = (
         "name", "count", "total", "min", "max",
-        "_samples", "max_samples", "_rng", "_ordered_cache",
+        "_samples", "max_samples", "_rng", "_sorted",
     )
 
     def __init__(self, name: str, max_samples: int = 100_000) -> None:
@@ -110,7 +110,7 @@ class Histogram:
         self.max_samples = max_samples
         self._samples: List[float] = []
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._ordered_cache: Optional[List[float]] = None
+        self._sorted: Optional[List[float]] = None
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -122,12 +122,12 @@ class Histogram:
             self.max = value
         if len(self._samples) < self.max_samples:
             self._samples.append(value)
-            self._ordered_cache = None
+            self._sorted = None
         else:
             slot = self._rng.randrange(self.count)
             if slot < self.max_samples:
                 self._samples[slot] = value
-                self._ordered_cache = None
+                self._sorted = None
 
     @property
     def mean(self) -> float:
@@ -135,9 +135,9 @@ class Histogram:
 
     def _ordered(self) -> List[float]:
         """Sorted view of the reservoir, cached between observations."""
-        if self._ordered_cache is None:
-            self._ordered_cache = sorted(self._samples)
-        return self._ordered_cache
+        if self._sorted is None:
+            self._sorted = sorted(self._samples)
+        return self._sorted
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over retained samples (q in 0..100)."""

@@ -26,28 +26,26 @@ __all__ = ["KernelProfiler"]
 class KernelProfiler:
     """Counters + wall-clock buckets for the simulation kernel.
 
-    *probe_every* samples the expensive probes (``perf_counter`` call,
-    heap-depth high-water check) once every N popped events instead of
-    on every one — the event counter itself stays exact.  At the default
-    of 8 the wall-clock attribution is still fine-grained (events are
+    The expensive probes (``perf_counter`` call, heap-depth high-water
+    check) are sampled once every ``PROBE_EVERY`` popped events instead
+    of on every one — the event counter itself stays exact.  At 8 the
+    wall-clock attribution is still fine-grained (events are
     sub-microsecond apart) while the per-event hook cost drops to one
-    increment and one modulo on the fast path.  Pass ``probe_every=1``
-    for the legacy exact-probe behaviour.
+    increment and one modulo on the fast path.
     """
 
-    def __init__(self, wall_bucket_s: float = 1.0, probe_every: int = 8) -> None:
-        #: Width of a wall-clock bucket in *simulated* seconds.
-        self.wall_bucket_s = float(wall_bucket_s)
-        if probe_every < 1:
-            raise ValueError("probe_every must be >= 1")
-        #: Sampling period of the heap-depth / wall-clock probes.
-        self.probe_every = int(probe_every)
+    #: Width of a wall-clock bucket in *simulated* seconds.
+    WALL_BUCKET_S = 1.0
+    #: Sampling period of the heap-depth / wall-clock probes.
+    PROBE_EVERY = 8
+
+    def __init__(self) -> None:
         self.events_popped = 0
         self.max_heap_depth = 0
         #: process name -> number of generator steps driven.
         self.process_steps: TallyCounter = TallyCounter()
         #: sim-time bucket index -> wall seconds spent while the clock
-        #: was inside that bucket (sampled; see *probe_every*).
+        #: was inside that bucket (sampled; see ``PROBE_EVERY``).
         self.wall_by_bucket: Dict[int, float] = {}
         self._last_wall: Optional[float] = None
         self._started_wall = time.perf_counter()
@@ -55,13 +53,13 @@ class KernelProfiler:
     # -- kernel hooks (called from the engine; keep these cheap) ---------------
     def on_event(self, now: float, heap_depth: int) -> None:
         self.events_popped += 1
-        if self.events_popped % self.probe_every:
+        if self.events_popped % self.PROBE_EVERY:
             return  # fast path: counting only, no probes
         if heap_depth > self.max_heap_depth:
             self.max_heap_depth = heap_depth
         wall = time.perf_counter()
         if self._last_wall is not None:
-            bucket = int(now / self.wall_bucket_s)
+            bucket = int(now / self.WALL_BUCKET_S)
             self.wall_by_bucket[bucket] = (
                 self.wall_by_bucket.get(bucket, 0.0) + wall - self._last_wall
             )
@@ -78,7 +76,7 @@ class KernelProfiler:
     def wall_series(self) -> List[Tuple[float, float]]:
         """(sim-time bucket start, wall seconds) in time order."""
         return [
-            (bucket * self.wall_bucket_s, self.wall_by_bucket[bucket])
+            (bucket * self.WALL_BUCKET_S, self.wall_by_bucket[bucket])
             for bucket in sorted(self.wall_by_bucket)
         ]
 

@@ -101,31 +101,25 @@ class CorrectReader:
         client: BlobSeerClient,
         blob_id: int,
         op_mb: float = 512.0,
-        start_at: float = 0.0,
         stop_at: float = float("inf"),
         max_ops: Optional[int] = None,
-        offset_mb: float = 0.0,
     ) -> None:
         self.client = client
         self.blob_id = blob_id
         self.op_mb = op_mb
-        self.start_at = start_at
         self.stop_at = stop_at
         self.max_ops = max_ops
-        self.offset_mb = offset_mb
         self.results: List[OpResult] = []
         self.denied = False
 
     def run(self, env):
-        if self.start_at > env.now:
-            yield env.timeout(self.start_at - env.now)
         ops = 0
         while env.now < self.stop_at:
             if self.max_ops is not None and ops >= self.max_ops:
                 break
             try:
                 result = yield env.process(
-                    self.client.read(self.blob_id, self.offset_mb, self.op_mb)
+                    self.client.read(self.blob_id, 0.0, self.op_mb)
                 )
                 self.results.append(result)
                 ops += 1
@@ -262,18 +256,14 @@ class DosAttacker:
         self,
         client: BlobSeerClient,
         start_at: float = 0.0,
-        stop_at: float = float("inf"),
         chunk_size_mb: float = 1.0,
-        op_mb: Optional[float] = None,
         parallel: int = 128,
         ramp_interval_s: float = 0.0,
         initial_parallel: Optional[int] = None,
     ) -> None:
         self.client = client
         self.start_at = start_at
-        self.stop_at = stop_at
         self.chunk_size_mb = chunk_size_mb
-        self.op_mb = op_mb if op_mb is not None else chunk_size_mb
         self.max_parallel = parallel
         #: With ramp_interval_s > 0 the attack escalates: worker count
         #: doubles from initial_parallel each interval.
@@ -299,9 +289,8 @@ class DosAttacker:
         self._spawn_workers(env)
         if self.ramp_interval_s > 0:
             env.process(self._ramp(env), name=f"ramp-{self.client.client_id}")
-        while not self._stopped and env.now < self.stop_at:
+        while not self._stopped:
             yield env.timeout(1.0)
-        self._stopped = True
 
     def _spawn_workers(self, env) -> None:
         while self._spawned < self.parallel:
@@ -309,7 +298,7 @@ class DosAttacker:
             env.process(self._worker(env), name=f"dos-{self.client.client_id}")
 
     def _ramp(self, env):
-        while not self._stopped and env.now < self.stop_at:
+        while not self._stopped:
             yield env.timeout(self.ramp_interval_s)
             if self._stopped:
                 return
@@ -318,7 +307,7 @@ class DosAttacker:
 
     def _worker(self, env):
         blob_id = None
-        while not self._stopped and env.now < self.stop_at:
+        while not self._stopped:
             try:
                 if blob_id is None:
                     self.ops_issued += 1
@@ -326,7 +315,8 @@ class DosAttacker:
                         self.client.create_blob(self.chunk_size_mb)
                     )
                 self.ops_issued += 1
-                yield env.process(self.client.append(blob_id, self.op_mb))
+                yield env.process(
+                    self.client.append(blob_id, self.chunk_size_mb))
                 self.ops_completed += 1
             except AccessDenied:
                 if self.blocked_at is None:
@@ -354,14 +344,12 @@ class DosReader:
         client: BlobSeerClient,
         blob_id: int,
         start_at: float = 0.0,
-        stop_at: float = float("inf"),
         read_mb: float = 64.0,
         parallel: int = 64,
     ) -> None:
         self.client = client
         self.blob_id = blob_id
         self.start_at = start_at
-        self.stop_at = stop_at
         self.read_mb = read_mb
         self.parallel = parallel
         self.blocked_at: Optional[float] = None
@@ -379,12 +367,11 @@ class DosReader:
             yield env.timeout(self.start_at - env.now)
         for _ in range(self.parallel):
             env.process(self._worker(env), name=f"dosr-{self.client.client_id}")
-        while not self._stopped and env.now < self.stop_at:
+        while not self._stopped:
             yield env.timeout(1.0)
-        self._stopped = True
 
     def _worker(self, env):
-        while not self._stopped and env.now < self.stop_at:
+        while not self._stopped:
             try:
                 self.ops_issued += 1
                 yield env.process(

@@ -33,6 +33,9 @@ from ..simulation.network import TransferAborted
 
 __all__ = ["MapReduceConfig", "MapReduceJob", "StageStats"]
 
+#: CPU seconds per MB of intermediate data at a reduce task.
+REDUCE_CPU_S_PER_MB = 0.001
+
 
 @dataclass
 class MapReduceConfig:
@@ -46,8 +49,6 @@ class MapReduceConfig:
     map_cpu_s_per_mb: float = 0.002
     #: Map output size as a fraction of its input (selectivity).
     map_selectivity: float = 0.25
-    #: CPU seconds per MB of intermediate data at a reduce task.
-    reduce_cpu_s_per_mb: float = 0.001
     #: Reduce output size as a fraction of its input.
     reduce_selectivity: float = 0.5
 
@@ -191,7 +192,7 @@ class MapReduceJob:
                 if size_mb > 0:
                     yield env.process(client.read(blob_id, 0.0, size_mb))
                     pulled_mb += size_mb
-            cpu = self.config.reduce_cpu_s_per_mb * pulled_mb
+            cpu = REDUCE_CPU_S_PER_MB * pulled_mb
             if cpu > 0:
                 yield env.process(client.node.compute(cpu))
             out_mb = self._padded(pulled_mb * self.config.reduce_selectivity)

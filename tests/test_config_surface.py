@@ -1,23 +1,29 @@
-"""Keep the configuration surface from re-growing (ROADMAP item 3).
+"""Keep the configuration surface from re-growing (ROADMAP items 3, 6).
 
-Every ``BlobSeerConfig`` field and every ``build_*_scenario`` parameter
-must be *set by some caller*: passed by keyword (or position) to the
-class/builder somewhere under ``src/``, ``benchmarks/``, ``tests/`` or
-``examples/``, or — for a ``**config`` call site — named in the same
-file as a dict-literal key or a call keyword (``dict(...)`` or the
-wrapper that forwards it).  A knob nobody sets only re-states a default:
-make it a constant at its use site instead of adding it here.
+One rule for every constructor of ``src/repro``: a defaulted ``__init__``
+parameter, a field of a config dataclass (``CONFIGS``) and a
+``build_*_scenario`` parameter must each be *set by some caller* —
+passed by keyword (or position) to the class / builder somewhere under
+``src/``, ``benchmarks/``, ``tests/`` or ``examples/``, or, for a
+``**config`` call site, named in the same file as a dict-literal key or
+a call keyword (``dict(...)`` or the wrapper that forwards it); a
+function that takes ``**kwargs`` and splats into a constructor passes on
+what its own callers name.  ``super().__init__(...)`` sets the base
+class's parameters and ``cls(...)`` the enclosing class's.  A knob nobody sets only re-states a
+default: make it a constant beside the comment that explains it instead
+of adding it here.  There is no allowlist: a parameter that must stay
+gets a caller.
 """
 
 import ast
-import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
-from repro.blobseer import BlobSeerClient, BlobSeerConfig, VersionManager
+from repro.adaptation import ReplicationManager
+from repro.blobseer import BlobSeerClient, VersionManager
 from repro.blobseer.allocation import make_strategy
 from repro.cache import Cache
-from repro.cluster import TestbedConfig
 from repro.introspection import QueryEngine
 from repro.robustness import (
     PrimaryHandle,
@@ -27,18 +33,68 @@ from repro.robustness import (
 )
 from repro.simulation import FlowNetwork
 from repro.telemetry import MetricsRegistry
-from repro.workloads import scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "tests", "examples")
+#: Dataclasses whose every field is a knob (their ``__init__`` is generated).
+CONFIGS = ("BlobSeerConfig", "TestbedConfig", "MonitoringConfig",
+           "SecurityConfig", "MapReduceConfig", "RetryPolicy")
 
 
-def _surface(config=BlobSeerConfig):
-    """Callable name -> its parameter names, in order."""
-    surface = {config.__name__: [f.name for f in dataclasses.fields(config)]}
-    for name, builder in vars(scenarios).items():
-        if name.startswith("build_") and name.endswith("_scenario"):
-            surface[name] = list(inspect.signature(builder).parameters)
+def _parse(paths):
+    return [ast.parse(path.read_text(), str(path)) for path in paths]
+
+
+@functools.cache
+def _sources():
+    """Every scanned module but this one, parsed — never imported."""
+    return _parse(path for top in SCANNED
+                  for path in sorted((ROOT / top).rglob("*.py"))
+                  if path != Path(__file__).resolve())
+
+
+@functools.cache
+def _library():
+    return _parse(sorted((ROOT / "src" / "repro").rglob("*.py")))
+
+
+def _base_names(cls):
+    return [getattr(b, "attr", getattr(b, "id", None)) for b in cls.bases]
+
+
+def _surface(modules=None):
+    """Callable name -> ``(parameters in call order, the checked ones)``.
+
+    Checked are the defaulted parameters of a class's ``__init__``, all
+    fields of a ``CONFIGS`` dataclass and all parameters of a scenario
+    builder.
+    """
+    surface = {}
+    for module in _library() if modules is None else modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef) and node.name in CONFIGS:
+                fields = [stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)]
+                surface[node.name] = (fields, fields)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                        args = stmt.args
+                        named = [a.arg for a in args.posonlyargs + args.args][1:]
+                        defaulted = named[len(named) - len(args.defaults):]
+                        defaulted += [a.arg for a, default
+                                      in zip(args.kwonlyargs, args.kw_defaults)
+                                      if default is not None]
+                        if defaulted:
+                            assert node.name not in surface, node.name
+                            surface[node.name] = (
+                                named + [a.arg for a in args.kwonlyargs], defaulted)
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("build_")
+                  and node.name.endswith("_scenario")):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                surface[node.name] = (params, params)
     return surface
 
 
@@ -46,69 +102,160 @@ def parameters(fn):
     return list(inspect.signature(fn).parameters)
 
 
-def _callee(call):
-    func = call.func
-    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-
-
-def _unset(surface):
+def _unset(surface, modules=None):
     """``callable.parameter`` names that no scanned caller sets."""
+    modules = _sources() if modules is None else modules
+    bases = {node.name: _base_names(node) for module in modules
+             for node in ast.walk(module) if isinstance(node, ast.ClassDef)}
+
+    def owner(name, seen=()):
+        """The surface entry a call to *name* fills: itself, or — for a
+        class that defines no defaulted ``__init__`` — its nearest base."""
+        if name in surface:
+            return name
+        for base in bases.get(name, ()):
+            if base not in seen:
+                found = owner(base, seen + (name,))
+                if found:
+                    return found
+        return None
+
+    def callee(call, enclosing):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if enclosing is not None and name == "cls":
+            return owner(enclosing.name)
+        if (enclosing is not None and name == "__init__"
+                and isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"):
+            return next(filter(None, map(owner, _base_names(enclosing))), None)
+        return owner(name)
+
     passed = {name: set() for name in surface}
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path == Path(__file__).resolve():
-                continue
-            named, splatted = set(), set()
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Dict):
-                    named.update(k.value for k in node.keys
-                                 if isinstance(k, ast.Constant))
-                elif isinstance(node, ast.Call):
-                    keywords = {k.arg for k in node.keywords if k.arg}
-                    named |= keywords
-                    callee = _callee(node)
-                    if callee in surface:
-                        passed[callee] |= keywords
-                        passed[callee].update(surface[callee][:len(node.args)])
-                        if len(keywords) < len(node.keywords):
-                            splatted.add(callee)
-            # A ``**config`` call site names what it passes elsewhere in
-            # its file: in a dict literal, a ``dict(...)`` call, or the
-            # keywords of the wrapper that forwards them.
-            for callee in splatted:
-                passed[callee] |= named
-    return sorted(f"{name}.{param}" for name, params in surface.items()
-                  for param in params if param not in passed[name])
+    #: function name -> keywords its callers pass / surface callees it
+    #: splats its own ``**kwargs`` parameter's scope into.
+    keywords_to, forwards = {}, {}
+    for module in modules:
+        named, splatted = set(), set()
+
+        def visit(node, enclosing, function):
+            if isinstance(node, ast.ClassDef):
+                enclosing = node
+            elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
+                function = node
+            elif isinstance(node, ast.Dict):
+                named.update(k.value for k in node.keys
+                             if isinstance(k, ast.Constant))
+            elif isinstance(node, ast.Call):
+                keywords = {k.arg for k in node.keywords if k.arg}
+                named.update(keywords)
+                func = node.func
+                keywords_to.setdefault(
+                    getattr(func, "attr", getattr(func, "id", None)), set()
+                ).update(keywords)
+                target = callee(node, enclosing)
+                if target is not None:
+                    passed[target] |= keywords
+                    passed[target].update(surface[target][0][:len(node.args)])
+                    if len(keywords) < len(node.keywords):
+                        splatted.add(target)
+                        if function is not None:
+                            forwards.setdefault(function.name, set()).add(target)
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing, function)
+
+        visit(module, None, None)
+        # A ``**config`` call site names what it passes elsewhere in
+        # its file: in a dict literal, a ``dict(...)`` call, or the
+        # keywords of the wrapper that forwards them.
+        for target in splatted:
+            passed[target] |= named
+    # A function that takes ``**kwargs`` and splats into a constructor
+    # (``Testbed.add_node(name, **overrides)``) passes on the keywords
+    # its own callers use, whichever file they are in.
+    for function, targets in forwards.items():
+        for target in targets:
+            passed[target] |= keywords_to.get(function, set())
+    return sorted(f"{name}.{param}" for name, (_, checked) in surface.items()
+                  for param in checked if param not in passed[name])
 
 
 def test_every_config_field_and_builder_parameter_is_set_by_a_caller():
     assert _unset(_surface()) == []
 
 
+#: A library and its callers in one module: each class has one parameter
+#: nobody sets, next to parameters set only indirectly.
+_SYNTHETIC = """
+class Base:
+    def __init__(self, a, via_super=1, dead=2): ...
+
+class Child(Base):
+    def __init__(self, b, via_cls=3):
+        super().__init__(b, via_super=4)
+
+    @classmethod
+    def make(cls):
+        return cls(5, via_cls=6)
+
+class Inheritor(Child):
+    pass
+
+@dataclass
+class BlobSeerConfig:
+    data_providers: int = 20
+    vm_cores: int = 1
+
+class Node:
+    def __init__(self, name, nic=1.0, ram=2.0, *, disk=3.0): ...
+
+def add_node(name, **overrides):
+    return Node(name, **dict(disk=4.0), **overrides)
+
+Inheritor(7)
+BlobSeerConfig(data_providers=8)
+add_node("n", nic=9.0)
+"""
+
+
 def test_a_field_no_caller_sets_is_reported():
-    """The scan must catch a dead knob being (re-)added."""
-    grown = dataclasses.make_dataclass(
-        "BlobSeerConfig", [("vm_cores", int, 1)], bases=(BlobSeerConfig,))
-    assert _unset(_surface(grown)) == ["BlobSeerConfig.vm_cores"]
+    """The scan must catch a dead knob being (re-)added, on a config
+    dataclass or on any constructor — and only that: a parameter set
+    through ``super().__init__``, ``cls(...)``, a subclass without an
+    ``__init__`` of its own, a same-file ``**splat`` or a ``**kwargs``
+    forwarder has a caller."""
+    modules = [ast.parse(_SYNTHETIC)]
+    surface = _surface(modules)
+    assert surface["Node"] == (["name", "nic", "ram", "disk"],
+                               ["nic", "ram", "disk"])
+    assert _unset(surface, modules) == [
+        "Base.dead", "BlobSeerConfig.vm_cores", "Node.ram"]
 
 
 def test_the_surface_is_the_documented_size():
-    surface = _surface()
-    assert len(surface["BlobSeerConfig"]) == 16
-    builder_params = sum(len(p) for n, p in surface.items() if n != "BlobSeerConfig")
-    assert builder_params <= 85
+    """29 -> 16 config fields and 122 -> 71 builder parameters (PR 15, 18);
+    293 -> 240 defaulted constructor parameters and config fields over 83
+    classes (PR 20).  Each bound leaves a little room to add what a
+    caller needs; none leaves room for a second round of "just in case"."""
+    checked = {name: len(params) for name, (_, params) in _surface().items()}
+    assert checked["BlobSeerConfig"] == 16
+    builders = sum(count for name, count in checked.items()
+                   if name.startswith("build_"))
+    assert builders <= 85
+    assert sum(checked.values()) - builders <= 245
 
 
 def test_the_flow_network_takes_no_solver_knob():
     """The slot table replaced the list-building vector solver in place:
-    no parameter selects a solver, a threshold or a table size."""
-    assert list(inspect.signature(FlowNetwork.__init__).parameters) == [
+    no parameter selects a solver, a threshold or a table size — and the
+    testbed configures neither the backbone nor the fairness pass (nor
+    re-states a node's NIC and memory defaults)."""
+    assert parameters(FlowNetwork.__init__) == [
         "self", "env", "latency", "backbone_capacity",
         "recompute_granularity_s", "incremental"]
-    assert [f.name for f in dataclasses.fields(TestbedConfig)] == [
-        "seed", "sites", "nic_in_mbps", "nic_out_mbps", "cores", "memory_mb",
-        "disk_mb", "latency_local_s", "latency_cross_s", "backbone_mbps",
-        "rate_granularity_s", "incremental_fairness"]
+    assert _surface()["TestbedConfig"][0] == [
+        "seed", "sites", "cores", "disk_mb", "latency_local_s",
+        "latency_cross_s", "rate_granularity_s"]
 
 
 def test_nobody_is_told_the_capacity_of_a_tree():
@@ -123,7 +270,12 @@ def test_nobody_is_told_the_capacity_of_a_tree():
 def test_the_replica_groups_and_handles_take_no_protocol_knob():
     """Detector settings, deadlines, batch sizes and retry budgets are
     module constants of ``repro.robustness.replication``: no caller ever
-    set them, so no constructor (or ``handle()`` factory) takes them."""
+    set them, so no constructor (or ``handle()`` factory) takes them.
+    Nor is the replication manager told which detector to believe or how
+    long a repair may take: it reads the deployment it is given."""
+    assert parameters(ReplicationManager.__init__) == [
+        "self", "deployment", "target_replication", "max_replication",
+        "hot_reads_per_s", "interval_s", "query"]
     assert parameters(ReplicatedVersionManager.__init__) == [
         "self", "testbed", "vmanagers"]
     assert parameters(WarmStandbyProviderManager.__init__) == [

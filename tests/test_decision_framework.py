@@ -733,6 +733,20 @@ def test_make_planner_registry():
         make_planner("simulated-annealing")
 
 
+def test_make_planner_hands_the_step_to_every_planner():
+    """The one knob a deployment tunes (``tuner_step_fraction``) reaches
+    each planner class through the registry, not just the default one."""
+    rng = FakeRng([])
+    for direct in (ThresholdPlanner(step_fraction=0.5),
+                   MarginalUtilityPlanner(step_fraction=0.5),
+                   HillClimbPlanner(step_fraction=0.5),
+                   EpsilonGreedyPlanner(rng, step_fraction=0.5)):
+        made = make_planner(direct.name, rng=rng, step_fraction=0.5)
+        assert type(made) is type(direct)
+        assert made.params() == direct.params()
+        assert made.params()["step_fraction"] == 0.5
+
+
 def test_planner_info_shape():
     for name in PLANNERS:
         planner = make_planner(name, rng=FakeRng([]))

@@ -37,21 +37,6 @@ def make_repo(n=2, rate=1e9):
 
 
 # ------------------------------------------------------------------ repository
-def test_ordered_records_handles_out_of_order_batches():
-    bed, repo = make_repo(n=1)
-    server = repo.servers[0]
-    # One batch whose events carry non-monotonic times (two monitoring
-    # services flushing interleaved histories).
-    server.offer([ev(5.0), ev(3.0), ev(9.0)])
-    bed.run(until=1.0)
-
-    assert [e.time for e in server.records] == [5.0, 3.0, 9.0]
-    ordered = server.ordered_records()
-    assert [e.time for e in ordered] == [3.0, 5.0, 9.0]
-    # The sorted view is cached until the next persist.
-    assert server.ordered_records() is ordered
-
-
 def test_records_since_matches_stable_sort_reference():
     bed, repo = make_repo(n=3)
     times = [7.0, 1.0, 5.0, 3.0, 3.0, 9.0, 2.0, 8.0, 4.0, 6.0]

@@ -13,6 +13,7 @@ from repro.cluster import Testbed, TestbedConfig
 from repro.monitoring import (
     FilterChain,
     MonitoringConfig,
+    MonitoringService,
     MonitoringStack,
     RateLimitFilter,
     SamplingFilter,
@@ -75,6 +76,22 @@ def test_filter_chain_composes():
     chain = FilterChain(TypeFilter([EV_CHUNK_WRITE]), SamplingFilter(every=2))
     events = [make_event(t=i) for i in range(4)] + [make_event(etype=EV_OP_END)]
     assert len(chain.apply(events)) == 2
+
+
+def test_monitoring_service_stores_only_what_its_filters_keep():
+    bed = Testbed()
+    repo = StorageRepository([StorageServer(bed.add_node("s0"), "s0")])
+    service = MonitoringService(bed.add_node("svc"), "svc", repo,
+                                filters=[TypeFilter([EV_CHUNK_WRITE])])
+    batch = [make_event(t=i) for i in range(3)] + [make_event(etype=EV_OP_END)]
+    kept = bed.run(until=bed.env.process(service.ingest(batch)))
+    assert kept == 3 and (service.received, service.forwarded) == (4, 3)
+    bed.run(until=bed.now + 1.0)
+    assert {e.event_type for e in repo.all_records()} == {EV_CHUNK_WRITE}
+    # A batch the chain drops entirely costs no transfer and stores nothing.
+    assert bed.run(until=bed.env.process(
+        service.ingest([make_event(etype=EV_OP_END)]))) == 0
+    assert repo.stored_count == 3
 
 
 # ------------------------------------------------------------------ repository

@@ -37,7 +37,7 @@ from repro.introspection import (
 from repro.introspection.provenance import JournalEntry
 from repro.simulation import Environment
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.export import adaptation_timeline_json, chrome_trace
+from repro.telemetry.export import chrome_trace
 from repro.workloads import build_disturbance_scenario
 
 
@@ -380,11 +380,12 @@ def test_timeline_json_and_chrome_trace_journal_tracks():
     effects = [e for e in events if e.get("cat") == "adaptation.effect"]
     assert len(effects) == 1
 
-    payload = json.loads(adaptation_timeline_json(journal))
-    assert payload["total"] == 1
+    payload = json.loads(journal.to_json())
+    assert payload["total"] == 1 and "scorecard" not in payload
     assert payload["entries"][0]["action"] == "boost"
     # Embedding a scorecard makes one self-contained record.
     score = AdaptationScorecard(journal=journal, metrics=tele.metrics)
     with_score = json.loads(
-        adaptation_timeline_json(journal, score=score.compute(t1=15.0)))
+        journal.to_json(indent=2, scorecard=score.compute(t1=15.0)))
     assert with_score["scorecard"]["fleet"]["decisions"] == 1
+    assert with_score["entries"] == payload["entries"]

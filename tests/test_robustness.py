@@ -210,8 +210,7 @@ def test_flapping_provider_never_triggers_repair():
     process = dep.env.process(setup())
     dep.run(until=process)
 
-    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0,
-                                 detector=detector)
+    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0)
     dep.env.process(manager.run(dep.env))
 
     victim = next(p for p in dep.providers.values() if p.chunks)
@@ -235,3 +234,58 @@ def test_flapping_provider_never_triggers_repair():
     assert stats["dead"] == 0 and stats["detections"] == 0
     for key in ("mean_detection_latency_s", "max_detection_latency_s"):
         assert stats[key] is None or math.isfinite(stats[key])
+
+
+# ------------------------------------------------------------------ liveness belief
+#: (what the detector thinks of the node — None: no detector, "unwatched":
+#: a detector that does not watch it —, node crashed?)
+#:   -> (belief, allocatable, counts as a replica, in the chunk directory);
+#: a decommissioned provider is never allocatable and never counts, and
+#: stays in the directory while it is not believed dead.
+BELIEF_TABLE = [
+    ((None, False), ("alive", True, True, True)),
+    ((None, True), ("dead", False, False, False)),
+    (("unwatched", False), ("alive", True, True, True)),
+    (("unwatched", True), ("dead", False, False, False)),
+    ((ALIVE, False), ("alive", True, True, True)),
+    ((ALIVE, True), ("alive", True, True, True)),      # crashed, undetected
+    ((SUSPECTED, True), ("suspected", False, True, True)),
+    ((DEAD, True), ("dead", False, False, False)),
+    ((DEAD, False), ("dead", False, False, False)),    # recovered, unheard
+]
+
+
+@pytest.mark.parametrize("decommissioned", [False, True])
+@pytest.mark.parametrize("world, expected", BELIEF_TABLE)
+def test_liveness_belief_truth_table(world, expected, decommissioned):
+    """``ProviderManager.belief`` is the detector's view of a watched
+    node, else the ``node.alive`` oracle; allocation, replica counting
+    and the chunk-directory walk all derive from it."""
+    from repro.adaptation import ReplicationManager
+    from repro.blobseer.blob import ChunkDescriptor
+
+    state, crashed = world
+    dep = make_deployment(providers=3)
+    pmanager = dep.pmanager
+    provider = dep.providers["provider-1"]
+    if state is not None:
+        pmanager.detector = HeartbeatFailureDetector(dep.actor_nodes["pm"])
+        if state != "unwatched":
+            pmanager.detector.watch(provider.node).state = state
+    if crashed:
+        provider.node.fail()
+    if decommissioned:
+        provider.decommission()
+    descriptor = ChunkDescriptor(blob_id=1, storage_key="k", size_mb=8.0,
+                                 replicas=[provider.provider_id])
+    provider.chunks["k"] = descriptor
+
+    belief, allocatable, counts, listed = expected
+    assert pmanager.belief(provider) == belief
+    assert (provider in pmanager.active_providers()) == (
+        allocatable and not decommissioned)
+    manager = ReplicationManager(dep)
+    assert (provider in manager.live_replicas(descriptor)) == (
+        counts and not decommissioned)
+    assert ("k" in pmanager.chunk_holders()) == listed
+    assert ("k" in manager.chunk_directory()) == listed

@@ -14,6 +14,7 @@ from repro.blobseer.rpc import (
     with_retries,
 )
 from repro.cluster import FaultInjector, Testbed, TestbedConfig
+from repro.cluster.node import NodeDownError
 from repro.robustness import RetryPolicy
 from repro.simulation.events import Timeout
 from repro.telemetry.metrics import MetricsRegistry
@@ -572,3 +573,84 @@ def test_retry_gives_up_instead_of_sleeping_past_deadline():
     # so the error surfaces immediately — no sleep, no extra attempt.
     assert outcome["at"] == pytest.approx(1.0)
     assert attempts == [0.0]
+
+
+# ------------------------------------------------------------------ metadata round trips
+def metadata_fault_world(blackhole, fault):
+    """One metadata provider, a blob with one published version, and a
+    second append whose first tree-node put triggers ``fault(deployment,
+    provider)`` 10 us into its request leg.  Returns the deployment,
+    the client, the provider, the blob id, the append's outcome and the
+    instant the put was sent."""
+    dep = make_deployment(metadata_providers=1)
+    env = dep.env
+    dep.net.blackhole_missing = blackhole
+    client = dep.new_client("c", rpc_timeout_s=2.0)
+    provider = dep.metadata_providers[0]
+
+    def setup():
+        blob_id = yield from client.create_blob(8.0)
+        yield from client.append(blob_id, 8.0)
+        return blob_id
+
+    blob_id = dep.run(until=env.process(setup()))
+    real_put, sent = client.meta.put, []
+
+    def put(key, value):
+        if not sent:
+            sent.append(env.now)
+            env.call_later(1e-5, lambda _event: fault(dep, provider))
+        return (yield from real_put(key, value))
+
+    client.meta.put = put
+    outcome = drive(env, client.append(blob_id, 8.0))
+    dep.run(until=env.now + 30.0)
+    return dep, client, provider, blob_id, outcome, sent[0]
+
+
+def assert_blob_still_writable(dep, client, blob_id):
+    """The failed append's ticket was abandoned, its version burned."""
+    assert client.history[-1].ok is False
+    assert not dep.vmanager._held
+    again = drive(dep.env, client.append(blob_id, 8.0))
+    dep.run(until=dep.env.now + 10.0)
+    assert again["value"].ok and again["value"].version == 3
+
+
+@pytest.mark.parametrize("blackhole", [True, False])
+def test_put_to_a_provider_dead_on_arrival_is_not_applied(blackhole):
+    """The provider dies while the put request is in flight: the request
+    still lands (a control message is on the heap from send time), so
+    the provider must judge its own liveness on arrival.  It used to
+    apply the put, then hang the client forever (black hole) or crash it
+    with a bare KeyError — and either way leave the ticket held."""
+    puts_at_crash = []
+
+    def crash(_dep, provider):
+        puts_at_crash.append(provider.puts)
+        provider.node.fail()
+
+    dep, client, provider, blob_id, outcome, _sent_at = metadata_fault_world(
+        blackhole, crash)
+    assert isinstance(outcome.get("error"), NodeDownError)
+    assert [provider.puts] == puts_at_crash
+    provider.node.recover()
+    assert_blob_still_writable(dep, client, blob_id)
+
+
+def test_lost_metadata_reply_times_out_at_the_clients_deadline():
+    """The put lands and is applied, the reply is lost in a partition:
+    the client's ``rpc_timeout_s`` bounds the round trip (it used to
+    bound every RPC but this one) and the ticket is abandoned."""
+    cut = {}
+
+    def partition(dep, provider):
+        cut["injector"] = FaultInjector(dep.testbed)
+        cut["id"] = cut["injector"].partition([provider.node])
+
+    dep, client, provider, blob_id, outcome, sent_at = metadata_fault_world(
+        True, partition)
+    assert isinstance(outcome.get("error"), RpcTimeout)
+    assert outcome["at"] == pytest.approx(sent_at + 2.0)
+    cut["injector"].heal(cut["id"])
+    assert_blob_still_writable(dep, client, blob_id)

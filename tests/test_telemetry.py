@@ -19,8 +19,6 @@ from repro.telemetry import (
     Tracer,
     chrome_trace,
     chrome_trace_json,
-    metrics_to_csv,
-    metrics_to_json,
 )
 
 
@@ -445,22 +443,6 @@ def test_trace_includes_instant_events():
 # ---------------------------------------------------------------------------
 # Exports + summary
 # ---------------------------------------------------------------------------
-
-def test_metrics_exports(tmp_path):
-    tele = run_write_read(make_deployment())
-    payload = json.loads(metrics_to_json(tele.metrics))
-    assert payload["client.append_ops"]["value"] == 1
-    csv_text = metrics_to_csv(tele.metrics)
-    assert csv_text.splitlines()[0] == "series,time,value"
-    assert any(line.startswith("client.throughput_mbps,")
-               for line in csv_text.splitlines())
-
-    json_path = tmp_path / "metrics.json"
-    csv_path = tmp_path / "metrics.csv"
-    tele.write_metrics(str(json_path), str(csv_path))
-    assert json.loads(json_path.read_text())
-    assert csv_path.read_text().startswith("series,time,value")
-
 
 def test_write_chrome_trace_and_summary(tmp_path):
     tele = run_write_read(make_deployment())
