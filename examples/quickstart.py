@@ -30,9 +30,8 @@ def main() -> None:
     results = {}
 
     def alice_writes(env):
-        blob_id = yield env.process(alice.create_blob(chunk_size_mb=64.0))
-        write = yield env.process(alice.write(blob_id, offset_mb=0.0,
-                                              size_mb=1024.0))
+        blob_id = yield from alice.create_blob(chunk_size_mb=64.0)
+        write = yield from alice.write(blob_id, offset_mb=0.0, size_mb=1024.0)
         results["blob"] = blob_id
         results["write"] = write
 
@@ -40,7 +39,7 @@ def main() -> None:
         # Wait until Alice has published something.
         while "write" not in results:
             yield env.timeout(0.5)
-        read = yield env.process(bob.read(results["blob"], 0.0, 1024.0))
+        read = yield from bob.read(results["blob"], 0.0, 1024.0)
         results["read"] = read
 
     env.process(alice_writes(env))

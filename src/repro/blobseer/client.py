@@ -4,12 +4,18 @@
 of interaction: create BLOBs, read a range of chunks from a BLOB, write
 or append data to a BLOB." (paper §III-A)
 
-All operations are generators meant to run inside simulation processes:
+All operations are generators meant to run inside a simulation process;
+an actor that waits for each operation drives it inline:
 
-    client = BlobSeerClient(node, "client-1", deployment)
+    client = deployment.new_client("client-1")
     def workload(env):
-        blob_id = yield env.process(client.create_blob(chunk_size_mb=64))
-        result = yield env.process(client.append(blob_id, size_mb=1024))
+        blob_id = yield from client.create_blob(chunk_size_mb=64)
+        result = yield from client.append(blob_id, size_mb=1024)
+    env.process(workload(env))
+
+``yield from`` costs no kernel event.  Give an operation a process of its
+own, ``env.process(client.read(...))``, only when the caller does not wait
+in line for it: several in flight at once (``env.all_of``), fire-and-forget.
 
 Every operation consults the pluggable :class:`AccessController`
 (self-protection hook) and emits instrumentation events (introspection
@@ -24,13 +30,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cluster.node import NodeDownError, PhysicalNode
-from ..simulation.network import TransferAborted
+from ..cluster.node import PhysicalNode
 from .access import AccessController, AllowAll
 from .blob import ChunkDescriptor, chunk_span
 from .errors import (
     AccessDenied,
-    BlobSeerError,
     ChunkLost,
     NoProvidersAvailable,
     RangeError,
@@ -45,7 +49,7 @@ from .instrument import (
 from .metadata import MetadataProvider, MetadataStore
 from .provider import DataProvider
 from .provider_manager import ProviderManager
-from .rpc import TRANSPORT_ERRORS
+from .rpc import OP_ERRORS
 from .segment_tree import capacity_for, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
 
@@ -134,6 +138,8 @@ class BlobSeerClient:
         self._wseq = itertools.count(1)
         #: Client-side cache of blob chunk sizes (filled on create/read).
         self._chunk_size: Dict[int, float] = {}
+        #: op -> (registry, ops counter, duration histogram), bound once.
+        self._instruments: Dict[str, tuple] = {}
         self.history: List[OpResult] = []
 
     @property
@@ -234,7 +240,7 @@ class BlobSeerClient:
             result = self._record("read", blob_id, size_mb, start, version=version)
             root.finish(ok=True, version=version)
             return result
-        except (BlobSeerError,) + TRANSPORT_ERRORS as exc:
+        except OP_ERRORS as exc:
             result = self._record(
                 "read", blob_id, size_mb, start, ok=False, error=str(exc)
             )
@@ -370,7 +376,7 @@ class BlobSeerClient:
             result = self._record(op, blob_id, size_mb, start, version=ticket.version)
             root.finish(ok=True, version=ticket.version)
             return result
-        except (BlobSeerError,) + TRANSPORT_ERRORS as exc:
+        except OP_ERRORS as exc:
             # Whatever a message died of (a metadata provider's node gone
             # from the network is a bare KeyError), the ticket is abandoned.
             if ticket is None and ticket_proc is not None:
@@ -401,7 +407,7 @@ class BlobSeerClient:
                     self.node, blob_id, size_mb, self.client_id, offset_mb,
                     timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
                 )
-        except (BlobSeerError, NodeDownError, TransferAborted) as exc:
+        except OP_ERRORS as exc:
             return exc
         return ticket
 
@@ -418,7 +424,7 @@ class BlobSeerClient:
         ]
         try:
             yield self.env.all_of(pushes)
-        except (BlobSeerError, NodeDownError, TransferAborted):
+        except OP_ERRORS:
             failures.append(descriptor)
 
     def _retry_pushes(self, failed: List[ChunkDescriptor], rate_cap, ctx=None):
@@ -500,10 +506,15 @@ class BlobSeerClient:
         self.history.append(result)
         metrics = self.env.metrics
         if metrics is not None:
-            metrics.counter(f"client.{op}_ops").inc()
+            bound = self._instruments.get(op)
+            if bound is None or bound[0] is not metrics:
+                bound = self._instruments[op] = (
+                    metrics, metrics.counter(f"client.{op}_ops"),
+                    metrics.histogram(f"client.{op}_duration_s"))
+            bound[1].inc()
             if not ok:
                 metrics.counter(f"client.{op}_errors").inc()
-            metrics.histogram(f"client.{op}_duration_s").observe(result.duration_s)
+            bound[2].observe(result.duration_s)
             if ok and size_mb > 0:
                 metrics.sample("client.throughput_mbps", result.throughput_mbps)
         self._emit(
@@ -515,6 +526,8 @@ class BlobSeerClient:
         return result
 
     def _emit(self, event_type: str, blob_id: Optional[int], **fields) -> None:
+        if not self.sink.enabled:
+            return
         self.sink.emit(MonitoringEvent(
             time=self.env.now,
             actor_type="client",

@@ -343,9 +343,10 @@ class BlobSeerDeployment:
         to crashed nodes vanish instead of erroring instantly), points
         the provider manager's membership at the detector's view and —
         with *lazy_cleanup* — defers chunk-directory scrubbing until a
-        crash is actually *detected*.  Returns the detector; pass it to
-        :class:`~repro.adaptation.ReplicationManager` so repair traffic
-        is detection-gated too.
+        crash is actually *detected*.  Returns the detector.  A
+        :class:`~repro.adaptation.ReplicationManager` on this deployment
+        needs nothing passed: it judges replicas through the provider
+        manager's belief, so its repair traffic is detection-gated too.
         """
         if self.detector is not None:
             raise RuntimeError("a failure detector is already attached")

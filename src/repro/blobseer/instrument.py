@@ -82,7 +82,11 @@ class MonitoringEvent:
 
 
 class EventSink(Protocol):
-    """Where instrumented events go (implemented by the monitoring layer)."""
+    """Where instrumented events go (implemented by the monitoring layer).
+    While ``enabled`` is false (the tracer's idiom) an ``emit`` would
+    reach nobody, so the actors build no event at all."""
+
+    enabled: bool
 
     def emit(self, event: MonitoringEvent) -> None:  # pragma: no cover - protocol
         ...
@@ -90,6 +94,8 @@ class EventSink(Protocol):
 
 class NullSink:
     """Discards everything: the un-instrumented baseline deployment."""
+
+    enabled = False
 
     def emit(self, event: MonitoringEvent) -> None:
         pass
@@ -101,6 +107,10 @@ class CompositeSink:
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks: List[EventSink] = list(sinks)
 
+    @property
+    def enabled(self) -> bool:
+        return bool(self.sinks)
+
     def add(self, sink: EventSink) -> None:
         self.sinks.append(sink)
 
@@ -111,6 +121,8 @@ class CompositeSink:
 
 class RecordingSink:
     """Keeps every event in memory — handy for tests and offline analysis."""
+
+    enabled = True
 
     def __init__(self) -> None:
         self.events: List[MonitoringEvent] = []

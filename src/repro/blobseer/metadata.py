@@ -7,7 +7,9 @@ across them.  A remote access is one control-plane round trip
 (:class:`~repro.blobseer.rpc.RoundTrip`) under the client's RPC deadline:
 a provider that is dead when the request arrives serves nothing.
 
-Two implementations of the ``KVStore`` generator interface exist:
+A read held locally costs no generator: ``peek(key) -> (hit, value)`` is
+a plain call, ``fetch(key)`` the generator that goes to the network after
+a miss, ``get`` is peek-or-fetch.  Two ``KVStore`` implementations exist:
 
 - :class:`LocalKV` — in-process dict, zero cost; used in unit tests and
   as the version manager's private store;
@@ -18,7 +20,7 @@ Two implementations of the ``KVStore`` generator interface exist:
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from ..cluster.node import PhysicalNode
 from ..simulation.network import FlowNetwork
@@ -34,10 +36,18 @@ _NEGATIVE = ("negative",)
 
 
 class KVStore(Protocol):
-    """Generator-based key-value interface used by the segment tree."""
+    """Key-value interface used by the segment tree."""
+
+    def peek(self, key: str) -> Tuple[bool, Any]:  # pragma: no cover - protocol
+        """``(hit, value)`` from what is held locally; takes no time."""
+        ...
+
+    def fetch(self, key: str):  # pragma: no cover - protocol
+        """Generator returning the value or None, after a ``peek`` miss."""
+        ...
 
     def get(self, key: str):  # pragma: no cover - protocol
-        """Generator returning the value or None."""
+        """Generator returning the value or None (peek, else fetch)."""
         ...
 
     def put(self, key: str, value: Any):  # pragma: no cover - protocol
@@ -51,8 +61,11 @@ class LocalKV:
     def __init__(self) -> None:
         self.data: Dict[str, Any] = {}
 
+    def peek(self, key: str) -> Tuple[bool, Any]:
+        return True, self.data.get(key)  # everything is local: never a miss
+
     def get(self, key: str):
-        return self.data.get(key)
+        return self.peek(key)[1]
         yield  # pragma: no cover - makes this a generator
 
     def put(self, key: str, value: Any):
@@ -145,11 +158,14 @@ class MetadataStore:
         return RoundTrip(self.net, self.client_node.name, provider.node.name,
                          op, self.rpc_timeout_s, host=provider.node)
 
-    def get(self, key: str):
-        if self.cache is not None:
-            hit, cached = self.cache.lookup(key)
-            if hit:
-                return None if cached is _NEGATIVE else cached
+    def peek(self, key: str) -> Tuple[bool, Any]:
+        """The one cache lookup of a read (a miss is counted here, once)."""
+        if self.cache is None:
+            return False, None
+        hit, cached = self.cache.lookup(key)
+        return hit, None if cached is _NEGATIVE else cached
+
+    def fetch(self, key: str):
         provider = self._provider_for(key)
         trip = self._trip(provider, "meta.get")
         yield from trip.request()
@@ -157,6 +173,12 @@ class MetadataStore:
         yield from trip.reply()
         if self.cache is not None:
             self.cache.put(key, _NEGATIVE if value is None else value, CONTROL_MSG_MB)
+        return value
+
+    def get(self, key: str):
+        hit, value = self.peek(key)
+        if not hit:
+            value = yield from self.fetch(key)
         return value
 
     def put(self, key: str, value: Any):

@@ -314,6 +314,8 @@ class DataProvider:
             self.memory_cache.clear()
 
     def _emit(self, event_type: str, client_id, blob_id, **fields) -> None:
+        if not self.sink.enabled:
+            return
         self.sink.emit(MonitoringEvent(
             time=self.env.now,
             actor_type="provider",

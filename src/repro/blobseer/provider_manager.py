@@ -215,6 +215,8 @@ class ProviderManager:
         }
 
     def _emit(self, event_type: str, client_id: Optional[str] = None, **fields) -> None:
+        if not self.sink.enabled:
+            return
         self.sink.emit(MonitoringEvent(
             time=self.env.now,
             actor_type="pmanager",

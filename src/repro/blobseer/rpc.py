@@ -43,7 +43,7 @@ from typing import Callable, List, Optional
 from ..cluster.node import NodeDownError, PhysicalNode
 from ..simulation.events import Event
 from ..simulation.network import FlowNetwork, NetNode, TransferAborted
-from .errors import RpcTimeout
+from .errors import BlobSeerError, RpcTimeout
 
 __all__ = [
     "request_response",
@@ -56,6 +56,7 @@ __all__ = [
     "TIMED_OUT",
     "TRANSPORT_ERRORS",
     "RETRYABLE_RPC_ERRORS",
+    "OP_ERRORS",
 ]
 
 #: Default size of a control message payload.  Control traffic is modelled
@@ -81,6 +82,10 @@ TRANSPORT_ERRORS = (NodeDownError, TransferAborted, KeyError)
 
 #: Failures a RetryPolicy re-attempts: deadline expiry or a lost message.
 RETRYABLE_RPC_ERRORS = (RpcTimeout,) + TRANSPORT_ERRORS
+
+#: What a client operation records and re-raises, and so what every
+#: loop that keeps going after a failed operation catches.
+OP_ERRORS = (BlobSeerError,) + TRANSPORT_ERRORS
 
 
 def _name(node: NetNode | str) -> str:
@@ -186,8 +191,8 @@ class RoundTrip:
     def wait(self, event):
         """Generator: wait on *event* under what is left of the deadline
         (unboundedly when there is none); :class:`RpcTimeout` on expiry.
-        Every leg goes through here, and so may anything the callee
-        blocks on between them (the ticket's lock queue)."""
+        A leg with a deadline goes through here, and so may anything the
+        callee blocks on between the legs (the ticket's lock queue)."""
         if self.deadline is None:
             return (yield event)
         value = yield from wait_or_timeout(
@@ -200,19 +205,27 @@ class RoundTrip:
     def request(self, size_mb: float = CONTROL_MSG_MB):
         """Generator: the request leg, then the callee's liveness check.
 
-        This is the one place that branches on "no deadline": such a
-        caller consults the instant-death oracle before sending, because
-        a black-holed send would otherwise hang it forever."""
+        This is the one place where "no deadline" changes the protocol:
+        such a caller consults the instant-death oracle before sending,
+        because a black-holed send would otherwise hang it forever."""
         host = self.host
         if host is not None and self.deadline is None and not host.alive:
             raise NodeDownError(host, self.op)
-        yield from self.wait(self.net.transfer(self.caller, self.callee, size_mb))
+        transfer = self.net.transfer(self.caller, self.callee, size_mb)
+        if self.deadline is None:
+            yield transfer
+        else:
+            yield from self.wait(transfer)
         if host is not None and not host.alive:
             raise NodeDownError(host, self.op)
 
     def reply(self, size_mb: float = CONTROL_MSG_MB):
         """Generator: the reply leg."""
-        yield from self.wait(self.net.transfer(self.callee, self.caller, size_mb))
+        transfer = self.net.transfer(self.callee, self.caller, size_mb)
+        if self.deadline is None:
+            yield transfer
+        else:
+            yield from self.wait(transfer)
 
 
 def request_response(

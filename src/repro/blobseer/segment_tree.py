@@ -21,8 +21,9 @@ Node encoding in the KV store (see :mod:`repro.blobseer.metadata`):
   written, or ``None`` if never written;
 - leaf at ``(blob, v, i, i+1)`` → ``("leaf", ChunkDescriptor)``.
 
-All functions are generators so that every node access can be a real
-(simulated) network operation; run them with ``yield from`` inside a
+All functions are generators so that a node access can be a real
+(simulated) network operation — one the store answers locally
+(``kv.peek``) is a plain call; run them with ``yield from`` inside a
 process, or drain them synchronously against :class:`LocalKV` in tests.
 """
 
@@ -128,7 +129,10 @@ def tree_update(
                     left_stamp = prev_stamp
                     go_left = go_left or mid > prev_capacity
                 else:
-                    prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
+                    key = node_key(blob_id, prev_stamp, lo, hi)
+                    hit, prev = kv.peek(key)
+                    if not hit:
+                        prev = yield from kv.fetch(key)
                     if prev is not None:
                         _tag, left_stamp, right_stamp = prev
             stack.append((lo, hi, None, (
@@ -168,7 +172,10 @@ def tree_query(
     stack = [(0, capacity, version)]
     while stack:
         lo, hi, stamp = stack.pop()
-        node = yield from kv.get(node_key(blob_id, stamp, lo, hi))
+        key = node_key(blob_id, stamp, lo, hi)
+        hit, node = kv.peek(key)
+        if not hit:
+            node = yield from kv.fetch(key)
         if node is None:
             continue  # unwritten subtree: hole
         if node[0] == "leaf":

@@ -555,6 +555,8 @@ class VersionManager:
         return trip
 
     def _emit(self, event_type: str, client_id=None, blob_id=None, **fields) -> None:
+        if not self.sink.enabled:
+            return
         self.sink.emit(MonitoringEvent(
             time=self.env.now,
             actor_type="vmanager",

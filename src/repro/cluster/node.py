@@ -68,10 +68,12 @@ class PhysicalNode:
 
     # -- resource usage -------------------------------------------------------
     def compute(self, cpu_seconds: float):
-        """Process: occupy one core for *cpu_seconds*.
+        """Generator: occupy one core for *cpu_seconds*.
 
-        Usage: ``yield env.process(node.compute(0.01))`` or inline
-        ``yield from node.compute(0.01)`` within another process.
+        Usage: ``yield from node.compute(0.01)`` in the process that
+        waits for it; ``env.process(node.compute(0.01))`` only for work
+        the caller does not wait in line for (parallel, fire-and-forget)
+        — a process costs two kernel events.
         """
         if cpu_seconds < 0:
             raise ValueError("cpu_seconds must be non-negative")

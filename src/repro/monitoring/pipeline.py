@@ -95,6 +95,8 @@ class MonitoringStack:
         self._started = False
 
     # -- EventSink interface -------------------------------------------------------
+    enabled = True
+
     def emit(self, event: MonitoringEvent) -> None:
         self.events_emitted += 1
         self._parameters.add(event.parameter_name())

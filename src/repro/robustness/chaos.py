@@ -40,10 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..blobseer.errors import BlobSeerError
+from ..blobseer.rpc import OP_ERRORS
 from ..cluster.faults import FaultInjector
-from ..cluster.node import NodeDownError
-from ..simulation.network import TransferAborted
 
 __all__ = ["InvariantViolation", "ChaosHarness", "steady_append_load"]
 
@@ -71,7 +69,7 @@ def steady_append_load(client, blob_id: int, size_mb: float,
     while env.now < stop_at:
         try:
             yield from client.append(blob_id, size_mb)
-        except (BlobSeerError, NodeDownError, TransferAborted):
+        except OP_ERRORS:
             pass
         remaining = stop_at - env.now
         if remaining <= 0:

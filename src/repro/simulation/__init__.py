@@ -24,7 +24,6 @@ from .resources import (
     Container,
     FilterStore,
     PriorityResource,
-    Release,
     Request,
     Resource,
     Store,
@@ -46,7 +45,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Request",
-    "Release",
     "Container",
     "Store",
     "FilterStore",

@@ -128,11 +128,11 @@ class Environment:
             raise SimulationError("event scheduled in the past")
         self._now = when
         self.events_processed += 1
-        if self.profiler is not None:
-            self.profiler.on_event(when, len(self._queue))
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None
+        if self.profiler is not None:
+            self.profiler.on_event(when, len(self._queue), not callbacks)
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:

@@ -11,6 +11,7 @@ which is how processes express "wait until all/any of these happen".
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -176,11 +177,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Born triggered: set the fields and push (no pending state).
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay}>"

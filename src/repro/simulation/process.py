@@ -24,7 +24,7 @@ ProcessGenerator = Generator[Event, Any, Any]
 class Process(Event):
     """A running simulated activity; also an event for its completion."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_resume", "name")
 
     def __init__(
         self,
@@ -40,6 +40,9 @@ class Process(Event):
         #: The event this process currently waits on (None when running
         #: its first step or already terminated).
         self._target: Optional[Event] = None
+        #: The callback every awaited event gets: bound once, not once
+        #: per wait; dropped when the process ends.
+        self._resume = self._step
         # Kick off the first step at the current time.
         init = Event(env)
         init._ok = True
@@ -65,10 +68,6 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} already terminated")
-        if self._target is None and not self.processed:
-            # Process not started yet (init event still on the heap):
-            # deliver the interrupt right after the init step.
-            pass
         throw = Event(self.env)
         throw._ok = False
         throw._value = Interrupt(cause)
@@ -77,7 +76,7 @@ class Process(Event):
         self.env.schedule(throw, urgent=True)
 
     # -- engine plumbing ---------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _step(self, event: Event) -> None:
         """Advance the generator one step with *event*'s outcome."""
         if self._value is not PENDING:
             # A late interrupt/throw arrived after termination: ignore.
@@ -107,23 +106,12 @@ class Process(Event):
                 event.defused()
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
-            self._ok = True
-            self._value = stop.value
-            env.schedule(self)
-            return
-        except Interrupt as exc:
-            # The process let an interrupt escape: treat as failure.
-            env._active_process = None
-            self._ok = False
-            self._value = exc
-            env.schedule(self)
+            self._finish(True, stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
-            self._ok = False
-            self._value = exc
-            env.schedule(self)
+            # Whatever escapes the generator fails the process — an
+            # interrupt it did not handle included.
+            self._finish(False, exc)
             return
 
         env._active_process = None
@@ -135,9 +123,7 @@ class Process(Event):
                 self._generator.throw(error)
             except BaseException:
                 pass
-            self._ok = False
-            self._value = error
-            self.env.schedule(self)
+            self._finish(False, error)
             return
 
         if next_event.callbacks is not None:
@@ -153,6 +139,15 @@ class Process(Event):
                 proxy._defused = True
             proxy.callbacks.append(self._resume)
             self.env.schedule(proxy, urgent=True)
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """Terminate: trigger the completion event with the outcome."""
+        env = self.env
+        env._active_process = None
+        self._resume = None  # break the cycle: freed by refcount, not gc
+        self._ok = ok
+        self._value = value
+        env.schedule(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "done"

@@ -18,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Request",
-    "Release",
     "Resource",
     "PriorityResource",
     "Container",
@@ -55,12 +54,6 @@ class Request(Event):
         self.resource.release(self)
 
 
-class Release(Event):
-    """Immediate-success event returned by :meth:`Resource.release`."""
-
-    __slots__ = ()
-
-
 class Resource:
     """A FIFO resource with integer capacity (SimPy-style)."""
 
@@ -84,8 +77,9 @@ class Resource:
     def request(self, priority: float = 0.0) -> Request:
         return Request(self, priority)
 
-    def release(self, request: Request) -> Release:
-        """Free the slot held by *request* (no-op if not a holder)."""
+    def release(self, request: Request) -> None:
+        """Free the slot held by *request* (no-op if not a holder); the
+        next waiter's grant is the only event a release can cause."""
         try:
             self.users.remove(request)
         except ValueError:
@@ -93,9 +87,6 @@ class Resource:
             self._cancel(request)
         else:
             self._grant_next()
-        release = Release(self.env)
-        release.succeed()
-        return release
 
     # -- internal ------------------------------------------------------------
     def _enqueue(self, request: Request) -> None:

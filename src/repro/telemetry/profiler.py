@@ -1,7 +1,7 @@
 """Kernel profiling: how much work the simulator itself is doing.
 
 The :class:`KernelProfiler` hooks into :meth:`Environment.step` and
-:meth:`Process._resume` (both guard with ``if profiler is not None`` so
+:meth:`Process._step` (both guard with ``if profiler is not None`` so
 the disabled path costs one attribute read).  It answers the questions a
 perf PR needs answered before touching the kernel:
 
@@ -41,6 +41,9 @@ class KernelProfiler:
 
     def __init__(self) -> None:
         self.events_popped = 0
+        #: Pops that ran no callback: heap entries nothing waited on (an
+        #: unyielded ``Container.put``, a fire-and-forget completion).
+        self.dead_events = 0
         self.max_heap_depth = 0
         #: process name -> number of generator steps driven.
         self.process_steps: TallyCounter = TallyCounter()
@@ -51,8 +54,9 @@ class KernelProfiler:
         self._started_wall = time.perf_counter()
 
     # -- kernel hooks (called from the engine; keep these cheap) ---------------
-    def on_event(self, now: float, heap_depth: int) -> None:
+    def on_event(self, now: float, heap_depth: int, dead: bool) -> None:
         self.events_popped += 1
+        self.dead_events += dead
         if self.events_popped % self.PROBE_EVERY:
             return  # fast path: counting only, no probes
         if heap_depth > self.max_heap_depth:
@@ -88,6 +92,7 @@ class KernelProfiler:
         ``max_events`` guard, and dumped by the benchmark harness)."""
         return {
             "events_popped": self.events_popped,
+            "dead_events": self.dead_events,
             "max_heap_depth": self.max_heap_depth,
             "distinct_processes": len(self.process_steps),
             "process_steps_total": sum(self.process_steps.values()),

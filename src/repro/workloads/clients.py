@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..blobseer.client import BlobSeerClient, OpResult
-from ..blobseer.errors import AccessDenied, BlobSeerError
-from ..cluster.node import NodeDownError
-from ..simulation.network import TransferAborted
+from ..blobseer.errors import AccessDenied
+from ..blobseer.rpc import OP_ERRORS
 
 __all__ = [
     "CorrectWriter",
@@ -57,9 +56,7 @@ class CorrectWriter:
         if self.start_at > env.now:
             yield env.timeout(self.start_at - env.now)
         try:
-            self.blob_id = yield env.process(
-                self.client.create_blob(self.chunk_size_mb)
-            )
+            self.blob_id = yield from self.client.create_blob(self.chunk_size_mb)
         except AccessDenied:
             self.denied = True
             return
@@ -68,13 +65,13 @@ class CorrectWriter:
             if self.max_ops is not None and ops >= self.max_ops:
                 break
             try:
-                result = yield env.process(self.client.append(self.blob_id, self.op_mb))
+                result = yield from self.client.append(self.blob_id, self.op_mb)
                 self.results.append(result)
                 ops += 1
             except AccessDenied:
                 self.denied = True
                 return
-            except (BlobSeerError, NodeDownError, TransferAborted):
+            except OP_ERRORS:
                 # Transient failure (e.g. provider died): brief backoff.
                 yield env.timeout(0.5)
             if self.think_s > 0:
@@ -118,15 +115,13 @@ class CorrectReader:
             if self.max_ops is not None and ops >= self.max_ops:
                 break
             try:
-                result = yield env.process(
-                    self.client.read(self.blob_id, 0.0, self.op_mb)
-                )
+                result = yield from self.client.read(self.blob_id, 0.0, self.op_mb)
                 self.results.append(result)
                 ops += 1
             except AccessDenied:
                 self.denied = True
                 return
-            except (BlobSeerError, NodeDownError, TransferAborted):
+            except OP_ERRORS:
                 yield env.timeout(0.5)
 
     def mean_throughput(self) -> float:
@@ -215,18 +210,18 @@ class ZipfReader:
                 break
             chunk = self.next_chunk()
             try:
-                result = yield env.process(self.client.read(
+                result = yield from self.client.read(
                     self.blob_id,
                     chunk * self.chunk_size_mb,
                     self.chunk_size_mb,
-                ))
+                )
                 self.results.append(result)
                 self.chunk_reads[chunk] += 1
                 ops += 1
             except AccessDenied:
                 self.denied = True
                 return
-            except (BlobSeerError, NodeDownError, TransferAborted):
+            except OP_ERRORS:
                 yield env.timeout(0.5)
             if self.think_s > 0:
                 yield env.timeout(self.think_s)
@@ -311,19 +306,17 @@ class DosAttacker:
             try:
                 if blob_id is None:
                     self.ops_issued += 1
-                    blob_id = yield env.process(
-                        self.client.create_blob(self.chunk_size_mb)
-                    )
+                    blob_id = yield from self.client.create_blob(
+                        self.chunk_size_mb)
                 self.ops_issued += 1
-                yield env.process(
-                    self.client.append(blob_id, self.chunk_size_mb))
+                yield from self.client.append(blob_id, self.chunk_size_mb)
                 self.ops_completed += 1
             except AccessDenied:
                 if self.blocked_at is None:
                     self.blocked_at = env.now
                 self._stopped = True
                 return
-            except (BlobSeerError, NodeDownError, TransferAborted):
+            except OP_ERRORS:
                 # Aborted by enforcement or transient failure; retry lets
                 # the access check fire if we were blocked mid-flight.
                 yield env.timeout(0.1)
@@ -374,14 +367,12 @@ class DosReader:
         while not self._stopped:
             try:
                 self.ops_issued += 1
-                yield env.process(
-                    self.client.read(self.blob_id, 0.0, self.read_mb)
-                )
+                yield from self.client.read(self.blob_id, 0.0, self.read_mb)
                 self.ops_completed += 1
             except AccessDenied:
                 if self.blocked_at is None:
                     self.blocked_at = env.now
                 self._stopped = True
                 return
-            except (BlobSeerError, NodeDownError, TransferAborted):
+            except OP_ERRORS:
                 yield env.timeout(0.1)

@@ -27,9 +27,7 @@ from typing import Dict, List, Optional
 
 from ..blobseer.client import BlobSeerClient
 from ..blobseer.deployment import BlobSeerDeployment
-from ..blobseer.errors import BlobSeerError
-from ..cluster.node import NodeDownError
-from ..simulation.network import TransferAborted
+from ..blobseer.rpc import OP_ERRORS
 
 __all__ = ["MapReduceConfig", "MapReduceJob", "StageStats"]
 
@@ -120,10 +118,8 @@ class MapReduceJob:
         stats = self.stats["input"]
         stats.started_at = env.now
         loader = self._client("loader")
-        self.input_blob = yield env.process(
-            loader.create_blob(self.config.chunk_size_mb)
-        )
-        yield env.process(loader.append(self.input_blob, self.config.input_mb))
+        self.input_blob = yield from loader.create_blob(self.config.chunk_size_mb)
+        yield from loader.append(self.input_blob, self.config.input_mb)
         stats.finished_at = env.now
         stats.bytes_mb = self.config.input_mb
 
@@ -144,30 +140,24 @@ class MapReduceJob:
         client = self._client(f"map-{index}")
         try:
             # 1. read this task's split of the input
-            yield env.process(client.read(
-                self.input_blob, index * split_mb, split_mb
-            ))
+            yield from client.read(self.input_blob, index * split_mb, split_mb)
             # 2. compute
             cpu = self.config.map_cpu_s_per_mb * split_mb
             if cpu > 0:
-                yield env.process(client.node.compute(cpu))
+                yield from client.node.compute(cpu)
             # 3. write intermediate output (padded to chunk multiple)
             out_mb = self._padded(split_mb * self.config.map_selectivity)
-            blob_id = yield env.process(
-                client.create_blob(self.config.chunk_size_mb)
-            )
-            yield env.process(client.append(blob_id, out_mb))
+            blob_id = yield from client.create_blob(self.config.chunk_size_mb)
+            yield from client.append(blob_id, out_mb)
             self.intermediate[index] = blob_id
-        except (BlobSeerError, NodeDownError, TransferAborted):
+        except OP_ERRORS:
             self.failed_tasks += 1
 
     def _reduce_stage(self, env):
         stats = self.stats["reduce"]
         stats.started_at = env.now
         sink = self._client("sink")
-        self.output_blob = yield env.process(
-            sink.create_blob(self.config.chunk_size_mb)
-        )
+        self.output_blob = yield from sink.create_blob(self.config.chunk_size_mb)
         groups: List[List[int]] = [[] for _ in range(self.config.reduce_tasks)]
         for map_index, blob_id in sorted(self.intermediate.items()):
             groups[map_index % self.config.reduce_tasks].append(blob_id)
@@ -190,17 +180,17 @@ class MapReduceJob:
             for blob_id in group:
                 _v, size_mb, _c = self.deployment.authority_vm(blob_id).latest(blob_id)
                 if size_mb > 0:
-                    yield env.process(client.read(blob_id, 0.0, size_mb))
+                    yield from client.read(blob_id, 0.0, size_mb)
                     pulled_mb += size_mb
             cpu = REDUCE_CPU_S_PER_MB * pulled_mb
             if cpu > 0:
-                yield env.process(client.node.compute(cpu))
+                yield from client.node.compute(cpu)
             out_mb = self._padded(pulled_mb * self.config.reduce_selectivity)
             if out_mb > 0:
                 # Concurrent appends to the shared output BLOB: the
                 # version-manager serialization path under contention.
-                yield env.process(client.append(self.output_blob, out_mb))
-        except (BlobSeerError, NodeDownError, TransferAborted):
+                yield from client.append(self.output_blob, out_mb)
+        except OP_ERRORS:
             self.failed_tasks += 1
 
     def _padded(self, size_mb: float) -> float:

@@ -1,0 +1,187 @@
+"""Budgets of the hot path: work that takes no simulated time allocates
+nothing in the kernel (DESIGN.md, "Architectural notes").
+
+Deterministic counts, no timing: kernel events per warm read, heap
+entries per release, generators per metadata-cache hit, records per
+emit into an empty sink — plus an AST gate that keeps the actor loops
+driving client operations inline.  Each budget is exact, so the two-event
+tax of a process wrapped around an operation (or a dead heap entry per
+release) cannot creep back unnoticed.
+"""
+
+import ast
+from pathlib import Path
+
+from repro.blobseer import (
+    BlobSeerConfig,
+    BlobSeerDeployment,
+    MonitoringEvent,
+    RecordingSink,
+)
+from repro.blobseer.metadata import MetadataStore
+from repro.blobseer.segment_tree import capacity_for, tree_query
+from repro.cluster import TestbedConfig
+from repro.simulation import Environment, Process, Resource
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def cached_deployment():
+    return BlobSeerDeployment(BlobSeerConfig(
+        data_providers=4, metadata_providers=2, chunk_size_mb=1.0,
+        client_chunk_cache_mb=8.0, client_metadata_cache_mb=1.0,
+        testbed=TestbedConfig(seed=3)))
+
+
+def count_constructions(monkeypatch, cls):
+    """Count every ``cls(...)`` from here on; returns the one-item tally."""
+    tally = [0]
+    original = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tally[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return tally
+
+
+def test_warm_read_costs_four_kernel_events_and_no_process(monkeypatch):
+    """Metadata and chunk both cached: what is left of a read is the
+    get-latest round trip — request leg, CPU grant, CPU timeout, reply
+    leg.  No init/completion pair of a wrapping process, no release."""
+    dep = cached_deployment()
+    env = dep.env
+    client = dep.new_client("c0")
+    seen = {}
+
+    def actor():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 2.0)
+        yield from client.read(blob, 0.0, 1.0)  # fills both caches
+        processes = count_constructions(monkeypatch, Process)
+        before = env.events_processed
+        yield from client.read(blob, 0.0, 1.0)
+        seen["events"] = env.events_processed - before
+        seen["processes"] = processes[0]
+
+    env.process(actor())
+    dep.run()
+    assert seen == {"events": 4, "processes": 0}
+    assert client.history[-1].ok and client.history[-1].op == "read"
+
+
+def test_release_schedules_nothing():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    holder, waiter = resource.request(), resource.request()
+    env.run()
+    assert holder.processed and not waiter.triggered
+    assert resource.release(holder) is None
+    # The one heap entry is the waiter's grant — the release has none.
+    assert len(env._queue) == 1 and waiter.triggered
+    env.run()
+    depth = len(env._queue)
+    resource.release(waiter)
+    assert len(env._queue) == depth == 0
+
+
+def _append_and_read(dep, client, blob):
+    def actor():
+        yield from client.append(blob, 1.0)
+        yield from client.read(blob, 0.0, 1.0)
+
+    dep.run(until=dep.env.process(actor()))
+
+
+def test_empty_sink_builds_no_monitoring_event(monkeypatch):
+    dep = cached_deployment()
+    client = dep.new_client("c0")
+    blob = dep.run(until=dep.env.process(client.create_blob(1.0)))
+    assert not dep.sink.enabled
+    built = count_constructions(monkeypatch, MonitoringEvent)
+    _append_and_read(dep, client, blob)
+    assert built[0] == 0
+
+    recorder = RecordingSink()
+    dep.sink.add(recorder)
+    assert dep.sink.enabled
+    _append_and_read(dep, client, blob)
+    assert [(e.actor_type, e.event_type) for e in recorder.events] == [
+        ("client", "op_start"), ("pmanager", "allocation"),
+        ("provider", "chunk_write"), ("provider", "storage_level"),
+        ("vmanager", "ticket"), ("vmanager", "publish"),
+        ("client", "op_end"), ("client", "op_start"), ("client", "op_end"),
+    ]
+    assert built[0] == len(recorder.events)
+
+
+def test_fully_cached_tree_query_creates_no_fetch_generator(monkeypatch):
+    """A 48-chunk blob's tree has 64 leaves: a one-chunk query walks 7
+    nodes.  The writer's cache holds every one (write-through), so each
+    is one ``Cache.lookup`` hit inside ``peek`` and ``fetch`` — the only
+    generator on that path — is never created."""
+    dep = cached_deployment()
+    client = dep.new_client("c0")
+
+    def write():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 48.0)
+        return blob
+
+    blob = dep.run(until=dep.env.process(write()))
+    fetches = []
+    original = MetadataStore.fetch
+    monkeypatch.setattr(
+        MetadataStore, "fetch",
+        lambda self, key: fetches.append(key) or original(self, key))
+    stats = client.meta.cache.stats
+    hits, misses = stats.hits, stats.misses
+    walk = tree_query(client.meta, blob, 1, 17, 18, capacity=capacity_for(48))
+    try:
+        next(walk)
+    except StopIteration as done:
+        assert list(done.value) == [17]
+    else:
+        raise AssertionError("a fully cached walk must not yield")
+    assert fetches == []
+    assert (stats.hits - hits, stats.misses - misses) == (7, 0)
+
+
+#: Client operations (and ``PhysicalNode.compute``) an actor waits for in
+#: line: driven with ``yield from``, never wrapped in a process.
+INLINE_OPS = {"create_blob", "write", "append", "read", "compute"}
+
+
+def _wrapped_ops(tree):
+    """``yield env.process(<x>.<op>(...))`` expressions in *tree*."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)):
+            continue
+        call = node.value
+        if (isinstance(call.func, ast.Attribute) and call.func.attr == "process"
+                and call.args and isinstance(call.args[0], ast.Call)
+                and isinstance(call.args[0].func, ast.Attribute)
+                and call.args[0].func.attr in INLINE_OPS):
+            yield node.lineno, call.args[0].func.attr
+
+
+def test_gate_recognizes_a_wrapped_operation():
+    tree = ast.parse(
+        "def run(env, client):\n"
+        "    r = yield env.process(client.read(1, 0.0, 1.0))\n"
+        "    yield env.process(client.node.compute(0.1))\n"
+        "    yield from client.append(1, 1.0)\n"
+        "    yield env.all_of([env.process(client.read(1, 0.0, 1.0))])\n")
+    assert list(_wrapped_ops(tree)) == [(2, "read"), (3, "compute")]
+
+
+def test_actor_loops_drive_client_operations_inline():
+    offenders = []
+    for package in ("workloads", "robustness"):
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            offenders += [f"{path.relative_to(ROOT)}:{line} wraps {op}() in a "
+                          "process only to wait for it: use `yield from`"
+                          for line, op in _wrapped_ops(tree)]
+    assert not offenders, "\n".join(offenders)

@@ -195,10 +195,13 @@ class LoggingKV(LocalKV):
             return ["leaf", value[1].storage_key]
         return value
 
-    def get(self, key):
-        value = yield from super().get(key)
+    def peek(self, key):
+        # A LocalKV answers every read here (``get`` is peek-or-fetch and
+        # ``fetch`` is never reached), so this is one entry per node read
+        # whether the walk peeks or gets.
+        hit, value = super().peek(key)
         self.log.append(["get", key, self._plain(value)])
-        return value
+        return hit, value
 
     def put(self, key, value):
         self.log.append(["put", key, self._plain(value)])

@@ -300,12 +300,16 @@ def test_profiler_counts_every_engine_event():
             yield env.timeout(1.0)
 
     env.process(ticker(env), name="ticker")
+    env.timeout(0.5)  # nothing waits on it
     env.run()
     assert profiler.events_popped == env.events_processed > 0
     assert profiler.process_steps["ticker"] > 0
     assert profiler.hottest_processes(1)[0][0] == "ticker"
     snap = profiler.snapshot()
     assert snap["events_popped"] == env.events_processed
+    # Pops that ran no callback: the stray timeout and the completion of
+    # the ticker, a process nobody waits for.
+    assert snap["dead_events"] == profiler.dead_events == 2
     assert snap["process_steps_total"] >= profiler.process_steps["ticker"]
 
 

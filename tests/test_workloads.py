@@ -44,6 +44,39 @@ def test_correct_writer_respects_stop_time():
     assert writer.results  # managed at least one op
 
 
+def test_writer_with_a_deadline_survives_a_metadata_provider_crash():
+    """Without a detector the network is not black-holing, so a message
+    to a dead metadata provider dies of a bare ``KeyError`` — a transport
+    error the client records and re-raises.  The writer must treat it as
+    one (back off, try again), not let it abort the whole run."""
+    dep = small_deployment(data_providers=4, chunk_size_mb=1.0)
+    env = dep.env
+    client = dep.new_client("w0", rpc_timeout_s=1.0)
+    writer = CorrectWriter(client, op_mb=1.0, chunk_size_mb=1.0, max_ops=50,
+                           think_s=0.01)
+    env.process(writer.run(env))
+    meta_node = dep.metadata_providers[0].node
+
+    def outage():
+        yield env.timeout(0.2)
+        meta_node.fail()
+        yield env.timeout(1.8)
+        meta_node.recover()
+
+    env.process(outage())
+    dep.run(until=5)
+
+    assert env.now == 5.0
+    failed = [op for op in client.history if not op.ok]
+    assert failed and all(meta_node.name in op.error for op in failed)
+    assert all(0.2 <= op.finished_at < 2.5 for op in failed)
+    for op in failed:  # each failure is followed by the 0.5 s backoff
+        following = min(o.started_at for o in client.history
+                        if o.started_at > op.started_at)
+        assert following == pytest.approx(op.finished_at + 0.5 + 0.01)
+    assert sum(1 for op in writer.results if op.started_at > 2.0) >= 10
+
+
 def test_correct_reader_reads_shared_blob():
     dep = small_deployment()
     writer_client = dep.new_client("w")
