@@ -129,8 +129,11 @@ def test_bench_cache(benchmark):
          "provider cache hits", "tuner decisions"],
         rows,
         notes=[
-            f"all-miss lookup overhead: {miss_us:.2f} us/op over "
-            f"{MISS_LOOKUPS} lookups (bound {MISS_BOUND_US:.0f} us)",
+            # A host-time number differs every run and this table is
+            # diffed by CI: the measured value goes to the JSON only.
+            f"all-miss lookup overhead: under the {MISS_BOUND_US:.0f} us/op "
+            f"bound over {MISS_LOOKUPS} lookups (measured: "
+            "all_miss_lookup_us in BENCH_BENCH-CACHE.json)",
             "tuned mode starts reader chunk caches at 16 MB (2 chunks); "
             "the tuner grows thrashing reader caches and shrinks the "
             "idle writer cache: "
@@ -139,8 +142,9 @@ def test_bench_cache(benchmark):
                 for name in sorted(reader_caches + [writer_cache])
             ),
         ],
-        stats=env_stats(on.deployment.env, net=on.deployment.testbed.net,
-                        deployment=on.deployment),
+        stats=dict(env_stats(on.deployment.env, net=on.deployment.testbed.net,
+                             deployment=on.deployment),
+                   all_miss_lookup_us=miss_us),
         headline={"metric": "hotspot_read_speedup", "value": round(speedup, 3)},
     )
 

@@ -77,9 +77,8 @@ class OpResult:
     @property
     def throughput_mbps(self) -> float:
         """Application-level throughput of this operation, MB/s."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.size_mb / self.duration_s
+        duration_s = self.finished_at - self.started_at
+        return self.size_mb / duration_s if duration_s > 0 else 0.0
 
 
 class BlobSeerClient:
@@ -180,7 +179,8 @@ class BlobSeerClient:
         """Generator: fetch ``[offset, offset+size)``; returns OpResult."""
         self.access.authorize(self.client_id, "read")
         start = self.env.now
-        self._emit(EV_OP_START, blob_id, op="read", size_mb=size_mb)
+        if self.sink.enabled:
+            self._emit(EV_OP_START, blob_id, op="read", size_mb=size_mb)
         tracer = self.env.tracer
         root = tracer.begin("client.read", track=self.node.name, cat="client",
                             client=self.client_id, blob=blob_id, size_mb=size_mb)
@@ -202,10 +202,18 @@ class BlobSeerClient:
             first, last = chunk_span(offset_mb, size_mb, chunk_size)
             with tracer.span("client.metadata_read", cat="client",
                              version=version, chunks=last - first):
-                descriptors = yield from tree_query(
-                    self.meta, blob_id, version, first, last,
-                    capacity=self._capacity(blob_size, chunk_size),
-                )
+                # A published version never changes, so what this range
+                # of it resolved to is kept beside the tree nodes (the
+                # very dict, holding the leaves' own descriptors) and
+                # the tree is walked once per (version, range).
+                resolved = ("r", blob_id, version, first, last)
+                hit, descriptors = self.meta.peek(resolved)
+                if not hit:
+                    descriptors = yield from tree_query(
+                        self.meta, blob_id, version, first, last,
+                        capacity=self._capacity(blob_size, chunk_size),
+                    )
+                    self.meta.hold(resolved, descriptors)
             rate_cap = self.access.rate_cap(self.client_id)
             with tracer.span("client.fetch", cat="client") as fetch_span:
                 fetches = []
@@ -253,7 +261,8 @@ class BlobSeerClient:
     def _write_op(self, op: str, blob_id: int, offset_mb: Optional[float], size_mb: float):
         self.access.authorize(self.client_id, op)
         start = self.env.now
-        self._emit(EV_OP_START, blob_id, op=op, size_mb=size_mb)
+        if self.sink.enabled:
+            self._emit(EV_OP_START, blob_id, op=op, size_mb=size_mb)
         tracer = self.env.tracer
         root = tracer.begin(f"client.{op}", track=self.node.name, cat="client",
                             client=self.client_id, blob=blob_id, size_mb=size_mb)
@@ -504,6 +513,7 @@ class BlobSeerClient:
             version=version,
         )
         self.history.append(result)
+        duration_s, throughput_mbps = result.duration_s, result.throughput_mbps
         metrics = self.env.metrics
         if metrics is not None:
             bound = self._instruments.get(op)
@@ -514,20 +524,20 @@ class BlobSeerClient:
             bound[1].inc()
             if not ok:
                 metrics.counter(f"client.{op}_errors").inc()
-            bound[2].observe(result.duration_s)
+            bound[2].observe(duration_s)
             if ok and size_mb > 0:
-                metrics.sample("client.throughput_mbps", result.throughput_mbps)
-        self._emit(
-            EV_OP_END, blob_id,
-            op=op, size_mb=size_mb, ok=ok,
-            duration_s=result.duration_s,
-            throughput_mbps=result.throughput_mbps,
-        )
+                metrics.sample("client.throughput_mbps", throughput_mbps)
+        if self.sink.enabled:
+            self._emit(
+                EV_OP_END, blob_id,
+                op=op, size_mb=size_mb, ok=ok,
+                duration_s=duration_s, throughput_mbps=throughput_mbps,
+            )
         return result
 
     def _emit(self, event_type: str, blob_id: Optional[int], **fields) -> None:
-        if not self.sink.enabled:
-            return
+        """Callers test ``self.sink.enabled`` first: an empty sink costs
+        neither the record nor the keyword dict."""
         self.sink.emit(MonitoringEvent(
             time=self.env.now,
             actor_type="client",

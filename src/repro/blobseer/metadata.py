@@ -131,7 +131,8 @@ class MetadataStore:
     fetched or written by this client are kept locally: versioned node
     keys are immutable, so a cache hit returns without any network
     round trip — zero cost in simulation time.  ``None`` results
-    (unwritten subtrees) are cached too, as negative entries.
+    (unwritten subtrees) are cached too, as negative entries, and so is
+    what a read resolved a range of a published version to (:meth:`hold`).
     """
 
     def __init__(
@@ -158,7 +159,7 @@ class MetadataStore:
         return RoundTrip(self.net, self.client_node.name, provider.node.name,
                          op, self.rpc_timeout_s, host=provider.node)
 
-    def peek(self, key: str) -> Tuple[bool, Any]:
+    def peek(self, key) -> Tuple[bool, Any]:
         """The one cache lookup of a read (a miss is counted here, once)."""
         if self.cache is None:
             return False, None
@@ -171,8 +172,7 @@ class MetadataStore:
         yield from trip.request()
         value = provider.local_get(key)
         yield from trip.reply()
-        if self.cache is not None:
-            self.cache.put(key, _NEGATIVE if value is None else value, CONTROL_MSG_MB)
+        self.hold(key, _NEGATIVE if value is None else value)
         return value
 
     def get(self, key: str):
@@ -187,8 +187,14 @@ class MetadataStore:
         yield from trip.request()
         provider.local_put(key, value)
         yield from trip.reply()
-        if self.cache is not None:
-            # Write-through: the writer will traverse these nodes on its
-            # own subsequent reads; keys are immutable, so this is safe.
-            self.cache.put(key, value, CONTROL_MSG_MB)
+        # Write-through: the writer will traverse these nodes on its own
+        # subsequent reads; keys are immutable, so this is safe.
+        self.hold(key, value)
         return None
+
+    def hold(self, key, value: Any) -> None:
+        """Keep an immutable fact in the cache, if there is one: a tree
+        node under its string key, or what a read of a published version
+        resolved under a tuple key, which no provider is ever asked for."""
+        if self.cache is not None:
+            self.cache.put(key, value, CONTROL_MSG_MB)

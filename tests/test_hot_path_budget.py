@@ -12,6 +12,8 @@ release) cannot creep back unnoticed.
 import ast
 from pathlib import Path
 
+import repro.blobseer.client as client_module
+import repro.blobseer.segment_tree as segment_tree
 from repro.blobseer import (
     BlobSeerConfig,
     BlobSeerDeployment,
@@ -71,6 +73,58 @@ def test_warm_read_costs_four_kernel_events_and_no_process(monkeypatch):
     assert client.history[-1].ok and client.history[-1].op == "read"
 
 
+def count_calls(monkeypatch, module, name):
+    """Count every call of ``module.name`` from here on (for a generator
+    function: every generator created)."""
+    tally = [0]
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        tally[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return tally
+
+
+def test_warm_read_of_a_tall_tree_is_one_lookup_per_cache(monkeypatch):
+    """A 48-chunk blob's tree is 7 levels tall, but what a range of a
+    published version resolved to is held beside the nodes: the second
+    read of a chunk asks the metadata cache once and the chunk cache
+    once, walks nothing and builds no node key."""
+    dep = cached_deployment()
+    env = dep.env
+    client = dep.new_client("c0")
+    seen = {}
+
+    def readings():
+        meta, chunks = client.meta.cache.stats, client.chunk_cache.stats
+        return {"events": env.events_processed,
+                "meta_lookups": meta.lookups, "meta_hits": meta.hits,
+                "chunk_lookups": chunks.lookups, "chunk_hits": chunks.hits}
+
+    def actor():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 48.0)
+        yield from client.read(blob, 17.0, 1.0)  # resolves, fills both caches
+        counts = {
+            "tree_queries": count_calls(monkeypatch, client_module, "tree_query"),
+            "node_keys": count_calls(monkeypatch, segment_tree, "node_key"),
+            "processes": count_constructions(monkeypatch, Process),
+        }
+        before = readings()
+        yield from client.read(blob, 17.0, 1.0)
+        seen.update({name: after - before[name]
+                     for name, after in readings().items()})
+        seen.update({name: tally[0] for name, tally in counts.items()})
+
+    env.process(actor())
+    dep.run()
+    assert seen == {"tree_queries": 0, "node_keys": 0, "processes": 0,
+                    "events": 4, "meta_lookups": 1, "meta_hits": 1,
+                    "chunk_lookups": 1, "chunk_hits": 1}
+
+
 def test_release_schedules_nothing():
     env = Environment()
     resource = Resource(env, capacity=1)
@@ -114,6 +168,20 @@ def test_empty_sink_builds_no_monitoring_event(monkeypatch):
         ("client", "op_end"), ("client", "op_start"), ("client", "op_end"),
     ]
     assert built[0] == len(recorder.events)
+    # The client's records carry what they always did, in the same order,
+    # with the duration and throughput of the op as its history has them.
+    expected = []
+    for op in client.history[-2:]:
+        took = op.finished_at - op.started_at
+        expected += [
+            (op.started_at, [("op", op.op), ("size_mb", 1.0)]),
+            (op.finished_at, [("op", op.op), ("size_mb", 1.0), ("ok", True),
+                              ("duration_s", took),
+                              ("throughput_mbps", 1.0 / took)]),
+        ]
+    assert [op.op for op in client.history[-2:]] == ["append", "read"]
+    assert [(e.time, list(e.fields.items())) for e in recorder.events
+            if e.actor_type == "client"] == expected
 
 
 def test_fully_cached_tree_query_creates_no_fetch_generator(monkeypatch):
