@@ -88,6 +88,9 @@ class CacheTuner(DecisionLoop):
         self.caches: Dict[str, Any] = {}
         #: (hits, misses, evictions, time) at the previous step.
         self._last: Dict[str, Tuple[int, int, int, float]] = {}
+        #: cache -> (registry, its lookups_per_s, evictions_per_s,
+        #: bytes_mb and capacity_mb series), bound once per registry.
+        self._series: Dict[str, tuple] = {}
         #: (time, {cache: capacity_mb}) after each executed step.
         self.capacity_timeline: List[Tuple[float, Dict[str, float]]] = []
         for cache in caches:
@@ -100,6 +103,7 @@ class CacheTuner(DecisionLoop):
     # -- monitor: publish interval rates as series -------------------------------
     def sense(self, now: float) -> None:
         metrics = self.query.metrics
+        stamp = metrics.now if metrics is not None else 0.0
         for name, cache in self.caches.items():
             stats = cache.stats
             snap = (stats.hits, stats.misses, stats.evictions, now)
@@ -113,12 +117,19 @@ class CacheTuner(DecisionLoop):
             hits = snap[0] - prev[0]
             lookups = hits + (snap[1] - prev[1])
             evictions = snap[2] - prev[2]
+            bound = self._series.get(name)
+            if bound is None or bound[0] is not metrics:
+                bound = self._series[name] = (metrics, *(
+                    metrics.series(f"cache.{name}.{what}") for what in (
+                        "lookups_per_s", "evictions_per_s", "bytes_mb",
+                        "capacity_mb")))
             if lookups > 0:
+                # By name: the series exists from the first lookup on.
                 metrics.sample(f"cache.{name}.hit_rate", hits / lookups)
-            metrics.sample(f"cache.{name}.lookups_per_s", lookups / dt)
-            metrics.sample(f"cache.{name}.evictions_per_s", evictions / dt)
-            metrics.sample(f"cache.{name}.bytes_mb", cache.bytes_used)
-            metrics.sample(f"cache.{name}.capacity_mb", cache.capacity_mb)
+            bound[1].record(stamp, lookups / dt)
+            bound[2].record(stamp, evictions / dt)
+            bound[3].record(stamp, cache.bytes_used)
+            bound[4].record(stamp, cache.capacity_mb)
 
     def plan(self, now: float) -> Iterable[Action]:
         yield from super().plan(now)

@@ -24,13 +24,13 @@ def chunk_span(offset_mb: float, size_mb: float, chunk_size_mb: float) -> Tuple[
         raise ValueError(f"invalid range offset={offset_mb} size={size_mb}")
     first = offset_mb / chunk_size_mb
     count = size_mb / chunk_size_mb
-    if abs(first - round(first)) > 1e-9 or abs(count - round(count)) > 1e-9:
+    first_i, count_i = int(round(first)), int(round(count))
+    if abs(first - first_i) > 1e-9 or abs(count - count_i) > 1e-9:
         raise ValueError(
             f"range (offset={offset_mb}MB, size={size_mb}MB) not aligned to "
             f"chunk size {chunk_size_mb}MB"
         )
-    first_i = int(round(first))
-    return first_i, first_i + int(round(count))
+    return first_i, first_i + count_i
 
 
 @dataclass

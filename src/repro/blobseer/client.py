@@ -102,6 +102,7 @@ class BlobSeerClient:
         pipeline_publish: bool = False,
     ) -> None:
         self.node = node
+        self.env = node.env
         self.client_id = client_id
         self.pm = pmanager
         self.vm = vmanager
@@ -137,26 +138,32 @@ class BlobSeerClient:
         self._wseq = itertools.count(1)
         #: Client-side cache of blob chunk sizes (filled on create/read).
         self._chunk_size: Dict[int, float] = {}
-        #: op -> (registry, ops counter, duration histogram), bound once.
+        #: op -> (registry, ops counter, duration histogram, throughput
+        #: series), bound once.
         self._instruments: Dict[str, tuple] = {}
         self.history: List[OpResult] = []
-
-    @property
-    def env(self):
-        return self.node.env
 
     # -- public operations -------------------------------------------------------
     def create_blob(self, chunk_size_mb: float):
         """Generator: create an empty BLOB; returns its id."""
         self.access.authorize(self.client_id, "create")
         start = self.env.now
-        with self.env.tracer.span("client.create", track=self.node.name,
-                                  cat="client", client=self.client_id) as span:
+        tracer = self.env.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.begin("client.create", track=self.node.name,
+                                cat="client", client=self.client_id)
+        try:
             blob_id = yield from self.vm.remote_create_blob(
                 self.node, chunk_size_mb,
                 timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
             )
-            span.annotate(blob=blob_id)
+        except BaseException as exc:
+            if span is not None:
+                span.fail(exc)
+            raise
+        if span is not None:
+            span.finish(blob=blob_id)
         self._chunk_size[blob_id] = chunk_size_mb
         self._record("create", blob_id, 0.0, start, version=0)
         return blob_id
@@ -181,17 +188,25 @@ class BlobSeerClient:
         start = self.env.now
         if self.sink.enabled:
             self._emit(EV_OP_START, blob_id, op="read", size_mb=size_mb)
+        # One flag read per operation: with tracing off no span call is
+        # made at all.
         tracer = self.env.tracer
-        root = tracer.begin("client.read", track=self.node.name, cat="client",
-                            client=self.client_id, blob=blob_id, size_mb=size_mb)
+        tracing = tracer.enabled
+        root = phase = None
+        if tracing:
+            root = tracer.begin("client.read", track=self.node.name, cat="client",
+                                client=self.client_id, blob=blob_id, size_mb=size_mb)
         try:
-            with tracer.span("client.lookup", cat="client"):
-                # Resolved against the version that is read: the latest
-                # published one, or the published one asked for.
-                version, blob_size, chunk_size = yield from self.vm.remote_get_latest(
-                    self.node, blob_id, version,
-                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                )
+            if tracing:
+                phase = tracer.begin("client.lookup", cat="client")
+            # Resolved against the version that is read: the latest
+            # published one, or the published one asked for.
+            version, blob_size, chunk_size = yield from self.vm.remote_get_latest(
+                self.node, blob_id, version,
+                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+            )
+            if tracing:
+                phase.finish()
             self._chunk_size[blob_id] = chunk_size
             if version == 0:
                 raise RangeError(f"blob {blob_id} has no published data")
@@ -200,62 +215,72 @@ class BlobSeerClient:
                     f"read [{offset_mb},{offset_mb + size_mb}) beyond size {blob_size}"
                 )
             first, last = chunk_span(offset_mb, size_mb, chunk_size)
-            with tracer.span("client.metadata_read", cat="client",
-                             version=version, chunks=last - first):
-                # A published version never changes, so what this range
-                # of it resolved to is kept beside the tree nodes (the
-                # very dict, holding the leaves' own descriptors) and
-                # the tree is walked once per (version, range).
-                resolved = ("r", blob_id, version, first, last)
-                hit, descriptors = self.meta.peek(resolved)
-                if not hit:
-                    descriptors = yield from tree_query(
-                        self.meta, blob_id, version, first, last,
-                        capacity=self._capacity(blob_size, chunk_size),
-                    )
-                    self.meta.hold(resolved, descriptors)
+            if tracing:
+                phase = tracer.begin("client.metadata_read", cat="client",
+                                     version=version, chunks=last - first)
+            # A published version never changes, so what this range of it
+            # resolved to is kept beside the tree nodes (the very dict,
+            # holding the leaves' own descriptors) and the tree is walked
+            # once per (version, range).
+            resolved = ("r", blob_id, version, first, last)
+            hit, descriptors = self.meta.peek(resolved)
+            if not hit:
+                descriptors = yield from tree_query(
+                    self.meta, blob_id, version, first, last,
+                    capacity=self._capacity(blob_size, chunk_size),
+                )
+                self.meta.hold(resolved, descriptors)
+            if tracing:
+                phase.finish()
             rate_cap = self.access.rate_cap(self.client_id)
-            with tracer.span("client.fetch", cat="client") as fetch_span:
-                fetches = []
-                fetched: List[ChunkDescriptor] = []
-                cached_chunks = 0
-                for index in range(first, last):
-                    descriptor = descriptors.get(index)
-                    if descriptor is None:
-                        continue  # hole: reads as zeros, nothing to fetch
-                    if (
-                        self.chunk_cache is not None
-                        and self.chunk_cache.get(descriptor.storage_key) is not None
-                    ):
-                        cached_chunks += 1
-                        continue  # served from local memory: no transfer
-                    provider = self._pick_replica(descriptor)
-                    fetches.append(
-                        provider.serve(self.node, descriptor, self.client_id,
-                                       rate_cap, ctx=fetch_span)
+            if tracing:
+                phase = tracer.begin("client.fetch", cat="client")
+            fetches = []
+            fetched: List[ChunkDescriptor] = []
+            cached_chunks = 0
+            for index in range(first, last):
+                descriptor = descriptors.get(index)
+                if descriptor is None:
+                    continue  # hole: reads as zeros, nothing to fetch
+                if (
+                    self.chunk_cache is not None
+                    and self.chunk_cache.get(descriptor.storage_key) is not None
+                ):
+                    cached_chunks += 1
+                    continue  # served from local memory: no transfer
+                provider = self._pick_replica(descriptor)
+                fetches.append(
+                    provider.serve(self.node, descriptor, self.client_id,
+                                   rate_cap, ctx=phase)
+                )
+                fetched.append(descriptor)
+            if tracing:
+                phase.annotate(chunks=len(fetches))
+                if self.chunk_cache is not None:
+                    phase.annotate(cached=cached_chunks)
+            if fetches:
+                yield self.env.all_of(fetches)
+            if self.chunk_cache is not None:
+                for descriptor in fetched:
+                    self.chunk_cache.put(
+                        descriptor.storage_key, descriptor, descriptor.size_mb
                     )
-                    fetched.append(descriptor)
-                fetch_span.annotate(chunks=len(fetches))
-                if self.chunk_cache is not None:
-                    fetch_span.annotate(cached=cached_chunks)
-                if fetches:
-                    yield self.env.all_of(fetches)
-                if self.chunk_cache is not None:
-                    for descriptor in fetched:
-                        self.chunk_cache.put(
-                            descriptor.storage_key, descriptor, descriptor.size_mb
-                        )
+            if tracing:
+                phase.finish()
             result = self._record("read", blob_id, size_mb, start, version=version)
-            root.finish(ok=True, version=version)
+            if tracing:
+                root.finish(ok=True, version=version)
             return result
         except OP_ERRORS as exc:
-            result = self._record(
-                "read", blob_id, size_mb, start, ok=False, error=str(exc)
-            )
-            root.finish(ok=False, error=str(exc))
+            if phase is not None:
+                phase.fail(exc)  # no-op between two phases
+            self._record("read", blob_id, size_mb, start, ok=False, error=str(exc))
+            if tracing:
+                root.finish(ok=False, error=str(exc))
             raise
         finally:
-            root.finish()
+            if tracing:
+                root.finish()
 
     # -- write internals -----------------------------------------------------------
     def _write_op(self, op: str, blob_id: int, offset_mb: Optional[float], size_mb: float):
@@ -264,19 +289,25 @@ class BlobSeerClient:
         if self.sink.enabled:
             self._emit(EV_OP_START, blob_id, op=op, size_mb=size_mb)
         tracer = self.env.tracer
-        root = tracer.begin(f"client.{op}", track=self.node.name, cat="client",
-                            client=self.client_id, blob=blob_id, size_mb=size_mb)
+        tracing = tracer.enabled  # as in read(): off means no span call
+        root = phase = None
+        if tracing:
+            root = tracer.begin(f"client.{op}", track=self.node.name, cat="client",
+                                client=self.client_id, blob=blob_id, size_mb=size_mb)
         ticket: Optional[Ticket] = None
         ticket_proc = None
         in_critical = False
         try:
             chunk_size = self._chunk_size.get(blob_id)
             if chunk_size is None:
-                with tracer.span("client.lookup", cat="client"):
-                    _v, _s, chunk_size = yield from self.vm.remote_get_latest(
-                        self.node, blob_id,
-                        timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                    )
+                if tracing:
+                    phase = tracer.begin("client.lookup", cat="client")
+                _v, _s, chunk_size = yield from self.vm.remote_get_latest(
+                    self.node, blob_id,
+                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+                )
+                if tracing:
+                    phase.finish()
                 self._chunk_size[blob_id] = chunk_size
 
             count = size_mb / chunk_size
@@ -291,11 +322,14 @@ class BlobSeerClient:
 
             # 1. allocate providers — the whole write's placement in one
             #    batched RPC.
-            with tracer.span("client.allocate", cat="client", chunks=count):
-                placement = yield from self.pm.remote_allocate(
-                    self.node, count, self.replication, self.client_id,
-                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                )
+            if tracing:
+                phase = tracer.begin("client.allocate", cat="client", chunks=count)
+            placement = yield from self.pm.remote_allocate(
+                self.node, count, self.replication, self.client_id,
+                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+            )
+            if tracing:
+                phase.finish()
 
             # Pipelined publish (opt-in): the ticket round trip — and any
             # per-blob lock queueing behind a concurrent writer — runs
@@ -312,37 +346,41 @@ class BlobSeerClient:
             #    are retried on freshly allocated providers.
             token = next(self._wseq)
             rate_cap = self.access.rate_cap(self.client_id)
-            with tracer.span("client.chunk_transfer", cat="client",
-                             chunks=count) as push_span:
-                descriptors: List[ChunkDescriptor] = []
-                failures: List[ChunkDescriptor] = []
-                pushes = []
-                for i, replicas in enumerate(placement):
-                    descriptor = ChunkDescriptor(
-                        blob_id=blob_id,
-                        storage_key=f"b{blob_id}.{self.client_id}.w{token}.c{i}",
-                        size_mb=chunk_size,
-                        replicas=[p.provider_id for p in replicas],
-                    )
-                    descriptors.append(descriptor)
-                    pushes.append(self.env.process(
-                        self._push_chunk(descriptor, replicas, rate_cap, failures,
-                                         ctx=push_span),
-                        name=f"push-{self.client_id}",
-                    ))
-                yield self.env.all_of(pushes)
-                for _attempt in range(2):
-                    if not failures:
-                        break
-                    self.access.authorize(self.client_id, op)  # still welcome?
-                    push_span.annotate(retried=len(failures))
-                    failures = yield from self._retry_pushes(
-                        failures, rate_cap, ctx=push_span
-                    )
-                if failures:
-                    raise NoProvidersAvailable(
-                        f"could not store {len(failures)} chunk(s) after retries"
-                    )
+            if tracing:
+                phase = tracer.begin("client.chunk_transfer", cat="client",
+                                     chunks=count)
+            descriptors: List[ChunkDescriptor] = []
+            failures: List[ChunkDescriptor] = []
+            pushes = []
+            for i, replicas in enumerate(placement):
+                descriptor = ChunkDescriptor(
+                    blob_id=blob_id,
+                    storage_key=f"b{blob_id}.{self.client_id}.w{token}.c{i}",
+                    size_mb=chunk_size,
+                    replicas=[p.provider_id for p in replicas],
+                )
+                descriptors.append(descriptor)
+                pushes.append(self.env.process(
+                    self._push_chunk(descriptor, replicas, rate_cap, failures,
+                                     ctx=phase),
+                    name=f"push-{self.client_id}",
+                ))
+            yield self.env.all_of(pushes)
+            for _attempt in range(2):
+                if not failures:
+                    break
+                self.access.authorize(self.client_id, op)  # still welcome?
+                if tracing:
+                    phase.annotate(retried=len(failures))
+                failures = yield from self._retry_pushes(
+                    failures, rate_cap, ctx=phase
+                )
+            if failures:
+                raise NoProvidersAvailable(
+                    f"could not store {len(failures)} chunk(s) after retries"
+                )
+            if tracing:
+                phase.finish()
 
             # 3. ticket (serializes metadata per blob) — already in
             #    flight when pipelining, issued now otherwise.
@@ -352,11 +390,14 @@ class BlobSeerClient:
                     raise outcome
                 ticket = outcome
             else:
-                with tracer.span("client.ticket", cat="client"):
-                    ticket = yield from self.vm.remote_ticket(
-                        self.node, blob_id, size_mb, self.client_id, offset_mb,
-                        timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                    )
+                if tracing:
+                    phase = tracer.begin("client.ticket", cat="client")
+                ticket = yield from self.vm.remote_ticket(
+                    self.node, blob_id, size_mb, self.client_id, offset_mb,
+                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+                )
+                if tracing:
+                    phase.finish()
             in_critical = True
 
             # 4. metadata: copy-on-write segment tree nodes
@@ -366,26 +407,35 @@ class BlobSeerClient:
                 descriptor.chunk_index = first_index + i
                 descriptor.version = ticket.version
                 tree_descriptors[first_index + i] = descriptor
-            with tracer.span("client.metadata_write", cat="client",
-                             version=ticket.version):
-                yield from tree_update(
-                    self.meta, blob_id, ticket.version, ticket.prev_version,
-                    tree_descriptors,
-                    capacity=self._capacity(ticket.new_size_mb, chunk_size),
-                    prev_capacity=self._capacity(ticket.prev_size_mb, chunk_size),
-                )
+            if tracing:
+                phase = tracer.begin("client.metadata_write", cat="client",
+                                     version=ticket.version)
+            yield from tree_update(
+                self.meta, blob_id, ticket.version, ticket.prev_version,
+                tree_descriptors,
+                capacity=self._capacity(ticket.new_size_mb, chunk_size),
+                prev_capacity=self._capacity(ticket.prev_size_mb, chunk_size),
+            )
+            if tracing:
+                phase.finish()
 
             # 5. publish
-            with tracer.span("client.publish", cat="client"):
-                yield from self.vm.remote_complete(
-                    self.node, ticket,
-                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                )
+            if tracing:
+                phase = tracer.begin("client.publish", cat="client")
+            yield from self.vm.remote_complete(
+                self.node, ticket,
+                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+            )
+            if tracing:
+                phase.finish()
             in_critical = False
             result = self._record(op, blob_id, size_mb, start, version=ticket.version)
-            root.finish(ok=True, version=ticket.version)
+            if tracing:
+                root.finish(ok=True, version=ticket.version)
             return result
         except OP_ERRORS as exc:
+            if phase is not None:
+                phase.fail(exc)  # ended here, not after the collect below
             # Whatever a message died of (a metadata provider's node gone
             # from the network is a bare KeyError), the ticket is abandoned.
             if ticket is None and ticket_proc is not None:
@@ -398,11 +448,13 @@ class BlobSeerClient:
                     in_critical = True
             if ticket is not None and in_critical:
                 self.vm.abandon(ticket)
-            result = self._record(op, blob_id, size_mb, start, ok=False, error=str(exc))
-            root.finish(ok=False, error=str(exc))
+            self._record(op, blob_id, size_mb, start, ok=False, error=str(exc))
+            if tracing:
+                root.finish(ok=False, error=str(exc))
             raise
         finally:
-            root.finish()
+            if tracing:
+                root.finish()
 
     def _ticket_rpc(self, blob_id, size_mb, offset_mb, ctx=None):
         """Process body for the pipelined ticket RPC.
@@ -410,15 +462,21 @@ class BlobSeerClient:
         Failures are *returned*, not raised: the process completes while
         the owning write may still be mid-push, and an unobserved failed
         process would crash the run.  The caller re-raises on collect."""
+        span = None
+        if ctx is not None:  # the caller's root span: tracing is on
+            span = self.env.tracer.begin("client.ticket", cat="client", parent=ctx)
         try:
-            with self.env.tracer.span("client.ticket", cat="client", parent=ctx):
-                ticket = yield from self.vm.remote_ticket(
-                    self.node, blob_id, size_mb, self.client_id, offset_mb,
-                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                )
+            return (yield from self.vm.remote_ticket(
+                self.node, blob_id, size_mb, self.client_id, offset_mb,
+                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+            ))
         except OP_ERRORS as exc:
+            if span is not None:
+                span.fail(exc)
             return exc
-        return ticket
+        finally:
+            if span is not None:
+                span.finish()
 
     def _push_chunk(self, descriptor, replicas, rate_cap, failures, ctx=None):
         """Process: push one chunk to all its replicas; on any failure,
@@ -520,13 +578,14 @@ class BlobSeerClient:
             if bound is None or bound[0] is not metrics:
                 bound = self._instruments[op] = (
                     metrics, metrics.counter(f"client.{op}_ops"),
-                    metrics.histogram(f"client.{op}_duration_s"))
+                    metrics.histogram(f"client.{op}_duration_s"),
+                    metrics.series("client.throughput_mbps"))
             bound[1].inc()
             if not ok:
                 metrics.counter(f"client.{op}_errors").inc()
             bound[2].observe(duration_s)
             if ok and size_mb > 0:
-                metrics.sample("client.throughput_mbps", throughput_mbps)
+                bound[3].record(result.finished_at, throughput_mbps)
         if self.sink.enabled:
             self._emit(
                 EV_OP_END, blob_id,

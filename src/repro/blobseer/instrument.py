@@ -80,6 +80,14 @@ class MonitoringEvent:
             return f"{base}.{chunk}"
         return base
 
+    def parameter_key(self) -> tuple:
+        """The parts :meth:`parameter_name` spells out, as a hashable
+        key: what the monitoring layer counts and places parameters by,
+        so that a name is formatted (and hashed) once per parameter, not
+        once per event."""
+        return (self.actor_type, self.actor_id, self.event_type,
+                self.fields.get("chunk"))
+
 
 class EventSink(Protocol):
     """Where instrumented events go (implemented by the monitoring layer).
@@ -106,13 +114,12 @@ class CompositeSink:
 
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks: List[EventSink] = list(sinks)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.sinks)
+        #: Read by every actor before it builds an event; kept by add().
+        self.enabled = bool(self.sinks)
 
     def add(self, sink: EventSink) -> None:
         self.sinks.append(sink)
+        self.enabled = True
 
     def emit(self, event: MonitoringEvent) -> None:
         for sink in self.sinks:

@@ -90,16 +90,13 @@ class MetadataProvider:
         sink: Optional[EventSink] = None,
     ) -> None:
         self.node = node
+        self.env = node.env
         self.provider_id = provider_id
         self.sink = sink or NullSink()
         self.store: Dict[str, Any] = {}
         #: Counters surfaced to the introspection layer.
         self.gets = 0
         self.puts = 0
-
-    @property
-    def env(self):
-        return self.node.env
 
     def local_get(self, key: str) -> Any:
         self.gets += 1

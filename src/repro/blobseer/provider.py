@@ -60,6 +60,8 @@ class DataProvider:
         memory_cache=None,
     ) -> None:
         self.node = node
+        self.env = node.env
+        self.net: FlowNetwork = node.network
         self.provider_id = provider_id
         self.sink = sink or NullSink()
         #: Optional memory-over-disk tier (:class:`repro.cache.Cache`):
@@ -91,14 +93,6 @@ class DataProvider:
         node.on_recover(self._on_node_recover)
 
     # -- properties ------------------------------------------------------------
-    @property
-    def env(self):
-        return self.node.env
-
-    @property
-    def net(self) -> FlowNetwork:
-        return self.node.network
-
     @property
     def available(self) -> bool:
         return self.node.alive and not self.decommissioned
@@ -147,12 +141,16 @@ class DataProvider:
             raise ProviderUnavailable(self.provider_id)
         if self.free_mb < descriptor.size_mb:
             raise StorageFull(self.provider_id, descriptor.size_mb, self.free_mb)
-        with self.env.tracer.span(
-            "provider.ingest", track=self.node.name, cat="provider",
-            parent=ctx,
-            chunk=descriptor.storage_key, size_mb=descriptor.size_mb,
-            client=client_id,
-        ):
+        tracer = self.env.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.begin(
+                "provider.ingest", track=self.node.name, cat="provider",
+                parent=ctx,
+                chunk=descriptor.storage_key, size_mb=descriptor.size_mb,
+                client=client_id,
+            )
+        try:
             yield self.net.transfer(
                 src.name, self.node.name, descriptor.size_mb,
                 rate_cap=rate_cap, tag=client_id,
@@ -165,6 +163,12 @@ class DataProvider:
             yield from self._disk_io(descriptor.size_mb)
             if not self.node.alive:
                 raise NodeDownError(self.node, "ingest commit")
+        except BaseException as exc:
+            if span is not None:
+                span.fail(exc)
+            raise
+        if span is not None:
+            span.finish()
         self.node.disk.put(descriptor.size_mb)
         if self.memory_cache is not None:
             # Write-through: the chunk just streamed through RAM.
@@ -210,15 +214,20 @@ class DataProvider:
             self.memory_cache is not None
             and self.memory_cache.get(descriptor.storage_key) is not None
         )
-        with self.env.tracer.span(
-            "provider.serve", track=self.node.name, cat="provider",
-            parent=ctx,
-            chunk=descriptor.storage_key, size_mb=descriptor.size_mb,
-            client=client_id,
-        ) as span:
+        tracer = self.env.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.begin(
+                "provider.serve", track=self.node.name, cat="provider",
+                parent=ctx,
+                chunk=descriptor.storage_key, size_mb=descriptor.size_mb,
+                client=client_id,
+            )
+        try:
             if memory_hit:
                 # RAM-resident: skip the FIFO disk queue entirely.
-                span.annotate(memory=True)
+                if span is not None:
+                    span.annotate(memory=True)
             else:
                 # Fetch from disk (same FIFO service queue as writes).
                 yield from self._disk_io(descriptor.size_mb)
@@ -232,6 +241,12 @@ class DataProvider:
                 self.node.name, dst.name, descriptor.size_mb,
                 rate_cap=rate_cap, tag=client_id,
             )
+        except BaseException as exc:
+            if span is not None:
+                span.fail(exc)
+            raise
+        if span is not None:
+            span.finish()
         descriptor.last_access = self.env.now
         descriptor.read_count += 1
         self.chunks_read += 1

@@ -25,7 +25,7 @@ from .instrument import (
     NullSink,
 )
 from .provider import DataProvider
-from .rpc import CONTROL_MSG_MB, RoundTrip, with_retries
+from .rpc import CONTROL_MSG_MB, RoundTrip, attempts
 
 __all__ = ["ProviderManager"]
 
@@ -44,6 +44,8 @@ class ProviderManager:
         actor_id: str = "pm",
     ) -> None:
         self.node = node
+        self.env = node.env
+        self.net = node.network
         self.strategy = strategy or RoundRobinAllocation()
         self.sink = sink or NullSink()
         self.actor_id = actor_id
@@ -60,14 +62,6 @@ class ProviderManager:
         #: Optional HeartbeatFailureDetector: what :meth:`belief` reads
         #: instead of the ``node.alive`` oracle.
         self.detector = None
-
-    @property
-    def env(self):
-        return self.node.env
-
-    @property
-    def net(self):
-        return self.node.network
 
     # -- membership -----------------------------------------------------------
     def register(self, provider: DataProvider) -> None:
@@ -180,23 +174,33 @@ class ProviderManager:
         oracle instead (see :mod:`repro.blobseer.rpc`).
         """
         def attempt():
-            with self.env.tracer.span(
-                "pm.allocate", track=self.node.name, cat="rpc",
-                caller=caller.name, chunks=chunk_count, replication=replication,
-            ) as span:
+            tracer = self.env.tracer
+            span = None
+            if tracer.enabled:
+                span = tracer.begin(
+                    "pm.allocate", track=self.node.name, cat="rpc",
+                    caller=caller.name, chunks=chunk_count, replication=replication,
+                )
+            try:
                 trip = RoundTrip(self.net, caller.name, self.node.name,
                                  "pm.allocate", timeout_s, host=self.node)
                 yield from trip.request()
                 self._fence()
                 yield from self.node.compute(self.ALLOCATION_CPU_S)
                 placement = self.allocate(chunk_count, replication, client_id)
-                if self.env.tracer.enabled:
+                if span is not None:
                     span.annotate(pool=self.pool_size())
                 # The reply carries the placement map; size grows with chunk count.
                 yield from trip.reply(CONTROL_MSG_MB * max(1, chunk_count // 16))
+            except BaseException as exc:
+                if span is not None:
+                    span.fail(exc)
+                raise
+            if span is not None:
+                span.finish()
             return placement
 
-        placement = yield from with_retries(self.env, attempt, retry)
+        placement = yield from attempts(self.env, attempt, retry)
         return placement
 
     def _fence(self) -> None:

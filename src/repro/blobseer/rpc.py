@@ -49,6 +49,7 @@ __all__ = [
     "request_response",
     "wait_or_timeout",
     "with_retries",
+    "attempts",
     "make_timeout_error",
     "RoundTrip",
     "GroupCommitGate",
@@ -158,6 +159,15 @@ def with_retries(env, attempt: Callable[[], object], retry=None):
             yield env.timeout(backoff)
 
 
+def attempts(env, attempt: Callable[[], object], retry=None):
+    """What a round trip waits on (``yield from``): the one attempt's own
+    generator when there is no retry policy — nothing would re-run it, so
+    nothing stands between the caller and it — else :func:`with_retries`."""
+    if retry is None:
+        return attempt()
+    return with_retries(env, attempt, retry)
+
+
 class RoundTrip:
     """One attempt of a round trip: its deadline and its two legs.
 
@@ -261,11 +271,21 @@ def request_response(
         yield from trip.request(request_mb)
         yield from trip.reply(response_mb)
 
-    with net.env.tracer.span(
-        op, track=_name(caller), cat="rpc", parent=ctx, callee=_name(callee),
-        request_mb=request_mb, response_mb=response_mb, timeout_s=timeout_s,
-    ):
-        yield from with_retries(net.env, attempt, retry)
+    tracer = net.env.tracer
+    span = None
+    if tracer.enabled:
+        span = tracer.begin(
+            op, track=_name(caller), cat="rpc", parent=ctx, callee=_name(callee),
+            request_mb=request_mb, response_mb=response_mb, timeout_s=timeout_s,
+        )
+    try:
+        yield from attempts(net.env, attempt, retry)
+    except BaseException as exc:
+        if span is not None:
+            span.fail(exc)
+        raise
+    if span is not None:
+        span.finish()
 
 
 class GroupCommitGate:

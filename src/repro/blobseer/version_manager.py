@@ -40,7 +40,7 @@ from .instrument import (
     MonitoringEvent,
     NullSink,
 )
-from .rpc import RoundTrip, with_retries
+from .rpc import RoundTrip, attempts
 
 __all__ = ["Ticket", "VersionManager"]
 
@@ -80,6 +80,8 @@ class VersionManager:
         actor_id: str = "vm",
     ) -> None:
         self.node = node
+        self.env = node.env
+        self.net = node.network
         self.sink = sink or NullSink()
         self.actor_id = actor_id
         self.blobs: Dict[int, BlobInfo] = {}
@@ -108,14 +110,6 @@ class VersionManager:
         #: commit instead of one full charge per request.  None (the
         #: default) keeps the original per-request charge bit-for-bit.
         self.batch_gate = None
-
-    @property
-    def env(self):
-        return self.node.env
-
-    @property
-    def net(self):
-        return self.node.network
 
     # -- blob registry (local forms) --------------------------------------------
     def create_blob(self, chunk_size_mb: float) -> int:
@@ -384,7 +378,7 @@ class VersionManager:
             raise NotActivePrimary(self.node.name, self.replicator.role)
 
     # -- remote operations (what clients call) -------------------------------------
-    # Each handler is one body, run once per attempt under with_retries:
+    # Each handler is one body, run once per attempt (see rpc.attempts):
     # request leg + entry work (_receive), the operation, reply leg.
     # timeout_s=None means no timer (see repro.blobseer.rpc).
     def remote_create_blob(
@@ -395,14 +389,24 @@ class VersionManager:
         retry=None,
     ):
         def attempt():
-            with self.env.tracer.span("vm.create_blob", track=self.node.name,
-                                      cat="rpc", caller=caller.name):
+            tracer = self.env.tracer
+            span = None
+            if tracer.enabled:
+                span = tracer.begin("vm.create_blob", track=self.node.name,
+                                    cat="rpc", caller=caller.name)
+            try:
                 trip = yield from self._receive(caller, "vm.create_blob", timeout_s)
                 blob_id = yield from self._do_create(chunk_size_mb)
                 yield from trip.reply()
+            except BaseException as exc:
+                if span is not None:
+                    span.fail(exc)
+                raise
+            if span is not None:
+                span.finish()
             return blob_id
 
-        blob_id = yield from with_retries(self.env, attempt, retry)
+        blob_id = yield from attempts(self.env, attempt, retry)
         return blob_id
 
     def remote_ticket(
@@ -426,8 +430,12 @@ class VersionManager:
         def attempt():
             # The span covers lock queueing, so ticket contention is visible
             # in the trace as stacked vm.ticket spans.
-            with self.env.tracer.span("vm.ticket", track=self.node.name,
-                                      cat="rpc", blob=blob_id, writer=writer) as span:
+            tracer = self.env.tracer
+            span = None
+            if tracer.enabled:
+                span = tracer.begin("vm.ticket", track=self.node.name, cat="rpc",
+                                    blob=blob_id, writer=writer)
+            try:
                 trip = yield from self._receive(caller, "vm.ticket", timeout_s)
                 lock = self._locks.get(blob_id)
                 if lock is None:
@@ -451,7 +459,8 @@ class VersionManager:
                     # Commit failed (e.g. quorum lost): free the blob.
                     lock.release(request)
                     raise
-                span.annotate(version=ticket.version)
+                if span is not None:
+                    span.annotate(version=ticket.version)
                 self._held[ticket.version_key()] = request
                 try:
                     yield from trip.reply()
@@ -460,9 +469,15 @@ class VersionManager:
                     # it and release the lock so the blob stays writable.
                     self.abandon(ticket)
                     raise
+            except BaseException as exc:
+                if span is not None:
+                    span.fail(exc)
+                raise
+            if span is not None:
+                span.finish()
             return ticket
 
-        ticket = yield from with_retries(self.env, attempt, retry)
+        ticket = yield from attempts(self.env, attempt, retry)
         return ticket
 
     def remote_complete(
@@ -475,8 +490,12 @@ class VersionManager:
         """Generator: publish the version and release the blob lock.
         Idempotent: completing an already-published ticket acks."""
         def attempt():
-            with self.env.tracer.span("vm.publish", track=self.node.name, cat="rpc",
-                                      blob=ticket.blob_id, version=ticket.version):
+            tracer = self.env.tracer
+            span = None
+            if tracer.enabled:
+                span = tracer.begin("vm.publish", track=self.node.name, cat="rpc",
+                                    blob=ticket.blob_id, version=ticket.version)
+            try:
                 trip = yield from self._receive(caller, "vm.publish", timeout_s)
                 record = self._unpublished(ticket.blob_id, ticket.version)
                 if record is not None:
@@ -485,9 +504,15 @@ class VersionManager:
                     if request is not None:
                         self._locks[ticket.blob_id].release(request)
                 yield from trip.reply()
+            except BaseException as exc:
+                if span is not None:
+                    span.fail(exc)
+                raise
+            if span is not None:
+                span.finish()
             return ticket.version
 
-        version = yield from with_retries(self.env, attempt, retry)
+        version = yield from attempts(self.env, attempt, retry)
         return version
 
     def abandon(self, ticket: Ticket) -> None:
@@ -524,24 +549,33 @@ class VersionManager:
         (:class:`VersionNotFound` otherwise: readers never see a version
         before its writer has completed it)."""
         def attempt():
-            with self.env.tracer.span("vm.get_latest", track=self.node.name,
-                                      cat="rpc", blob=blob_id, caller=caller.name):
+            tracer = self.env.tracer
+            span = None
+            if tracer.enabled:
+                span = tracer.begin("vm.get_latest", track=self.node.name,
+                                    cat="rpc", blob=blob_id, caller=caller.name)
+            try:
                 trip = yield from self._receive(caller, "vm.get_latest", timeout_s)
                 result = self.lookup(blob_id, version)
                 yield from trip.reply()
+            except BaseException as exc:
+                if span is not None:
+                    span.fail(exc)
+                raise
+            if span is not None:
+                span.finish()
             return result
 
-        result = yield from with_retries(self.env, attempt, retry)
+        result = yield from attempts(self.env, attempt, retry)
         return result
 
     # -- plumbing -----------------------------------------------------------------
     def _entry_compute(self):
-        """Per-RPC entry CPU: group-committed when a batch gate is set,
-        otherwise the original full per-request charge."""
+        """Per-RPC entry CPU, as the generator to wait on: group-committed
+        when a batch gate is set, otherwise the full per-request charge."""
         if self.batch_gate is not None:
-            yield from self.batch_gate.submit()
-        else:
-            yield from self.node.compute(self.op_cpu_s)
+            return self.batch_gate.submit()
+        return self.node.compute(self.op_cpu_s)
 
     def _receive(self, caller: PhysicalNode, op: str, timeout_s: Optional[float]):
         """Generator: the request leg of one attempt, then the server's

@@ -295,7 +295,7 @@ class DecisionJournal:
         window = self._window(name, lo, hi)
         if not window:
             return None
-        return fsum(v for _t, v in window) / len(window)
+        return fsum([v for _t, v in window]) / len(window)
 
     def _time_to_effect(
         self, name: str, t0: float, t1: float,

@@ -88,7 +88,10 @@ class MonitoringStack:
 
         #: Per-actor outbound buffers, drained by the service flushers.
         self._buffers: Dict[str, List[MonitoringEvent]] = {}
-        self._parameters: set[str] = set()
+        #: Keys of the parameters seen (``MonitoringEvent.parameter_key``).
+        self._parameters: set[tuple] = set()
+        #: Actor id -> the service its events go to: hashed once.
+        self._service_of: Dict[str, MonitoringService] = {}
         self.events_emitted = 0
         self.events_shipped = 0
         self._monitored_nodes: List[PhysicalNode] = []
@@ -99,7 +102,7 @@ class MonitoringStack:
 
     def emit(self, event: MonitoringEvent) -> None:
         self.events_emitted += 1
-        self._parameters.add(event.parameter_name())
+        self._parameters.add(event.parameter_key())
         self._buffers.setdefault(event.actor_id, []).append(event)
         self._ensure_started()
 
@@ -151,8 +154,12 @@ class MonitoringStack:
             self.env.process(self._flusher(service), name=f"flusher-{service.service_id}")
 
     def _service_for(self, actor_id: str) -> MonitoringService:
-        digest = hashlib.md5(actor_id.encode()).digest()
-        return self.services[int.from_bytes(digest[:4], "little") % len(self.services)]
+        service = self._service_of.get(actor_id)
+        if service is None:
+            digest = hashlib.md5(actor_id.encode()).digest()
+            service = self._service_of[actor_id] = self.services[
+                int.from_bytes(digest[:4], "little") % len(self.services)]
+        return service
 
     def _flusher(self, service: MonitoringService):
         interval = self.config.flush_interval_s

@@ -48,6 +48,7 @@ class StorageServer:
         burst_cache_capacity: int = 0,
     ) -> None:
         self.node = node
+        self.env = node.env
         self.server_id = server_id
         self.write_rate_eps = write_rate_eps
         self.buffer_capacity = buffer_capacity
@@ -62,10 +63,6 @@ class StorageServer:
         if burst_cache_capacity > 0:
             # Reserve server memory for the cache (visible to introspection).
             node.memory.put(burst_cache_capacity * self.CACHE_EVENT_MB)
-
-    @property
-    def env(self):
-        return self.node.env
 
     @property
     def total_capacity(self) -> int:
@@ -154,22 +151,36 @@ class StorageRepository:
         if not servers:
             raise ValueError("need at least one storage server")
         self.servers = list(servers)
+        #: Parameter key -> its shard: a parameter is hashed once.
+        self._placement: Dict[tuple, StorageServer] = {}
 
     def server_for(self, parameter_name: str) -> StorageServer:
         digest = hashlib.md5(parameter_name.encode()).digest()
         return self.servers[int.from_bytes(digest[:4], "little") % len(self.servers)]
 
-    def store(self, events: Sequence[MonitoringEvent]) -> int:
-        """Route events to their shard; returns number dropped."""
-        by_server: Dict[str, List[MonitoringEvent]] = {}
-        server_map = {}
+    def route(
+        self, events: Sequence[MonitoringEvent]
+    ) -> Dict[StorageServer, List[MonitoringEvent]]:
+        """Group *events* by the shard that owns their parameter, shards
+        in order of first appearance."""
+        placement = self._placement
+        routed: Dict[StorageServer, List[MonitoringEvent]] = {}
         for event in events:
-            server = self.server_for(event.parameter_name())
-            by_server.setdefault(server.server_id, []).append(event)
-            server_map[server.server_id] = server
+            key = event.parameter_key()
+            server = placement.get(key)
+            if server is None:
+                server = placement[key] = self.server_for(event.parameter_name())
+            routed.setdefault(server, []).append(event)
+        return routed
+
+    def store(self, events: Sequence[MonitoringEvent], routed=None) -> int:
+        """Route events to their shard; returns number dropped.  A caller
+        that already holds ``route(events)`` hands it over as *routed*."""
+        if routed is None:
+            routed = self.route(events)
         dropped = 0
-        for server_id, batch in by_server.items():
-            dropped += server_map[server_id].offer(batch)
+        for server, batch in routed.items():
+            dropped += server.offer(batch)
         return dropped
 
     # -- query API (used by introspection) -----------------------------------

@@ -38,19 +38,13 @@ class MonitoringService:
         filters: Optional[Sequence[DataFilter]] = None,
     ) -> None:
         self.node = node
+        self.env = node.env
+        self.net = node.network
         self.service_id = service_id
         self.repository = repository
         self.chain = FilterChain(*(filters or []))
         self.received = 0
         self.forwarded = 0
-
-    @property
-    def env(self):
-        return self.node.env
-
-    @property
-    def net(self):
-        return self.node.network
 
     def ingest(self, batch: List[MonitoringEvent]):
         """Generator: process one batch (filter, then persist).
@@ -67,16 +61,17 @@ class MonitoringService:
             return 0
         # Forward to the repository shard(s) over the network: size scales
         # with the event count.
+        routed = self.repository.route(filtered)
         by_node = {}
-        for event in filtered:
-            server = self.repository.server_for(event.parameter_name())
-            by_node.setdefault(server.node.name, []).append(event)
-        for node_name, events in by_node.items():
+        for server, events in routed.items():
+            name = server.node.name
+            by_node[name] = by_node.get(name, 0) + len(events)
+        for node_name, count in by_node.items():
             if node_name != self.node.name and node_name in self.net.nodes:
                 yield self.net.transfer(
-                    self.node.name, node_name, EVENT_WIRE_MB * len(events)
+                    self.node.name, node_name, EVENT_WIRE_MB * count
                 )
-        self.repository.store(filtered)
+        self.repository.store(filtered, routed)
         self.forwarded += len(filtered)
         return len(filtered)
 

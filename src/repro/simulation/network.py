@@ -326,6 +326,13 @@ class FlowNetwork:
         #: None = message lost (partition/loss); a float scales latency
         #: (gray NIC degradation).  Stays None unless faults are armed.
         self.fault_model = None
+        #: (src, dst) as the caller addressed them -> propagation delay
+        #: of a control message, kept while that answer is fixed: no
+        #: fault model, no node removed (see :meth:`message`).
+        self._message_delay: Dict[tuple, float] = {}
+        #: (registry, reallocations, flows completed, MB delivered):
+        #: the counters bound once per registry, not looked up per call.
+        self._counters: Optional[tuple] = None
         #: Transfers swallowed by black-holing or the fault model.
         self.blackholed_transfers = 0
         #: MB delivered by flows that already finished or aborted; the
@@ -373,6 +380,7 @@ class FlowNetwork:
         reallocation pass via the usual recompute marker.
         """
         node = self.nodes.pop(name)
+        self._message_delay.clear()
         candidates: Dict[int, Flow] = {}
         for key in (("out", name), ("in", name)):
             for flow in self._members_of(key).values():
@@ -452,11 +460,30 @@ class FlowNetwork:
         among messages is send order.  Control messages get no
         ``net.flow`` span either: the RPC spans cover them and they
         would flood the trace.
+
+        With no fault model installed, what a pair of endpoints resolves
+        to is fixed until one of them leaves, so the delay is kept per
+        pair: :meth:`remove_node` — the only way a name stops meaning its
+        ``NetNode`` — forgets every pair, a stale ``NetNode`` is never
+        kept (it is resolved, and under :attr:`blackhole_missing`
+        black-holed, every time), and once :attr:`fault_model` is set
+        every message is routed in full (partitions, loss draws and
+        latency factors as they fall).  The latency callable must be a
+        function of the pair alone.
         """
+        if self.fault_model is None:
+            delay = self._message_delay.get((src, dst))
+            if delay is not None:
+                return Timeout(self.env, delay)
         route = self._route(src, dst)
         if route is None:
             return self._black_hole()
-        return Timeout(self.env, route[2])
+        node_a, node_b, delay = route
+        nodes = self.nodes
+        if (self.fault_model is None and nodes.get(node_a.name) is node_a
+                and nodes.get(node_b.name) is node_b):
+            self._message_delay[src, dst] = delay
+        return Timeout(self.env, delay)
 
     def abort(self, flow: Flow, reason: str = "") -> None:
         """Cancel an in-flight flow; its waiter sees :class:`TransferAborted`."""
@@ -528,6 +555,15 @@ class FlowNetwork:
         metrics = self.env.metrics
         if metrics is not None:
             metrics.counter("net.blackholed_transfers").inc()
+
+    def _bound_counters(self, metrics) -> tuple:
+        counters = self._counters
+        if counters is None or counters[0] is not metrics:
+            counters = self._counters = (
+                metrics, metrics.counter("net.reallocations"),
+                metrics.counter("net.flows_completed"),
+                metrics.counter("net.mb_delivered"))
+        return counters
 
     def _black_hole(self) -> Event:
         """An event that never triggers: the message vanished."""
@@ -761,8 +797,7 @@ class FlowNetwork:
         self._last_realloc = now
         metrics = self.env.metrics
         if metrics is not None:
-            metrics.counter("net.reallocations").inc()
-            metrics.sample("net.active_flows", len(self._flows))
+            self._bound_counters(metrics)[1].inc()
         # Flows that are done get reaped in fid order by a component
         # pass and in admission order by a global one.
         by_fid = self.incremental and not self._dirty_all
@@ -941,8 +976,9 @@ class FlowNetwork:
         self._close_span(flow)
         metrics = self.env.metrics
         if metrics is not None:
-            metrics.counter("net.flows_completed").inc()
-            metrics.counter("net.mb_delivered").inc(flow.size)
+            counters = self._bound_counters(metrics)
+            counters[2].inc()
+            counters[3].inc(flow.size)
         if self.completion_log is not None:
             self.completion_log.append(("finish", flow.fid, now))
         if not flow.done.triggered:

@@ -228,11 +228,15 @@ class MetricsRegistry:
     def series(self, name: str) -> TimeSeries:
         return self._instrument(name, TimeSeries)
 
+    @property
+    def now(self) -> float:
+        """The time :meth:`sample` stamps a point with; a sampler that
+        holds its :class:`TimeSeries` records under the same stamp."""
+        return self.env.now if self.env is not None else 0.0
+
     def sample(self, name: str, value: float, time: Optional[float] = None) -> None:
         """Append one series point, stamped with ``env.now`` by default."""
-        if time is None:
-            time = self.env.now if self.env is not None else 0.0
-        self.series(name).record(time, value)
+        self.series(name).record(self.now if time is None else time, value)
 
     # -- export ----------------------------------------------------------------
     def _names(self, kind, prefix: str = "") -> List[str]:

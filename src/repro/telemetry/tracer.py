@@ -96,14 +96,22 @@ class Span:
             self._tracer.finish(self, **attrs)
         return self
 
+    def fail(self, exc: BaseException) -> "Span":
+        """Finish after *exc* escaped the span, recorded as its ``error``
+        (what leaving the ``with`` form through an exception does)."""
+        if self.end is None:
+            self.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
+        return self.finish()
+
     # Context-manager form: ``with tracer.span("client.write", track): ...``
     def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
         if exc is not None:
-            self.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
-        self.finish()
+            self.fail(exc)
+        else:
+            self.finish()
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -202,25 +210,33 @@ class Tracer:
     span = begin
 
     def finish(self, span: Span, **attrs: Any) -> Span:
-        """Close *span* at ``env.now`` and record it."""
+        """Close *span* at ``env.now`` and record it.
+
+        A span still open inside it on the same stack ends with it,
+        innermost first: an operation that opens its phases with explicit
+        :meth:`begin` / :meth:`finish` pairs leaves none open, whatever
+        escaped it, by finishing its root span in a ``finally``.
+        """
         if span.finished:
             return span
-        span.end = self.env.now
-        if attrs:
-            span.attrs.update(attrs)
         stack = self._stacks.get(span._stack_key)
-        if stack is not None:
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
+        if stack is not None and span in stack:
+            while stack[-1] is not span:
+                self._record(stack.pop())
+            stack.pop()
             if not stack:
                 del self._stacks[span._stack_key]
+        if attrs:
+            span.attrs.update(attrs)
+        self._record(span)
+        return span
+
+    def _record(self, span: Span) -> None:
+        span.end = self.env.now
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
         else:
             self.dropped += 1
-        return span
 
     def instant(
         self, name: str, track: str = "main", cat: str = "mark", **attrs: Any

@@ -264,3 +264,170 @@ def test_crashed_provider_closes_inflight_ingest_span_with_error():
     # The failed ingest still belongs to the write's trace.
     root = tele.tracer.spans_named("client.write")[0]
     assert all(s.trace_id == root.trace_id for s in failed)
+
+
+# ------------------------------------------------- what a traced run records
+def span_rows(tracer):
+    """One row per span in begin order: the row of its parent, name,
+    track and annotations — after checking it carries its root's id."""
+    ordered = sorted(tracer.spans, key=lambda s: s.span_id)
+    row_of = {s.span_id: i for i, s in enumerate(ordered)}
+    rows = []
+    for span in ordered:
+        root = span
+        while root.parent_id:
+            root = ordered[row_of[root.parent_id]]
+        assert span.trace_id == root.span_id
+        rows.append((row_of.get(span.parent_id), span.name, span.track,
+                     " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))))
+    return rows
+
+
+#: Captured at a802854, where every span below was an inline
+#: ``with tracer.span(...)``; the explicit begin/finish pairs behind one
+#: ``tracer.enabled`` read per operation must record the same trees.
+GOLDEN_SPAN_ROWS = [
+    (None, "client.create", "c0-node", "blob=1 client=c0"),
+    (0, "vm.create_blob", "vm-node", "caller=c0-node"),
+    (None, "client.append", "c0-node", "blob=1 client=c0 ok=True size_mb=2.0 version=1"),
+    (2, "client.allocate", "c0-node", "chunks=2"),
+    (3, "pm.allocate", "pm-node", "caller=c0-node chunks=2 pool=4 replication=1"),
+    (2, "client.chunk_transfer", "c0-node", "chunks=2"),
+    (5, "provider.ingest", "provider-0-node", "chunk=b1.c0.w1.c0 client=c0 size_mb=1.0"),
+    (6, "net.flow", "c0-node", "dst=provider-0-node fid=1 size_mb=1.0 src=c0-node tag=c0"),
+    (5, "provider.ingest", "provider-1-node", "chunk=b1.c0.w1.c1 client=c0 size_mb=1.0"),
+    (8, "net.flow", "c0-node", "dst=provider-1-node fid=2 size_mb=1.0 src=c0-node tag=c0"),
+    (2, "client.ticket", "c0-node", ""),
+    (10, "vm.ticket", "vm-node", "blob=1 version=1 writer=c0"),
+    (2, "client.metadata_write", "c0-node", "version=1"),
+    (2, "client.publish", "c0-node", ""),
+    (13, "vm.publish", "vm-node", "blob=1 version=1"),
+    (None, "client.write", "c0-node", "blob=1 client=c0 ok=True size_mb=1.0 version=2"),
+    (15, "client.allocate", "c0-node", "chunks=1"),
+    (16, "pm.allocate", "pm-node", "caller=c0-node chunks=1 pool=4 replication=1"),
+    (15, "client.chunk_transfer", "c0-node", "chunks=1"),
+    (18, "provider.ingest", "provider-2-node", "chunk=b1.c0.w2.c0 client=c0 size_mb=1.0"),
+    (19, "net.flow", "c0-node", "dst=provider-2-node fid=3 size_mb=1.0 src=c0-node tag=c0"),
+    (15, "client.ticket", "c0-node", ""),
+    (21, "vm.ticket", "vm-node", "blob=1 version=2 writer=c0"),
+    (15, "client.metadata_write", "c0-node", "version=2"),
+    (15, "client.publish", "c0-node", ""),
+    (24, "vm.publish", "vm-node", "blob=1 version=2"),
+    (None, "client.read", "c0-node", "blob=1 client=c0 ok=True size_mb=2.0 version=2"),
+    (26, "client.lookup", "c0-node", ""),
+    (27, "vm.get_latest", "vm-node", "blob=1 caller=c0-node"),
+    (26, "client.metadata_read", "c0-node", "chunks=2 version=2"),
+    (26, "client.fetch", "c0-node", "cached=0 chunks=2"),
+    (30, "provider.serve", "provider-0-node", "chunk=b1.c0.w1.c0 client=c0 size_mb=1.0"),
+    (30, "provider.serve", "provider-2-node", "chunk=b1.c0.w2.c0 client=c0 size_mb=1.0"),
+    (31, "net.flow", "provider-0-node", "dst=c0-node fid=4 size_mb=1.0 src=provider-0-node tag=c0"),
+    (32, "net.flow", "provider-2-node", "dst=c0-node fid=5 size_mb=1.0 src=provider-2-node tag=c0"),
+    (None, "client.read", "c0-node", "blob=1 client=c0 ok=True size_mb=2.0 version=2"),
+    (35, "client.lookup", "c0-node", ""),
+    (36, "vm.get_latest", "vm-node", "blob=1 caller=c0-node"),
+    (35, "client.metadata_read", "c0-node", "chunks=2 version=2"),
+    (35, "client.fetch", "c0-node", "cached=2 chunks=0"),
+]
+
+
+def cached_deployment(**overrides):
+    return make_deployment(
+        seed=3, data_providers=4, chunk_size_mb=1.0, replication=1,
+        client_chunk_cache_mb=8.0, client_metadata_cache_mb=1.0, **overrides)
+
+
+def test_traced_operations_record_the_span_trees_they_always_did():
+    deployment = cached_deployment()
+    tele = telemetry.enable(deployment, profile=False)
+    client = deployment.new_client("c0")
+
+    def actor():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 2.0)
+        yield from client.write(blob, 1.0, 1.0)
+        yield from client.read(blob, 0.0, 2.0)  # cold: both chunks fetched
+        yield from client.read(blob, 0.0, 2.0)  # warm: both from the cache
+
+    deployment.run(until=deployment.env.process(actor()))
+    assert tele.tracer.open_spans() == []
+    assert span_rows(tele.tracer) == GOLDEN_SPAN_ROWS
+    for op in ("client.append", "client.write", "client.read"):
+        for root in tele.tracer.spans_named(op):
+            report = telemetry.analyze(tele.tracer, root=root)
+            assert abs(sum(p.duration_s for p in report.phases)
+                       - report.duration_s) < 1e-9
+
+
+def failed_read_spans(deployment, client, **read):
+    """Spans of one failing ``client.read`` and the error it raised."""
+    tele = telemetry.enable(deployment, profile=False)
+    caught = {}
+
+    def actor():
+        try:
+            yield from client.read(**read)
+        except Exception as exc:  # noqa: BLE001 - whatever the read raises
+            caught["error"] = exc
+
+    deployment.env.process(actor())
+    deployment.run(until=deployment.env.now + 30.0)
+    assert tele.tracer.open_spans() == []
+    return ({s.name: s for s in tele.tracer.spans}, caught["error"])
+
+
+def one_chunk_blob(deployment, client):
+    def write():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 1.0)
+        return blob
+
+    return deployment.run(until=deployment.env.process(write()))
+
+
+def test_read_failing_in_its_lookup_closes_every_span_with_the_error():
+    """The phases of a read are explicit begin/finish pairs: the one an
+    error escapes from is closed by the root, with the error on it."""
+    from repro.blobseer.errors import RangeError, RpcTimeout, VersionNotFound
+
+    # The version manager refuses inside the handler: three spans end.
+    deployment = cached_deployment()
+    client = deployment.new_client("c0")
+    blob = one_chunk_blob(deployment, client)
+    spans, error = failed_read_spans(
+        deployment, client, blob_id=blob, offset_mb=0.0, size_mb=1.0, version=9)
+    assert isinstance(error, VersionNotFound)
+    assert list(spans) == ["vm.get_latest", "client.lookup", "client.read"]
+    for name in ("vm.get_latest", "client.lookup"):
+        assert spans[name].attrs["error"] == f"VersionNotFound: {error}"
+    root = spans["client.read"]
+    assert (root.attrs["ok"], root.attrs["error"]) == (False, str(error))
+    assert all(s.end == root.end for s in spans.values())
+
+    # The range check fails between two phases: only the root carries it.
+    deployment = cached_deployment()
+    client = deployment.new_client("c0")
+    blob = one_chunk_blob(deployment, client)
+    spans, error = failed_read_spans(
+        deployment, client, blob_id=blob, offset_mb=0.0, size_mb=2.0)
+    assert isinstance(error, RangeError)
+    assert list(spans) == ["vm.get_latest", "client.lookup", "client.read"]
+    assert "error" not in spans["client.lookup"].attrs
+    assert spans["client.read"].attrs["error"] == str(error)
+    assert spans["client.read"].attrs["ok"] is False
+
+    # The version manager is gone: the deadline expires mid-lookup.
+    deployment = cached_deployment()
+    deployment.net.blackhole_missing = True
+    client = deployment.new_client("c0", rpc_timeout_s=2.0)
+    blob = one_chunk_blob(deployment, client)
+    deployment.actor_nodes["vm"].fail()
+    spans, error = failed_read_spans(
+        deployment, client, blob_id=blob, offset_mb=0.0, size_mb=1.0)
+    assert isinstance(error, RpcTimeout)
+    assert list(spans) == ["vm.get_latest", "client.lookup", "client.read"]
+    for name in ("vm.get_latest", "client.lookup"):
+        assert spans[name].attrs["error"] == f"RpcTimeout: {error}"
+    root = spans["client.read"]
+    assert (root.attrs["ok"], root.attrs["error"]) == (False, str(error))
+    assert root.duration_s == pytest.approx(2.0)
+    assert client.history[-1].ok is False

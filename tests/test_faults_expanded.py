@@ -50,6 +50,27 @@ def test_partition_blackholes_crossing_messages():
     assert kinds == ["partition", "heal"]
 
 
+def test_partition_installed_mid_run_stops_the_very_next_message():
+    """Messages between the pair were delivered (and their delay kept by
+    the network) before any fault model existed; the partition's hook
+    still sees the next one."""
+    testbed = make_testbed()
+    injector = FaultInjector(testbed)
+    a = testbed.add_node("a")
+    testbed.add_node("b")
+    for _ in range(3):
+        testbed.env.run(until=testbed.net.transfer("a", "b", 0.0))
+    assert testbed.net.fault_model is None
+    injector.partition([a], heal_after=5.0)
+    cut = drive(testbed.env, lambda: testbed.net.transfer("a", "b", 0.0))
+    testbed.env.run(until=testbed.env.now + 1.0)
+    assert "at" not in cut and testbed.net.blackholed_transfers == 1
+    testbed.env.run(until=testbed.env.now + 5.0)
+    healed = drive(testbed.env, lambda: testbed.net.transfer("a", "b", 0.0))
+    testbed.env.run(until=testbed.env.now + 1.0)
+    assert "at" in healed
+
+
 def test_partition_blackholes_zero_payload_messages():
     testbed = make_testbed()
     injector = FaultInjector(testbed)
@@ -198,15 +219,20 @@ def test_degrade_nic_guards():
 
 
 # ------------------------------------------------------------------ message loss
-def _loss_pattern(seed, sends=40, rate=0.5):
+def _loss_pattern(seed, sends=40, rate=0.5, warm_up=0):
     testbed = make_testbed(seed=seed)
     injector = FaultInjector(testbed)
-    injector.set_message_loss(rate)
+    if not warm_up:
+        injector.set_message_loss(rate)
     a = testbed.add_node("a")
     b = testbed.add_node("b")
     delivered = []
 
     def sender(env):
+        for _ in range(warm_up):  # no fault model yet: the network keeps
+            yield testbed.net.transfer("a", "b", 0.0)  # the pair's delay
+        if warm_up:
+            injector.set_message_loss(rate)
         for i in range(sends):
             event = testbed.net.transfer("a", "b", 0.0)
             outcome = drive(env, lambda e=event: e)
@@ -232,6 +258,9 @@ def test_message_loss_drop_pattern_is_frozen():
     c8911bc, before messages became single kernel events."""
     pattern = "".join("1" if ok else "0" for ok in _loss_pattern(seed=31))
     assert pattern == "1100100110011110100001000101100100000000"
+    # Armed mid-run, after the network has kept the pair's delay: the
+    # very next send draws, and the stream is the same.
+    assert _loss_pattern(seed=31, warm_up=5) == _loss_pattern(seed=31)
 
 
 def test_message_loss_validation_and_off_switch():

@@ -29,7 +29,11 @@ one per tree level.  Only the ``cache.meta.*`` ``lookups_per_s`` /
 ``hit_rate`` series and the metadata caches' own counters move;
 completions, capacities, arbiter, reallocations and every decision's
 time, action, cache and sizes are those of c00cc97 (field-by-field
-before/after in CHANGES.md).
+before/after in CHANGES.md).  The child of a802854 (PR 23) re-recorded
+``contention`` and ``disturbance`` the way PR 19 did: the flow network
+stopped sampling the reader-less series ``net.active_flows``, and each
+new digest equals the sha256 of the a802854 payload with exactly that
+one key deleted (412 / 382 / 106 / 86 points; script in CHANGES.md).
 
 ``CONTENT_GOLDEN`` is the oracle that change was *not* allowed to move:
 what ends up stored — version chains, sizes, which chunk sits at which
@@ -415,10 +419,10 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    ("contention", 0): "dbbe8c095fa7b15752828b47084a3aad51c9efeaa549b9e6be07dd28b80a9abe",
-    ("contention", 7): "dc4a4804b16d5f8c01a9e94ea637da6a5edf75844607d4aa3c8e076adc383fc1",
-    ("disturbance", 0): "14b81051c6d5365797e751d95e291c639c6680e81ca8eacb9bf003dd8f43522b",
-    ("disturbance", 7): "5a25166f29cd174c52b8423f52ca6a966bc1b25be9c8a6b217eeb4d689f899e0",
+    ("contention", 0): "251229fd2c3bd0ba06cab357b840eea2d1dd278f52874b3f9d73c07200450bb0",
+    ("contention", 7): "0e277ef7d89794891391796966b2ea3d54cf7f5908ec7673e0e6111adb40b41e",
+    ("disturbance", 0): "6933db22272092864d0529b12179b3137c8e7c9394bd429d357d97e6ddc4e307",
+    ("disturbance", 7): "f5bd258c34aacc43cb4bb1bf26f9f2f355d685a117959c4ef000e0a954265843",
     ("dos", 0): "bf7af676ce7b2d08aa96941d78d8baed0004c455b261c55ff45eb35b94c07332",
     ("dos", 7): "b185245d08b422b5aa5bf7d77d05694c040aa536ecde39180cc646b7e463216d",
     # fanout and write draw nothing from the seed at these configurations

@@ -1,15 +1,22 @@
 """Budgets of the hot path: work that takes no simulated time allocates
-nothing in the kernel (DESIGN.md, "Architectural notes").
+nothing in the kernel, and nothing runs on the op path unless it can
+change the simulated outcome or feeds an observer that is switched on
+(DESIGN.md, "Architectural notes").
 
 Deterministic counts, no timing: kernel events per warm read, heap
 entries per release, generators per metadata-cache hit, records per
-emit into an empty sink — plus an AST gate that keeps the actor loops
-driving client operations inline.  Each budget is exact, so the two-event
-tax of a process wrapped around an operation (or a dead heap entry per
-release) cannot creep back unnoticed.
+emit into an empty sink, function calls per warm read, tracer calls per
+untraced operation, hashes per placed monitoring parameter — plus an AST
+gate that keeps the actor loops driving client operations inline.  Each
+budget is exact, so the two-event tax of a process wrapped around an
+operation (or a dead heap entry per release, or one more null span per
+read) cannot creep back unnoticed.
 """
 
 import ast
+import collections
+import hashlib
+import sys
 from pathlib import Path
 
 import repro.blobseer.client as client_module
@@ -23,7 +30,9 @@ from repro.blobseer import (
 from repro.blobseer.metadata import MetadataStore
 from repro.blobseer.segment_tree import capacity_for, tree_query
 from repro.cluster import TestbedConfig
+from repro.monitoring import MonitoringConfig, MonitoringStack
 from repro.simulation import Environment, Process, Resource
+from repro.telemetry import MetricsRegistry
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -123,6 +132,122 @@ def test_warm_read_of_a_tall_tree_is_one_lookup_per_cache(monkeypatch):
     assert seen == {"tree_queries": 0, "node_keys": 0, "processes": 0,
                     "events": 4, "meta_lookups": 1, "meta_hits": 1,
                     "chunk_lookups": 1, "chunk_hits": 1}
+
+
+class CallCount:
+    """Calls of functions defined under ``src/repro`` while profiling is
+    on, by source file.  A generator counts once per resume, like under
+    cProfile; comprehensions, lambdas and C functions are left out, so
+    the numbers do not depend on how an interpreter version runs those."""
+
+    PACKAGE = str(ROOT / "src" / "repro") + "/"
+
+    def __init__(self) -> None:
+        self.by_file = collections.Counter()
+
+    def _profile(self, frame, event, _arg) -> None:
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(self.PACKAGE)
+                and not code.co_name.startswith("<")):
+            self.by_file[code.co_filename[len(self.PACKAGE):]] += 1
+
+    def __enter__(self) -> "CallCount":
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        sys.setprofile(None)
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_file.values())
+
+
+def test_warm_read_is_seventy_five_calls():
+    """Both caches hit, a metrics registry installed, the default
+    ``NullTracer``, an empty sink: what a warm read still calls is its
+    get-latest round trip, two cache lookups, three instruments and the
+    kernel steps in between.  117 at the parent of this budget (a802854),
+    where the same read entered 17 null spans, hopped through ``env``
+    properties, resolved both message routes from scratch and looked its
+    throughput series up by name."""
+    dep = cached_deployment()
+    env = dep.env
+    env.metrics = MetricsRegistry(env)
+    client = dep.new_client("c0")
+    assert not env.tracer.enabled and not dep.sink.enabled
+    counted = CallCount()
+
+    def actor():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 2.0)
+        yield from client.read(blob, 0.0, 1.0)  # fills both caches
+        with counted:
+            yield from client.read(blob, 0.0, 1.0)
+
+    env.process(actor())
+    dep.run()
+    assert client.history[-1].ok
+    assert env.metrics.series("client.throughput_mbps").points[-1][0] == env.now
+    assert counted.total == 75, sorted(counted.by_file.items())
+
+
+def test_untraced_operations_never_enter_the_tracer():
+    """Off is absent: with the ``NullTracer`` a read and an append make
+    no call into ``repro.telemetry.tracer`` — one ``tracer.enabled``
+    read per operation or handler decides.  (Re-adding a single
+    ``with tracer.span(...)`` to ``client.py`` fails this.)"""
+    dep = cached_deployment()
+    client = dep.new_client("c0")
+    blob = dep.run(until=dep.env.process(client.create_blob(1.0)))
+    counted = CallCount()
+
+    def actor():
+        with counted:
+            yield from client.append(blob, 2.0)
+            yield from client.read(blob, 0.0, 2.0)  # cold: fetches both chunks
+            yield from client.read(blob, 0.0, 2.0)  # warm
+
+    dep.run(until=dep.env.process(actor()))
+    assert [op.ok for op in client.history[-3:]] == [True] * 3
+    assert counted.by_file["blobseer/client.py"] > 0
+    assert counted.by_file["telemetry/tracer.py"] == 0
+
+
+def test_a_placed_parameter_or_actor_is_not_hashed_again(monkeypatch):
+    """Monitoring placement is fixed per parameter and per actor id: the
+    md5 that picks a storage server or a monitoring service runs once
+    for each, not once per event per hop (at a802854: three name formats
+    and two hashes per event, and one hash per actor per flush)."""
+    dep = cached_deployment()
+    stack = MonitoringStack(dep.testbed, MonitoringConfig(
+        services=2, storage_servers=2, flush_interval_s=0.5))
+    stack.attach(dep)
+    recorder = RecordingSink()
+    dep.sink.add(recorder)
+    client = dep.new_client("c0")
+
+    def write():
+        blob = yield from client.create_blob(1.0)
+        yield from client.append(blob, 2.0)
+
+    dep.run(until=dep.env.process(write()))
+    dep.run(until=dep.env.now + 2.0)  # flushed, routed, stored: all placed
+    stored = stack.repository.stored_count
+    assert stored == len(recorder.events) > 0
+
+    hashed = []
+    md5 = hashlib.md5
+    monkeypatch.setattr(hashlib, "md5",
+                        lambda data: hashed.append(data) or md5(data))
+    formats = count_calls(monkeypatch, MonitoringEvent, "parameter_name")
+    for event in recorder.events:  # the same parameters, the same actors
+        stack.emit(event)
+    dep.run(until=dep.env.now + 2.0)
+    assert stack.repository.stored_count == 2 * stored
+    assert stack.parameter_count() == len(
+        {event.parameter_name() for event in recorder.events[:stored]})
+    assert hashed == [] and formats[0] == stored  # the line above, only
 
 
 def test_release_schedules_nothing():

@@ -94,6 +94,50 @@ def test_latency_callable_per_pair():
     assert env.now == pytest.approx(1.1)
 
 
+def test_kept_message_delay_is_forgotten_when_the_topology_changes():
+    """A pair's delay is kept only while that answer is fixed: under
+    ``blackhole_missing`` a node that crashed and came back has a fresh
+    ``NetNode``, and a message through the one captured before the crash
+    vanishes — however often that pair was resolved before."""
+    env = Environment()
+    net = make_net(env, latency=0.25)
+    net.blackhole_missing = True
+    a = net.add_node(NetNode("a"))
+    b = net.add_node(NetNode("b"))
+    for src, dst in (("a", "b"), (a, b), ("a", "b"), (a, b)):
+        env.run(until=net.message(src, dst))
+    assert env.now == pytest.approx(1.0)
+
+    net.remove_node("b")
+    lost = net.message("a", "b")  # nobody there
+    fresh = net.add_node(NetNode("b"))
+    stale = net.message(a, b)  # the NetNode of the dead incarnation
+    by_name, by_node = net.message("a", "b"), net.message(a, fresh)
+    env.run(until=env.now + 1.0)
+    assert by_name.processed and by_node.processed
+    assert not lost.triggered and not stale.triggered
+    assert net.blackholed_transfers == 2
+    # ... and a stale reference is never kept, whichever mode resolved it.
+    net.blackhole_missing = False
+    env.run(until=net.message(a, b))
+    net.blackhole_missing = True
+    assert not net.message(a, b).triggered
+    assert net.blackholed_transfers == 3
+
+
+def test_unknown_endpoint_raises_even_after_the_pair_was_resolved():
+    env = Environment()
+    net = make_net(env, latency=0.25)
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    env.run(until=net.message("a", "b"))
+    net.remove_node("b")
+    with pytest.raises(KeyError):
+        net.message("a", "b")
+    with pytest.raises(KeyError):
+        net.transfer("a", "b", 0.0)
+
+
 def test_backbone_constrains_cross_site_flows():
     env = Environment()
     net = make_net(env, backbone_capacity=10.0)
