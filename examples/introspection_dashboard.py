@@ -49,7 +49,8 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
         metadata_providers=2,
         chunk_size_mb=64.0,
         # Cache tiers on, so the dashboard has hit rates to show (a
-        # 64 MB chunk needs 2x capacity to pass size admission).
+        # 64 MB chunk needs 2x capacity: a cache refuses an entry over
+        # ``repro.cache.core.MAX_ENTRY_FRACTION`` = half of it).
         client_chunk_cache_mb=256.0,
         client_metadata_cache_mb=8.0,
         provider_cache_mb=256.0,

@@ -52,13 +52,12 @@ def main() -> None:
         marker = " <= attack starts" if abs(t - 40.0) < 5 else ""
         print(f"  t={t:6.0f}s  {v:7.1f} MB/s{marker}")
 
-    trust = scenario.security.trust
-    if trust is not None:
-        print("\ntrust values after the incident:")
-        for record in sorted(trust.all_records(), key=lambda r: r.trust):
-            if record.violations:
-                print(f"  {record.client_id:10s} trust={record.trust:.2f} "
-                      f"violations={record.violations}")
+    print("\ntrust values after the incident:")
+    for record in sorted(scenario.security.trust.all_records(),
+                         key=lambda r: r.trust):
+        if record.violations:
+            print(f"  {record.client_id:10s} trust={record.trust:.2f} "
+                  f"violations={record.violations}")
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ Strategies are composable predicates over the chunk directory:
 
 The :class:`RemovalManager` applies them periodically and accounts the
 reclaimed space.  Removal only ever touches chunks that are *not* part
-of the latest published version unless the strategy explicitly opts in
-(``protect_latest=False``) — deleting live data is an administrator
-decision, not a default.
+of the latest published version: whatever a strategy selects, the chunks
+that version's tree points at (and those of writes still in flight)
+stay — deleting live data is an administrator decision, not a
+background policy's.
 """
 
 from __future__ import annotations
@@ -132,31 +133,30 @@ class RemovalManager(ControlLoop):
     """Periodically applies removal strategies to the provider pool."""
 
     name = "removal"
+    #: Seconds between two sweeps of the chunk directory.
+    SWEEP_INTERVAL_S = 10.0
 
     def __init__(
         self,
         deployment: BlobSeerDeployment,
         strategies: Iterable[RemovalStrategy],
-        interval_s: float = 10.0,
-        protect_latest: bool = True,
     ) -> None:
-        super().__init__(interval_s=interval_s)
+        super().__init__(interval_s=self.SWEEP_INTERVAL_S)
         self.deployment = deployment
         self.strategies = list(strategies)
-        self.protect_latest = protect_latest
         self.reclaimed_mb = 0.0
         self.removed_chunks = 0
 
     def _protected_keys(self) -> Set[str]:
-        """Chunks referenced by the latest published version of any blob.
+        """Chunks the latest published version of any blob references,
+        plus those of writes ticketed but not yet published.
 
-        Resolved through the version managers' blob registry: a chunk
-        whose version is the blob's current latest must not be deleted by
-        background policies.
+        A copy-on-write tree shares every chunk its version did not
+        overwrite, so the latest version points, per chunk index, at the
+        newest chunk written at or before it — not only at the chunks
+        written *at* it.  Resolved through the version managers' blob
+        registry.
         """
-        protected: Set[str] = set()
-        if not self.protect_latest:
-            return protected
         # Union over shards: each blob lives on exactly one shard, so the
         # per-shard registries are disjoint (single shard = the original).
         latest: Dict[int, int] = {
@@ -164,11 +164,23 @@ class RemovalManager(ControlLoop):
             for vm in self.deployment.authority_vms()
             for blob_id, info in vm.blobs.items()
         }
+        protected: Set[str] = set()
+        #: (blob, chunk index) -> (version, key) of the newest chunk
+        #: written at or before the blob's latest version.
+        referenced: Dict[Tuple[int, int], Tuple[int, str]] = {}
         for provider in self.deployment.active_pmanager().providers.values():
             for key, descriptor in provider.chunks.items():
+                if descriptor.version < 0:
+                    continue
                 current = latest.get(descriptor.blob_id, 0)
-                if 0 <= descriptor.version and descriptor.version >= current:
+                if descriptor.version >= current:
                     protected.add(key)
+                if descriptor.version <= current:
+                    slot = (descriptor.blob_id, descriptor.chunk_index)
+                    held = referenced.get(slot)
+                    if held is None or held[0] < descriptor.version:
+                        referenced[slot] = (descriptor.version, key)
+        protected.update(key for _version, key in referenced.values())
         return protected
 
     def step(self, now: float) -> List[AdaptationDecision]:

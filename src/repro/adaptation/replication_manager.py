@@ -9,8 +9,8 @@ The manager periodically sweeps the chunk directory:
 
 - **repair** — chunks whose live replica count fell below the target
   (node crashes) are re-replicated from a surviving copy;
-- **promote** — chunks read faster than ``hot_reads_per_s`` gain extra
-  replicas (up to ``max_replication``) to spread read load;
+- **promote** — chunks read faster than ``HOT_READS_PER_S`` gain extra
+  replicas (up to ``MAX_REPLICATION``) to spread read load;
 - **demote** — previously-hot chunks that cooled down drop back to the
   target degree.
 """
@@ -41,6 +41,10 @@ __all__ = ["ReplicationManager", "migrate_chunks"]
 REPAIR_TIMEOUT_S = 30.0
 #: Copies one sweep may start; the rest wait for the next sweep.
 MAX_REPAIRS_PER_STEP = 64
+#: Read rate above which a chunk counts as hot: it gains one extra
+#: replica per multiple of this rate, up to ``MAX_REPLICATION`` in all.
+HOT_READS_PER_S = 1.0
+MAX_REPLICATION = 4
 
 
 class ReplicationManager(DecisionLoop):
@@ -52,24 +56,12 @@ class ReplicationManager(DecisionLoop):
         self,
         deployment: BlobSeerDeployment,
         target_replication: int = 2,
-        max_replication: int = 4,
-        hot_reads_per_s: float = 1.0,
         interval_s: float = 5.0,
-        query=None,
     ) -> None:
         super().__init__(interval_s=interval_s)
         self.deployment = deployment
         self.env = deployment.env
-        #: Optional introspection QueryEngine.  When set, each sweep
-        #: publishes its directory view as metrics series
-        #: (``replication.under_replicated`` / ``.hot_chunks`` /
-        #: ``.chunks`` / ``.in_flight``), giving the decision journal a
-        #: signal to attribute repair/promote effects against.  ``None``
-        #: (the default) publishes nothing — byte-identical to before.
-        self.query = query
         self.target_replication = target_replication
-        self.max_replication = max_replication
-        self.hot_reads_per_s = hot_reads_per_s
         #: MB moved by repair/promotion traffic (bench metric).
         self.repair_traffic_mb = 0.0
         self.repairs_done = 0
@@ -83,8 +75,8 @@ class ReplicationManager(DecisionLoop):
     def planner_info(self):
         return {"name": "sweep", "params": {
             "target_replication": self.target_replication,
-            "max_replication": self.max_replication,
-            "hot_reads_per_s": self.hot_reads_per_s,
+            "max_replication": MAX_REPLICATION,
+            "hot_reads_per_s": HOT_READS_PER_S,
         }}
 
     # -- directory ------------------------------------------------------------
@@ -167,31 +159,18 @@ class ReplicationManager(DecisionLoop):
                     detail={"chunk": key, "from": victim.provider_id},
                     apply=drop_replica,
                 )
-        self._publish(now, len(directory), under_replicated, hot)
         # Provenance: the sweep's view of the directory this step.
         self.note(chunks=len(directory), under_replicated=under_replicated,
                   hot_chunks=hot, lost_chunks=len(self.lost_chunks),
                   in_flight=len(self._in_flight))
 
-    def _publish(self, now: float, chunks: int, under_replicated: int,
-                 hot: int) -> None:
-        """Publish the sweep's directory view as metrics series."""
-        if self.query is None or self.query.metrics is None:
-            return
-        metrics = self.query.metrics
-        metrics.sample("replication.chunks", float(chunks))
-        metrics.sample("replication.under_replicated",
-                       float(under_replicated))
-        metrics.sample("replication.hot_chunks", float(hot))
-        metrics.sample("replication.in_flight", float(len(self._in_flight)))
-
     def _desired_degree(self, descriptor: ChunkDescriptor, now: float) -> int:
-        """Target + hotness bonus, capped at max_replication."""
+        """Target + hotness bonus, capped at ``MAX_REPLICATION``."""
         degree = self.target_replication
         rate = self._read_rate(descriptor, now)
-        if rate > self.hot_reads_per_s:
-            extra = int(rate / self.hot_reads_per_s)
-            degree = min(self.max_replication, degree + extra)
+        if rate > HOT_READS_PER_S:
+            extra = int(rate / HOT_READS_PER_S)
+            degree = min(MAX_REPLICATION, degree + extra)
         return degree
 
     def _read_rate(self, descriptor: ChunkDescriptor, now: float) -> float:

@@ -41,7 +41,7 @@ from .instrument import (
 from .metadata import LocalKV, MetadataProvider, MetadataStore
 from .provider import DataProvider, ProviderUnavailable, StorageFull
 from .provider_manager import ProviderManager
-from .segment_tree import capacity_for, tree_node_count, tree_query, tree_update
+from .segment_tree import capacity_for, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
 
 __all__ = [
@@ -86,6 +86,5 @@ __all__ = [
     "ProviderUnavailable",
     "tree_update",
     "tree_query",
-    "tree_node_count",
     "capacity_for",
 ]

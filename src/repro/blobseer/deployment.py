@@ -43,7 +43,6 @@ class BlobSeerConfig:
     client_chunk_cache_mb: float = 0.0
     client_metadata_cache_mb: float = 0.0
     provider_cache_mb: float = 0.0
-    cache_policy: str = "lru"
     #: Control-plane replication (repro.robustness.replication).  The
     #: defaults build the original single managers and change nothing:
     #: replicated runs are opt-in so baseline scenarios stay
@@ -293,7 +292,7 @@ class BlobSeerDeployment:
             return None
         from ..cache import Cache
 
-        cache = Cache(name, capacity_mb, policy=self.config.cache_policy)
+        cache = Cache(name, capacity_mb)
         self.caches.append(cache)
         return cache
 

@@ -9,10 +9,11 @@ a provider that is dead when the request arrives serves nothing.
 
 A read held locally costs no generator: ``peek(key) -> (hit, value)`` is
 a plain call, ``fetch(key)`` the generator that goes to the network after
-a miss, ``get`` is peek-or-fetch.  Two ``KVStore`` implementations exist:
+a miss, ``get`` is peek-or-fetch and ``put(key, value)`` the generator
+that stores.  Two stores speak this interface:
 
-- :class:`LocalKV` — in-process dict, zero cost; used in unit tests and
-  as the version manager's private store;
+- :class:`LocalKV` — in-process dict, zero cost; the fake the segment
+  tree's unit tests drain synchronously;
 - :class:`MetadataStore` — client-side view that routes each key to its
   :class:`MetadataProvider` over the network.
 """
@@ -20,39 +21,19 @@ a miss, ``get`` is peek-or-fetch.  Two ``KVStore`` implementations exist:
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.node import PhysicalNode
 from ..simulation.network import FlowNetwork
 from .instrument import EventSink, MonitoringEvent, NullSink
 from .rpc import CONTROL_MSG_MB, RoundTrip
 
-__all__ = ["KVStore", "LocalKV", "MetadataProvider", "MetadataStore"]
+__all__ = ["LocalKV", "MetadataProvider", "MetadataStore"]
 
 #: Cached stand-in for a ``None`` KV result (an unwritten subtree).
 #: Tree keys are version-stamped and immutable, so even "this node does
 #: not exist" is a fact that can never change and is safe to cache.
 _NEGATIVE = ("negative",)
-
-
-class KVStore(Protocol):
-    """Key-value interface used by the segment tree."""
-
-    def peek(self, key: str) -> Tuple[bool, Any]:  # pragma: no cover - protocol
-        """``(hit, value)`` from what is held locally; takes no time."""
-        ...
-
-    def fetch(self, key: str):  # pragma: no cover - protocol
-        """Generator returning the value or None, after a ``peek`` miss."""
-        ...
-
-    def get(self, key: str):  # pragma: no cover - protocol
-        """Generator returning the value or None (peek, else fetch)."""
-        ...
-
-    def put(self, key: str, value: Any):  # pragma: no cover - protocol
-        """Generator storing the value."""
-        ...
 
 
 class LocalKV:

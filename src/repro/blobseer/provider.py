@@ -48,7 +48,12 @@ class DataProvider:
 
     #: Per-chunk CPU cost of ingesting (checksum + index insert).
     WRITE_CPU_S = 0.0002
-    #: Fixed per-request overhead of the local disk (see ``disk_rate_mbps``).
+    #: Local disk service: sequential commit at this rate plus a fixed
+    #: per-request overhead.  This queue — not the NIC — is what a
+    #: write-flood DoS saturates (§IV-C): attackers keep far more
+    #: requests outstanding than correct clients, so FIFO disk queues
+    #: fill with attack chunks and correct writes stall behind them.
+    DISK_RATE_MBPS = 120.0
     DISK_OVERHEAD_S = 0.003
 
     def __init__(
@@ -56,7 +61,6 @@ class DataProvider:
         node: PhysicalNode,
         provider_id: str,
         sink: Optional[EventSink] = None,
-        disk_rate_mbps: float = 120.0,
         memory_cache=None,
     ) -> None:
         self.node = node
@@ -69,12 +73,6 @@ class DataProvider:
         #: FIFO disk.  Volatile — wiped whenever the node crashes.
         #: ``None`` (default) keeps the disk-only path byte-identical.
         self.memory_cache = memory_cache
-        #: Local disk service: sequential commit at this rate plus a fixed
-        #: per-request overhead.  This queue — not the NIC — is what a
-        #: write-flood DoS saturates (§IV-C): attackers keep far more
-        #: requests outstanding than correct clients, so FIFO disk queues
-        #: fill with attack chunks and correct writes stall behind them.
-        self.disk_rate_mbps = disk_rate_mbps
         self.disk_queue = Resource(node.env, capacity=1)
         self.chunks: Dict[str, ChunkDescriptor] = {}
         self.decommissioned = False
@@ -257,12 +255,10 @@ class DataProvider:
 
     def _disk_io(self, size_mb: float):
         """Generator: one FIFO disk request of *size_mb*."""
-        if self.disk_rate_mbps <= 0:
-            return
         request = self.disk_queue.request()
         yield request
         try:
-            yield self.env.timeout(size_mb / self.disk_rate_mbps + self.DISK_OVERHEAD_S)
+            yield self.env.timeout(size_mb / self.DISK_RATE_MBPS + self.DISK_OVERHEAD_S)
         finally:
             self.disk_queue.release(request)
 

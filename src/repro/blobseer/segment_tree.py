@@ -38,7 +38,6 @@ __all__ = [
     "capacity_for",
     "tree_update",
     "tree_query",
-    "tree_node_count",
 ]
 
 
@@ -188,13 +187,3 @@ def tree_query(
         if first < mid and left_stamp is not None:
             stack.append((lo, mid, left_stamp))
     return result
-
-
-def tree_node_count(span: int, capacity: int) -> int:
-    """Upper bound on KV puts for an update covering *span* chunks: an
-    update touches at most ``2*span`` leaf-side nodes plus the two
-    boundary paths to the root.
-    """
-    _check_capacity(capacity)
-    depth = capacity.bit_length() - 1
-    return 2 * span + 2 * depth

@@ -4,9 +4,9 @@ BlobSeer's copy-on-write versioning (Nicolae et al.) makes every datum
 immutable once published — chunk payloads, metadata-tree nodes and
 per-version object mappings never change in place.  That turns cache
 coherence, the hard problem of distributed caching, into a non-problem:
-this package only has to manage *capacity* (eviction policies, byte
-budgets, admission) and *reachability* (invalidating keys republished
-at a new version).
+this package only has to manage *capacity* (LRU eviction under a byte
+budget, with oversized entries refused) and *reachability* (explicit
+invalidation).
 
 Tiers built on :class:`Cache`:
 
@@ -15,31 +15,13 @@ Tiers built on :class:`Cache`:
 - client-side metadata-tree node cache (``repro.blobseer.metadata``) —
   tree traversals skip the metadata-provider round trips;
 - provider memory-over-disk tier (``repro.blobseer.provider``) — hot
-  chunks skip the FIFO disk queue;
-- gateway object cache (``repro.cloud.cumulus``) — repeated S3 GETs
-  skip the BlobSeer back end.
+  chunks skip the FIFO disk queue.
 
 All tiers default **off**; cache-less runs are byte-identical per seed.
 Capacities are re-balanced at runtime by
 :class:`~repro.adaptation.CacheTuner` (self-optimization).
 """
 
-from .core import Cache, CacheStats, SizeAdmission
-from .policy import (
-    ArcPolicy,
-    CachePolicy,
-    LruPolicy,
-    SeededRandomPolicy,
-    make_policy,
-)
+from .core import Cache, CacheStats
 
-__all__ = [
-    "Cache",
-    "CacheStats",
-    "SizeAdmission",
-    "CachePolicy",
-    "LruPolicy",
-    "ArcPolicy",
-    "SeededRandomPolicy",
-    "make_policy",
-]
+__all__ = ["Cache", "CacheStats"]

@@ -1,11 +1,11 @@
-"""Byte-budgeted cache with pluggable eviction and admission.
+"""Byte-budgeted LRU cache.
 
 The versioning model makes caching trivially coherent: chunk payloads,
 metadata-tree nodes and published object versions are all immutable, so
 a cached entry can never be stale — the only cache-management problems
-left are *capacity* (solved by the eviction policy) and *reachability*
-(solved by explicit invalidation when a key is republished at a new
-version, the Cumulus gateway case).
+left are *capacity* (solved by least-recently-used eviction) and
+*reachability* (solved by explicit invalidation, e.g. when a node crash
+wipes a memory tier).
 
 Every :class:`Cache` keeps its statistics once, in its
 :class:`CacheStats` (plus ``bytes_used`` / ``capacity_mb``).  The
@@ -16,15 +16,18 @@ layer watches; a cache itself records nothing in the metrics registry.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Tuple
 
-from .policy import CachePolicy, make_policy
-
-__all__ = ["CacheStats", "SizeAdmission", "Cache"]
+__all__ = ["CacheStats", "Cache"]
 
 #: Internal sentinel distinguishing "miss" from a cached ``None`` value.
 _MISS = object()
+#: Admission control: an entry bigger than this fraction of capacity
+#: would flush a disproportionate share of the working set for a single
+#: key, so it is served uncached instead.
+MAX_ENTRY_FRACTION = 0.5
 
 
 @dataclass
@@ -63,25 +66,8 @@ class CacheStats:
         }
 
 
-class SizeAdmission:
-    """Admission control: refuse entries too large for the cache.
-
-    An entry bigger than ``max_fraction`` of capacity would flush a
-    disproportionate share of the working set for a single key, so it is
-    served uncached instead.
-    """
-
-    def __init__(self, max_fraction: float = 0.5) -> None:
-        if not 0.0 < max_fraction <= 1.0:
-            raise ValueError("max_fraction must be in (0, 1]")
-        self.max_fraction = max_fraction
-
-    def __call__(self, key: Hashable, size_mb: float, capacity_mb: float) -> bool:
-        return size_mb <= self.max_fraction * capacity_mb
-
-
 class Cache:
-    """One named cache tier: byte capacity + eviction policy + stats.
+    """One named cache tier: byte capacity + LRU eviction + stats.
 
     Parameters
     ----------
@@ -90,29 +76,17 @@ class Cache:
     capacity_mb:
         Byte budget.  :meth:`resize` (the cache tuner's lever) evicts
         down when shrunk.
-    policy:
-        A :class:`CachePolicy` instance or one of ``"lru"`` / ``"arc"``
-        / ``"random"``.
-    admission:
-        ``admit(key, size_mb, capacity_mb) -> bool``; default
-        :class:`SizeAdmission`.
     """
 
-    def __init__(
-        self,
-        name: str,
-        capacity_mb: float,
-        policy: "CachePolicy | str" = "lru",
-        admission: Optional[Callable[[Hashable, float, float], bool]] = None,
-    ) -> None:
+    def __init__(self, name: str, capacity_mb: float) -> None:
         if capacity_mb <= 0:
             raise ValueError("capacity_mb must be positive")
         self.name = name
         self.capacity_mb = float(capacity_mb)
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self.admission = admission or SizeAdmission()
         self.stats = CacheStats()
-        self._entries: Dict[Hashable, Tuple[Any, float]] = {}
+        #: key -> (value, size_mb), least recently used first: a hit or
+        #: a refresh moves its key to the end, eviction pops the front.
+        self._entries: "OrderedDict[Hashable, Tuple[Any, float]]" = OrderedDict()
         self.bytes_used = 0.0
 
     # -- lookups ---------------------------------------------------------------
@@ -122,7 +96,7 @@ class Cache:
         if entry is _MISS:
             self.stats.misses += 1
             return False, None
-        self.policy.on_access(key)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         self.stats.hit_bytes_mb += entry[1]
         return True, entry[0]
@@ -146,30 +120,22 @@ class Cache:
             # Refresh in place (same immutable identity, maybe new size).
             self.bytes_used += size_mb - old[1]
             self._entries[key] = (value, size_mb)
-            self.policy.on_access(key)
+            self._entries.move_to_end(key)
             self._evict_to_fit(0.0)
             return True
-        if size_mb > self.capacity_mb or not self.admission(
-            key, size_mb, self.capacity_mb
-        ):
+        if size_mb > MAX_ENTRY_FRACTION * self.capacity_mb:
             self.stats.rejected += 1
             return False
         self._evict_to_fit(size_mb)
         self._entries[key] = (value, size_mb)
         self.bytes_used += size_mb
-        self.policy.on_insert(key)
         self.stats.insertions += 1
         self.stats.miss_bytes_mb += size_mb
         return True
 
     def _evict_to_fit(self, incoming_mb: float) -> None:
         while self.bytes_used + incoming_mb > self.capacity_mb and self._entries:
-            victim = self.policy.victim()
-            if victim is None or victim not in self._entries:
-                if victim is None:
-                    break
-                continue  # policy ghost of an already-invalidated key
-            _value, size = self._entries.pop(victim)
+            _victim, (_value, size) = self._entries.popitem(last=False)
             self.bytes_used -= size
             self.stats.evictions += 1
 
@@ -180,7 +146,6 @@ class Cache:
         if entry is _MISS:
             return False
         self.bytes_used -= entry[1]
-        self.policy.forget(key)
         self.stats.invalidations += 1
         return True
 
@@ -189,7 +154,6 @@ class Cache:
         dropped = len(self._entries)
         self._entries.clear()
         self.bytes_used = 0.0
-        self.policy.clear()
         self.stats.invalidations += dropped
         return dropped
 
@@ -209,7 +173,7 @@ class Cache:
         out = self.stats.to_dict()
         out.update(
             name=self.name,
-            policy=getattr(self.policy, "name", "?"),
+            policy="lru",  # the one policy; a report field the goldens hash
             entries=len(self._entries),
             bytes_mb=self.bytes_used,
             capacity_mb=self.capacity_mb,

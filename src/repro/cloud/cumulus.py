@@ -42,8 +42,8 @@ __all__ = ["CumulusGateway"]
 class CumulusGateway:
     """S3-compatible frontend over a BlobSeer deployment."""
 
-    #: Name of the gateway's node, backend client and object cache (a
-    #: deployment has one gateway).
+    #: Name of the gateway's node and backend client (a deployment has
+    #: one gateway).
     GATEWAY_ID = "cumulus"
     #: Service time of a metadata-only operation (bucket and listing
     #: calls, HEAD, multipart bookkeeping).
@@ -53,7 +53,6 @@ class CumulusGateway:
         self,
         deployment: BlobSeerDeployment,
         nic_mbps: float = 1250.0,
-        object_cache_mb: float = 0.0,
     ) -> None:
         self.deployment = deployment
         self.env = deployment.env
@@ -70,21 +69,9 @@ class CumulusGateway:
         self.uploads: Dict[str, MultipartUpload] = {}
         self._upload_ids = itertools.count(1)
         self.chunk_size_mb = deployment.config.chunk_size_mb
-        #: Gateway object cache: ``(bucket, key) -> (blob_id, version)``
-        #: of the object payload held in gateway memory.  A hit serves
-        #: the GET without touching BlobSeer at all.  Hits are valid only
-        #: when the cached ``(blob_id, version)`` still matches the
-        #: bucket entry — a PUT over an existing key publishes a new
-        #: blob/version and *also* invalidates eagerly (both guards, so
-        #: stale bytes are reclaimed and can never be served).  Disabled
-        #: (None) by default.
-        self.object_cache = deployment._make_cache(
-            f"gateway.{self.GATEWAY_ID}", object_cache_mb
-        )
         # Gateway op counters (bench metrics).
         self.puts = 0
         self.gets = 0
-        self.cached_gets = 0
         self.bytes_in_mb = 0.0
         self.bytes_out_mb = 0.0
 
@@ -184,34 +171,24 @@ class CumulusGateway:
             content_type=content_type,
         )
         bucket.objects[key] = entry
-        self._invalidate_cached(bucket_name, key)
         self.puts += 1
         self.bytes_in_mb += size_mb
         return entry
 
     def get_object(self, user: str, user_node: PhysicalNode, bucket_name: str, key: str):
         """Generator: download an object (BlobSeer → gateway → user)."""
-        # ACL check comes strictly before any cache lookup: the cache
-        # accelerates the data path, never the authorization decision.
         bucket = self._bucket(bucket_name)
         self._authorize(bucket, user, Permission.READ, "get_object")
         entry = bucket.objects.get(key)
         if entry is None:
             raise NoSuchKey(bucket_name, key)
         padded = self._padded(entry.size_mb)
-        if self._cached_hit(bucket_name, key, entry):
-            self.cached_gets += 1
-        else:
-            try:
-                yield from self.backend.read(
-                    entry.blob_id, 0.0, padded, version=entry.version
-                )
-            except RpcTimeout as exc:
-                raise ServiceUnavailable("get_object", str(exc)) from exc
-            if self.object_cache is not None:
-                self.object_cache.put(
-                    (bucket_name, key), (entry.blob_id, entry.version), padded
-                )
+        try:
+            yield from self.backend.read(
+                entry.blob_id, 0.0, padded, version=entry.version
+            )
+        except RpcTimeout as exc:
+            raise ServiceUnavailable("get_object", str(exc)) from exc
         yield self.net.transfer(self.node.name, user_node.name, entry.size_mb, tag=user)
         self.gets += 1
         self.bytes_out_mb += entry.size_mb
@@ -224,23 +201,9 @@ class CumulusGateway:
         entry = bucket.objects.pop(key, None)
         if entry is None:
             raise NoSuchKey(bucket_name, key)
-        self._invalidate_cached(bucket_name, key)
         # Chunk space is reclaimed asynchronously by the removal manager
         # (cold/orphan strategies), matching S3's eventual reclamation.
         return entry
-
-    # -- object cache helpers -----------------------------------------------------
-    def _cached_hit(self, bucket_name: str, key: str, entry: S3Object) -> bool:
-        """True iff the cache holds *this* published version of the key."""
-        if self.object_cache is None:
-            return False
-        hit, cached = self.object_cache.lookup((bucket_name, key))
-        return hit and cached == (entry.blob_id, entry.version)
-
-    def _invalidate_cached(self, bucket_name: str, key: str) -> None:
-        """Key republished (new blob/version) or deleted: drop stale bytes."""
-        if self.object_cache is not None:
-            self.object_cache.invalidate((bucket_name, key))
 
     # -- multipart -------------------------------------------------------------------
     def initiate_multipart(self, user: str, bucket_name: str, key: str):
@@ -300,7 +263,6 @@ class CumulusGateway:
             owner=user,
         )
         bucket.objects[upload.key] = entry
-        self._invalidate_cached(upload.bucket, upload.key)
         del self.uploads[upload_id]
         self.puts += 1
         self.bytes_in_mb += size

@@ -43,10 +43,10 @@ class FaultEvent:
 class FaultInjector:
     """Schedules node crashes/recoveries and network faults in a testbed."""
 
-    def __init__(self, testbed: Testbed, stream: str = "faults") -> None:
+    def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
         self.env = testbed.env
-        self.rng = testbed.rng.stream(stream)
+        self.rng = testbed.rng.stream("faults")
         self.log: List[FaultEvent] = []
         #: Times this injector crashed each node (recovery-race guard).
         self._crash_epoch: Dict[str, int] = {}

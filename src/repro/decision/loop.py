@@ -46,15 +46,12 @@ class DecisionLoop(ControlLoop):
         planner: Optional[Planner] = None,
         domain=None,
         arbiter=None,
-        name: Optional[str] = None,
         interval_s: float = 5.0,
         cooldown_s: float = 0.0,
         **kwargs: Any,
     ) -> None:
         super().__init__(interval_s=interval_s, cooldown_s=cooldown_s,
                          **kwargs)
-        if name is not None:
-            self.name = name
         self.planner = planner
         self.domain = domain
         #: Optional Arbiter; actions it refuses to fund are not applied.

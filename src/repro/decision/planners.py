@@ -56,6 +56,12 @@ _EPS = 1e-9
 #: second, and *idle* when its activity is below the second.
 PRESSURE_THRESHOLD = 0.1
 IDLE_ACTIVITY = 0.05
+#: A calm knob filled below this fraction is *spare*: the
+#: marginal-utility planner lets it fund growth with its unused room.
+SPARE_UTILIZATION = 0.5
+#: Probability that the bandit explores a random arm instead of
+#: exploiting the best one.
+EPSILON = 0.2
 
 
 class Planner:
@@ -162,19 +168,14 @@ class MarginalUtilityPlanner(Planner):
 
     name = "marginal-utility"
 
-    def __init__(
-        self,
-        spare_utilization: float = 0.5,
-        step_fraction: float = 0.25,
-    ) -> None:
-        self.spare_utilization = spare_utilization
+    def __init__(self, step_fraction: float = 0.25) -> None:
         self.step_fraction = step_fraction
 
     def params(self) -> Dict[str, Any]:
         return {
             "pressure_threshold": PRESSURE_THRESHOLD,
             "idle_activity": IDLE_ACTIVITY,
-            "spare_utilization": self.spare_utilization,
+            "spare_utilization": SPARE_UTILIZATION,
             "step_fraction": self.step_fraction,
         }
 
@@ -196,7 +197,7 @@ class MarginalUtilityPlanner(Planner):
             idle = signals["activity"] < IDLE_ACTIVITY
             spare = (
                 signals["pressure"] <= PRESSURE_THRESHOLD
-                and domain.utilization(knob) < self.spare_utilization
+                and domain.utilization(knob) < SPARE_UTILIZATION
             )
             if idle or spare:
                 floor = domain.floor(knob)
@@ -294,7 +295,7 @@ class EpsilonGreedyPlanner(Planner):
 
     Each arm is one step of one knob in one direction; the payoff
     credited to an arm is the reward delta observed one interval after
-    pulling it.  With probability ``epsilon`` the planner explores a
+    pulling it.  With probability ``EPSILON`` the planner explores a
     uniformly random arm, otherwise it exploits the best running-mean
     arm (untried arms first, in knob order).  All randomness comes from
     the injected generator — give it a dedicated named stream (e.g.
@@ -304,13 +305,11 @@ class EpsilonGreedyPlanner(Planner):
 
     name = "epsilon-greedy"
 
-    def __init__(self, rng, epsilon: float = 0.2,
-                 step_fraction: float = 0.25) -> None:
+    def __init__(self, rng, step_fraction: float = 0.25) -> None:
         if rng is None:
             raise ValueError(
                 "EpsilonGreedyPlanner needs a dedicated rng stream")
         self.rng = rng
-        self.epsilon = epsilon
         self.step_fraction = step_fraction
         self._counts: Dict[Tuple[str, int], int] = {}
         self._means: Dict[Tuple[str, int], float] = {}
@@ -318,7 +317,7 @@ class EpsilonGreedyPlanner(Planner):
         self._last_reward: Optional[float] = None
 
     def params(self) -> Dict[str, Any]:
-        return {"epsilon": self.epsilon,
+        return {"epsilon": EPSILON,
                 "step_fraction": self.step_fraction}
 
     def plan(self, loop, now: float) -> Iterable[Action]:
@@ -342,7 +341,7 @@ class EpsilonGreedyPlanner(Planner):
                 for sign in (1, -1)]
         if not arms:
             return
-        if float(self.rng.random()) < self.epsilon:
+        if float(self.rng.random()) < EPSILON:
             arm = arms[int(self.rng.integers(len(arms)))]
             chose = "explore"
         else:

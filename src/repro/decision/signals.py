@@ -11,9 +11,9 @@ reads the same window, folded the same way, as every other reader.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
-__all__ = ["SignalRef", "resolve_all"]
+__all__ = ["SignalRef"]
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,3 @@ class SignalRef:
         window = "engine" if self.window_s is None else f"{self.window_s:g}s"
         return f"{self.series}:{self.stat}@{window}"
 
-
-def resolve_all(
-    refs: Sequence[SignalRef], query, now: Optional[float] = None,
-) -> Dict[str, Optional[float]]:
-    """Resolve every reference; keys are each ref's :attr:`SignalRef.key`."""
-    return {ref.key: ref.resolve(query, now) for ref in refs}

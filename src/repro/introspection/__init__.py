@@ -17,7 +17,6 @@ from .visualization import (
     adaptation_scorecard,
     bar_chart,
     journal_tail,
-    series_to_csv,
     sparkline,
     table,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "sparkline",
     "bar_chart",
     "table",
-    "series_to_csv",
     "journal_tail",
     "adaptation_scorecard",
 ]

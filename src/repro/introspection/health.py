@@ -92,18 +92,21 @@ class EwmaZScore:
     in — so an outlier is judged before it contaminates the baseline.
     """
 
-    __slots__ = ("alpha", "min_samples", "mean", "var", "count")
+    __slots__ = ("mean", "var", "count")
 
-    def __init__(self, alpha: float = 0.2, min_samples: int = 8) -> None:
-        self.alpha = alpha
-        self.min_samples = min_samples
+    #: Weight of the newest sample in the running mean and variance.
+    ALPHA = 0.2
+    #: Samples folded in before the first one is scored (warm-up).
+    MIN_SAMPLES = 8
+
+    def __init__(self) -> None:
         self.mean = 0.0
         self.var = 0.0
         self.count = 0
 
     def score_and_update(self, value: float) -> Optional[float]:
         z: Optional[float] = None
-        if self.count >= self.min_samples:
+        if self.count >= self.MIN_SAMPLES:
             std = math.sqrt(self.var)
             if std > 1e-12:
                 z = (value - self.mean) / std
@@ -114,9 +117,9 @@ class EwmaZScore:
             self.var = 0.0
         else:
             delta = value - self.mean
-            self.mean += self.alpha * delta
+            self.mean += self.ALPHA * delta
             # Standard EWMA variance recursion (Roberts/EWMA control chart).
-            self.var = (1.0 - self.alpha) * (self.var + self.alpha * delta * delta)
+            self.var = (1.0 - self.ALPHA) * (self.var + self.ALPHA * delta * delta)
         self.count += 1
         return z
 
@@ -138,7 +141,6 @@ class HealthMonitor:
         anomaly_signals: Sequence[str] = (),
         interval_s: float = 5.0,
         z_threshold: float = 3.0,
-        min_samples: int = 8,
         warmup_s: float = 0.0,
     ) -> None:
         self.engine = engine
@@ -149,8 +151,7 @@ class HealthMonitor:
         self.warmup_s = warmup_s
         self.events: List[HealthEvent] = []
         self._trackers: Dict[str, EwmaZScore] = {
-            name: EwmaZScore(min_samples=min_samples)
-            for name in self.anomaly_signals
+            name: EwmaZScore() for name in self.anomaly_signals
         }
         self._series_pos: Dict[str, int] = {name: 0 for name in self.anomaly_signals}
         self._violating: Dict[str, bool] = {rule.key: False for rule in self.rules}

@@ -50,6 +50,9 @@ ANTAGONISTS: Dict[str, List[Tuple[str, str, str]]] = {
     "elasticity": [("scale_up", "scale_down", "")],
     "replication": [("promote", "demote", "chunk")],
 }
+#: An action and its antagonist on the same subject within this many
+#: seconds count as one oscillation.
+OSCILLATION_WINDOW_S = 60.0
 
 
 @dataclass
@@ -185,9 +188,6 @@ class AdaptationScorecard:
     disturbances:
         Labeled disturbance instants; settling time and overshoot are
         reported per (disturbance, signal) pair.
-    oscillation_window_s:
-        An action and its antagonist on the same subject within this
-        window count as one oscillation.
     """
 
     def __init__(
@@ -196,13 +196,11 @@ class AdaptationScorecard:
         metrics=None,
         signals: Sequence[SignalSpec] = (),
         disturbances: Sequence[Disturbance] = (),
-        oscillation_window_s: float = 60.0,
     ) -> None:
         self.journal = journal
         self.metrics = metrics
         self.signals = list(signals)
         self.disturbances = list(disturbances)
-        self.oscillation_window_s = oscillation_window_s
 
     # -- decision-side metrics ---------------------------------------------------
     def _oscillations(self, entries) -> int:
@@ -224,7 +222,7 @@ class AdaptationScorecard:
                         seen = last_seen.get(subject)
                         if (seen is not None
                                 and entry.time - seen
-                                <= self.oscillation_window_s):
+                                <= OSCILLATION_WINDOW_S):
                             count += 1
         return count
 

@@ -12,7 +12,6 @@ tables) and CSV exports, covering the same four views the paper lists:
 
 from __future__ import annotations
 
-import io
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .aggregator import IntrospectionLayer
@@ -21,7 +20,6 @@ __all__ = [
     "sparkline",
     "bar_chart",
     "table",
-    "series_to_csv",
     "Dashboard",
     "journal_tail",
     "adaptation_scorecard",
@@ -80,14 +78,6 @@ def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
         if r == 0:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
-
-
-def series_to_csv(series: Sequence[Tuple[float, float]], header: str = "time,value") -> str:
-    buffer = io.StringIO()
-    buffer.write(header + "\n")
-    for t, v in series:
-        buffer.write(f"{t:.3f},{v:.6f}\n")
-    return buffer.getvalue()
 
 
 def journal_tail(journal, n: int = 8) -> str:

@@ -4,7 +4,6 @@ and the introspection storage repository with burst cache."""
 from .filters import (
     DataFilter,
     FilterChain,
-    RateLimitFilter,
     SamplingFilter,
     TypeFilter,
     WindowAggregateFilter,
@@ -23,6 +22,5 @@ __all__ = [
     "FilterChain",
     "TypeFilter",
     "SamplingFilter",
-    "RateLimitFilter",
     "WindowAggregateFilter",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "DataFilter",
     "TypeFilter",
     "SamplingFilter",
-    "RateLimitFilter",
     "WindowAggregateFilter",
     "FilterChain",
 ]
@@ -63,42 +62,19 @@ class SamplingFilter:
         return kept
 
 
-class RateLimitFilter:
-    """Cap the number of events per parameter per time window."""
-
-    def __init__(self, max_per_window: int, window_s: float) -> None:
-        if max_per_window < 1 or window_s <= 0:
-            raise ValueError("bad rate limit")
-        self.max_per_window = max_per_window
-        self.window_s = window_s
-        self._window_start: Dict[str, float] = {}
-        self._window_count: Dict[str, int] = {}
-
-    def apply(self, events: Sequence[MonitoringEvent]) -> List[MonitoringEvent]:
-        kept = []
-        for event in events:
-            key = event.parameter_name()
-            start = self._window_start.get(key)
-            if start is None or event.time - start >= self.window_s:
-                self._window_start[key] = event.time
-                self._window_count[key] = 0
-            if self._window_count[key] < self.max_per_window:
-                kept.append(event)
-                self._window_count[key] += 1
-        return kept
-
-
 class WindowAggregateFilter:
     """Collapse numeric fields of same-parameter events inside a batch.
 
     Emits one synthetic event per (parameter, client) carrying ``count``
-    and the sum of a chosen numeric field — the classic pre-aggregation
+    and the sum of the events' sizes — the classic pre-aggregation
     MonALISA filters perform to keep repository traffic bounded.
     """
 
-    def __init__(self, event_types: Iterable[str], sum_field: str = "size_mb") -> None:
+    #: The numeric field summed over a group.
+    SUM_FIELD = "size_mb"
+
+    def __init__(self, event_types: Iterable[str]) -> None:
         self.event_types = set(event_types)
-        self.sum_field = sum_field
 
     def apply(self, events: Sequence[MonitoringEvent]) -> List[MonitoringEvent]:
         out: List[MonitoringEvent] = []
@@ -112,7 +88,7 @@ class WindowAggregateFilter:
                 [],
             ).append(event)
         for (actor_type, actor_id, event_type, client_id), group in groups.items():
-            total = sum(float(e.fields.get(self.sum_field, 0.0)) for e in group)
+            total = sum(float(e.fields.get(self.SUM_FIELD, 0.0)) for e in group)
             out.append(MonitoringEvent(
                 time=group[-1].time,
                 actor_type=actor_type,
@@ -122,7 +98,7 @@ class WindowAggregateFilter:
                 blob_id=group[-1].blob_id,
                 fields={
                     "count": len(group),
-                    self.sum_field: total,
+                    self.SUM_FIELD: total,
                     "aggregated": True,
                 },
             ))

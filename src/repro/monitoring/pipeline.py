@@ -34,6 +34,10 @@ __all__ = ["MonitoringConfig", "MonitoringStack"]
 
 #: CPU an instrumented node spends sending one event to its service.
 INSTRUMENTATION_CPU_S = 1e-6
+#: Events a storage server of the stack buffers for its writer, and
+#: those its burst cache (§III-B) absorbs beyond that before dropping.
+BUFFER_CAPACITY = 500
+BURST_CACHE_CAPACITY = 2000
 
 
 @dataclass
@@ -43,8 +47,6 @@ class MonitoringConfig:
     services: int = 2
     storage_servers: int = 2
     flush_interval_s: float = 1.0
-    buffer_capacity: int = 500
-    burst_cache_capacity: int = 2000  # 0 disables the burst cache
     physical_sample_interval_s: float = 0.0  # 0 disables sensors
     sensor_stop_at: float = float("inf")
 
@@ -75,8 +77,8 @@ class MonitoringStack:
             self.storage_servers.append(StorageServer(
                 node,
                 f"store-{i}",
-                buffer_capacity=self.config.buffer_capacity,
-                burst_cache_capacity=self.config.burst_cache_capacity,
+                buffer_capacity=BUFFER_CAPACITY,
+                burst_cache_capacity=BURST_CACHE_CAPACITY,
             ))
         self.repository = StorageRepository(self.storage_servers)
 

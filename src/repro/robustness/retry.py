@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["RetryPolicy"]
 
+#: Exponential growth factor of the backoff from one attempt to the next.
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass
 class RetryPolicy:
@@ -27,10 +30,8 @@ class RetryPolicy:
     max_attempts:
         Total attempts including the first one (1 = no retry).
     base_delay_s:
-        Backoff before the second attempt; grows by ``multiplier`` each
-        further attempt.
-    multiplier:
-        Exponential growth factor of the backoff.
+        Backoff before the second attempt; grows by
+        ``BACKOFF_MULTIPLIER`` each further attempt.
     max_delay_s:
         Ceiling on any single backoff.
     jitter:
@@ -47,7 +48,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay_s: float = 0.05
-    multiplier: float = 2.0
     max_delay_s: float = 2.0
     jitter: float = 0.1
     deadline_s: Optional[float] = None
@@ -58,8 +58,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be at least 1")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -71,7 +69,7 @@ class RetryPolicy:
             raise ValueError("failures is 1-based")
         delay = min(
             self.max_delay_s,
-            self.base_delay_s * self.multiplier ** (failures - 1),
+            self.base_delay_s * BACKOFF_MULTIPLIER ** (failures - 1),
         )
         if self.jitter > 0 and self.rng is not None:
             delay *= 1.0 + self.jitter * (2.0 * float(self.rng.random()) - 1.0)

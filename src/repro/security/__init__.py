@@ -20,10 +20,7 @@ from .policy import (
     Policy,
     PolicyError,
     Severity,
-    bandwidth_hog_policy,
     dos_flood_policy,
-    failed_op_policy,
-    metadata_hammer_policy,
     parse_condition,
     read_flood_policy,
 )
@@ -48,9 +45,6 @@ __all__ = [
     "parse_condition",
     "dos_flood_policy",
     "read_flood_policy",
-    "bandwidth_hog_policy",
-    "failed_op_policy",
-    "metadata_hammer_policy",
     "DetectionEngine",
     "Violation",
     "PolicyEnforcement",

@@ -41,7 +41,6 @@ class SecurityConfig:
 
     scan_interval_s: float = 5.0
     history_pull_interval_s: float = 2.0
-    use_trust: bool = True
     confirmations: int = 1
 
 
@@ -56,7 +55,7 @@ class PolicyScanLoop(DecisionLoop):
     name = "security"
 
     def __init__(self, env, detection: DetectionEngine,
-                 trust: Optional[TrustManager] = None) -> None:
+                 trust: TrustManager) -> None:
         super().__init__(interval_s=detection.scan_interval_s)
         self.env = env
         self.detection = detection
@@ -86,10 +85,9 @@ class PolicyScanLoop(DecisionLoop):
             evidence = {
                 f"{client}.policy": violation.policy.name,
                 f"{client}.occurrence": violation.occurrence,
+                f"{client}.trust": round(
+                    self.trust.trust_of(client, violation.time), 6),
             }
-            if self.trust is not None:
-                evidence[f"{client}.trust"] = round(
-                    self.trust.trust_of(client, violation.time), 6)
             self.note(**evidence)
             yield Action(
                 "sanction", self.name, subject=client,
@@ -132,7 +130,7 @@ class PolicyManagement:
             self.history,
             pull_interval_s=self.config.history_pull_interval_s,
         )
-        self.trust = TrustManager() if self.config.use_trust else None
+        self.trust = TrustManager()
         self.engine = DetectionEngine(
             self.history,
             policies,
@@ -149,7 +147,7 @@ class PolicyManagement:
         )
         self.engine.on_violation(self.enforcement.apply)
         #: The scan loop: decisions, journal and planner info live here.
-        self.loop = PolicyScanLoop(self.env, self.engine, trust=self.trust)
+        self.loop = PolicyScanLoop(self.env, self.engine, self.trust)
         self._started = False
 
     def _system_load(self) -> float:

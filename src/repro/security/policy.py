@@ -56,9 +56,6 @@ __all__ = [
     "parse_condition",
     "dos_flood_policy",
     "read_flood_policy",
-    "bandwidth_hog_policy",
-    "failed_op_policy",
-    "metadata_hammer_policy",
 ]
 
 
@@ -378,33 +375,6 @@ def dos_flood_policy(
     )
 
 
-def bandwidth_hog_policy(
-    max_mb_per_window: float = 4096.0,
-    window_s: float = 20.0,
-) -> Policy:
-    """Sustained bulk writes far above the expected workload."""
-    return Policy(
-        name="bandwidth-hog",
-        condition=parse_condition(f"sum(chunk_write) > {max_mb_per_window}"),
-        window_s=window_s,
-        severity=Severity.SERIOUS,
-        actions=[Action.THROTTLE, Action.ALERT],
-        description="aggregate write volume exceeds quota",
-    )
-
-
-def failed_op_policy(max_failures: int = 5, window_s: float = 30.0) -> Policy:
-    """Probing behaviour: many failing operations in a short time."""
-    return Policy(
-        name="failed-op-probe",
-        condition=parse_condition(f"failures(op_end) > {max_failures}"),
-        window_s=window_s,
-        severity=Severity.WARNING,
-        actions=[Action.ALERT, Action.LOG],
-        description="repeated failing operations (probing)",
-    )
-
-
 def read_flood_policy(
     max_rate_per_s: float = 1.0,
     window_s: float = 30.0,
@@ -418,18 +388,4 @@ def read_flood_policy(
         actions=[Action.BLOCK],
         min_events=3,
         description="read-request flood (denial of service)",
-    )
-
-
-def metadata_hammer_policy(max_rate_per_s: float = 10.0, window_s: float = 10.0) -> Policy:
-    """Tiny-operation floods aimed at the version manager."""
-    return Policy(
-        name="metadata-hammer",
-        condition=parse_condition(
-            f"rate(op_start) > {max_rate_per_s} and mean(chunk_write) < 1"
-        ),
-        window_s=window_s,
-        severity=Severity.SERIOUS,
-        actions=[Action.THROTTLE],
-        description="high-rate small operations hammering metadata",
     )

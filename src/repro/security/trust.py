@@ -32,6 +32,12 @@ _PENALTY = {
     Severity.SERIOUS: 0.5,
     Severity.CRITICAL: 0.25,
 }
+#: Trust never falls below this, so recovery always has a base to grow from.
+_FLOOR = 0.01
+#: Escalation bands: below the first a violation is answered with a
+#: block, below the second with a throttle, otherwise with a log entry.
+_BLOCK_BELOW = 0.2
+_THROTTLE_BELOW = 0.5
 
 
 @dataclass
@@ -50,15 +56,9 @@ class TrustManager:
         self,
         initial_trust: float = 0.8,
         recovery_per_s: float = 0.002,
-        floor: float = 0.01,
-        block_threshold: float = 0.2,
-        throttle_threshold: float = 0.5,
     ) -> None:
         self.initial_trust = initial_trust
         self.recovery_per_s = recovery_per_s
-        self.floor = floor
-        self.block_threshold = block_threshold
-        self.throttle_threshold = throttle_threshold
         self._records: Dict[str, TrustRecord] = {}
 
     def record(self, client_id: str, now: float) -> TrustRecord:
@@ -81,7 +81,7 @@ class TrustManager:
         """Apply a violation penalty; returns the new trust."""
         trust = self.trust_of(client_id, now)  # applies pending recovery first
         entry = self._records[client_id]
-        entry.trust = max(self.floor, trust * _PENALTY[severity])
+        entry.trust = max(_FLOOR, trust * _PENALTY[severity])
         entry.violations += 1
         entry.last_update = now
         entry.log.append((now, severity.name, entry.trust))
@@ -104,9 +104,9 @@ class TrustManager:
     def recommended_escalation(self, client_id: str, now: float) -> str:
         """"block" | "throttle" | "log" depending on current trust."""
         trust = self.trust_of(client_id, now)
-        if trust < self.block_threshold:
+        if trust < _BLOCK_BELOW:
             return "block"
-        if trust < self.throttle_threshold:
+        if trust < _THROTTLE_BELOW:
             return "throttle"
         return "log"
 

@@ -20,14 +20,7 @@ from .events import (
 )
 from .network import Flow, FlowNetwork, NetNode, TransferAborted
 from .process import Process
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Container, Request, Resource
 from .rng import RandomStreams
 
 __all__ = [
@@ -43,11 +36,8 @@ __all__ = [
     "StopSimulation",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
     "Container",
-    "Store",
-    "FilterStore",
     "RandomStreams",
     "NetNode",
     "Flow",

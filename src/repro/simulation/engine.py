@@ -38,8 +38,8 @@ class Environment:
     Time is a ``float`` in seconds (by convention across this repo).
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None

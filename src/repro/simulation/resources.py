@@ -1,29 +1,21 @@
-"""Shared-resource primitives: Resource, Container, Store.
+"""Shared-resource primitives: Resource, Container.
 
 These model contention points in the simulated system — a provider's disk
-queue, a version manager's critical section, a bounded monitoring buffer.
+queue, a version manager's critical section, a node's disk space.
 Requests are events, so processes simply ``yield`` them.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
-from .events import Event, SimulationError
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = [
-    "Request",
-    "Resource",
-    "PriorityResource",
-    "Container",
-    "Store",
-    "FilterStore",
-]
+__all__ = ["Request", "Resource", "Container"]
 
 
 class Request(Event):
@@ -34,13 +26,11 @@ class Request(Event):
     exit even if the process is interrupted while using the slot.
     """
 
-    __slots__ = ("resource", "priority", "key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self.key: Any = None
         resource._enqueue(self)
 
     def cancel(self) -> None:
@@ -74,8 +64,8 @@ class Resource:
         """Number of slots currently in use."""
         return len(self.users)
 
-    def request(self, priority: float = 0.0) -> Request:
-        return Request(self, priority)
+    def request(self) -> Request:
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Free the slot held by *request* (no-op if not a holder); the
@@ -104,39 +94,6 @@ class Resource:
             request = self.queue.popleft()
             self.users.append(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-value first."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[float, int, Request]] = []
-        self._seq = 0
-
-    def _enqueue(self, request: Request) -> None:
-        self._seq += 1
-        entry = (request.priority, self._seq, request)
-        request.key = entry
-        heapq.heappush(self._heap, entry)
-        self._grant_next()
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self._heap.remove(request.key)
-        except ValueError:
-            return
-        heapq.heapify(self._heap)
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self._capacity:
-            _prio, _seq, request = heapq.heappop(self._heap)
-            self.users.append(request)
-            request.succeed()
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class Container:
@@ -204,87 +161,3 @@ class Container:
                     self._level -= amount
                     event.succeed()
                     progressed = True
-
-
-class Store:
-    """A FIFO store of Python objects with optional capacity bound."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self._capacity = capacity
-        self.items: deque[Any] = deque()
-        self._puts: deque[tuple[Event, Any]] = deque()
-        self._gets: deque[Event] = deque()
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        self._puts.append((event, item))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        self._gets.append(event)
-        self._settle()
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; False if the store is full and nobody waits."""
-        if len(self.items) < self._capacity or self._gets:
-            self.put(item)
-            return True
-        return False
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts and len(self.items) < self._capacity:
-                event, item = self._puts.popleft()
-                self.items.append(item)
-                event.succeed()
-                progressed = True
-            if self._gets and self.items:
-                event = self._gets.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True
-
-
-class FilterStore(Store):
-    """Unbounded store whose ``get`` may select by predicate."""
-
-    def __init__(self, env: "Environment") -> None:
-        super().__init__(env)
-        self._filter_gets: deque[tuple[Event, Callable[[Any], bool]]] = deque()
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        if predicate is None:
-            return super().get()
-        event = Event(self.env)
-        self._filter_gets.append((event, predicate))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        super()._settle()
-        # Serve predicate-based getters (first match wins, re-scan on change).
-        pending: deque[tuple[Event, Callable[[Any], bool]]] = deque()
-        while self._filter_gets:
-            event, predicate = self._filter_gets.popleft()
-            for idx, item in enumerate(self.items):
-                if predicate(item):
-                    del self.items[idx]
-                    event.succeed(item)
-                    break
-            else:
-                pending.append((event, predicate))
-        self._filter_gets = pending

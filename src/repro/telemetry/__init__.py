@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .critical_path import CriticalPathReport, PathStep, PhaseStat, analyze, trace_of
+from .critical_path import CriticalPathReport, PathStep, PhaseStat, analyze
 from .export import chrome_trace, chrome_trace_json, summary, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .profiler import KernelProfiler
@@ -44,7 +44,6 @@ __all__ = [
     "Telemetry",
     "enable",
     "analyze",
-    "trace_of",
     "CriticalPathReport",
     "PhaseStat",
     "PathStep",

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .tracer import Span, Tracer
 
-__all__ = ["PhaseStat", "PathStep", "CriticalPathReport", "trace_of", "analyze"]
+__all__ = ["PhaseStat", "PathStep", "CriticalPathReport", "analyze"]
 
 #: Tolerance for float comparisons on sim timestamps.
 _EPS = 1e-12
@@ -162,11 +162,6 @@ class CriticalPathReport:
 def _finished_spans(trace: "Tracer | Iterable[Span]") -> List[Span]:
     spans = trace.spans if isinstance(trace, Tracer) else trace
     return [s for s in spans if s.finished]
-
-
-def trace_of(trace: "Tracer | Iterable[Span]", root: Span) -> List[Span]:
-    """The connected span set of *root*'s trace, in finish order."""
-    return [s for s in _finished_spans(trace) if s.trace_id == root.trace_id]
 
 
 def _find_root(spans: List[Span]) -> Span:

@@ -98,22 +98,18 @@ class CorrectReader:
         client: BlobSeerClient,
         blob_id: int,
         op_mb: float = 512.0,
-        stop_at: float = float("inf"),
         max_ops: Optional[int] = None,
     ) -> None:
         self.client = client
         self.blob_id = blob_id
         self.op_mb = op_mb
-        self.stop_at = stop_at
         self.max_ops = max_ops
         self.results: List[OpResult] = []
         self.denied = False
 
     def run(self, env):
         ops = 0
-        while env.now < self.stop_at:
-            if self.max_ops is not None and ops >= self.max_ops:
-                break
+        while self.max_ops is None or ops < self.max_ops:
             try:
                 result = yield from self.client.read(self.blob_id, 0.0, self.op_mb)
                 self.results.append(result)
@@ -253,20 +249,11 @@ class DosAttacker:
         start_at: float = 0.0,
         chunk_size_mb: float = 1.0,
         parallel: int = 128,
-        ramp_interval_s: float = 0.0,
-        initial_parallel: Optional[int] = None,
     ) -> None:
         self.client = client
         self.start_at = start_at
         self.chunk_size_mb = chunk_size_mb
-        self.max_parallel = parallel
-        #: With ramp_interval_s > 0 the attack escalates: worker count
-        #: doubles from initial_parallel each interval.
-        self.parallel = (
-            initial_parallel if (ramp_interval_s > 0 and initial_parallel)
-            else parallel
-        )
-        self.ramp_interval_s = ramp_interval_s
+        self.parallel = parallel
         self.blocked_at: Optional[float] = None
         self.ops_issued = 0
         self.ops_completed = 0
@@ -280,25 +267,10 @@ class DosAttacker:
         """Generator: the attacker's lifetime (start with ``env.process``)."""
         if self.start_at > env.now:
             yield env.timeout(self.start_at - env.now)
-        self._spawned = 0
-        self._spawn_workers(env)
-        if self.ramp_interval_s > 0:
-            env.process(self._ramp(env), name=f"ramp-{self.client.client_id}")
+        for _ in range(self.parallel):
+            env.process(self._worker(env), name=f"dos-{self.client.client_id}")
         while not self._stopped:
             yield env.timeout(1.0)
-
-    def _spawn_workers(self, env) -> None:
-        while self._spawned < self.parallel:
-            self._spawned += 1
-            env.process(self._worker(env), name=f"dos-{self.client.client_id}")
-
-    def _ramp(self, env):
-        while not self._stopped:
-            yield env.timeout(self.ramp_interval_s)
-            if self._stopped:
-                return
-            self.parallel = min(self.max_parallel, self.parallel * 2)
-            self._spawn_workers(env)
 
     def _worker(self, env):
         blob_id = None

@@ -33,6 +33,8 @@ __all__ = ["MapReduceConfig", "MapReduceJob", "StageStats"]
 
 #: CPU seconds per MB of intermediate data at a reduce task.
 REDUCE_CPU_S_PER_MB = 0.001
+#: Reduce output size as a fraction of its input.
+REDUCE_SELECTIVITY = 0.5
 
 
 @dataclass
@@ -47,8 +49,6 @@ class MapReduceConfig:
     map_cpu_s_per_mb: float = 0.002
     #: Map output size as a fraction of its input (selectivity).
     map_selectivity: float = 0.25
-    #: Reduce output size as a fraction of its input.
-    reduce_selectivity: float = 0.5
 
 
 @dataclass
@@ -185,7 +185,7 @@ class MapReduceJob:
             cpu = REDUCE_CPU_S_PER_MB * pulled_mb
             if cpu > 0:
                 yield from client.node.compute(cpu)
-            out_mb = self._padded(pulled_mb * self.config.reduce_selectivity)
+            out_mb = self._padded(pulled_mb * REDUCE_SELECTIVITY)
             if out_mb > 0:
                 # Concurrent appends to the shared output BLOB: the
                 # version-manager serialization path under contention.

@@ -112,20 +112,17 @@ def test_replication_promotes_hot_chunks():
     dep = make_deployment(replication=1)
     client = dep.new_client("writer")
     blob_id = write_blob(dep, client, size_mb=64.0)
-    reader = dep.new_client("reader")
-    manager = ReplicationManager(
-        dep, target_replication=1, max_replication=3,
-        hot_reads_per_s=0.5, interval_s=5.0,
-    )
+    manager = ReplicationManager(dep, target_replication=1, interval_s=5.0)
     dep.env.process(manager.run(dep.env))
 
-    def hot_reader(env):
-        for _ in range(40):
+    def hot_reader(env, reader):
+        for _ in range(30):
             yield env.process(reader.read(blob_id, 0.0, 64.0))
-            yield env.timeout(0.5)
 
-    process = dep.env.process(hot_reader(dep.env))
-    dep.run(until=process)
+    # Three readers back to back keep the chunk above one read per second.
+    dep.run(until=dep.env.all_of([
+        dep.env.process(hot_reader(dep.env, dep.new_client(f"reader-{i}")))
+        for i in range(3)]))
     dep.run(until=dep.now + 15.0)
     # Hot while read: promoted; cooled afterwards: demoted back to target.
     assert manager.promotions >= 1
@@ -290,24 +287,58 @@ def test_orphan_removal_selects_unpublished():
 
 
 def test_removal_manager_reclaims_space():
-    dep = make_deployment()
-    place_chunk(dep, "provider-0", "old1", created_at=1.0, version=1, blob_id=99)
-    place_chunk(dep, "provider-1", "old2", created_at=1.0, version=1, blob_id=99)
-    manager = RemovalManager(dep, [TTLRemoval(ttl_s=50.0)], interval_s=5.0,
-                             protect_latest=False)
+    """What a later version overwrote is no part of the latest version:
+    the periodic sweep reclaims it, replica by replica."""
+    dep = make_deployment(replication=2)
+    client = dep.new_client("c1")
+    blob_id = write_blob(dep, client, size_mb=128.0)
+    dep.run(until=dep.env.process(client.write(blob_id, 0.0, 128.0)))
+    used = sum(p.node.disk_used_mb for p in dep.providers.values())
+    manager = RemovalManager(dep, [TTLRemoval(ttl_s=50.0)])
     dep.env.process(manager.run(dep.env))
     dep.run(until=70.0)
-    assert manager.removed_chunks == 2
-    assert manager.reclaimed_mb == pytest.approx(128.0)
-    assert not dep.providers["provider-0"].chunks
+    assert manager.removed_chunks == 4  # v1's two chunks x two replicas
+    assert manager.reclaimed_mb == pytest.approx(256.0)
+    assert sum(p.node.disk_used_mb for p in dep.providers.values()) == \
+        pytest.approx(used - 256.0)
+    assert dep.run(until=dep.env.process(
+        client.read(blob_id, 0.0, 128.0))).ok
+
+
+def read_all(dep, client, blob_id, size_mb):
+    return dep.run(until=dep.env.process(client.read(blob_id, 0.0, size_mb)))
+
+
+def test_removal_never_touches_what_the_latest_version_references():
+    """A copy-on-write version shares every chunk it did not overwrite:
+    after two appends v2 still points at v1's chunk, so a TTL sweep past
+    both removes nothing and v2 reads back in full.  Once v3 overwrites
+    chunk 0, exactly v1's chunk 0 is garbage — and v3 reads back."""
+    dep = make_deployment()
+    client = dep.new_client("c1")
+    blob_id = write_blob(dep, client, size_mb=64.0)            # v1: chunk 0
+    dep.run(until=dep.env.process(client.append(blob_id, 64.0)))  # v2: chunk 1
+    dep.run(until=dep.now + 30.0)
+    manager = RemovalManager(dep, [TTLRemoval(ttl_s=10.0)])
+    assert manager.step(dep.now) == []
+    assert manager.removed_chunks == 0
+    assert read_all(dep, client, blob_id, 128.0).ok
+
+    dep.run(until=dep.env.process(client.write(blob_id, 0.0, 64.0)))  # v3
+    dep.run(until=dep.now + 30.0)
+    (decision,) = manager.step(dep.now)
+    assert decision.detail["chunks"] == 1 and manager.removed_chunks == 1
+    held = sorted((d.chunk_index, d.version) for p in dep.providers.values()
+                  for d in p.chunks.values())
+    assert held == [(0, 3), (1, 2)]
+    assert read_all(dep, client, blob_id, 128.0).ok
 
 
 def test_removal_manager_protects_latest_version():
     dep = make_deployment()
     client = dep.new_client("c1")
     blob_id = write_blob(dep, client, size_mb=128.0)
-    manager = RemovalManager(dep, [TTLRemoval(ttl_s=5.0)], interval_s=5.0,
-                             protect_latest=True)
+    manager = RemovalManager(dep, [TTLRemoval(ttl_s=5.0)])
     dep.env.process(manager.run(dep.env))
     dep.run(until=60.0)
     # The blob's only version stays intact despite the aggressive TTL.
@@ -349,7 +380,7 @@ def test_removal_manager_collects_orphans_from_aborted_writes():
         1 for p in dep.providers.values()
         for d in p.chunks.values() if d.version < 0
     )
-    manager = RemovalManager(dep, [OrphanRemoval(grace_s=5.0)], interval_s=5.0)
+    manager = RemovalManager(dep, [OrphanRemoval(grace_s=5.0)])
     dep.env.process(manager.run(dep.env))
     dep.run(until=dep.now + 30.0)
     if orphaned:

@@ -1,70 +1,20 @@
-"""Unit tests for the repro.cache core library (policies, accounting)."""
+"""Unit tests for the repro.cache core library (eviction, accounting)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.cache import (
-    ArcPolicy,
-    Cache,
-    LruPolicy,
-    SeededRandomPolicy,
-    SizeAdmission,
-    make_policy,
-)
+from repro.cache import Cache
 
 
-# ------------------------------------------------------------- policies
+# ------------------------------------------------------------- eviction
 def test_lru_evicts_least_recently_used():
-    cache = Cache("c", 3.0, policy="lru")
+    cache = Cache("c", 3.0)
     for key in "abc":
         cache.put(key, key, 1.0)
     cache.lookup("a")  # refresh a; b is now LRU
     cache.put("d", "d", 1.0)
     assert "b" not in cache
     assert all(k in cache for k in "acd")
-
-
-def test_arc_keeps_frequent_keys_over_scan():
-    cache = Cache("c", 4.0, policy="arc")
-    for key in "ab":
-        cache.put(key, key, 1.0)
-    for _ in range(3):  # a, b become frequent (T2)
-        cache.lookup("a")
-        cache.lookup("b")
-    for key in "wxyz":  # a one-pass scan of cold keys
-        cache.put(key, key, 1.0)
-    assert "a" in cache and "b" in cache
-
-
-def test_arc_ghost_hit_adapts_p():
-    policy = ArcPolicy()
-    cache = Cache("c", 2.0, policy=policy)
-    cache.put("a", 1, 1.0)
-    cache.put("b", 1, 1.0)
-    cache.put("c", 1, 1.0)  # evicts a -> B1 ghost
-    assert policy.p == 0.0
-    cache.put("a", 1, 1.0)  # ghost hit in B1 grows p (favor recency)
-    assert policy.p > 0.0
-
-
-def test_random_policy_is_seeded():
-    def evict_order(seed):
-        cache = Cache("c", 3.0, policy=SeededRandomPolicy(seed=seed))
-        order = []
-        for i in range(10):
-            cache.put(i, i, 1.0)
-        for i in range(10):
-            if i not in cache:
-                order.append(i)
-        return order
-
-    assert evict_order(7) == evict_order(7)
-
-
-def test_make_policy_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_policy("clock")
-    assert isinstance(make_policy("lru"), LruPolicy)
-    assert isinstance(make_policy("arc"), ArcPolicy)
 
 
 # ------------------------------------------------------------- accounting
@@ -90,7 +40,7 @@ def test_put_refresh_in_place_updates_size():
 
 
 def test_admission_rejects_oversized_entries():
-    cache = Cache("c", 10.0, admission=SizeAdmission(max_fraction=0.5))
+    cache = Cache("c", 10.0)
     assert not cache.put("big", 1, 6.0)  # > 50% of capacity
     assert cache.stats.rejected == 1
     assert cache.bytes_used == 0.0
@@ -98,7 +48,7 @@ def test_admission_rejects_oversized_entries():
 
 
 def test_entry_larger_than_capacity_rejected():
-    cache = Cache("c", 4.0, admission=lambda k, s, c: True)
+    cache = Cache("c", 4.0)
     assert not cache.put("huge", 1, 8.0)
     assert cache.stats.rejected == 1
 
@@ -177,3 +127,108 @@ def test_cache_without_env_keeps_working():
     cache = Cache("bare", 4.0)  # pure library use
     cache.put("a", 1, 1.0)
     assert cache.get("a") == 1
+
+
+# ------------------------------------------------------------- reference model
+class ListLru:
+    """The reference: a list of ``[key, value, size]`` rows, least
+    recently used first, and the counters ``CacheStats`` keeps."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = []
+        self.n = dict.fromkeys(("hits", "misses", "evictions", "insertions",
+                                "rejected", "invalidations"), 0)
+
+    def _row(self, key):
+        return next((row for row in self.rows if row[0] == key), None)
+
+    def _fit(self, incoming=0.0):
+        while self.rows and sum(r[2] for r in self.rows) + incoming > self.capacity:
+            self.rows.pop(0)
+            self.n["evictions"] += 1
+
+    def lookup(self, key):
+        row = self._row(key)
+        if row is None:
+            self.n["misses"] += 1
+            return False, None
+        self.n["hits"] += 1
+        self.rows.remove(row)
+        self.rows.append(row)
+        return True, row[1]
+
+    def put(self, key, value, size):
+        row = self._row(key)
+        if row is not None:  # refresh: new value and size, most recent
+            self.rows.remove(row)
+            self.rows.append([key, value, size])
+            self._fit()
+            return True
+        if size > self.capacity / 2:
+            self.n["rejected"] += 1
+            return False
+        self._fit(size)
+        self.rows.append([key, value, size])
+        self.n["insertions"] += 1
+        return True
+
+    def invalidate(self, key):
+        row = self._row(key)
+        if row is None:
+            return False
+        self.rows.remove(row)
+        self.n["invalidations"] += 1
+        return True
+
+    def resize(self, capacity):
+        self.capacity = capacity
+        self._fit()
+
+    def clear(self):
+        self.n["invalidations"] += len(self.rows)
+        self.rows = []
+
+
+_KEYS = st.integers(0, 5)
+_SIZES = st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0])
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, _SIZES),
+    st.tuples(st.just("lookup"), _KEYS),
+    st.tuples(st.just("get"), _KEYS),
+    st.tuples(st.just("invalidate"), _KEYS),
+    st.tuples(st.just("resize"), st.sampled_from([2.0, 4.0, 8.0])),
+    st.tuples(st.just("clear")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=60))
+@example([("put", 0, 3.0), ("put", 1, 5.0), ("lookup", 1)])  # 5 > 6 / 2
+def test_cache_is_the_list_lru_reference_model(ops):
+    """Any stream of put (incl. refresh at a new size) / lookup / get /
+    invalidate / resize / clear leaves ``Cache`` with exactly the keys,
+    bytes and counters of the list-based LRU above — the oversized-entry
+    rule (``size > capacity / 2`` is rejected, not cached) included."""
+    cache, model = Cache("c", 6.0), ListLru(6.0)
+    for step, (op, *args) in enumerate(ops):
+        if op == "put":
+            key, size = args
+            assert cache.put(key, step, size) == model.put(key, step, size)
+        elif op == "lookup":
+            assert cache.lookup(*args) == model.lookup(*args)
+        elif op == "get":
+            assert cache.get(*args) == model.lookup(*args)[1]
+        elif op == "invalidate":
+            assert cache.invalidate(*args) == model.invalidate(*args)
+        elif op == "resize":
+            cache.resize(*args)
+            model.resize(*args)
+        else:
+            assert cache.clear() == len(model.rows)
+            model.clear()
+        assert list(cache._entries) == [row[0] for row in model.rows]
+        assert cache.bytes_used == pytest.approx(sum(r[2] for r in model.rows))
+        stats = cache.stats.to_dict()
+        assert {name: stats[name] for name in model.n} == model.n
+

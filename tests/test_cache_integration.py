@@ -66,13 +66,15 @@ def test_caches_default_off():
 
 
 def test_cache_policy_applies_to_every_tier():
+    """All three tiers are the one ``Cache``: six provider tiers and a
+    client's chunk and metadata tiers, every one of them LRU."""
     deployment = make_deployment(
         client_chunk_cache_mb=64.0, client_metadata_cache_mb=8.0,
-        provider_cache_mb=64.0, cache_policy="arc",
+        provider_cache_mb=64.0,
     )
     deployment.new_client("c")
     assert len(deployment.caches) == 6 + 2
-    assert {cache.policy.name for cache in deployment.caches} == {"arc"}
+    assert {cache.to_dict()["policy"] for cache in deployment.caches} == {"lru"}
 
 
 # ------------------------------------------------------------- client tiers

@@ -282,119 +282,36 @@ def test_multipart_errors():
     assert gw.uploads == {}
 
 
-def make_cached_gateway(object_cache_mb=256.0, **overrides):
-    defaults = dict(
-        data_providers=6,
-        metadata_providers=2,
-        chunk_size_mb=32.0,
-        testbed=TestbedConfig(seed=9),
-    )
-    defaults.update(overrides)
-    dep = BlobSeerDeployment(BlobSeerConfig(**defaults))
-    gateway = CumulusGateway(dep, object_cache_mb=object_cache_mb)
-    return dep, gateway
-
-
-def test_gateway_cache_serves_repeat_gets():
-    dep, gw = make_cached_gateway()
-    alice = add_user(dep, "alice")
-
-    def scenario(env):
-        yield from gw.create_bucket("alice", "data")
-        yield from gw.put_object("alice", alice, "data", "k", 32.0)
-        first = yield from gw.get_object("alice", alice, "data", "k")
-        second = yield from gw.get_object("alice", alice, "data", "k")
-        return first, second
-
-    first, second = run(dep, scenario(dep.env))
-    assert first.etag == second.etag
-    assert gw.gets == 2 and gw.cached_gets == 1
-    assert gw.object_cache.stats.hits == 1
-
-
-def test_gateway_cache_invalidated_by_overwrite():
-    dep, gw = make_cached_gateway()
+def test_get_serves_what_the_key_names_now():
+    """A key republished — by PUT, by DELETE + PUT, by a multipart
+    completion — is a new BLOB, and the next GET returns that one."""
+    dep, gw = make_gateway()
     alice = add_user(dep, "alice")
 
     def scenario(env):
         yield from gw.create_bucket("alice", "data")
         v1 = yield from gw.put_object("alice", alice, "data", "k", 32.0)
-        yield from gw.get_object("alice", alice, "data", "k")  # warm cache
+        yield from gw.get_object("alice", alice, "data", "k")
         v2 = yield from gw.put_object("alice", alice, "data", "k", 64.0)
-        got = yield from gw.get_object("alice", alice, "data", "k")
-        return v1, v2, got
-
-    v1, v2, got = run(dep, scenario(dep.env))
-    # The overwrite is a new blob: the stale cached object must not serve.
-    assert v2.blob_id != v1.blob_id
-    assert got.etag == v2.etag and got.size_mb == 64.0
-    assert gw.cached_gets == 0
-    assert gw.object_cache.stats.invalidations >= 1
-
-
-def test_gateway_cache_invalidated_by_delete():
-    dep, gw = make_cached_gateway()
-    alice = add_user(dep, "alice")
-
-    def scenario(env):
-        yield from gw.create_bucket("alice", "data")
-        yield from gw.put_object("alice", alice, "data", "k", 32.0)
-        yield from gw.get_object("alice", alice, "data", "k")  # warm cache
+        after_put = yield from gw.get_object("alice", alice, "data", "k")
         yield from gw.delete_object("alice", "data", "k")
-        yield from gw.put_object("alice", alice, "data", "k", 32.0)
-        return (yield from gw.get_object("alice", alice, "data", "k"))
-
-    got = run(dep, scenario(dep.env))
-    # Fresh entry after delete + re-put; the old cached bytes never serve.
-    assert gw.cached_gets == 0
-    assert got.size_mb == 32.0
-    assert len(gw.object_cache) == 1
-
-
-def test_gateway_cache_invalidated_by_multipart_overwrite():
-    dep, gw = make_cached_gateway()
-    alice = add_user(dep, "alice")
-
-    def scenario(env):
-        yield from gw.create_bucket("alice", "data")
-        yield from gw.put_object("alice", alice, "data", "big", 32.0)
-        yield from gw.get_object("alice", alice, "data", "big")  # warm cache
-        upload_id = yield from gw.initiate_multipart("alice", "data", "big")
+        v3 = yield from gw.put_object("alice", alice, "data", "k", 32.0)
+        after_delete = yield from gw.get_object("alice", alice, "data", "k")
+        upload_id = yield from gw.initiate_multipart("alice", "data", "k")
         yield from gw.upload_part("alice", alice, upload_id, 1, 32.0)
         yield from gw.upload_part("alice", alice, upload_id, 2, 32.0)
-        mp = yield from gw.complete_multipart("alice", upload_id)
-        got = yield from gw.get_object("alice", alice, "data", "big")
-        return mp, got
+        v4 = yield from gw.complete_multipart("alice", upload_id)
+        after_multipart = yield from gw.get_object("alice", alice, "data", "k")
+        return (v1, v2, v3, v4), (after_put, after_delete, after_multipart)
 
-    mp, got = run(dep, scenario(dep.env))
-    assert got.etag == mp.etag and got.size_mb == pytest.approx(64.0)
-    assert gw.cached_gets == 0  # stale single-part object never served
-
-
-def test_gateway_cache_never_bypasses_acl():
-    dep, gw = make_cached_gateway()
-    alice = add_user(dep, "alice")
-    bob = add_user(dep, "bob")
-
-    def scenario(env):
-        bucket = yield from gw.create_bucket("alice", "data")
-        yield from gw.put_object("alice", alice, "data", "secret", 32.0)
-        yield from gw.get_object("alice", alice, "data", "secret")  # warm cache
-        denied = None
-        try:
-            yield from gw.get_object("bob", bob, "data", "secret")
-        except S3AccessDenied:
-            denied = True
-        bucket.acl.grant("bob", Permission.READ)
-        entry = yield from gw.get_object("bob", bob, "data", "secret")
-        return denied, entry.key
-
-    denied, key = run(dep, scenario(dep.env))
-    # A hot cache entry must not leak through a failed ACL check...
-    assert denied is True
-    # ...but once granted, the cached copy serves the authorized reader.
-    assert key == "secret"
-    assert gw.cached_gets == 1
+    (v1, v2, v3, v4), (after_put, after_delete, after_multipart) = run(
+        dep, scenario(dep.env))
+    assert len({v.blob_id for v in (v1, v2, v3, v4)}) == 4
+    assert (after_put.etag, after_put.size_mb) == (v2.etag, 64.0)
+    assert (after_delete.etag, after_delete.size_mb) == (v3.etag, 32.0)
+    assert after_multipart.etag == v4.etag
+    assert after_multipart.size_mb == pytest.approx(64.0)
+    assert gw.gets == 4
 
 
 def test_concurrent_puts_share_backend():

@@ -9,10 +9,21 @@ passed by keyword (or position) to the class / builder somewhere under
 a call keyword (``dict(...)`` or the wrapper that forwards it); a
 function that takes ``**kwargs`` and splats into a constructor passes on
 what its own callers name.  ``super().__init__(...)`` sets the base
-class's parameters and ``cls(...)`` the enclosing class's.  A knob nobody sets only re-states a
-default: make it a constant beside the comment that explains it instead
-of adding it here.  There is no allowlist: a parameter that must stay
-gets a caller.
+class's parameters, ``cls(...)`` the enclosing class's and
+``REGISTRY[name](**kwargs)`` those of every class in a module-level dict
+of classes.  A knob nobody sets only re-states a default: make it a
+constant beside the comment that explains it instead of adding it here.
+
+A knob's own unit test is not its caller.  For constructor parameters
+and config fields the scan is run a second time over ``RUNS`` — what a
+scenario, a bench or an example can reach, ``tests/`` left out — and what
+that reports must be exactly ``TESTS_ONLY_PARAMETERS``; a public
+top-level definition of ``src/repro`` nothing under ``RUNS`` uses must be
+in ``TESTS_ONLY_DEFINITIONS``.  Both lists are debt, each entry with the
+reason it is tolerated: they may shrink (a survivor that gains a real
+caller fails the test until it is taken off), they do not grow.
+(Builder parameters keep the any-caller rule: the golden worlds of
+``tests/test_golden_observables.py`` shrink themselves through them.)
 """
 
 import ast
@@ -35,7 +46,9 @@ from repro.simulation import FlowNetwork
 from repro.telemetry import MetricsRegistry
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "benchmarks", "tests", "examples")
+#: Where a run can start from: the library, a bench or an example.
+RUNS = ("src", "benchmarks", "examples")
+SCANNED = RUNS + ("tests",)
 #: Dataclasses whose every field is a knob (their ``__init__`` is generated).
 CONFIGS = ("BlobSeerConfig", "TestbedConfig", "MonitoringConfig",
            "SecurityConfig", "MapReduceConfig", "RetryPolicy")
@@ -46,9 +59,9 @@ def _parse(paths):
 
 
 @functools.cache
-def _sources():
-    """Every scanned module but this one, parsed — never imported."""
-    return _parse(path for top in SCANNED
+def _sources(tops=SCANNED):
+    """Every module under *tops* but this one, parsed — never imported."""
+    return _parse(path for top in tops
                   for path in sorted((ROOT / top).rglob("*.py"))
                   if path != Path(__file__).resolve())
 
@@ -120,16 +133,42 @@ def _unset(surface, modules=None):
                     return found
         return None
 
-    def callee(call, enclosing):
+    #: Module-level dicts of classes (``PLANNERS = {cls.name: cls, ...}``):
+    #: registry name -> the surface entries ``REGISTRY[key](...)`` may fill.
+    registries = {}
+    for module in modules:
+        for stmt in module.body:
+            if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+                    and stmt.value.values):
+                classes = [owner(getattr(value, "id", None))
+                           for value in stmt.value.values]
+                if all(classes):
+                    registries.update({target.id: classes
+                                       for target in stmt.targets
+                                       if isinstance(target, ast.Name)})
+
+    def registry_of(node):
+        return (registries.get(getattr(node.value, "id", None))
+                if isinstance(node, ast.Subscript) else None)
+
+    def callees(call, enclosing, bound):
+        """The surface entries *call* fills, and whether its positional
+        arguments can be matched to parameters (not through a registry:
+        which of its classes is built is not known at the call site)."""
         func = call.func
+        through_registry = registry_of(func) or bound.get(getattr(func, "id", None))
+        if through_registry:
+            return through_registry, False
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if enclosing is not None and name == "cls":
-            return owner(enclosing.name)
-        if (enclosing is not None and name == "__init__"
+            found = owner(enclosing.name)
+        elif (enclosing is not None and name == "__init__"
                 and isinstance(func.value, ast.Call)
                 and getattr(func.value.func, "id", None) == "super"):
-            return next(filter(None, map(owner, _base_names(enclosing))), None)
-        return owner(name)
+            found = next(filter(None, map(owner, _base_names(enclosing))), None)
+        else:
+            found = owner(name)
+        return ([found] if found else []), True
 
     passed = {name: set() for name in surface}
     #: function name -> keywords its callers pass / surface callees it
@@ -138,11 +177,18 @@ def _unset(surface, modules=None):
     for module in modules:
         named, splatted = set(), set()
 
-        def visit(node, enclosing, function):
+        def visit(node, enclosing, function, bound):
             if isinstance(node, ast.ClassDef):
                 enclosing = node
-            elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
-                function = node
+            elif isinstance(node, ast.FunctionDef):
+                if node.args.kwarg:
+                    function = node
+                # ``cls = REGISTRY[name]`` ... ``cls(**kwargs)``
+                bound = {**bound, **{
+                    target.id: registry_of(stmt.value)
+                    for stmt in ast.walk(node) if isinstance(stmt, ast.Assign)
+                    and registry_of(stmt.value)
+                    for target in stmt.targets if isinstance(target, ast.Name)}}
             elif isinstance(node, ast.Dict):
                 named.update(k.value for k in node.keys
                              if isinstance(k, ast.Constant))
@@ -153,18 +199,19 @@ def _unset(surface, modules=None):
                 keywords_to.setdefault(
                     getattr(func, "attr", getattr(func, "id", None)), set()
                 ).update(keywords)
-                target = callee(node, enclosing)
-                if target is not None:
+                targets, positional = callees(node, enclosing, bound)
+                for target in targets:
                     passed[target] |= keywords
-                    passed[target].update(surface[target][0][:len(node.args)])
+                    if positional:
+                        passed[target].update(surface[target][0][:len(node.args)])
                     if len(keywords) < len(node.keywords):
                         splatted.add(target)
                         if function is not None:
                             forwards.setdefault(function.name, set()).add(target)
             for child in ast.iter_child_nodes(node):
-                visit(child, enclosing, function)
+                visit(child, enclosing, function, bound)
 
-        visit(module, None, None)
+        visit(module, None, None, {})
         # A ``**config`` call site names what it passes elsewhere in
         # its file: in a dict literal, a ``dict(...)`` call, or the
         # keywords of the wrapper that forwards them.
@@ -182,6 +229,108 @@ def _unset(surface, modules=None):
 
 def test_every_config_field_and_builder_parameter_is_set_by_a_caller():
     assert _unset(_surface()) == []
+
+
+def _tests_only_parameters(surface, modules):
+    """Constructor parameters and config fields no module of *modules*
+    (the scan with ``tests/`` left out) sets."""
+    return [name for name in _unset(surface, modules)
+            if not name.startswith("build_")]
+
+
+#: The constructor parameters and config fields only ``tests/`` sets, each
+#: with why it is tolerated and the ROADMAP item that owes it a caller.
+TESTS_ONLY_PARAMETERS = {
+    "BlobSeerDeployment.sink":
+        "the seam through which tests observe the event stream",
+    "ControlLoop.max_decisions":
+        "memory bound; its overflow test needs a small ring (item 1 b)",
+    "DecisionJournal.capacity":
+        "memory bound; its overflow test needs a small ring (item 1 b)",
+    "DosReader.parallel":
+        "the read flood of paper IV-C, driven end to end by test_read_dos only (item 4 d)",
+    "DosReader.read_mb":
+        "the read flood of paper IV-C, driven end to end by test_read_dos only (item 4 d)",
+    "DosReader.start_at":
+        "the read flood of paper IV-C, driven end to end by test_read_dos only (item 4 d)",
+    "FlowNetwork.backbone_capacity":
+        "testbed topology, as an address describes a deployment (item 2 a)",
+    "Histogram.max_samples":
+        "memory bound; its overflow test needs a small reservoir (item 1 b)",
+    "MonitoringService.filters":
+        "the paper's III-B filter stage at the monitoring services (item 4 d)",
+    "RetryPolicy.deadline_s":
+        "safety code; its expiry test needs a short budget (item 1 b)",
+    "TestbedConfig.cores":
+        "testbed topology, as an address describes a deployment (item 2 a)",
+    "TestbedConfig.disk_mb":
+        "testbed topology, as an address describes a deployment (item 2 a)",
+    "TestbedConfig.latency_cross_s":
+        "testbed topology; BENCH-SENS sweeps the latencies next (item 2 a)",
+    "TestbedConfig.latency_local_s":
+        "testbed topology; BENCH-SENS sweeps the latencies next (item 2 a)",
+    "TestbedConfig.sites":
+        "testbed topology, as an address describes a deployment (item 2 a)",
+}
+
+
+def test_a_knob_is_not_kept_alive_by_its_own_unit_test():
+    """With ``tests/`` left out of the caller scan, what is unset is the
+    pinned debt and nothing else: 51 -> 15 parameters (PR 24)."""
+    assert len(TESTS_ONLY_PARAMETERS) <= 15
+    assert _tests_only_parameters(_surface(), _sources(RUNS)) == sorted(
+        TESTS_ONLY_PARAMETERS)
+
+
+def _tests_only_definitions(library, callers, reexporters=()):
+    """Public top-level classes and functions of *library* that nothing
+    mentions: no module of *callers* or *reexporters* by name or as an
+    attribute, and no module of *callers* in an import (what a module
+    imports it is taken to use — except a package ``__init__``, a
+    re-exporter, which imports in order to export)."""
+    used = set()
+    for module in (*callers, *reexporters):
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias) and module in callers:
+                used.add(node.name.rpartition(".")[2])
+    return sorted(stmt.name for module in library for stmt in module.body
+                  if isinstance(stmt, (ast.ClassDef, ast.FunctionDef))
+                  and not stmt.name.startswith("_") and stmt.name not in used)
+
+
+#: The public definitions only ``tests/`` uses, each with why it stays.
+TESTS_ONLY_DEFINITIONS = {
+    "DosReader":
+        "paper IV-C names read-intensive DoS; test_read_dos is its one end-to-end check",
+    "LocalKV":
+        "the zero-cost fake the segment-tree tests drain synchronously",
+    "RecordingSink":
+        "the fake event sink tests observe the event stream through",
+    "SamplingFilter":
+        "second stage of the kept filter-chain test of MonitoringService.filters",
+    "TypeFilter":
+        "the filter the kept MonitoringService.filters test installs",
+    "WindowAggregateFilter":
+        "the paper's III-B aggregation at the monitoring services",
+    "read_flood_policy":
+        "the policy that detects DosReader in test_read_dos",
+    "steady_append_load":
+        "the load the tier-1 chaos smoke (seeds 42, 43) drives",
+}
+
+
+def test_a_definition_is_not_kept_alive_by_its_own_unit_test():
+    """19 -> 8 public definitions only tests import (PR 24)."""
+    assert len(TESTS_ONLY_DEFINITIONS) <= 8
+    paths = [path for top in RUNS for path in sorted((ROOT / top).rglob("*.py"))]
+    inits = [path for path in paths if path.name == "__init__.py"]
+    assert _tests_only_definitions(
+        _library(), _parse(path for path in paths if path not in inits),
+        reexporters=_parse(inits)) == sorted(TESTS_ONLY_DEFINITIONS)
 
 
 #: A library and its callers in one module: each class has one parameter
@@ -232,17 +381,69 @@ def test_a_field_no_caller_sets_is_reported():
         "Base.dead", "BlobSeerConfig.vm_cores", "Node.ram"]
 
 
+#: A registry of classes built through ``REGISTRY[kind](**kwargs)``, the
+#: one caller that can run — and the unit tests beside it.
+_REGISTRY = """
+class Greedy:
+    def __init__(self, unused=1, step=2): ...
+
+class Bandit:
+    def __init__(self, rng, step=2, eps=3, bound=4): ...
+
+KINDS = {"greedy": Greedy, "bandit": Bandit}
+
+def make(kind, rng=None, **kwargs):
+    cls = KINDS[kind]
+    if cls is Bandit:
+        return cls(rng, **kwargs)
+    return cls(**kwargs)
+
+make("greedy", step=5)
+"""
+_ITS_TESTS = """
+make("bandit", eps=6)
+Bandit(None, bound=7)
+"""
+
+
+def test_a_registry_call_credits_its_keywords_and_a_unit_test_is_no_caller():
+    """``KINDS[kind](**kwargs)`` sets, on every class of the registry,
+    what ``make``'s callers name (never a positional: which class is
+    built is not known there).  A parameter only the tests module sets
+    passes the any-caller scan and is reported by the scan without it;
+    a pinned survivor that gains a real caller no longer matches its pin."""
+    library, tests = ast.parse(_REGISTRY), ast.parse(_ITS_TESTS)
+    surface = _surface([library])
+    assert _unset(surface, [library, tests]) == ["Greedy.unused"]
+    pinned = ["Bandit.bound", "Bandit.eps", "Greedy.unused"]
+    assert _tests_only_parameters(surface, [library]) == pinned
+    real_caller = ast.parse("make('bandit', bound=8)")
+    assert _tests_only_parameters(surface, [library, real_caller]) != pinned
+
+
+def test_a_reexport_is_not_a_use_of_a_definition():
+    library = ast.parse("class Used: ...\nclass Exported: ...\n"
+                        "def idle(): ...\ndef _private(): ...")
+    package = ast.parse("from .library import Used, Exported, idle\n"
+                        "__all__ = ['Used', 'Exported', 'idle']")
+    bench = ast.parse("from library import Used")
+    assert _tests_only_definitions([library], [library, bench],
+                                   reexporters=[package]) == ["Exported", "idle"]
+
+
 def test_the_surface_is_the_documented_size():
-    """29 -> 16 config fields and 122 -> 71 builder parameters (PR 15, 18);
-    293 -> 240 defaulted constructor parameters and config fields over 83
-    classes (PR 20).  Each bound leaves a little room to add what a
-    caller needs; none leaves room for a second round of "just in case"."""
+    """29 -> 15 config fields and 122 -> 71 builder parameters (PR 15, 18,
+    24); 293 -> 240 -> 203 defaulted constructor parameters and config
+    fields (PR 20, 24), 311 -> 274 checked in all.  Each bound leaves a
+    little room to add what a caller needs; none leaves room for a second
+    round of "just in case"."""
     checked = {name: len(params) for name, (_, params) in _surface().items()}
-    assert checked["BlobSeerConfig"] == 16
+    assert checked["BlobSeerConfig"] == 15
     builders = sum(count for name, count in checked.items()
                    if name.startswith("build_"))
     assert builders <= 85
-    assert sum(checked.values()) - builders <= 245
+    assert sum(checked.values()) - builders <= 205
+    assert sum(checked.values()) <= 275
 
 
 def test_the_flow_network_takes_no_solver_knob():
@@ -274,8 +475,7 @@ def test_the_replica_groups_and_handles_take_no_protocol_knob():
     Nor is the replication manager told which detector to believe or how
     long a repair may take: it reads the deployment it is given."""
     assert parameters(ReplicationManager.__init__) == [
-        "self", "deployment", "target_replication", "max_replication",
-        "hot_reads_per_s", "interval_s", "query"]
+        "self", "deployment", "target_replication", "interval_s"]
     assert parameters(ReplicatedVersionManager.__init__) == [
         "self", "testbed", "vmanagers"]
     assert parameters(WarmStandbyProviderManager.__init__) == [
@@ -297,8 +497,7 @@ def test_a_window_of_a_series_is_answered_one_way():
     assert parameters(QueryEngine.for_deployment) == [
         "deployment", "monitoring", "window_s", "retention_s"]
     assert not [name for name in vars(MetricsRegistry) if "listener" in name]
-    assert parameters(Cache.__init__) == [
-        "self", "name", "capacity_mb", "policy", "admission"]
+    assert parameters(Cache.__init__) == ["self", "name", "capacity_mb"]
     assert parameters(make_strategy) == ["name", "rng", "env"]
 
     importers = []

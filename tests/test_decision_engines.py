@@ -121,6 +121,9 @@ def test_elasticity_effect_attribution_populates_time_to_effect():
 
 # ------------------------------------------------------------------ replication
 def test_replication_effect_attribution_populates_time_to_effect():
+    """The journal attributes a repair's effect against whatever series
+    it is told to watch; here the test samples the one it needs, the
+    number of chunks below their replication target."""
     from repro.telemetry import MetricsRegistry
 
     dep = make_deployment(replication=2, seed=7)
@@ -129,13 +132,19 @@ def test_replication_effect_attribution_populates_time_to_effect():
     journal = DecisionJournal(dep.env, effect_window_s=20.0)
     journal.watch("replication", ["replication.under_replicated"])
     manager = ReplicationManager(
-        dep, target_replication=2, max_replication=3, hot_reads_per_s=0.5,
-        interval_s=2.0, query=QueryEngine.for_deployment(dep),
-    ).attach_journal(journal)
+        dep, target_replication=2, interval_s=2.0).attach_journal(journal)
+
+    def probe(env):
+        while True:
+            env.metrics.sample("replication.under_replicated", float(sum(
+                len(manager.live_replicas(descriptor)) < 2
+                for descriptor in manager.chunk_directory().values())))
+            yield env.timeout(1.0)
+
+    dep.env.process(probe(dep.env))
     dep.env.process(manager.run(dep.env))
     next(p for p in dep.providers.values() if p.chunks).node.fail()
     dep.run(until=dep.now + 30.0)
-
 
     journal.resolve_effects()
     repairs = [e for e in journal.for_engine("replication")

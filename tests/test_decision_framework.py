@@ -38,7 +38,6 @@ from repro.decision import (
 )
 from repro.decision.arbiter import ArbitrationDenied
 from repro.decision.planners import PLANNERS, Planner
-from repro.decision.signals import resolve_all
 from repro.introspection import DecisionJournal
 from repro.introspection.query import QueryEngine
 from repro.simulation import Environment
@@ -46,6 +45,12 @@ from repro.telemetry import MetricsRegistry
 
 
 # ------------------------------------------------------------------ fixtures
+class ToyLoop(DecisionLoop):
+    """A loop named like the domain's actions (``engine="toy"``)."""
+
+    name = "toy"
+
+
 class ToyDomain:
     """Minimal knob domain: plain dict state, scripted signals/rewards."""
 
@@ -178,7 +183,8 @@ def test_signal_ref_keys_and_resolve_all():
     metrics = MetricsRegistry(env)
     query = QueryEngine(metrics=metrics, env=env)
     metrics.sample("a.b", 5.0, time=1.0)
-    out = resolve_all([SignalRef("a.b"), SignalRef("none")], query, now=2.0)
+    out = {ref.key: ref.resolve(query, now=2.0)
+           for ref in (SignalRef("a.b"), SignalRef("none"))}
     assert out == {"a.b:mean@engine": 5.0, "none:mean@engine": None}
 
 
@@ -423,8 +429,7 @@ def test_decision_loop_applies_planner_actions():
     domain = ToyDomain({"a": 10.0, "b": 10.0}, budget=40.0,
                        signal_map={"a": BUSY, "b": IDLE},
                        used={"b": 0.0})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
-                        name="toy", interval_s=1.0)
+    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain, interval_s=1.0)
     run_loop(loop, until=1.5)
     # One tick: a grew (busy + pressure), b shrank (idle).
     assert domain.values["a"] == pytest.approx(12.5)
@@ -448,8 +453,8 @@ def test_decision_loop_denied_actions_are_not_applied():
     arbiter = Arbiter()
     arbiter.ledger("mb", capacity=11.0)
     arbiter.assume("toy", "mb", 10.0)
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
-                        arbiter=arbiter, name="toy", interval_s=1.0)
+    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
+                   arbiter=arbiter, interval_s=1.0)
     run_loop(loop, until=1.5)
     # Wanted +2.5 MB, only 1 MB free, nobody to preempt: denied.
     assert loop.denied == 1 and loop.applied == 0
@@ -464,7 +469,7 @@ def test_decision_loop_refunds_the_cost_when_apply_raises():
     arbiter = Arbiter()
     arbiter.ledger("mb", capacity=20.0)
     arbiter.assume("toy", "mb", 10.0)
-    loop = DecisionLoop(arbiter=arbiter, name="toy")
+    loop = ToyLoop(arbiter=arbiter)
 
     def reject():
         raise ValueError("capacity must be positive")
@@ -482,8 +487,8 @@ def test_decision_loop_refunds_the_cost_when_apply_raises():
 def test_decision_loop_registers_planner_with_journal():
     env = Environment()
     journal = DecisionJournal(env)
-    loop = DecisionLoop(planner=ThresholdPlanner(step_fraction=0.5),
-                        domain=ToyDomain({"a": 10.0}), name="toy")
+    loop = ToyLoop(planner=ThresholdPlanner(step_fraction=0.5),
+                   domain=ToyDomain({"a": 10.0}))
     loop.attach_journal(journal)
     assert journal.planner_of("toy") == {
         "name": "threshold",
@@ -501,8 +506,8 @@ def test_decision_loop_cooldown_suppresses_and_critical_health_overrides():
     domain = ToyDomain({"a": 8.0}, ceilings={"a": 1000.0},
                        signal_map={"a": BUSY})
     health = FakeHealth()
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
-                        name="toy", interval_s=1.0, cooldown_s=10.0)
+    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
+                   interval_s=1.0, cooldown_s=10.0)
     loop.attach_health(health)
     env = run_loop(loop, until=3.5)
     # First decision at t=1 started the cooldown: ticks 2 and 3 skipped.
@@ -521,8 +526,8 @@ def test_decision_loop_cooldown_suppresses_and_critical_health_overrides():
 def test_decision_loop_ring_bounds_decisions():
     domain = ToyDomain({"a": 1.0}, ceilings={"a": 1e9},
                        signal_map={"a": BUSY})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
-                        name="toy", interval_s=1.0, max_decisions=3)
+    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
+                   interval_s=1.0, max_decisions=3)
     run_loop(loop, until=7.5)
     assert loop.decisions_total == 7
     assert loop.decisions_dropped == 4
@@ -539,8 +544,7 @@ def test_decision_loop_emits_trace_instants_and_counters():
     env.metrics = MetricsRegistry(env)
     domain = ToyDomain({"a": 10.0}, ceilings={"a": 1000.0},
                        signal_map={"a": BUSY})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
-                        name="toy", interval_s=1.0)
+    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain, interval_s=1.0)
     run_loop(loop, until=2.5, env=env)
     marks = [m for m in env.tracer.instants if m.name == "adapt.grow"]
     assert len(marks) == 2 and marks[0].track == "toy"
@@ -549,7 +553,7 @@ def test_decision_loop_emits_trace_instants_and_counters():
 
 # ------------------------------------------------------------------ planners
 def plan_once(planner, domain, now=0.0):
-    loop = DecisionLoop(planner=planner, domain=domain, name=domain.engine)
+    loop = ToyLoop(planner=planner, domain=domain)
     return loop.step(now), loop
 
 
@@ -610,22 +614,23 @@ def test_marginal_utility_funds_growers_from_shrinkers_by_utility():
 def test_marginal_utility_busy_spare_knob_gives_only_unused_room():
     domain = ToyDomain(
         {"hot": 8.0, "spare": 16.0},
-        used={"spare": 15.0},
+        used={"spare": 7.0},
         budget=24.0,
         signal_map={"hot": BUSY, "spare": CALM},
     )
-    decisions, _loop = plan_once(MarginalUtilityPlanner(spare_utilization=0.99),
+    decisions, _loop = plan_once(MarginalUtilityPlanner(step_fraction=1.0),
                                  domain)
     shrink = next(d for d in decisions if d.action == "shrink")
-    # Floor raised to bytes_used: only the single unused MB is released.
-    assert shrink.detail["amount"] == pytest.approx(1.0)
+    # Floor raised to bytes_used: asked for everything, the spare knob
+    # (under half full) releases only its 9 unused MB.
+    assert shrink.detail["amount"] == pytest.approx(9.0)
 
 
 def test_hill_climb_flips_direction_on_reward_drop():
     domain = ToyDomain({"a": 16.0}, ceilings={"a": 1000.0},
                        rewards=[10.0, 5.0, 4.0])
     planner = HillClimbPlanner()
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ToyLoop(planner=planner, domain=domain)
     d1 = loop.step(0.0)
     assert d1[0].action == "grow"  # initial direction is up
     d2 = loop.step(1.0)  # reward dropped 10 -> 5: flip to shrink
@@ -638,7 +643,7 @@ def test_hill_climb_flips_direction_on_reward_drop():
 def test_hill_climb_reverses_when_pinned_and_skips_without_reward():
     domain = ToyDomain({"a": 10.0}, ceilings={"a": 10.0}, rewards=[1.0])
     planner = HillClimbPlanner()
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ToyLoop(planner=planner, domain=domain)
     decisions = loop.step(0.0)
     # Pinned at the ceiling: the planner reverses and shrinks instead.
     assert [d.action for d in decisions] == ["shrink"]
@@ -650,7 +655,7 @@ def test_hill_climb_reverses_when_pinned_and_skips_without_reward():
 def test_hill_climb_round_robins_knobs():
     domain = ToyDomain({"a": 8.0, "b": 8.0}, ceilings={"a": 1e9, "b": 1e9},
                        rewards=[1.0, 1.0, 1.0, 1.0])
-    loop = DecisionLoop(planner=HillClimbPlanner(), domain=domain, name="toy")
+    loop = ToyLoop(planner=HillClimbPlanner(), domain=domain)
     knobs = [loop.step(float(i))[0].detail["knob"] for i in range(4)]
     assert knobs == ["a", "b", "a", "b"]
 
@@ -675,11 +680,12 @@ def test_epsilon_greedy_requires_rng():
 
 
 def test_epsilon_greedy_probes_then_exploits_best_arm():
-    # epsilon=0: pure exploitation; probe untried arms in order first.
+    # Every draw is above EPSILON: pure exploitation; probe untried arms
+    # in order first.
     domain = ToyDomain({"a": 8.0}, ceilings={"a": 1e9},
                        rewards=[0.0, 10.0, 10.0, 20.0])
-    planner = EpsilonGreedyPlanner(FakeRng([0.9] * 8), epsilon=0.0)
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    planner = EpsilonGreedyPlanner(FakeRng([0.9] * 8))
+    loop = ToyLoop(planner=planner, domain=domain)
     d1 = loop.step(0.0)
     assert (d1[0].action, loop.evidence["mode"]) == ("grow", "probe")
     d2 = loop.step(1.0)  # a+ credited +10; a- still untried
@@ -693,9 +699,8 @@ def test_epsilon_greedy_probes_then_exploits_best_arm():
 def test_epsilon_greedy_explores_on_epsilon():
     domain = ToyDomain({"a": 8.0, "b": 8.0},
                        ceilings={"a": 1e9, "b": 1e9}, rewards=[1.0])
-    planner = EpsilonGreedyPlanner(FakeRng([0.1], integers=[3]),
-                                   epsilon=0.2)
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    planner = EpsilonGreedyPlanner(FakeRng([0.1], integers=[3]))
+    loop = ToyLoop(planner=planner, domain=domain)
     decisions = loop.step(0.0)
     # Arms are [(a,+),(a,-),(b,+),(b,-)]: index 3 is b-.
     assert decisions[0].detail["knob"] == "b"
@@ -709,8 +714,8 @@ def test_epsilon_greedy_identical_streams_identical_decisions():
                            ceilings={"a": 1e9, "b": 1e9},
                            rewards=[1.0, 2.0, 1.5, 3.0, 2.5])
         planner = EpsilonGreedyPlanner(
-            FakeRng(seed_draws, integers=[1, 2, 0, 3, 1]), epsilon=0.3)
-        loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+            FakeRng(seed_draws, integers=[1, 2, 0, 3, 1]))
+        loop = ToyLoop(planner=planner, domain=domain)
         out = []
         for i in range(5):
             out.extend((d.time, d.action, tuple(sorted(d.detail.items())))
@@ -727,8 +732,8 @@ def test_make_planner_registry():
     assert isinstance(make_planner("threshold"), ThresholdPlanner)
     assert isinstance(make_planner("hill-climb", step_fraction=0.5),
                       HillClimbPlanner)
-    bandit = make_planner("epsilon-greedy", rng=FakeRng([0.5]), epsilon=0.1)
-    assert isinstance(bandit, EpsilonGreedyPlanner) and bandit.epsilon == 0.1
+    bandit = make_planner("epsilon-greedy", rng=FakeRng([0.5]))
+    assert isinstance(bandit, EpsilonGreedyPlanner)
     with pytest.raises(KeyError, match="unknown planner"):
         make_planner("simulated-annealing")
 

@@ -351,7 +351,7 @@ def test_crash_recovery_cycle_alternates_in_log():
 def test_second_fault_model_rejected():
     testbed = make_testbed()
     injector = FaultInjector(testbed)
-    other = FaultInjector(testbed, stream="faults2")
+    other = FaultInjector(testbed)
     a = testbed.add_node("a")
     injector.partition([a])
     with pytest.raises(RuntimeError):

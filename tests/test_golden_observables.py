@@ -307,8 +307,7 @@ def replication(seed):
         yield env.process(client.append(blob_id, 256.0))
 
     dep.run(until=dep.env.process(write(dep.env)))
-    manager = ReplicationManager(dep, target_replication=2, max_replication=3,
-                                 hot_reads_per_s=0.5, interval_s=2.0)
+    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0)
     dep.env.process(manager.run(dep.env))
     next(p for p in dep.providers.values() if p.chunks).node.fail()
     dep.run(until=dep.now + 30.0)

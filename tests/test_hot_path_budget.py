@@ -170,7 +170,9 @@ def test_warm_read_is_seventy_five_calls():
     kernel steps in between.  117 at the parent of this budget (a802854),
     where the same read entered 17 null spans, hopped through ``env``
     properties, resolved both message routes from scratch and looked its
-    throughput series up by name."""
+    throughput series up by name; 75 (this test's name) until the cache
+    kept its own recency order instead of telling a policy object about
+    each of the two hits.  The count may fall, never rise."""
     dep = cached_deployment()
     env = dep.env
     env.metrics = MetricsRegistry(env)
@@ -189,7 +191,7 @@ def test_warm_read_is_seventy_five_calls():
     dep.run()
     assert client.history[-1].ok
     assert env.metrics.series("client.throughput_mbps").points[-1][0] == env.now
-    assert counted.total == 75, sorted(counted.by_file.items())
+    assert counted.total == 73, sorted(counted.by_file.items())
 
 
 def test_untraced_operations_never_enter_the_tracer():

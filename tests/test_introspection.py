@@ -16,7 +16,6 @@ from repro.introspection import (
     Dashboard,
     IntrospectionLayer,
     bar_chart,
-    series_to_csv,
     sparkline,
     table,
 )
@@ -178,11 +177,6 @@ def test_table_renders_rows():
     lines = text.splitlines()
     assert len(lines) == 4
     assert "a" in lines[0] and "bb" in lines[0]
-
-
-def test_series_to_csv():
-    csv = series_to_csv([(1.0, 2.5)], header="t,v")
-    assert csv.splitlines() == ["t,v", "1.000,2.500000"]
 
 
 def test_dashboard_renders_all_panels():

@@ -228,13 +228,13 @@ def test_slo_rule_is_edge_triggered_with_recovery():
 
 
 def test_ewma_zscore_flags_spikes_not_noise():
-    tracker = EwmaZScore(alpha=0.2, min_samples=5)
+    tracker = EwmaZScore()
     scores = [
         tracker.score_and_update(10.0 + (0.1 if i % 2 else -0.1))
         for i in range(20)
     ]
-    assert all(z is None for z in scores[:5])  # warm-up
-    assert all(abs(z) < 3.0 for z in scores[5:])
+    assert all(z is None for z in scores[:8])  # warm-up
+    assert all(abs(z) < 3.0 for z in scores[8:])
     spike = tracker.score_and_update(100.0)
     assert spike > 3.0
 
@@ -243,8 +243,7 @@ def test_health_monitor_detects_anomaly_in_series():
     bed = Testbed()
     registry = MetricsRegistry(bed.env)
     engine = QueryEngine(metrics=registry, env=bed.env, window_s=30.0)
-    monitor = HealthMonitor(engine, anomaly_signals=["lat"], z_threshold=3.0,
-                            min_samples=5)
+    monitor = HealthMonitor(engine, anomaly_signals=["lat"], z_threshold=3.0)
 
     for i in range(20):
         registry.sample("lat", 10.0 + (0.1 if i % 2 else -0.1), time=float(i))

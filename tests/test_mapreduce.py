@@ -64,7 +64,7 @@ def test_output_size_reflects_selectivities():
     deployment = make_deployment()
     config = MapReduceConfig(
         input_mb=1024.0, map_tasks=4, reduce_tasks=2,
-        map_selectivity=0.25, reduce_selectivity=0.5,
+        map_selectivity=0.25,
     )
     job = run_job(deployment, config)
     # map out: ceil(64*0.25 -> padded to 64) per task = 64 MB x 4 = 256;

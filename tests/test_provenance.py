@@ -283,7 +283,7 @@ def test_oscillation_counting_pairs_antagonists_by_subject():
         entry(4, 100.0, "cache_shrink", "b"),   # outside the window
         entry(5, 110.0, "cache_shrink", "c"),   # no prior grow: not counted
     ]
-    score = AdaptationScorecard(oscillation_window_s=60.0)
+    score = AdaptationScorecard()
     assert score._oscillations(entries) == 1
 
 

@@ -15,11 +15,11 @@ from repro.blobseer.provider import DataProvider
 from repro.cluster import Testbed, TestbedConfig
 
 
-def make_pair(disk_mb=1000.0, disk_rate=1e9, seed=55):
+def make_pair(disk_mb=1000.0, seed=55):
     bed = Testbed(TestbedConfig(seed=seed))
     src = bed.add_node("src")
     dst = bed.add_node("dst", disk_mb=disk_mb)
-    provider = DataProvider(dst, "p0", disk_rate_mbps=disk_rate)
+    provider = DataProvider(dst, "p0")
     return bed, src, provider
 
 
@@ -86,9 +86,9 @@ def test_serve_unknown_chunk_rejected():
 
 
 def test_disk_queue_serializes_commits():
-    """With a slow disk, two simultaneous ingests commit one after the
-    other: the second completes roughly one service time later."""
-    bed, src, provider = make_pair(disk_rate=64.0)  # 1 s per 64 MB chunk
+    """Two simultaneous ingests commit one after the other: the second
+    completes one disk service time (64 MB at 120 MB/s + 3 ms) later."""
+    bed, src, provider = make_pair()
     times = []
 
     def one(env, key):
@@ -99,15 +99,15 @@ def test_disk_queue_serializes_commits():
     bed.env.process(one(bed.env, "b"))
     bed.run(until=30.0)
     assert len(times) == 2
-    # Network transfer (~0.5 s shared) + 1 s commit each, serialized.
-    assert times[1] - times[0] == pytest.approx(1.0, abs=0.1)
+    # Network transfer (~0.5 s shared) + one commit each, serialized.
+    assert times[1] - times[0] == pytest.approx(64.0 / 120.0 + 0.003)
 
 
 def test_disk_queue_length_reports_backlog():
-    bed, src, provider = make_pair(disk_rate=16.0)  # 4 s per chunk
+    bed, src, provider = make_pair()  # ~0.54 s of disk per chunk
     for i in range(4):
         provider.ingest(src, chunk(f"k{i}"))
-    bed.run(until=3.0)  # transfers done (shared NIC ~2 s), commits queued
+    bed.run(until=2.3)  # transfers done (shared NIC ~2 s), commits queued
     assert provider.disk_queue_length >= 3
 
 

@@ -49,7 +49,7 @@ def test_read_flood_detected_and_blocked():
 
     # A legitimate reader (slow) and a read-flood attacker (fast).
     good = CorrectReader(deployment.new_client("good-reader"), blob_id,
-                         op_mb=512.0, stop_at=120.0)
+                         op_mb=512.0)
     evil = DosReader(deployment.new_client("evil-reader"), blob_id,
                      start_at=10.0, read_mb=64.0, parallel=48)
     env.process(good.run(env))

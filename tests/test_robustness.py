@@ -26,15 +26,13 @@ def test_retry_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(base_delay_s=-1.0)
     with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValueError):
         RetryPolicy(jitter=1.5)
     with pytest.raises(ValueError):
         RetryPolicy(deadline_s=0.0)
 
 
 def test_retry_policy_backoff_exponential_and_capped():
-    policy = RetryPolicy(max_attempts=6, base_delay_s=0.1, multiplier=2.0,
+    policy = RetryPolicy(max_attempts=6, base_delay_s=0.1,
                          max_delay_s=0.5, jitter=0.0)
     delays = [policy.backoff_s(n) for n in range(1, 6)]
     assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]

@@ -193,7 +193,7 @@ def test_rpc_retry_succeeds_after_recovery():
         b.recover()
 
     env.process(resurrect())
-    retry = RetryPolicy(max_attempts=5, base_delay_s=1.0, multiplier=1.0,
+    retry = RetryPolicy(max_attempts=5, base_delay_s=1.0,
                         jitter=0.0)
     outcome = drive(env, request_response(
         testbed.net, "a", "b", op="hello", timeout_s=2.0, retry=retry,
@@ -212,7 +212,7 @@ def test_retry_deadline_caps_attempts():
     b = testbed.add_node("b")
     b.fail()
 
-    retry = RetryPolicy(max_attempts=100, base_delay_s=1.0, multiplier=1.0,
+    retry = RetryPolicy(max_attempts=100, base_delay_s=1.0,
                         jitter=0.0, deadline_s=5.0)
     outcome = drive(env, request_response(
         testbed.net, "a", "b", timeout_s=1.0, retry=retry,
@@ -448,7 +448,7 @@ def test_retried_rpc_does_not_duplicate_spans():
         b.recover()
 
     env.process(resurrect())
-    retry = RetryPolicy(max_attempts=5, base_delay_s=1.0, multiplier=1.0,
+    retry = RetryPolicy(max_attempts=5, base_delay_s=1.0,
                         jitter=0.0)
     outcome = drive(env, request_response(
         testbed.net, "a", "b", op="hello", timeout_s=2.0, retry=retry,
@@ -475,7 +475,7 @@ def test_exhausted_retries_close_span_with_error():
     b = testbed.add_node("b")
     b.fail()
 
-    retry = RetryPolicy(max_attempts=3, base_delay_s=1.0, multiplier=1.0,
+    retry = RetryPolicy(max_attempts=3, base_delay_s=1.0,
                         jitter=0.0)
     outcome = drive(env, request_response(
         testbed.net, "a", "b", op="doomed", timeout_s=1.0, retry=retry,

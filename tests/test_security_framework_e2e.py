@@ -85,7 +85,7 @@ def test_throttle_policy_applies_rate_cap_end_to_end():
     deployment, monitoring, security, access = build_stack(
         policies=[policy],
         config=SecurityConfig(
-            scan_interval_s=5.0, history_pull_interval_s=2.0, use_trust=False,
+            scan_interval_s=5.0, history_pull_interval_s=2.0,
         ),
     )
     attacker = DosAttacker(deployment.new_client("greedy"),

@@ -18,10 +18,8 @@ from repro.security.policy import (
     MetricCondition,
     NotCondition,
     OrCondition,
-    bandwidth_hog_policy,
     dos_flood_policy,
-    failed_op_policy,
-    metadata_hammer_policy,
+    read_flood_policy,
 )
 
 
@@ -172,9 +170,7 @@ def test_policy_bad_window_rejected():
 def test_canned_policies_construct_and_describe():
     for policy in (
         dos_flood_policy(),
-        bandwidth_hog_policy(),
-        failed_op_policy(),
-        metadata_hammer_policy(),
+        read_flood_policy(),
     ):
         assert policy.describe()
         assert policy.actions

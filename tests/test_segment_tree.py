@@ -8,7 +8,6 @@ from repro.blobseer.metadata import LocalKV
 from repro.blobseer.segment_tree import (
     capacity_for,
     node_key,
-    tree_node_count,
     tree_query,
     tree_update,
 )
@@ -36,6 +35,13 @@ def make_descriptors(blob_id, first, count, version=1):
 
 
 CAP = 16  # small capacity for readable tests
+
+
+def node_bound(span, capacity):
+    """Upper bound on KV puts for an update covering *span* chunks: at
+    most ``2*span`` leaf-side nodes plus the two boundary paths to the
+    root."""
+    return 2 * span + 2 * (capacity.bit_length() - 1)
 
 
 def test_single_write_and_query():
@@ -95,7 +101,7 @@ def test_update_write_count_is_bounded():
     kv = LocalKV()
     span = 4
     writes = drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, span), capacity=CAP))
-    assert writes <= tree_node_count(span, CAP)
+    assert writes <= node_bound(span, CAP)
 
 
 def test_shared_subtrees_not_rewritten():
@@ -403,7 +409,7 @@ def test_growing_tree_matches_flat_model(steps):
         assert kv.log == oracle_kv.log
         calls = kv.log[mark:]
         gets = [key for op, key, _value in calls if op == "get"]
-        assert puts == len(calls) - len(gets) <= tree_node_count(span, capacity)
+        assert puts == len(calls) - len(gets) <= node_bound(span, capacity)
         assert len(gets) <= (depth if span == 1 else 2 * depth)
         for key in gets:
             lo, hi = map(int, key.split(":")[3:])

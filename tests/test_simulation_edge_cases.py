@@ -6,10 +6,8 @@ from repro.simulation import (
     AnyOf,
     Environment,
     Interrupt,
-    PriorityResource,
     Resource,
     SimulationError,
-    Store,
 )
 
 
@@ -121,54 +119,6 @@ def test_yield_already_failed_event_raises():
 
     process = env.process(proc(env))
     assert env.run(until=process) == "raised"
-
-
-def test_priority_resource_cancel_from_heap():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(10.0)
-        resource.release(request)
-
-    cancelled = {}
-
-    def quitter(env):
-        yield env.timeout(0.1)
-        request = resource.request(priority=1)
-        result = yield request | env.timeout(1.0)
-        if request not in result:
-            request.cancel()
-            cancelled["at"] = env.now
-
-    env.process(holder(env))
-    env.process(quitter(env))
-    env.run()
-    assert cancelled["at"] == pytest.approx(1.1)
-    assert resource.queue_length == 0
-
-
-def test_store_put_get_interleave_under_pressure():
-    env = Environment()
-    store = Store(env, capacity=2)
-    consumed = []
-
-    def producer(env):
-        for i in range(10):
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(10):
-            item = yield store.get()
-            consumed.append(item)
-            yield env.timeout(0.1)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert consumed == list(range(10))
 
 
 def test_run_until_event_never_triggered_raises():

@@ -16,11 +16,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_start():
-    env = Environment(initial_time=42.0)
-    assert env.now == 42.0
-
-
 def test_timeout_advances_clock():
     env = Environment()
     times = []
@@ -68,7 +63,8 @@ def test_run_until_time_stops_clock():
 
 
 def test_run_until_past_raises():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(ValueError):
         env.run(until=1.0)
 

@@ -1,15 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Container, Store, FilterStore."""
+"""Unit tests for Resource and Container."""
 
 import pytest
 
-from repro.simulation import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.simulation import Container, Environment, Resource
 
 
 # ---------------------------------------------------------------- Resource
@@ -99,32 +92,6 @@ def test_resource_cancel_queued_request():
     assert len(resource.queue) == 0
 
 
-def test_priority_resource_serves_lowest_first():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(1.0)
-        resource.release(request)
-
-    def user(env, prio, label):
-        yield env.timeout(0.1)  # enqueue while the holder owns the slot
-        request = resource.request(priority=prio)
-        yield request
-        order.append(label)
-        resource.release(request)
-
-    env.process(holder(env))
-    env.process(user(env, 5, "low"))
-    env.process(user(env, 1, "high"))
-    env.process(user(env, 3, "mid"))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
 # ---------------------------------------------------------------- Container
 def test_container_put_get_levels():
     env = Environment()
@@ -185,119 +152,3 @@ def test_container_rejects_bad_init():
     with pytest.raises(ValueError):
         Container(env, capacity=5.0, init=9.0)
 
-
-# ---------------------------------------------------------------- Store
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in ("x", "y", "z"):
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == ["x", "y", "z"]
-
-
-def test_store_get_blocks_on_empty():
-    env = Environment()
-    store = Store(env)
-    times = []
-
-    def consumer(env):
-        yield store.get()
-        times.append(env.now)
-
-    def producer(env):
-        yield env.timeout(2.5)
-        yield store.put("late")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [2.5]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put("a")
-        yield store.put("b")
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(7.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [7.0]
-
-
-def test_store_try_put_respects_capacity():
-    env = Environment()
-    store = Store(env, capacity=2)
-
-    def proc(env):
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-        yield env.timeout(0)
-
-    env.process(proc(env))
-    env.run()
-    assert list(store.items) == [1, 2]
-
-
-def test_filter_store_selects_by_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    received = []
-
-    def producer(env):
-        for item in (1, 2, 3, 4):
-            yield store.put(item)
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        received.append(item)
-        item = yield store.get(lambda x: x % 2 == 0)
-        received.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == [2, 4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_waits_for_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-    received = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "wanted")
-        received.append((env.now, item))
-
-    def producer(env):
-        yield store.put("noise")
-        yield env.timeout(5.0)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert received == [(5.0, "wanted")]

@@ -5,11 +5,8 @@ summary renderer, so their degenerate inputs (empty series, single
 points, constant series) must stay well-defined.
 """
 
-import math
-
 from repro.introspection.visualization import (
     bar_chart,
-    series_to_csv,
     sparkline,
     table,
 )
@@ -55,37 +52,6 @@ def test_sparkline_handles_negative_values():
     line = sparkline([-3.0, 0.0, 3.0])
     assert line[0] == SPARK_CHARS[0]
     assert line[-1] == SPARK_CHARS[-1]
-
-
-# ---------------------------------------------------------------------------
-# series_to_csv
-# ---------------------------------------------------------------------------
-
-def test_series_to_csv_empty_series_is_header_only():
-    assert series_to_csv([]) == "time,value\n"
-
-
-def test_series_to_csv_single_point():
-    text = series_to_csv([(1.5, 2.25)])
-    assert text == "time,value\n1.500,2.250000\n"
-
-
-def test_series_to_csv_custom_header():
-    text = series_to_csv([(0.0, 1.0)], header="t_s,mb_per_s")
-    assert text.splitlines()[0] == "t_s,mb_per_s"
-
-
-def test_series_to_csv_output_is_nan_free_and_parseable():
-    series = [(0.0, 0.0), (0.123456, 98.7654321), (10.0, -1.0)]
-    text = series_to_csv(series)
-    lines = text.splitlines()
-    assert lines[0] == "time,value"
-    assert len(lines) == 1 + len(series)
-    for line in lines[1:]:
-        t, v = line.split(",")
-        assert math.isfinite(float(t))
-        assert math.isfinite(float(v))
-    assert "nan" not in text.lower()
 
 
 # ---------------------------------------------------------------------------

@@ -130,20 +130,6 @@ def test_dos_attacker_stops_when_blocked():
     assert attacker.ops_issued == issued_at_block  # flood stopped
 
 
-def test_dos_attacker_ramp_spawns_gradually():
-    dep = small_deployment()
-    attacker = DosAttacker(
-        dep.new_client("evil"), parallel=16, initial_parallel=2,
-        ramp_interval_s=5.0, chunk_size_mb=1.0,
-    )
-    dep.env.process(attacker.run(dep.env))
-    dep.run(until=2.0)
-    early = attacker.parallel
-    dep.run(until=30.0)
-    assert early == 2
-    assert attacker.parallel == 16
-
-
 def test_write_scenario_builds_and_runs():
     scenario = build_write_scenario(
         clients=3, data_providers=10, metadata_providers=2,
