@@ -41,13 +41,15 @@ class AllocationStrategy(ABC):
         """Return ``chunk_count`` lists of ``replication`` distinct providers."""
 
     @staticmethod
-    def _usable(providers: Sequence[DataProvider], replication: int) -> List[DataProvider]:
-        usable = [p for p in providers if p.available]
-        if len(usable) < replication:
+    def _usable(providers: Sequence[DataProvider], replication: int) -> Sequence[DataProvider]:
+        """*providers* as given: the caller's pool is already who is
+        believed allocatable (``ProviderManager.active_providers``), so
+        a crashed provider the detector has not noticed stays in it."""
+        if len(providers) < replication:
             raise NoProvidersAvailable(
-                f"need {replication} providers, only {len(usable)} available"
+                f"need {replication} providers, only {len(providers)} available"
             )
-        return usable
+        return providers
 
 
 class RoundRobinAllocation(AllocationStrategy):

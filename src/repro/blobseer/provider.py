@@ -256,7 +256,8 @@ class DataProvider:
     def _disk_io(self, size_mb: float):
         """Generator: one FIFO disk request of *size_mb*."""
         request = self.disk_queue.request()
-        yield request
+        if not request.processed:
+            yield request
         try:
             yield self.env.timeout(size_mb / self.DISK_RATE_MBPS + self.DISK_OVERHEAD_S)
         finally:

@@ -202,15 +202,23 @@ class RoundTrip:
         """Generator: wait on *event* under what is left of the deadline
         (unboundedly when there is none); :class:`RpcTimeout` on expiry.
         A leg with a deadline goes through here, and so may anything the
-        callee blocks on between the legs (the ticket's lock queue)."""
-        if self.deadline is None:
+        callee blocks on between the legs (the ticket's lock queue).  An
+        event already processed — a lock granted when it was asked for —
+        is not waited on: only a deadline that has already passed can
+        still refuse it, exactly as a zero-length wait would."""
+        deadline = self.deadline
+        if event.processed:
+            if deadline is None or self.env.now < deadline:
+                return event.value
+        elif deadline is None:
             return (yield event)
-        value = yield from wait_or_timeout(
-            self.env, event, self.deadline - self.env.now)
-        if value is TIMED_OUT:
-            raise make_timeout_error(
-                self.env, self.op, _name(self.callee), self.timeout_s)
-        return value
+        else:
+            value = yield from wait_or_timeout(
+                self.env, event, deadline - self.env.now)
+            if value is not TIMED_OUT:
+                return value
+        raise make_timeout_error(
+            self.env, self.op, _name(self.callee), self.timeout_s)
 
     def request(self, size_mb: float = CONTROL_MSG_MB):
         """Generator: the request leg, then the callee's liveness check.

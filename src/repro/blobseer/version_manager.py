@@ -440,12 +440,15 @@ class VersionManager:
                 lock = self._locks.get(blob_id)
                 if lock is None:
                     raise BlobNotFound(blob_id)
+                # A free lock is held from here (born processed) and
+                # ``wait`` does not yield; a queued one is waited for.
                 request = lock.request()
                 try:
                     yield from trip.wait(request)
                 except RpcTimeout:
-                    # Withdraw from the lock queue (or release, if the grant
-                    # raced the deadline) so later writers are not wedged.
+                    # Withdraw from the lock queue (or release, if it was
+                    # granted — on the spot past the deadline, or racing
+                    # it) so later writers are not wedged.
                     if request.triggered:
                         lock.release(request)
                     else:

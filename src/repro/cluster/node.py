@@ -73,14 +73,17 @@ class PhysicalNode:
         Usage: ``yield from node.compute(0.01)`` in the process that
         waits for it; ``env.process(node.compute(0.01))`` only for work
         the caller does not wait in line for (parallel, fire-and-forget)
-        — a process costs two kernel events.
+        — a process costs two kernel events.  With a core free the core
+        is held from the call and the timeout is the one kernel event;
+        with all cores busy the grant is a second one.
         """
         if cpu_seconds < 0:
             raise ValueError("cpu_seconds must be non-negative")
         if not self.alive:
             raise NodeDownError(self, "compute")
         request = self.cpu.request()
-        yield request
+        if not request.processed:
+            yield request
         try:
             yield self.env.timeout(cpu_seconds)
             self.cpu_seconds_used += cpu_seconds

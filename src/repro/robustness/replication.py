@@ -314,7 +314,8 @@ class VMReplica:
         the next election's call.
         """
         request = self._commit_lock.request()
-        yield request
+        if not request.processed:
+            yield request
         try:
             if not self.serving():
                 raise NotActivePrimary(self.name, self.role)
@@ -374,7 +375,8 @@ class VMReplica:
         to *peer*.  Updates ``_peer_acked`` and deposes on a stale epoch."""
         lock = self._ship_locks.setdefault(peer.name, Resource(self.env, capacity=1))
         request = lock.request()
-        yield request
+        if not request.processed:
+            yield request
         try:
             if self.role != PRIMARY or not self.node.alive:
                 return None

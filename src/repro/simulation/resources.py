@@ -3,6 +3,17 @@
 These model contention points in the simulated system — a provider's disk
 queue, a version manager's critical section, a node's disk space.
 Requests are events, so processes simply ``yield`` them.
+
+Grant rule: what can be settled when it is asked for is settled then.  A
+request for a free slot (nobody queued ahead), or a container put / get
+that fits, is *born processed*: the slot is held, or the amount booked,
+from the request instant, and nothing is scheduled for it.  The asker
+continues without yielding (``if not request.processed: yield request``),
+so its next event is sequenced at the request, not after the rest of the
+instant's events.  Only a request that has to wait is granted through the
+heap, one event when it reaches the head of the queue.  Yielding a
+born-processed event still works (the process resumes through a proxy
+event); it just costs the heap turn the rule saves.
 """
 
 from __future__ import annotations
@@ -10,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -18,20 +29,40 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Request", "Resource", "Container"]
 
 
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+def _born_processed(event: Event) -> None:
+    """Settle *event* on the spot: a success with no callbacks to run."""
+    event._ok = True
+    event._value = None
+    event.callbacks = None
 
-    Succeeds when the resource grants a slot.  Supports use as a context
-    manager so ``with resource.request() as req: yield req`` releases on
-    exit even if the process is interrupted while using the slot.
+
+class Request(Event):
+    """A claim on a :class:`Resource` slot.
+
+    Born processed when a slot is free and nobody is queued ahead; else
+    it succeeds when the resource grants the slot.  Supports use as a
+    context manager so ``with resource.request() as req: yield req``
+    releases on exit even if the process is interrupted while using the
+    slot.
     """
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Sets its fields itself, like ``Timeout``: one call per request.
+        self.env = resource.env
         self.resource = resource
-        resource._enqueue(self)
+        self._defused = False
+        if not resource.queue and len(resource.users) < resource._capacity:
+            resource.users.append(self)
+            self.callbacks = None  # born processed: nothing to schedule
+            self._value = None
+            self._ok = True
+        else:
+            self.callbacks = []
+            self._value = PENDING
+            self._ok = None
+            resource.queue.append(self)
 
     def cancel(self) -> None:
         """Withdraw an ungranted request from the wait queue."""
@@ -76,31 +107,27 @@ class Resource:
             # Request was never granted: cancel it from the queue instead.
             self._cancel(request)
         else:
-            self._grant_next()
+            queue = self.queue
+            while queue and len(self.users) < self._capacity:
+                waiter = queue.popleft()
+                self.users.append(waiter)
+                waiter.succeed()
 
     # -- internal ------------------------------------------------------------
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-        self._grant_next()
-
     def _cancel(self, request: Request) -> None:
         try:
             self.queue.remove(request)
         except ValueError:
             pass
 
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            request = self.queue.popleft()
-            self.users.append(request)
-            request.succeed()
-
 
 class Container:
     """A continuous-quantity store (e.g. disk bytes free).
 
     ``put``/``get`` return events that succeed once the amount can be
-    moved while respecting ``0 <= level <= capacity``.
+    moved while respecting ``0 <= level <= capacity``; one that can be
+    moved when it is asked for (nothing of its kind queued ahead) is
+    born processed.
     """
 
     def __init__(
@@ -131,16 +158,26 @@ class Container:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         event = Event(self.env)
-        self._puts.append((event, amount))
-        self._settle()
+        if not self._puts and self._level + amount <= self._capacity:
+            self._level += amount
+            _born_processed(event)
+        else:
+            self._puts.append((event, amount))
+        if self._gets:
+            self._settle()
         return event
 
     def get(self, amount: float) -> Event:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         event = Event(self.env)
-        self._gets.append((event, amount))
-        self._settle()
+        if not self._gets and amount <= self._level:
+            self._level -= amount
+            _born_processed(event)
+        else:
+            self._gets.append((event, amount))
+        if self._puts:
+            self._settle()
         return event
 
     def _settle(self) -> None:

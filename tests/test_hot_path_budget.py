@@ -3,8 +3,9 @@ nothing in the kernel, and nothing runs on the op path unless it can
 change the simulated outcome or feeds an observer that is switched on
 (DESIGN.md, "Architectural notes").
 
-Deterministic counts, no timing: kernel events per warm read, heap
-entries per release, generators per metadata-cache hit, records per
+Deterministic counts, no timing: kernel events per warm read and per
+uncontended ``compute``, heap entries per release, dead pops per write,
+generators per metadata-cache hit, records per
 emit into an empty sink, function calls per warm read, tracer calls per
 untraced operation, hashes per placed monitoring parameter — plus an AST
 gate that keeps the actor loops driving client operations inline.  Each
@@ -30,9 +31,11 @@ from repro.blobseer import (
 from repro.blobseer.metadata import MetadataStore
 from repro.blobseer.segment_tree import capacity_for, tree_query
 from repro.cluster import TestbedConfig
+from repro.cluster.node import PhysicalNode
 from repro.monitoring import MonitoringConfig, MonitoringStack
-from repro.simulation import Environment, Process, Resource
-from repro.telemetry import MetricsRegistry
+from repro.simulation import Environment, FlowNetwork, Process, Resource
+from repro.telemetry import KernelProfiler, MetricsRegistry
+from repro.workloads import build_write_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,10 +60,11 @@ def count_constructions(monkeypatch, cls):
     return tally
 
 
-def test_warm_read_costs_four_kernel_events_and_no_process(monkeypatch):
+def test_warm_read_costs_its_round_trip_and_no_process(monkeypatch):
     """Metadata and chunk both cached: what is left of a read is the
-    get-latest round trip — request leg, CPU grant, CPU timeout, reply
-    leg.  No init/completion pair of a wrapping process, no release."""
+    get-latest round trip — request leg, CPU timeout, reply leg.  The
+    free core is held from the request (no grant event), and there is no
+    init/completion pair of a wrapping process, no release."""
     dep = cached_deployment()
     env = dep.env
     client = dep.new_client("c0")
@@ -78,7 +82,7 @@ def test_warm_read_costs_four_kernel_events_and_no_process(monkeypatch):
 
     env.process(actor())
     dep.run()
-    assert seen == {"events": 4, "processes": 0}
+    assert seen == {"events": 3, "processes": 0}
     assert client.history[-1].ok and client.history[-1].op == "read"
 
 
@@ -130,7 +134,7 @@ def test_warm_read_of_a_tall_tree_is_one_lookup_per_cache(monkeypatch):
     env.process(actor())
     dep.run()
     assert seen == {"tree_queries": 0, "node_keys": 0, "processes": 0,
-                    "events": 4, "meta_lookups": 1, "meta_hits": 1,
+                    "events": 3, "meta_lookups": 1, "meta_hits": 1,
                     "chunk_lookups": 1, "chunk_hits": 1}
 
 
@@ -163,16 +167,19 @@ class CallCount:
         return sum(self.by_file.values())
 
 
-def test_warm_read_is_seventy_five_calls():
+def test_warm_read_call_budget():
     """Both caches hit, a metrics registry installed, the default
     ``NullTracer``, an empty sink: what a warm read still calls is its
     get-latest round trip, two cache lookups, three instruments and the
     kernel steps in between.  117 at the parent of this budget (a802854),
     where the same read entered 17 null spans, hopped through ``env``
     properties, resolved both message routes from scratch and looked its
-    throughput series up by name; 75 (this test's name) until the cache
-    kept its own recency order instead of telling a policy object about
-    each of the two hits.  The count may fall, never rise."""
+    throughput series up by name; 75 until the cache kept its own
+    recency order instead of telling a policy object about each of the
+    two hits; 73 until a free core was held from the request instead of
+    granted through the heap (one event, one process step and the
+    request's queue round trip fewer).  The count may fall, never
+    rise."""
     dep = cached_deployment()
     env = dep.env
     env.metrics = MetricsRegistry(env)
@@ -191,7 +198,7 @@ def test_warm_read_is_seventy_five_calls():
     dep.run()
     assert client.history[-1].ok
     assert env.metrics.series("client.throughput_mbps").points[-1][0] == env.now
-    assert counted.total == 73, sorted(counted.by_file.items())
+    assert counted.total == 61, sorted(counted.by_file.items())
 
 
 def test_untraced_operations_never_enter_the_tracer():
@@ -265,6 +272,65 @@ def test_release_schedules_nothing():
     depth = len(env._queue)
     resource.release(waiter)
     assert len(env._queue) == depth == 0
+
+
+def test_uncontended_compute_is_one_kernel_event():
+    """A free core is held from the request: ``compute(d)`` is its
+    timeout and nothing else.  With every core busy the grant is one
+    more event, at the release that frees the core."""
+    env = Environment()
+    node = PhysicalNode(env, FlowNetwork(env), "n0", cores=1)
+    finished = []
+
+    def work(name):
+        yield from node.compute(0.5)
+        finished.append((name, env.now))
+
+    def actor():
+        before = env.events_processed
+        yield from work("alone")
+        finished.append(("events", env.events_processed - before))
+        env.process(work("queued"))
+        before = env.events_processed
+        yield from work("first")
+        yield env.timeout(1.0)
+        finished.append(("events", env.events_processed - before))
+
+    env.run(until=env.process(actor()))
+    # first: its timeout; queued: init, grant, timeout, completion; the
+    # actor's own timeout.
+    assert finished == [("alone", 0.5), ("events", 1), ("first", 1.0),
+                        ("queued", 1.5), ("events", 6)]
+    assert node.cpu.count == 0 and node.cpu_seconds_used == 1.5
+
+
+def test_a_write_leaves_no_dead_event_but_fire_and_forget_completions():
+    """Pops that run no callback are only processes nobody waits for
+    (here the monitoring repository's store flushes): the disk-space put
+    of an ingested chunk is booked when it is made, not pushed as an
+    event nobody yields (28 such pops before it was)."""
+    scenario = build_write_scenario(clients=3, data_providers=6,
+                                    metadata_providers=2, op_mb=64.0,
+                                    ops_per_client=2, chunk_size_mb=16.0,
+                                    seed=4)
+    env = scenario.deployment.env
+    env.profiler = KernelProfiler()
+    dead = collections.Counter()
+    step = env.step
+
+    def spying_step():
+        event = env._queue[0][3]
+        if not event.callbacks:
+            dead[type(event).__name__] += 1
+        step()
+
+    env.step = spying_step
+    scenario.run()
+    providers = scenario.deployment.providers.values()
+    assert sum(p.chunks_written for p in providers) == 3 * 2 * 4
+    assert all(op.ok for w in scenario.writers for op in w.client.history)
+    assert dead == {"Process": env.profiler.dead_events}
+    assert env.profiler.dead_events > 0
 
 
 def _append_and_read(dep, client, blob):

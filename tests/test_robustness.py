@@ -282,6 +282,11 @@ def test_liveness_belief_truth_table(world, expected, decommissioned):
     assert pmanager.belief(provider) == belief
     assert (provider in pmanager.active_providers()) == (
         allocatable and not decommissioned)
+    # ... and what allocation places: round robin over the believed pool
+    # puts one of three chunks on each member, a crashed provider the
+    # detector has not noticed included.
+    placed = {p for replicas in pmanager.allocate(3) for p in replicas}
+    assert (provider in placed) == (allocatable and not decommissioned)
     manager = ReplicationManager(dep)
     assert (provider in manager.live_replicas(descriptor)) == (
         counts and not decommissioned)

@@ -300,6 +300,31 @@ def _blob_with_writers(dep, *names):
     return vm, blob_id, [dep.testbed.add_node(f"caller-{n}") for n in names]
 
 
+def test_free_ticket_lock_past_the_deadline_still_times_out():
+    """The request leg lands before the deadline, the entry CPU ends
+    after it: the free lock is held on the spot, but the deadline has
+    passed, so the attempt raises ``RpcTimeout`` there and then, hands
+    the lock back and burns no version — the next writer gets version 1."""
+    dep = make_deployment()
+    env = dep.env
+    vm, blob_id, (late, prompt) = _blob_with_writers(dep, "late", "prompt")
+    latency = dep.net.latency_between(late.netnode, vm.node.netnode)
+    timeout_s = latency + vm.op_cpu_s / 2
+    start = env.now
+    out = drive(env, vm.remote_ticket(late, blob_id, 8.0, "L", timeout_s=timeout_s))
+    dep.run(until=env.now + 1.0)
+    assert isinstance(out["error"], RpcTimeout)
+    assert out["at"] == pytest.approx(start + latency + vm.op_cpu_s)
+    lock = vm._locks[blob_id]
+    assert lock.count == 0 and not lock.queue and not vm._held
+    assert vm.tickets_issued == 0 and not vm.blobs[blob_id].versions
+
+    ok = drive(env, vm.remote_ticket(prompt, blob_id, 8.0, "P", timeout_s=1.0))
+    dep.run(until=env.now + 1.0)
+    assert ok["value"].version == 1
+    vm.abandon(ok["value"])
+
+
 def test_queued_writer_whose_node_dies_does_not_wedge_the_blob():
     """Regression (no deadline anywhere): A holds the lock, B queues, B's
     node dies, A publishes.  B's ticket is issued into the void — its

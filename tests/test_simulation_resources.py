@@ -92,6 +92,69 @@ def test_resource_cancel_queued_request():
     assert len(resource.queue) == 0
 
 
+def test_free_slot_is_held_from_the_request():
+    """Born processed: granted when asked for, nothing on the heap; a
+    request that has to queue is granted through the heap by a release."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    holder = resource.request()
+    assert holder.processed and holder.ok and holder.value is None
+    assert resource.users == [holder] and not env._queue
+    waiter = resource.request()
+    assert not waiter.triggered and list(resource.queue) == [waiter]
+    resource.release(holder)
+    assert resource.users == [waiter] and waiter.triggered
+    assert not waiter.processed and len(env._queue) == 1
+
+
+def test_contended_requests_are_granted_fifo_at_the_same_instants():
+    """Capacity 2, five users arriving a quarter second apart: the first
+    two on the spot, then each waiter in arrival order at the release
+    that frees its slot — the instants FIFO has always given."""
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    grants = []
+
+    def user(name, arrive, hold):
+        yield env.timeout(arrive)
+        request = resource.request()
+        if not request.processed:
+            yield request
+        grants.append((name, env.now))
+        yield env.timeout(hold)
+        resource.release(request)
+
+    for name, arrive, hold in [("a", 0.0, 2.0), ("b", 0.25, 1.0),
+                               ("c", 0.5, 1.0), ("d", 0.75, 0.5),
+                               ("e", 1.0, 3.0)]:
+        env.process(user(name, arrive, hold))
+    env.run()
+    # b frees at 1.25 (-> c), a at 2.0 (-> d), c at 2.25 (-> e).
+    assert grants == [("a", 0.0), ("b", 0.25), ("c", 1.25), ("d", 2.0),
+                      ("e", 2.25)]
+    assert resource.count == 0 and not resource.queue
+
+
+def test_yielding_a_born_processed_request_resumes_through_the_proxy():
+    """``with res.request() as r: yield r`` keeps working on a free slot:
+    the process resumes at the same instant through one proxy event."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    seen = []
+
+    def user():
+        with resource.request() as request:
+            assert request.processed
+            before = env.events_processed
+            value = yield request
+            seen.append((value, env.now, env.events_processed - before,
+                         resource.count))
+        seen.append(resource.count)
+
+    env.run(until=env.process(user()))
+    assert seen == [(None, 0.0, 1, 1), 0]
+
+
 # ---------------------------------------------------------------- Container
 def test_container_put_get_levels():
     env = Environment()
@@ -152,3 +215,20 @@ def test_container_rejects_bad_init():
     with pytest.raises(ValueError):
         Container(env, capacity=5.0, init=9.0)
 
+
+def test_container_move_that_fits_is_booked_on_the_spot():
+    """A put or get that fits, with nothing of its kind queued ahead, is
+    born processed; one that does not fit queues, and so does a later
+    one behind it (FIFO), until a move frees room for both."""
+    env = Environment()
+    tank = Container(env, capacity=10.0)
+    put = tank.put(4.0)
+    got = tank.get(1.0)
+    assert put.processed and got.processed and tank.level == 3.0
+    assert not env._queue
+    blocked = tank.put(8.0)
+    behind = tank.put(1.0)  # would fit, but waits behind the blocked put
+    assert not blocked.triggered and not behind.triggered and tank.level == 3.0
+    drained = tank.get(2.0)
+    assert drained.processed and tank.level == 10.0
+    assert blocked.triggered and behind.triggered and len(env._queue) == 2
