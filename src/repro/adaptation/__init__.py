@@ -2,30 +2,13 @@
 replication, removal & cache tuning (self-optimization), built on the
 MAPE-K loop of :mod:`repro.decision`."""
 
-from .cache_tuner import CacheTuner
-from .controller import AdaptationDecision, ControlLoop
-from .elasticity import ElasticityController
-from .removal import (
-    ColdDataRemoval,
-    LRURemoval,
-    OrphanRemoval,
-    RemovalManager,
-    RemovalStrategy,
-    TTLRemoval,
-)
-from .replication_manager import ReplicationManager, migrate_chunks
+from .. import lazy_exports
 
-__all__ = [
-    "ControlLoop",
-    "AdaptationDecision",
-    "CacheTuner",
-    "ElasticityController",
-    "ReplicationManager",
-    "migrate_chunks",
-    "RemovalManager",
-    "RemovalStrategy",
-    "TTLRemoval",
-    "ColdDataRemoval",
-    "LRURemoval",
-    "OrphanRemoval",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "controller": ["ControlLoop", "AdaptationDecision"],
+    "cache_tuner": ["CacheTuner"],
+    "elasticity": ["ElasticityController"],
+    "replication_manager": ["ReplicationManager", "migrate_chunks"],
+    "removal": ["RemovalManager", "RemovalStrategy", "TTLRemoval",
+                "ColdDataRemoval", "LRURemoval", "OrphanRemoval"],
+})

@@ -33,12 +33,14 @@ evictions/s, ``activity`` is lookups/s.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..decision.actions import Action
 from ..decision.loop import DecisionLoop
 from ..decision.planners import MarginalUtilityPlanner, Planner
-from ..decision.signals import SignalRef
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..decision.signals import SignalRef
 
 __all__ = ["CacheTuner"]
 

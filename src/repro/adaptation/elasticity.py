@@ -32,14 +32,16 @@ refereed against cache capacity on one conserved budget.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import NoProvidersAvailable
-from ..blobseer.provider import DataProvider
 from ..decision.actions import Action
 from ..decision.loop import DecisionLoop
 from .replication_manager import migrate_chunks
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.deployment import BlobSeerDeployment
+    from ..blobseer.provider import DataProvider
 
 __all__ = ["ElasticityController"]
 

@@ -24,11 +24,13 @@ background policy's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
-from ..blobseer.blob import ChunkDescriptor
-from ..blobseer.deployment import BlobSeerDeployment
 from .controller import AdaptationDecision, ControlLoop
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.blob import ChunkDescriptor
+    from ..blobseer.deployment import BlobSeerDeployment
 
 __all__ = [
     "RemovalStrategy",

@@ -18,18 +18,20 @@ The manager periodically sweeps the chunk directory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from ..blobseer.blob import ChunkDescriptor
-from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import BlobSeerError, NoProvidersAvailable
 from ..cluster.node import NodeDownError
 from ..blobseer.instrument import EV_REPLICA_REPAIR, MonitoringEvent
-from ..blobseer.provider import DataProvider
 from ..blobseer.rpc import TIMED_OUT, wait_or_timeout
 from ..decision.actions import Action
 from ..decision.loop import DecisionLoop
 from ..simulation.network import TransferAborted
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.blob import ChunkDescriptor
+    from ..blobseer.deployment import BlobSeerDeployment
+    from ..blobseer.provider import DataProvider
 
 __all__ = ["ReplicationManager", "migrate_chunks"]
 

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..cluster.node import PhysicalNode
 from .access import AccessController, AllowAll
 from .blob import ChunkDescriptor, chunk_span
 from .errors import (
@@ -52,6 +51,9 @@ from .provider_manager import ProviderManager
 from .rpc import OP_ERRORS
 from .segment_tree import capacity_for, tree_query, tree_update
 from .version_manager import Ticket, VersionManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["OpResult", "BlobSeerClient"]
 

@@ -21,12 +21,14 @@ that stores.  Two stores speak this interface:
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..cluster.node import PhysicalNode
-from ..simulation.network import FlowNetwork
 from .instrument import EventSink, MonitoringEvent, NullSink
 from .rpc import CONTROL_MSG_MB, RoundTrip
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
+    from ..simulation.network import FlowNetwork
 
 __all__ = ["LocalKV", "MetadataProvider", "MetadataStore"]
 

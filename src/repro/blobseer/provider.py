@@ -9,11 +9,9 @@ paper's introspection layer.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster.node import NodeDownError, PhysicalNode
-from ..simulation.events import Event
-from ..simulation.network import FlowNetwork
 from ..simulation.resources import Resource
 from .blob import ChunkDescriptor
 from .errors import BlobSeerError
@@ -26,6 +24,10 @@ from .instrument import (
     MonitoringEvent,
     NullSink,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simulation.events import Event
+    from ..simulation.network import FlowNetwork
 
 __all__ = ["DataProvider", "StorageFull", "ProviderUnavailable"]
 

@@ -11,9 +11,8 @@ drained providers deregister.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..cluster.node import PhysicalNode
 from .allocation import AllocationStrategy, RoundRobinAllocation
 from .errors import NoProvidersAvailable, NotActivePrimary
 from .instrument import (
@@ -26,6 +25,9 @@ from .instrument import (
 )
 from .provider import DataProvider
 from .rpc import CONTROL_MSG_MB, RoundTrip, attempts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["ProviderManager"]
 

@@ -20,9 +20,8 @@ Write protocol implemented here (matching BlobSeer's):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..cluster.node import PhysicalNode
 from ..simulation.resources import Resource
 from .blob import BlobInfo, VersionRecord
 from .errors import (
@@ -41,6 +40,9 @@ from .instrument import (
     NullSink,
 )
 from .rpc import RoundTrip, attempts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["Ticket", "VersionManager"]
 

@@ -22,6 +22,8 @@ Capacities are re-balanced at runtime by
 :class:`~repro.adaptation.CacheTuner` (self-optimization).
 """
 
-from .core import Cache, CacheStats
+from .. import lazy_exports
 
-__all__ = ["Cache", "CacheStats"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": ["Cache", "CacheStats"],
+})

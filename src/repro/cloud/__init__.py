@@ -1,36 +1,12 @@
 """Cloud storage gateway: S3-compatible interface (Cumulus-style) over
 the BlobSeer back end."""
 
-from .cumulus import CumulusGateway
-from .s3_api import (
-    Bucket,
-    BucketACL,
-    BucketAlreadyExists,
-    BucketNotEmpty,
-    InvalidPart,
-    MultipartUpload,
-    NoSuchBucket,
-    NoSuchKey,
-    Permission,
-    S3AccessDenied,
-    S3Error,
-    S3Object,
-    ServiceUnavailable,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "CumulusGateway",
-    "S3Error",
-    "NoSuchBucket",
-    "NoSuchKey",
-    "BucketAlreadyExists",
-    "BucketNotEmpty",
-    "S3AccessDenied",
-    "InvalidPart",
-    "ServiceUnavailable",
-    "Permission",
-    "BucketACL",
-    "Bucket",
-    "S3Object",
-    "MultipartUpload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cumulus": ["CumulusGateway"],
+    "s3_api": ["S3Error", "NoSuchBucket", "NoSuchKey", "BucketAlreadyExists",
+               "BucketNotEmpty", "S3AccessDenied", "InvalidPart",
+               "ServiceUnavailable", "Permission", "BucketACL", "Bucket",
+               "S3Object", "MultipartUpload"],
+})

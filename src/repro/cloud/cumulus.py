@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.errors import RpcTimeout
-from ..cluster.node import PhysicalNode
 from .s3_api import (
     Bucket,
     BucketACL,
@@ -35,6 +33,10 @@ from .s3_api import (
     ServiceUnavailable,
     make_etag,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.deployment import BlobSeerDeployment
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["CumulusGateway"]
 

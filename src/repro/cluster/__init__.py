@@ -1,14 +1,9 @@
 """Simulated cluster substrate: physical nodes, testbed topology, faults."""
 
-from .faults import FaultEvent, FaultInjector
-from .node import NodeDownError, PhysicalNode
-from .testbed import Testbed, TestbedConfig
+from .. import lazy_exports
 
-__all__ = [
-    "PhysicalNode",
-    "NodeDownError",
-    "Testbed",
-    "TestbedConfig",
-    "FaultInjector",
-    "FaultEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "node": ["PhysicalNode", "NodeDownError"],
+    "testbed": ["Testbed", "TestbedConfig"],
+    "faults": ["FaultInjector", "FaultEvent"],
+})

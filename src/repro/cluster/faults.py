@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..simulation.network import NetNode
 from .node import PhysicalNode
 from .testbed import Testbed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simulation.network import NetNode
 
 __all__ = ["FaultEvent", "FaultInjector"]
 

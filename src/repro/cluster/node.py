@@ -8,11 +8,13 @@ in-flight transfers and notifies deployed components via listeners.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..simulation.engine import Environment
 from ..simulation.network import FlowNetwork, NetNode
 from ..simulation.resources import Container, Resource
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simulation.engine import Environment
 
 __all__ = ["PhysicalNode", "NodeDownError"]
 

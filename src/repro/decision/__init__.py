@@ -31,29 +31,13 @@ scan loop of :class:`~repro.security.PolicyManagement`.  They import
 this package's leaf modules; nothing here imports an engine.
 """
 
-from .actions import Action
-from .arbiter import Arbiter, ResourceLedger
-from .loop import DecisionLoop
-from .planners import (
-    EpsilonGreedyPlanner,
-    HillClimbPlanner,
-    MarginalUtilityPlanner,
-    Planner,
-    ThresholdPlanner,
-    make_planner,
-)
-from .signals import SignalRef
+from .. import lazy_exports
 
-__all__ = [
-    "SignalRef",
-    "Action",
-    "Arbiter",
-    "ResourceLedger",
-    "Planner",
-    "ThresholdPlanner",
-    "MarginalUtilityPlanner",
-    "HillClimbPlanner",
-    "EpsilonGreedyPlanner",
-    "make_planner",
-    "DecisionLoop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "signals": ["SignalRef"],
+    "actions": ["Action"],
+    "arbiter": ["Arbiter", "ResourceLedger"],
+    "planners": ["Planner", "ThresholdPlanner", "MarginalUtilityPlanner",
+                 "HillClimbPlanner", "EpsilonGreedyPlanner", "make_planner"],
+    "loop": ["DecisionLoop"],
+})

@@ -1,48 +1,14 @@
 """Introspection layer: high-level aggregated system state + visualization."""
 
-from .aggregator import BlobAccessStats, ClientActivity, IntrospectionLayer
-from .health import EwmaZScore, HealthEvent, HealthMonitor, SLORule
-from .provenance import DecisionJournal, JournalEntry
-from .quality import (
-    AdaptationScorecard,
-    Disturbance,
-    SignalSpec,
-    overshoot,
-    settling_time,
-    slo_violation_seconds,
-)
-from .query import QueryEngine, WindowRollup
-from .visualization import (
-    Dashboard,
-    adaptation_scorecard,
-    bar_chart,
-    journal_tail,
-    sparkline,
-    table,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "IntrospectionLayer",
-    "ClientActivity",
-    "BlobAccessStats",
-    "QueryEngine",
-    "WindowRollup",
-    "DecisionJournal",
-    "JournalEntry",
-    "AdaptationScorecard",
-    "SignalSpec",
-    "Disturbance",
-    "settling_time",
-    "overshoot",
-    "slo_violation_seconds",
-    "HealthEvent",
-    "HealthMonitor",
-    "SLORule",
-    "EwmaZScore",
-    "Dashboard",
-    "sparkline",
-    "bar_chart",
-    "table",
-    "journal_tail",
-    "adaptation_scorecard",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregator": ["IntrospectionLayer", "ClientActivity", "BlobAccessStats"],
+    "query": ["QueryEngine", "WindowRollup"],
+    "provenance": ["DecisionJournal", "JournalEntry"],
+    "quality": ["AdaptationScorecard", "SignalSpec", "Disturbance",
+                "settling_time", "overshoot", "slo_violation_seconds"],
+    "health": ["HealthEvent", "HealthMonitor", "SLORule", "EwmaZScore"],
+    "visualization": ["Dashboard", "sparkline", "bar_chart", "table",
+                      "journal_tail", "adaptation_scorecard"],
+})

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from ..blobseer.instrument import (
     EV_STORAGE_LEVEL,
     MonitoringEvent,
 )
-from ..monitoring.repository import StorageRepository
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..monitoring.repository import StorageRepository
 
 __all__ = ["ClientActivity", "BlobAccessStats", "IntrospectionLayer"]
 

@@ -1,26 +1,12 @@
 """Monitoring layer (MonALISA substitute): agents, services, filters,
 and the introspection storage repository with burst cache."""
 
-from .filters import (
-    DataFilter,
-    FilterChain,
-    SamplingFilter,
-    TypeFilter,
-    WindowAggregateFilter,
-)
-from .pipeline import MonitoringConfig, MonitoringStack
-from .repository import StorageRepository, StorageServer
-from .service import MonitoringService
+from .. import lazy_exports
 
-__all__ = [
-    "MonitoringStack",
-    "MonitoringConfig",
-    "MonitoringService",
-    "StorageRepository",
-    "StorageServer",
-    "DataFilter",
-    "FilterChain",
-    "TypeFilter",
-    "SamplingFilter",
-    "WindowAggregateFilter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "pipeline": ["MonitoringStack", "MonitoringConfig"],
+    "service": ["MonitoringService"],
+    "repository": ["StorageRepository", "StorageServer"],
+    "filters": ["DataFilter", "FilterChain", "TypeFilter", "SamplingFilter",
+                "WindowAggregateFilter"],
+})

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.instrument import EV_NODE_PHYSICAL, MonitoringEvent
-from ..cluster.node import PhysicalNode
-from ..cluster.testbed import Testbed
 from .repository import StorageRepository, StorageServer
 from .service import EVENT_WIRE_MB, MonitoringService
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.deployment import BlobSeerDeployment
+    from ..cluster.node import PhysicalNode
+    from ..cluster.testbed import Testbed
 
 __all__ = ["MonitoringConfig", "MonitoringStack"]
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from operator import attrgetter
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from ..blobseer.instrument import MonitoringEvent
-from ..cluster.node import PhysicalNode
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.instrument import MonitoringEvent
+    from ..cluster.node import PhysicalNode
+
 
 __all__ = ["StorageServer", "StorageRepository", "RepositoryCursor"]
 

@@ -12,12 +12,14 @@ repository over the network.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..blobseer.instrument import MonitoringEvent
-from ..cluster.node import PhysicalNode
 from .filters import DataFilter, FilterChain
 from .repository import StorageRepository
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.instrument import MonitoringEvent
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["MonitoringService"]
 

@@ -22,36 +22,15 @@ Wire detection into a deployment with
 :meth:`repro.blobseer.deployment.BlobSeerDeployment.attach_failure_detector`.
 """
 
-from .chaos import ChaosHarness, InvariantViolation, steady_append_load
-from .detector import ALIVE, DEAD, SUSPECTED, HeartbeatFailureDetector, NodeView
-from .replication import (
-    FAILOVER_ERRORS,
-    FailoverEvent,
-    LogRecord,
-    PrimaryHandle,
-    ProviderManagerHandle,
-    ReplicatedVersionManager,
-    VMReplica,
-    WarmStandbyProviderManager,
-)
-from .retry import RetryPolicy
+from .. import lazy_exports
 
-__all__ = [
-    "RetryPolicy",
-    "HeartbeatFailureDetector",
-    "NodeView",
-    "ALIVE",
-    "SUSPECTED",
-    "DEAD",
-    "LogRecord",
-    "FailoverEvent",
-    "VMReplica",
-    "ReplicatedVersionManager",
-    "PrimaryHandle",
-    "WarmStandbyProviderManager",
-    "ProviderManagerHandle",
-    "FAILOVER_ERRORS",
-    "ChaosHarness",
-    "InvariantViolation",
-    "steady_append_load",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "retry": ["RetryPolicy"],
+    "detector": ["HeartbeatFailureDetector", "NodeView", "ALIVE", "SUSPECTED",
+                 "DEAD"],
+    "replication": ["LogRecord", "FailoverEvent", "VMReplica",
+                    "ReplicatedVersionManager", "PrimaryHandle",
+                    "WarmStandbyProviderManager", "ProviderManagerHandle",
+                    "FAILOVER_ERRORS"],
+    "chaos": ["ChaosHarness", "InvariantViolation", "steady_append_load"],
+})

@@ -22,10 +22,12 @@ crash instant so detection latency can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..blobseer.rpc import RETRYABLE_RPC_ERRORS, request_response
-from ..cluster.node import PhysicalNode
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
 
 __all__ = ["ALIVE", "SUSPECTED", "DEAD", "NodeView", "HeartbeatFailureDetector"]
 

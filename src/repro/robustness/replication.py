@@ -77,14 +77,16 @@ example ever tuned them, so they are not constructor arguments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..blobseer.errors import NoActivePrimary, NotActivePrimary, StaleEpoch
 from ..blobseer.rpc import RETRYABLE_RPC_ERRORS, RoundTrip
-from ..cluster.node import PhysicalNode
 from ..simulation.events import Event
 from ..simulation.resources import Resource
 from .detector import HeartbeatFailureDetector
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.node import PhysicalNode
 
 __all__ = [
     "PRIMARY",

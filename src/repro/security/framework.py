@@ -16,18 +16,20 @@ provenance timeline with its policy/occurrence/trust evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from ..blobseer.access import AccessTable
-from ..blobseer.deployment import BlobSeerDeployment
 from ..decision.actions import Action
 from ..decision.loop import DecisionLoop
-from ..monitoring.pipeline import MonitoringStack
 from .detection import DetectionEngine, Violation
 from .enforcement import BlobSeerEnforcementTarget, PolicyEnforcement
 from .history import IntrospectionActivitySource, UserActivityHistory
 from .policy import Policy
 from .trust import TrustManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.access import AccessTable
+    from ..blobseer.deployment import BlobSeerDeployment
+    from ..monitoring.pipeline import MonitoringStack
 
 __all__ = ["SecurityConfig", "PolicyScanLoop", "PolicyManagement"]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..blobseer.instrument import (
     EV_CHUNK_READ,
@@ -25,7 +25,9 @@ from ..blobseer.instrument import (
     EV_OP_START,
     MonitoringEvent,
 )
-from ..monitoring.repository import StorageRepository
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..monitoring.repository import StorageRepository
 
 __all__ = ["UserEvent", "UserActivityHistory", "IntrospectionActivitySource"]
 

@@ -6,41 +6,14 @@ This package replaces the physical Grid'5000 testbed used in the paper:
 simulated nodes.
 """
 
-from .engine import Environment
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Interrupt,
-    ScheduledCall,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
-from .network import Flow, FlowNetwork, NetNode, TransferAborted
-from .process import Process
-from .resources import Container, Request, Resource
-from .rng import RandomStreams
+from .. import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Timeout",
-    "ScheduledCall",
-    "Condition",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "SimulationError",
-    "StopSimulation",
-    "Process",
-    "Resource",
-    "Request",
-    "Container",
-    "RandomStreams",
-    "NetNode",
-    "Flow",
-    "FlowNetwork",
-    "TransferAborted",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ["Environment"],
+    "events": ["Event", "Timeout", "ScheduledCall", "Condition", "AllOf",
+               "AnyOf", "Interrupt", "SimulationError", "StopSimulation"],
+    "process": ["Process"],
+    "resources": ["Resource", "Request", "Container"],
+    "rng": ["RandomStreams"],
+    "network": ["NetNode", "Flow", "FlowNetwork", "TransferAborted"],
+})

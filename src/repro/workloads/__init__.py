@@ -1,37 +1,14 @@
 """Workload generators: correct clients, DoS attackers, canned scenarios."""
 
-from .clients import CorrectReader, CorrectWriter, DosAttacker, DosReader, ZipfReader
-from .mapreduce import MapReduceConfig, MapReduceJob, StageStats
-from .scenarios import (
-    ContentionScenario,
-    DisturbanceScenario,
-    DosScenario,
-    HotspotScenario,
-    WriteScenario,
-    build_contention_scenario,
-    build_disturbance_scenario,
-    build_dos_scenario,
-    build_hotspot_scenario,
-    build_write_scenario,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "CorrectWriter",
-    "CorrectReader",
-    "ZipfReader",
-    "HotspotScenario",
-    "build_hotspot_scenario",
-    "DisturbanceScenario",
-    "build_disturbance_scenario",
-    "ContentionScenario",
-    "build_contention_scenario",
-    "DosAttacker",
-    "DosReader",
-    "WriteScenario",
-    "build_write_scenario",
-    "DosScenario",
-    "build_dos_scenario",
-    "MapReduceJob",
-    "MapReduceConfig",
-    "StageStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clients": ["CorrectWriter", "CorrectReader", "ZipfReader", "DosAttacker",
+                "DosReader"],
+    "scenarios": ["HotspotScenario", "build_hotspot_scenario",
+                  "DisturbanceScenario", "build_disturbance_scenario",
+                  "ContentionScenario", "build_contention_scenario",
+                  "WriteScenario", "build_write_scenario", "DosScenario",
+                  "build_dos_scenario"],
+    "mapreduce": ["MapReduceJob", "MapReduceConfig", "StageStats"],
+})

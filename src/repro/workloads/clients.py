@@ -12,11 +12,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..blobseer.client import BlobSeerClient, OpResult
 from ..blobseer.errors import AccessDenied
 from ..blobseer.rpc import OP_ERRORS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.client import BlobSeerClient, OpResult
 
 __all__ = [
     "CorrectWriter",

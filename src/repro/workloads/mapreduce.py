@@ -23,11 +23,13 @@ realistic "application benchmark" on top of the substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..blobseer.client import BlobSeerClient
-from ..blobseer.deployment import BlobSeerDeployment
 from ..blobseer.rpc import OP_ERRORS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..blobseer.client import BlobSeerClient
+    from ..blobseer.deployment import BlobSeerDeployment
 
 __all__ = ["MapReduceConfig", "MapReduceJob", "StageStats"]
 

@@ -30,31 +30,31 @@ The three Zipf-read scenarios (hot-spot, disturbance, contention) share
 the read-side observables — and three factories: the deployment with
 its cache tiers, the preload writer plus reader fleet, and the decision
 journal.
+
+A builder imports the engines it builds (monitoring, security, tuner,
+journal, arbiter) where it builds them, so a run compiles only the
+engines it runs; nothing the measured phase calls imports anything.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..adaptation.cache_tuner import CacheTuner
-from ..adaptation.elasticity import ElasticityController
 from ..blobseer.access import AccessTable
 from ..blobseer.deployment import BlobSeerConfig, BlobSeerDeployment
 from ..cluster.faults import FaultInjector
 from ..cluster.testbed import Testbed, TestbedConfig
-from ..decision.arbiter import Arbiter
-from ..decision.planners import make_planner
-from ..decision.signals import SignalRef
-from ..introspection.provenance import DecisionJournal
-from ..introspection.quality import AdaptationScorecard, Disturbance, SignalSpec
-from ..introspection.query import QueryEngine
-from ..monitoring.pipeline import MonitoringConfig, MonitoringStack
-from ..security.framework import PolicyManagement, SecurityConfig
-from ..security.policy import dos_flood_policy
-from ..telemetry.metrics import MetricsRegistry
 from .clients import CorrectWriter, DosAttacker, ZipfReader
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..adaptation.cache_tuner import CacheTuner
+    from ..adaptation.elasticity import ElasticityController
+    from ..decision.arbiter import Arbiter
+    from ..introspection.provenance import DecisionJournal
+    from ..monitoring.pipeline import MonitoringStack
+    from ..security.framework import PolicyManagement
 
 __all__ = [
     "Scenario",
@@ -91,6 +91,8 @@ def _mean(values) -> float:
 def _monitored(deployment, services: int, **config) -> MonitoringStack:
     """Attach the introspection stack: *services* monitoring services
     over half as many storage servers."""
+    from ..monitoring.pipeline import MonitoringConfig, MonitoringStack
+
     monitoring = MonitoringStack(deployment.testbed, MonitoringConfig(
         services=services, storage_servers=max(2, services // 2), **config))
     monitoring.attach(deployment)
@@ -383,6 +385,9 @@ def build_dos_scenario(
 
     security: Optional[PolicyManagement] = None
     if security_enabled:
+        from ..security.framework import PolicyManagement, SecurityConfig
+        from ..security.policy import dos_flood_policy
+
         security = PolicyManagement(
             deployment,
             monitoring,
@@ -475,11 +480,15 @@ class ZipfReadScenario(Scenario):
         return sum(r.total_read_mb() for r in self.readers)
 
     def disturbances(self) -> list:
+        from ..introspection.quality import Disturbance
+
         return [Disturbance(self.shift_at, "hot_set_shift")]
 
     def scorecard(self) -> dict:
         """The SEAMS quality-of-adaptation scorecard for this run: client
         throughput against a 120 MB/s SLO, around each disturbance."""
+        from ..introspection.quality import AdaptationScorecard, SignalSpec
+
         return AdaptationScorecard(
             journal=self.journal,
             metrics=self.deployment.env.metrics,
@@ -515,6 +524,8 @@ def _cached_deployment(
     the scorecard to read."""
     testbed = Testbed(TestbedConfig(seed=seed))
     if metrics:
+        from ..telemetry.metrics import MetricsRegistry
+
         testbed.env.metrics = MetricsRegistry(testbed.env)
     return BlobSeerDeployment(
         BlobSeerConfig(
@@ -567,6 +578,8 @@ _EFFECT_SERIES = {
 def _decision_journal(env, *engines: str) -> DecisionJournal:
     """A journal that attributes effects to the named *engines* over a
     15 s window."""
+    from ..introspection.provenance import DecisionJournal
+
     journal = DecisionJournal(env, effect_window_s=15.0)
     for engine in engines:
         journal.watch(engine, _EFFECT_SERIES[engine])
@@ -577,6 +590,9 @@ def _cache_tuner(deployment, interval_s: float = 5.0,
                  **tuner_kwargs) -> CacheTuner:
     """A :class:`CacheTuner` over every deployment cache, reading query
     windows of three of its intervals."""
+    from ..adaptation.cache_tuner import CacheTuner
+    from ..introspection.query import QueryEngine
+
     query = QueryEngine.for_deployment(deployment, window_s=3 * interval_s)
     return CacheTuner(query, caches=deployment.caches, interval_s=interval_s,
                       **tuner_kwargs)
@@ -586,6 +602,9 @@ def _planned_tuner(deployment, planner: str, step_fraction: float = 0.25,
                    arbiter=None) -> CacheTuner:
     """A cache tuner driven by the named planner and rewarded by client
     throughput."""
+    from ..decision.planners import make_planner
+    from ..decision.signals import SignalRef
+
     rng = (deployment.rng.stream("decision:bandit")
            if planner == "epsilon-greedy" else None)
     return _cache_tuner(
@@ -679,6 +698,8 @@ class DisturbanceScenario(ZipfReadScenario):
             )
 
     def disturbances(self) -> list:
+        from ..introspection.quality import Disturbance
+
         return super().disturbances() + [
             Disturbance(self.churn_at, "provider_churn")]
 
@@ -801,6 +822,9 @@ def build_contention_scenario(
     **less** than one scale-up step (two providers), so the first
     scale-up under load must preempt cache capacity through the arbiter.
     """
+    from ..adaptation.elasticity import ElasticityController
+    from ..decision.arbiter import Arbiter
+
     data_providers = 8
     provider_cost_mb = 48.0
     deployment = _cached_deployment(seed, data_providers)

@@ -287,7 +287,8 @@ def _tests_only_definitions(library, callers, reexporters=()):
     mentions: no module of *callers* or *reexporters* by name or as an
     attribute, and no module of *callers* in an import (what a module
     imports it is taken to use — except a package ``__init__``, a
-    re-exporter, which imports in order to export)."""
+    re-exporter, which imports or names in its lazy map in order to
+    export)."""
     used = set()
     for module in (*callers, *reexporters):
         for node in ast.walk(module):
@@ -422,13 +423,19 @@ def test_a_registry_call_credits_its_keywords_and_a_unit_test_is_no_caller():
 
 
 def test_a_reexport_is_not_a_use_of_a_definition():
+    """Neither an import in a package ``__init__`` nor a name in its
+    ``lazy_exports`` map uses what it exports."""
     library = ast.parse("class Used: ...\nclass Exported: ...\n"
                         "def idle(): ...\ndef _private(): ...")
     package = ast.parse("from .library import Used, Exported, idle\n"
                         "__all__ = ['Used', 'Exported', 'idle']")
+    lazy_package = ast.parse(
+        "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+        "    'library': ['Used', 'Exported', 'idle']})")
     bench = ast.parse("from library import Used")
-    assert _tests_only_definitions([library], [library, bench],
-                                   reexporters=[package]) == ["Exported", "idle"]
+    assert _tests_only_definitions(
+        [library], [library, bench],
+        reexporters=[package, lazy_package]) == ["Exported", "idle"]
 
 
 def test_the_surface_is_the_documented_size():

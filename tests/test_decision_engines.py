@@ -16,14 +16,15 @@ digests of ``tests/test_golden_observables.py``.  Covered here:
   for self-protection;
 - determinism: stateful planners (hill-climb, epsilon-greedy) are
   byte-identical across reruns per seed;
-- layout: the framework and the engine packages each import first in a
-  fresh interpreter (the engines import the framework's leaf modules, so
-  there is no import cycle to hit).
+- layout: every package imports first in a fresh interpreter and then
+  resolves every name it exports (the engines import the framework's
+  leaf modules, so there is no import cycle to hit).
 """
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,14 +275,31 @@ def test_stateful_planners_are_deterministic_per_seed(planner):
 
 
 # ------------------------------------------------------------------ layout
-@pytest.mark.parametrize("package", ["repro.decision", "repro.adaptation",
-                                     "repro.security"])
+#: Each package's public names, resolved from a fresh interpreter: a
+#: star import binds every ``__all__`` name and ``dir()`` lists each.
+_RESOLVE_ALL = """
+import importlib, sys
+name = sys.argv[1]
+package = importlib.import_module(name)
+namespace = {}
+exec(f"from {name} import *", namespace)
+unbound = [n for n in package.__all__ if n not in namespace]
+unlisted = sorted(set(package.__all__) - set(dir(package)))
+assert not unbound and not unlisted, (unbound, unlisted)
+"""
+
+
+@pytest.mark.parametrize("package", ["repro"] + sorted(
+    f"repro.{init.parent.name}" for init in
+    Path(__file__).resolve().parents[1].glob("src/repro/*/__init__.py")))
 def test_package_imports_first_in_a_fresh_interpreter(package):
+    """Any package imports first, and then resolves every name it
+    exports; ``repro.decision`` before ``repro.adaptation`` included."""
     import repro
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
     result = subprocess.run(
-        [sys.executable, "-c", f"import {package}"],
+        [sys.executable, "-c", _RESOLVE_ALL, package],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60,
     )
