@@ -85,7 +85,7 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     health.start(env)
 
     # Provenance journal: every decision any engine executes lands here
-    # with its evidence, health inbox, trace context, and a post-decision
+    # with its evidence, trace context, and a post-decision
     # effect-attribution window against the watched series.
     journal = DecisionJournal(env, metrics=tele.metrics, effect_window_s=20.0)
     journal.watch("cache-tuner", ["client.throughput_mbps"])

@@ -33,24 +33,15 @@ class ControlLoop:
     oscillation: after any non-empty step, the loop holds off for
     ``cooldown_s``.
 
-    Health signals (§III-B → §V): after :meth:`attach_health`, each tick
-    drains the monitor's new :class:`~repro.introspection.health.HealthEvent`\\ s
-    into :attr:`health_inbox` right before :meth:`step`, so subclasses
-    can react to SLO violations and anomalies alongside their own
-    triggers.  A ``critical`` health event also overrides the cooldown —
-    an engine holding off after a routine action must still answer an
-    SLO breach immediately.
-
     Provenance: :attr:`decisions` is a **bounded** window — the newest
     ``max_decisions`` survive, :attr:`decisions_total` counts all-time —
     and each executed step resets :attr:`evidence`, a dict subclasses
     fill with the windowed stats they consulted while planning.  With a
     :class:`~repro.introspection.provenance.DecisionJournal` attached
     (:meth:`attach_journal`), every decision is journaled together with
-    that evidence, the health inbox, the active trace context and the
-    planner's wall-clock latency (also kept in
-    :attr:`last_step_wall_s`; never written to the metrics registry,
-    whose snapshots must stay byte-identical per seed).
+    that evidence, the active trace context and the planner's wall-clock
+    latency (also kept in :attr:`last_step_wall_s`; never written to the
+    metrics registry, whose snapshots must stay byte-identical per seed).
     """
 
     name = "control-loop"
@@ -74,11 +65,6 @@ class ControlLoop:
         self._cooldown_until = -float("inf")
         self.enabled = True
         self.steps = 0
-        #: Optional HealthMonitor (duck-typed: needs ``events_since``).
-        self.health = None
-        self._health_pos = 0
-        #: Health events that arrived since the previous executed step.
-        self.health_inbox: List[Any] = []
         #: Windowed stats consumed during the current/last executed step;
         #: reset before each step, filled by subclasses via :meth:`note`.
         self.evidence: Dict[str, Any] = {}
@@ -86,12 +72,6 @@ class ControlLoop:
         self.journal = None
         #: Wall-clock seconds the most recent executed step took.
         self.last_step_wall_s: Optional[float] = None
-
-    def attach_health(self, monitor) -> "ControlLoop":
-        """Feed a :class:`HealthMonitor`'s events into this loop."""
-        self.health = monitor
-        self._health_pos = len(monitor.events)
-        return self
 
     def attach_journal(self, journal) -> "ControlLoop":
         """Record every decision (with evidence) into *journal*.
@@ -121,20 +101,6 @@ class ControlLoop:
         """Stash planning evidence for provenance (cheap, unconditional)."""
         self.evidence.update(evidence)
 
-    def _pending_health(self) -> List[Any]:
-        if self.health is None:
-            return []
-        _pos, fresh = self.health.events_since(self._health_pos)
-        return fresh
-
-    def _drain_health(self) -> None:
-        if self.health is None:
-            self.health_inbox = []
-            return
-        self._health_pos, self.health_inbox = self.health.events_since(
-            self._health_pos
-        )
-
     def step(self, now: float) -> List[AdaptationDecision]:
         """Inspect + adapt; implemented by subclasses."""
         raise NotImplementedError
@@ -143,16 +109,9 @@ class ControlLoop:
         """Generator: start with ``env.process(loop.run(env))``."""
         while True:
             yield env.timeout(self.interval_s)
-            if not self.enabled:
+            if not self.enabled or env.now < self._cooldown_until:
                 continue
-            if env.now < self._cooldown_until:
-                # Cooldown suppresses routine re-runs, not emergencies:
-                # a pending critical health event forces the step.
-                if not any(e.severity == "critical"
-                           for e in self._pending_health()):
-                    continue
             self.steps += 1
-            self._drain_health()
             self.evidence = {}
             started = _time.perf_counter()
             decisions = self.step(env.now)
@@ -185,7 +144,6 @@ class ControlLoop:
                         journal.record_decision(
                             decision,
                             evidence=self.evidence,
-                            health=self.health_inbox,
                             latency_s=wall_s,
                         )
 

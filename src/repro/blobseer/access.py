@@ -49,17 +49,8 @@ class AccessTable:
     def block(self, client_id: str, reason: str = "") -> None:
         self.blocked[client_id] = reason
 
-    def unblock(self, client_id: str) -> None:
-        self.blocked.pop(client_id, None)
-
     def throttle(self, client_id: str, cap_mbps: float) -> None:
         self.throttled[client_id] = cap_mbps
-
-    def unthrottle(self, client_id: str) -> None:
-        self.throttled.pop(client_id, None)
-
-    def is_blocked(self, client_id: str) -> bool:
-        return client_id in self.blocked
 
     def authorize(self, client_id: str, operation: str) -> None:
         from .errors import AccessDenied

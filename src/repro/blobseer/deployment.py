@@ -317,14 +317,6 @@ class BlobSeerDeployment:
         provider_id = f"provider-{next(self._provider_seq)}"
         return self._spawn_provider(provider_id)
 
-    def retire_provider(self, provider_id: str) -> DataProvider:
-        """Stop allocating onto a provider; chunks must be migrated first
-        (see ``repro.adaptation.replication_manager.migrate_chunks``)."""
-        provider = self.providers[provider_id]
-        provider.decommission()
-        self.active_pmanager().deregister(provider_id)
-        return provider
-
     # -- failure detection (robustness layer) --------------------------------------
     def attach_failure_detector(
         self,

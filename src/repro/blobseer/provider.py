@@ -105,10 +105,6 @@ class DataProvider:
     def free_mb(self) -> float:
         return self.node.disk_free_mb
 
-    @property
-    def active_transfers(self) -> int:
-        return self.net.node_flow_count(self.node.name)
-
     def load_score(self) -> float:
         """Allocation-strategy load metric: live transfer rate + fill level."""
         return self.node.nic_utilization + self.node.disk_utilization

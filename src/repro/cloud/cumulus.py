@@ -112,13 +112,6 @@ class CumulusGateway:
             raise BucketNotEmpty(name)
         del self.buckets[name]
 
-    def list_buckets(self, user: str):
-        yield self.env.timeout(self.LIST_LATENCY_S)
-        return sorted(
-            name for name, bucket in self.buckets.items()
-            if bucket.acl.allows(user, Permission.READ)
-        )
-
     def list_objects(self, user: str, bucket_name: str, prefix: str = ""):
         yield self.env.timeout(self.LIST_LATENCY_S)
         bucket = self._bucket(bucket_name)
@@ -269,10 +262,3 @@ class CumulusGateway:
         self.puts += 1
         self.bytes_in_mb += size
         return entry
-
-    def abort_multipart(self, user: str, upload_id: str):
-        yield self.env.timeout(self.LIST_LATENCY_S)
-        upload = self.uploads.get(upload_id)
-        if upload is None or upload.owner != user:
-            raise InvalidPart(f"unknown upload {upload_id!r}")
-        del self.uploads[upload_id]

@@ -102,10 +102,6 @@ class PhysicalNode:
         return self.memory.level
 
     @property
-    def memory_utilization(self) -> float:
-        return self.memory.level / self.memory.capacity
-
-    @property
     def disk_used_mb(self) -> float:
         return self.disk.level
 

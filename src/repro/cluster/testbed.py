@@ -83,15 +83,8 @@ class Testbed:
         self.nodes[name] = node
         return node
 
-    def add_nodes(self, prefix: str, count: int, **overrides) -> List[PhysicalNode]:
-        """Create *count* nodes named ``{prefix}-{i}``."""
-        return [self.add_node(f"{prefix}-{i}", **overrides) for i in range(count)]
-
     def node(self, name: str) -> PhysicalNode:
         return self.nodes[name]
-
-    def alive_nodes(self) -> List[PhysicalNode]:
-        return [n for n in self.nodes.values() if n.alive]
 
     def nodes_at(self, site: str) -> List[PhysicalNode]:
         return [n for n in self.nodes.values() if n.site == site]

@@ -33,16 +33,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .actions import Action
 
-__all__ = ["ResourceLedger", "Arbiter", "ArbitrationDenied"]
+__all__ = ["ResourceLedger", "Arbiter"]
 
 #: reclaim hook: (resource, amount_needed) -> amount actually freed (MB…).
 ReclaimHook = Callable[[str, float], float]
 
 _EPS = 1e-9
-
-
-class ArbitrationDenied(Exception):
-    """Raised by :meth:`Arbiter.require` when an action cannot be funded."""
 
 
 @dataclass
@@ -225,11 +221,6 @@ class Arbiter:
         for resource, amount in reversed(action.settled):
             self.ledgers[resource]._settle(action.engine, -amount)
         action.settled = []
-
-    def require(self, action: Action) -> None:
-        """:meth:`admit` or raise :class:`ArbitrationDenied`."""
-        if not self.admit(action):
-            raise ArbitrationDenied(str(action))
 
     # -- reporting ---------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

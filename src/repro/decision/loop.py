@@ -12,8 +12,8 @@ runs).  The plan is either an attached, swappable
 tuner) or the engine's own control law, written as a ``plan`` override
 (elasticity's watermarks, replication's directory sweep,
 self-protection's policy scan).  Because the shell *is* a ControlLoop,
-every engine has the same provenance surface: cooldown with
-critical-health override, the bounded decision ring, ``adapt.*`` trace
+every engine has the same provenance surface: cooldown, the bounded
+decision ring, ``adapt.*`` trace
 instants, ``adaptation.*`` counters, and journaling via
 :meth:`attach_journal`, which also registers the planner's name and
 parameters so the scorecard can report *which* technique produced each

@@ -3,7 +3,7 @@
 from .. import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "aggregator": ["IntrospectionLayer", "ClientActivity", "BlobAccessStats"],
+    "aggregator": ["IntrospectionLayer", "BlobAccessStats"],
     "query": ["QueryEngine", "WindowRollup"],
     "provenance": ["DecisionJournal", "JournalEntry"],
     "quality": ["AdaptationScorecard", "SignalSpec", "Disturbance",

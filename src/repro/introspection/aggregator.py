@@ -24,7 +24,6 @@ from ..blobseer.instrument import (
     EV_CHUNK_WRITE,
     EV_NODE_PHYSICAL,
     EV_OP_END,
-    EV_OP_START,
     EV_STORAGE_LEVEL,
     MonitoringEvent,
 )
@@ -32,35 +31,9 @@ from ..blobseer.instrument import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..monitoring.repository import StorageRepository
 
-__all__ = ["ClientActivity", "BlobAccessStats", "IntrospectionLayer"]
+__all__ = ["BlobAccessStats", "IntrospectionLayer"]
 
 Series = List[Tuple[float, float]]
-
-
-@dataclass
-class ClientActivity:
-    """Aggregated behaviour of one client over a time window."""
-
-    client_id: str
-    window: Tuple[float, float]
-    ops_started: int = 0
-    ops_finished: int = 0
-    writes: int = 0
-    reads: int = 0
-    bytes_written_mb: float = 0.0
-    bytes_read_mb: float = 0.0
-    failed_ops: int = 0
-
-    @property
-    def request_rate(self) -> float:
-        """Operations started per second within the window."""
-        span = self.window[1] - self.window[0]
-        return self.ops_started / span if span > 0 else 0.0
-
-    @property
-    def write_rate_mbps(self) -> float:
-        span = self.window[1] - self.window[0]
-        return self.bytes_written_mb / span if span > 0 else 0.0
 
 
 @dataclass
@@ -87,28 +60,12 @@ class IntrospectionLayer:
     def records(
         self,
         since: float = 0.0,
-        until: float = float("inf"),
         event_type: Optional[str] = None,
     ) -> List[MonitoringEvent]:
-        out = []
-        for event in self.repository.records_since(since):
-            if event.time > until:
-                continue
-            if event_type is not None and event.event_type != event_type:
-                continue
-            out.append(event)
-        return out
+        return [event for event in self.repository.records_since(since)
+                if event_type is None or event.event_type == event_type]
 
     # -- storage space (per provider and system-wide) --------------------------------
-    def storage_timeline(self, provider_id: Optional[str] = None) -> Series:
-        """(time, used_mb) samples from provider storage-level events."""
-        series = []
-        for event in self.records(event_type=EV_STORAGE_LEVEL):
-            if provider_id is not None and event.actor_id != provider_id:
-                continue
-            series.append((event.time, float(event.fields["used_mb"])))
-        return series
-
     def provider_storage_latest(self) -> Dict[str, float]:
         """Most recent used_mb per provider."""
         latest: Dict[str, Tuple[float, float]] = {}
@@ -144,15 +101,6 @@ class IntrospectionLayer:
                 continue
             series.append((event.time, float(event.fields[metric])))
         return series
-
-    def hottest_nodes(self, metric: str = "cpu_util", top: int = 5) -> List[Tuple[str, float]]:
-        """Nodes ranked by their peak sampled value of *metric*."""
-        peaks: Dict[str, float] = defaultdict(float)
-        for event in self.records(event_type=EV_NODE_PHYSICAL):
-            value = float(event.fields.get(metric, 0.0))
-            peaks[event.actor_id] = max(peaks[event.actor_id], value)
-        ranked = sorted(peaks.items(), key=lambda kv: -kv[1])
-        return ranked[:top]
 
     # -- BLOB access patterns ------------------------------------------------------------
     def blob_access_stats(self, since: float = 0.0) -> Dict[int, BlobAccessStats]:
@@ -191,45 +139,6 @@ class IntrospectionLayer:
                     event.fields.get("count", 1)
                 )
         return {b: dict(p) for b, p in distribution.items()}
-
-    # -- client activity (feeds the security framework) -----------------------------------
-    def client_activity(
-        self,
-        since: float,
-        until: float,
-        clients: Optional[Sequence[str]] = None,
-    ) -> Dict[str, ClientActivity]:
-        """Per-client behaviour within [since, until]."""
-        wanted = set(clients) if clients is not None else None
-        activity: Dict[str, ClientActivity] = {}
-
-        def entry(client_id: str) -> ClientActivity:
-            return activity.setdefault(
-                client_id, ClientActivity(client_id, (since, until))
-            )
-
-        for event in self.records(since=since, until=until):
-            client_id = event.client_id
-            if client_id is None:
-                continue
-            if wanted is not None and client_id not in wanted:
-                continue
-            record = entry(client_id)
-            size = float(event.fields.get("size_mb", 0.0))
-            count = int(event.fields.get("count", 1))
-            if event.event_type == EV_OP_START:
-                record.ops_started += 1
-            elif event.event_type == EV_OP_END:
-                record.ops_finished += 1
-                if not event.fields.get("ok", True):
-                    record.failed_ops += 1
-            elif event.event_type == EV_CHUNK_WRITE:
-                record.writes += count
-                record.bytes_written_mb += size
-            elif event.event_type == EV_CHUNK_READ:
-                record.reads += count
-                record.bytes_read_mb += size
-        return activity
 
     # -- throughput (the headline series of §IV-C) ----------------------------------------
     def throughput_timeline(

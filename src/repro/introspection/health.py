@@ -17,22 +17,22 @@ directly (the paper's "input to various higher-level self-* components",
   (load spikes, capacity loss) the static rules were not written for.
 
 A :class:`HealthMonitor` periodically evaluates both under simulation
-time, records every event into sim-time series (``health.events`` plus a
-per-signal series) and as tracer instants, and exposes an incremental
-:meth:`~HealthMonitor.events_since` feed the adaptation controller polls.
+time and records every event in :attr:`~HealthMonitor.events`, into
+sim-time series (``health.events`` plus a per-signal series) and as
+tracer instants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .query import QueryEngine
 
 __all__ = ["HealthEvent", "SLORule", "EwmaZScore", "HealthMonitor"]
 
-#: Severity ordering for quick comparisons.
+#: Severity as a number, for the ``health.events`` series.
 _SEVERITY_RANK = {"info": 0, "warning": 1, "critical": 2}
 
 
@@ -47,10 +47,6 @@ class HealthEvent:
     value: float         # observed value (or z-score for anomalies)
     reference: float     # violated threshold / EWMA mean
     detail: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def severity_rank(self) -> int:
-        return _SEVERITY_RANK.get(self.severity, 0)
 
     def __str__(self) -> str:  # pragma: no cover - display aid
         return (
@@ -129,9 +125,8 @@ class HealthMonitor:
 
     Every *interval_s* of simulation time it evaluates the SLO rules,
     scores new samples of the watched anomaly series, appends the
-    resulting :class:`HealthEvent`\\ s to :attr:`events`, mirrors them
-    into metrics series + tracer instants, and leaves them for pull
-    consumers via :meth:`events_since`.
+    resulting :class:`HealthEvent`\\ s to :attr:`events` and mirrors them
+    into metrics series + tracer instants.
     """
 
     def __init__(
@@ -229,7 +224,8 @@ class HealthMonitor:
         env = self.engine.env
         metrics = self.engine.metrics
         if metrics is not None:
-            metrics.sample("health.events", float(event.severity_rank),
+            metrics.sample("health.events",
+                           float(_SEVERITY_RANK.get(event.severity, 0)),
                            time=event.time)
             metrics.sample(f"health.{event.kind}.{event.signal}", event.value,
                            time=event.time)
@@ -240,14 +236,3 @@ class HealthMonitor:
                 signal=event.signal, severity=event.severity,
                 value=event.value, reference=event.reference,
             )
-
-    # -- consumption ------------------------------------------------------------
-    def events_since(self, index: int) -> Tuple[int, List[HealthEvent]]:
-        """Incremental feed: events appended after *index* (a prior return)."""
-        if index >= len(self.events):
-            return index, []
-        return len(self.events), self.events[index:]
-
-    def active_violations(self) -> List[str]:
-        """Rule keys currently in violation (edge state, not history)."""
-        return sorted(key for key, bad in self._violating.items() if bad)

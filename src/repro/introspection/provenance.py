@@ -11,7 +11,6 @@ together with
   stats it read through the introspection
   :class:`~repro.introspection.query.QueryEngine` — each engine stashes
   them in ``ControlLoop.evidence`` as it computes them),
-- the **health events** sitting in the loop's inbox at decision time,
 - the active **trace context** (trace/span id of the innermost open
   span, when tracing is enabled), and
 - a post-decision **effect-attribution window**: for each watched
@@ -39,10 +38,9 @@ observable (asserted in ``tests/test_provenance.py``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["JournalEntry", "DecisionJournal"]
 
@@ -64,8 +62,6 @@ class JournalEntry:
     detail: Dict[str, Any] = field(default_factory=dict)
     #: Windowed stats the engine consumed while planning this action.
     evidence: Dict[str, Any] = field(default_factory=dict)
-    #: Health events in the loop's inbox at decision time (summarized).
-    health: List[str] = field(default_factory=list)
     #: Trace context at record time (0 when tracing is disabled).
     trace_id: int = 0
     span_id: int = 0
@@ -77,28 +73,6 @@ class JournalEntry:
     effect: Optional[Dict[str, Dict[str, Optional[float]]]] = None
     #: Sim instant at which the effect window closes.
     effect_at: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form (stable key order comes from the serializer)."""
-        out: Dict[str, Any] = {
-            "seq": self.seq,
-            "time": self.time,
-            "kind": self.kind,
-            "engine": self.engine,
-            "action": self.action,
-            "detail": _jsonable(self.detail),
-            "evidence": _jsonable(self.evidence),
-            "health": list(self.health),
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-        }
-        if self.latency_s is not None:
-            out["latency_s"] = round(self.latency_s, 9)
-        if self.effect_at is not None:
-            out["effect_at"] = self.effect_at
-        if self.effect is not None:
-            out["effect"] = _jsonable(self.effect)
-        return out
 
     def __str__(self) -> str:
         bits = [f"[t={self.time:8.2f}] {self.engine:<14} {self.action}"]
@@ -116,17 +90,6 @@ class JournalEntry:
         return "  ".join(bits)
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items(),
-                                                        key=lambda kv: str(kv[0]))}
-    return str(value)
-
-
 class DecisionJournal:
     """Ring-buffered, causally-annotated record of every adaptation.
 
@@ -138,7 +101,7 @@ class DecisionJournal:
     metrics:
         A :class:`~repro.telemetry.metrics.MetricsRegistry` to read
         watched series from for effect attribution.  ``None`` disables
-        attribution (entries still record evidence + health + trace).
+        attribution (entries still record evidence + trace).
     capacity:
         Retained-entry bound.  Older entries are dropped (counted in
         :attr:`dropped`); :attr:`total` keeps the all-time count.
@@ -180,9 +143,6 @@ class DecisionJournal:
         self._watched[engine] = tuple(series)
         return self
 
-    def watched(self, engine: str) -> Tuple[str, ...]:
-        return self._watched.get(engine, ())
-
     def set_planner(self, engine: str, name: str,
                     params: Optional[Dict[str, Any]] = None) -> "DecisionJournal":
         """Record which planner (and parameters) drives *engine*."""
@@ -197,7 +157,6 @@ class DecisionJournal:
         self,
         decision,
         evidence: Optional[Dict[str, Any]] = None,
-        health: Iterable[Any] = (),
         latency_s: Optional[float] = None,
     ) -> JournalEntry:
         """Journal one executed :class:`AdaptationDecision`."""
@@ -208,7 +167,6 @@ class DecisionJournal:
             action=decision.action,
             detail=dict(decision.detail),
             evidence=dict(evidence) if evidence else {},
-            health=[str(e) for e in health],
             latency_s=latency_s,
         )
         series = self._watched.get(decision.engine)
@@ -354,48 +312,8 @@ class DecisionJournal:
         self.resolve_effects()
         return [e for e in self.entries if e.engine == engine]
 
-    def of_kind(self, kind: str) -> List[JournalEntry]:
-        self.resolve_effects()
-        return [e for e in self.entries if e.kind == kind]
-
-    def counts(self) -> Dict[str, int]:
-        """Retained entries per ``engine.action``."""
-        out: Dict[str, int] = {}
-        for entry in self.entries:
-            key = f"{entry.engine}.{entry.action}"
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def engines(self) -> List[str]:
         return sorted({e.engine for e in self.entries})
-
-    def timeline(self) -> List[Dict[str, Any]]:
-        """The full retained journal as JSON-able dicts, time-ordered."""
-        self.resolve_effects()
-        return [e.to_dict() for e in self.entries]
-
-    def to_json(self, indent: Optional[int] = None,
-                scorecard: Optional[Dict[str, Any]] = None) -> str:
-        """Deterministic serialization (sorted keys, fixed separators).
-
-        *scorecard* is the dict an
-        :class:`~repro.introspection.quality.AdaptationScorecard`
-        computes; embedding it makes one file the complete
-        quality-of-adaptation record of a run.
-        """
-        payload = {
-            "total": self.total,
-            "dropped": self.dropped,
-            "capacity": self.capacity,
-            "effect_window_s": self.effect_window_s,
-            "planners": _jsonable(self.planners),
-            "entries": self.timeline(),
-        }
-        if scorecard is not None:
-            payload["scorecard"] = scorecard
-        if indent is None:
-            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return json.dumps(payload, sort_keys=True, indent=indent)
 
     def __len__(self) -> int:
         return len(self.entries)

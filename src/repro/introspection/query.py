@@ -6,7 +6,7 @@ as input to various higher-level self-* components" (§III-B).  This
 module is that query surface: windowed statistics over
 :class:`~repro.telemetry.metrics.MetricsRegistry` time series, and
 windowed rollups over the monitoring repository's event records —
-per-provider, per-site, hot-blob and hot-chunk access patterns.
+per-site, hot-blob and hot-chunk access patterns.
 
 Two design points keep continuous polling cheap:
 
@@ -40,7 +40,7 @@ __all__ = ["WindowRollup", "QueryEngine"]
 
 @dataclass
 class WindowRollup:
-    """Windowed activity of one provider (or one site)."""
+    """Windowed data-path activity of one site."""
 
     key: str
     window_s: float
@@ -54,10 +54,6 @@ class WindowRollup:
     @property
     def ops(self) -> int:
         return self.chunk_reads + self.chunk_writes
-
-    @property
-    def ops_per_s(self) -> float:
-        return self.ops / self.window_s if self.window_s > 0 else 0.0
 
     @property
     def mb_per_s(self) -> float:
@@ -177,15 +173,6 @@ class QueryEngine:
             return nearest_rank(sorted(values), float(statistic[1:]))
         raise ValueError(f"unknown statistic {statistic!r}")
 
-    def window_percentile(
-        self,
-        name: str,
-        q: float,
-        window_s: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Optional[float]:
-        return self.window_stat(name, f"p{q:g}", window_s, now)
-
     # -- repository event windows ----------------------------------------------
     def refresh(self, now: Optional[float] = None) -> int:
         """Pull newly persisted records through the cursor; returns count.
@@ -224,17 +211,17 @@ class QueryEngine:
             out.append(event)
         return out
 
-    def _data_rollup(
+    def site_rollup(
         self,
-        key_of: Callable[[MonitoringEvent], str],
-        window_s: Optional[float],
-        now: Optional[float],
+        window_s: Optional[float] = None,
+        now: Optional[float] = None,
     ) -> Dict[str, WindowRollup]:
+        """Windowed data-path activity keyed by site (via ``site_of``)."""
         width = self.window_s if window_s is None else window_s
         rollups: Dict[str, WindowRollup] = {}
         events = self.events_in_window(window_s, now, actor_type="provider")
         for event in events:
-            key = key_of(event)
+            key = self._site_of(event.actor_id)
             entry = rollups.get(key)
             if entry is None:
                 entry = rollups[key] = WindowRollup(key, width)
@@ -249,23 +236,6 @@ class QueryEngine:
                 entry.chunk_reads += count
                 entry.mb_read += size
         return rollups
-
-    def provider_rollup(
-        self,
-        window_s: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, WindowRollup]:
-        """Windowed data-path activity keyed by provider id."""
-        return self._data_rollup(lambda e: e.actor_id, window_s, now)
-
-    def site_rollup(
-        self,
-        window_s: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, WindowRollup]:
-        """Windowed data-path activity keyed by site (via ``site_of``)."""
-        return self._data_rollup(lambda e: self._site_of(e.actor_id),
-                                 window_s, now)
 
     # -- access-pattern reports (§III-B) ----------------------------------------
     def hot_blobs(

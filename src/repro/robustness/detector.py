@@ -73,7 +73,6 @@ class HeartbeatFailureDetector:
         self.confirm_misses = confirm_misses
         self._views: Dict[str, NodeView] = {}
         self._confirm_cbs: List[Callable[[NodeView], None]] = []
-        self._recover_cbs: List[Callable[[NodeView], None]] = []
         #: Detection latency (confirmed_at - crashed_at) per confirmation.
         self.detection_latencies: List[float] = []
         self.pings_sent = 0
@@ -97,9 +96,6 @@ class HeartbeatFailureDetector:
         node.on_fail(_mark_crash)
         return view
 
-    def watches(self, name: str) -> bool:
-        return name in self._views
-
     def view(self, name: str) -> Optional[NodeView]:
         return self._views.get(name)
 
@@ -110,10 +106,6 @@ class HeartbeatFailureDetector:
     def on_confirm(self, callback: Callable[[NodeView], None]) -> None:
         """Run *callback(view)* whenever a node is confirmed dead."""
         self._confirm_cbs.append(callback)
-
-    def on_recovery(self, callback: Callable[[NodeView], None]) -> None:
-        """Run *callback(view)* when a confirmed-dead node answers again."""
-        self._recover_cbs.append(callback)
 
     # -- the view (what membership consults) ----------------------------------
     def thinks_alive(self, name: str) -> bool:
@@ -175,11 +167,7 @@ class HeartbeatFailureDetector:
             metrics = self.env.metrics
             if metrics is not None:
                 metrics.counter("detector.recoveries").inc()
-            view.state = ALIVE
-            for callback in list(self._recover_cbs):
-                callback(view)
-        elif view.state == SUSPECTED:
-            view.state = ALIVE
+        view.state = ALIVE
 
     def _miss(self, view: NodeView, sent_at: float) -> None:
         if view.last_heard > sent_at:

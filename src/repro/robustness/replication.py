@@ -820,9 +820,6 @@ class WarmStandbyProviderManager:
     def active_pm(self):
         return self.managers[self.active_idx]
 
-    def standby_pm(self):
-        return self.managers[1 - self.active_idx]
-
     def _maybe_takeover(self, idx: int) -> None:
         if idx == self.active_idx or not self.managers[idx].node.alive:
             return

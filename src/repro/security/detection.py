@@ -66,9 +66,6 @@ class DetectionEngine:
         self._fire_counts: Dict[Tuple[str, str], int] = {}
         self.scans = 0
 
-    def add_policy(self, policy: Policy) -> None:
-        self.policies.append(policy)
-
     def on_violation(self, listener: Callable[[Violation], None]) -> None:
         self.listeners.append(listener)
 
@@ -122,13 +119,6 @@ class DetectionEngine:
             if violation.client_id == client_id:
                 return violation.time
         return None
-
-    def detected_clients(self) -> List[str]:
-        seen = []
-        for violation in self.violations:
-            if violation.client_id not in seen:
-                seen.append(violation.client_id)
-        return seen
 
 
 def _scale_policy(policy: Policy, factor: float) -> Policy:

@@ -35,9 +35,7 @@ class EnforcementTarget(Protocol):
     """System-side effector the enforcement component drives."""
 
     def block(self, client_id: str, reason: str) -> None: ...  # pragma: no cover
-    def unblock(self, client_id: str) -> None: ...  # pragma: no cover
     def throttle(self, client_id: str, cap_mbps: float) -> None: ...  # pragma: no cover
-    def unthrottle(self, client_id: str) -> None: ...  # pragma: no cover
 
 
 @dataclass
@@ -49,7 +47,6 @@ class Sanction:
     policy_name: str
     action: Action
     detail: str = ""
-    lifted_at: Optional[float] = None
 
 
 class PolicyEnforcement:
@@ -61,14 +58,12 @@ class PolicyEnforcement:
         trust: Optional[TrustManager] = None,
         throttle_cap_mbps: float = 5.0,
         load_probe: Optional[Callable[[], float]] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.target = target
         self.trust = trust
         self.throttle_cap_mbps = throttle_cap_mbps
         #: 0..1 system pressure; above 0.8 decisions escalate one step.
         self.load_probe = load_probe or (lambda: 0.0)
-        self.clock = clock or (lambda: 0.0)
         self.sanctions: List[Sanction] = []
         self.log: List[str] = []
 
@@ -133,29 +128,14 @@ class PolicyEnforcement:
         )
         return sanction
 
-    def lift(self, client_id: str) -> None:
-        """Remove all active sanctions for a client (e.g. after appeal)."""
-        now = self.clock()
-        self.target.unblock(client_id)
-        self.target.unthrottle(client_id)
-        for sanction in self.sanctions:
-            if sanction.client_id == client_id and sanction.lifted_at is None:
-                sanction.lifted_at = now
-
     # -- reporting ---------------------------------------------------------------------
     def blocked_clients(self) -> List[str]:
         active = []
         for sanction in self.sanctions:
-            if sanction.action is Action.BLOCK and sanction.lifted_at is None:
+            if sanction.action is Action.BLOCK:
                 if sanction.client_id not in active:
                     active.append(sanction.client_id)
         return active
-
-    def block_time(self, client_id: str) -> Optional[float]:
-        for sanction in self.sanctions:
-            if sanction.client_id == client_id and sanction.action is Action.BLOCK:
-                return sanction.time
-        return None
 
 
 _RANKS = {Action.LOG: 0, Action.ALERT: 1, Action.THROTTLE: 2, Action.BLOCK: 3}
@@ -197,11 +177,5 @@ class BlobSeerEnforcementTarget:
             lambda flow: flow.tag == client_id, reason=f"blocked: {reason}"
         )
 
-    def unblock(self, client_id: str) -> None:
-        self.access_table.unblock(client_id)
-
     def throttle(self, client_id: str, cap_mbps: float) -> None:
         self.access_table.throttle(client_id, cap_mbps)
-
-    def unthrottle(self, client_id: str) -> None:
-        self.access_table.unthrottle(client_id)

@@ -145,7 +145,6 @@ class PolicyManagement:
             target,
             trust=self.trust,
             load_probe=self._system_load,
-            clock=lambda: self.env.now,
         )
         self.engine.on_violation(self.enforcement.apply)
         #: The scan loop: decisions, journal and planner info live here.
@@ -179,13 +178,6 @@ class PolicyManagement:
     @property
     def violations(self) -> List[Violation]:
         return self.engine.violations
-
-    def detection_delay(self, client_id: str, attack_start: float) -> Optional[float]:
-        """Seconds from attack start to first detection (EXP-C3 metric)."""
-        detected_at = self.engine.first_detection(client_id)
-        if detected_at is None:
-            return None
-        return detected_at - attack_start
 
     def summary(self) -> dict:
         return {

@@ -130,27 +130,21 @@ class IntrospectionActivitySource:
         history: UserActivityHistory,
         pull_interval_s: float = 2.0,
     ) -> None:
-        self.repository = repository
         self.history = history
         self.pull_interval_s = pull_interval_s
-        #: Per-storage-server consumption cursor.  Server record lists are
-        #: append-only, so an index cursor never misses late-stored events
-        #: (which a time-based cursor would, since storage lags emission).
-        self._cursors: Dict[str, int] = {}
+        #: Positions are per storage server, so records stored late (storage
+        #: lags emission) are still consumed, which a time cutoff would miss.
+        self._cursor = repository.cursor()
         self.pulled = 0
 
     def pull_once(self, now: float) -> int:
         """Ingest records stored since the last pull; returns count."""
         count = 0
-        for server in self.repository.servers:
-            start = self._cursors.get(server.server_id, 0)
-            fresh = server.records[start:]
-            self._cursors[server.server_id] = start + len(fresh)
-            for record in fresh:
-                user_event = normalize(record)
-                if user_event is not None:
-                    self.history.record(user_event)
-                    count += 1
+        for record in self._cursor.advance():
+            user_event = normalize(record)
+            if user_event is not None:
+                self.history.record(user_event)
+                count += 1
         self.pulled += count
         return count
 

@@ -87,13 +87,6 @@ class TrustManager:
         entry.log.append((now, severity.name, entry.trust))
         return entry.trust
 
-    def reward(self, client_id: str, amount: float, now: float) -> float:
-        """Explicit positive feedback (e.g. a clean audit window)."""
-        trust = self.trust_of(client_id, now)
-        entry = self._records[client_id]
-        entry.trust = min(1.0, trust + amount)
-        return entry.trust
-
     # -- adaptive hooks ----------------------------------------------------------
     def threshold_factor(self, client_id: str, now: float) -> float:
         """Scale factor for policy thresholds: 1.0 at full trust, down to

@@ -11,7 +11,7 @@ from .. import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "engine": ["Environment"],
     "events": ["Event", "Timeout", "ScheduledCall", "Condition", "AllOf",
-               "AnyOf", "Interrupt", "SimulationError", "StopSimulation"],
+               "AnyOf", "SimulationError", "StopSimulation"],
     "process": ["Process"],
     "resources": ["Resource", "Request", "Container"],
     "rng": ["RandomStreams"],

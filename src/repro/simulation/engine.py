@@ -132,7 +132,7 @@ class Environment:
         event.callbacks = None
         assert callbacks is not None
         if self.profiler is not None:
-            self.profiler.on_event(when, len(self._queue), not callbacks)
+            self.profiler.on_event(len(self._queue), not callbacks)
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:

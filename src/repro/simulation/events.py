@@ -26,7 +26,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
 ]
@@ -57,21 +56,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries arbitrary user context (e.g. the reason a transfer
-    was aborted).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class Event:

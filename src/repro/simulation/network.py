@@ -236,10 +236,6 @@ class Flow:
             return self._rem
         return self._net._remaining_at(slot, self._net.env.now)
 
-    @property
-    def transferred(self) -> float:
-        return self.size - self.remaining
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Flow #{self.fid} {self.src.name}->{self.dst.name} "
@@ -1023,15 +1019,6 @@ class FlowNetwork:
     def node_load(self, name: str) -> Tuple[float, float]:
         """(outgoing, incoming) aggregate rate at a node, MB/s.  O(1)."""
         return self._node_out.get(name, 0.0), self._node_in.get(name, 0.0)
-
-    def node_flow_count(self, name: str) -> int:
-        """Number of active flows touching node *name* (O(node degree))."""
-        out = self._members_of(("out", name))
-        inbound = self._members_of(("in", name))
-        return len(out.keys() | inbound.keys())
-
-    def active_flow_count(self) -> int:
-        return len(self._flows)
 
 
 # -- water-filling solvers ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Interrupt, PENDING, SimulationError
+from .events import Event, PENDING, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -60,21 +60,6 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point.
-
-        The interrupt is delivered asynchronously via a throw-event so that
-        interrupting a process from within its own callbacks is safe.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} already terminated")
-        throw = Event(self.env)
-        throw._ok = False
-        throw._value = Interrupt(cause)
-        throw._defused = True
-        throw.callbacks.append(self._resume)
-        self.env.schedule(throw, urgent=True)
-
     # -- engine plumbing ---------------------------------------------------
     def _step(self, event: Event) -> None:
         """Advance the generator one step with *event*'s outcome."""
@@ -109,8 +94,8 @@ class Process(Event):
             self._finish(True, stop.value)
             return
         except BaseException as exc:
-            # Whatever escapes the generator fails the process — an
-            # interrupt it did not handle included.
+            # Whatever escapes the generator fails the process — a
+            # thrown failure it did not handle included.
             self._finish(False, exc)
             return
 

@@ -38,10 +38,6 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """A child registry whose streams are independent of this one's."""
-        return RandomStreams(_derive_seed(self.seed, f"spawn:{name}"))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -8,7 +8,6 @@ Usage::
     t = telemetry.enable(deployment)        # installs tracer/metrics/profiler
     ...run the scenario...
     t.write_chrome_trace("trace.json")       # open in chrome://tracing / Perfetto
-    print(t.summary())
 
 By default every :class:`~repro.simulation.engine.Environment` carries a
 :class:`NullTracer` (and no metrics/profiler), so un-instrumented runs —
@@ -25,8 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                 "TimeSeries"],
     "profiler": ["KernelProfiler"],
     "critical_path": ["analyze", "CriticalPathReport", "PhaseStat", "PathStep"],
-    "export": ["chrome_trace", "chrome_trace_json", "write_chrome_trace",
-               "summary"],
+    "export": ["chrome_trace", "chrome_trace_json", "write_chrome_trace"],
 })
 __all__ += ["Telemetry", "enable"]
 
@@ -60,16 +58,6 @@ class Telemetry:
         from .export import write_chrome_trace
 
         return write_chrome_trace(self.tracer, path, journal=journal)
-
-    def chrome_trace_json(self, journal=None) -> str:
-        from .export import chrome_trace_json
-
-        return chrome_trace_json(self.tracer, journal=journal)
-
-    def summary(self) -> str:
-        from .export import summary
-
-        return summary(self.tracer, self.metrics, self.profiler)
 
 
 def enable(target, profile: bool = True, max_spans: int = 1_000_000) -> Telemetry:

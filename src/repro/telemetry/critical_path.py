@@ -117,12 +117,6 @@ class CriticalPathReport:
         self.slack = slack
         self.spans = spans
 
-    def top_slack(self, n: int = 5) -> List[Tuple[Span, float]]:
-        """Spans with the most slack (the least latency-critical work)."""
-        by_id = {s.span_id: s for s in self.spans}
-        ranked = sorted(self.slack.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(by_id[sid], sl) for sid, sl in ranked[:n] if sl > _EPS]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "root": self.root.name,

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and the terminal summary.
+"""Exporter: Chrome trace-event JSON.
 
 The Chrome trace format (loadable in ``chrome://tracing`` or
 https://ui.perfetto.dev) is a JSON object with a ``traceEvents`` array;
@@ -11,16 +11,14 @@ scenario seed yields a byte-identical trace.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
-    "summary",
 ]
 
 _PID = 1
@@ -207,78 +205,3 @@ def write_chrome_trace(tracer: Tracer, path: str, journal=None) -> str:
         handle.write(chrome_trace_json(tracer, journal=journal))
         handle.write("\n")
     return path
-
-
-# -- terminal summary ---------------------------------------------------------
-def summary(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    profiler=None,
-) -> str:
-    """Human-readable digest, rendered with the §IV-A dashboard helpers."""
-    # Imported here, not at module top: the simulation kernel imports the
-    # telemetry package, and visualization pulls in higher layers.
-    from ..introspection.visualization import bar_chart, sparkline, table
-
-    panels: List[str] = []
-
-    if tracer is not None and tracer.spans:
-        by_name: Dict[str, List[float]] = {}
-        for span in tracer.spans:
-            by_name.setdefault(span.name, []).append(span.duration_s)
-        rows = [
-            (name, len(durs), f"{sum(durs):.3f}", f"{sum(durs) / len(durs):.4f}")
-            for name, durs in sorted(
-                by_name.items(), key=lambda kv: -sum(kv[1])
-            )[:12]
-        ]
-        panels.append(
-            "== Span totals (sim-seconds) ==\n"
-            + table(["span", "count", "total_s", "mean_s"], rows)
-        )
-        items = [(name, sum(durs)) for name, durs in sorted(
-            by_name.items(), key=lambda kv: -sum(kv[1])
-        )[:8]]
-        panels.append("== Where sim-time goes ==\n" + bar_chart(items, unit=" s"))
-        if tracer.instants:
-            counts: Dict[str, int] = {}
-            for mark in tracer.instants:
-                counts[mark.name] = counts.get(mark.name, 0) + 1
-            panels.append("== Instant events ==\n" + table(
-                ["event", "count"], sorted(counts.items())
-            ))
-
-    if metrics is not None and len(metrics):
-        rows = []
-        for name, entry in metrics.to_dict().items():
-            if entry["type"] == "series":
-                rows.append((name, "series", f"{len(entry['points'])} points"))
-            elif entry["type"] == "histogram":
-                rows.append((
-                    name, "histogram",
-                    f"n={entry['count']} mean={entry['mean']:.4g} "
-                    f"p99={entry['p99']:.4g}",
-                ))
-            else:
-                rows.append((name, entry["type"], f"{entry['value']:.6g}"))
-        panels.append("== Metrics ==\n" + table(["metric", "type", "value"], rows))
-
-    if profiler is not None:
-        stats = profiler.snapshot()
-        rows = [(k, v) for k, v in stats.items() if k != "hottest_processes"]
-        panels.append("== Kernel ==\n" + table(["counter", "value"], rows))
-        hottest = stats.get("hottest_processes") or []
-        if hottest:
-            panels.append("== Hottest processes (steps) ==\n" + bar_chart(
-                [(name, float(count)) for name, count in hottest]
-            ))
-        wall = profiler.wall_series()
-        if wall:
-            panels.append(
-                "== Wall-clock per sim-second ==\n"
-                + sparkline([v for _t, v in wall])
-                + f"\n(total {sum(v for _t, v in wall):.3f}s wall across "
-                f"{len(wall)} buckets)"
-            )
-
-    return "\n\n".join(panels) if panels else "(no telemetry collected)"

@@ -264,10 +264,6 @@ class Tracer:
     def spans_named(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def trace_spans(self, trace_id: int) -> List[Span]:
-        """All finished spans belonging to one causal trace."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

@@ -10,5 +10,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                   "ContentionScenario", "build_contention_scenario",
                   "WriteScenario", "build_write_scenario", "DosScenario",
                   "build_dos_scenario"],
-    "mapreduce": ["MapReduceJob", "MapReduceConfig", "StageStats"],
 })

@@ -84,10 +84,6 @@ class CorrectWriter:
         ok = [r.throughput_mbps for r in self.results if r.ok]
         return sum(ok) / len(ok) if ok else 0.0
 
-    def mean_duration(self) -> float:
-        ok = [r.duration_s for r in self.results if r.ok]
-        return sum(ok) / len(ok) if ok else 0.0
-
     def total_written_mb(self) -> float:
         return sum(r.size_mb for r in self.results if r.ok)
 
@@ -121,10 +117,6 @@ class CorrectReader:
                 return
             except OP_ERRORS:
                 yield env.timeout(0.5)
-
-    def mean_throughput(self) -> float:
-        ok = [r.throughput_mbps for r in self.results if r.ok]
-        return sum(ok) / len(ok) if ok else 0.0
 
 
 class ZipfReader:
@@ -225,10 +217,6 @@ class ZipfReader:
                 yield env.timeout(self.think_s)
 
     # -- metrics -----------------------------------------------------------------
-    def mean_throughput(self) -> float:
-        ok = [r.throughput_mbps for r in self.results if r.ok]
-        return sum(ok) / len(ok) if ok else 0.0
-
     def total_read_mb(self) -> float:
         return sum(r.size_mb for r in self.results if r.ok)
 

@@ -303,12 +303,6 @@ class DosScenario(Scenario):
             self.security.start()
 
     # -- metrics -------------------------------------------------------------------
-    def correct_mean_throughput(self) -> float:
-        return _mean(w.mean_throughput() for w in self.correct if w.results)
-
-    def correct_mean_duration(self) -> float:
-        return _mean(w.mean_duration() for w in self.correct if w.results)
-
     def _detections(self) -> list:
         """``(attacker, first detection time)`` per detected attacker."""
         if self.security is None:

@@ -327,7 +327,10 @@ def test_elastic_add_and_retire_provider():
     new_provider = dep.add_provider()
     assert dep.pmanager.pool_size() == 5
     assert new_provider.provider_id == "provider-4"
-    dep.retire_provider("provider-0")
+    # Retiring is what elasticity's scale-down does: stop allocating
+    # onto the provider, then drop it from the pool.
+    dep.providers["provider-0"].decommission()
+    dep.pmanager.deregister("provider-0")
     assert dep.pmanager.pool_size() == 4
 
 

@@ -58,7 +58,7 @@ def test_write_trace_is_connected_across_all_actors():
     assert results["write"].ok
 
     root = tele.tracer.spans_named("client.write")[0]
-    trace = tele.tracer.trace_spans(root.trace_id)
+    trace = [s for s in tele.tracer.spans if s.trace_id == root.trace_id]
     by_id = parent_index(trace)
 
     # Every span in the trace reaches the root through parent links.
@@ -120,7 +120,7 @@ def test_read_trace_links_provider_serve():
     assert all(s.parent_id == fetch.span_id for s in serves)
     # The VM lookup leg also joins the read trace.
     assert any(s.name == "vm.get_latest" and s.track == "vm-node"
-               for s in tele.tracer.trace_spans(root.trace_id))
+               for s in tele.tracer.spans if s.trace_id == root.trace_id)
 
 
 def test_no_spans_left_open_after_clean_run():
@@ -184,7 +184,7 @@ def test_critical_path_walk_and_contributors():
         "net.flow", "provider.ingest", "client.chunk_transfer"
     )
     # Replication means some pushes finish early -> positive slack somewhere.
-    assert report.top_slack(3)
+    assert max(report.slack.values()) > 0.0
     payload = report.to_dict()
     assert payload["span_count"] == len(report.spans)
     assert report.render()

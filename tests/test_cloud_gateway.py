@@ -58,17 +58,6 @@ def run(dep, generator):
     return dep.run(until=process)
 
 
-def test_create_and_list_buckets():
-    dep, gw = make_gateway()
-
-    def scenario(env):
-        yield from gw.create_bucket("alice", "data")
-        yield from gw.create_bucket("alice", "logs")
-        return (yield from gw.list_buckets("alice"))
-
-    assert run(dep, scenario(dep.env)) == ["data", "logs"]
-
-
 def test_duplicate_bucket_rejected():
     dep, gw = make_gateway()
 
@@ -275,11 +264,9 @@ def test_multipart_errors():
             yield from gw.complete_multipart("alice", upload_id)
         except InvalidPart:
             empty = True
-        yield from gw.abort_multipart("alice", upload_id)
         return bad_part, wrong_owner, empty
 
     assert run(dep, scenario(dep.env)) == (True, True, True)
-    assert gw.uploads == {}
 
 
 def test_get_serves_what_the_key_names_now():

@@ -8,7 +8,7 @@ from repro.simulation import TransferAborted
 
 def test_testbed_builds_nodes_round_robin_sites():
     bed = Testbed(TestbedConfig(sites=3))
-    nodes = bed.add_nodes("n", 6)
+    nodes = [bed.add_node(f"n-{i}") for i in range(6)]
     sites = [n.site for n in nodes]
     assert sites == ["site-0", "site-1", "site-2", "site-0", "site-1", "site-2"]
 
@@ -88,7 +88,7 @@ def test_node_fail_aborts_transfers_and_notifies():
     assert bed.run(until=process) == "aborted"
     assert failures == ["b"]
     assert not b.alive
-    assert bed.alive_nodes() == [a]
+    assert [n for n in bed.nodes.values() if n.alive] == [a]
 
 
 def test_node_recover_rejoins_network_with_empty_disk():
@@ -122,7 +122,7 @@ def test_fault_injector_crash_at_and_recovery():
 def test_fault_injector_poisson_is_deterministic_per_seed():
     def run_once(seed):
         bed = Testbed(TestbedConfig(seed=seed))
-        nodes = bed.add_nodes("n", 10)
+        nodes = [bed.add_node(f"n-{i}") for i in range(10)]
         injector = FaultInjector(bed)
         injector.poisson_crashes(nodes, rate_per_second=0.5, stop_at=20.0)
         bed.run(until=20.0)
@@ -134,7 +134,7 @@ def test_fault_injector_poisson_is_deterministic_per_seed():
 
 def test_fault_injector_max_crashes_bound():
     bed = Testbed()
-    nodes = bed.add_nodes("n", 10)
+    nodes = [bed.add_node(f"n-{i}") for i in range(10)]
     injector = FaultInjector(bed)
     injector.poisson_crashes(nodes, rate_per_second=10.0, stop_at=100.0, max_crashes=3)
     bed.run(until=100.0)

@@ -19,9 +19,11 @@ and config fields the scan is run a second time over ``RUNS`` — what a
 scenario, a bench or an example can reach, ``tests/`` left out — and what
 that reports must be exactly ``TESTS_ONLY_PARAMETERS``; a public
 top-level definition of ``src/repro`` nothing under ``RUNS`` uses must be
-in ``TESTS_ONLY_DEFINITIONS``.  Both lists are debt, each entry with the
-reason it is tolerated: they may shrink (a survivor that gains a real
-caller fails the test until it is taken off), they do not grow.
+in ``TESTS_ONLY_DEFINITIONS``, and a public method or property of a
+public class whose name nothing under ``RUNS`` uses must be in
+``TESTS_ONLY_METHODS``.  The lists are debt, each entry with the reason
+it is tolerated: they may shrink (a survivor that gains a real caller
+fails the test until it is taken off), they do not grow.
 (Builder parameters keep the any-caller rule: the golden worlds of
 ``tests/test_golden_observables.py`` shrink themselves through them.)
 """
@@ -29,6 +31,7 @@ caller fails the test until it is taken off), they do not grow.
 import ast
 import functools
 import inspect
+import re
 from pathlib import Path
 
 from repro.adaptation import ReplicationManager
@@ -51,7 +54,7 @@ RUNS = ("src", "benchmarks", "examples")
 SCANNED = RUNS + ("tests",)
 #: Dataclasses whose every field is a knob (their ``__init__`` is generated).
 CONFIGS = ("BlobSeerConfig", "TestbedConfig", "MonitoringConfig",
-           "SecurityConfig", "MapReduceConfig", "RetryPolicy")
+           "SecurityConfig", "RetryPolicy")
 
 
 def _parse(paths):
@@ -332,6 +335,103 @@ def test_a_definition_is_not_kept_alive_by_its_own_unit_test():
     assert _tests_only_definitions(
         _library(), _parse(path for path in paths if path not in inits),
         reexporters=_parse(inits)) == sorted(TESTS_ONLY_DEFINITIONS)
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _tests_only_methods(library, callers):
+    """``Class.method`` for each public method or property defined in a
+    public top-level class of *library* whose name no module of *callers*
+    uses: as an attribute, a bare name, a call keyword or an identifier
+    inside a string constant (``tracing.py``'s boundary tuples,
+    ``_forwarded("remote_allocate")``).  A docstring is not a use."""
+    used = set()
+    for module in callers:
+        docstrings = {id(node.value) for node in ast.walk(module)
+                      if isinstance(node, ast.Expr)
+                      and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                used.add(node.arg)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                used.update(_IDENTIFIER.findall(node.value))
+    return sorted(f"{cls.name}.{stmt.name}" for module in library
+                  for cls in module.body if isinstance(cls, ast.ClassDef)
+                  and not cls.name.startswith("_")
+                  for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+                  and not stmt.name.startswith("_") and stmt.name not in used)
+
+
+#: The public methods and properties only ``tests/`` uses, each with why
+#: it stays.
+TESTS_ONLY_METHODS = {
+    "FaultInjector.active_partitions":
+        "fault-model query; item 1 (b)'s fault generator owes it a caller",
+    "FaultInjector.partition_site":
+        "site-wide partition; item 1 (b)'s fault generator owes it a caller",
+    "HotspotScenario.cache_report":
+        "GOLDEN[hotspot] hashes it (tests/test_golden_observables.py)",
+    "RecordingSink.of_type":
+        "the seam through which tests read the recorded event stream",
+}
+
+
+def test_a_method_is_not_kept_alive_by_its_own_unit_test():
+    """39 -> 4 public methods and properties only tests use."""
+    assert len(TESTS_ONLY_METHODS) <= 5
+    assert _tests_only_methods(_library(), _sources(RUNS)) == sorted(
+        TESTS_ONLY_METHODS)
+
+
+#: A library, what runs it, and its unit test: one method only the test
+#: calls and a docstring names, one only a string tuple names, and a
+#: property read through an attribute.
+_METHODS = '''
+class Store:
+    """Holds keys; ``Store.dump`` writes them out."""
+
+    def put(self, key): ...
+
+    def dump(self): ...
+
+    def traced(self): ...
+
+    @property
+    def size(self): ...
+
+    def _helper(self): ...
+
+
+class _Hidden:
+    def unreached(self): ...
+'''
+_RUNS_IT = '''
+BOUNDARIES = (("store", "library.Store.traced"),)
+store = Store()
+store.put(1)
+print(store.size)
+'''
+_TESTS_IT = "Store().dump()"
+
+
+def test_a_method_only_a_test_or_a_docstring_names_is_reported():
+    """``dump`` is called by the tests module and named in a docstring,
+    and neither is a use; ``traced``, named only in a string tuple, and
+    ``size``, read as an attribute, are.  Private classes and methods are
+    out of scope.  A pinned method that gains a real caller no longer
+    matches its pin."""
+    library, runs, tests = map(ast.parse, (_METHODS, _RUNS_IT, _TESTS_IT))
+    assert _tests_only_methods([library], [library, runs, tests]) == []
+    pinned = ["Store.dump"]
+    assert _tests_only_methods([library], [library, runs]) == pinned
+    real_caller = ast.parse("store.dump()")
+    assert _tests_only_methods([library], [library, runs, real_caller]) != pinned
 
 
 #: A library and its callers in one module: each class has one parameter

@@ -10,12 +10,11 @@ Covers the PR-9 contract, engine-independently:
   invariant (overspend raises), peak usage is tracked;
 - :class:`Arbiter` semantics: grants, credits capped at holdings,
   deterministic band-ordered preemption through reclaim hooks, atomic
-  multi-resource rollback, the denial log, ``require`` raising, and the
-  refund of a grant whose ``apply`` raised;
+  multi-resource rollback, the denial log, and the refund of a grant
+  whose ``apply`` raised;
 - :class:`DecisionLoop` runs any planner over any knob domain behind the
-  full ControlLoop surface — including the cooldown, critical-health
-  override, and bounded decision-ring paths of ``ControlLoop.step``'s
-  machinery;
+  full ControlLoop surface — including the bounded decision-ring path
+  of ``ControlLoop.step``'s machinery;
 - all four planners behave and stay deterministic: threshold rules,
   marginal-utility ranking with post-shrink funding, hill-climb
   direction flips, epsilon-greedy arm accounting on an injected stream.
@@ -36,7 +35,6 @@ from repro.decision import (
     ThresholdPlanner,
     make_planner,
 )
-from repro.decision.arbiter import ArbitrationDenied
 from repro.decision.planners import PLANNERS, Planner
 from repro.introspection import DecisionJournal
 from repro.introspection.query import QueryEngine
@@ -141,25 +139,6 @@ class ToyDomain:
 BUSY = {"pressure": 1.0, "activity": 10.0, "hit_rate": 0.5}
 IDLE = {"pressure": 0.0, "activity": 0.0, "hit_rate": 0.0}
 CALM = {"pressure": 0.0, "activity": 10.0, "hit_rate": 0.9}
-
-
-class FakeHealth:
-    """Duck-typed HealthMonitor: an events list + events_since."""
-
-    class _Event:
-        def __init__(self, severity):
-            self.severity = severity
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, severity):
-        self.events.append(self._Event(severity))
-
-    def events_since(self, index):
-        if index >= len(self.events):
-            return index, []
-        return len(self.events), self.events[index:]
 
 
 # ------------------------------------------------------------------ signals
@@ -383,14 +362,6 @@ def test_arbiter_multi_resource_rollback_is_atomic():
     assert arbiter.denials == 1
 
 
-def test_arbiter_require_raises_on_denial():
-    arbiter = Arbiter()
-    arbiter.ledger("mem", capacity=1.0)
-    with pytest.raises(ArbitrationDenied):
-        arbiter.require(Action("grow", "a", cost={"mem": 5.0}))
-    arbiter.require(Action("grow", "a", cost={"mem": 0.5}))
-
-
 def test_arbiter_journals_preemptions():
     env = Environment()
     journal = DecisionJournal(env)
@@ -500,27 +471,6 @@ def test_decision_loop_registers_planner_with_journal():
 def test_control_loop_base_step_raises():
     with pytest.raises(NotImplementedError):
         ControlLoop().step(0.0)
-
-
-def test_decision_loop_cooldown_suppresses_and_critical_health_overrides():
-    domain = ToyDomain({"a": 8.0}, ceilings={"a": 1000.0},
-                       signal_map={"a": BUSY})
-    health = FakeHealth()
-    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
-                   interval_s=1.0, cooldown_s=10.0)
-    loop.attach_health(health)
-    env = run_loop(loop, until=3.5)
-    # First decision at t=1 started the cooldown: ticks 2 and 3 skipped.
-    assert loop.steps == 1
-    # A critical health event forces the next tick through the cooldown.
-    health.emit("critical")
-    env.run(until=4.5)
-    assert loop.steps == 2
-    assert [e.severity for e in loop.health_inbox] == ["critical"]
-    # Non-critical events do not override.
-    health.emit("warning")
-    env.run(until=5.5)
-    assert loop.steps == 2
 
 
 def test_decision_loop_ring_bounds_decisions():

@@ -119,7 +119,8 @@ def test_partition_heals_automatically():
 def test_partition_site_cuts_whole_site():
     testbed = make_testbed(sites=2)
     injector = FaultInjector(testbed)
-    testbed.add_nodes("n", 4)  # round-robins across site-0/site-1
+    for i in range(4):  # round-robins across site-0/site-1
+        testbed.add_node(f"n-{i}")
     site0 = [n.name for n in testbed.nodes_at("site-0")]
     site1 = [n.name for n in testbed.nodes_at("site-1")]
     assert site0 and site1
@@ -285,7 +286,7 @@ def test_loss_stream_does_not_perturb_crash_schedule():
         injector = FaultInjector(testbed)
         if with_loss:
             injector.set_message_loss(0.3)
-        nodes = testbed.add_nodes("n", 6)
+        nodes = [testbed.add_node(f"n-{i}") for i in range(6)]
         injector.poisson_crashes(nodes, rate_per_second=0.1, stop_at=50.0)
         testbed.env.run(until=60.0)
         return [(e.time, e.node) for e in injector.events_of("crash")]

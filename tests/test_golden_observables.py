@@ -392,7 +392,7 @@ def big_component(seed):
                          tag=f"t{k % 7}").defused()
             if k % 50 == 49:
                 yield env.timeout(0.01)
-        peak.append(net.active_flow_count())
+        peak.append(len(net._flows))
         assert _one_component(net.flows)
         yield env.timeout(5.0)
         net.abort_matching(lambda f: f.tag == "t3", reason="wave")

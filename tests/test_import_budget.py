@@ -56,8 +56,8 @@ def test_repro_names_every_subpackage():
 #: What a write or fan-out run without monitoring never builds.
 NOT_BUILT = ("repro.security", "repro.decision", "repro.introspection",
              "repro.adaptation", "repro.monitoring", "repro.cloud",
-             "repro.robustness.chaos", "repro.workloads.mapreduce",
-             "repro.telemetry.export", "repro.telemetry.critical_path")
+             "repro.robustness.chaos", "repro.telemetry.export",
+             "repro.telemetry.critical_path")
 
 
 def test_a_build_loads_only_the_engines_it_builds():

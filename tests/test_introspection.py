@@ -7,7 +7,6 @@ from repro.blobseer.instrument import (
     EV_CHUNK_WRITE,
     EV_NODE_PHYSICAL,
     EV_OP_END,
-    EV_OP_START,
     EV_STORAGE_LEVEL,
     MonitoringEvent,
 )
@@ -48,7 +47,6 @@ def test_storage_timeline_per_provider():
         ev(2.0, "provider", "p1", EV_STORAGE_LEVEL, used_mb=10.0, free_mb=90.0),
     ])
     layer = IntrospectionLayer(repo)
-    assert layer.storage_timeline("p0") == [(1.0, 64.0), (2.0, 128.0)]
     latest = layer.provider_storage_latest()
     assert latest == {"p0": 128.0, "p1": 10.0}
 
@@ -66,7 +64,7 @@ def test_system_storage_timeline_sums_last_known():
     assert series[1] == (10.0, 70.0)
 
 
-def test_node_physical_timeline_and_hottest():
+def test_node_physical_timeline():
     bed, repo = make_repo()
     fill(bed, repo, [
         ev(1.0, "node", "n0", EV_NODE_PHYSICAL, cpu_util=0.2),
@@ -75,7 +73,6 @@ def test_node_physical_timeline_and_hottest():
     ])
     layer = IntrospectionLayer(repo)
     assert layer.node_physical_timeline("n0", "cpu_util") == [(1.0, 0.2), (2.0, 0.9)]
-    assert layer.hottest_nodes("cpu_util", top=1) == [("n0", 0.9)]
 
 
 def test_blob_access_stats_aggregates():
@@ -105,25 +102,6 @@ def test_blob_distribution_counts_deletes():
     ])
     layer = IntrospectionLayer(repo)
     assert layer.blob_distribution() == {1: {"p0": 1}}
-
-
-def test_client_activity_window():
-    bed, repo = make_repo()
-    fill(bed, repo, [
-        ev(1.0, "client", "c1", EV_OP_START, client="c1", op="append", size_mb=128.0),
-        ev(5.0, "client", "c1", EV_OP_END, client="c1", op="append",
-           size_mb=128.0, ok=True, duration_s=4.0),
-        ev(2.0, "provider", "p0", EV_CHUNK_WRITE, client="c1", blob=1, size_mb=64.0),
-        ev(20.0, "client", "c1", EV_OP_START, client="c1", op="append"),
-    ])
-    layer = IntrospectionLayer(repo)
-    activity = layer.client_activity(since=0.0, until=10.0)
-    record = activity["c1"]
-    assert record.ops_started == 1  # the t=20 op is outside the window
-    assert record.ops_finished == 1
-    assert record.writes == 1
-    assert record.bytes_written_mb == pytest.approx(64.0)
-    assert record.request_rate == pytest.approx(0.1)
 
 
 def test_throughput_timeline_average_per_client():

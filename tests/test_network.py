@@ -181,7 +181,7 @@ def test_abort_fails_waiter():
     env.process(killer(env))
     result = env.run(until=process)
     assert result == ("aborted", "blocked", 2.0)
-    assert net.active_flow_count() == 0
+    assert not net._flows
 
 
 def test_remove_node_aborts_its_flows():
@@ -348,36 +348,8 @@ def test_remove_node_coalesces_aborts_into_one_pass():
     assert net.reallocations == before + 1
     for done in dones:
         assert isinstance(done.value, TransferAborted)
-    assert net.active_flow_count() == 0
+    assert not net._flows
     assert net.node_load("sink") == (0.0, 0.0)
-
-
-# -- O(degree) per-node flow counting -----------------------------------------
-
-def test_node_flow_count_tracks_touching_flows():
-    env = Environment()
-    net = make_net(env)
-    for name in ("a", "b", "c"):
-        net.add_node(NetNode(name))
-    assert net.node_flow_count("a") == 0
-    d1 = net.transfer("a", "b", size=100.0)
-    d2 = net.transfer("a", "c", size=100.0)
-    d3 = net.transfer("c", "a", size=100.0)
-    env.run(until=0.01)
-    assert net.node_flow_count("a") == 3
-    assert net.node_flow_count("b") == 1
-    assert net.node_flow_count("c") == 2
-    env.run(until=env.all_of([d1, d2, d3]))
-    assert net.node_flow_count("a") == 0
-
-
-def test_node_flow_count_counts_loopback_once():
-    env = Environment()
-    net = make_net(env)
-    net.add_node(NetNode("a"))
-    net.transfer("a", "a", size=100.0)
-    env.run(until=0.01)
-    assert net.node_flow_count("a") == 1
 
 
 # -- incremental vs full recomputation equivalence ----------------------------
@@ -507,7 +479,7 @@ def test_flow_to_a_node_that_died_while_it_propagated_is_blackholed_when_enabled
     env, net, done = _send_then_remove(blackhole=True)
     assert not done.triggered
     assert net.blackholed_transfers == 1
-    assert net.completion_log == [] and net.active_flow_count() == 0
+    assert net.completion_log == [] and not net._flows
     assert not net._res_members and not net._node_in
 
 
@@ -534,7 +506,7 @@ def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
     for i in range(lanes):
         env.process(lane(env, i))
     env.run()
-    assert net.active_flow_count() == 0 and net.total_delivered > 10_000
+    assert not net._flows and net.total_delivered > 10_000
     # Each flow holds one slot and at most four resources (uplink,
     # downlink, the one backbone, its private cap).
     assert high_water["slots"] <= lanes
@@ -566,7 +538,7 @@ def test_zero_payload_transfer_is_exactly_one_kernel_event():
     assert env.events_processed == 1
     assert done.processed and done.value is None
     assert env.now == pytest.approx(0.25)
-    assert net.active_flow_count() == 0 and net.reallocations == 0
+    assert not net._flows and net.reallocations == 0
 
 
 def test_message_sent_before_a_same_instant_timeout_is_delivered_first():

@@ -103,7 +103,7 @@ def test_bytes_conserved_at_completion(topology):
     env.run(until=env.now + 0.01)
     total = sum(size for _s, _d, size, _c in flows)
     assert net.total_delivered == pytest.approx(total, rel=1e-6)
-    assert net.active_flow_count() == 0
+    assert not net._flows
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,5 +266,5 @@ def test_rates_after_every_pass_match_textbook_waterfilling(world):
 
     env.process(driver(env))
     env.run()
-    assert net.active_flow_count() == 0 and not net._res_members
+    assert not net._flows and not net._res_members
     assert checked

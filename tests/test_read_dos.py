@@ -60,7 +60,7 @@ def test_read_flood_detected_and_blocked():
     assert evil.blocked
     assert not good.denied
     assert good.results  # the legitimate reader kept working
-    detected = security.engine.detected_clients()
+    detected = {v.client_id for v in security.violations}
     assert "evil-reader" in detected
     assert "good-reader" not in detected
     # The violation came from the read policy specifically.

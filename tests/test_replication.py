@@ -294,7 +294,7 @@ def test_provider_manager_standby_takeover():
     client = dep.new_client("c1", rpc_timeout_s=4.0)
     assert dep.pm_group is not None
     assert dep.pm_group.active_pm() is dep.pmanager
-    assert dep.pm_group.standby_pm().standby
+    assert dep.pm_group.managers[1].standby
 
     state = {}
     results = []
@@ -364,7 +364,7 @@ def test_engines_follow_membership_after_a_takeover():
 
 def test_standby_provider_manager_fences_allocations():
     dep = make_replicated(seed=5, pm_standby=True)
-    standby = dep.pm_group.standby_pm()
+    standby = dep.pm_group.managers[1]
     assert standby.standby
     with pytest.raises(NotActivePrimary):
         standby._fence()

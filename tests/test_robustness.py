@@ -63,7 +63,7 @@ def test_detector_state_machine_end_to_end():
         period_s=1.0, timeout_s=3.0, confirm_misses=2,
     )
     victim = dep.providers["provider-1"].node
-    assert detector.watches(victim.name)
+    assert detector.view(victim.name) is not None
     assert detector.thinks_alive(victim.name)
 
     dep.run(until=5.0)
@@ -149,7 +149,7 @@ def test_new_provider_is_watched_automatically():
     dep = make_deployment()
     detector = dep.attach_failure_detector()
     provider = dep.add_provider()
-    assert detector.watches(provider.node.name)
+    assert detector.view(provider.node.name) is not None
     assert provider.lazy_failure_cleanup
 
 

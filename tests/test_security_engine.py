@@ -154,7 +154,57 @@ def test_first_detection_recorded():
     engine.scan_once(now=7.0)
     assert engine.first_detection("evil") == 7.0
     assert engine.first_detection("good") is None
-    assert engine.detected_clients() == ["evil"]
+
+
+# ------------------------------------------------------------------ activity source
+def test_activity_source_orders_each_client_like_a_per_server_scan():
+    """Pulling through the repository cursor (one stable time sort of the
+    new records, servers in order) builds, per client, the history a
+    server-by-server scan of the new records builds: the history inserts
+    by time after equal times, so equal-time records keep server-then-
+    arrival order either way, and a record stored late lands by its time."""
+    from repro.blobseer.instrument import MonitoringEvent
+    from repro.cluster import Testbed
+    from repro.monitoring import StorageRepository, StorageServer
+    from repro.security.history import IntrospectionActivitySource, normalize
+
+    bed = Testbed()
+    servers = [StorageServer(bed.add_node(f"s{i}"), f"s{i}") for i in range(2)]
+    repository = StorageRepository(servers)
+
+    def store(server, t, client, label):
+        server.records.append(MonitoringEvent(
+            time=t, actor_type="client", actor_id=client,
+            event_type="op_start", client_id=client, fields={"op": label}))
+
+    scanned, cursors = UserActivityHistory(), {}
+
+    def scan():
+        for server in repository.servers:
+            fresh = server.records[cursors.get(server.server_id, 0):]
+            cursors[server.server_id] = len(server.records)
+            for record in fresh:
+                scanned.record(normalize(record))
+
+    pulled = UserActivityHistory()
+    source = IntrospectionActivitySource(repository, pulled)
+    store(servers[0], 1.0, "a", "s0-1")
+    store(servers[0], 2.0, "b", "s0-2")
+    store(servers[0], 2.0, "a", "s0-3")
+    store(servers[1], 2.0, "a", "s1-1")
+    store(servers[1], 1.5, "b", "s1-2")
+    scan()
+    source.pull_once(0.0)
+    store(servers[1], 1.0, "a", "s1-late")
+    store(servers[0], 2.0, "b", "s0-late")
+    scan()
+    source.pull_once(0.0)
+
+    assert source.pulled == 7
+    for client in ("a", "b"):
+        assert pulled.events(client) == scanned.events(client)
+    assert [e.op for e in pulled.events("a")] == [
+        "s0-1", "s1-late", "s0-3", "s1-1"]
 
 
 # ------------------------------------------------------------------ enforcement
@@ -166,14 +216,8 @@ class FakeTarget:
     def block(self, client_id, reason):
         self.blocked[client_id] = reason
 
-    def unblock(self, client_id):
-        self.blocked.pop(client_id, None)
-
     def throttle(self, client_id, cap_mbps):
         self.throttled[client_id] = cap_mbps
-
-    def unthrottle(self, client_id):
-        self.throttled.pop(client_id, None)
 
 
 def violation(client="evil", severity=Severity.CRITICAL,
@@ -241,17 +285,6 @@ def test_enforcement_respects_policy_action_menu():
     assert target.blocked == {}
 
 
-def test_enforcement_lift_restores_access():
-    target = FakeTarget()
-    enforcement = PolicyEnforcement(target, clock=lambda: 99.0)
-    enforcement.apply(violation())
-    assert enforcement.blocked_clients() == ["evil"]
-    enforcement.lift("evil")
-    assert enforcement.blocked_clients() == []
-    assert target.blocked == {}
-    assert enforcement.sanctions[0].lifted_at == 99.0
-
-
 def test_enforcement_throttle_applies_cap():
     target = FakeTarget()
     trust = TrustManager(initial_trust=0.4, recovery_per_s=0.0)
@@ -259,11 +292,3 @@ def test_enforcement_throttle_applies_cap():
     sanction = enforcement.apply(violation())
     assert sanction.action is Action.THROTTLE
     assert target.throttled["evil"] == 7.0
-
-
-def test_block_time_reported():
-    target = FakeTarget()
-    enforcement = PolicyEnforcement(target)
-    enforcement.apply(violation(time=42.0))
-    assert enforcement.block_time("evil") == 42.0
-    assert enforcement.block_time("other") is None

@@ -1,12 +1,10 @@
-"""Edge-case tests for the simulation kernel and resource primitives."""
+"""Edge-case tests for the simulation kernel."""
 
 import pytest
 
 from repro.simulation import (
     AnyOf,
     Environment,
-    Interrupt,
-    Resource,
     SimulationError,
 )
 
@@ -55,39 +53,6 @@ def test_all_of_failure_defuses_later_failures():
     env.process(failer(env))
     process = env.process(waiter(env))
     assert env.run(until=process) == "survived"
-
-
-def test_interrupt_while_waiting_on_resource():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    log = []
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        yield env.timeout(100.0)
-        resource.release(request)
-
-    def impatient(env):
-        request = resource.request()
-        try:
-            yield request
-        except Interrupt:
-            request.cancel()
-            log.append(("interrupted", env.now))
-
-    env.process(holder(env))
-    victim = env.process(impatient(env))
-
-    def interrupter(env):
-        yield env.timeout(3.0)
-        victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run(until=10.0)
-    assert log == [("interrupted", 3.0)]
-    # The cancelled request must not be granted later.
-    assert len(resource.queue) == 0
 
 
 def test_yield_already_processed_event_resumes_immediately():

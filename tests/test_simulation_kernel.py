@@ -6,7 +6,6 @@ from repro.simulation import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     SimulationError,
 )
 
@@ -185,62 +184,6 @@ def test_unwaited_process_exception_crashes_run():
     env.process(bad(env))
     with pytest.raises(ValueError, match="unobserved"):
         env.run()
-
-
-def test_interrupt_delivered_at_wait_point():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-            log.append("slept")
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(3.0)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [("interrupted", 3.0, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(2.0)
-        log.append(env.now)
-
-    victim = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(3.0)
-        victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert log == [5.0]
 
 
 def test_yield_non_event_fails_process():

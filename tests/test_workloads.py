@@ -32,7 +32,7 @@ def test_correct_writer_streams_ops():
     assert len(writer.results) == 3
     assert writer.total_written_mb() == pytest.approx(384.0)
     assert writer.mean_throughput() > 50.0
-    assert writer.mean_duration() > 0
+    assert all(r.duration_s > 0 for r in writer.results)
 
 
 def test_correct_writer_respects_stop_time():
@@ -92,7 +92,7 @@ def test_correct_reader_reads_shared_blob():
     process = dep.env.process(reader.run(dep.env))
     dep.run(until=process)
     assert len(reader.results) == 4
-    assert reader.mean_throughput() > 50.0
+    assert sum(r.throughput_mbps for r in reader.results) / 4 > 50.0
 
 
 def test_dos_attacker_floods_and_counts():
@@ -217,7 +217,8 @@ def test_dos_scenario_attack_degrades_correct_clients():
             seed=4,
         )
         scenario.run(until=100.0)
-        return scenario.correct_mean_throughput()
+        tputs = [w.mean_throughput() for w in scenario.correct if w.results]
+        return sum(tputs) / len(tputs)
 
     attacked = mean_tput(security=False)
     protected = mean_tput(security=True)
