@@ -33,24 +33,28 @@ Performance notes (this is the simulator's hot path):
   ``rem``, ``anchor``, the admission sequence number and an "a
   completion-heap entry is live" bit — and every resource key
   (``("out", node)``, ``("in", node)``, ``("bb", site, site)``,
-  ``("cap", fid)``) owns a small integer id.  Slots and ids are recycled
-  through free lists, so the table is bounded by peak concurrency, not
-  by the number of flows ever admitted.  Beside the columns each
-  resource keeps its member slots (admission-ordered) and, for the three
-  shareable kinds, a neighbour-count map ``{other resource: flows using
-  both}``; a component is collected by walking *resources* through
-  those maps with C-level set operations and concatenating the member
-  slots of its uplinks — there is no per-flow stack;
+  ``("cap", fid)``) owns a small integer id, which indexes two more
+  columns: the resource's capacity (read when the id is minted and
+  again by :meth:`FlowNetwork.refresh`, the one contract for a capacity
+  that changes under a live resource) and the aggregate rate of its
+  members as of the last pass that solved it.  Slots and ids are
+  recycled through free lists, so the table is bounded by peak
+  concurrency, not by the number of flows ever admitted.  Beside the
+  columns each resource keeps its member slots (admission-ordered)
+  and, for the three shareable kinds, a neighbour-count map ``{other
+  resource: flows using both}``; a component is collected by walking
+  *resources* through those maps with C-level set operations and
+  concatenating the member slots of its uplinks — there is no per-flow
+  stack;
 - flow progress is **anchor-based**, not drained per pass: a slot stores
   ``(rem, anchor)`` as of the flow's last rate change and the live
   remaining is the linear projection from that anchor, so a
   reallocation rewrites only the flows whose rates actually change;
 - a pass over a component above ``_SCALAR_WATERFILL_MAX`` flows is
   gather → vectorised projection and reap test → resource-index build
-  → water-fill with a boolean bottleneck mask → vectorised
-  ``new_rate != rate`` → one ``bincount`` for the per-node aggregates.
-  Interpreter-level work remains in exactly three places: per
-  *resource* of the component (capacity lookup, aggregate store), per
+  → capacity gather → water-fill with a boolean bottleneck mask →
+  vectorised ``new_rate != rate`` → one ``bincount`` scattered into the
+  aggregate column.  Interpreter-level work remains only per
   *finishing* flow (in fid order) and per *rate-changing* flow (epoch
   bump and completion-heap push).  A flow whose rate comes out bit for
   bit the same costs no Python at all.  Components up to
@@ -58,6 +62,16 @@ Performance notes (this is the simulator's hot path):
   per-slot reads, where numpy dispatch overhead would dominate; the two
   passes are bit-identical and the test-suite forces whole runs down
   either one;
+- a component of **one flow** is rated in closed form.  When the one
+  dirty resource has a single member and every resource of that flow
+  has no other, the walk and the solver are skipped: the water-fill of
+  one flow is the minimum of its capacities (``cap / 1.0 == cap``), with
+  the solver's ``1e12`` for an unconstrained flow and its clamp at 0,
+  and each of its aggregates is that rate (``0.0 + r == r``).  The
+  re-anchor, the heap push and the aggregate store are the scalar
+  pass's own, so the two cannot drift apart.  The recompute event and
+  the completion timer are kept: a lone flow costs the kernel what any
+  other flow costs, and no same-instant tie moves;
 - **index order inside a pass cannot change arithmetic.**  The solver's
   only cross-element operations are a minimum over resource shares
   (order-free), repeated subtraction of the *same* ``share`` from a
@@ -67,9 +81,8 @@ Performance notes (this is the simulator's hot path):
   one order-sensitive float sum, a node's aggregate rate, is taken in
   admission order — the order the member maps iterate in and the order
   the array pass sorts its gather by;
-- per-node aggregate in/out rates are maintained alongside, making
-  :meth:`node_load` (polled every monitoring interval for every node)
-  O(1) instead of an O(flows) scan;
+- the aggregate column makes :meth:`node_load` (polled every monitoring
+  interval for every node) two id lookups instead of an O(flows) scan;
 - completion wake-ups come from a *completion-horizon heap* of
   ``(eta, fid, epoch)`` entries (stale entries skipped lazily) instead
   of an O(flows) min-scan after every pass, scheduled through the
@@ -94,7 +107,7 @@ import heapq
 import itertools
 import math
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -115,6 +128,10 @@ _SCALAR_WATERFILL_MAX = 16
 #: to its flow, so it never joins the dirty-set or the neighbour maps.
 _RES_COLUMNS = 4
 _SHARED_COLUMNS = 3
+
+#: The numpy columns indexed by slot and those indexed by resource id.
+_SLOT_COLUMNS = ("_fres", "_rate", "_rem", "_anchor", "_seq", "_armed")
+_RESOURCE_COLUMNS = ("_cap", "_load")
 
 _by_fid = attrgetter("fid")
 
@@ -268,6 +285,9 @@ class FlowNetwork:
         self.nodes: Dict[str, NetNode] = {}
         #: Active flows, insertion-ordered by admission (determinism!).
         self._flows: Dict[int, Flow] = {}
+        #: Flows still in their propagation delay, by fid, in send order:
+        #: aborts reach them too, and an aborted one is never admitted.
+        self._pending: Dict[int, Flow] = {}
         self._latency = latency
         self.backbone_capacity = float(backbone_capacity)
         self._fid = itertools.count(1)
@@ -279,7 +299,7 @@ class FlowNetwork:
         self.incremental = incremental
         # -- the slot table (module docstring): one row per admitted flow.
         #: Resource ids of the slot's flow, -1 where it has none.
-        rows = 32  # doubled on demand by _grow_table()
+        rows = 32  # doubled on demand by _grow()
         self._fres = np.full((rows, _RES_COLUMNS), -1, dtype=np.intp)
         self._rate = np.zeros(rows)
         #: Bytes remaining as of ``_anchor`` (the last rate change).
@@ -297,6 +317,11 @@ class FlowNetwork:
         self._res_id: Dict[tuple, int] = {}
         self._res_key: List[Optional[tuple]] = []
         self._free_res: List[int] = []
+        #: Resource id -> capacity: read at mint and by refresh().
+        self._cap = np.zeros(rows)
+        #: Resource id -> aggregate rate of its members as of the last
+        #: pass that solved it; 0 for a free id.
+        self._load = np.zeros(rows)
         #: Resource id -> {slot: Flow}, admission-ordered.
         self._res_members: Dict[int, Dict[int, Flow]] = {}
         #: Shareable resource id -> {other resource id: flows using both}.
@@ -304,9 +329,6 @@ class FlowNetwork:
         #: Ids of resources whose membership changed since the last pass.
         self._dirty: Set[int] = set()
         self._dirty_all = False
-        #: Maintained per-node aggregate rates: O(1) node_load().
-        self._node_out: Dict[str, float] = {}
-        self._node_in: Dict[str, float] = {}
         #: Completion-horizon heap of (eta, fid, epoch); stale entries
         #: (epoch mismatch / finished flow) are skipped lazily.
         self._completion_heap: List[Tuple[float, int, int]] = []
@@ -388,8 +410,6 @@ class FlowNetwork:
         ]
         for flow in doomed:
             self.abort(flow, reason=f"node {name} removed")
-        self._node_out.pop(name, None)
-        self._node_in.pop(name, None)
 
     def latency_between(self, src: NetNode, dst: NetNode) -> float:
         if callable(self._latency):
@@ -414,7 +434,8 @@ class FlowNetwork:
         simply never triggers (callers need timeouts to notice).  An
         endpoint that is removed *during* the propagation delay ends the
         transfer the same two ways: :class:`TransferAborted`, or silence
-        under :attr:`blackhole_missing`."""
+        under :attr:`blackhole_missing`; :meth:`abort` and
+        :meth:`abort_matching` reach a transfer there as well."""
         if size < 0:
             raise ValueError("size must be non-negative")
         if rate_cap is not None and rate_cap <= 0:
@@ -440,6 +461,7 @@ class FlowNetwork:
                 fid=flow.fid, src=src.name, dst=dst.name,
                 size_mb=size, tag=tag,
             )
+        self._pending[flow.fid] = flow
         self.env.call_later(delay, lambda _ev: self._admit(flow))
         return done
 
@@ -482,7 +504,13 @@ class FlowNetwork:
         return Timeout(self.env, delay)
 
     def abort(self, flow: Flow, reason: str = "") -> None:
-        """Cancel an in-flight flow; its waiter sees :class:`TransferAborted`."""
+        """Cancel an in-flight flow; its waiter sees :class:`TransferAborted`.
+
+        A flow still in its propagation delay is cancelled too: no byte
+        of it arrives, and it is never admitted."""
+        if self._pending.pop(flow.fid, None) is not None:
+            self._end_aborted(flow, reason, 0.0)
+            return
         if flow.fid not in self._flows:
             return
         now = self.env.now
@@ -495,8 +523,11 @@ class FlowNetwork:
         self._schedule_recompute()
 
     def abort_matching(self, predicate: Callable[[Flow], bool], reason: str = "") -> int:
-        """Abort all flows matching *predicate*; returns how many."""
+        """Abort all flows matching *predicate*, admitted ones (in
+        admission order) and then those still propagating (in send
+        order); returns how many."""
         doomed = [f for f in self._flows.values() if predicate(f)]
+        doomed += [f for f in self._pending.values() if predicate(f)]
         for flow in doomed:
             self.abort(flow, reason)
         return len(doomed)
@@ -505,10 +536,14 @@ class FlowNetwork:
         """Recompute flow rates after external capacity changes.
 
         Call after mutating a node's NIC capacities (e.g. gray-failure
-        NIC degradation) so in-flight flows see the new bottlenecks.
-        External capacity edits aren't tracked by the dirty-set, so the
-        next pass re-solves everything.
+        NIC degradation) so in-flight flows see the new bottlenecks:
+        the capacity column is read again for every live resource (it is
+        otherwise read once, when a resource id is minted).  External
+        capacity edits aren't tracked by the dirty-set, so the next pass
+        re-solves everything.
         """
+        for rid in self._res_id.values():
+            self._cap[rid] = self._capacity_of(rid)
         self._dirty_all = True
         self._schedule_recompute()
 
@@ -595,6 +630,8 @@ class FlowNetwork:
         return self._res_members[rid] if rid is not None else {}
 
     def _admit(self, flow: Flow) -> None:
+        if self._pending.pop(flow.fid, None) is None:
+            return  # aborted while it propagated
         src, dst = flow.src, flow.dst
         nodes = self.nodes
         for end in (src, dst):
@@ -613,7 +650,7 @@ class FlowNetwork:
             slot = len(self._slot_flow)
             self._slot_flow.append(None)
             if slot == self._rate.shape[0]:
-                self._grow_table()
+                self._grow(_SLOT_COLUMNS)
         self._slot_flow[slot] = flow
         flow._slot = slot
         self._flows[flow.fid] = flow
@@ -666,11 +703,11 @@ class FlowNetwork:
                     else:
                         del neighbours[other]
 
-    def _grow_table(self) -> None:
-        """Double every column of the slot table."""
-        for name in ("_fres", "_rate", "_rem", "_anchor", "_seq", "_armed"):
+    def _grow(self, names: Tuple[str, ...]) -> None:
+        """Double the columns *names* (new rows are zero)."""
+        for name in names:
             old = getattr(self, name)
-            new = np.empty((2 * old.shape[0],) + old.shape[1:], dtype=old.dtype)
+            new = np.zeros((2 * old.shape[0],) + old.shape[1:], dtype=old.dtype)
             new[: old.shape[0]] = old
             setattr(self, name, new)
 
@@ -681,32 +718,31 @@ class FlowNetwork:
         else:
             rid = len(self._res_key)
             self._res_key.append(key)
+            if rid == self._cap.shape[0]:
+                self._grow(_RESOURCE_COLUMNS)
         self._res_id[key] = rid
         self._res_members[rid] = {}
         if shared:
             self._res_adj[rid] = {}
+        self._cap[rid] = self._capacity_of(rid)
         return rid
 
     def _free_resource(self, rid: int) -> None:
         """Recycle the id of a resource whose last member left."""
-        key = self._res_key[rid]
-        del self._res_id[key]
+        del self._res_id[self._res_key[rid]]
         del self._res_members[rid]
         self._res_key[rid] = None
         self._free_res.append(rid)
         self._res_adj.pop(rid, None)
         self._dirty.discard(rid)
-        if key[0] == "out":
-            self._node_out.pop(key[1], None)
-        elif key[0] == "in":
-            self._node_in.pop(key[1], None)
+        self._load[rid] = 0.0
 
     def _detach(self, flow: Flow, aborted: bool) -> None:
         """Drop *flow* from the slot table, the member and neighbour maps.
 
-        An aborted flow's rate leaves the maintained node aggregates
-        immediately (so node_load() observably drops right away) and the
-        resources it shared go dirty.  A flow finishing inside a pass
+        An aborted flow's rate leaves the aggregates of the resources it
+        shared immediately (so node_load() observably drops right away)
+        and those resources go dirty.  A flow finishing inside a pass
         needs neither: that pass rebuilds the aggregates of every
         resource it leaves members on, so no float drift accumulates.
         """
@@ -714,6 +750,7 @@ class FlowNetwork:
         rids = self._fres[slot].tolist()
         self._link(rids, -1)
         members_map = self._res_members
+        rate = self._rate.item(slot)
         for column, rid in enumerate(rids):
             if rid < 0:
                 continue
@@ -722,14 +759,9 @@ class FlowNetwork:
             if not members:
                 self._free_resource(rid)
             elif aborted and column < _SHARED_COLUMNS:
+                # The pass that set the rate also stored this aggregate.
+                self._load[rid] -= rate
                 self._dirty.add(rid)
-        rate = self._rate.item(slot) if aborted else 0.0
-        if rate != 0.0:
-            # The pass that set the rate also stored these aggregates.
-            if rids[0] in members_map:
-                self._node_out[flow.src.name] -= rate
-            if rids[1] in members_map:
-                self._node_in[flow.dst.name] -= rate
         self._slot_flow[slot] = None
         self._free_slots.append(slot)
         flow._slot = -1
@@ -797,6 +829,9 @@ class FlowNetwork:
         # Flows that are done get reaped in fid order by a component
         # pass and in admission order by a global one.
         by_fid = self.incremental and not self._dirty_all
+        if by_fid and self._pass_lone(now):
+            self._arm_timer()
+            return
         if by_fid:
             slots = self._dirty_component_slots()
         else:
@@ -808,6 +843,77 @@ class FlowNetwork:
         elif slots:
             self._pass_scalar(slots, now, by_fid)
         self._arm_timer()
+
+    def _pass_lone(self, now: float) -> bool:
+        """Solve the dirty component in closed form if it is one flow
+        alone on every resource it uses; False (and nothing done) if not.
+
+        Member counts decide it without a walk: the one dirty resource
+        has one member, and so has each resource of that member."""
+        dirty = self._dirty
+        if len(dirty) != 1:
+            return False
+        members_map = self._res_members
+        (rid,) = dirty
+        members = members_map[rid]
+        if len(members) != 1:
+            return False
+        ((slot, flow),) = members.items()
+        rids = [rid for rid in self._fres[slot].tolist() if rid >= 0]
+        for rid in rids:
+            if len(members_map[rid]) != 1:
+                return False
+        dirty.clear()
+        rem = self._remaining_at(slot, now)
+        if rem <= _EPSILON:
+            self._finish(flow)
+            return True
+        self.realloc_flow_slots += 1
+        # The water-fill of one flow: every share is a capacity over a
+        # member count of 1, and the first round freezes the flow.
+        rate = min(map(self._cap.item, rids))
+        if rate == math.inf:
+            rate = 1e12  # unconstrained, as in the solvers
+        elif rate < 0.0:
+            rate = 0.0
+        self._settle([(flow, slot, rem)], (rate,), rids, now)
+        return True
+
+    def _settle(self, live: List[Tuple[Flow, int, float]],
+                new_rates: Sequence[float], rids: Iterable[int],
+                now: float) -> None:
+        """Give each of the *live* ``(flow, slot, remaining)`` its new
+        rate, and store the aggregate of each resource in *rids* (every
+        member of which is in *live*) summed in admission order."""
+        heap = self._completion_heap
+        rate_at = self._rate.item
+        armed_at = self._armed.item
+        rate_of: Dict[int, float] = {}
+        for (flow, slot, rem), new_rate in zip(live, new_rates):
+            rate_of[slot] = new_rate
+            rate = rate_at(slot)
+            # A rate change re-anchors progress at the old rate and
+            # projects the new completion time.  So does an unchanged
+            # rate without a live heap entry: the timer popped this flow
+            # as due, but float drift left a sliver of bytes.
+            if new_rate != rate or (rate > 0.0 and not armed_at(slot)):
+                self._rem[slot] = rem
+                self._anchor[slot] = now
+                self._rate[slot] = new_rate
+                flow._epoch += 1
+                self._armed[slot] = new_rate > 0.0
+                if new_rate > 0.0:
+                    heapq.heappush(heap, (now + rem / new_rate, flow.fid, flow._epoch))
+
+        # Untouched resources keep their sums, which are exact: neither
+        # their members nor any member's rate changed.
+        load = self._load
+        members_map = self._res_members
+        for rid in rids:
+            total = 0.0
+            for slot in members_map[rid]:
+                total += rate_of[slot]
+            load[rid] = total
 
     def _pass_scalar(self, slots: List[int], now: float, by_fid: bool) -> None:
         """Reap, solve and re-rate a small component with plain loops."""
@@ -830,6 +936,7 @@ class FlowNetwork:
             return
 
         res_index: Dict[int, int] = {}
+        cap_at = self._cap.item
         caps: List[float] = []
         members: List[List[int]] = []
         flow_res: List[List[int]] = []
@@ -842,47 +949,13 @@ class FlowNetwork:
                 if j is None:
                     j = len(caps)
                     res_index[rid] = j
-                    caps.append(self._capacity_of(rid))
+                    caps.append(cap_at(rid))
                     members.append([])
                 members[j].append(i)
                 local.append(j)
             flow_res.append(local)
         new_rates = _waterfill_scalar(caps, members, flow_res, len(live))
-
-        heap = self._completion_heap
-        rate_at = self._rate.item
-        armed_at = self._armed.item
-        rate_of: Dict[int, float] = {}
-        for (flow, slot, rem), new_rate in zip(live, new_rates):
-            rate_of[slot] = new_rate
-            rate = rate_at(slot)
-            # A rate change re-anchors progress at the old rate and
-            # projects the new completion time.  So does an unchanged
-            # rate without a live heap entry: the timer popped this flow
-            # as due, but float drift left a sliver of bytes.
-            if new_rate != rate or (rate > 0.0 and not armed_at(slot)):
-                self._rem[slot] = rem
-                self._anchor[slot] = now
-                self._rate[slot] = new_rate
-                flow._epoch += 1
-                self._armed[slot] = new_rate > 0.0
-                if new_rate > 0.0:
-                    heapq.heappush(heap, (now + rem / new_rate, flow.fid, flow._epoch))
-
-        # Node aggregates: untouched resources keep their sums, which
-        # are exact — neither their members nor any member's rate changed.
-        keys = self._res_key
-        for rid in res_index:
-            key = keys[rid]
-            kind = key[0]
-            if kind == "out" or kind == "in":
-                total = 0.0
-                for slot in self._res_members[rid]:
-                    total += rate_of[slot]
-                if kind == "out":
-                    self._node_out[key[1]] = total
-                else:
-                    self._node_in[key[1]] = total
+        self._settle(live, new_rates, res_index, now)
 
     def _pass_array(self, slot_list: List[int], now: float, by_fid: bool) -> None:
         """Reap, solve and re-rate a component on the table's columns."""
@@ -918,10 +991,8 @@ class FlowNetwork:
         local[used] = np.arange(used.size)
         local[-1] = used.size
         loc = local[fres]
-        rids = used.tolist()
-        caps = [self._capacity_of(rid) for rid in rids]
-        caps.append(math.inf)
-        new_rate = _waterfill_array(loc, np.array(caps))
+        caps = np.append(self._cap[used], math.inf)
+        new_rate = _waterfill_array(loc, caps)
 
         # A rate change re-anchors progress at the old rate and projects
         # the new completion time.  So does an unchanged rate without a
@@ -949,18 +1020,12 @@ class FlowNetwork:
                 if push:
                     heapq.heappush(heap, (eta, flow.fid, flow._epoch))
 
-        # Node aggregates, summed per resource in admission order.
+        # Aggregates, summed per resource in admission order.
         totals = np.bincount(
             loc.ravel(), weights=np.repeat(new_rate, _RES_COLUMNS),
-            minlength=len(caps),
-        ).tolist()
-        keys = self._res_key
-        for rid, total in zip(rids, totals):
-            key = keys[rid]
-            if key[0] == "out":
-                self._node_out[key[1]] = total
-            elif key[0] == "in":
-                self._node_in[key[1]] = total
+            minlength=caps.shape[0],
+        )
+        self._load[used] = totals[:-1]
 
     def _finish(self, flow: Flow) -> None:
         self._flows.pop(flow.fid, None)
@@ -1017,8 +1082,14 @@ class FlowNetwork:
 
     # -- introspection helpers ----------------------------------------------
     def node_load(self, name: str) -> Tuple[float, float]:
-        """(outgoing, incoming) aggregate rate at a node, MB/s.  O(1)."""
-        return self._node_out.get(name, 0.0), self._node_in.get(name, 0.0)
+        """(outgoing, incoming) aggregate rate at a node, MB/s: the
+        aggregate column at its uplink and downlink ids.  O(1)."""
+        res_id = self._res_id
+        load = self._load.item
+        out = res_id.get(("out", name))
+        into = res_id.get(("in", name))
+        return (load(out) if out is not None else 0.0,
+                load(into) if into is not None else 0.0)
 
 
 # -- water-filling solvers ------------------------------------------------------

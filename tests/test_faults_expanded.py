@@ -104,6 +104,26 @@ def test_partition_aborts_inflight_flows_both_directions():
     assert outgoing["at"] == pytest.approx(0.5)
 
 
+def test_partition_aborts_a_payload_sent_just_before_the_cut():
+    """The payload is still in its propagation delay when the cut falls:
+    it used to be admitted after it and delivered in full."""
+    testbed = make_testbed(latency_cross_s=0.01)
+    injector = FaultInjector(testbed)
+    a = testbed.add_node("a", site="site-0")
+    testbed.add_node("b", site="site-1")
+    env = testbed.env
+    sent = drive(env, lambda: testbed.net.transfer("a", "b", 10.0))
+
+    def cut():
+        yield env.timeout(0.005)
+        injector.partition([a])
+
+    env.process(cut())
+    env.run(until=1.0)
+    assert isinstance(sent["error"], TransferAborted)
+    assert sent["at"] == 0.005 and testbed.net.total_delivered == 0.0
+
+
 def test_partition_heals_automatically():
     testbed = make_testbed()
     injector = FaultInjector(testbed)

@@ -7,7 +7,8 @@ Deterministic counts, no timing: kernel events per warm read and per
 uncontended ``compute``, heap entries per release, dead pops per write,
 generators per metadata-cache hit, records per
 emit into an empty sink, function calls per warm read, tracer calls per
-untraced operation, hashes per placed monitoring parameter — plus an AST
+untraced operation, hashes per placed monitoring parameter, component
+walks and capacity reads of the flow solver — plus an AST
 gate that keeps the actor loops driving client operations inline.  Each
 budget is exact, so the two-event tax of a process wrapped around an
 operation (or a dead heap entry per release, or one more null span per
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import repro.blobseer.client as client_module
 import repro.blobseer.segment_tree as segment_tree
+import repro.simulation.network as network_module
 from repro.blobseer import (
     BlobSeerConfig,
     BlobSeerDeployment,
@@ -33,7 +35,7 @@ from repro.blobseer.segment_tree import capacity_for, tree_query
 from repro.cluster import TestbedConfig
 from repro.cluster.node import PhysicalNode
 from repro.monitoring import MonitoringConfig, MonitoringStack
-from repro.simulation import Environment, FlowNetwork, Process, Resource
+from repro.simulation import Environment, FlowNetwork, NetNode, Process, Resource
 from repro.telemetry import KernelProfiler, MetricsRegistry
 from repro.workloads import build_write_scenario
 
@@ -302,6 +304,68 @@ def test_uncontended_compute_is_one_kernel_event():
     assert finished == [("alone", 0.5), ("events", 1), ("first", 1.0),
                         ("queued", 1.5), ("events", 6)]
     assert node.cpu.count == 0 and node.cpu_seconds_used == 1.5
+
+
+def solver_spies(monkeypatch):
+    """Count the flow solver's component walks, scalar water-fills,
+    capacity reads and minted resource ids from here on."""
+    return {
+        "walks": count_calls(monkeypatch, FlowNetwork, "_dirty_component_slots"),
+        "waterfills": count_calls(monkeypatch, network_module, "_waterfill_scalar"),
+        "capacity_reads": count_calls(monkeypatch, FlowNetwork, "_capacity_of"),
+        "minted": count_calls(monkeypatch, FlowNetwork, "_new_resource"),
+    }
+
+
+def test_a_lone_transfer_is_rated_in_closed_form(monkeypatch):
+    """A flow alone on its links is solved without a component walk or
+    a water-fill, and costs the kernel what it always did: admission,
+    the recompute event, the completion timer and the waiter's event
+    (4, as at the parent of the closed form).  Each capacity is read
+    once, when its resource id is minted."""
+    spies = solver_spies(monkeypatch)
+    env = Environment()
+    net = FlowNetwork(env, latency=0.01)
+    net.add_node(NetNode("a", capacity_out=100.0, capacity_in=100.0))
+    net.add_node(NetNode("b", capacity_out=100.0, capacity_in=40.0))
+    done = net.transfer("a", "b", 10.0)
+    env.run()
+    assert done.value.finished_at == 0.01 + 10.0 / 40.0
+    assert env.events_processed == 4 and net.reallocations == 2
+    assert {name: tally[0] for name, tally in spies.items()} == {
+        "walks": 0, "waterfills": 0, "capacity_reads": 2, "minted": 2}
+
+
+def test_a_flow_joining_a_lone_flow_takes_the_general_path(monkeypatch):
+    """A second flow on the first one's uplink makes a component of two:
+    its admission and the first flow's completion are walked and
+    water-filled; the survivor, alone again, is not.  A ``refresh()``
+    re-reads the capacity of each of the three live resources."""
+    spies = solver_spies(monkeypatch)
+    env = Environment()
+    net = FlowNetwork(env, latency=0.0)
+    for name in "abc":
+        net.add_node(NetNode(name, capacity_out=100.0, capacity_in=100.0))
+    first = net.transfer("a", "b", 100.0)
+
+    def joiner():
+        yield env.timeout(0.5)
+        second = net.transfer("a", "c", 100.0)
+        yield env.timeout(0.5)
+        net.refresh()
+        yield second
+
+    env.process(joiner())
+    env.run()
+    # Alone at 100 MB/s to t=0.5, shared at 50 to t=1.5; the second
+    # flow's last 50 MB alone again at 100.
+    assert first.value.finished_at == 1.5
+    assert env.now == 2.0
+    # Passes: first admitted (lone), second admitted (walk), the
+    # refresh (global), first done (walk), second done (lone).
+    assert net.reallocations == 5
+    assert {name: tally[0] for name, tally in spies.items()} == {
+        "walks": 2, "waterfills": 3, "capacity_reads": 3 + 3, "minted": 3}
 
 
 def test_a_write_leaves_no_dead_event_but_fire_and_forget_completions():

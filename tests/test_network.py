@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import FaultInjector, Testbed, TestbedConfig
 from repro.simulation import Environment, FlowNetwork, NetNode, TransferAborted
 
 
@@ -354,13 +355,15 @@ def test_remove_node_coalesces_aborts_into_one_pass():
 
 # -- incremental vs full recomputation equivalence ----------------------------
 
-def _run_random_mesh(incremental, scalar_max=None, seed=1234):
+def _run_random_mesh(incremental, scalar_max=None, seed=1234, sparse=False):
     """A churny multi-component scenario; returns exact observables.
 
     *scalar_max* replaces ``_SCALAR_WATERFILL_MAX``, the component size
     up to which a pass (reap, build, solve, diff, aggregates) runs as
     plain loops: ``0`` sends every pass down the array pass, a huge
-    value every pass down the scalar one."""
+    value every pass down the scalar one.  *sparse* spreads the flows
+    over 40 nodes on 20 sites and spaces every arrival, so that most
+    components are one flow alone on its links."""
     import random as _random
 
     from repro.simulation import network as network_module
@@ -369,16 +372,17 @@ def _run_random_mesh(incremental, scalar_max=None, seed=1234):
     env = Environment()
     net = make_net(env, latency=0.0005, backbone_capacity=400.0,
                    incremental=incremental)
+    node_count, site_count = (40, 20) if sparse else (10, 3)
     if scalar_max is not None:
         old_max = network_module._SCALAR_WATERFILL_MAX
         network_module._SCALAR_WATERFILL_MAX = scalar_max
     try:
         nodes = []
-        for i in range(10):
+        for i in range(node_count):
             name = f"n{i}"
             net.add_node(NetNode(name, capacity_out=rng.choice([50.0, 125.0]),
                                  capacity_in=rng.choice([50.0, 125.0]),
-                                 site=f"site-{i % 3}"))
+                                 site=f"site-{i % site_count}"))
             nodes.append(name)
         net.completion_log = []
         dones = []
@@ -391,10 +395,10 @@ def _run_random_mesh(incremental, scalar_max=None, seed=1234):
                 done = net.transfer(src, dst, size=rng.uniform(5.0, 80.0),
                                     rate_cap=cap)
                 dones.append(done)
-                if k % 3 == 0:
+                if sparse or k % 3 == 0:
                     yield env.timeout(rng.uniform(0.0, 0.3))
                     loads.append([net.node_load(name) for name in nodes])
-                if k % 40 == 39:
+                if k % 40 == 39 and net.flows:
                     victim = rng.choice(net.flows)
                     victim.done.defused()
                     net.abort(victim, reason="churn")
@@ -425,6 +429,30 @@ def test_incremental_matches_full_bit_identical(scalar_max):
         incremental = _run_random_mesh(True, scalar_max, seed=seed)
         full = _run_random_mesh(False, scalar_max, seed=seed)
         assert _without_slots(incremental) == _without_slots(full)
+
+
+def test_sparse_mesh_rates_lone_flows_in_closed_form_bit_identically(monkeypatch):
+    # Most passes of a sparse mesh solve one flow alone on its links in
+    # closed form; the always-global pass water-fills every one of them.
+    # Events, pass count, node loads and the completion log agree bit
+    # for bit.
+    lone = []
+    pass_lone = FlowNetwork._pass_lone
+
+    def spying(self, now):
+        solved = pass_lone(self, now)
+        lone.append(solved)
+        return solved
+
+    monkeypatch.setattr(FlowNetwork, "_pass_lone", spying)
+    for seed in (5, 11):
+        lone.clear()
+        incremental = _run_random_mesh(True, seed=seed, sparse=True)
+        reallocations = incremental[2]
+        assert sum(lone) >= reallocations / 2 > 0
+        full = _run_random_mesh(False, seed=seed, sparse=True)
+        assert _without_slots(incremental) == _without_slots(full)
+        assert len(incremental[-1]) == 120
 
 
 def test_scalar_and_array_pass_bit_identical():
@@ -471,16 +499,106 @@ def test_flow_is_not_admitted_onto_a_node_that_died_while_it_propagated(readd):
     assert "node b removed" in done.value.reason
     assert net.completion_log == [("abort", 1, 0.25)]
     assert net.reallocations == 0 and net.total_delivered == 0.0
-    assert not net._res_members and not net._node_in and not net._node_out
-    assert net.node_load("b") == (0.0, 0.0)
+    assert not net._res_members and not net._res_key and not net._load.any()
+    assert net.node_load("a") == net.node_load("b") == (0.0, 0.0)
 
 
 def test_flow_to_a_node_that_died_while_it_propagated_is_blackholed_when_enabled():
     env, net, done = _send_then_remove(blackhole=True)
     assert not done.triggered
     assert net.blackholed_transfers == 1
-    assert net.completion_log == [] and not net._flows
-    assert not net._res_members and not net._node_in
+    assert net.completion_log == [] and not net._flows and not net._pending
+    assert not net._res_members and not net._res_key and not net._load.any()
+    assert net.node_load("a") == (0.0, 0.0)
+
+
+def test_abort_reaches_a_flow_still_in_its_propagation_delay():
+    # A payload sent just before a cut used to escape it: a flow in its
+    # propagation delay was in no table an abort looked at.
+    env = Environment()
+    net = make_net(env, latency=0.01)
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    net.completion_log = []
+    done = net.transfer("a", "b", 10.0)
+    aborted = []
+
+    def cut(env):
+        yield env.timeout(0.005)
+        aborted.append(net.abort_matching(lambda f: True, reason="cut"))
+
+    def waiter(env):
+        try:
+            yield done
+        except TransferAborted as exc:
+            return exc.reason
+        return "delivered"
+
+    env.process(cut(env))
+    outcome = env.process(waiter(env))
+    env.run()
+    assert aborted == [1] and outcome.value == "cut"
+    assert net.completion_log == [("abort", 1, 0.005)]
+    assert net.reallocations == 0 and net.total_delivered == 0.0
+    assert not net._flows and not net._pending and not net._res_key
+
+
+# -- the capacity column: read at mint and by refresh() -----------------------
+
+def _degrade_a_mid_flow(destinations):
+    """125 MB from a to each destination on 125 MB/s NICs; a's NIC is
+    halved by a gray failure at t=0.5.  Returns the completion times."""
+    testbed = Testbed(TestbedConfig(latency_local_s=0.0))
+    injector = FaultInjector(testbed)
+    a = testbed.add_node("a")
+    for name in destinations:
+        testbed.add_node(name)
+    env, net = testbed.env, testbed.net
+    dones = [net.transfer("a", name, 125.0) for name in destinations]
+
+    def degrade(env):
+        yield env.timeout(0.5)
+        injector.degrade_nic(a, bandwidth_factor=0.5)
+
+    env.process(degrade(env))
+    env.run()
+    return [done.value.finished_at for done in dones]
+
+
+def test_a_degraded_nic_rates_a_lone_flow_at_the_new_capacity():
+    # 62.5 MB at 125 MB/s, then the other 62.5 at 62.5 MB/s.
+    assert _degrade_a_mid_flow(["b"]) == [1.5]
+
+
+def test_a_degraded_nic_rates_a_shared_component_at_the_new_capacity():
+    # Two flows share a's uplink: 31.25 MB each at 62.5, then 93.75
+    # each at 31.25.
+    assert _degrade_a_mid_flow(["b", "c"]) == [3.5, 3.5]
+
+
+def test_a_node_readded_with_another_nic_mints_its_new_capacity():
+    env = Environment()
+    net = make_net(env)
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    first = net.transfer("a", "b", 1000.0)
+    first.defused()
+    seen = {}
+
+    def churn(env):
+        yield env.timeout(0.5)
+        net.remove_node("b")
+        net.add_node(NetNode("b", capacity_in=25.0))
+        second = net.transfer("a", "b", 50.0)
+        yield env.timeout(0.0)
+        seen["cap"] = net._cap.item(net._res_id["in", "b"])
+        flow = yield second
+        seen["finished_at"] = flow.finished_at
+
+    env.process(churn(env))
+    env.run()
+    assert isinstance(first.value, TransferAborted)
+    assert seen == {"cap": 25.0, "finished_at": 0.5 + 50.0 / 25.0}
 
 
 # -- bounded tables: slots and resource ids are recycled ----------------------
@@ -516,9 +634,11 @@ def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
     assert len(net._free_res) == len(net._res_key)
     # Drained: no incidence, adjacency or aggregate entry is left.
     for table in (net._res_members, net._res_adj, net._res_id, net._dirty,
-                  net._node_out, net._node_in, net._flows):
+                  net._flows, net._pending):
         assert not table
     assert not any(net._slot_flow) and not any(net._res_key)
+    assert not net._load.any()
+    assert all(net.node_load(name) == (0.0, 0.0) for name in net.nodes)
 
 
 # -- zero-payload control messages: one kernel event, every fault still applies -
