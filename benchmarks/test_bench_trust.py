@@ -80,7 +80,6 @@ def run_profile(use_trust: bool):
                              trust=trust, refire_holdoff_s=20.0)
     target = TableTarget()
     enforcement = PolicyEnforcement(target, trust=trust, throttle_cap_mbps=5.0)
-    engine.on_violation(enforcement.apply)
 
     # Timeline: clean client drips normal traffic the whole time.
     drip(history, "clean", 0.0, 600.0)
@@ -92,7 +91,8 @@ def run_profile(use_trust: bool):
         burst(history, "repeat", start, 60)
 
     for scan_time in range(10, 600, 10):
-        engine.scan_once(float(scan_time))
+        for violation in engine.scan_once(float(scan_time)):
+            enforcement.apply(violation)
 
     def sanctions_of(client):
         return [s.action.value for s in enforcement.sanctions

@@ -5,12 +5,13 @@ every panel the paper's visualization tool provided: physical
 parameters, per-provider and system storage, BLOB access patterns,
 BLOB distribution, and client throughput.
 
-New in the observability-loop revision, the run is *live*: a periodic
-refresh process polls the introspection :class:`QueryEngine` (windowed
-rates, hot blobs, per-site rollups — all via incremental repository
-cursors) and a :class:`HealthMonitor` evaluates SLO rules and EWMA
-z-score anomaly detection in simulation time, printing a compact status
-line per refresh and a health timeline at the end.
+The run is *live*: a periodic refresh process prints a compact status
+line from the two introspection readers — the :class:`QueryEngine`'s
+windowed client throughput over the metrics series, and the
+:class:`IntrospectionLayer`'s data-path MB/s and hottest blob over the
+monitoring repository, both over ``now - 30 s < t <= now`` — while a
+:class:`HealthMonitor` evaluates SLO rules and EWMA z-score anomaly
+detection in simulation time and prints a health timeline at the end.
 
 The run executes with cross-layer telemetry enabled and also writes a
 Chrome trace-event file (``introspection_dashboard.trace.json`` by
@@ -67,9 +68,10 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     env = deployment.env
     tele = telemetry.enable(deployment)
 
-    # Introspection query engine + health monitor: the live side of the
-    # observability loop.
-    engine = QueryEngine.for_deployment(deployment, monitoring, window_s=30.0)
+    # Introspection readers + health monitor: the live side of the
+    # observability loop (series windows, and the monitoring records).
+    engine = QueryEngine.for_deployment(deployment, window_s=30.0)
+    layer = IntrospectionLayer(monitoring.repository)
     health = HealthMonitor(
         engine,
         rules=[
@@ -118,7 +120,7 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     env.process(reader_when_ready(env))
 
     # Live terminal refresh: one compact status line per interval,
-    # rendered from the sliding-window query engine, plus any journal
+    # rendered from the sliding windows of both readers, plus any journal
     # entries recorded since the previous refresh (the live tail).
     def live_refresh(env, interval_s=15.0):
         seen = 0
@@ -130,9 +132,8 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
                     print(f"  journal> {entry}")
                 seen = nonlocal_total
             tput = engine.window_stat("client.throughput_mbps", "mean")
-            rollup = engine.site_rollup()
-            data_rate = sum(r.mb_per_s for r in rollup.values())
-            hot = engine.hot_blobs(top=1)
+            data_rate = layer.data_rate_mbps(30.0, env.now)
+            hot = layer.hot_blobs(30.0, env.now, top=1)
             hot_txt = f"hot blob #{hot[0][0]} ({hot[0][1]} chunk ops)" if hot else "-"
             alerts = len(health.events)
             print(f"[{env.now:7.1f}s] tput(30s)="
@@ -144,7 +145,6 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
     env.process(live_refresh(env))
     deployment.run(until=until)
 
-    layer = IntrospectionLayer(monitoring.repository)
     dashboard = Dashboard(layer)
     provider_nodes = [f"provider-{i}-node" for i in range(4)]
     print()

@@ -3,13 +3,14 @@
 The paper's self-optimization engine replicates hot data to absorb read
 concurrency; caching is the dual mechanism, and like replication it only
 pays off when capacity sits where the heat is.  The :class:`CacheTuner`
-is a :class:`~repro.decision.loop.DecisionLoop` over every registered
-:class:`~repro.cache.Cache`:
+is a :class:`~repro.adaptation.controller.ControlLoop` over every
+registered :class:`~repro.cache.Cache`:
 
-- **Monitor** — between steps it differences each cache's cumulative
-  :class:`~repro.cache.CacheStats` and publishes the interval rates as
-  metrics series (``cache.<name>.hit_rate``, ``.lookups_per_s``,
-  ``.evictions_per_s``, ``.bytes_mb``, ``.capacity_mb``).
+- **Monitor** — at the head of each plan it differences each cache's
+  cumulative :class:`~repro.cache.CacheStats` since the previous step
+  and publishes the interval rates as metrics series
+  (``cache.<name>.hit_rate``, ``.lookups_per_s``, ``.evictions_per_s``,
+  ``.bytes_mb``, ``.capacity_mb``).
 - **Analyze** — it reads those series back through the introspection
   :class:`~repro.introspection.query.QueryEngine` as sliding-window
   statistics, so decisions integrate over ``window_s`` of history
@@ -26,9 +27,10 @@ is a :class:`~repro.decision.loop.DecisionLoop` over every registered
   budget is conserved while capacity migrates toward the heat; with an
   ``arbiter``, every MB is additionally settled against a shared ledger.
 
-The tuner is its own knob domain (the planner protocol's reference
-implementation — see :mod:`repro.decision.planners`): ``pressure`` is
-evictions/s, ``activity`` is lookups/s.
+The tuner owns its planner and is the knob domain the planner plans for
+(the planner protocol's reference implementation — see
+:mod:`repro.decision.planners`): ``pressure`` is evictions/s,
+``activity`` is lookups/s.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..decision.actions import Action
-from ..decision.loop import DecisionLoop
 from ..decision.planners import MarginalUtilityPlanner, Planner
+from .controller import ControlLoop
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..decision.signals import SignalRef
@@ -47,7 +49,7 @@ __all__ = ["CacheTuner"]
 _EPS = 1e-9
 
 
-class CacheTuner(DecisionLoop):
+class CacheTuner(ControlLoop):
     """Moves cache capacity toward the heat, under a pluggable planner."""
 
     name = "cache-tuner"
@@ -68,11 +70,9 @@ class CacheTuner(DecisionLoop):
         window_s: Optional[float] = None,
         reward_signal: Optional[SignalRef] = None,
     ) -> None:
-        super().__init__(
-            planner=planner if planner is not None else MarginalUtilityPlanner(),
-            domain=self, arbiter=arbiter,
-            interval_s=interval_s, cooldown_s=cooldown_s,
-        )
+        super().__init__(interval_s=interval_s, cooldown_s=cooldown_s,
+                         arbiter=arbiter)
+        self.planner = planner if planner is not None else MarginalUtilityPlanner()
         #: QueryEngine supplying windowed series statistics.  Its
         #: metrics registry is where the tuner publishes cache series;
         #: without one the tuner observes but cannot analyze.
@@ -102,8 +102,11 @@ class CacheTuner(DecisionLoop):
         self.caches[cache.name] = cache
         return self
 
+    def planner_info(self) -> Dict[str, Any]:
+        return self.planner.info()
+
     # -- monitor: publish interval rates as series -------------------------------
-    def sense(self, now: float) -> None:
+    def _publish(self, now: float) -> None:
         metrics = self.query.metrics
         stamp = metrics.now if metrics is not None else 0.0
         for name, cache in self.caches.items():
@@ -134,7 +137,8 @@ class CacheTuner(DecisionLoop):
             bound[4].record(stamp, cache.capacity_mb)
 
     def plan(self, now: float) -> Iterable[Action]:
-        yield from super().plan(now)
+        self._publish(now)
+        yield from self.planner.plan(self, now)
         # Runs once the step has applied every action the planner yielded.
         self.capacity_timeline.append(
             (now, {name: c.capacity_mb for name, c in self.caches.items()})

@@ -24,10 +24,13 @@ of its intervals instead of reacting to one instantaneous reading (the
 windowed means are :meth:`QueryEngine.window_stat` reads, like every
 engine's).
 
-Scaling is executed as costed actions: ``scale_up`` debits and
-``scale_down`` credits ``provider_cost_mb`` MB per provider against the
-``memory_mb`` ledger, so with an ``arbiter`` attached pool growth is
-refereed against cache capacity on one conserved budget.
+Scaling is executed as costed actions: ``scale_up`` debits
+``provider_cost_mb`` MB per provider against the ``memory_mb`` ledger,
+so with an ``arbiter`` attached pool growth is refereed against cache
+capacity on one conserved budget.  A scale-down credits its provider's
+footprint back only when the drain retires the provider: a drain that
+finds no room for the sole copies is cancelled, the provider stays in
+the pool, and the ledger keeps charging for it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ..blobseer.errors import NoProvidersAvailable
 from ..decision.actions import Action
-from ..decision.loop import DecisionLoop
+from .controller import ControlLoop
 from .replication_manager import migrate_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,11 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ElasticityController"]
 
 
-class ElasticityController(DecisionLoop):
+class ElasticityController(ControlLoop):
     """Expands/contracts the provider pool based on measured load."""
 
     name = "elasticity"
-    #: Ledger name scale_up/scale_down costs settle against.
+    #: Ledger name scale-up debits and retire credits settle against.
     resource = "memory_mb"
     #: Pool-wide disk fill above which the pool grows whatever the load.
     HIGH_FILL = 0.85
@@ -71,8 +74,8 @@ class ElasticityController(DecisionLoop):
         arbiter=None,
         provider_cost_mb: float = 64.0,
     ) -> None:
-        super().__init__(arbiter=arbiter, interval_s=interval_s,
-                         cooldown_s=cooldown_s)
+        super().__init__(interval_s=interval_s, cooldown_s=cooldown_s,
+                         arbiter=arbiter)
         self.deployment = deployment
         self.env = deployment.env
         #: Optional introspection QueryEngine: publishes pool signals as
@@ -173,7 +176,6 @@ class ElasticityController(DecisionLoop):
 
                 yield Action(
                     "scale_down", self.name, subject=victim.provider_id,
-                    cost={self.resource: -self.provider_cost_mb},
                     detail={"provider": victim.provider_id,
                             "load": round(load, 3)},
                     apply=scale_down,
@@ -200,8 +202,14 @@ class ElasticityController(DecisionLoop):
         try:
             yield from migrate_chunks(provider, self.deployment)
         except NoProvidersAvailable:
-            # Nowhere to put the data: cancel the scale-down.
+            # Nowhere to put the data: cancel the scale-down.  The
+            # provider is back in the pool, so its footprint stays charged.
             provider.recommission()
             self.deployment.active_pmanager().register(provider)
+            return
         finally:
             self._draining.discard(provider.provider_id)
+        if self.arbiter is not None:
+            self.arbiter.admit(Action(
+                "retire", self.name, subject=provider.provider_id,
+                cost={self.resource: -self.provider_cost_mb}))

@@ -23,10 +23,10 @@ background policy's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Protocol, Set, Tuple
 
-from .controller import AdaptationDecision, ControlLoop
+from ..decision.actions import Action
+from .controller import ControlLoop
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..blobseer.blob import ChunkDescriptor
@@ -185,7 +185,12 @@ class RemovalManager(ControlLoop):
         protected.update(key for _version, key in referenced.values())
         return protected
 
-    def step(self, now: float) -> List[AdaptationDecision]:
+    def plan(self, now: float) -> Iterable[Action]:
+        """Yield one ``remove`` action per strategy that selects anything.
+
+        Each action is applied before the next strategy selects, so no
+        chunk is selected twice in one sweep.
+        """
         # Directory snapshot across the pool.
         holders = self.deployment.active_pmanager().chunk_holders()
         directory: Dict[str, ChunkDescriptor] = {
@@ -195,26 +200,32 @@ class RemovalManager(ControlLoop):
         # Provenance: the directory snapshot this sweep selected from.
         self.note(chunks=len(directory), protected=len(protected),
                   pool_mb=round(sum(d.size_mb for d in directory.values()), 3))
-        decisions: List[AdaptationDecision] = []
         for strategy in self.strategies:
             victims = [k for k in strategy.select(directory, now) if k not in protected]
             freed = 0.0
             removed = 0
+            doomed: List[str] = []
             for key in victims:
-                descriptor = directory.get(key)
+                descriptor = directory.pop(key, None)
                 if descriptor is None:
                     continue
-                for provider in holders.get(key, []):
-                    if provider.delete_chunk(key):
-                        freed += descriptor.size_mb
-                        removed += 1
-                directory.pop(key, None)
-            if removed:
+                doomed.append(key)
+                for _provider in holders[key]:
+                    freed += descriptor.size_mb
+                    removed += 1
+            if not removed:
+                continue
+
+            def remove(doomed=doomed, freed=freed, removed=removed) -> None:
+                for key in doomed:
+                    for provider in holders[key]:
+                        provider.delete_chunk(key)
                 self.reclaimed_mb += freed
                 self.removed_chunks += removed
-                decisions.append(AdaptationDecision(
-                    now, self.name, "remove",
-                    {"strategy": strategy.name, "chunks": removed,
-                     "freed_mb": round(freed, 1)},
-                ))
-        return decisions
+
+            yield Action(
+                "remove", self.name,
+                detail={"strategy": strategy.name, "chunks": removed,
+                        "freed_mb": round(freed, 1)},
+                apply=remove,
+            )

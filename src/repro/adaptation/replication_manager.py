@@ -25,8 +25,8 @@ from ..cluster.node import NodeDownError
 from ..blobseer.instrument import EV_REPLICA_REPAIR, MonitoringEvent
 from ..blobseer.rpc import TIMED_OUT, wait_or_timeout
 from ..decision.actions import Action
-from ..decision.loop import DecisionLoop
 from ..simulation.network import TransferAborted
+from .controller import ControlLoop
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..blobseer.blob import ChunkDescriptor
@@ -49,7 +49,7 @@ HOT_READS_PER_S = 1.0
 MAX_REPLICATION = 4
 
 
-class ReplicationManager(DecisionLoop):
+class ReplicationManager(ControlLoop):
     """Maintains per-chunk replication degree."""
 
     name = "replication"

@@ -20,7 +20,6 @@ __all__ = [
     "RoundRobinAllocation",
     "RandomAllocation",
     "LeastLoadedAllocation",
-    "CachedLeastLoadedAllocation",
     "PowerOfTwoChoicesAllocation",
     "make_strategy",
 ]
@@ -112,69 +111,6 @@ class LeastLoadedAllocation(AllocationStrategy):
         return result
 
 
-class CachedLeastLoadedAllocation(AllocationStrategy):
-    """Vectorized least-loaded over a periodically refreshed load view.
-
-    :class:`LeastLoadedAllocation` polls every provider's live
-    ``load_score()`` for every chunk of every allocation — O(chunks x
-    providers) Python calls on the allocator's hot path.  At thousands
-    of concurrent writers that *is* the provider manager's cost.  This
-    strategy instead snapshots the scores into a numpy vector at most
-    once per ``REFRESH_S`` of simulated time (a periodically refreshed
-    cached load view, the way real allocators consume monitoring data)
-    and ranks with a stable vectorized argsort, tracking within-call and
-    across-call pending assignments so bursts still spread.
-
-    Staleness is bounded by ``REFRESH_S`` and corrected by the pending
-    counters; placement remains deterministic (stable sort, index
-    tie-break — the same tie order as the sorted() of the live
-    strategy).
-    """
-
-    name = "least_loaded_cached"
-
-    #: Simulated seconds a load view is ranked from before it is re-read.
-    REFRESH_S = 0.25
-
-    def __init__(self, env) -> None:
-        self.env = env
-        self._cached_at: float = -1.0
-        self._cached_ids: tuple = ()
-        self._scores: np.ndarray = np.empty(0)
-        #: Chunks assigned per provider since the last refresh: keeps a
-        #: refresh-window burst from piling onto one momentarily-idle
-        #: provider, exactly like the within-call pending of the live
-        #: strategy but carried across calls sharing one view.
-        self._pending: np.ndarray = np.empty(0)
-        self.refreshes = 0
-
-    def _view(self, usable: Sequence[DataProvider]) -> None:
-        now = self.env.now
-        ids = tuple(p.provider_id for p in usable)
-        if (
-            ids != self._cached_ids
-            or self._cached_at < 0
-            or now - self._cached_at >= self.REFRESH_S
-        ):
-            self._scores = np.array([p.load_score() for p in usable], dtype=float)
-            self._pending = np.zeros(len(usable), dtype=float)
-            self._cached_ids = ids
-            self._cached_at = now
-            self.refreshes += 1
-
-    def select(self, providers, chunk_count, replication):
-        usable = self._usable(providers, replication)
-        self._view(usable)
-        result = []
-        for _ in range(chunk_count):
-            ranked = np.argsort(
-                self._scores + 0.05 * self._pending, kind="stable"
-            )[:replication]
-            self._pending[ranked] += 1.0
-            result.append([usable[int(i)] for i in ranked])
-        return result
-
-
 class PowerOfTwoChoicesAllocation(AllocationStrategy):
     """Sample two random candidates per replica, keep the less loaded.
 
@@ -206,26 +142,14 @@ class PowerOfTwoChoicesAllocation(AllocationStrategy):
         return result
 
 
-def make_strategy(
-    name: str,
-    rng: np.random.Generator,
-    env=None,
-) -> AllocationStrategy:
-    """Factory used by scenario configs.
-
-    *env* is only required for time-aware strategies
-    (``least_loaded_cached`` needs the clock to age its load view).
-    """
+def make_strategy(name: str, rng: np.random.Generator) -> AllocationStrategy:
+    """Factory used by scenario configs."""
     if name == "round_robin":
         return RoundRobinAllocation()
     if name == "random":
         return RandomAllocation(rng)
     if name == "least_loaded":
         return LeastLoadedAllocation()
-    if name == "least_loaded_cached":
-        if env is None:
-            raise ValueError("least_loaded_cached needs env= (time-aware cache)")
-        return CachedLeastLoadedAllocation(env)
     if name == "two_choices":
         return PowerOfTwoChoicesAllocation(rng)
     raise ValueError(f"unknown allocation strategy {name!r}")

@@ -186,8 +186,7 @@ class BlobSeerDeployment:
         strategy on its own RNG stream."""
         node = self.testbed.add_node(node_name)
         self.actor_nodes[actor_key] = node
-        strategy = make_strategy(
-            self.config.allocation, self.rng.stream(stream), env=self.env)
+        strategy = make_strategy(self.config.allocation, self.rng.stream(stream))
         return ProviderManager(
             node, strategy=strategy, sink=self.sink, actor_id=actor_id)
 

@@ -18,17 +18,20 @@ scorecard computes):
   :class:`~repro.introspection.quality.AdaptationScorecard`;
 - **arbitration** — the :class:`Arbiter`: priority bands over conserved
   :class:`ResourceLedger`\\ s, so loops competing for one budget (cache
-  bytes vs. provider pool memory) can never jointly overspend it;
-- **loop** — :class:`DecisionLoop`, the
-  :class:`~repro.adaptation.controller.ControlLoop` that wires the four
-  together and journals through the standard provenance path.
+  bytes vs. provider pool memory) can never jointly overspend it.
 
-The engines themselves live under their paper-facing names, one
-implementation each: :class:`~repro.adaptation.CacheTuner`,
+The loop that wires them together is
+:class:`~repro.adaptation.controller.ControlLoop`: its ``step`` runs an
+engine's ``plan``, funds each yielded action through the arbiter,
+applies it and journals it through the standard provenance path.  The
+five engines live under their paper-facing names, one implementation
+each: :class:`~repro.adaptation.CacheTuner`,
 :class:`~repro.adaptation.ElasticityController`,
-:class:`~repro.adaptation.ReplicationManager` and the self-protection
-scan loop of :class:`~repro.security.PolicyManagement`.  They import
-this package's leaf modules; nothing here imports an engine.
+:class:`~repro.adaptation.ReplicationManager`,
+:class:`~repro.adaptation.RemovalManager` and the self-protection scan
+loop of :class:`~repro.security.PolicyManagement`.  They import the
+leaf modules they use (only the cache tuner imports the planners);
+nothing here imports an engine.
 """
 
 from .. import lazy_exports
@@ -39,5 +42,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "arbiter": ["Arbiter", "ResourceLedger"],
     "planners": ["Planner", "ThresholdPlanner", "MarginalUtilityPlanner",
                  "HillClimbPlanner", "EpsilonGreedyPlanner", "make_planner"],
-    "loop": ["DecisionLoop"],
 })

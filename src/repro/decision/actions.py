@@ -1,10 +1,11 @@
 """Typed actuators: costed, applicable adaptation steps.
 
-An :class:`Action` is the unit of execution every planner emits: what to
-do (an ``apply`` hook) and what it costs against shared resources (a
-``cost`` map the :class:`~repro.decision.arbiter.Arbiter` settles against
-its ledgers).  The :class:`~repro.decision.loop.DecisionLoop` turns each
-applied action into the engine's standard
+An :class:`Action` is the unit of execution every engine's plan emits:
+what to do (an ``apply`` hook) and what it costs against shared
+resources (a ``cost`` map the :class:`~repro.decision.arbiter.Arbiter`
+settles against its ledgers).
+:meth:`~repro.adaptation.controller.ControlLoop.step` turns each applied
+action into the engine's standard
 :class:`~repro.adaptation.controller.AdaptationDecision`, so every engine
 surfaces in decision rings, trace instants, metric counters and the
 provenance journal the same way.
@@ -26,7 +27,8 @@ class Action:
     arbiter's ledger of that name, negative releases back to it.
     Resources without a registered ledger are unmanaged (always
     granted).  ``apply`` performs the step; if it raises, the
-    :class:`~repro.decision.loop.DecisionLoop` refunds the settled cost.
+    :class:`~repro.adaptation.controller.ControlLoop` refunds the
+    settled cost.
     """
 
     name: str

@@ -2,9 +2,10 @@
 
 A :class:`Planner` is the Plan stage of a MAPE-K loop, factored out so
 alternative decision techniques can be swapped under one engine and
-scored uniformly by the adaptation scorecard.  Planners operate against
-a **knob domain** (duck-typed; :class:`~repro.adaptation.CacheTuner`
-is the reference implementation) exposing:
+scored uniformly by the adaptation scorecard.  A planner plans for the
+engine that owns it, which is its **knob domain** (duck-typed;
+:class:`~repro.adaptation.CacheTuner` is the reference implementation)
+and exposes, besides :meth:`~repro.adaptation.ControlLoop.note`:
 
 - ``knobs() -> list[str]`` — stable-order knob names;
 - ``value(name)`` / ``floor(name)`` / ``ceiling(name)`` — the current
@@ -24,8 +25,8 @@ is the reference implementation) exposing:
   :class:`~repro.decision.actions.Action`;
 - ``dry_run`` — observe-only flag.
 
-``plan`` may be (and usually is) a **generator**: the
-:class:`~repro.decision.loop.DecisionLoop` applies each action the
+``plan`` may be (and usually is) a **generator**: the engine's
+:meth:`~repro.adaptation.ControlLoop.step` applies each action the
 moment it is yielded, so later planning (e.g. headroom computed from
 post-shrink capacities) observes the post-apply state.
 
@@ -73,35 +74,35 @@ class Planner:
         """Comparable configuration, journaled for provenance."""
         return {}
 
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        """Yield the actions this step; applied as they are produced."""
+    def plan(self, engine, now: float) -> Iterable[Action]:
+        """Yield *engine*'s actions this step; applied as they are produced."""
         raise NotImplementedError
 
     def info(self) -> Dict[str, Any]:
         return {"name": self.name, "params": self.params()}
 
 
-def _feasible_move(domain, knob: str, direction: int,
+def _feasible_move(engine, knob: str, direction: int,
                    step_fraction: float) -> Optional[Action]:
     """The largest affordable step on *knob* toward *direction*, or None."""
-    value = domain.value(knob)
+    value = engine.value(knob)
     amount = step_fraction * value
-    signals = domain.signals(knob)
+    signals = engine.signals(knob)
     if direction > 0:
-        ceiling = domain.ceiling(knob)
+        ceiling = engine.ceiling(knob)
         if ceiling is not None:
             amount = min(amount, ceiling - value)
-        pool = domain.pool()
+        pool = engine.pool()
         if pool is not None:
             amount = min(amount, pool)
         if amount <= _EPS:
             return None
-        return domain.make_grow(knob, amount, signals=signals)
-    floor = max(domain.floor(knob), domain.bytes_used(knob))
+        return engine.make_grow(knob, amount, signals=signals)
+    floor = max(engine.floor(knob), engine.bytes_used(knob))
     amount = min(amount, value - floor)
     if amount <= _EPS:
         return None
-    return domain.make_shrink(knob, amount, signals=signals)
+    return engine.make_shrink(knob, amount, signals=signals)
 
 
 class ThresholdPlanner(Planner):
@@ -126,31 +127,30 @@ class ThresholdPlanner(Planner):
             "step_fraction": self.step_fraction,
         }
 
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        domain = loop.domain
-        if domain.dry_run:
+    def plan(self, engine, now: float) -> Iterable[Action]:
+        if engine.dry_run:
             return
-        for knob in domain.knobs():
-            signals = domain.signals(knob)
+        for knob in engine.knobs():
+            signals = engine.signals(knob)
             if signals is None:
                 continue
-            loop.note(**domain.signal_evidence(knob, signals))
+            engine.note(**engine.signal_evidence(knob, signals))
             busy = signals["activity"] >= IDLE_ACTIVITY
             if busy and signals["pressure"] > PRESSURE_THRESHOLD:
-                want = self.step_fraction * domain.value(knob)
-                ceiling = domain.ceiling(knob)
+                want = self.step_fraction * engine.value(knob)
+                ceiling = engine.ceiling(knob)
                 if ceiling is not None:
-                    want = min(want, ceiling - domain.value(knob))
-                pool = domain.pool()
+                    want = min(want, ceiling - engine.value(knob))
+                pool = engine.pool()
                 if pool is not None:
                     want = min(want, pool)
                 if want > _EPS:
-                    yield domain.make_grow(knob, want, signals=signals)
+                    yield engine.make_grow(knob, want, signals=signals)
             elif signals["activity"] < IDLE_ACTIVITY:
-                room = domain.value(knob) - domain.floor(knob)
-                want = min(self.step_fraction * domain.value(knob), room)
+                room = engine.value(knob) - engine.floor(knob)
+                want = min(self.step_fraction * engine.value(knob), room)
                 if want > _EPS:
-                    yield domain.make_shrink(knob, want, signals=signals)
+                    yield engine.make_shrink(knob, want, signals=signals)
 
 
 class MarginalUtilityPlanner(Planner):
@@ -179,52 +179,51 @@ class MarginalUtilityPlanner(Planner):
             "step_fraction": self.step_fraction,
         }
 
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        domain = loop.domain
+    def plan(self, engine, now: float) -> Iterable[Action]:
         growers: List[Tuple[float, str, Dict[str, float]]] = []
         shrinkers: List[Tuple[str, float, Dict[str, float]]] = []
-        for knob in domain.knobs():
-            signals = domain.signals(knob)
+        for knob in engine.knobs():
+            signals = engine.signals(knob)
             if signals is None:
                 continue
-            loop.note(**domain.signal_evidence(knob, signals))
+            engine.note(**engine.signal_evidence(knob, signals))
             busy = signals["activity"] >= IDLE_ACTIVITY
             thrashing = busy and signals["pressure"] > PRESSURE_THRESHOLD
             if thrashing:
-                utility = signals["pressure"] / max(domain.value(knob), _EPS)
+                utility = signals["pressure"] / max(engine.value(knob), _EPS)
                 growers.append((utility, knob, signals))
                 continue
             idle = signals["activity"] < IDLE_ACTIVITY
             spare = (
                 signals["pressure"] <= PRESSURE_THRESHOLD
-                and domain.utilization(knob) < SPARE_UTILIZATION
+                and engine.utilization(knob) < SPARE_UTILIZATION
             )
             if idle or spare:
-                floor = domain.floor(knob)
+                floor = engine.floor(knob)
                 if not idle:
                     # A healthy, in-use knob only gives up unused room.
-                    floor = max(floor, domain.bytes_used(knob))
-                room = domain.value(knob) - floor
-                step = min(self.step_fraction * domain.value(knob), room)
+                    floor = max(floor, engine.bytes_used(knob))
+                room = engine.value(knob) - floor
+                step = min(self.step_fraction * engine.value(knob), room)
                 if step > _EPS:
                     shrinkers.append((knob, step, signals))
-        if not growers or domain.dry_run:
+        if not growers or engine.dry_run:
             return
         for knob, step, signals in shrinkers:
-            yield domain.make_shrink(knob, step, signals=signals)
+            yield engine.make_shrink(knob, step, signals=signals)
         # Headroom is read *after* the shrinks above were applied: growth
         # is funded by the room they just released plus any slack.
-        pool = domain.pool()
+        pool = engine.pool()
         for utility, knob, signals in sorted(growers, reverse=True):
-            want = self.step_fraction * domain.value(knob)
-            ceiling = domain.ceiling(knob)
+            want = self.step_fraction * engine.value(knob)
+            ceiling = engine.ceiling(knob)
             if ceiling is not None:
-                want = min(want, ceiling - domain.value(knob))
+                want = min(want, ceiling - engine.value(knob))
             if pool is not None:
                 want = min(want, pool)
             if want <= _EPS:
                 continue
-            yield domain.make_grow(knob, want, signals=signals,
+            yield engine.make_grow(knob, want, signals=signals,
                                    utility=utility)
             if pool is not None:
                 pool -= want
@@ -254,9 +253,8 @@ class HillClimbPlanner(Planner):
     def params(self) -> Dict[str, Any]:
         return {"step_fraction": self.step_fraction}
 
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        domain = loop.domain
-        reward = domain.reward()
+    def plan(self, engine, now: float) -> Iterable[Action]:
+        reward = engine.reward()
         if reward is None:
             return
         if (
@@ -269,24 +267,24 @@ class HillClimbPlanner(Planner):
                 self._last_knob, 1)
         self._last_reward = reward
         self._last_knob = None
-        loop.note(reward=round(reward, 6))
-        knobs = domain.knobs()
-        if not knobs or domain.dry_run:
+        engine.note(reward=round(reward, 6))
+        knobs = engine.knobs()
+        if not knobs or engine.dry_run:
             return
         knob = knobs[self._cursor % len(knobs)]
         self._cursor += 1
         direction = self._direction.setdefault(knob, 1)
-        action = _feasible_move(domain, knob, direction, self.step_fraction)
+        action = _feasible_move(engine, knob, direction, self.step_fraction)
         if action is None:
             # Pinned against a bound: reverse and try the other way.
             direction = -direction
             self._direction[knob] = direction
-            action = _feasible_move(domain, knob, direction,
+            action = _feasible_move(engine, knob, direction,
                                     self.step_fraction)
         if action is None:
             return
         self._last_knob = knob
-        loop.note(knob=knob, direction=direction)
+        engine.note(knob=knob, direction=direction)
         yield action
 
 
@@ -320,9 +318,8 @@ class EpsilonGreedyPlanner(Planner):
         return {"epsilon": EPSILON,
                 "step_fraction": self.step_fraction}
 
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        domain = loop.domain
-        reward = domain.reward()
+    def plan(self, engine, now: float) -> Iterable[Action]:
+        reward = engine.reward()
         if reward is None:
             return
         if self._last_arm is not None and self._last_reward is not None:
@@ -334,10 +331,10 @@ class EpsilonGreedyPlanner(Planner):
             self._means[self._last_arm] = mean + (delta - mean) / count
         self._last_reward = reward
         self._last_arm = None
-        loop.note(reward=round(reward, 6))
-        if domain.dry_run:
+        engine.note(reward=round(reward, 6))
+        if engine.dry_run:
             return
-        arms = [(knob, sign) for knob in domain.knobs()
+        arms = [(knob, sign) for knob in engine.knobs()
                 for sign in (1, -1)]
         if not arms:
             return
@@ -355,11 +352,11 @@ class EpsilonGreedyPlanner(Planner):
                     a, float("-inf")))
                 chose = "exploit"
         knob, direction = arm
-        action = _feasible_move(domain, knob, direction, self.step_fraction)
+        action = _feasible_move(engine, knob, direction, self.step_fraction)
         if action is None:
             return
         self._last_arm = arm
-        loop.note(arm=f"{knob}{'+' if direction > 0 else '-'}", mode=chose)
+        engine.note(arm=f"{knob}{'+' if direction > 0 else '-'}", mode=chose)
         yield action
 
 

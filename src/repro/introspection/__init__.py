@@ -4,7 +4,7 @@ from .. import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "aggregator": ["IntrospectionLayer", "BlobAccessStats"],
-    "query": ["QueryEngine", "WindowRollup"],
+    "query": ["QueryEngine"],
     "provenance": ["DecisionJournal", "JournalEntry"],
     "quality": ["AdaptationScorecard", "SignalSpec", "Disturbance",
                 "settling_time", "overshoot", "slo_violation_seconds"],

@@ -7,7 +7,9 @@ various higher-level self-* components." (paper §III-B)
 
 Everything here is a *query* over the storage repository: the same
 records feed the visualization tool (§IV-A), the security framework's
-user-activity history (§III-C), and the adaptation engines (§V).
+user-activity history (§III-C), and the adaptation engines (§V).  This
+class is the repository's one reader; windows over metrics series are
+:class:`~repro.introspection.query.QueryEngine`'s.
 """
 
 from __future__ import annotations
@@ -64,6 +66,40 @@ class IntrospectionLayer:
     ) -> List[MonitoringEvent]:
         return [event for event in self.repository.records_since(since)
                 if event_type is None or event.event_type == event_type]
+
+    def window(self, window_s: float, now: float) -> List[MonitoringEvent]:
+        """Records with ``now - window_s < t <= now``, time-ordered."""
+        lo = now - window_s
+        return [event for event in self.repository.records_since(lo)
+                if lo < event.time <= now]
+
+    # -- the live view: data-path rate and hot blobs over a window ------------------
+    def data_rate_mbps(self, window_s: float, now: float) -> float:
+        """Chunk MB the providers wrote and served per second over the
+        window ``now - window_s < t <= now``."""
+        total = 0.0
+        for event in self.window(window_s, now):
+            if (event.actor_type == "provider"
+                    and event.event_type in (EV_CHUNK_READ, EV_CHUNK_WRITE)):
+                total += float(event.fields.get("size_mb", 0.0))
+        return total / window_s
+
+    def hot_blobs(self, window_s: float, now: float,
+                  top: int = 5) -> List[Tuple[int, int, float]]:
+        """Most-accessed blobs over the window: ``(blob_id, chunk
+        accesses, MB touched)``, most accesses first, ties by blob id."""
+        accesses: Dict[int, int] = {}
+        volume: Dict[int, float] = {}
+        for event in self.window(window_s, now):
+            if (event.blob_id is None
+                    or event.event_type not in (EV_CHUNK_READ, EV_CHUNK_WRITE)):
+                continue
+            blob = event.blob_id
+            accesses[blob] = accesses.get(blob, 0) + int(event.fields.get("count", 1))
+            volume[blob] = volume.get(blob, 0.0) + float(
+                event.fields.get("size_mb", 0.0))
+        ranked = sorted(accesses.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [(blob, n, volume[blob]) for blob, n in ranked[:top]]
 
     # -- storage space (per provider and system-wide) --------------------------------
     def provider_storage_latest(self) -> Dict[str, float]:

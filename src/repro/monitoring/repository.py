@@ -11,11 +11,12 @@ buffer absorbs transient bursts.  Enabling the burst cache extends that
 buffer (backed by server memory).  When the buffer overflows, events are
 dropped and counted — ABL-4 measures exactly this.
 
-Query side: ``records_since`` is the whole-history view, sorted on
-demand (its one consumer, ``IntrospectionLayer.records``, runs after the
-run or a handful of times during it).  For consumers that poll — the
-introspection query engine, dashboards — a :class:`RepositoryCursor`
-returns only the records persisted since the previous call.
+Query side: ``records_since`` is the time-ordered view, sorted on
+demand (its one consumer, ``IntrospectionLayer``, runs after the run or
+once per dashboard refresh during it, and sorts only the records at or
+after its cut).  For consumers that poll — the security framework's
+history pull — a :class:`RepositoryCursor` returns only the records
+persisted since the previous call.
 """
 
 from __future__ import annotations

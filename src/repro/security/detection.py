@@ -8,7 +8,9 @@ Enforcement component is notified..."
 The engine is a periodic scanner: every ``scan_interval_s`` the
 self-protection loop (:class:`~repro.security.framework.PolicyScanLoop`)
 calls :meth:`DetectionEngine.scan_once`, which evaluates every policy
-against every client's recent window.  Detection delay in EXP-C3 is
+against every client's recent window and returns the new violations;
+the loop hands each to the Policy Enforcement component as a
+``sanction`` action.  Detection delay in EXP-C3 is
 therefore a *measured* composition of: instrumentation → monitoring
 flush → repository write → history pull → scan.
 """
@@ -16,7 +18,7 @@ flush → repository write → history pull → scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .history import UserActivityHistory
 from .policy import MetricCondition, Policy
@@ -60,14 +62,10 @@ class DetectionEngine:
         #: detection-delay distribution of EXP-C3.
         self.confirmations = max(1, int(confirmations))
         self._streak: Dict[Tuple[str, str], int] = {}
-        self.listeners: List[Callable[[Violation], None]] = []
         self.violations: List[Violation] = []
         self._last_fired: Dict[Tuple[str, str], float] = {}
         self._fire_counts: Dict[Tuple[str, str], int] = {}
         self.scans = 0
-
-    def on_violation(self, listener: Callable[[Violation], None]) -> None:
-        self.listeners.append(listener)
 
     # -- scanning -------------------------------------------------------------------
     def scan_once(self, now: float) -> List[Violation]:
@@ -92,8 +90,6 @@ class DetectionEngine:
                     violation = Violation(now, client_id, policy, occurrence=count)
                     found.append(violation)
                     self.violations.append(violation)
-                    for listener in self.listeners:
-                        listener(violation)
                 else:
                     self._streak[key] = 0
         return found

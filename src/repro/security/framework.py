@@ -7,19 +7,22 @@ detection delays are end-to-end measurements.
 
 Self-protection is a MAPE-K engine like the others: the periodic scan
 is a :class:`PolicyScanLoop` (a
-:class:`~repro.decision.loop.DecisionLoop`), so every sanction is a
-decision in the loop's ring, on the ``adapt.*`` trace track, in the
-``adaptation.*`` counters and — with a journal attached — on the shared
-provenance timeline with its policy/occurrence/trust evidence.
+:class:`~repro.adaptation.controller.ControlLoop`) whose plan yields one
+``sanction`` action per new violation, and applying that action is the
+enforcement.  So every sanction is a decision in the loop's ring, on
+the ``adapt.*`` trace track, in the ``adaptation.*`` counters and — with
+a journal attached — on the shared provenance timeline with its
+policy/occurrence/trust evidence.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
+from ..adaptation.controller import ControlLoop
 from ..decision.actions import Action
-from ..decision.loop import DecisionLoop
 from .detection import DetectionEngine, Violation
 from .enforcement import BlobSeerEnforcementTarget, PolicyEnforcement
 from .history import IntrospectionActivitySource, UserActivityHistory
@@ -46,22 +49,25 @@ class SecurityConfig:
     confirmations: int = 1
 
 
-class PolicyScanLoop(DecisionLoop):
+class PolicyScanLoop(ControlLoop):
     """The self-protection loop: one policy scan per interval.
 
-    Enforcement fires *inside* :meth:`DetectionEngine.scan_once`,
-    through the engine's violation listeners; the loop then surfaces
-    each new violation as a ``sanction`` decision.
+    Each new violation :meth:`DetectionEngine.scan_once` returns is
+    yielded as a ``sanction`` action whose ``apply`` is
+    :meth:`PolicyEnforcement.apply`, in detection order.  Evaluation
+    reads only the activity history and each client's own trust, so a
+    sanction applied after the scan sees what it would have seen during
+    it.
     """
 
     name = "security"
 
     def __init__(self, env, detection: DetectionEngine,
-                 trust: TrustManager) -> None:
+                 enforcement: PolicyEnforcement) -> None:
         super().__init__(interval_s=detection.scan_interval_s)
         self.env = env
         self.detection = detection
-        self.trust = trust
+        self.enforcement = enforcement
 
     def planner_info(self) -> Dict[str, Any]:
         return {"name": "policy-scan", "params": {
@@ -84,17 +90,18 @@ class PolicyScanLoop(DecisionLoop):
                 )
             if metrics is not None:
                 metrics.counter("security.violations").inc()
-            evidence = {
-                f"{client}.policy": violation.policy.name,
-                f"{client}.occurrence": violation.occurrence,
-                f"{client}.trust": round(
-                    self.trust.trust_of(client, violation.time), 6),
-            }
-            self.note(**evidence)
             yield Action(
                 "sanction", self.name, subject=client,
                 detail={"client": client, "policy": violation.policy.name},
+                apply=functools.partial(self.enforcement.apply, violation),
             )
+            # Resumed once the sanction is applied: the trust it left.
+            self.note(**{
+                f"{client}.policy": violation.policy.name,
+                f"{client}.occurrence": violation.occurrence,
+                f"{client}.trust": round(self.enforcement.trust.trust_of(
+                    client, violation.time), 6),
+            })
         self.note(scans=self.detection.scans,
                   violations=len(self.detection.violations))
 
@@ -146,9 +153,8 @@ class PolicyManagement:
             trust=self.trust,
             load_probe=self._system_load,
         )
-        self.engine.on_violation(self.enforcement.apply)
         #: The scan loop: decisions, journal and planner info live here.
-        self.loop = PolicyScanLoop(self.env, self.engine, self.trust)
+        self.loop = PolicyScanLoop(self.env, self.engine, self.enforcement)
         self._started = False
 
     def _system_load(self) -> float:

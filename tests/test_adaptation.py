@@ -3,7 +3,6 @@
 import pytest
 
 from repro.adaptation import (
-    AdaptationDecision,
     ColdDataRemoval,
     ControlLoop,
     ElasticityController,
@@ -16,6 +15,7 @@ from repro.adaptation import (
 )
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
+from repro.decision import Action, Arbiter
 from repro.introspection import QueryEngine
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads import CorrectWriter
@@ -49,28 +49,14 @@ def test_control_loop_cooldown_suppresses_steps():
     class Noisy(ControlLoop):
         name = "noisy"
 
-        def step(self, now):
-            return [AdaptationDecision(now, self.name, "act")]
+        def plan(self, now):
+            yield Action("act", self.name)
 
     loop = Noisy(interval_s=1.0, cooldown_s=5.0)
     dep.env.process(loop.run(dep.env))
     dep.run(until=12.5)
     # Steps at 1s, then cooldown to 6s, act, cooldown to 11s, act.
     assert len(loop.decisions) == 3
-
-
-def test_control_loop_disable():
-    dep = make_deployment()
-
-    class Counting(ControlLoop):
-        def step(self, now):
-            return []
-
-    loop = Counting(interval_s=1.0)
-    loop.enabled = False
-    dep.env.process(loop.run(dep.env))
-    dep.run(until=5.5)
-    assert loop.steps == 0
 
 
 # ------------------------------------------------------------------ replication
@@ -225,6 +211,32 @@ def test_elasticity_drain_preserves_data():
     process = dep.env.process(read_back(dep.env))
     result = dep.run(until=process)
     assert result.ok
+
+
+def test_a_cancelled_scale_down_keeps_its_provider_charged():
+    """The ``memory_mb`` ledger charges elasticity one footprint per
+    pooled provider.  Five 100 MB disks hold four 64 MB sole copies, one
+    each: the empty fifth provider drains at once and is retired, which
+    credits its footprint; every later drain finds no 64 MB free for its
+    sole copy, is cancelled and keeps its provider pooled — and charged."""
+    cost = 64.0
+    dep = make_deployment(data_providers=5, replication=1,
+                          testbed=TestbedConfig(seed=7, disk_mb=100.0))
+    write_blob(dep, dep.new_client("c1"), size_mb=256.0)
+    arbiter = Arbiter(env=dep.env)
+    arbiter.ledger("memory_mb", capacity=10 * cost)
+    arbiter.assume("elasticity", "memory_mb", 5 * cost)
+    controller = ElasticityController(
+        dep, min_providers=2, interval_s=2.0, cooldown_s=2.0,
+        arbiter=arbiter, provider_cost_mb=cost,
+    )
+    dep.env.process(controller.run(dep.env))
+    dep.run(until=dep.now + 30.0)
+    assert controller.scale_downs >= 3
+    pool = dep.active_pmanager().pool_size()
+    assert pool == 4
+    assert arbiter.ledgers["memory_mb"].holding("elasticity") == \
+        pytest.approx(pool * cost)
 
 
 # ------------------------------------------------------------------ removal

@@ -539,18 +539,19 @@ def test_a_reexport_is_not_a_use_of_a_definition():
 
 
 def test_the_surface_is_the_documented_size():
-    """29 -> 15 config fields and 122 -> 71 builder parameters (PR 15, 18,
-    24); 293 -> 240 -> 203 defaulted constructor parameters and config
-    fields (PR 20, 24), 311 -> 274 checked in all.  Each bound leaves a
-    little room to add what a caller needs; none leaves room for a second
-    round of "just in case"."""
+    """29 -> 15 config fields and 122 -> 71 builder parameters;
+    293 -> 240 -> 193 -> 186 defaulted constructor parameters and config
+    fields, 311 -> 264 -> 257 checked in all (the last step: one loop
+    class instead of two, and a query engine over series only).  Each
+    bound leaves a little room to add what a caller needs; none leaves
+    room for a second round of "just in case"."""
     checked = {name: len(params) for name, (_, params) in _surface().items()}
     assert checked["BlobSeerConfig"] == 15
     builders = sum(count for name, count in checked.items()
                    if name.startswith("build_"))
     assert builders <= 85
-    assert sum(checked.values()) - builders <= 205
-    assert sum(checked.values()) <= 275
+    assert sum(checked.values()) - builders <= 190
+    assert sum(checked.values()) <= 262
 
 
 def test_the_flow_network_takes_no_solver_knob():
@@ -599,13 +600,11 @@ def test_a_window_of_a_series_is_answered_one_way():
     to the sample stream, a cache is handed no environment to mirror its
     statistics into, and one module cuts windows out of series."""
     assert parameters(QueryEngine.__init__) == [
-        "self", "metrics", "repository", "env", "window_s", "retention_s",
-        "site_of"]
-    assert parameters(QueryEngine.for_deployment) == [
-        "deployment", "monitoring", "window_s", "retention_s"]
+        "self", "metrics", "env", "window_s"]
+    assert parameters(QueryEngine.for_deployment) == ["deployment", "window_s"]
     assert not [name for name in vars(MetricsRegistry) if "listener" in name]
     assert parameters(Cache.__init__) == ["self", "name", "capacity_mb"]
-    assert parameters(make_strategy) == ["name", "rng", "env"]
+    assert parameters(make_strategy) == ["name", "rng"]
 
     importers = []
     for package in ("telemetry", "introspection"):

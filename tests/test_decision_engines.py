@@ -1,8 +1,8 @@
 """Engine-level tests of the decision framework.
 
-Each self-* control law exists once, as a
-:class:`~repro.decision.loop.DecisionLoop` engine under its paper-facing
-name; what each engine decides in a fixed world is pinned by the frozen
+Each self-* control law exists once, as the ``plan`` of a
+:class:`~repro.adaptation.controller.ControlLoop` engine under its
+paper-facing name; what each engine decides in a fixed world is pinned by the frozen
 digests of ``tests/test_golden_observables.py``.  Covered here:
 
 - every interchangeable planner drives the disturbance scenario;

@@ -12,21 +12,25 @@ Covers the PR-9 contract, engine-independently:
   deterministic band-ordered preemption through reclaim hooks, atomic
   multi-resource rollback, the denial log, and the refund of a grant
   whose ``apply`` raised;
-- :class:`DecisionLoop` runs any planner over any knob domain behind the
-  full ControlLoop surface — including the bounded decision-ring path
-  of ``ControlLoop.step``'s machinery;
+- :class:`ControlLoop` is the one loop: its ``step`` funds and applies
+  what any engine's ``plan`` yields (here a planner over a toy knob
+  engine), with the bounded decision ring, trace instants and counters;
+  no other class of ``src/repro`` steps or runs a loop;
 - all four planners behave and stay deterministic: threshold rules,
   marginal-utility ranking with post-shrink funding, hill-climb
   direction flips, epsilon-greedy arm accounting on an injected stream.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.adaptation import AdaptationDecision, ControlLoop
 from repro.decision import (
     Action,
     Arbiter,
-    DecisionLoop,
     EpsilonGreedyPlanner,
     HillClimbPlanner,
     MarginalUtilityPlanner,
@@ -43,18 +47,16 @@ from repro.telemetry import MetricsRegistry
 
 
 # ------------------------------------------------------------------ fixtures
-class ToyLoop(DecisionLoop):
-    """A loop named like the domain's actions (``engine="toy"``)."""
+class ToyEngine(ControlLoop):
+    """Minimal knob engine: plain dict state, scripted signals/rewards,
+    planned by the planner it is given, like the cache tuner."""
 
     name = "toy"
-
-
-class ToyDomain:
-    """Minimal knob domain: plain dict state, scripted signals/rewards."""
 
     def __init__(
         self,
         values,
+        planner=None,
         floors=None,
         ceilings=None,
         used=None,
@@ -63,8 +65,10 @@ class ToyDomain:
         rewards=None,
         dry_run=False,
         resource="mb",
-        engine="toy",
+        **loop,
     ):
+        super().__init__(**loop)
+        self.planner = planner
         self.values = dict(values)
         self.floors = dict(floors or {})
         self.ceilings = dict(ceilings or {})
@@ -75,8 +79,13 @@ class ToyDomain:
         self._reward_pos = 0
         self.dry_run = dry_run
         self.resource = resource
-        self.engine = engine
         self.applied = []
+
+    def plan(self, now):
+        return self.planner.plan(self, now)
+
+    def planner_info(self):
+        return self.planner.info()
 
     def knobs(self):
         return list(self.values)
@@ -125,12 +134,12 @@ class ToyDomain:
         detail = {"knob": name, "amount": round(amount, 6)}
         if utility is not None:
             detail["utility"] = round(utility, 6)
-        return Action("grow", self.engine, subject=name,
+        return Action("grow", self.name, subject=name,
                       cost={self.resource: amount}, detail=detail,
                       apply=self._move(name, amount))
 
     def make_shrink(self, name, amount, signals=None):
-        return Action("shrink", self.engine, subject=name,
+        return Action("shrink", self.name, subject=name,
                       cost={self.resource: -amount},
                       detail={"knob": name, "amount": round(amount, 6)},
                       apply=self._move(name, -amount))
@@ -174,7 +183,7 @@ def test_signal_ref_is_hashable_config():
 
 # ------------------------------------------------------------------ actions
 def test_action_execute_and_decision():
-    domain = ToyDomain({"a": 10.0})
+    domain = ToyEngine({"a": 10.0})
     action = domain.make_grow("a", 2.0)
     action.execute()
     assert domain.values["a"] == 12.0
@@ -397,40 +406,44 @@ def run_loop(loop, until, env=None):
 
 
 def test_decision_loop_applies_planner_actions():
-    domain = ToyDomain({"a": 10.0, "b": 10.0}, budget=40.0,
-                       signal_map={"a": BUSY, "b": IDLE},
-                       used={"b": 0.0})
-    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain, interval_s=1.0)
-    run_loop(loop, until=1.5)
+    engine = ToyEngine({"a": 10.0, "b": 10.0}, ThresholdPlanner(),
+                       budget=40.0, signal_map={"a": BUSY, "b": IDLE},
+                       used={"b": 0.0}, interval_s=1.0)
+    run_loop(engine, until=1.5)
     # One tick: a grew (busy + pressure), b shrank (idle).
-    assert domain.values["a"] == pytest.approx(12.5)
-    assert domain.values["b"] == pytest.approx(7.5)
-    assert loop.applied == 2 and loop.denied == 0
-    assert [d.action for d in loop.decisions] == ["grow", "shrink"]
-    assert loop.evidence["a.pressure"] == 1.0
+    assert engine.values["a"] == pytest.approx(12.5)
+    assert engine.values["b"] == pytest.approx(7.5)
+    assert engine.decisions_total == 2 and engine.denied == 0
+    assert [d.action for d in engine.decisions] == ["grow", "shrink"]
+    assert engine.evidence["a.pressure"] == 1.0
 
 
 def test_decision_loop_without_planner_is_inert():
-    domain = ToyDomain({"a": 10.0}, signal_map={"a": BUSY})
-    loop = DecisionLoop(domain=domain, interval_s=1.0)
+    """A plan that yields nothing makes no decision and starts no
+    cooldown: the loop keeps stepping every interval."""
+
+    class Idle(ControlLoop):
+        def plan(self, now):
+            return ()
+
+    loop = Idle(interval_s=1.0, cooldown_s=10.0)
     run_loop(loop, until=3.5)
-    assert loop.steps == 3 and loop.applied == 0
-    assert domain.values["a"] == 10.0
+    assert loop.steps == 3 and loop.decisions_total == 0
     assert loop.planner_info() is None
 
 
 def test_decision_loop_denied_actions_are_not_applied():
-    domain = ToyDomain({"a": 10.0}, signal_map={"a": BUSY})
     arbiter = Arbiter()
     arbiter.ledger("mb", capacity=11.0)
     arbiter.assume("toy", "mb", 10.0)
-    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
-                   arbiter=arbiter, interval_s=1.0)
-    run_loop(loop, until=1.5)
+    engine = ToyEngine({"a": 10.0}, ThresholdPlanner(),
+                       signal_map={"a": BUSY}, arbiter=arbiter,
+                       interval_s=1.0)
+    run_loop(engine, until=1.5)
     # Wanted +2.5 MB, only 1 MB free, nobody to preempt: denied.
-    assert loop.denied == 1 and loop.applied == 0
-    assert domain.values["a"] == 10.0
-    assert loop.decisions == []
+    assert engine.denied == 1 and engine.decisions_total == 0
+    assert engine.values["a"] == 10.0
+    assert engine.decisions == []
     assert arbiter.denials == 1
 
 
@@ -440,27 +453,33 @@ def test_decision_loop_refunds_the_cost_when_apply_raises():
     arbiter = Arbiter()
     arbiter.ledger("mb", capacity=20.0)
     arbiter.assume("toy", "mb", 10.0)
-    loop = ToyLoop(arbiter=arbiter)
 
     def reject():
         raise ValueError("capacity must be positive")
 
+    class Rejected(ControlLoop):
+        name = "toy"
+        cost = 0.0
+
+        def plan(self, now):
+            yield Action("resize", "toy", cost={"mb": self.cost}, apply=reject)
+
+    loop = Rejected(arbiter=arbiter)
     before = arbiter.ledgers["mb"].used()
     for cost in (4.0, -4.0, -25.0):  # the last credit is capped at holdings
+        loop.cost = cost
         with pytest.raises(ValueError):
-            loop.submit(Action("resize", "toy", cost={"mb": cost},
-                               apply=reject), 0.0)
+            loop.step(0.0)
         assert arbiter.ledgers["mb"].used() == pytest.approx(before)
         assert arbiter.ledgers["mb"].holding("toy") == pytest.approx(10.0)
-    assert loop.applied == 0 and loop.decisions == []
+    assert loop.decisions_total == 0 and loop.decisions == []
 
 
 def test_decision_loop_registers_planner_with_journal():
     env = Environment()
     journal = DecisionJournal(env)
-    loop = ToyLoop(planner=ThresholdPlanner(step_fraction=0.5),
-                   domain=ToyDomain({"a": 10.0}))
-    loop.attach_journal(journal)
+    engine = ToyEngine({"a": 10.0}, ThresholdPlanner(step_fraction=0.5))
+    engine.attach_journal(journal)
     assert journal.planner_of("toy") == {
         "name": "threshold",
         "params": {"pressure_threshold": 0.1, "idle_activity": 0.05,
@@ -474,16 +493,15 @@ def test_control_loop_base_step_raises():
 
 
 def test_decision_loop_ring_bounds_decisions():
-    domain = ToyDomain({"a": 1.0}, ceilings={"a": 1e9},
-                       signal_map={"a": BUSY})
-    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain,
-                   interval_s=1.0, max_decisions=3)
-    run_loop(loop, until=7.5)
-    assert loop.decisions_total == 7
-    assert loop.decisions_dropped == 4
-    assert len(loop.decisions) == 3
+    engine = ToyEngine({"a": 1.0}, ThresholdPlanner(), ceilings={"a": 1e9},
+                       signal_map={"a": BUSY}, interval_s=1.0,
+                       max_decisions=3)
+    run_loop(engine, until=7.5)
+    assert engine.decisions_total == 7
+    assert engine.decisions_dropped == 4
+    assert len(engine.decisions) == 3
     # The ring keeps the newest decisions.
-    assert [d.time for d in loop.decisions] == [5.0, 6.0, 7.0]
+    assert [d.time for d in engine.decisions] == [5.0, 6.0, 7.0]
 
 
 def test_decision_loop_emits_trace_instants_and_counters():
@@ -492,23 +510,61 @@ def test_decision_loop_emits_trace_instants_and_counters():
     env = Environment()
     env.tracer = Tracer(env)
     env.metrics = MetricsRegistry(env)
-    domain = ToyDomain({"a": 10.0}, ceilings={"a": 1000.0},
-                       signal_map={"a": BUSY})
-    loop = ToyLoop(planner=ThresholdPlanner(), domain=domain, interval_s=1.0)
-    run_loop(loop, until=2.5, env=env)
+    engine = ToyEngine({"a": 10.0}, ThresholdPlanner(),
+                       ceilings={"a": 1000.0}, signal_map={"a": BUSY},
+                       interval_s=1.0)
+    run_loop(engine, until=2.5, env=env)
     marks = [m for m in env.tracer.instants if m.name == "adapt.grow"]
     assert len(marks) == 2 and marks[0].track == "toy"
     assert env.metrics.counter("adaptation.grow").value == 2
 
 
+def _loop_classes():
+    """Every class of ``src/repro`` that derives from ``ControlLoop``,
+    with the names of the methods its body defines."""
+    root = Path(repro.__file__).resolve().parent
+    defined = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", getattr(b, "attr", None))
+                         for b in node.bases}
+                methods = {stmt.name for stmt in node.body
+                           if isinstance(stmt, ast.FunctionDef)}
+                defined[node.name] = (bases, methods)
+    loops, grew = {"ControlLoop"}, True
+    while grew:
+        found = {name for name, (bases, _) in defined.items() if bases & loops}
+        grew = not found <= loops
+        loops |= found
+    return {name: defined[name][1] for name in loops}
+
+
+def test_one_loop_class_steps_and_runs_every_engine():
+    """``ControlLoop`` alone defines ``step`` and ``run``; each of the
+    five engines only writes its ``plan``."""
+    loops = _loop_classes()
+    assert {"step", "run", "plan"} <= loops.pop("ControlLoop")
+    assert sorted(loops) == [
+        "CacheTuner", "ElasticityController", "PolicyScanLoop",
+        "RemovalManager", "ReplicationManager"]
+    for name, methods in loops.items():
+        assert "plan" in methods, name
+        assert not methods & {"step", "run"}, name
+
+
 # ------------------------------------------------------------------ planners
-def plan_once(planner, domain, now=0.0):
-    loop = ToyLoop(planner=planner, domain=domain)
-    return loop.step(now), loop
+def planned(planner, engine):
+    engine.planner = planner
+    return engine
+
+
+def plan_once(planner, engine, now=0.0):
+    return planned(planner, engine).step(now), engine
 
 
 def test_threshold_planner_respects_bounds_and_dry_run():
-    domain = ToyDomain({"a": 10.0, "b": 10.0}, budget=21.0,
+    domain = ToyEngine({"a": 10.0, "b": 10.0}, budget=21.0,
                        ceilings={"a": 11.0},
                        signal_map={"a": BUSY, "b": BUSY})
     decisions, _loop = plan_once(ThresholdPlanner(), domain)
@@ -517,13 +573,13 @@ def test_threshold_planner_respects_bounds_and_dry_run():
     # grew into the slack).
     assert [(d.detail["knob"], d.detail["amount"]) for d in decisions] == [
         ("a", 1.0)]
-    dry = ToyDomain({"a": 10.0}, signal_map={"a": BUSY}, dry_run=True)
+    dry = ToyEngine({"a": 10.0}, signal_map={"a": BUSY}, dry_run=True)
     decisions, _loop = plan_once(ThresholdPlanner(), dry)
     assert decisions == [] and dry.applied == []
 
 
 def test_threshold_planner_skips_knobs_without_history():
-    domain = ToyDomain({"a": 10.0, "b": 10.0}, signal_map={"b": IDLE})
+    domain = ToyEngine({"a": 10.0, "b": 10.0}, signal_map={"b": IDLE})
     decisions, loop = plan_once(ThresholdPlanner(), domain)
     assert [d.detail["knob"] for d in decisions] == ["b"]
     assert "a.pressure" not in loop.evidence
@@ -531,7 +587,7 @@ def test_threshold_planner_skips_knobs_without_history():
 
 def test_marginal_utility_shrinks_only_to_fund_growth():
     # All-idle fleet: no growers, so nothing shrinks either.
-    domain = ToyDomain({"a": 10.0, "b": 10.0},
+    domain = ToyEngine({"a": 10.0, "b": 10.0},
                        signal_map={"a": IDLE, "b": IDLE})
     decisions, _loop = plan_once(MarginalUtilityPlanner(), domain)
     assert decisions == []
@@ -540,7 +596,7 @@ def test_marginal_utility_shrinks_only_to_fund_growth():
 def test_marginal_utility_funds_growers_from_shrinkers_by_utility():
     hot = {"pressure": 4.0, "activity": 10.0, "hit_rate": 0.2}
     warm = {"pressure": 1.0, "activity": 10.0, "hit_rate": 0.6}
-    domain = ToyDomain(
+    domain = ToyEngine(
         {"hot": 8.0, "warm": 16.0, "cold": 12.0},
         floors={"cold": 1.0},
         budget=36.0,  # fully allocated: growth must be funded by shrink
@@ -562,7 +618,7 @@ def test_marginal_utility_funds_growers_from_shrinkers_by_utility():
 
 
 def test_marginal_utility_busy_spare_knob_gives_only_unused_room():
-    domain = ToyDomain(
+    domain = ToyEngine(
         {"hot": 8.0, "spare": 16.0},
         used={"spare": 7.0},
         budget=24.0,
@@ -577,10 +633,10 @@ def test_marginal_utility_busy_spare_knob_gives_only_unused_room():
 
 
 def test_hill_climb_flips_direction_on_reward_drop():
-    domain = ToyDomain({"a": 16.0}, ceilings={"a": 1000.0},
+    domain = ToyEngine({"a": 16.0}, ceilings={"a": 1000.0},
                        rewards=[10.0, 5.0, 4.0])
     planner = HillClimbPlanner()
-    loop = ToyLoop(planner=planner, domain=domain)
+    loop = planned(planner, domain)
     d1 = loop.step(0.0)
     assert d1[0].action == "grow"  # initial direction is up
     d2 = loop.step(1.0)  # reward dropped 10 -> 5: flip to shrink
@@ -591,21 +647,21 @@ def test_hill_climb_flips_direction_on_reward_drop():
 
 
 def test_hill_climb_reverses_when_pinned_and_skips_without_reward():
-    domain = ToyDomain({"a": 10.0}, ceilings={"a": 10.0}, rewards=[1.0])
+    domain = ToyEngine({"a": 10.0}, ceilings={"a": 10.0}, rewards=[1.0])
     planner = HillClimbPlanner()
-    loop = ToyLoop(planner=planner, domain=domain)
+    loop = planned(planner, domain)
     decisions = loop.step(0.0)
     # Pinned at the ceiling: the planner reverses and shrinks instead.
     assert [d.action for d in decisions] == ["shrink"]
-    no_reward = ToyDomain({"a": 10.0})
+    no_reward = ToyEngine({"a": 10.0})
     decisions, loop = plan_once(HillClimbPlanner(), no_reward)
     assert decisions == [] and no_reward.applied == []
 
 
 def test_hill_climb_round_robins_knobs():
-    domain = ToyDomain({"a": 8.0, "b": 8.0}, ceilings={"a": 1e9, "b": 1e9},
+    domain = ToyEngine({"a": 8.0, "b": 8.0}, ceilings={"a": 1e9, "b": 1e9},
                        rewards=[1.0, 1.0, 1.0, 1.0])
-    loop = ToyLoop(planner=HillClimbPlanner(), domain=domain)
+    loop = planned(HillClimbPlanner(), domain)
     knobs = [loop.step(float(i))[0].detail["knob"] for i in range(4)]
     assert knobs == ["a", "b", "a", "b"]
 
@@ -632,10 +688,10 @@ def test_epsilon_greedy_requires_rng():
 def test_epsilon_greedy_probes_then_exploits_best_arm():
     # Every draw is above EPSILON: pure exploitation; probe untried arms
     # in order first.
-    domain = ToyDomain({"a": 8.0}, ceilings={"a": 1e9},
+    domain = ToyEngine({"a": 8.0}, ceilings={"a": 1e9},
                        rewards=[0.0, 10.0, 10.0, 20.0])
     planner = EpsilonGreedyPlanner(FakeRng([0.9] * 8))
-    loop = ToyLoop(planner=planner, domain=domain)
+    loop = planned(planner, domain)
     d1 = loop.step(0.0)
     assert (d1[0].action, loop.evidence["mode"]) == ("grow", "probe")
     d2 = loop.step(1.0)  # a+ credited +10; a- still untried
@@ -647,10 +703,10 @@ def test_epsilon_greedy_probes_then_exploits_best_arm():
 
 
 def test_epsilon_greedy_explores_on_epsilon():
-    domain = ToyDomain({"a": 8.0, "b": 8.0},
+    domain = ToyEngine({"a": 8.0, "b": 8.0},
                        ceilings={"a": 1e9, "b": 1e9}, rewards=[1.0])
     planner = EpsilonGreedyPlanner(FakeRng([0.1], integers=[3]))
-    loop = ToyLoop(planner=planner, domain=domain)
+    loop = planned(planner, domain)
     decisions = loop.step(0.0)
     # Arms are [(a,+),(a,-),(b,+),(b,-)]: index 3 is b-.
     assert decisions[0].detail["knob"] == "b"
@@ -660,12 +716,12 @@ def test_epsilon_greedy_explores_on_epsilon():
 
 def test_epsilon_greedy_identical_streams_identical_decisions():
     def run(seed_draws):
-        domain = ToyDomain({"a": 8.0, "b": 4.0},
+        domain = ToyEngine({"a": 8.0, "b": 4.0},
                            ceilings={"a": 1e9, "b": 1e9},
                            rewards=[1.0, 2.0, 1.5, 3.0, 2.5])
         planner = EpsilonGreedyPlanner(
             FakeRng(seed_draws, integers=[1, 2, 0, 3, 1]))
-        loop = ToyLoop(planner=planner, domain=domain)
+        loop = planned(planner, domain)
         out = []
         for i in range(5):
             out.extend((d.time, d.action, tuple(sorted(d.detail.items())))

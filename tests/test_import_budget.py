@@ -76,6 +76,9 @@ loaded()
     assert "repro.blobseer.deployment" in plain
     assert [m for m in plain if _under(m, NOT_BUILT)] == []
     assert "repro.security.framework" in defended
+    # Self-protection runs on the one ControlLoop; only the cache tuner
+    # compiles the planners.
+    assert "repro.decision.planners" not in defended
 
 
 def test_the_kernel_loads_itself_and_its_tracer_only():

@@ -129,6 +129,48 @@ def test_throughput_timeline_filters_failed_ops():
     assert layer.throughput_timeline(bucket_s=5.0) == []
 
 
+# ------------------------------------------------------------------ windows
+def test_window_data_rate_and_hot_blobs():
+    """The live view over ``now - w < t <= now``: provider chunk MB per
+    second, and blobs ranked by chunk accesses of any actor.  An event
+    at exactly ``now - w`` is out, one at ``now`` is in."""
+    bed, repo = make_repo()
+    fill(bed, repo, [
+        ev(10.0, "provider", "p0", EV_CHUNK_WRITE, blob=3, size_mb=999.0),
+        ev(11.0, "provider", "p0", EV_CHUNK_WRITE, blob=1, size_mb=32.0),
+        ev(12.0, "provider", "p0", EV_CHUNK_READ, blob=1, size_mb=32.0),
+        ev(13.0, "provider", "p1", EV_CHUNK_WRITE, blob=2, size_mb=64.0),
+        ev(14.0, "client", "c0", EV_CHUNK_READ, blob=1, size_mb=32.0),
+        ev(15.0, "provider", "p1", EV_CHUNK_READ, blob=1, size_mb=32.0,
+           count=2),
+        ev(15.0, "provider", "p1", EV_STORAGE_LEVEL, used_mb=512.0),
+    ])
+    layer = IntrospectionLayer(repo)
+    assert [e.time for e in layer.window(5.0, now=15.0)] == [
+        11.0, 12.0, 13.0, 14.0, 15.0, 15.0]
+    # Providers moved 32 + 32 + 64 + 32 MB in the 5 s window; the
+    # client's read and the storage level are no data-path traffic.
+    assert layer.data_rate_mbps(5.0, now=15.0) == pytest.approx(160.0 / 5.0)
+    assert layer.hot_blobs(5.0, now=15.0) == [(1, 5, 128.0), (2, 1, 64.0)]
+    assert layer.hot_blobs(5.0, now=15.0, top=1) == [(1, 5, 128.0)]
+    # Widened to include t = 10: blob 3's one write ties blob 2 on
+    # accesses and ranks after it by id, whatever its volume.
+    assert layer.hot_blobs(6.0, now=15.0)[-1] == (3, 1, 999.0)
+    assert layer.window(5.0, now=100.0) == []
+    assert layer.data_rate_mbps(5.0, now=100.0) == 0.0
+
+
+def test_window_sees_records_as_they_arrive():
+    bed, repo = make_repo()
+    layer = IntrospectionLayer(repo)
+    fill(bed, repo, [ev(1.0, "provider", "p0", EV_CHUNK_WRITE, blob=1)])
+    assert len(layer.window(100.0, now=50.0)) == 1
+    fill(bed, repo, [ev(2.0, "provider", "p0", EV_CHUNK_WRITE, blob=1),
+                     ev(3.0, "provider", "p0", EV_CHUNK_WRITE, blob=1)])
+    assert len(layer.window(100.0, now=50.0)) == 3
+    assert layer.hot_blobs(100.0, now=50.0) == [(1, 3, 0.0)]
+
+
 # ------------------------------------------------------------------ visualization
 def test_sparkline_shapes():
     assert sparkline([]) == "(no data)"

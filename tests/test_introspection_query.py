@@ -1,8 +1,11 @@
-"""Introspection query engine, repository cursors, and health signals."""
+"""Introspection query engine, repository cursors, and health signals.
+
+The windows over the repository's records are IntrospectionLayer's
+(``tests/test_introspection.py``)."""
 
 import pytest
 
-from repro.blobseer.instrument import EV_CHUNK_READ, EV_CHUNK_WRITE, MonitoringEvent
+from repro.blobseer.instrument import EV_CHUNK_WRITE, MonitoringEvent
 from repro.cluster import Testbed
 from repro.introspection import (
     EwmaZScore,
@@ -101,51 +104,6 @@ def test_window_stats_over_metrics_series():
     assert engine.window_stat("x", "mean", now=500.0) is None
     with pytest.raises(ValueError):
         engine.window_stat("x", "bogus", now=99.0)
-
-
-def test_rollups_sites_and_hot_reports():
-    bed, repo = make_repo(n=2)
-    sites = {"provider-0": "rack-A", "provider-1": "rack-A",
-             "provider-2": "rack-B"}
-    engine = QueryEngine(repository=repo, env=bed.env, window_s=60.0,
-                         site_of=sites)
-    repo.store([
-        ev(10.0, "provider-0", EV_CHUNK_WRITE, blob=1, chunk="b1:0", size=32.0),
-        ev(11.0, "provider-0", EV_CHUNK_READ, blob=1, chunk="b1:0", size=32.0),
-        ev(12.0, "provider-1", EV_CHUNK_WRITE, blob=2, chunk="b2:0", size=64.0),
-        ev(13.0, "provider-2", EV_CHUNK_READ, blob=1, chunk="b1:0", size=32.0),
-        ev(14.0, "provider-2", EV_CHUNK_READ, blob=1, chunk="b1:1", size=32.0),
-    ])
-    bed.run(until=1.0)
-
-    by_site = engine.site_rollup(now=20.0)
-    assert set(by_site) == {"rack-A", "rack-B"}
-    assert by_site["rack-A"].chunk_writes == 2
-    assert by_site["rack-A"].chunk_reads == 1
-    assert by_site["rack-A"].mb_written == 96.0
-    assert by_site["rack-B"].mb_read == 64.0
-    assert by_site["rack-A"].ops == 3
-    assert by_site["rack-A"].actors == {"provider-0", "provider-1"}
-    assert by_site["rack-B"].mb_per_s == pytest.approx(64.0 / 60.0)
-
-    assert engine.hot_blobs(top=2, now=20.0) == [(1, 4, 128.0), (2, 1, 64.0)]
-    assert engine.hot_chunks(top=1, now=20.0) == [("b1:0", 3)]
-    # Out-of-window queries see nothing.
-    assert engine.site_rollup(window_s=5.0, now=100.0) == {}
-
-
-def test_events_in_window_refreshes_incrementally():
-    bed, repo = make_repo(n=1)
-    engine = QueryEngine(repository=repo, env=bed.env, window_s=100.0)
-    repo.store([ev(1.0, chunk="b1:0")])
-    bed.run(until=1.0)
-    assert len(engine.events_in_window(now=50.0)) == 1
-
-    repo.store([ev(2.0, chunk="b1:1"), ev(3.0, chunk="b1:2")])
-    bed.run(until=2.0)
-    assert len(engine.events_in_window(now=50.0)) == 3
-    assert len(engine.events_in_window(now=50.0, event_type=EV_CHUNK_WRITE)) == 3
-    assert engine.events_in_window(now=50.0, actor_type="client") == []
 
 
 # ------------------------------------------------------------------ histogram

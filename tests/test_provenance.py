@@ -18,6 +18,7 @@ Covers the PR-8 contract:
 import pytest
 
 from repro.adaptation import AdaptationDecision, ControlLoop
+from repro.decision import Action
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
 from repro.introspection import (
@@ -54,9 +55,9 @@ class Noisy(ControlLoop):
 
     name = "noisy"
 
-    def step(self, now):
+    def plan(self, now):
         self.note(signal=now)
-        return [AdaptationDecision(now, self.name, "act", {"tick": now})]
+        yield Action("act", self.name, detail={"tick": now})
 
 
 # ------------------------------------------------------------ bounded decisions
@@ -101,8 +102,6 @@ def test_journal_records_decisions_with_evidence_and_latency():
     assert [(e.engine, e.action) for e in journal.entries] == [
         ("noisy", "act")] * 3
     assert journal.engines() == ["noisy"]
-    # The loop's own telemetry mirrors the journal.
-    assert loop.last_step_wall_s is not None
 
 
 def test_journal_ring_capacity_and_dropped():
