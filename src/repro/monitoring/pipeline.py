@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..blobseer.instrument import EV_NODE_PHYSICAL, MonitoringEvent
+from ..blobseer.rpc import TRANSPORT_ERRORS
 from .repository import StorageRepository, StorageServer
 from .service import EVENT_WIRE_MB, MonitoringService
 
@@ -183,15 +184,18 @@ class MonitoringStack:
             for source_name, batch in by_source.items():
                 if source_name is not None and source_name in service.net.nodes:
                     source_node = self.testbed.nodes.get(source_name)
-                    if source_node is not None:
-                        # Sending cost charged to the instrumented node.
-                        yield from source_node.compute(
-                            INSTRUMENTATION_CPU_S * len(batch))
-                    yield service.net.transfer(
-                        source_name,
-                        service.node.name,
-                        EVENT_WIRE_MB * len(batch),
-                    )
+                    try:
+                        if source_node is not None:
+                            # Sending cost charged to the instrumented node.
+                            yield from source_node.compute(
+                                INSTRUMENTATION_CPU_S * len(batch))
+                        yield service.net.transfer(
+                            source_name,
+                            service.node.name,
+                            EVENT_WIRE_MB * len(batch),
+                        )
+                    except TRANSPORT_ERRORS:
+                        continue  # the batch died with its link: lost
                 self.events_shipped += len(batch)
                 yield from service.ingest(batch)
 

@@ -29,15 +29,17 @@ Performance notes (this is the simulator's hot path):
   the kernel determinism suite asserts byte-identical results.)
 - the flow table is **array-resident**.  Every admitted flow owns a
   *slot* in persistent numpy columns — four integer resource ids
-  (uplink, downlink, backbone, rate cap; ``-1`` where absent), ``rate``,
+  (uplink, downlink, backbone, rate cap; ``0`` where absent), ``rate``,
   ``rem``, ``anchor``, the admission sequence number and an "a
   completion-heap entry is live" bit — and every resource key
   (``("out", node)``, ``("in", node)``, ``("bb", site, site)``,
-  ``("cap", fid)``) owns a small integer id, which indexes two more
+  ``("cap", fid)``) owns a small integer id, which indexes three more
   columns: the resource's capacity (read when the id is minted and
   again by :meth:`FlowNetwork.refresh`, the one contract for a capacity
-  that changes under a live resource) and the aggregate rate of its
-  members as of the last pass that solved it.  Slots and ids are
+  that changes under a live resource), the aggregate rate of its
+  members as of the last pass that solved it, and the mark below.  Id
+  0 is reserved for "no such resource": capacity ``+inf``, never a
+  member, so it serves the solver as its pad.  Slots and ids are
   recycled through free lists, so the table is bounded by peak
   concurrency, not by the number of flows ever admitted.  Beside the
   columns each resource keeps its member slots (admission-ordered)
@@ -46,17 +48,36 @@ Performance notes (this is the simulator's hot path):
   *resources* through those maps with C-level set operations and
   concatenating the member slots of its uplinks — there is no per-flow
   stack;
+- the last **large component is remembered**, not re-walked.  A walk
+  that found one component above ``_SCALAR_WATERFILL_MAX`` flows marks
+  its resources; the mark stays exactly that component's while it
+  provably stays one: an admission onto it adds the flow's fresh
+  resources, a freed resource leaves it, and it is dropped by an
+  admission that also touches another non-empty component, by a
+  departure that leaves two of the flow's shareable resources
+  non-empty but no longer adjacent (the no-split test: every other
+  resource of the component still reaches one of them), and by
+  :meth:`FlowNetwork.refresh`.  A pass whose dirty resources all lie
+  inside the mark takes the live slots whose uplink is marked — one
+  ``np.flatnonzero`` — instead of walking; every other pass walks,
+  and the walk is the tests' reference for the mark;
 - flow progress is **anchor-based**, not drained per pass: a slot stores
   ``(rem, anchor)`` as of the flow's last rate change and the live
   remaining is the linear projection from that anchor, so a
   reallocation rewrites only the flows whose rates actually change;
 - a pass over a component above ``_SCALAR_WATERFILL_MAX`` flows is
-  gather → vectorised projection and reap test → resource-index build
-  → capacity gather → water-fill with a boolean bottleneck mask →
-  vectorised ``new_rate != rate`` → one ``bincount`` scattered into the
-  aggregate column.  Interpreter-level work remains only per
-  *finishing* flow (in fid order) and per *rate-changing* flow (epoch
-  bump and completion-heap push).  A flow whose rate comes out bit for
+  gather → vectorised projection and reap test → member counts (one
+  ``bincount``, which also names the component's resources, renumbered
+  from 1 with id 0 kept as the pad) → capacity gather → water-fill
+  with a boolean bottleneck mask → vectorised ``new_rate != rate`` →
+  one ``bincount`` scattered into the aggregate column.  The water-fill
+  stops as soon as every flow has its rate, and a round subtracts its
+  share (one ``ufunc.at`` element per frozen member) only from the
+  resources that stay active — the only ones read again — so a pass
+  whose flows all freeze in one round, the common case, subtracts
+  nothing.  Interpreter-level work remains only per *finishing* flow
+  (in fid order) and per *rate-changing* flow (epoch bump and
+  completion-heap push).  A flow whose rate comes out bit for
   bit the same costs no Python at all.  Components up to
   ``_SCALAR_WATERFILL_MAX`` run the same steps as plain loops over
   per-slot reads, where numpy dispatch overhead would dominate; the two
@@ -131,7 +152,7 @@ _SHARED_COLUMNS = 3
 
 #: The numpy columns indexed by slot and those indexed by resource id.
 _SLOT_COLUMNS = ("_fres", "_rate", "_rem", "_anchor", "_seq", "_armed")
-_RESOURCE_COLUMNS = ("_cap", "_load")
+_RESOURCE_COLUMNS = ("_cap", "_load", "_marked")
 
 _by_fid = attrgetter("fid")
 
@@ -298,9 +319,10 @@ class FlowNetwork:
         #: determinism tests and kernel benchmarks.
         self.incremental = incremental
         # -- the slot table (module docstring): one row per admitted flow.
-        #: Resource ids of the slot's flow, -1 where it has none.
+        #: Resource ids of the slot's flow, 0 where it has none; a free
+        #: slot's uplink is 0.
         rows = 32  # doubled on demand by _grow()
-        self._fres = np.full((rows, _RES_COLUMNS), -1, dtype=np.intp)
+        self._fres = np.zeros((rows, _RES_COLUMNS), dtype=np.intp)
         self._rate = np.zeros(rows)
         #: Bytes remaining as of ``_anchor`` (the last rate change).
         self._rem = np.zeros(rows)
@@ -314,14 +336,21 @@ class FlowNetwork:
         self._free_slots: List[int] = []
         self._admissions = itertools.count()
         # -- resources: key <-> recycled integer id, members, neighbours.
+        #: Id 0 is reserved for "no such resource": capacity +inf, never
+        #: a member, never marked, never freed.
         self._res_id: Dict[tuple, int] = {}
-        self._res_key: List[Optional[tuple]] = []
+        self._res_key: List[Optional[tuple]] = [None]
         self._free_res: List[int] = []
         #: Resource id -> capacity: read at mint and by refresh().
         self._cap = np.zeros(rows)
+        self._cap[0] = math.inf
         #: Resource id -> aggregate rate of its members as of the last
         #: pass that solved it; 0 for a free id.
         self._load = np.zeros(rows)
+        #: Resource id -> in the remembered component: the shareable
+        #: resources of one connected component, exactly (see
+        #: :meth:`_marked_slots`), or no id at all.
+        self._marked = np.zeros(rows, dtype=bool)
         #: Resource id -> {slot: Flow}, admission-ordered.
         self._res_members: Dict[int, Dict[int, Flow]] = {}
         #: Shareable resource id -> {other resource id: flows using both}.
@@ -544,6 +573,7 @@ class FlowNetwork:
         """
         for rid in self._res_id.values():
             self._cap[rid] = self._capacity_of(rid)
+        self._marked.fill(False)
         self._dirty_all = True
         self._schedule_recompute()
 
@@ -655,7 +685,7 @@ class FlowNetwork:
         flow._slot = slot
         self._flows[flow.fid] = flow
 
-        rids = [-1] * _RES_COLUMNS
+        rids = [0] * _RES_COLUMNS
         res_id = self._res_id
         members_map = self._res_members
         for column, key in enumerate(keys):
@@ -667,6 +697,7 @@ class FlowNetwork:
             members_map[rid][slot] = flow
             rids[column] = rid
         self._link(rids, 1)
+        self._join_mark(rids)
 
         self._fres[slot] = rids
         self._rate[slot] = 0.0
@@ -692,7 +723,7 @@ class FlowNetwork:
         """Count one flow more (or less) between each pair of the
         shareable resources among *rids*."""
         adj = self._res_adj
-        shared = [rid for rid in rids[:_SHARED_COLUMNS] if rid >= 0]
+        shared = [rid for rid in rids[:_SHARED_COLUMNS] if rid]
         for rid in shared:
             neighbours = adj[rid]
             for other in shared:
@@ -702,6 +733,43 @@ class FlowNetwork:
                         neighbours[other] = count
                     else:
                         del neighbours[other]
+
+    def _join_mark(self, rids: List[int]) -> None:
+        """Keep the mark exact across an admission.  A flow that touches
+        the marked component adds its fresh resources to it; one that
+        also touches another non-empty component drops the mark (merging
+        that component in would take a walk)."""
+        marked = self._marked.item
+        members_map = self._res_members
+        inside = outside = False
+        for rid in rids[:_SHARED_COLUMNS]:
+            if rid:
+                if marked(rid):
+                    inside = True
+                elif len(members_map[rid]) > 1:
+                    outside = True
+        if inside:
+            if outside:
+                self._marked.fill(False)
+            else:
+                for rid in rids[:_SHARED_COLUMNS]:
+                    if rid:
+                        self._marked[rid] = True
+
+    def _split_mark(self, rids: List[int]) -> None:
+        """A flow of the marked component has left (its freed resources
+        already left the mark).  The component stays one if the flow's
+        shareable resources that still have members are pairwise
+        adjacent — every other resource reaches one of them without the
+        flow; otherwise the mark is dropped."""
+        adj = self._res_adj
+        left = [rid for rid in rids[:_SHARED_COLUMNS] if rid in adj]
+        for i, rid in enumerate(left):
+            neighbours = adj[rid]
+            for other in left[i + 1:]:
+                if other not in neighbours:
+                    self._marked.fill(False)
+                    return
 
     def _grow(self, names: Tuple[str, ...]) -> None:
         """Double the columns *names* (new rows are zero)."""
@@ -736,6 +804,7 @@ class FlowNetwork:
         self._res_adj.pop(rid, None)
         self._dirty.discard(rid)
         self._load[rid] = 0.0
+        self._marked[rid] = False
 
     def _detach(self, flow: Flow, aborted: bool) -> None:
         """Drop *flow* from the slot table, the member and neighbour maps.
@@ -748,11 +817,12 @@ class FlowNetwork:
         """
         slot = flow._slot
         rids = self._fres[slot].tolist()
+        in_mark = self._marked.item(rids[0])
         self._link(rids, -1)
         members_map = self._res_members
         rate = self._rate.item(slot)
         for column, rid in enumerate(rids):
-            if rid < 0:
+            if not rid:
                 continue
             members = members_map[rid]
             del members[slot]
@@ -762,6 +832,9 @@ class FlowNetwork:
                 # The pass that set the rate also stored this aggregate.
                 self._load[rid] -= rate
                 self._dirty.add(rid)
+        self._fres[slot, 0] = 0  # never marked: no pass takes a free slot
+        if in_mark:
+            self._split_mark(rids)
         self._slot_flow[slot] = None
         self._free_slots.append(slot)
         flow._slot = -1
@@ -792,31 +865,57 @@ class FlowNetwork:
             return self.backbone_capacity
         return self._flows[key[1]].rate_cap
 
-    def _dirty_component_slots(self) -> List[int]:
+    def _dirty_component_slots(self) -> Tuple[List[int], Optional[Set[int]]]:
         """Slots of the connected component(s) of the resource–flow
-        bipartite graph that the dirty-set touches.
+        bipartite graph that the dirty-set touches, and — when that is
+        one component — its resources (None when it is several).
 
         The walk is over *resources*: two resources are neighbours when
         a flow uses both.  Every flow has exactly one uplink, so the
         member slots of the reached uplinks are the component's flows,
-        each once.
+        each once.  It is the reference the mark is tested against.
         """
         adj = self._res_adj
-        seen = set(self._dirty)
-        frontier = seen
-        while frontier:
-            reached: Set[int] = set()
-            for rid in frontier:
-                reached.update(adj[rid])
-            frontier = reached - seen
-            seen |= frontier
+        seen: Set[int] = set()
+        starts = 0
+        for start in self._dirty:
+            if start in seen:
+                continue
+            starts += 1
+            frontier = {start}
+            seen.add(start)
+            while frontier:
+                reached: Set[int] = set()
+                for rid in frontier:
+                    reached.update(adj[rid])
+                frontier = reached - seen
+                seen |= frontier
         keys = self._res_key
         members_map = self._res_members
         slots: List[int] = []
         for rid in seen:
             if keys[rid][0] == "out":
                 slots.extend(members_map[rid])
-        return slots
+        return slots, (seen if starts == 1 else None)
+
+    def _marked_slots(self) -> Optional[np.ndarray]:
+        """Slots of the remembered component when every dirty resource
+        lies inside it, else None.
+
+        The mark is the shareable resources of one connected component,
+        exactly: :meth:`_reallocate` sets it from a walk that found one
+        component above ``_SCALAR_WATERFILL_MAX`` flows, an admission
+        extends it (:meth:`_join_mark`), a freed resource leaves it, and
+        anything that might merge or split it drops it
+        (:meth:`_join_mark`, :meth:`_split_mark`, :meth:`refresh`).  Its
+        flows are then the live slots whose uplink is marked — what a
+        walk from the dirty-set would collect.
+        """
+        dirty = self._dirty
+        marked = self._marked
+        if not dirty or not all(map(marked.item, dirty)):
+            return None
+        return np.flatnonzero(marked[self._fres[: len(self._slot_flow), 0]])
 
     def _reallocate(self) -> None:
         """One water-filling pass over the dirty component(s)."""
@@ -833,14 +932,21 @@ class FlowNetwork:
             self._arm_timer()
             return
         if by_fid:
-            slots = self._dirty_component_slots()
+            slots = self._marked_slots()
+            if slots is None:
+                slots, component = self._dirty_component_slots()
+                if component is not None and len(slots) > _SCALAR_WATERFILL_MAX:
+                    # Remember it: the passes after this one may not walk.
+                    marked = self._marked
+                    marked.fill(False)
+                    marked[np.fromiter(component, np.intp, len(component))] = True
         else:
             slots = [flow._slot for flow in self._flows.values()]
         self._dirty.clear()
         self._dirty_all = False
         if len(slots) > _SCALAR_WATERFILL_MAX:
             self._pass_array(slots, now, by_fid)
-        elif slots:
+        elif len(slots):
             self._pass_scalar(slots, now, by_fid)
         self._arm_timer()
 
@@ -859,7 +965,7 @@ class FlowNetwork:
         if len(members) != 1:
             return False
         ((slot, flow),) = members.items()
-        rids = [rid for rid in self._fres[slot].tolist() if rid >= 0]
+        rids = [rid for rid in self._fres[slot].tolist() if rid]
         for rid in rids:
             if len(members_map[rid]) != 1:
                 return False
@@ -943,7 +1049,7 @@ class FlowNetwork:
         for i, (_flow, slot, _rem) in enumerate(live):
             local: List[int] = []
             for rid in self._fres[slot].tolist():
-                if rid < 0:
+                if not rid:
                     continue
                 j = res_index.get(rid)
                 if j is None:
@@ -957,10 +1063,12 @@ class FlowNetwork:
         new_rates = _waterfill_scalar(caps, members, flow_res, len(live))
         self._settle(live, new_rates, res_index, now)
 
-    def _pass_array(self, slot_list: List[int], now: float, by_fid: bool) -> None:
+    def _pass_array(self, slot_list: Sequence[int], now: float, by_fid: bool) -> None:
         """Reap, solve and re-rate a component on the table's columns."""
-        slots = np.array(slot_list, dtype=np.intp)
-        slots = slots[np.argsort(self._seq[slots])]  # admission order
+        slots = np.asarray(slot_list, dtype=np.intp)
+        # Admission order (sequence numbers are unique, so any sort
+        # gives it; the stable one is the quicker here).
+        slots = slots[np.argsort(self._seq[slots], kind="stable")]
         rate = self._rate[slots]
         rem = self._rem[slots]
         proj = rem - rate * (now - self._anchor[slots])
@@ -980,19 +1088,21 @@ class FlowNetwork:
         if not slots.size:
             return
 
-        # Component-local resource indices; the table's -1 ("no such
-        # resource") indexes the extra last element of each lookup.
-        fres = self._fres[slots]
-        present = np.zeros(len(self._res_key) + 1, dtype=bool)
-        present[fres] = True
-        present[-1] = False
-        used = np.flatnonzero(present)
-        local = np.empty(present.shape[0], dtype=np.intp)
+        # The component's resources, renumbered in id order from 1; the
+        # reserved id 0 keeps 0 and pads every row (capacity +inf, no
+        # member).  Solving on the table's own ids instead costs every
+        # round the whole table, which a small component of a big one
+        # pays many times over.
+        fres = np.take(self._fres, slots, axis=0)
+        counts = np.bincount(fres.ravel())
+        counts[0] = 1  # list id 0, first, even if no row pads
+        used = np.flatnonzero(counts)
+        local = np.empty(counts.shape[0], dtype=np.intp)
         local[used] = np.arange(used.size)
-        local[-1] = used.size
         loc = local[fres]
-        caps = np.append(self._cap[used], math.inf)
-        new_rate = _waterfill_array(loc, caps)
+        members = counts[used].astype(float)
+        members[0] = 0.0
+        new_rate = _waterfill_array(loc, self._cap[used], members)
 
         # A rate change re-anchors progress at the old rate and projects
         # the new completion time.  So does an unchanged rate without a
@@ -1023,9 +1133,9 @@ class FlowNetwork:
         # Aggregates, summed per resource in admission order.
         totals = np.bincount(
             loc.ravel(), weights=np.repeat(new_rate, _RES_COLUMNS),
-            minlength=caps.shape[0],
+            minlength=used.size,
         )
-        self._load[used] = totals[:-1]
+        self._load[used[1:]] = totals[1:]
 
     def _finish(self, flow: Flow) -> None:
         self._flows.pop(flow.fid, None)
@@ -1099,19 +1209,19 @@ class FlowNetwork:
 # components and for the full active set).
 
 
-def _waterfill_array(loc: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+def _waterfill_array(loc: np.ndarray, remaining: np.ndarray,
+                     counts: np.ndarray) -> np.ndarray:
     """Max-min fair rates on arrays (large components).
 
-    ``loc[i]`` are the resource indices of flow *i*, padded with the
-    index of the last element of *remaining* — a dummy resource of
-    infinite capacity that no flow counts against.  *remaining* starts
-    as the capacities and is consumed.
+    ``loc[i]`` are the resource indices of flow *i*, padded with index
+    0 — a dummy resource of infinite capacity that no flow counts
+    against.  *remaining* starts as the capacities and *counts* as the
+    member counts (0 at the dummy); both are consumed, and *remaining*
+    is left exact only where a flow was still unfrozen.
     """
     flow_count = loc.shape[0]
-    dummy = remaining.shape[0] - 1
-    counts = np.bincount(loc.ravel(), minlength=dummy + 1).astype(float)
-    counts[dummy] = 0.0
-    shares = np.empty(dummy + 1)
+    unfrozen = flow_count
+    shares = np.empty(remaining.shape[0])
     rates = np.zeros(flow_count)
     frozen = np.zeros(flow_count, dtype=bool)
 
@@ -1132,20 +1242,29 @@ def _waterfill_array(loc: np.ndarray, remaining: np.ndarray) -> np.ndarray:
         # equally-loaded provider NICs) into a single round.
         tolerance = share * 1e-9 + 1e-15
         bottleneck = shares <= share + tolerance
-        freeze = bottleneck[loc].any(axis=1)
+        freeze = bottleneck[loc[:, 0]]
+        for column in range(1, loc.shape[1]):
+            freeze |= bottleneck[loc[:, column]]
         freeze &= ~frozen
         to_freeze = np.flatnonzero(freeze)
-        if to_freeze.size:
-            rates[to_freeze] = share
-            frozen[to_freeze] = True
-            touched = loc[to_freeze].ravel()
-            touched = touched[touched != dummy]
-            np.subtract.at(remaining, touched, share)
-            np.maximum(remaining, 0.0, out=remaining)
-            # Member counts are small integers: exact in any order.
-            counts -= np.bincount(touched, minlength=dummy + 1)
+        rates[to_freeze] = share
+        unfrozen -= to_freeze.size
+        if not unfrozen:
+            break  # every flow has its rate: nothing reads the rest
+        frozen[to_freeze] = True
+        # Member counts are small integers: exact in any order.  The
+        # dummy's goes negative: it is never active.
+        touched = loc[to_freeze].ravel()
+        counts -= np.bincount(touched, minlength=counts.shape[0])
         counts[bottleneck] = 0.0
         active = counts > 0
+        # A resource left without an unfrozen member is never read
+        # again, so only those still active take the round's share,
+        # once per member frozen (``ufunc.at`` costs per element).
+        touched = touched[active[touched]]
+        if touched.size:
+            np.subtract.at(remaining, touched, share)
+            np.maximum(remaining, 0.0, out=remaining)
     return rates
 
 

@@ -368,6 +368,49 @@ def test_a_flow_joining_a_lone_flow_takes_the_general_path(monkeypatch):
         "walks": 2, "waterfills": 3, "capacity_reads": 3 + 3, "minted": 3}
 
 
+def test_a_tiny_flow_joining_and_leaving_a_large_component_walks_nothing(
+        monkeypatch):
+    """A monitoring-sized batch on the uplink of a 20-flow component (a
+    bulk writer's): its admission pass and its completion pass take the
+    component's slots from the mark the first pass left, so neither
+    walks a resource.  What the kernel and the solver count is the
+    parent's: 4 events (admission, recompute, completion timer, the
+    waiter's resume), 2 passes, 21 + 20 slots."""
+    env = Environment()
+    net = FlowNetwork(env, latency=0.0)
+    for name in ["a", "m"] + [f"b{i}" for i in range(20)]:
+        net.add_node(NetNode(name, capacity_out=100.0, capacity_in=100.0))
+    for i in range(20):
+        net.transfer("a", f"b{i}", 1000.0)
+    solved = []
+    waterfill = network_module._waterfill_array
+    monkeypatch.setattr(network_module, "_waterfill_array",
+                        lambda loc, *rest: solved.append(loc.copy())
+                        or waterfill(loc, *rest))
+    seen = {}
+
+    def tiny():
+        yield env.timeout(1.0)
+        walks = count_calls(monkeypatch, FlowNetwork, "_dirty_component_slots")
+        before = (env.events_processed, net.reallocations, net.realloc_flow_slots)
+        flow = yield net.transfer("a", "m", 0.0004)
+        seen["finished_at"] = flow.finished_at
+        seen["walks"] = walks[0]
+        seen["counts"] = tuple(after - at_start for after, at_start in zip(
+            (env.events_processed, net.reallocations, net.realloc_flow_slots),
+            before))
+
+    env.process(tiny())
+    env.run(until=2.0)
+    assert seen == {"finished_at": 1.0 + 0.0004 / (100.0 / 21),
+                    "walks": 0, "counts": (4, 2, 21 + 20)}
+    # The first pass (walked), the admission and the completion solve
+    # 21, 22 and 21 resources, renumbered from 1 with 0 as the pad.
+    assert [sorted(set(loc.ravel().tolist())) for loc in solved] == [
+        list(range(22)), list(range(23)), list(range(22))]
+    assert all(flow.rate == 5.0 for flow in net.flows)
+
+
 def test_a_write_leaves_no_dead_event_but_fire_and_forget_completions():
     """Pops that run no callback are only processes nobody waits for
     (here the monitoring repository's store flushes): the disk-space put

@@ -220,3 +220,42 @@ def test_monitoring_flush_latency_bounded():
     dep.run(until=op_end_time + 3.0)
     stored_types = {e.event_type for e in stack.repository.all_records()}
     assert "chunk_write" in stored_types  # arrived within 3 s (6 flushes)
+
+
+def test_a_batch_lost_in_flight_is_dropped_and_the_flushers_go_on():
+    """Four writers x 2 x 1 GB on 10 providers with two monitoring
+    services; provider-0's node crashes right after its first batch is
+    admitted (t = 9.004 s).  That batch is lost — not counted as shipped
+    — and every flusher keeps going: the run ends, every write is
+    acknowledged and later batches are stored.  The severed transfer's
+    ``TransferAborted`` used to escape the flusher and end the run."""
+    from repro.cluster import FaultInjector
+    from repro.monitoring.service import EVENT_WIRE_MB
+    from repro.workloads import build_write_scenario
+
+    scenario = build_write_scenario(clients=4, data_providers=10,
+                                    op_mb=1024.0, ops_per_client=2,
+                                    monitoring_services=2, seed=0)
+    dep, stack = scenario.deployment, scenario.monitoring
+    net, env = dep.testbed.net, dep.env
+    injector = FaultInjector(dep.testbed)
+    provider = dep.testbed.nodes["provider-0-node"]
+    lost = []
+    admit = net._admit
+
+    def admit_then_crash(flow):
+        admit(flow)
+        if flow.src.name == provider.name and provider.alive:
+            lost.append((env.now, round(flow.size / EVENT_WIRE_MB)))
+            injector.crash_at(provider, env.now)
+
+    net._admit = admit_then_crash
+    scenario.run()
+    ((crashed_at, batch),) = lost
+    assert 9.0 < crashed_at < 9.01 and batch > 0
+    assert all(op.ok for w in scenario.writers for op in w.client.history)
+    stats = stack.stats()
+    buffered = sum(map(len, stack._buffers.values()))
+    assert stats["shipped"] == stats["emitted"] - batch - buffered
+    assert stats["stored"] == stats["shipped"]
+    assert max(r.time for r in stack.repository.all_records()) > crashed_at + 5.0

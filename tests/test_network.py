@@ -1,5 +1,6 @@
 """Unit tests for the flow-level max-min fair network model."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import FaultInjector, Testbed, TestbedConfig
@@ -466,6 +467,130 @@ def test_scalar_and_array_pass_bit_identical():
         assert len(scalar[-1]) == 120
 
 
+# -- the remembered component equals the walk ----------------------------------
+
+def _component_of(net, rid):
+    """The shareable resources connected to *rid*: a walk of its own."""
+    seen, stack = {rid}, [rid]
+    while stack:
+        for other in net._res_adj[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
+def _run_marked_mesh(seed, grid):
+    """Two groups on two sites, each of 6 writers, 4 sinks and a
+    collector: bulk flows mostly within a group and now and then across
+    (over the backbone, bridging the groups), monitoring-sized batches
+    to the group's collector, and churn: aborts, a sink removed and
+    re-added, and a NIC degraded with ``refresh()``.  With *grid* the
+    writers act on a 0.1 s grid, so one pass often starts from both
+    groups.  Returns exact observables."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    env = Environment()
+    net = make_net(env, latency=0.0005, backbone_capacity=300.0)
+    net.blackhole_missing = True  # writers keep sending to the removed sink
+    writers = [f"w{i}" for i in range(12)]
+    sinks = [f"s{i}" for i in range(8)]
+    for i, name in enumerate(writers + sinks + ["mon0", "mon1"]):
+        net.add_node(NetNode(name, capacity_out=rng.choice([50.0, 125.0]),
+                             capacity_in=rng.choice([50.0, 125.0]),
+                             site=f"site-{i % 2}"))
+    net.completion_log = []
+    loads = []
+
+    def writer(env, i):
+        name, group = writers[i], i % 2
+        for _ in range(12):
+            if grid:
+                yield env.timeout(rng.choice([0.1, 0.2, 0.3]))
+            else:
+                yield env.timeout(rng.uniform(0.0, 0.4))
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                side = group if rng.random() < 0.95 else 1 - group
+                net.transfer(name, rng.choice(sinks[side::2]),
+                             rng.uniform(5.0, 60.0)).defused()
+            if rng.random() < 0.6:
+                net.transfer(name, f"mon{group}", 0.0004).defused()
+
+    def churn(env):
+        for k in range(16):
+            yield env.timeout(0.35)
+            loads.append([net.node_load(name) for name in writers + sinks])
+            flows = net.flows
+            if flows and k % 2 == 0:
+                net.abort(rng.choice(flows), reason="churn")
+            if k == 5:
+                net.remove_node("s3")
+            if k == 7:
+                net.add_node(NetNode("s3", capacity_in=80.0, capacity_out=80.0,
+                                     site="site-1"))
+            if k == 9:
+                net.nodes["s1"].capacity_in /= 2
+                net.refresh()
+
+    for i in range(len(writers)):
+        env.process(writer(env, i))
+    env.process(churn(env))
+    env.run()
+    return (env.now, net.total_delivered, net.reallocations,
+            net.realloc_flow_slots, env.events_processed, loads,
+            list(net.completion_log))
+
+
+@pytest.mark.parametrize("scalar_max", [None, 4])
+def test_the_remembered_component_is_what_a_walk_finds(monkeypatch, scalar_max):
+    # Joins (bulk and monitoring-sized), leaf departures (a batch leaving
+    # a writer's uplink), bridge departures (the last flow between two
+    # busy NICs), aborts, a removed node and a refresh(): at every pass
+    # the mark is exactly one component, and whenever a pass takes its
+    # slots from the mark they are the ones a fresh walk collects.
+    from repro.simulation import network as network_module
+
+    if scalar_max is not None:
+        monkeypatch.setattr(network_module, "_SCALAR_WATERFILL_MAX", scalar_max)
+    taken, dropped = [], {"join": 0, "split": 0}
+    marked_slots = FlowNetwork._marked_slots
+    join_mark, split_mark = FlowNetwork._join_mark, FlowNetwork._split_mark
+
+    def checking(self):
+        marked = set(np.flatnonzero(self._marked).tolist())
+        if marked:
+            assert _component_of(self, min(marked)) == marked
+        slots = marked_slots(self)
+        if slots is not None:
+            walked, component = self._dirty_component_slots()
+            assert sorted(slots.tolist()) == sorted(walked)
+            assert component == marked
+            taken.append(len(walked))
+        return slots
+
+    def counting(method, kind):
+        def wrapped(self, rids):
+            before = self._marked.any()
+            method(self, rids)
+            dropped[kind] += bool(before and not self._marked.any())
+        return wrapped
+
+    monkeypatch.setattr(FlowNetwork, "_marked_slots", checking)
+    monkeypatch.setattr(FlowNetwork, "_join_mark", counting(join_mark, "join"))
+    monkeypatch.setattr(FlowNetwork, "_split_mark", counting(split_mark, "split"))
+    for seed, grid in ((1, False), (2, False), (2, True), (4, True)):
+        taken.clear()
+        marked = _run_marked_mesh(seed, grid)
+        assert len(taken) >= 20, taken
+        # The same run with the mark switched off walks every pass.
+        with monkeypatch.context() as off:
+            off.setattr(FlowNetwork, "_marked_slots", lambda self: None)
+            walked = _run_marked_mesh(seed, grid)
+        assert marked == walked
+    assert dropped["join"] > 0 and dropped["split"] > 0, dropped
+
+
 # -- an endpoint that dies during the propagation delay (bugfix) --------------
 
 def _send_then_remove(blackhole, readd=False):
@@ -499,7 +624,8 @@ def test_flow_is_not_admitted_onto_a_node_that_died_while_it_propagated(readd):
     assert "node b removed" in done.value.reason
     assert net.completion_log == [("abort", 1, 0.25)]
     assert net.reallocations == 0 and net.total_delivered == 0.0
-    assert not net._res_members and not net._res_key and not net._load.any()
+    assert not net._res_members and net._res_key == [None]  # only the reserved id 0
+    assert not net._load.any()
     assert net.node_load("a") == net.node_load("b") == (0.0, 0.0)
 
 
@@ -508,7 +634,8 @@ def test_flow_to_a_node_that_died_while_it_propagated_is_blackholed_when_enabled
     assert not done.triggered
     assert net.blackholed_transfers == 1
     assert net.completion_log == [] and not net._flows and not net._pending
-    assert not net._res_members and not net._res_key and not net._load.any()
+    assert not net._res_members and net._res_key == [None]  # only the reserved id 0
+    assert not net._load.any()
     assert net.node_load("a") == (0.0, 0.0)
 
 
@@ -540,7 +667,8 @@ def test_abort_reaches_a_flow_still_in_its_propagation_delay():
     assert aborted == [1] and outcome.value == "cut"
     assert net.completion_log == [("abort", 1, 0.005)]
     assert net.reallocations == 0 and net.total_delivered == 0.0
-    assert not net._flows and not net._pending and not net._res_key
+    assert not net._flows and not net._pending
+    assert net._res_key == [None]  # only the reserved id 0
 
 
 # -- the capacity column: read at mint and by refresh() -----------------------
@@ -618,8 +746,9 @@ def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
                                rate_cap=40.0)
             high_water["slots"] = max(high_water["slots"], len(net._slot_flow))
             high_water["columns"] = max(high_water["columns"], len(net._rate))
+            # Id 0 ("no such resource") is reserved, not minted.
             high_water["resources"] = max(high_water["resources"],
-                                          len(net._res_key))
+                                          len(net._res_key) - 1)
 
     for i in range(lanes):
         env.process(lane(env, i))
@@ -631,7 +760,7 @@ def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
     assert high_water["columns"] <= 4 * lanes
     assert high_water["resources"] <= 4 * lanes
     assert len(net._free_slots) == len(net._slot_flow)
-    assert len(net._free_res) == len(net._res_key)
+    assert len(net._free_res) == len(net._res_key) - 1  # all but id 0
     # Drained: no incidence, adjacency or aggregate entry is left.
     for table in (net._res_members, net._res_adj, net._res_id, net._dirty,
                   net._flows, net._pending):
