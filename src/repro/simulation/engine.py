@@ -90,7 +90,7 @@ class Environment:
             (self._now + delay, _URGENT if urgent else _NORMAL, self._eid, event),
         )
 
-    def call_at(self, when: float, fn) -> None:
+    def call_at(self, when: float, fn) -> ScheduledCall:
         """Kernel fast path: run bare callback *fn* at time *when*.
 
         Unlike :meth:`timeout`, this allocates no :class:`Timeout` event —
@@ -98,12 +98,16 @@ class Environment:
         wait on it and it cannot fail; it exists for high-frequency
         internal machinery (the flow network's completion timers and
         recompute markers) where the full event protocol is pure
-        overhead.  *fn* receives the ScheduledCall (ignore it).
+        overhead.  *fn* receives the ScheduledCall, which is also what
+        this returns: a caller that re-arms a timer tells a superseded
+        call from the live one by identity.
         """
         if when < self._now:
             raise ValueError(f"call_at({when}) is in the past (now={self._now})")
         self._eid += 1
-        heapq.heappush(self._queue, (when, _NORMAL, self._eid, ScheduledCall(fn)))
+        call = ScheduledCall(fn)
+        heapq.heappush(self._queue, (when, _NORMAL, self._eid, call))
+        return call
 
     def call_later(self, delay: float, fn) -> None:
         """Kernel fast path: run bare callback *fn* after *delay* seconds."""

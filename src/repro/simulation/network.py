@@ -31,17 +31,21 @@ Performance notes (this is the simulator's hot path):
   *slot* in persistent numpy columns — four integer resource ids
   (uplink, downlink, backbone, rate cap; ``0`` where absent), ``rate``,
   ``rem``, ``anchor``, the admission sequence number and an "a
-  completion-heap entry is live" bit — and every resource key
+  completion-heap entry is live" bit (the :class:`Flow` holds its id
+  row too, so no pass reads one back) — and every resource key
   (``("out", node)``, ``("in", node)``, ``("bb", site, site)``,
   ``("cap", fid)``) owns a small integer id, which indexes three more
   columns: the resource's capacity (read when the id is minted and
-  again by :meth:`FlowNetwork.refresh`, the one contract for a capacity
-  that changes under a live resource), the aggregate rate of its
-  members as of the last pass that solved it, and the mark below.  Id
-  0 is reserved for "no such resource": capacity ``+inf``, never a
-  member, so it serves the solver as its pad.  Slots and ids are
-  recycled through free lists, so the table is bounded by peak
-  concurrency, not by the number of flows ever admitted.  Beside the
+  again by :meth:`FlowNetwork.refresh`, and nowhere else), the
+  aggregate rate of its members as of the last pass that solved it,
+  and the mark below.  Id 0 is reserved for "no such resource":
+  capacity ``+inf``, never a member, so it serves the solver as its
+  pad.  A NIC's two ids are its **node's**: ``add_node`` mints them,
+  they stay while the node is idle, and ``remove_node`` recycles them;
+  a backbone's or a cap's is minted on demand and recycled when its
+  last flow leaves.  So admitting a same-site flow with no cap mints,
+  frees and hashes nothing, and with slots recycled too the table is
+  bounded by twice the nodes plus peak concurrency.  Beside the
   columns each resource keeps its member slots (admission-ordered)
   and, for the three shareable kinds, a neighbour-count map ``{other
   resource: flows using both}``; a component is collected by walking
@@ -52,10 +56,10 @@ Performance notes (this is the simulator's hot path):
   that found one component above ``_SCALAR_WATERFILL_MAX`` flows marks
   its resources; the mark stays exactly that component's while it
   provably stays one: an admission onto it adds the flow's fresh
-  resources, a freed resource leaves it, and it is dropped by an
+  resources, a resource left idle leaves it, and it is dropped by an
   admission that also touches another non-empty component, by a
   departure that leaves two of the flow's shareable resources
-  non-empty but no longer adjacent (the no-split test: every other
+  with members but no longer adjacent (the no-split test: every other
   resource of the component still reaches one of them), and by
   :meth:`FlowNetwork.refresh`.  A pass whose dirty resources all lie
   inside the mark takes the live slots whose uplink is marked — one
@@ -89,10 +93,12 @@ Performance notes (this is the simulator's hot path):
   one flow is the minimum of its capacities (``cap / 1.0 == cap``), with
   the solver's ``1e12`` for an unconstrained flow and its clamp at 0,
   and each of its aggregates is that rate (``0.0 + r == r``).  The
-  re-anchor, the heap push and the aggregate store are the scalar
-  pass's own, so the two cannot drift apart.  The recompute event and
+  re-anchor and the heap push are the scalar pass's own
+  (``_rerate``), so the two cannot drift apart.  The recompute event and
   the completion timer are kept: a lone flow costs the kernel what any
-  other flow costs, and no same-instant tie moves;
+  other flow costs, and no same-instant tie moves.  The host pays for
+  what the flow changes — no id is minted or freed, no key built — and
+  its completion timer is one bound callback, stale unless armed last;
 - **index order inside a pass cannot change arithmetic.**  The solver's
   only cross-element operations are a minimum over resource shares
   (order-free), repeated subtraction of the *same* ``share`` from a
@@ -128,7 +134,7 @@ import heapq
 import itertools
 import math
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -144,10 +150,12 @@ _EPSILON = 1e-9
 #: overhead dominates below it).  Both passes are bit-identical.
 _SCALAR_WATERFILL_MAX = 16
 
-#: Resource-id columns of a slot: uplink, downlink, backbone, rate cap.
-#: The first three kinds can be shared between flows; a cap is private
-#: to its flow, so it never joins the dirty-set or the neighbour maps.
+#: Resource-id columns of a slot: uplink, downlink (their nodes' ids),
+#: backbone, rate cap.  The first three kinds can be shared between
+#: flows; a cap is private to its flow, so it never joins the dirty-set
+#: or the neighbour maps.
 _RES_COLUMNS = 4
+_NIC_COLUMNS = 2
 _SHARED_COLUMNS = 3
 
 #: The numpy columns indexed by slot and those indexed by resource id.
@@ -222,23 +230,16 @@ class Flow:
         "tag",
         "_net",
         "_slot",
+        "_rids",
         "_rem",
         "_epoch",
         "_span",
     )
 
-    def __init__(
-        self,
-        net: "FlowNetwork",
-        fid: int,
-        src: NetNode,
-        dst: NetNode,
-        size: float,
-        done: Event,
-        rate_cap: Optional[float] = None,
-        tag: Optional[str] = None,
-        started_at: float = 0.0,
-    ) -> None:
+    def __init__(self, net: "FlowNetwork", fid: int, src: NetNode,
+                 dst: NetNode, size: float, done: Event,
+                 rate_cap: Optional[float] = None, tag: Optional[str] = None,
+                 started_at: float = 0.0) -> None:
         self.fid = fid
         self.src = src
         self.dst = dst
@@ -251,6 +252,8 @@ class Flow:
         self._net = net
         #: Row in the network's slot table; -1 while not admitted.
         self._slot = -1
+        #: While admitted: the slot's row of resource ids (0 where absent).
+        self._rids: Sequence[int] = ()
         #: Bytes remaining while the flow holds no slot: its size before
         #: admission, what was left when it finished or was aborted.
         self._rem = float(size)
@@ -312,7 +315,8 @@ class FlowNetwork:
         self._latency = latency
         self.backbone_capacity = float(backbone_capacity)
         self._fid = itertools.count(1)
-        self._timer_token = 0
+        #: The armed completion wake-up: any other that fires is stale.
+        self._timer = None
         self._recompute_pending = False
         #: When False, every pass re-solves the whole flow set (the
         #: pre-incremental "old path" semantics) — kept for A/B
@@ -339,9 +343,11 @@ class FlowNetwork:
         #: Id 0 is reserved for "no such resource": capacity +inf, never
         #: a member, never marked, never freed.
         self._res_id: Dict[tuple, int] = {}
+        #: Node name -> its (uplink, downlink) ids, idle or not.
+        self._nic: Dict[str, Tuple[int, int]] = {}
         self._res_key: List[Optional[tuple]] = [None]
         self._free_res: List[int] = []
-        #: Resource id -> capacity: read at mint and by refresh().
+        #: Resource id -> capacity: read at mint and by refresh() only.
         self._cap = np.zeros(rows)
         self._cap[0] = math.inf
         #: Resource id -> aggregate rate of its members as of the last
@@ -397,9 +403,13 @@ class FlowNetwork:
 
     # -- topology -------------------------------------------------------------
     def add_node(self, node: NetNode) -> NetNode:
+        """Join *node*: mint its uplink and downlink ids, reading their
+        capacities (see :meth:`refresh`)."""
         if node.name in self.nodes:
             raise ValueError(f"duplicate node {node.name!r}")
         self.nodes[node.name] = node
+        self._nic[node.name] = (self._new_resource(("out", node.name), True),
+                                self._new_resource(("in", node.name), True))
         return node
 
     def node(self, name: str) -> NetNode:
@@ -420,25 +430,22 @@ class FlowNetwork:
         return delivered
 
     def remove_node(self, name: str) -> None:
-        """Remove a node, aborting any flows touching it.
+        """Remove a node, aborting any flows touching it, and recycle
+        its uplink and downlink ids.
 
-        Doom discovery uses the per-node member sets (O(node degree),
-        not O(flows)), and the aborts coalesce into a single
-        reallocation pass via the usual recompute marker.
+        Doom discovery uses the node's member maps (O(node degree), not
+        O(flows)), and the aborts coalesce into a single reallocation
+        pass via the usual recompute marker.
         """
-        node = self.nodes.pop(name)
+        del self.nodes[name]
         self._message_delay.clear()
-        candidates: Dict[int, Flow] = {}
-        for key in (("out", name), ("in", name)):
-            for flow in self._members_of(key).values():
-                candidates[flow.fid] = flow
-        doomed = [
-            candidates[fid]
-            for fid in sorted(candidates)
-            if candidates[fid].src is node or candidates[fid].dst is node
-        ]
-        for flow in doomed:
-            self.abort(flow, reason=f"node {name} removed")
+        nic = self._nic.pop(name)
+        doomed = {flow.fid: flow for rid in nic
+                  for flow in self._res_members[rid].values()}
+        for fid in sorted(doomed):
+            self.abort(doomed[fid], reason=f"node {name} removed")
+        for rid in nic:
+            self._free_resource(rid)
 
     def latency_between(self, src: NetNode, dst: NetNode) -> float:
         if callable(self._latency):
@@ -478,11 +485,9 @@ class FlowNetwork:
         if route is None:
             return self._black_hole()
         src, dst, delay = route
-        done = self.env.event()
-        flow = Flow(
-            self, next(self._fid), src, dst, size, done,
-            rate_cap=rate_cap, tag=tag, started_at=self.env.now,
-        )
+        done = Event(self.env)
+        flow = Flow(self, next(self._fid), src, dst, size, done, rate_cap,
+                    tag, self.env._now)
         tracer = self.env.tracer
         if tracer.enabled:
             flow._span = tracer.begin(
@@ -565,9 +570,10 @@ class FlowNetwork:
         """Recompute flow rates after external capacity changes.
 
         Call after mutating a node's NIC capacities (e.g. gray-failure
-        NIC degradation) so in-flight flows see the new bottlenecks:
-        the capacity column is read again for every live resource (it is
-        otherwise read once, when a resource id is minted).  External
+        NIC degradation), busy or idle: the capacity column is read
+        again for every live resource id.  It is otherwise read only
+        when an id is minted — a NIC's when its node joins —, so a node
+        edited without a refresh keeps the old capacity.  External
         capacity edits aren't tracked by the dirty-set, so the next pass
         re-solves everything.
         """
@@ -647,17 +653,11 @@ class FlowNetwork:
             flow.done.fail(TransferAborted(flow, reason))
 
     def _remaining_at(self, slot: int, now: float) -> float:
-        """Bytes the flow in *slot* has left at time *now*."""
-        rate = self._rate.item(slot)
-        rem = self._rem.item(slot)
-        if rate <= 0.0:
-            return rem
-        rem = rem - rate * (now - self._anchor.item(slot))
+        """Bytes the flow in *slot* has left at time *now* (a rate is
+        never negative, so at rate 0 this is the anchored remainder)."""
+        rem = self._rem.item(slot) - self._rate.item(slot) * (
+            now - self._anchor.item(slot))
         return rem if rem > 0.0 else 0.0
-
-    def _members_of(self, key: tuple) -> Dict[int, Flow]:
-        rid = self._res_id.get(key)
-        return self._res_members[rid] if rid is not None else {}
 
     def _admit(self, flow: Flow) -> None:
         if self._pending.pop(flow.fid, None) is None:
@@ -668,12 +668,6 @@ class FlowNetwork:
             if nodes.get(end.name) is not end:
                 self._lost_in_propagation(flow, end.name)
                 return
-        keys: List[Optional[tuple]] = [("out", src.name), ("in", dst.name), None, None]
-        if src.site != dst.site and self.backbone_capacity != float("inf"):
-            keys[2] = ("bb",) + tuple(sorted((src.site, dst.site)))
-        if flow.rate_cap is not None:
-            keys[3] = ("cap", flow.fid)
-
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
@@ -684,25 +678,27 @@ class FlowNetwork:
         self._slot_flow[slot] = flow
         flow._slot = slot
         self._flows[flow.fid] = flow
-
-        rids = [0] * _RES_COLUMNS
-        res_id = self._res_id
+        # The NICs' ids are their nodes'; only a backbone or a cap mints.
+        nic = self._nic
+        rids = [nic[src.name][0], nic[dst.name][1], 0, 0]
+        if src.site != dst.site and self.backbone_capacity != math.inf:
+            key = ("bb",) + tuple(sorted((src.site, dst.site)))
+            rid = self._res_id.get(key)
+            rids[2] = rid if rid is not None else self._new_resource(key, True)
+        if flow.rate_cap is not None:
+            rids[3] = self._new_resource(("cap", flow.fid), False)
+        flow._rids = rids
         members_map = self._res_members
-        for column, key in enumerate(keys):
-            if key is None:
-                continue
-            rid = res_id.get(key)
-            if rid is None:
-                rid = self._new_resource(key, shared=column < _SHARED_COLUMNS)
-            members_map[rid][slot] = flow
-            rids[column] = rid
+        for rid in rids:
+            if rid:
+                members_map[rid][slot] = flow
         self._link(rids, 1)
         self._join_mark(rids)
 
         self._fres[slot] = rids
         self._rate[slot] = 0.0
         self._rem[slot] = flow.size
-        self._anchor[slot] = self.env.now
+        self._anchor[slot] = self.env._now
         self._seq[slot] = next(self._admissions)
         self._armed[slot] = False
         # One resource of a member flow reaches its whole component.
@@ -723,47 +719,41 @@ class FlowNetwork:
         """Count one flow more (or less) between each pair of the
         shareable resources among *rids*."""
         adj = self._res_adj
-        shared = [rid for rid in rids[:_SHARED_COLUMNS] if rid]
-        for rid in shared:
+        # Every flow has its two NIC ids; a backbone is the third, if any.
+        shared = rids[:_SHARED_COLUMNS] if rids[2] else rids[:_NIC_COLUMNS]
+        for rid, other in itertools.permutations(shared, 2):
             neighbours = adj[rid]
-            for other in shared:
-                if other != rid:
-                    count = neighbours.get(other, 0) + delta
-                    if count:
-                        neighbours[other] = count
-                    else:
-                        del neighbours[other]
+            count = neighbours.get(other, 0) + delta
+            if count:
+                neighbours[other] = count
+            else:
+                del neighbours[other]
 
     def _join_mark(self, rids: List[int]) -> None:
         """Keep the mark exact across an admission.  A flow that touches
         the marked component adds its fresh resources to it; one that
         also touches another non-empty component drops the mark (merging
         that component in would take a walk)."""
+        shared = rids[:_SHARED_COLUMNS] if rids[2] else rids[:_NIC_COLUMNS]
         marked = self._marked.item
+        if not any(map(marked, shared)):
+            return
         members_map = self._res_members
-        inside = outside = False
-        for rid in rids[:_SHARED_COLUMNS]:
-            if rid:
-                if marked(rid):
-                    inside = True
-                elif len(members_map[rid]) > 1:
-                    outside = True
-        if inside:
-            if outside:
-                self._marked.fill(False)
-            else:
-                for rid in rids[:_SHARED_COLUMNS]:
-                    if rid:
-                        self._marked[rid] = True
+        if any(not marked(rid) and len(members_map[rid]) > 1 for rid in shared):
+            self._marked.fill(False)
+        else:
+            for rid in shared:
+                self._marked[rid] = True
 
     def _split_mark(self, rids: List[int]) -> None:
-        """A flow of the marked component has left (its freed resources
+        """A flow of the marked component has left (its idle resources
         already left the mark).  The component stays one if the flow's
         shareable resources that still have members are pairwise
         adjacent — every other resource reaches one of them without the
         flow; otherwise the mark is dropped."""
         adj = self._res_adj
-        left = [rid for rid in rids[:_SHARED_COLUMNS] if rid in adj]
+        # An idle NIC keeps its id: "still has members", not "has an id".
+        left = [rid for rid in rids[:_SHARED_COLUMNS] if self._res_members.get(rid)]
         for i, rid in enumerate(left):
             neighbours = adj[rid]
             for other in left[i + 1:]:
@@ -796,15 +786,12 @@ class FlowNetwork:
         return rid
 
     def _free_resource(self, rid: int) -> None:
-        """Recycle the id of a resource whose last member left."""
+        """Recycle the id of an idle resource (cleared by _detach)."""
         del self._res_id[self._res_key[rid]]
         del self._res_members[rid]
         self._res_key[rid] = None
         self._free_res.append(rid)
         self._res_adj.pop(rid, None)
-        self._dirty.discard(rid)
-        self._load[rid] = 0.0
-        self._marked[rid] = False
 
     def _detach(self, flow: Flow, aborted: bool) -> None:
         """Drop *flow* from the slot table, the member and neighbour maps.
@@ -816,21 +803,26 @@ class FlowNetwork:
         resource it leaves members on, so no float drift accumulates.
         """
         slot = flow._slot
-        rids = self._fres[slot].tolist()
+        rids = flow._rids
         in_mark = self._marked.item(rids[0])
         self._link(rids, -1)
         members_map = self._res_members
-        rate = self._rate.item(slot)
         for column, rid in enumerate(rids):
             if not rid:
                 continue
             members = members_map[rid]
             del members[slot]
             if not members:
-                self._free_resource(rid)
+                # Idle, it is in no component; a NIC's id stays its node's.
+                self._dirty.discard(rid)
+                self._load[rid] = 0.0
+                if in_mark:  # the flow's resources are all in its component
+                    self._marked[rid] = False
+                if column >= _NIC_COLUMNS:
+                    self._free_resource(rid)
             elif aborted and column < _SHARED_COLUMNS:
                 # The pass that set the rate also stored this aggregate.
-                self._load[rid] -= rate
+                self._load[rid] -= self._rate.item(slot)
                 self._dirty.add(rid)
         self._fres[slot, 0] = 0  # never marked: no pass takes a free slot
         if in_mark:
@@ -920,7 +912,7 @@ class FlowNetwork:
     def _reallocate(self) -> None:
         """One water-filling pass over the dirty component(s)."""
         self.reallocations += 1
-        now = self.env.now
+        now = self.env._now
         self._last_realloc = now
         metrics = self.env.metrics
         if metrics is not None:
@@ -965,9 +957,9 @@ class FlowNetwork:
         if len(members) != 1:
             return False
         ((slot, flow),) = members.items()
-        rids = [rid for rid in self._fres[slot].tolist() if rid]
+        rids = flow._rids
         for rid in rids:
-            if len(members_map[rid]) != 1:
+            if rid and len(members_map[rid]) != 1:
                 return False
         dirty.clear()
         rem = self._remaining_at(slot, now)
@@ -977,49 +969,37 @@ class FlowNetwork:
         self.realloc_flow_slots += 1
         # The water-fill of one flow: every share is a capacity over a
         # member count of 1, and the first round freezes the flow.
-        rate = min(map(self._cap.item, rids))
+        rate = min(map(self._cap.item, filter(None, rids)))
         if rate == math.inf:
             rate = 1e12  # unconstrained, as in the solvers
         elif rate < 0.0:
             rate = 0.0
-        self._settle([(flow, slot, rem)], (rate,), rids, now)
+        self._rerate(flow, slot, rem, rate, now)
+        # Each aggregate is its one member's rate (``0.0 + r == r``).
+        load = self._load
+        for rid in rids:
+            if rid:
+                load[rid] = rate
         return True
 
-    def _settle(self, live: List[Tuple[Flow, int, float]],
-                new_rates: Sequence[float], rids: Iterable[int],
+    def _rerate(self, flow: Flow, slot: int, rem: float, new_rate: float,
                 now: float) -> None:
-        """Give each of the *live* ``(flow, slot, remaining)`` its new
-        rate, and store the aggregate of each resource in *rids* (every
-        member of which is in *live*) summed in admission order."""
-        heap = self._completion_heap
-        rate_at = self._rate.item
-        armed_at = self._armed.item
-        rate_of: Dict[int, float] = {}
-        for (flow, slot, rem), new_rate in zip(live, new_rates):
-            rate_of[slot] = new_rate
-            rate = rate_at(slot)
-            # A rate change re-anchors progress at the old rate and
-            # projects the new completion time.  So does an unchanged
-            # rate without a live heap entry: the timer popped this flow
-            # as due, but float drift left a sliver of bytes.
-            if new_rate != rate or (rate > 0.0 and not armed_at(slot)):
-                self._rem[slot] = rem
-                self._anchor[slot] = now
-                self._rate[slot] = new_rate
-                flow._epoch += 1
-                self._armed[slot] = new_rate > 0.0
-                if new_rate > 0.0:
-                    heapq.heappush(heap, (now + rem / new_rate, flow.fid, flow._epoch))
-
-        # Untouched resources keep their sums, which are exact: neither
-        # their members nor any member's rate changed.
-        load = self._load
-        members_map = self._res_members
-        for rid in rids:
-            total = 0.0
-            for slot in members_map[rid]:
-                total += rate_of[slot]
-            load[rid] = total
+        """Give *flow* (in *slot*, *rem* MB left) its new rate: the one
+        re-anchor of the scalar and the closed-form pass.  A rate change
+        re-anchors progress at the old rate and projects the new
+        completion time.  So does an unchanged rate without a live heap
+        entry: the timer popped this flow as due, but float drift left a
+        sliver of bytes."""
+        rate = self._rate.item(slot)
+        if new_rate != rate or (rate > 0.0 and not self._armed.item(slot)):
+            self._rem[slot] = rem
+            self._anchor[slot] = now
+            self._rate[slot] = new_rate
+            flow._epoch += 1
+            self._armed[slot] = new_rate > 0.0
+            if new_rate > 0.0:
+                heapq.heappush(self._completion_heap,
+                               (now + rem / new_rate, flow.fid, flow._epoch))
 
     def _pass_scalar(self, slots: List[int], now: float, by_fid: bool) -> None:
         """Reap, solve and re-rate a small component with plain loops."""
@@ -1046,9 +1026,9 @@ class FlowNetwork:
         caps: List[float] = []
         members: List[List[int]] = []
         flow_res: List[List[int]] = []
-        for i, (_flow, slot, _rem) in enumerate(live):
+        for i, (flow, _slot, _rem) in enumerate(live):
             local: List[int] = []
-            for rid in self._fres[slot].tolist():
+            for rid in flow._rids:
                 if not rid:
                     continue
                 j = res_index.get(rid)
@@ -1061,7 +1041,21 @@ class FlowNetwork:
                 local.append(j)
             flow_res.append(local)
         new_rates = _waterfill_scalar(caps, members, flow_res, len(live))
-        self._settle(live, new_rates, res_index, now)
+        rate_of: Dict[int, float] = {}
+        for (flow, slot, rem), new_rate in zip(live, new_rates):
+            rate_of[slot] = new_rate
+            self._rerate(flow, slot, rem, new_rate, now)
+        # The aggregate of each resource of the component (every member
+        # of which is live), summed in admission order.  Untouched
+        # resources keep their sums, which are exact: neither their
+        # members nor any member's rate changed.
+        load = self._load
+        members_map = self._res_members
+        for rid in res_index:
+            total = 0.0
+            for slot in members_map[rid]:
+                total += rate_of[slot]
+            load[rid] = total
 
     def _pass_array(self, slot_list: Sequence[int], now: float, by_fid: bool) -> None:
         """Reap, solve and re-rate a component on the table's columns."""
@@ -1071,8 +1065,9 @@ class FlowNetwork:
         slots = slots[np.argsort(self._seq[slots], kind="stable")]
         rate = self._rate[slots]
         rem = self._rem[slots]
-        proj = rem - rate * (now - self._anchor[slots])
-        proj = np.where(rate <= 0.0, rem, np.where(proj > 0.0, proj, 0.0))
+        # Rates are never negative, so a flow at rate 0 projects to its
+        # own (positive) rem and the clamp is the whole of the rule.
+        proj = np.maximum(rem - rate * (now - self._anchor[slots]), 0.0)
 
         # Reap already-finished flows first (deterministic order).
         done = proj <= _EPSILON
@@ -1141,10 +1136,11 @@ class FlowNetwork:
         self._flows.pop(flow.fid, None)
         self._detach(flow, aborted=False)
         self._delivered_done += flow.size
-        now = self.env.now
+        now = self.env._now
         flow._rem = 0.0
         flow.finished_at = now
-        self._close_span(flow)
+        if flow._span is not None:
+            self._close_span(flow)
         metrics = self.env.metrics
         if metrics is not None:
             counters = self._bound_counters(metrics)
@@ -1156,8 +1152,9 @@ class FlowNetwork:
             flow.done.succeed(flow)
 
     def _arm_timer(self) -> None:
-        """Schedule a wake-up at the earliest valid completion ETA."""
-        self._timer_token += 1
+        """Schedule a wake-up at the earliest valid completion ETA (and
+        so make any wake-up armed before stale)."""
+        self._timer = None
         heap = self._completion_heap
         flows = self._flows
         while heap:
@@ -1166,14 +1163,13 @@ class FlowNetwork:
             if flow is None or flow._epoch != epoch:
                 heapq.heappop(heap)  # stale: superseded or terminated
                 continue
-            token = self._timer_token
-            self.env.call_at(eta, lambda _ev, _token=token: self._timer_fired(_token))
+            self._timer = self.env.call_at(eta, self._timer_fired)
             return
 
-    def _timer_fired(self, token: int) -> None:
-        if token != self._timer_token:
+    def _timer_fired(self, call) -> None:
+        if call is not self._timer:
             return  # a newer reallocation superseded this timer
-        now = self.env.now
+        now = self.env._now
         heap = self._completion_heap
         flows = self._flows
         due = False
@@ -1184,7 +1180,7 @@ class FlowNetwork:
                 continue
             due = True
             self._armed[flow._slot] = False
-            self._dirty.add(self._fres.item(flow._slot, 0))
+            self._dirty.add(flow._rids[0])
         if due:
             self._reallocate()
         else:  # pragma: no cover - defensive; valid timers imply due flows
@@ -1193,13 +1189,13 @@ class FlowNetwork:
     # -- introspection helpers ----------------------------------------------
     def node_load(self, name: str) -> Tuple[float, float]:
         """(outgoing, incoming) aggregate rate at a node, MB/s: the
-        aggregate column at its uplink and downlink ids.  O(1)."""
-        res_id = self._res_id
+        aggregate column at its uplink and downlink ids (0 at an idle
+        NIC, ``(0.0, 0.0)`` for a node not in the topology).  O(1)."""
+        nic = self._nic.get(name)
+        if nic is None:
+            return (0.0, 0.0)
         load = self._load.item
-        out = res_id.get(("out", name))
-        into = res_id.get(("in", name))
-        return (load(out) if out is not None else 0.0,
-                load(into) if into is not None else 0.0)
+        return (load(nic[0]), load(nic[1]))
 
 
 # -- water-filling solvers ------------------------------------------------------

@@ -321,31 +321,39 @@ def test_a_lone_transfer_is_rated_in_closed_form(monkeypatch):
     """A flow alone on its links is solved without a component walk or
     a water-fill, and costs the kernel what it always did: admission,
     the recompute event, the completion timer and the waiter's event
-    (4, as at the parent of the closed form).  Each capacity is read
-    once, when its resource id is minted."""
+    (4, as at the parent of the closed form).  A NIC's ids are its
+    node's: each capacity is read once, when the node joins, and once
+    its nodes exist the transfer mints no id and reads no capacity (at
+    34b9ba7 it minted two ids and read two capacities)."""
     spies = solver_spies(monkeypatch)
     env = Environment()
     net = FlowNetwork(env, latency=0.01)
     net.add_node(NetNode("a", capacity_out=100.0, capacity_in=100.0))
     net.add_node(NetNode("b", capacity_out=100.0, capacity_in=40.0))
+    joined = {name: tally[0] for name, tally in spies.items()}
     done = net.transfer("a", "b", 10.0)
     env.run()
     assert done.value.finished_at == 0.01 + 10.0 / 40.0
     assert env.events_processed == 4 and net.reallocations == 2
-    assert {name: tally[0] for name, tally in spies.items()} == {
-        "walks": 0, "waterfills": 0, "capacity_reads": 2, "minted": 2}
+    assert joined == {"walks": 0, "waterfills": 0, "capacity_reads": 4,
+                      "minted": 4}
+    assert {name: tally[0] for name, tally in spies.items()} == joined
 
 
 def test_a_flow_joining_a_lone_flow_takes_the_general_path(monkeypatch):
     """A second flow on the first one's uplink makes a component of two:
     its admission and the first flow's completion are walked and
-    water-filled; the survivor, alone again, is not.  A ``refresh()``
-    re-reads the capacity of each of the three live resources."""
+    water-filled; the survivor, alone again, is not.  The three nodes
+    mint their six NIC ids as they join, the flows mint none, and a
+    ``refresh()`` re-reads the capacity of every live id, idle or not
+    (at 34b9ba7 the flows minted three ids and the refresh re-read
+    those three)."""
     spies = solver_spies(monkeypatch)
     env = Environment()
     net = FlowNetwork(env, latency=0.0)
     for name in "abc":
         net.add_node(NetNode(name, capacity_out=100.0, capacity_in=100.0))
+    joined = {name: tally[0] for name, tally in spies.items()}
     first = net.transfer("a", "b", 100.0)
 
     def joiner():
@@ -364,8 +372,39 @@ def test_a_flow_joining_a_lone_flow_takes_the_general_path(monkeypatch):
     # Passes: first admitted (lone), second admitted (walk), the
     # refresh (global), first done (walk), second done (lone).
     assert net.reallocations == 5
+    assert joined == {"walks": 0, "waterfills": 0, "capacity_reads": 6,
+                      "minted": 6}
     assert {name: tally[0] for name, tally in spies.items()} == {
-        "walks": 2, "waterfills": 3, "capacity_reads": 3 + 3, "minted": 3}
+        "walks": 2, "waterfills": 3, "capacity_reads": 6 + 6, "minted": 6}
+
+
+def test_a_lone_flow_call_budget():
+    """Two idle nodes, one 0.006 MB transfer (a monitoring batch's size)
+    from the send to the waiter's resume: four kernel events, the
+    admission, two closed-form passes and the finish.  51 at 34b9ba7,
+    29 of them in ``network.py``, where the flow minted and freed two
+    resource ids under freshly built keys, read two capacities, read its
+    id row back three times and allocated a closure for its completion
+    timer.  The count may fall, never rise."""
+    env = Environment()
+    net = FlowNetwork(env, latency=0.0005)
+    net.add_node(NetNode("a"))
+    net.add_node(NetNode("b"))
+    counted = CallCount()
+    seen = {}
+
+    def actor():
+        yield env.timeout(1.0)  # the nodes are idle, nothing is pending
+        before = env.events_processed
+        with counted:
+            flow = yield net.transfer("a", "b", 0.006)
+        seen["events"] = env.events_processed - before
+        seen["finished_at"] = flow.finished_at
+
+    env.run(until=env.process(actor()))
+    assert seen == {"events": 4, "finished_at": 1.0 + 0.0005 + 0.006 / 125.0}
+    assert counted.total == 37, sorted(counted.by_file.items())
+    assert counted.by_file["simulation/network.py"] == 22
 
 
 def test_a_tiny_flow_joining_and_leaving_a_large_component_walks_nothing(

@@ -12,6 +12,27 @@ def make_net(env, latency=0.0, **kwargs):
     return net
 
 
+def assert_ids_owned(net):
+    """Every live resource id is owned: one of a live node's two NIC
+    ids, or a live flow's backbone or cap id.  The reserved id 0 is
+    never a key, a member map or a free id, and every other id is free."""
+    owned = {}
+    for name in net.nodes:
+        uplink, downlink = net._nic[name]
+        owned[uplink], owned[downlink] = ("out", name), ("in", name)
+    for flow in net._flows.values():
+        backbone, cap = flow._rids[2:]
+        if backbone:
+            owned[backbone] = ("bb",) + tuple(sorted((flow.src.site, flow.dst.site)))
+        if cap:
+            owned[cap] = ("cap", flow.fid)
+    live = {rid: key for rid, key in enumerate(net._res_key) if key is not None}
+    assert live == owned
+    assert net._res_id == {key: rid for rid, key in live.items()}
+    assert set(net._res_members) == set(live)
+    assert sorted(net._free_res) == sorted(set(range(1, len(net._res_key))) - set(live))
+
+
 def test_single_flow_runs_at_bottleneck():
     env = Environment()
     net = make_net(env)
@@ -591,6 +612,47 @@ def test_the_remembered_component_is_what_a_walk_finds(monkeypatch, scalar_max):
     assert dropped["join"] > 0 and dropped["split"] > 0, dropped
 
 
+def test_a_leaf_leaving_the_mark_idles_its_nic_and_keeps_the_mark(monkeypatch):
+    # A batch from a bulk writer's uplink to a collector leaves the
+    # marked 20-flow component: the collector's downlink goes idle but
+    # keeps its id (it is its node's), and the rest stays connected
+    # through the writer's uplink.  The no-split test counts resources
+    # that still have members, not resources that have an id, so the
+    # mark stays, and the next batch's passes take their slots from it.
+    env = Environment()
+    net = make_net(env)
+    for name in ["a", "m", "n"] + [f"b{i}" for i in range(20)]:
+        net.add_node(NetNode(name, capacity_out=100.0, capacity_in=100.0))
+    for i in range(20):
+        net.transfer("a", f"b{i}", 1000.0)
+    bulk = {net._nic["a"][0]} | {net._nic[f"b{i}"][1] for i in range(20)}
+    seen = {}
+
+    def batches():
+        yield env.timeout(1.0)
+        yield net.transfer("a", "m", 0.0004)
+        collector = net._nic["m"][1]
+        seen["collector"] = (len(net._res_members[collector]),
+                             collector in net._res_adj,
+                             net._marked.item(collector))
+        seen["mark"] = set(np.flatnonzero(net._marked).tolist())
+        walks, taken = [], []
+        walk = FlowNetwork._dirty_component_slots
+        marked_slots = FlowNetwork._marked_slots
+        monkeypatch.setattr(FlowNetwork, "_dirty_component_slots",
+                            lambda self: walks.append(1) or walk(self))
+        monkeypatch.setattr(FlowNetwork, "_marked_slots",
+                            lambda self: taken.append(marked_slots(self)) or taken[-1])
+        yield net.transfer("a", "n", 0.0004)
+        seen["walks"] = len(walks)
+        seen["taken"] = [None if slots is None else slots.size for slots in taken]
+
+    env.process(batches())
+    env.run(until=2.0)
+    assert seen == {"collector": (0, True, False), "mark": bulk, "walks": 0,
+                    "taken": [21, 21]}
+
+
 # -- an endpoint that dies during the propagation delay (bugfix) --------------
 
 def _send_then_remove(blackhole, readd=False):
@@ -624,7 +686,11 @@ def test_flow_is_not_admitted_onto_a_node_that_died_while_it_propagated(readd):
     assert "node b removed" in done.value.reason
     assert net.completion_log == [("abort", 1, 0.25)]
     assert net.reallocations == 0 and net.total_delivered == 0.0
-    assert not net._res_members and net._res_key == [None]  # only the reserved id 0
+    # The live nodes' NIC ids, none with a member: b's old pair was
+    # recycled (and the recovered b minted its own).
+    assert_ids_owned(net)
+    assert not any(net._res_members.values())
+    assert len(net._free_res) == (0 if readd else 2)
     assert not net._load.any()
     assert net.node_load("a") == net.node_load("b") == (0.0, 0.0)
 
@@ -634,7 +700,10 @@ def test_flow_to_a_node_that_died_while_it_propagated_is_blackholed_when_enabled
     assert not done.triggered
     assert net.blackholed_transfers == 1
     assert net.completion_log == [] and not net._flows and not net._pending
-    assert not net._res_members and net._res_key == [None]  # only the reserved id 0
+    # a's two NIC ids, no member; b's pair recycled.
+    assert_ids_owned(net)
+    assert not any(net._res_members.values())
+    assert len(net._free_res) == 2
     assert not net._load.any()
     assert net.node_load("a") == (0.0, 0.0)
 
@@ -668,7 +737,10 @@ def test_abort_reaches_a_flow_still_in_its_propagation_delay():
     assert net.completion_log == [("abort", 1, 0.005)]
     assert net.reallocations == 0 and net.total_delivered == 0.0
     assert not net._flows and not net._pending
-    assert net._res_key == [None]  # only the reserved id 0
+    # Only a's and b's NIC ids, minted when they joined; no member.
+    assert_ids_owned(net)
+    assert not any(net._res_members.values())
+    assert len(net._res_key) == 1 + 4 and not net._free_res
 
 
 # -- the capacity column: read at mint and by refresh() -----------------------
@@ -729,6 +801,90 @@ def test_a_node_readded_with_another_nic_mints_its_new_capacity():
     assert seen == {"cap": 25.0, "finished_at": 0.5 + 50.0 / 25.0}
 
 
+def test_an_idle_nic_degraded_and_restored_rates_its_next_flow_at_each():
+    # Capacity is read when a node joins and by refresh(), nowhere else:
+    # a NIC degraded while idle keeps its id, so only the refresh that
+    # degrade_nic / restore_nic make lets its next flow see the change.
+    testbed = Testbed(TestbedConfig(latency_local_s=0.0))
+    injector = FaultInjector(testbed)
+    a = testbed.add_node("a")
+    testbed.add_node("b")
+    env, net = testbed.env, testbed.net
+    durations = []
+
+    def flows():
+        for step in (lambda: injector.degrade_nic(a, bandwidth_factor=0.5),
+                     lambda: injector.restore_nic(a)):
+            step()
+            start = env.now
+            yield net.transfer("a", "b", 125.0)
+            durations.append((net._cap.item(net._nic["a"][0]), env.now - start))
+
+    env.process(flows())
+    env.run()
+    assert durations == [(62.5, 2.0), (125.0, 1.0)]
+
+
+# -- a NIC's resource ids are its node's ---------------------------------------
+
+def test_a_node_owns_its_nic_ids_from_join_to_removal():
+    env = Environment()
+    net = make_net(env, latency=0.1)
+    net.add_node(NetNode("a"))
+    stale = net.add_node(NetNode("b", capacity_out=80.0, capacity_in=50.0))
+    net.add_node(NetNode("c"))
+    old = net._nic["b"]
+    assert net._cap[list(old)].tolist() == [80.0, 50.0]
+    seen = {}
+
+    def run():
+        to_b = net.transfer("a", "b", 1000.0)
+        net.transfer("a", "c", 1000.0).defused()
+        yield env.timeout(0.5)
+        # a's uplink is shared, 50 to b (its downlink's capacity) and 75
+        # to c; an abort's rate leaves the aggregates at once, before the
+        # pass it schedules.
+        seen["shared"] = net.node_load("a"), net.node_load("b")
+        net.abort(net.flows[1], "churn")
+        seen["aborted"] = net.node_load("a"), net.node_load("c")
+        yield env.timeout(0.5)
+        to_b.defused()
+        net.remove_node("b")  # aborts to_b; b's two ids are recycled
+        seen["removed"] = (net.node_load("b"), "b" in net._nic,
+                           [net._res_key[rid] for rid in old],
+                           set(old) <= set(net._free_res))
+        assert isinstance(to_b.value, TransferAborted)
+        # A stale NetNode is black-holed, or aborted at admission.
+        net.blackhole_missing = True
+        lost = net.transfer("a", stale, 10.0)
+        net.blackhole_missing = False
+        with pytest.raises(KeyError):
+            net.transfer("a", "b", 10.0)
+        try:
+            yield net.transfer("a", stale, 10.0)
+        except TransferAborted as exc:
+            seen["stale"] = (exc.reason, lost.triggered, net.blackholed_transfers)
+        # Recovered with another NIC: fresh ids carrying its capacities.
+        net.add_node(NetNode("b", capacity_out=30.0, capacity_in=20.0))
+        new = net._nic["b"]
+        seen["recovered"] = net._cap[list(new)].tolist()
+        flow = yield net.transfer("a", "b", 20.0)
+        seen["duration"] = flow.finished_at - flow.started_at
+
+    env.process(run())
+    env.run()
+    assert seen == {
+        "shared": ((125.0, 0.0), (0.0, 50.0)),
+        "aborted": ((50.0, 0.0), (0.0, 0.0)),
+        "removed": ((0.0, 0.0), False, [None, None], True),
+        "stale": ("node b removed", False, 1),
+        "recovered": [30.0, 20.0],
+        "duration": 0.1 + 20.0 / 20.0,
+    }
+    assert_ids_owned(net)
+    assert not any(net._res_members.values())
+
+
 # -- bounded tables: slots and resource ids are recycled ----------------------
 
 def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
@@ -749,23 +905,26 @@ def test_slot_and_resource_tables_stay_bounded_by_peak_concurrency():
             # Id 0 ("no such resource") is reserved, not minted.
             high_water["resources"] = max(high_water["resources"],
                                           len(net._res_key) - 1)
+            assert_ids_owned(net)
 
     for i in range(lanes):
         env.process(lane(env, i))
     env.run()
     assert not net._flows and net.total_delivered > 10_000
-    # Each flow holds one slot and at most four resources (uplink,
-    # downlink, the one backbone, its private cap).
+    # Each flow holds one slot; ids are each node's uplink and downlink,
+    # one private cap per concurrent flow and the one backbone.
     assert high_water["slots"] <= lanes
     assert high_water["columns"] <= 4 * lanes
-    assert high_water["resources"] <= 4 * lanes
+    assert high_water["resources"] <= 2 * len(net.nodes) + lanes + 1
     assert len(net._free_slots) == len(net._slot_flow)
-    assert len(net._free_res) == len(net._res_key) - 1  # all but id 0
-    # Drained: no incidence, adjacency or aggregate entry is left.
-    for table in (net._res_members, net._res_adj, net._res_id, net._dirty,
-                  net._flows, net._pending):
+    # Drained: only the nodes' NIC ids are left, with no member, no
+    # neighbour and no aggregate; every other id but 0 is free.
+    assert_ids_owned(net)
+    assert len(net._free_res) == len(net._res_key) - 1 - 2 * len(net.nodes)
+    assert not any(net._res_members.values()) and not any(net._res_adj.values())
+    for table in (net._dirty, net._flows, net._pending):
         assert not table
-    assert not any(net._slot_flow) and not any(net._res_key)
+    assert not any(net._slot_flow)
     assert not net._load.any()
     assert all(net.node_load(name) == (0.0, 0.0) for name in net.nodes)
 

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulation import Environment, FlowNetwork, NetNode
 
+from .test_network import assert_ids_owned
+
 
 def build(env, node_caps):
     net = FlowNetwork(env, latency=0.0)
@@ -266,5 +268,8 @@ def test_rates_after_every_pass_match_textbook_waterfilling(world):
 
     env.process(driver(env))
     env.run()
-    assert not net._flows and not net._res_members
+    # Drained: the live nodes' NIC ids are all that is left, none with a
+    # member (a removed node's pair was recycled).
+    assert not net._flows and not any(net._res_members.values())
+    assert_ids_owned(net)
     assert checked

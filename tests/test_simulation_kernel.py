@@ -340,6 +340,16 @@ def test_call_at_absolute_time():
     assert fired == [4.0]
 
 
+def test_call_at_returns_the_call_its_callback_receives():
+    # A re-armed timer tells a superseded call from the live one by
+    # identity (the flow network's completion timer does).
+    env = Environment()
+    received = []
+    call = env.call_at(2.0, received.append)
+    env.run()
+    assert received == [call]
+
+
 def test_call_at_in_past_raises():
     env = Environment()
     env.timeout(5.0)
