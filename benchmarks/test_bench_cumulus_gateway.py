@@ -25,7 +25,7 @@ def run_point(users: int):
         chunk_size_mb=32.0,
         testbed=TestbedConfig(seed=31, rate_granularity_s=0.01),
     ))
-    gateway = CumulusGateway(deployment, nic_mbps=1250.0)
+    gateway = CumulusGateway(deployment)
     env = deployment.env
     nodes = [deployment.testbed.add_node(f"user-{i}") for i in range(users)]
 

@@ -101,7 +101,6 @@ class BlobSeerClient:
         rpc_retry=None,
         chunk_cache=None,
         metadata_cache=None,
-        pipeline_publish: bool = False,
     ) -> None:
         self.node = node
         self.env = node.env
@@ -125,14 +124,6 @@ class BlobSeerClient:
         #: disk, no network transfer, zero simulation time.  ``None``
         #: (the default) keeps the cache-less fast path byte-identical.
         self.chunk_cache = chunk_cache
-        #: Publish pipelining (opt-in): request the metadata ticket
-        #: concurrently with the chunk pushes instead of strictly after
-        #: them, hiding the ticket round trip (and any per-blob lock
-        #: queueing) behind the data transfer.  Safe because the ticket
-        #: is independent of push completion — a failed write abandons
-        #: it exactly as in the sequential path.  Default off: the
-        #: sequential ordering is byte-identical to the seed.
-        self.pipeline_publish = bool(pipeline_publish)
         self.meta = MetadataStore(
             node.network, node, metadata_providers, cache=metadata_cache,
             rpc_timeout_s=rpc_timeout_s,
@@ -297,7 +288,6 @@ class BlobSeerClient:
             root = tracer.begin(f"client.{op}", track=self.node.name, cat="client",
                                 client=self.client_id, blob=blob_id, size_mb=size_mb)
         ticket: Optional[Ticket] = None
-        ticket_proc = None
         in_critical = False
         try:
             chunk_size = self._chunk_size.get(blob_id)
@@ -332,16 +322,6 @@ class BlobSeerClient:
             )
             if tracing:
                 phase.finish()
-
-            # Pipelined publish (opt-in): the ticket round trip — and any
-            # per-blob lock queueing behind a concurrent writer — runs
-            # concurrently with the chunk pushes below and is collected
-            # once the data is safely stored.
-            if self.pipeline_publish:
-                ticket_proc = self.env.process(
-                    self._ticket_rpc(blob_id, size_mb, offset_mb, ctx=root),
-                    name=f"ticket-{self.client_id}",
-                )
 
             # 2. push chunks to every replica in parallel; chunks whose
             #    push failed (e.g. the target provider crashed mid-write)
@@ -384,22 +364,15 @@ class BlobSeerClient:
             if tracing:
                 phase.finish()
 
-            # 3. ticket (serializes metadata per blob) — already in
-            #    flight when pipelining, issued now otherwise.
-            if ticket_proc is not None:
-                outcome = yield ticket_proc
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                ticket = outcome
-            else:
-                if tracing:
-                    phase = tracer.begin("client.ticket", cat="client")
-                ticket = yield from self.vm.remote_ticket(
-                    self.node, blob_id, size_mb, self.client_id, offset_mb,
-                    timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-                )
-                if tracing:
-                    phase.finish()
+            # 3. ticket (serializes metadata per blob)
+            if tracing:
+                phase = tracer.begin("client.ticket", cat="client")
+            ticket = yield from self.vm.remote_ticket(
+                self.node, blob_id, size_mb, self.client_id, offset_mb,
+                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
+            )
+            if tracing:
+                phase.finish()
             in_critical = True
 
             # 4. metadata: copy-on-write segment tree nodes
@@ -437,17 +410,9 @@ class BlobSeerClient:
             return result
         except OP_ERRORS as exc:
             if phase is not None:
-                phase.fail(exc)  # ended here, not after the collect below
+                phase.fail(exc)
             # Whatever a message died of (a metadata provider's node gone
             # from the network is a bare KeyError), the ticket is abandoned.
-            if ticket is None and ticket_proc is not None:
-                # The pushes failed with the pipelined ticket still in
-                # flight: collect it so the version number is burned
-                # (abandoned) rather than leaked as a wedged lock.
-                outcome = yield ticket_proc
-                if isinstance(outcome, Ticket):
-                    ticket = outcome
-                    in_critical = True
             if ticket is not None and in_critical:
                 self.vm.abandon(ticket)
             self._record(op, blob_id, size_mb, start, ok=False, error=str(exc))
@@ -457,28 +422,6 @@ class BlobSeerClient:
         finally:
             if tracing:
                 root.finish()
-
-    def _ticket_rpc(self, blob_id, size_mb, offset_mb, ctx=None):
-        """Process body for the pipelined ticket RPC.
-
-        Failures are *returned*, not raised: the process completes while
-        the owning write may still be mid-push, and an unobserved failed
-        process would crash the run.  The caller re-raises on collect."""
-        span = None
-        if ctx is not None:  # the caller's root span: tracing is on
-            span = self.env.tracer.begin("client.ticket", cat="client", parent=ctx)
-        try:
-            return (yield from self.vm.remote_ticket(
-                self.node, blob_id, size_mb, self.client_id, offset_mb,
-                timeout_s=self.rpc_timeout_s, retry=self.rpc_retry,
-            ))
-        except OP_ERRORS as exc:
-            if span is not None:
-                span.fail(exc)
-            return exc
-        finally:
-            if span is not None:
-                span.finish()
 
     def _push_chunk(self, descriptor, replicas, rate_cap, failures, ctx=None):
         """Process: push one chunk to all its replicas; on any failure,

@@ -68,10 +68,6 @@ class BlobSeerConfig:
     #: (a tenth of it per extra request) instead of once per request.
     #: Off by default — byte-identical to the seed.
     vm_batch: bool = False
-    #: Client-side publish pipelining: overlap the chunk pushes with the
-    #: metadata ticket round trip.  Off by default (sequential protocol,
-    #: byte-identical to the seed).
-    client_pipelining: bool = False
     testbed: TestbedConfig = field(default_factory=TestbedConfig)
 
 
@@ -101,7 +97,6 @@ class BlobSeerDeployment:
         self.actor_nodes: Dict[str, "PhysicalNode"] = {}
         #: HeartbeatFailureDetector, once attach_failure_detector() ran.
         self.detector = None
-        self._detector_lazy_cleanup = False
         #: Every cache tier built by this deployment (clients, providers,
         #: gateways) registers here so a CacheTuner can adopt them all.
         self.caches: List["Cache"] = []
@@ -218,7 +213,6 @@ class BlobSeerDeployment:
                 node,
                 base_cpu_s=vm.op_cpu_s,
                 item_cpu_s=vm.op_cpu_s * 0.1,
-                metric="vm.batch_size",
             )
         self.actor_nodes[f"vm{suffix}"] = node
         return vm
@@ -308,7 +302,7 @@ class BlobSeerDeployment:
         self.active_pmanager().register(provider)
         if self.detector is not None:
             self.detector.watch(node)
-            provider.lazy_failure_cleanup = self._detector_lazy_cleanup
+            provider.lazy_failure_cleanup = True
         return provider
 
     def add_provider(self) -> DataProvider:
@@ -322,7 +316,6 @@ class BlobSeerDeployment:
         period_s: float = 1.0,
         timeout_s: float = 3.0,
         confirm_misses: int = 2,
-        lazy_cleanup: bool = True,
         host: Optional["PhysicalNode"] = None,
     ):
         """Replace the instant-crash oracle with heartbeat detection.
@@ -331,9 +324,9 @@ class BlobSeerDeployment:
         *host* (default: the provider manager's node) watching every data
         provider, switches the network to black-hole semantics (messages
         to crashed nodes vanish instead of erroring instantly), points
-        the provider manager's membership at the detector's view and —
-        with *lazy_cleanup* — defers chunk-directory scrubbing until a
-        crash is actually *detected*.  Returns the detector.  A
+        the provider manager's membership at the detector's view and
+        defers chunk-directory scrubbing until a crash is actually
+        *detected*.  Returns the detector.  A
         :class:`~repro.adaptation.ReplicationManager` on this deployment
         needs nothing passed: it judges replicas through the provider
         manager's belief, so its repair traffic is detection-gated too.
@@ -349,21 +342,16 @@ class BlobSeerDeployment:
         )
         self.net.blackhole_missing = True
         self.detector = detector
-        self._detector_lazy_cleanup = lazy_cleanup
         for provider in self.providers.values():
             detector.watch(provider.node)
-            if lazy_cleanup:
-                provider.lazy_failure_cleanup = True
-        if lazy_cleanup:
-            def _purge_on_confirm(view):
-                for provider in self.providers.values():
-                    if (
-                        provider.node.name == view.node.name
-                        and not provider.node.alive
-                    ):
-                        provider.purge_after_crash()
+            provider.lazy_failure_cleanup = True
 
-            detector.on_confirm(_purge_on_confirm)
+        def _purge_on_confirm(view):
+            for provider in self.providers.values():
+                if provider.node.name == view.node.name and not provider.node.alive:
+                    provider.purge_after_crash()
+
+        detector.on_confirm(_purge_on_confirm)
         for pm in self.pm_shards:
             pm.detector = detector
         detector.start()
@@ -445,7 +433,6 @@ class BlobSeerDeployment:
             rpc_retry=rpc_retry,
             chunk_cache=chunk_cache,
             metadata_cache=metadata_cache,
-            pipeline_publish=self.config.client_pipelining,
         )
         self.clients[client_id] = client
         self.actor_nodes[client_id] = node

@@ -324,14 +324,11 @@ class GroupCommitGate:
         node,
         base_cpu_s: float,
         item_cpu_s: float,
-        metric: Optional[str] = None,
     ) -> None:
         self.node = node
         self.env = node.env
         self.base_cpu_s = base_cpu_s
         self.item_cpu_s = item_cpu_s
-        #: Metrics histogram name for batch sizes (None = unmetered).
-        self.metric = metric
         self._waiters: List[Event] = []
         self._draining = False
         self.batches = 0
@@ -367,10 +364,9 @@ class GroupCommitGate:
                 self.batched_ops += len(batch)
                 if len(batch) > self.max_batch_seen:
                     self.max_batch_seen = len(batch)
-                if self.metric is not None:
-                    metrics = self.env.metrics
-                    if metrics is not None:
-                        metrics.histogram(self.metric).observe(len(batch))
+                metrics = self.env.metrics
+                if metrics is not None:
+                    metrics.histogram("vm.batch_size").observe(len(batch))
                 for event in batch:
                     event.succeed()
         finally:

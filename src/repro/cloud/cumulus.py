@@ -50,18 +50,15 @@ class CumulusGateway:
     #: Service time of a metadata-only operation (bucket and listing
     #: calls, HEAD, multipart bookkeeping).
     LIST_LATENCY_S = 0.0005
+    #: The frontend node's fat (10 GbE) pipe, as a service head node's.
+    NIC_MBPS = 1250.0
 
-    def __init__(
-        self,
-        deployment: BlobSeerDeployment,
-        nic_mbps: float = 1250.0,
-    ) -> None:
+    def __init__(self, deployment: BlobSeerDeployment) -> None:
         self.deployment = deployment
         self.env = deployment.env
         self.net = deployment.net
-        # Frontend node with a fat (10 GbE) pipe, as a service head node.
         self.node = deployment.testbed.add_node(
-            f"{self.GATEWAY_ID}-node", nic_in=nic_mbps, nic_out=nic_mbps
+            f"{self.GATEWAY_ID}-node", nic_in=self.NIC_MBPS, nic_out=self.NIC_MBPS
         )
         #: Backend BlobSeer client the gateway proxies through — it runs
         #: *on* the gateway node (the gateway is the BlobSeer client) and

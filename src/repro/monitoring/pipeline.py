@@ -116,11 +116,11 @@ class MonitoringStack:
         return len(self._parameters)
 
     # -- wiring ---------------------------------------------------------------------
-    def attach(self, deployment: BlobSeerDeployment, sensors: bool = True) -> None:
+    def attach(self, deployment: BlobSeerDeployment) -> None:
         """Instrument a BlobSeer deployment with this stack."""
         deployment.sink.add(self)
         self.node_resolver = lambda actor_id: deployment.actor_nodes.get(actor_id)
-        if sensors and self.config.physical_sample_interval_s > 0:
+        if self.config.physical_sample_interval_s > 0:
             for node in deployment.actor_nodes.values():
                 self.monitor_node(node)
 

@@ -42,18 +42,14 @@ def _clean_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def chrome_trace(
-    tracer: Tracer,
-    flow_arrows: bool = True,
-    journal=None,
-) -> Dict[str, Any]:
+def chrome_trace(tracer: Tracer, journal=None) -> Dict[str, Any]:
     """Build the trace-event dict for *tracer*'s spans and instants.
 
-    With *flow_arrows* (the default), every parent→child span edge that
-    crosses tracks — a client phase causing work on a provider or
-    manager node — also emits a Chrome flow-event pair (``ph: "s"`` on
-    the parent's track, ``ph: "f"`` on the child's), so Perfetto draws
-    the causal arrows of each distributed trace across processes.
+    Every parent→child span edge that crosses tracks — a client phase
+    causing work on a provider or manager node — also emits a Chrome
+    flow-event pair (``ph: "s"`` on the parent's track, ``ph: "f"`` on
+    the child's), so Perfetto draws the causal arrows of each
+    distributed trace across processes.
 
     With a :class:`~repro.introspection.provenance.DecisionJournal`
     passed as *journal*, each engine gets an ``adaptation:<engine>``
@@ -114,17 +110,16 @@ def chrome_trace(
             "args": args,
         })
 
-    if flow_arrows:
-        by_id = {s.span_id: s for s in spans}
-        for span in spans:
-            parent = by_id.get(span.parent_id)
-            if parent is None or parent.track == span.track:
-                continue
-            ts = round(span.start * _US, 3)
-            common = {"pid": _PID, "name": "causal", "cat": "flow",
-                      "id": span.span_id, "ts": ts}
-            events.append({"ph": "s", "tid": tids[parent.track], **common})
-            events.append({"ph": "f", "bp": "e", "tid": tids[span.track], **common})
+    by_id = {s.span_id: s for s in spans}
+    for span in spans:
+        parent = by_id.get(span.parent_id)
+        if parent is None or parent.track == span.track:
+            continue
+        ts = round(span.start * _US, 3)
+        common = {"pid": _PID, "name": "causal", "cat": "flow",
+                  "id": span.span_id, "ts": ts}
+        events.append({"ph": "s", "tid": tids[parent.track], **common})
+        events.append({"ph": "f", "bp": "e", "tid": tids[span.track], **common})
 
     marks = sorted(
         tracer.instants,
@@ -160,7 +155,7 @@ def chrome_trace(
             "ts": ts,
             "args": args,
         })
-        if not flow_arrows or entry.effect_at is None or not entry.effect:
+        if entry.effect_at is None or not entry.effect:
             continue
         deltas = {
             name: round(vals["delta"], 6)
@@ -189,12 +184,10 @@ def chrome_trace(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace_json(
-    tracer: Tracer, flow_arrows: bool = True, journal=None,
-) -> str:
+def chrome_trace_json(tracer: Tracer, journal=None) -> str:
     """Deterministic serialization (sorted keys, fixed separators)."""
     return json.dumps(
-        chrome_trace(tracer, flow_arrows=flow_arrows, journal=journal),
+        chrome_trace(tracer, journal=journal),
         sort_keys=True,
         separators=(",", ":"),
     )

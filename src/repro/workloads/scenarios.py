@@ -258,7 +258,6 @@ def build_fanout_scenario(
     vm_shards: int = 1,
     pm_shards: int = 1,
     vm_batch: bool = False,
-    client_pipelining: bool = False,
     allocation: str = "round_robin",
     ramp_s: float = 1.0,
     seed: int = 0,
@@ -275,7 +274,6 @@ def build_fanout_scenario(
         vm_shards=vm_shards,
         pm_shards=pm_shards,
         vm_batch=vm_batch,
-        client_pipelining=client_pipelining,
         testbed=TestbedConfig(seed=seed),
     ))
     return FanoutScenario(deployment=deployment, writers=_writer_fleet(

@@ -35,16 +35,14 @@ def add_user(dep, name):
 
 def test_gateway_backend_is_the_client_the_factory_builds():
     """The gateway's backend comes from ``new_client``, placed on the
-    gateway's own node: client-side caches and pipelining follow the
-    deployment's config like any other client's."""
+    gateway's own node: client-side caches follow the deployment's
+    config like any other client's."""
     dep, gw = make_gateway(client_chunk_cache_mb=32.0,
-                           client_metadata_cache_mb=8.0,
-                           client_pipelining=True)
+                           client_metadata_cache_mb=8.0)
     plain = dep.new_client("plain")
     for client in (gw.backend, plain):
         assert client.chunk_cache.capacity_mb == 32.0
         assert client.meta.cache.capacity_mb == 8.0
-        assert client.pipeline_publish is True
     assert gw.backend.node is gw.node
     assert gw.node.netnode.capacity_out == 1250.0  # the fat NIC stays
     assert dep.clients["cumulus"] is gw.backend

@@ -26,6 +26,15 @@ it is tolerated: they may shrink (a survivor that gains a real caller
 fails the test until it is taken off), they do not grow.
 (Builder parameters keep the any-caller rule: the golden worlds of
 ``tests/test_golden_observables.py`` shrink themselves through them.)
+
+A defaulted ``bool`` — of a constructor, a config dataclass, a public
+function or a public method — must be used both ways by ``RUNS``: set to
+``True`` somewhere and to ``False`` (or left at a ``False`` default)
+somewhere else, or set to a computed value.  A value passed on from a
+parameter of the enclosing function counts as what that function's
+callers give it, and ``config.<field>`` as what that field is given, so a
+builder that forwards a flag nobody sets keeps neither alive.  A flag
+used one way is one code path and a dead one: make it a constant.
 """
 
 import ast
@@ -538,20 +547,231 @@ def test_a_reexport_is_not_a_use_of_a_definition():
         reexporters=[package, lazy_package]) == ["Exported", "idle"]
 
 
+#: What a value is when the scan cannot name it: an expression, a local, a
+#: ``*args`` splat.  A flag a run computes is used both ways.
+_COMPUTED = "computed"
+
+
+def _is_flag(annotation, default):
+    return ((isinstance(default, ast.Constant) and isinstance(default.value, bool))
+            or getattr(annotation, "id", None) == "bool")
+
+
+def _one_sided(library, callers):
+    """Defaulted ``bool`` parameters of *library* that *callers* use one
+    way only: ``Class.param`` for a constructor parameter or a ``CONFIGS``
+    field, ``Class.method.param`` and ``function.param`` for a public
+    method or module-level function (builders pass values on, as in
+    ``_unset``, but are not subjects).
+
+    A call site gives a parameter its argument, or its default when it
+    passes none (plus, through a ``**splat``, whatever its file names that
+    key).  A constant is its value; a name that is a parameter of the
+    enclosing function is what that function's callers give it; a read of
+    ``config.<field>`` is what that ``CONFIGS`` field receives; anything
+    else is computed.  Calls are matched by name, as in ``_unset``."""
+    #: id(definition) -> (call key, parameters in call order, defaults)
+    defs, subjects, fields = {}, [], {}
+
+    def declare(node, cls, function, subject):
+        """Record every definition under *node* (its flags as subjects if
+        *subject*); *cls* is the class whose body holds it, *function* the
+        function it is nested in."""
+        if isinstance(node, ast.ClassDef) and node.name in CONFIGS:
+            body = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            defs[id(node)] = (node.name, [stmt.target.id for stmt in body],
+                              {stmt.target.id: stmt.value for stmt in body})
+            for stmt in body:
+                fields.setdefault(stmt.target.id, []).append(node)
+                if subject and _is_flag(stmt.annotation, stmt.value):
+                    subjects.append((f"{node.name}.{stmt.target.id}", node,
+                                     stmt.target.id))
+        elif isinstance(node, ast.FunctionDef):
+            method = cls is not None and "staticmethod" not in [
+                getattr(d, "id", None) for d in node.decorator_list]
+            args = node.args
+            named = args.posonlyargs + args.args
+            pairs = [*zip(named[len(named) - len(args.defaults):], args.defaults),
+                     *((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None)]
+            init = method and node.name == "__init__"
+            defs[id(node)] = (cls.name if init else node.name,
+                              [a.arg for a in named + args.kwonlyargs][method:],
+                              {a.arg: d for a, d in pairs})
+            public = function is None and not node.name.startswith("_")
+            if init:
+                prefix = cls.name
+            elif cls is not None:
+                prefix = (f"{cls.name}.{node.name}"
+                          if public and not cls.name.startswith("_") else None)
+            else:
+                prefix = node.name if public and not (
+                    node.name.startswith("build_") and node.name.endswith("_scenario")
+                ) else None
+            if prefix and subject:
+                subjects.extend((f"{prefix}.{a.arg}", node, a.arg)
+                                for a, d in pairs if _is_flag(a.annotation, d))
+            function = node
+        body_of = node if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            declare(child, body_of, function, subject)
+
+    for module in library:
+        declare(module, None, None, True)
+    for module in callers:
+        declare(module, None, None, False)
+
+    #: call key -> [(call, enclosing function, what its file names)]
+    calls = {}
+    for module in callers:
+        #: key -> [(value, enclosing function)] of the file's dict-literal
+        #: entries and call keywords: what a ``**splat`` here may carry.
+        named = {}
+
+        def visit(node, function):
+            if isinstance(node, ast.FunctionDef):
+                function = node
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant):
+                        named.setdefault(key.value, []).append((value, function))
+            elif isinstance(node, ast.Call):
+                for keyword in node.keywords:
+                    if keyword.arg:
+                        named.setdefault(keyword.arg, []).append(
+                            (keyword.value, function))
+                key = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(key, []).append((node, function, named))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(module, None)
+
+    def value(expr, function):
+        if isinstance(expr, ast.Constant):
+            return {expr.value}
+        if (isinstance(expr, ast.Name) and function is not None
+                and expr.id in defs[id(function)][1]):
+            return received(function, expr.id)
+        if (isinstance(expr, ast.Attribute) and expr.attr in fields and "config" in (
+                getattr(expr.value, "id", None), getattr(expr.value, "attr", None))):
+            return set().union(*(received(c, expr.attr) for c in fields[expr.attr]))
+        return {_COMPUTED}
+
+    def given(call, function, named, params, defaults, param):
+        for keyword in call.keywords:
+            if keyword.arg == param:
+                return value(keyword.value, function)
+        index = params.index(param)
+        if any(isinstance(a, ast.Starred) for a in call.args[:index + 1]):
+            return {_COMPUTED}
+        if index < len(call.args):
+            return value(call.args[index], function)
+        values = value(defaults[param], None) if param in defaults else set()
+        if any(keyword.arg is None for keyword in call.keywords):  # ``**splat``
+            for expr, where in named.get(param, ()):
+                values |= value(expr, where)
+        return values
+
+    memo = {}
+
+    def received(node, param):
+        """What the call sites of *node* give its parameter *param*."""
+        if (id(node), param) not in memo:
+            memo[id(node), param] = set()  # a cycle adds nothing
+            key, params, defaults = defs[id(node)]
+            memo[id(node), param] = set().union(*(
+                given(call, function, named, params, defaults, param)
+                for call, function, named in calls.get(key, ())))
+        return memo[id(node), param]
+
+    return sorted({name for name, node, param in subjects
+                   if _COMPUTED not in (values := received(node, param))
+                   and not {True, False} <= values})
+
+
+def test_a_boolean_option_is_set_both_ways_by_a_run():
+    """A defaulted ``bool`` on the surface — constructor parameters and
+    config fields, public functions and methods — that no run sets to its
+    other value is one code path plus a dead one: make it a constant."""
+    assert _one_sided(_library(), _sources(RUNS)) == []
+
+
+#: A library with six flags, the bench that runs it and its unit test.
+_FLAGS = """
+@dataclass
+class BlobSeerConfig:
+    pipelining: bool = False
+
+class Client:
+    def __init__(self, node, pipeline=False): ...
+
+class Deployment:
+    def __init__(self, config):
+        self.config = config
+
+    def new_client(self, node):
+        return Client(node, pipeline=self.config.pipelining)
+
+    def attach(self, detector, lazy=True): ...
+
+class Network:
+    def __init__(self, env, incremental=True, urgent=False): ...
+
+def trace(tracer, arrows=True): ...
+
+def build_fanout_scenario(writers, pipelining=False):
+    deployment = Deployment(BlobSeerConfig(pipelining=pipelining))
+    deployment.new_client(writers)
+    return deployment
+"""
+_BENCH_FLAGS = """
+def run_pods(pods, incremental):
+    return Network(pods, incremental=incremental)
+
+def test_scale(mode):
+    run_pods(1, incremental=False)
+    run_pods(2, incremental=True)
+    Network(3, urgent=True)
+    Network(4)
+    deployment = build_fanout_scenario(8)
+    deployment.attach(None)
+    trace(None, arrows=mode == "arrows")
+"""
+_TESTS_FLAGS = """
+build_fanout_scenario(2, pipelining=True)
+Deployment(None).attach(None, lazy=False)
+"""
+
+
+def test_a_flag_no_run_sets_both_ways_is_reported():
+    """The builder passes ``pipelining`` on and the client reads it from
+    the config, but every run leaves the builder at its default: the
+    config field and the client parameter are both reported, as is a flag
+    only the tests module sets the other way.  A flag runs set both ways —
+    directly, or through a bench helper's parameter — passes, as does a
+    computed one; with the tests module counted as a run, nothing is
+    one-sided."""
+    library, bench, tests = map(ast.parse, (_FLAGS, _BENCH_FLAGS, _TESTS_FLAGS))
+    assert _one_sided([library], [library, bench]) == [
+        "BlobSeerConfig.pipelining", "Client.pipeline", "Deployment.attach.lazy"]
+    assert _one_sided([library], [library, bench, tests]) == []
+
+
 def test_the_surface_is_the_documented_size():
-    """29 -> 15 config fields and 122 -> 71 builder parameters;
-    293 -> 240 -> 193 -> 186 defaulted constructor parameters and config
-    fields, 311 -> 264 -> 257 checked in all (the last step: one loop
-    class instead of two, and a query engine over series only).  Each
-    bound leaves a little room to add what a caller needs; none leaves
-    room for a second round of "just in case"."""
+    """29 -> 15 -> 14 config fields and 122 -> 71 -> 70 builder
+    parameters; 293 -> 240 -> 193 -> 186 -> 182 defaulted constructor
+    parameters and config fields, 311 -> 264 -> 257 -> 252 checked in all
+    (the last step: one write protocol, no publish pipelining, and the
+    gate's metric and the gateway's NIC as constants).  The bounds are
+    the counts: a new knob takes the place of one that goes."""
     checked = {name: len(params) for name, (_, params) in _surface().items()}
-    assert checked["BlobSeerConfig"] == 15
+    assert checked["BlobSeerConfig"] == 14
     builders = sum(count for name, count in checked.items()
                    if name.startswith("build_"))
-    assert builders <= 85
-    assert sum(checked.values()) - builders <= 190
-    assert sum(checked.values()) <= 262
+    assert builders <= 70
+    assert sum(checked.values()) - builders <= 182
+    assert sum(checked.values()) <= 252
 
 
 def test_the_flow_network_takes_no_solver_knob():

@@ -194,7 +194,7 @@ def test_physical_sensors_sample_nodes():
         physical_sample_interval_s=1.0,
         sensor_stop_at=10.0,
     ))
-    stack.attach(dep, sensors=True)
+    stack.attach(dep)
     dep.run(until=15.0)
     physical = [
         e for e in stack.repository.all_records()

@@ -2,14 +2,14 @@
 
 Covers the determinism matrix the sharding PR promises:
 
-- defaults (``vm_shards=1``, batching/pipelining off) are byte-identical
+- defaults (``vm_shards=1``, batching off) are byte-identical
   to a config that never mentions the new knobs, across seeds;
-- sharded/batched/pipelined runs are exactly reproducible per seed;
+- sharded/batched runs are exactly reproducible per seed;
 - one blob's version history stays totally ordered on its one owning
   shard under concurrent same-blob writers;
 - a shard's primary can be killed mid-churn and the chaos invariants
   still hold (sharding composes with epoch-fenced failover);
-- batched publish and pipelined tickets change timings, never outcomes;
+- batched publish changes timings, never outcomes;
 - batched allocation serves a whole write in one RPC.
 """
 
@@ -49,8 +49,7 @@ def test_defaults_byte_identical_to_unsharded_config(seed):
     """A config that spells out the new knobs' defaults produces the
     exact observable stream of one that predates them."""
     implicit = run_fanout(seed)
-    explicit = run_fanout(seed, vm_shards=1, pm_shards=1, vm_batch=False,
-                          client_pipelining=False)
+    explicit = run_fanout(seed, vm_shards=1, pm_shards=1, vm_batch=False)
     assert implicit.observables() == explicit.observables()
 
 
@@ -189,7 +188,7 @@ def test_gateway_gets_the_endpoints_any_client_would():
     assert all(isinstance(t, PrimaryHandle) for t in router.targets)
 
 
-# ------------------------------------------------- batching / pipelining
+# ------------------------------------------------------------- batching
 def test_batching_changes_timing_not_outcomes():
     off = run_fanout(5, vm_shards=2)
     on = run_fanout(5, vm_shards=2, vm_batch=True)
@@ -205,17 +204,6 @@ def test_batching_changes_timing_not_outcomes():
     gate = burst.deployment.vmanager.batch_gate
     assert gate.max_batch_seen >= 2
     assert gate.mean_batch_size() > 1.0
-
-
-def test_pipelining_changes_timing_not_outcomes():
-    off = run_fanout(5)
-    on = run_fanout(5, client_pipelining=True)
-    again = run_fanout(5, client_pipelining=True)
-    assert on.observables() == again.observables()
-    assert final_blob_state(off.deployment) == final_blob_state(on.deployment)
-    assert on.completed_ops() == off.completed_ops() == 18
-    # Overlapping ticket with chunk pushes can only help the makespan.
-    assert on.makespan_s() <= off.makespan_s() + 1e-9
 
 
 def test_least_loaded_allocation_reproducible():
